@@ -4,6 +4,22 @@ Conventions used everywhere:
   * positions are numpy float64 arrays of shape (3,), y is up, units are meters
   * quaternions are numpy arrays [w, x, y, z], unit norm
   * yaw is a rotation about +y; yaw 0 faces +z, positive yaw turns +z toward +x
+
+The per-tick kernels (cross, quat_rotate, quat_mul, quat_conj) take numpy
+inputs and return numpy arrays, but do their arithmetic on plain Python
+floats: numpy's per-call overhead on a 3-element vector (np.cross spends most
+of its time on axis bookkeeping) costs far more than the arithmetic. Results
+must stay bit-identical to the numpy formulation, because a replayed
+transcript has to rebuild a byte-identical report. The rule for a kernel:
+
+  * elementwise arithmetic may move to plain floats, written as numpy's
+    operations in numpy's order (np.cross computes a1*b2 - a2*b1, then
+    a2*b0 - a0*b2, then a0*b1 - a1*b0; a*b + c is a product, then a sum);
+  * reductions (norm, normalized, quat_normalize, every np.dot and
+    np.linalg.norm) stay on numpy. A small-vector np.dot runs in BLAS, which
+    fuses multiply-adds: a plain Python sum of squares differs from it in the
+    last bit for about 25% of random 4-vectors (and a third of general dot
+    products), and Python before 3.13 has no math.fma to reproduce it.
 """
 
 from __future__ import annotations
@@ -68,6 +84,17 @@ def wrap_angle_positive(a: float) -> float:
     return a
 
 
+def _floats(a) -> list[float]:
+    return np.asarray(a, dtype=float).tolist()
+
+
+def cross(a, b) -> np.ndarray:
+    """Cross product of two 3-vectors; the same bits as np.cross."""
+    ax, ay, az = _floats(a)
+    bx, by, bz = _floats(b)
+    return np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
+
+
 def angle_between(a, b) -> float:
     """Unsigned angle in radians between two nonzero vectors."""
     d = float(np.dot(normalized(a), normalized(b)))
@@ -96,8 +123,8 @@ def quat_is_unit(q, tol: float = 1e-6) -> bool:
 
 
 def quat_mul(a, b) -> np.ndarray:
-    aw, ax, ay, az = (float(c) for c in a)
-    bw, bx, by, bz = (float(c) for c in b)
+    aw, ax, ay, az = _floats(a)
+    bw, bx, by, bz = _floats(b)
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -109,16 +136,23 @@ def quat_mul(a, b) -> np.ndarray:
 
 
 def quat_conj(q) -> np.ndarray:
-    return np.array([float(q[0]), -float(q[1]), -float(q[2]), -float(q[3])])
+    w, x, y, z = _floats(q)
+    return np.array([w, -x, -y, -z])
 
 
 def quat_rotate(q, v) -> np.ndarray:
-    """Rotate vector v by unit quaternion q."""
-    qv = np.array([float(q[1]), float(q[2]), float(q[3])])
-    w = float(q[0])
-    v = np.asarray(v, dtype=float)
-    t = 2.0 * np.cross(qv, v)
-    return v + w * t + np.cross(qv, t)
+    """Rotate vector v by unit quaternion q: v + w*t + qv x t with
+    t = 2 * (qv x v), where qv is q's vector part."""
+    w, qx, qy, qz = _floats(q)
+    vx, vy, vz = _floats(v)
+    tx = 2.0 * (qy * vz - qz * vy)
+    ty = 2.0 * (qz * vx - qx * vz)
+    tz = 2.0 * (qx * vy - qy * vx)
+    return np.array([
+        vx + w * tx + (qy * tz - qz * ty),
+        vy + w * ty + (qz * tx - qx * tz),
+        vz + w * tz + (qx * ty - qy * tx),
+    ])
 
 
 def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
@@ -151,7 +185,7 @@ def quat_between(a, b) -> np.ndarray:
     if d < -1.0 + 1e-12:
         axis = _any_perpendicular(a)
         return quat_from_axis_angle(axis, math.pi)
-    axis = np.cross(a, b)
+    axis = cross(a, b)
     w = 1.0 + d
     return quat_normalize(np.array([w, axis[0], axis[1], axis[2]]))
 
@@ -160,14 +194,14 @@ def look_rotation(forward, up=UP) -> np.ndarray:
     """Rotation mapping +z to `forward` with +y as close to `up` as possible."""
     f = normalized(forward)
     u = np.asarray(up, dtype=float)
-    right = np.cross(u, f)
+    right = cross(u, f)
     if norm(right) < 1e-9:
         # forward parallel to up: pick a deterministic right axis
-        right = np.cross(np.array([0.0, 0.0, 1.0]), f)
+        right = cross(np.array([0.0, 0.0, 1.0]), f)
         if norm(right) < 1e-9:
             right = np.array([1.0, 0.0, 0.0])
     right = normalized(right)
-    u = np.cross(f, right)
+    u = cross(f, right)
     m = np.column_stack([right, u, f])
     return _quat_from_matrix(m)
 
@@ -209,7 +243,7 @@ def _any_perpendicular(v) -> np.ndarray:
         other = np.array([0.0, 1.0, 0.0])
     else:
         other = np.array([0.0, 0.0, 1.0])
-    return normalized(np.cross(v, other))
+    return normalized(cross(v, other))
 
 
 def slerp_vec(a, b, t: float) -> np.ndarray:
@@ -262,7 +296,11 @@ class Transform:
         )
 
     def inverse_apply(self, world_point) -> np.ndarray:
-        return quat_rotate(quat_conj(self.orientation), np.asarray(world_point, dtype=float) - self.position)
+        """Map a point from the parent frame into this frame."""
+        w, x, y, z = self.orientation.tolist()
+        px, py, pz = self.position.tolist()
+        qx, qy, qz = _floats(world_point)
+        return quat_rotate((w, -x, -y, -z), (qx - px, qy - py, qz - pz))
 
     def forward(self) -> np.ndarray:
         return quat_rotate(self.orientation, FORWARD)

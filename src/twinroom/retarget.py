@@ -23,6 +23,7 @@ from .geometry import (
     FORWARD,
     UP,
     Transform,
+    cross,
     look_rotation,
     normalized,
     quat_conj,
@@ -130,6 +131,9 @@ class RetargetConfig:
             raise ValueError("interp_speed must be positive")
 
 
+_DEFAULT_RETARGET = RetargetConfig()
+
+
 # --- core solvers -----------------------------------------------------------
 
 def solve_two_bone(shoulder, upper: float, fore: float, target, hint) -> tuple[np.ndarray, np.ndarray]:
@@ -174,16 +178,19 @@ def _fallback_perpendicular(direction: np.ndarray) -> np.ndarray:
     axis = np.array([0.0, 1.0, 0.0])
     if abs(float(np.dot(axis, direction))) > 0.9:
         axis = np.array([1.0, 0.0, 0.0])
-    return normalized(np.cross(direction, axis))
+    return normalized(cross(direction, axis))
 
 
-def solve_full_body(skeleton: Skeleton, goals: IkGoals) -> AvatarPose:
+def solve_full_body(skeleton: Skeleton, goals: IkGoals, cfg: RetargetConfig | None = None) -> AvatarPose:
     """Pose the whole skeleton against root-relative goals.
 
-    Hands and feet use two-bone IK with fixed hint planes; the head is placed
-    one neck length from the top of the spine toward its goal and keeps the
-    goal's orientation. Finger data passes through untouched.
+    Hands and feet use two-bone IK with the hint planes of `cfg` (elbow and
+    knee hints, root-relative); the head is placed one neck length from the
+    top of the spine toward its goal and keeps the goal's orientation. Finger
+    data passes through untouched.
     """
+    if cfg is None:
+        cfg = _DEFAULT_RETARGET
     root = goals.root
     joints: dict[str, np.ndarray] = {}
     orientations: dict[str, np.ndarray] = {}
@@ -197,11 +204,10 @@ def solve_full_body(skeleton: Skeleton, goals: IkGoals) -> AvatarPose:
     joints["head"] = neck_base + skeleton.neck * normalized(head_dir)
     orientations["head"] = quat_mul(root.orientation, goals.head.orientation)
 
-    cfg_default = RetargetConfig()
     for side, hand_goal in (("left", goals.left_hand), ("right", goals.right_hand)):
         shoulder = root.apply(skeleton.shoulder_local(side))
         target = root.apply(hand_goal.position)
-        hint = quat_rotate(root.orientation, np.asarray(cfg_default.elbow_hint))
+        hint = quat_rotate(root.orientation, cfg.elbow_hint)
         elbow, wrist = solve_two_bone(shoulder, skeleton.upper_arm, skeleton.forearm, target, hint)
         joints[f"{side[0]}_shoulder"] = shoulder
         joints[f"{side[0]}_elbow"] = elbow
@@ -211,7 +217,7 @@ def solve_full_body(skeleton: Skeleton, goals: IkGoals) -> AvatarPose:
     for side, foot_goal in (("left", goals.left_foot), ("right", goals.right_foot)):
         hip = root.apply(skeleton.hip_local(side))
         target = root.apply(foot_goal.position)
-        hint = quat_rotate(root.orientation, np.asarray(cfg_default.knee_hint))
+        hint = quat_rotate(root.orientation, cfg.knee_hint)
         knee, ankle = solve_two_bone(hip, skeleton.thigh, skeleton.shin, target, hint)
         joints[f"{side[0]}_hip"] = hip
         joints[f"{side[0]}_knee"] = knee
@@ -246,6 +252,7 @@ def walk_in_place(
     goals: IkGoals,
     frozen_placement: Placement,
     root_height: float,
+    cfg: RetargetConfig | None = None,
 ) -> AvatarPose:
     """Locomotion pose: root pinned at the frozen placement, limbs mimicking.
 
@@ -257,7 +264,7 @@ def walk_in_place(
         np.array([frozen_placement.x, root_height, frozen_placement.z]),
         quat_from_yaw(frozen_placement.yaw),
     )
-    return solve_full_body(skeleton, replace(goals, root=frozen_root))
+    return solve_full_body(skeleton, replace(goals, root=frozen_root), cfg)
 
 
 # --- pointing ---------------------------------------------------------------
@@ -315,7 +322,7 @@ def retarget_pointing(
     hand.
     """
     if cfg is None:
-        cfg = RetargetConfig()
+        cfg = _DEFAULT_RETARGET
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     hand = snapshot.left_hand if side == "left" else snapshot.right_hand
@@ -435,10 +442,10 @@ def avatar_tick(
     from .states import UserState  # local import: avoid cycle at module load
 
     if cfg is None:
-        cfg = RetargetConfig()
+        cfg = _DEFAULT_RETARGET
 
     if mode is UserState.Locomotion:
-        pose = walk_in_place(skeleton, goals, placement, placement_root_height)
+        pose = walk_in_place(skeleton, goals, placement, placement_root_height, cfg)
         interp.reset_transitions()
         _remember(interp, skeleton, pose)
         return AvatarTickResult(pose=pose, pointing={})
@@ -446,12 +453,12 @@ def avatar_tick(
     if mode is not UserState.Interaction or (
         head_target is None and all(v is None for v in targets.values())
     ):
-        pose = solve_full_body(skeleton, goals)
+        pose = solve_full_body(skeleton, goals, cfg)
         interp.reset_transitions()
         _remember(interp, skeleton, pose)
         return AvatarTickResult(pose=pose, pointing={})
 
-    base = solve_full_body(skeleton, goals)
+    base = solve_full_body(skeleton, goals, cfg)
     adjusted = goals
     root = goals.root
     inv_root_q = quat_conj(root.orientation)
@@ -515,7 +522,7 @@ def avatar_tick(
         )
         pointing[side] = (st.t, sol)
 
-    pose = solve_full_body(skeleton, adjusted)
+    pose = solve_full_body(skeleton, adjusted, cfg)
     _remember(interp, skeleton, pose)
     return AvatarTickResult(pose=pose, pointing=pointing)
 

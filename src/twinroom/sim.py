@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import struct
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
@@ -220,14 +221,6 @@ class SimConfig:
 
 # --- wire/pose plumbing --------------------------------------------------------
 
-def _f3(v) -> tuple[float, float, float]:
-    return (f32(float(v[0])), f32(float(v[1])), f32(float(v[2])))
-
-
-def _f4(q) -> tuple[float, float, float, float]:
-    return (f32(float(q[0])), f32(float(q[1])), f32(float(q[2])), f32(float(q[3])))
-
-
 def _wire_to_transform(wt: WireTransform) -> Transform:
     return Transform(
         position=np.array(wt.position, dtype=float),
@@ -235,28 +228,28 @@ def _wire_to_transform(wt: WireTransform) -> Transform:
     )
 
 
+# root then the five effectors, each position (3) + orientation (4)
+_POSE_F32 = struct.Struct("<42f")
+
+
 def pose_update_from_snapshot(snap, tick: int) -> PoseUpdate:
     """Quantize a trace snapshot into the wire pose: world root plus five
     root-relative effectors, every float already rounded to 32 bits so the
-    sender computes with exactly what the receiver will see."""
+    sender computes with exactly what the receiver will see. One pack and
+    unpack of all 42 floats rounds each exactly as `f32` does."""
     root_q = quat_normalize(snap.root.orientation)
     root = Transform(position=np.asarray(snap.root.position, dtype=float), orientation=root_q)
-
-    def rel(sample) -> WireTransform:
-        rp = root.inverse_apply(sample.position)
-        rq = quat_mul(quat_conj(root_q), quat_normalize(sample.orientation))
-        return WireTransform(position=_f3(rp), orientation=_f4(rq))
-
-    return PoseUpdate(
-        tick=tick,
-        root=WireTransform(position=_f3(root.position), orientation=_f4(root_q)),
-        head=rel(snap.head),
-        left_hand=rel(snap.left_hand),
-        right_hand=rel(snap.right_hand),
-        left_foot=rel(snap.left_foot),
-        right_foot=rel(snap.right_foot),
-        fingers=snap.fingers,
+    inv_q = quat_conj(root_q)
+    floats = root.position.tolist() + root_q.tolist()
+    for sample in (snap.head, snap.left_hand, snap.right_hand, snap.left_foot, snap.right_foot):
+        floats += root.inverse_apply(sample.position).tolist()
+        floats += quat_mul(inv_q, quat_normalize(sample.orientation)).tolist()
+    w = _POSE_F32.unpack(_POSE_F32.pack(*floats))
+    root_w, head, left_hand, right_hand, left_foot, right_foot = (
+        WireTransform(position=w[i:i + 3], orientation=w[i + 3:i + 7]) for i in range(0, 42, 7)
     )
+    return PoseUpdate(tick=tick, root=root_w, head=head, left_hand=left_hand, right_hand=right_hand,
+                      left_foot=left_foot, right_foot=right_foot, fingers=snap.fingers)
 
 
 @dataclass(frozen=True)
@@ -443,11 +436,11 @@ class AvatarHost:
         root = self.avatar_root()
         goals = IkGoals(
             root=root,
-            head=_rel_transform(self.pose.head),
-            left_hand=_rel_transform(self.pose.left_hand),
-            right_hand=_rel_transform(self.pose.right_hand),
-            left_foot=_rel_transform(self.pose.left_foot),
-            right_foot=_rel_transform(self.pose.right_foot),
+            head=_wire_to_transform(self.pose.head),
+            left_hand=_wire_to_transform(self.pose.left_hand),
+            right_hand=_wire_to_transform(self.pose.right_hand),
+            left_foot=_wire_to_transform(self.pose.left_foot),
+            right_foot=_wire_to_transform(self.pose.right_foot),
             fingers=self.pose.fingers,
         )
         rcfg = self.cfg.retarget
@@ -546,15 +539,8 @@ class AvatarHost:
             self._close(side)
 
 
-def _rel_transform(wt: WireTransform) -> Transform:
-    return Transform(
-        position=np.array(wt.position, dtype=float),
-        orientation=quat_normalize(np.array(wt.orientation, dtype=float)),
-    )
-
-
 def _world_of(root: Transform, wt: WireTransform) -> Transform:
-    rel = _rel_transform(wt)
+    rel = _wire_to_transform(wt)
     return Transform(
         position=root.apply(rel.position),
         orientation=quat_mul(root.orientation, rel.orientation),

@@ -12,6 +12,7 @@ from twinroom.geometry import (
     UP,
     Transform,
     angle_between,
+    cross,
     look_rotation,
     norm,
     normalized,
@@ -168,3 +169,98 @@ def test_point_to_line_distance_invariant_under_sliding(p, o, s):
 def test_quat_normalize_rejects_zero():
     with pytest.raises(ValueError):
         quat_normalize(np.zeros(4))
+
+
+# --- bit-exact plain-float kernels --------------------------------------------
+# The kernels compute on plain floats; these numpy formulations are what they
+# replaced, and a replayed transcript only rebuilds a byte-identical report if
+# every result keeps the same bits.
+
+
+def ref_quat_rotate(q, v):
+    qv = np.array([float(q[1]), float(q[2]), float(q[3])])
+    w = float(q[0])
+    v = np.asarray(v, dtype=float)
+    t = 2.0 * np.cross(qv, v)
+    return v + w * t + np.cross(qv, t)
+
+
+def ref_quat_mul(a, b):
+    aw, ax, ay, az = (float(c) for c in a)
+    bw, bx, by, bz = (float(c) for c in b)
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
+def ref_quat_conj(q):
+    return np.array([float(q[0]), -float(q[1]), -float(q[2]), -float(q[3])])
+
+
+def same_bits(got, want) -> bool:
+    """Equal dtype, shape and bytes: stricter than np.array_equal, it also
+    tells -0.0 from 0.0 and compares NaNs (from overflow) bit for bit."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# unit-range, tiny, huge and arbitrary finite components; products of the
+# large ones overflow to inf and then NaN, which must match too
+component = st.one_of(
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.floats(min_value=1e150, max_value=1e300),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+vec3s = st.tuples(component, component, component)
+quats = st.tuples(component, component, component, component)
+
+
+overflow_ok = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the numpy references warn
+
+
+@overflow_ok
+@given(quats, vec3s)
+@settings(max_examples=300)
+def test_quat_rotate_matches_numpy_bit_for_bit(q, v):
+    assert same_bits(quat_rotate(np.array(q), np.array(v)), ref_quat_rotate(np.array(q), np.array(v)))
+    assert same_bits(quat_rotate(q, v), ref_quat_rotate(q, v))  # tuples in, same bits out
+
+
+@overflow_ok
+@given(quats, quats)
+@settings(max_examples=300)
+def test_quat_mul_matches_numpy_bit_for_bit(a, b):
+    assert same_bits(quat_mul(np.array(a), np.array(b)), ref_quat_mul(a, b))
+
+
+@overflow_ok
+@given(vec3s, vec3s)
+@settings(max_examples=300)
+def test_cross_matches_numpy_bit_for_bit(a, b):
+    assert same_bits(cross(np.array(a), np.array(b)), np.cross(np.array(a), np.array(b)))
+
+
+@overflow_ok
+@given(quats, vec3s, vec3s)
+@settings(max_examples=300)
+def test_transform_matches_numpy_bit_for_bit(q, p, x):
+    t = Transform(position=np.array(p), orientation=np.array(q))
+    assert same_bits(quat_conj(t.orientation), ref_quat_conj(t.orientation))
+    assert same_bits(t.apply(np.array(x)), t.position + ref_quat_rotate(t.orientation, x))
+    assert same_bits(
+        t.inverse_apply(np.array(x)),
+        ref_quat_rotate(ref_quat_conj(t.orientation), np.array(x) - t.position),
+    )
+
+
+def test_kernels_accept_integer_and_list_inputs_like_numpy():
+    q, v = [1, 2, -3, 4], [5, -6, 7]
+    assert same_bits(quat_rotate(q, v), ref_quat_rotate(q, v))
+    assert same_bits(quat_mul(q, np.array(q)), ref_quat_mul(q, q))
+    assert same_bits(cross(v, np.array([0, 1, 0])), np.cross(v, [0, 1, 0]).astype(float))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,6 +204,47 @@ def test_skeleton_float_round_trip():
         Skeleton.from_floats((1.0,) * 12)
     with pytest.raises(ValueError):
         Skeleton(upper_arm=0.0)
+
+
+def test_full_body_uses_configured_hints():
+    skeleton = Skeleton()
+    root = Transform(np.array([0.5, 0.9, -1.0]), quat_from_yaw(0.4))
+    bend = np.array([0.0, -0.35, 0.1])  # hands and feet within reach: elbows and knees bend
+    goals = replace(
+        rest_goals(skeleton, root),
+        left_hand=Transform(skeleton.shoulder_local("left") + bend, IDENTITY),
+        right_hand=Transform(skeleton.shoulder_local("right") + bend, IDENTITY),
+        left_foot=Transform(skeleton.hip_local("left") + 2.0 * bend, IDENTITY),
+        right_foot=Transform(skeleton.hip_local("right") + 2.0 * bend, IDENTITY),
+    )
+    default = solve_full_body(skeleton, goals)
+    same = solve_full_body(skeleton, goals, RetargetConfig())
+    for joint, p in default.joints.items():
+        assert np.array_equal(same.joints[joint], p), joint
+
+    # elbows and knees pushed out to the +x side
+    cfg = RetargetConfig(elbow_hint=(1.0, -0.2, 0.0), knee_hint=(1.0, 0.0, 0.2))
+    moved = solve_full_body(skeleton, goals, cfg)
+    for side in "lr":
+        assert not np.allclose(moved.joints[f"{side}_elbow"], default.joints[f"{side}_elbow"])
+        np.testing.assert_allclose(moved.joints[f"{side}_wrist"], default.joints[f"{side}_wrist"], atol=0)
+        elbow, _ = solve_two_bone(
+            moved.joints[f"{side}_shoulder"], skeleton.upper_arm, skeleton.forearm,
+            moved.joints[f"{side}_wrist"], quat_rotate(goals.root.orientation, cfg.elbow_hint),
+        )
+        np.testing.assert_allclose(moved.joints[f"{side}_elbow"], elbow, atol=1e-12)
+        assert not np.allclose(moved.joints[f"{side}_knee"], default.joints[f"{side}_knee"])
+
+    # the config reaches the solver through walk_in_place and avatar_tick too
+    placement = Placement(x=0.5, z=-1.0, yaw=0.3, pose=PlacementPose.Standing)
+    walking = walk_in_place(skeleton, goals, placement, 0.9, cfg)
+    frozen = replace(goals, root=walking.root)
+    assert np.array_equal(walking.joints["r_elbow"], solve_full_body(skeleton, frozen, cfg).joints["r_elbow"])
+    solo = avatar_tick(
+        skeleton, UserState.Solo, goals, placement, 0.9, {"left": None, "right": None}, None,
+        InterpState(), 1 / 60, cfg, snapshot=user_snapshot(),
+    )
+    assert np.array_equal(solo.pose.joints["l_elbow"], moved.joints["l_elbow"])
 
 
 # --- walk in place --------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from twinroom.geometry import Transform, quat_conj, quat_mul, quat_normalize
 from twinroom.placement import (
     GridConfig,
     Placement,
@@ -16,7 +17,7 @@ from twinroom.placement import (
     feasible,
     feature_to_json,
 )
-from twinroom.protocol import Hello, PoseUpdate, ProtocolError, decode_all
+from twinroom.protocol import Hello, PoseUpdate, ProtocolError, WireTransform, decode_all, f32
 from twinroom.retarget import Skeleton
 from twinroom.scene import PairingError, load_room, room_hash
 from twinroom.sim import (
@@ -27,9 +28,11 @@ from twinroom.sim import (
     bench_main,
     canonical_report_json,
     main,
+    pose_update_from_snapshot,
     replay,
     run,
 )
+from twinroom.states import EffectorSample, UserSnapshot
 from twinroom.traces import TraceBuilder, save_trace
 
 
@@ -462,3 +465,55 @@ def test_bench_cli_rejects_zero_reps(tmp_path, capsys):
     ])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def per_float_pose_update(snap, tick: int) -> PoseUpdate:
+    """The wire pose quantized one float at a time through ``f32``."""
+    root_q = quat_normalize(snap.root.orientation)
+    root = Transform(position=np.asarray(snap.root.position, dtype=float), orientation=root_q)
+
+    def wire(p, q) -> WireTransform:
+        return WireTransform(position=tuple(f32(float(c)) for c in p), orientation=tuple(f32(float(c)) for c in q))
+
+    def rel(sample) -> WireTransform:
+        return wire(root.inverse_apply(sample.position),
+                    quat_mul(quat_conj(root_q), quat_normalize(sample.orientation)))
+
+    return PoseUpdate(
+        tick=tick,
+        root=wire(root.position, root_q),
+        head=rel(snap.head),
+        left_hand=rel(snap.left_hand),
+        right_hand=rel(snap.right_hand),
+        left_foot=rel(snap.left_foot),
+        right_foot=rel(snap.right_foot),
+        fingers=snap.fingers,
+    )
+
+
+def pose_bits(pose: PoseUpdate) -> list[str]:
+    parts = (pose.root, pose.head, pose.left_hand, pose.right_hand, pose.left_foot, pose.right_foot)
+    return [float.hex(v) for wt in parts for v in (*wt.position, *wt.orientation)]
+
+
+def test_batched_pose_quantization_matches_per_float_f32():
+    def odd(p, q):
+        return EffectorSample(np.array(p), np.array(q))
+
+    snaps = list(trace_a_script().build().snapshots[::40])
+    # off-unit quaternions, far-away and tiny coordinates, values beyond f32 precision
+    snaps.append(UserSnapshot(
+        tick=1,
+        root=odd([1234.5678901, 0.9, -1e-7], [2.0, 0.1, -3.0, 0.5]),
+        head=odd([0.1, 1.7, 0.2], [0.3, 0.0, 0.0, -0.1]),
+        left_hand=odd([1e5, -2.0, 3.3333333333], [1.0, 1.0, 1.0, 1.0]),
+        right_hand=odd([-0.0, 0.0, 1e-40], [1e-3, 0.0, 1.0, 0.0]),
+        left_foot=odd([0.7, 0.0, 0.1], [0.0, 0.0, 0.0, 5.0]),
+        right_foot=odd([1.0 / 3.0, 2.0 / 3.0, 0.1], [-1.0, 0.2, 0.0, 0.0]),
+        fingers=b"\x05",
+    ))
+    assert len(snaps) >= 4
+    for tick, snap in enumerate(snaps):
+        got, want = pose_update_from_snapshot(snap, tick), per_float_pose_update(snap, tick)
+        assert got == want
+        assert pose_bits(got) == pose_bits(want)
