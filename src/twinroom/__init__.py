@@ -45,7 +45,7 @@ from .scene import (
     room_hash,
     validate_pairing,
 )
-from .sim import SimConfig, replay, run, run_benchmark
+from .sim import SimConfig, replay, run
 from .states import StateConfig, UserSnapshot, UserState, step_locomotion
 from .traces import MotionTrace, TraceBuilder, load_trace, save_trace
 

@@ -449,98 +449,59 @@ class _PositionEval:
 _POSES = (PlacementPose.Standing, PlacementPose.Sitting)
 
 
-def _scan_positions(
-    room: Room,
-    positions,  # iterable of (xi, zi, x, z) in ascending (xi, zi) order
-    yaws: list[float],
-    target: FeatureVector,
-    scorer: SimilarityScorer,
-    partner: PartnerPose | None,
-):
-    """Score all candidates at the given positions.
-
-    Returns (best_score, best_key, best_placement, evaluated) with best_key
-    the grid indices (xi, zi, yaw_i, pose_code); None best when nothing was
-    feasible. Ties keep the lowest key, so the result is independent of how
-    positions are split across shards.
-    """
-    best_score = -math.inf
-    best_key = None
-    best_placement = None
-    evaluated = 0
-    for xi, zi, x, z in positions:
-        pos = _PositionEval(room, x, z)
-        if not (pos.standing_ok or pos.sitting_ok):
-            continue
-        for yi, yaw in enumerate(yaws):
-            inter = _interpersonal(x, z, yaw, partner)
-            for pose in _POSES:
-                ok = pos.standing_ok if pose is PlacementPose.Standing else pos.sitting_ok
-                if not ok:
-                    continue
-                candidate = FeatureVector(
-                    interpersonal=inter,
-                    pose_accommodation=pos.accommodation,
-                    visual_attention=_attention(room, x, z, yaw, pose),
-                    spatial=pos.spatial,
-                )
-                score = scorer.score(target, candidate)
-                evaluated += 1
-                if score > best_score:
-                    best_score = score
-                    best_key = (xi, zi, yi, pose.value)
-                    best_placement = Placement(x, z, yaw, pose)
-    return best_score, best_key, best_placement, evaluated
-
-
 def grid_search(
     room: Room,
     target: FeatureVector,
     scorer: SimilarityScorer | None = None,
     partner: PartnerPose | None = None,
     *,
-    shards: int = 1,
     config: GridConfig | None = None,
 ) -> GridResult:
     """Exhaustively score the placement grid and return the best candidate.
 
     Candidates are every (cell center, yaw, pose) triple; infeasible ones
     are skipped. Ties resolve to the lowest (x, z, yaw, pose) grid index,
-    with Standing before Sitting. `shards` splits the position list into
-    contiguous chunks evaluated independently and merged; the result is
-    identical for every shard count, so the search can be spread across
-    workers without changing the answer.
+    with Standing before Sitting: the first best in scan order wins.
     """
     if scorer is None:
         scorer = DefaultScorer()
     if config is None:
         config = GridConfig()
-    if shards < 1:
-        raise ValueError(f"shards must be at least 1, got {shards}")
 
     xs, zs, yaws = grid_axes(room.extents, config.cell, config.yaw_count)
-    positions = [(xi, zi, x, z) for xi, x in enumerate(xs) for zi, z in enumerate(zs)]
-    per_pose = len(positions) * len(yaws)
-
-    best = (-math.inf, None, None)  # score, key, placement
+    per_pose = len(xs) * len(zs) * len(yaws)
+    best_score = -math.inf
+    best_placement = None
     evaluated = 0
-    for chunk in np.array_split(np.arange(len(positions)), min(shards, max(len(positions), 1))):
-        if len(chunk) == 0:
-            continue
-        sub = [positions[i] for i in chunk]
-        score, key, placement, n = _scan_positions(room, sub, yaws, target, scorer, partner)
-        evaluated += n
-        if key is not None and (
-            best[1] is None or score > best[0] or (score == best[0] and key < best[1])
-        ):
-            best = (score, key, placement)
+    for x in xs:
+        for z in zs:
+            pos = _PositionEval(room, x, z)
+            if not (pos.standing_ok or pos.sitting_ok):
+                continue
+            for yaw in yaws:
+                inter = _interpersonal(x, z, yaw, partner)
+                for pose in _POSES:
+                    ok = pos.standing_ok if pose is PlacementPose.Standing else pos.sitting_ok
+                    if not ok:
+                        continue
+                    candidate = FeatureVector(
+                        interpersonal=inter,
+                        pose_accommodation=pos.accommodation,
+                        visual_attention=_attention(room, x, z, yaw, pose),
+                        spatial=pos.spatial,
+                    )
+                    score = scorer.score(target, candidate)
+                    evaluated += 1
+                    if score > best_score:
+                        best_score = score
+                        best_placement = Placement(x, z, yaw, pose)
 
-    if best[2] is None:
+    if best_placement is None:
         raise NoFeasiblePlacement(
             f"room {room.id!r}: no feasible candidate among {per_pose * 2} grid cells"
         )
     return GridResult(
-        placement=best[2], score=best[0], candidates_per_pose=per_pose, evaluated=evaluated
+        placement=best_placement, score=best_score, candidates_per_pose=per_pose, evaluated=evaluated
     )
 
 
@@ -693,14 +654,13 @@ def find_placement(
     *,
     grid_config: GridConfig | None = None,
     pso_config: PsoConfig | None = None,
-    shards: int = 1,
     rng: np.random.Generator | int = 0,
 ) -> PlacementResult:
     """Grid search followed by swarm refinement; the full placement query."""
     if scorer is None:
         scorer = DefaultScorer()
     t0 = time.perf_counter()
-    grid = grid_search(room, target, scorer, partner, shards=shards, config=grid_config)
+    grid = grid_search(room, target, scorer, partner, config=grid_config)
     t1 = time.perf_counter()
     pso = pso_refine(room, target, grid.placement, scorer, partner, pso_config, rng)
     t2 = time.perf_counter()

@@ -1,21 +1,24 @@
 """Two-peer lockstep session: wire both users together and host each one's
 avatar in the other's room.
 
-Each simulated tick runs the same fixed pipeline on both peers:
+Each simulated tick runs the same fixed pipeline on each peer:
 
 1. read the local motion-trace snapshot and quantize it into this tick's
    outbound pose update;
-2. deliver whatever the peer sent `1 + latency_ticks` ago and react to it
-   (placement requests run the search here, against this room);
+2. step the peer's `AvatarDriver`: deliver whatever the partner sent
+   `1 + latency_ticks` ago, react to it (placement requests run the search
+   here, against this room) and animate the partner's avatar;
 3. advance the local locomotion/fixation machinery on the raw snapshot;
 4. emit the outbound batch (pose, plus deduplicated state/target changes and
-   any queued feature or placement messages);
-5. animate the partner's avatar from its latest wire state.
+   any queued feature or placement messages).
 
-Everything on the avatar side of that split is derived exclusively from wire
-bytes, the local room, and the run config. That discipline is what makes
-`replay` work: given only the transcript and the two rooms it rebuilds the
-full report, placement searches included, bit for bit.
+After the last tick each driver drains what is still on the wire.
+
+The driver sees only wire bytes, the local room, the run config and the local
+user's pose as it goes on the wire. `replay` steps the very same driver, one
+peer after the other, with that pose decoded from the peer's recorded sends,
+so given only the transcript and the two rooms it rebuilds the full report,
+placement searches included, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ import json
 import struct
 import sys
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -50,7 +55,6 @@ from .placement import (
     PsoConfig,
     ScorerConfig,
     extract_features,
-    feature_from_json,
     find_placement,
     scorer_config_from_json,
 )
@@ -115,10 +119,6 @@ class ReplayDivergence(RuntimeError):
     """A transcript and the rooms/config no longer agree with each other."""
 
 
-class EmptyBenchmark(ValueError):
-    """Benchmark asked to run zero repetitions."""
-
-
 # --- configuration -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -154,69 +154,42 @@ class SimConfig:
             raise ValueError("sitting_root_height must be positive")
 
     def to_dict(self) -> dict:
-        s, sc, g, p, r = self.state, self.scorer, self.grid, self.pso, self.retarget
-        return {
-            "app_version": self.app_version,
-            "latency_ticks": self.latency_ticks,
-            "seed": self.seed,
-            "sitting_root_height": self.sitting_root_height,
-            "tick_rate": self.tick_rate,
-            "state": {
-                "locomotion_threshold": s.locomotion_threshold,
-                "stop_threshold": s.stop_threshold,
-                "fixation_threshold": s.fixation_threshold,
-                "v_threshold": s.v_threshold,
-                "omega_threshold": s.omega_threshold,
-                "condition_period": s.condition_period,
-                "speed_window": s.speed_window,
-                "lift_height": s.lift_height,
-                "lift_pitch": s.lift_pitch,
-            },
-            "scorer": {
-                "sigma_offset": sc.sigma_offset,
-                "sigma_facing": sc.sigma_facing,
-                "sigma_height": sc.sigma_height,
-                "distance_falloff": sc.distance_falloff,
-                "weights": list(sc.weights),
-            },
-            "grid": {"cell": g.cell, "yaw_count": g.yaw_count},
-            "pso": {
-                "particles": p.particles,
-                "iterations": p.iterations,
-                "inertia": p.inertia,
-                "cognitive": p.cognitive,
-                "social": p.social,
-                "position_radius": p.position_radius,
-                "yaw_radius": p.yaw_radius,
-            },
-            "retarget": {
-                "elevation_offset": r.elevation_offset,
-                "interp_speed": r.interp_speed,
-                "calibration_ratio": r.calibration_ratio,
-                "elbow_hint": list(r.elbow_hint),
-                "knee_hint": list(r.knee_hint),
-            },
-        }
+        """Plain-JSON form: one key per field, nested configs as objects,
+        tuples as lists. Values keep their type, so `from_dict` restores a
+        config that serializes to the same bytes."""
+        return _config_to_dict(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "SimConfig":
-        scorer = dict(doc["scorer"])
-        scorer["weights"] = tuple(scorer["weights"])
-        retarget = dict(doc["retarget"])
-        retarget["elbow_hint"] = tuple(retarget["elbow_hint"])
-        retarget["knee_hint"] = tuple(retarget["knee_hint"])
-        return SimConfig(
-            tick_rate=float(doc["tick_rate"]),
-            latency_ticks=int(doc["latency_ticks"]),
-            seed=int(doc["seed"]),
-            app_version=int(doc["app_version"]),
-            sitting_root_height=float(doc["sitting_root_height"]),
-            state=StateConfig(**doc["state"]),
-            scorer=ScorerConfig(**scorer),
-            grid=GridConfig(**doc["grid"]),
-            pso=PsoConfig(**doc["pso"]),
-            retarget=RetargetConfig(**retarget),
-        )
+        return _config_from_dict(SimConfig, doc)
+
+
+def _config_to_dict(config) -> dict:
+    doc = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            value = _config_to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        doc[f.name] = value
+    return doc
+
+
+def _config_from_dict(cls, doc: dict):
+    names = [f.name for f in fields(cls)]
+    if sorted(doc) != sorted(names):
+        raise ValueError(f"{cls.__name__} needs exactly the keys {sorted(names)}, got {sorted(doc)}")
+    types = get_type_hints(cls)
+    kwargs = {}
+    for name in names:
+        value = doc[name]
+        if is_dataclass(types[name]):
+            value = _config_from_dict(types[name], value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[name] = value
+    return cls(**kwargs)
 
 
 # --- wire/pose plumbing --------------------------------------------------------
@@ -252,6 +225,32 @@ def pose_update_from_snapshot(snap, tick: int) -> PoseUpdate:
                       left_foot=left_foot, right_foot=right_foot, fingers=snap.fingers)
 
 
+def _goals_of(pose: PoseUpdate) -> IkGoals:
+    """The remote user's wire pose as transforms: the world root in their own
+    room plus the five root-relative effectors."""
+    t = _wire_to_transform
+    return IkGoals(root=t(pose.root), head=t(pose.head), left_hand=t(pose.left_hand),
+                   right_hand=t(pose.right_hand), left_foot=t(pose.left_foot),
+                   right_foot=t(pose.right_foot), fingers=pose.fingers)
+
+
+class LocalUser:
+    """The local user's latest pose on the wire, as the avatar host uses it.
+    Few ticks need it (a search, a target on the partner's head), so its
+    root is converted on first use, and only once."""
+
+    def __init__(self, pose: PoseUpdate):
+        self.pose = pose
+
+    @cached_property
+    def root(self) -> Transform:
+        return _wire_to_transform(self.pose.root)
+
+    def head(self) -> np.ndarray:
+        """World head position: what `PARTNER_HEAD_ID` resolves to."""
+        return self.root.apply(np.array(self.pose.head.position, dtype=float))
+
+
 @dataclass(frozen=True)
 class AnchoredBody:
     """The remote user's root and hands mapped into the local room. Rigid, so
@@ -268,8 +267,8 @@ class AvatarHost:
     """Run the remote user's avatar inside the local room.
 
     State here is fed only by wire messages plus the local user's own
-    (wire-quantized) pose updates; no raw trace data may leak in, or replays
-    would diverge from the live run.
+    pose as it went on the wire (`LocalUser`); no raw trace data may leak
+    in, or replays would diverge from the live run.
     """
 
     def __init__(self, room, config: SimConfig, scorer, owner_code: int):
@@ -278,7 +277,7 @@ class AvatarHost:
         self.scorer = scorer if scorer is not None else DefaultScorer(config.scorer)
         self.owner_code = owner_code  # seeds the per-episode search rng
         self.skeleton: Skeleton | None = None
-        self.pose: PoseUpdate | None = None
+        self.remote: IkGoals | None = None  # latest wire pose, converted on arrival
         self.state: UserState = UserState.Solo
         self.hand_targets: dict[str, tuple[str, tuple[float, float, float]] | None] = {
             "left": None,
@@ -301,13 +300,13 @@ class AvatarHost:
 
     # -- inbound message handling
 
-    def handle(self, msg, tick: int, my_pose: PoseUpdate | None) -> Placement | None:
+    def handle(self, msg, tick: int, me: LocalUser | None) -> Placement | None:
         """Apply one inbound message; returns the new placement when the
         message was a feature packet that triggered a search."""
         if isinstance(msg, Hello):
             self.skeleton = Skeleton.from_floats(msg.skeleton)
         elif isinstance(msg, PoseUpdate):
-            self.pose = msg
+            self.remote = _goals_of(msg)
         elif isinstance(msg, StateChange):
             self._on_state(msg.state)
         elif isinstance(msg, TargetUpdate):
@@ -319,7 +318,7 @@ class AvatarHost:
             else:
                 self.hand_targets["right"] = entry
         elif isinstance(msg, FeaturePacket):
-            return self._place(msg.features, tick, my_pose)
+            return self._place(msg.features, tick, me)
         return None  # PlacementAnnounce / Bye carry no avatar-side state
 
     def _on_state(self, new: UserState) -> None:
@@ -337,10 +336,10 @@ class AvatarHost:
             self.frozen = None
         self.state = new
 
-    def _place(self, features: FeatureVector, tick: int, my_pose: PoseUpdate | None) -> Placement:
+    def _place(self, features: FeatureVector, tick: int, me: LocalUser | None) -> Placement:
         partner = None
-        if my_pose is not None:
-            rt = _wire_to_transform(my_pose.root)
+        if me is not None:
+            rt = me.root
             partner = PartnerPose(
                 x=float(rt.position[0]), z=float(rt.position[2]), yaw=yaw_of(rt.orientation)
             )
@@ -363,7 +362,7 @@ class AvatarHost:
             yaw=f32(result.placement.yaw),
             pose=result.placement.pose,
         )
-        rt = _wire_to_transform(self.pose.root)  # batches lead with the pose
+        rt = self.remote.root  # batches lead with the pose
         self._anchor_user_pos = rt.position.copy()
         self._anchor_avatar_pos = np.array([q.x, float(rt.position[1]), q.z])
         self._delta_q = quat_from_yaw(q.yaw - yaw_of(rt.orientation))
@@ -406,9 +405,9 @@ class AvatarHost:
     def avatar_root(self) -> Transform | None:
         """Remote root mapped through the placement anchor, or None while the
         avatar has nowhere to stand yet."""
-        if self.placement is None or self.pose is None:
+        if self.placement is None or self.remote is None:
             return None
-        rt = _wire_to_transform(self.pose.root)
+        rt = self.remote.root
         pos = self._anchor_avatar_pos + quat_rotate(self._delta_q, rt.position - self._anchor_user_pos)
         return Transform(position=pos, orientation=quat_mul(self._delta_q, rt.orientation))
 
@@ -416,7 +415,7 @@ class AvatarHost:
         root = self.avatar_root()
         if root is None:
             return None
-        return root.apply(np.array(self.pose.head.position, dtype=float))
+        return root.apply(self.remote.head.position)
 
     def partner_pose(self) -> PartnerPose | None:
         """The hosted avatar as an interpersonal reference for the local
@@ -430,26 +429,19 @@ class AvatarHost:
 
     # -- per-tick animation
 
-    def tick_avatar(self, tick: int, my_pose: PoseUpdate | None, dt: float) -> None:
-        if self.placement is None or self.pose is None or self.skeleton is None:
+    def tick_avatar(self, tick: int, me: LocalUser | None, dt: float) -> None:
+        if self.placement is None or self.remote is None or self.skeleton is None:
             return
         root = self.avatar_root()
-        goals = IkGoals(
-            root=root,
-            head=_wire_to_transform(self.pose.head),
-            left_hand=_wire_to_transform(self.pose.left_hand),
-            right_hand=_wire_to_transform(self.pose.right_hand),
-            left_foot=_wire_to_transform(self.pose.left_foot),
-            right_foot=_wire_to_transform(self.pose.right_foot),
-            fingers=self.pose.fingers,
-        )
+        r = self.remote
+        goals = IkGoals(root, r.head, r.left_hand, r.right_hand, r.left_foot, r.right_foot, r.fingers)
         rcfg = self.cfg.retarget
-        eye = root.apply(np.array(self.pose.head.position, dtype=float))
+        eye = root.apply(goals.head.position)
         resolved: dict[str, np.ndarray | None] = {}
         for side in ("left", "right"):
-            point = self._resolve(self.hand_targets[side], my_pose)
+            point = self._resolve(self.hand_targets[side], me)
             resolved[side] = None if point is None else vertical_compensation(point, eye, rcfg)
-        head_point = self._resolve(self.head_target, my_pose)  # gaze is never re-pitched
+        head_point = self._resolve(self.head_target, me)  # gaze is never re-pitched
 
         if self.frozen is not None:
             locked, locked_y = self.frozen
@@ -457,8 +449,8 @@ class AvatarHost:
             locked, locked_y = self.placement, float(root.position[1])
         body = AnchoredBody(
             root=root,
-            left_hand=_world_of(root, self.pose.left_hand),
-            right_hand=_world_of(root, self.pose.right_hand),
+            left_hand=root.compose(goals.left_hand),
+            right_hand=root.compose(goals.right_hand),
         )
         result = avatar_tick(
             self.skeleton,
@@ -475,17 +467,16 @@ class AvatarHost:
         )
         self._sample_pointing(tick, result, resolved)
 
-    def _resolve(self, entry, my_pose: PoseUpdate | None) -> np.ndarray | None:
+    def _resolve(self, entry, me: LocalUser | None) -> np.ndarray | None:
         """Wire target -> world point in this room: the paired counterpart's
         corresponding surface spot, or the local user's live head."""
         if entry is None:
             return None
         oid, uvw = entry
         if oid == PARTNER_HEAD_ID:
-            if my_pose is None:
+            if me is None:
                 return None
-            rt = _wire_to_transform(my_pose.root)
-            return rt.apply(np.array(my_pose.head.position, dtype=float))
+            return me.head()
         obj = self._pair_of.get(oid)
         if obj is None:
             return None
@@ -539,12 +530,74 @@ class AvatarHost:
             self._close(side)
 
 
-def _world_of(root: Transform, wt: WireTransform) -> Transform:
-    rel = _wire_to_transform(wt)
-    return Transform(
-        position=root.apply(rel.position),
-        orientation=quat_mul(root.orientation, rel.orientation),
-    )
+# --- the avatar-host driver -------------------------------------------------------
+
+class AvatarDriver:
+    """One peer's wire-facing half: the link session and the partner's avatar.
+
+    `run` steps it inside the lockstep tick and `replay` steps it through a
+    transcript, so both compute the avatar side with the same code. Bytes the
+    partner sends at tick `s` arrive at `s + 1 + latency_ticks`; after the
+    last live tick `n`, `drain` delivers the rest, up to the partner's Bye at
+    `n + 1 + latency_ticks`, and animates nothing.
+    """
+
+    def __init__(self, name: str, room, remote_room, skeleton: tuple[float, ...], config: SimConfig,
+                 scorer):
+        self.cfg = config
+        self.dt = 1.0 / config.tick_rate
+        self.session = Session(config.app_version, room_hash(room), skeleton)
+        self.expected_remote_hash = room_hash(remote_room)
+        self.host = AvatarHost(room, config, scorer, owner_code=_PEER_CODE[_OTHER[name]])
+        self.inbox: dict[int, bytearray] = {}
+        self.me: LocalUser | None = None
+
+    def post(self, sent_tick: int, blob: bytes) -> None:
+        """Put bytes the partner sent at `sent_tick` on the wire."""
+        self.inbox.setdefault(sent_tick + 1 + self.cfg.latency_ticks, bytearray()).extend(blob)
+
+    def step(self, t: int, pose: PoseUpdate | None) -> list[Placement]:
+        """Live tick `t`: deliver, then animate. `pose` is the local user's
+        tick-`t` pose, which goes on the wire iff the session is live.
+        Returns the placements computed for the partner, to announce."""
+        placed = self._deliver(t, pose)
+        self.host.tick_avatar(t, self.me, self.dt)
+        return placed
+
+    def drain(self, n: int) -> list[Placement]:
+        """The ticks after the last live tick `n`: what is already on the
+        wire still arrives, searched against the last pose the local user
+        sent, but nothing is animated or sent any more."""
+        placed = []
+        for t in range(n + 1, n + 2 + self.cfg.latency_ticks):
+            placed += self._deliver(t, None)
+        self.host.flush_pointing()
+        return placed
+
+    def _deliver(self, t: int, pose: PoseUpdate | None) -> list[Placement]:
+        data = self.inbox.pop(t, None)
+        msgs = self.session.feed(bytes(data)) if data else []
+        if pose is not None and self.session.phase is Phase.Live:
+            self.me = LocalUser(pose)
+        placed = []
+        for msg in msgs:
+            if isinstance(msg, Hello):
+                self._check_hello(msg)
+            q = self.host.handle(msg, t, self.me)
+            if q is not None:
+                placed.append(q)
+        return placed
+
+    def _check_hello(self, msg: Hello) -> None:
+        if msg.app_version != self.cfg.app_version:
+            raise ProtocolError(
+                f"peer runs app version {msg.app_version}, expected {self.cfg.app_version}"
+            )
+        if msg.room_hash != self.expected_remote_hash:
+            raise PairingError(
+                f"peer announces room hash {msg.room_hash:016x}, which is not the "
+                f"room this peer's pairing table was built against"
+            )
 
 
 # --- live peer ------------------------------------------------------------------
@@ -555,12 +608,12 @@ class PeerRuntime:
     def __init__(self, name: str, room, remote_room, trace: MotionTrace, config: SimConfig, scorer):
         self.name = name
         self.room = room
-        self.expected_remote_hash = room_hash(remote_room)
         self.trace = trace
         self.cfg = config
         self.dt = 1.0 / config.tick_rate
-        self.session = Session(config.app_version, room_hash(room), trace.skeleton.to_floats())
-        self.host = AvatarHost(room, config, scorer, owner_code=1 - _PEER_CODE[name])
+        self.driver = AvatarDriver(name, room, remote_room, trace.skeleton.to_floats(), config, scorer)
+        self.session = self.driver.session
+        self.host = self.driver.host
         self.window = SpeedWindow(config.tick_rate, config.state.speed_window)
         self.tracker = FixationTracker(config.tick_rate, config.state)
         self.loco = UserState.Solo
@@ -571,8 +624,14 @@ class PeerRuntime:
         self.pending_announce: deque[Placement] = deque()
         self.snap = None
         self.my_pose: PoseUpdate | None = None
-        self.emitted_pose: PoseUpdate | None = None
         self.targets = {Effector.Head: None, Effector.LeftHand: None, Effector.RightHand: None}
+
+    def tick(self, t: int) -> bytes:
+        """One lockstep tick; returns the outbound bytes."""
+        self.begin_tick(t)
+        self.pending_announce.extend(self.driver.step(t, self.my_pose))
+        self.step_local(t)
+        return self.emit(t)
 
     def begin_tick(self, t: int) -> None:
         snap = self.trace.snapshots[t - 1]
@@ -580,23 +639,6 @@ class PeerRuntime:
             raise MalformedTrace(f"trace {self.name!r} snapshot {snap.tick} at slot {t}")
         self.snap = snap
         self.my_pose = pose_update_from_snapshot(snap, t)
-        self.emitted_pose = None
-
-    def handle_inbound(self, msgs, t: int) -> None:
-        for msg in msgs:
-            if isinstance(msg, Hello):
-                if msg.app_version != self.cfg.app_version:
-                    raise ProtocolError(
-                        f"peer runs app version {msg.app_version}, expected {self.cfg.app_version}"
-                    )
-                if msg.room_hash != self.expected_remote_hash:
-                    raise PairingError(
-                        f"peer announces room hash {msg.room_hash:016x}, which is not the "
-                        f"room this peer's pairing table was built against"
-                    )
-            placed = self.host.handle(msg, t, self.my_pose)
-            if placed is not None:
-                self.pending_announce.append(placed)
 
     def step_local(self, t: int) -> None:
         snap = self.snap
@@ -652,9 +694,9 @@ class PeerRuntime:
         )
         return self.room.with_extra([box])
 
-    def emit(self, t: int) -> bytes | None:
+    def emit(self, t: int) -> bytes:
         if self.session.phase is not Phase.Live:
-            return None
+            return b""
         wire_targets = {
             eff: ((entry[0], entry[1].uvw) if entry is not None else None)
             for eff, entry in self.targets.items()
@@ -667,7 +709,6 @@ class PeerRuntime:
         frames = self.session.tick(
             t, self.my_pose, self.state_now, targets=wire_targets, features=features, placement=announce
         )
-        self.emitted_pose = self.my_pose
         return b"".join(frames)
 
 
@@ -709,17 +750,26 @@ def _room_summary(room) -> dict:
     return {"id": room.id, "hash": f"{room_hash(room):016x}", "objects": len(room.objects)}
 
 
-def _assemble_report(config, room_a, room_b, ticks, episodes, search, pointing, transitions, protocol) -> dict:
+def _assemble_report(config, rooms, ticks, drivers, transitions, sent) -> dict:
+    """The run report; each user's avatar is hosted by the other peer's driver."""
+    hosts = {name: drivers[_OTHER[name]].host for name in ("a", "b")}
     return {
         "version": REPORT_VERSION,
         "ticks": ticks,
         "config": config.to_dict(),
-        "rooms": {"a": _room_summary(room_a), "b": _room_summary(room_b)},
-        "episodes": episodes,
-        "search": search,
-        "pointing": pointing,
+        "rooms": {name: _room_summary(rooms[name]) for name in ("a", "b")},
+        "episodes": {name: hosts[name].episodes for name in ("a", "b")},
+        "search": {name: hosts[name].search for name in ("a", "b")},
+        "pointing": {name: hosts[name].pointing_rows for name in ("a", "b")},
         "transitions": transitions,
-        "protocol": protocol,
+        "protocol": {
+            name: {
+                "sent": dict(sent[name]),
+                "received": dict(drivers[name].session.received),
+                "phase": drivers[name].session.phase.name,
+            }
+            for name in ("a", "b")
+        },
     }
 
 
@@ -757,70 +807,39 @@ def run(room_a, room_b, trace_a, trace_b, config: SimConfig | None = None, score
     validate_pairing(room_a, room_b)
 
     n = max(len(trace_a), len(trace_b))
-    trace_a = _pad_trace(trace_a, n)
-    trace_b = _pad_trace(trace_b, n)
-
+    rooms = {"a": room_a, "b": room_b}
+    traces = {"a": _pad_trace(trace_a, n), "b": _pad_trace(trace_b, n)}
     peers = {
-        "a": PeerRuntime("a", room_a, room_b, trace_a, config, scorer),
-        "b": PeerRuntime("b", room_b, room_a, trace_b, config, scorer),
+        name: PeerRuntime(name, rooms[name], rooms[_OTHER[name]], traces[name], config, scorer)
+        for name in ("a", "b")
     }
-    latency = config.latency_ticks
     lines = [_header_line(config, room_a, room_b, n)]
-    inbox: dict[str, dict[int, bytearray]] = {"a": {}, "b": {}}
 
     def post(src: str, tick: int, blob: bytes) -> None:
         lines.append(_frames_line(tick, src, _OTHER[src], blob))
-        inbox[_OTHER[src]].setdefault(tick + 1 + latency, bytearray()).extend(blob)
+        peers[_OTHER[src]].driver.post(tick, blob)
 
     for name in ("a", "b"):
         post(name, 0, peers[name].session.hello_frame())
-
+    # what a peer sends at tick t arrives at t + 1 at the earliest, so the
+    # peers may take their turns one after the other
     for t in range(1, n + 1):
         for name in ("a", "b"):
-            peers[name].begin_tick(t)
-        for name in ("a", "b"):
-            data = bytes(inbox[name].pop(t, b""))
-            if data:
-                peers[name].handle_inbound(peers[name].session.feed(data), t)
-        for name in ("a", "b"):
-            peers[name].step_local(t)
-        for name in ("a", "b"):
-            blob = peers[name].emit(t) or b""
+            blob = peers[name].tick(t)
             if t == n:
                 blob += peers[name].session.bye_frame()
             if blob:
                 post(name, t, blob)
-        for name in ("a", "b"):
-            p = peers[name]
-            p.host.tick_avatar(t, p.emitted_pose, p.dt)
-
-    # drain: everything already on the wire still arrives, nothing new moves
-    for t in range(n + 1, n + 2 + latency):
-        for name in ("a", "b"):
-            data = bytes(inbox[name].pop(t, b""))
-            if data:
-                peers[name].handle_inbound(peers[name].session.feed(data), t)
-
     for name in ("a", "b"):
-        peers[name].host.flush_pointing()
+        peers[name].driver.drain(n)  # too late to announce: nothing is sent after tick n
 
     report = _assemble_report(
         config,
-        room_a,
-        room_b,
+        rooms,
         n,
-        episodes={"a": peers["b"].host.episodes, "b": peers["a"].host.episodes},
-        search={"a": peers["b"].host.search, "b": peers["a"].host.search},
-        pointing={"a": peers["b"].host.pointing_rows, "b": peers["a"].host.pointing_rows},
-        transitions={"a": peers["a"].transitions, "b": peers["b"].transitions},
-        protocol={
-            name: {
-                "sent": dict(peers[name].session.sent),
-                "received": dict(peers[name].session.received),
-                "phase": peers[name].session.phase.name,
-            }
-            for name in ("a", "b")
-        },
+        drivers={name: peers[name].driver for name in ("a", "b")},
+        transitions={name: peers[name].transitions for name in ("a", "b")},
+        sent={name: peers[name].session.sent for name in ("a", "b")},
     )
     timings = tuple(
         {"peer": name, **row} for name in ("a", "b") for row in peers[name].host.timings
@@ -875,30 +894,16 @@ def replay(transcript, room_a, room_b) -> dict:
             raise ReplayDivergence(f"unknown direction {doc['dir']!r}")
         sends[src].setdefault(int(doc["tick"]), bytearray()).extend(bytes.fromhex(doc["data"]))
 
-    sections = {name: _replay_peer(name, rooms[name], config, sends, n) for name in ("a", "b")}
-
-    return _assemble_report(
-        config,
-        rooms["a"],
-        rooms["b"],
-        n,
-        episodes={"a": sections["b"]["host"].episodes, "b": sections["a"]["host"].episodes},
-        search={"a": sections["b"]["host"].search, "b": sections["a"]["host"].search},
-        pointing={"a": sections["b"]["host"].pointing_rows, "b": sections["a"]["host"].pointing_rows},
-        transitions={name: sections[name]["transitions"] for name in ("a", "b")},
-        protocol={
-            name: {
-                "sent": dict(sections[name]["sent"]),
-                "received": dict(sections[name]["session"].received),
-                "phase": sections[name]["session"].phase.name,
-            }
-            for name in ("a", "b")
-        },
-    )
+    drivers, transitions, sent = {}, {}, {}
+    for name in ("a", "b"):
+        drivers[name], transitions[name], sent[name] = _replay_peer(name, rooms, config, sends, n)
+    return _assemble_report(config, rooms, n, drivers, transitions, sent)
 
 
-def _replay_peer(name: str, my_room, config: SimConfig, sends, n: int) -> dict:
-    other = _OTHER[name]
+def _replay_peer(name: str, rooms, config: SimConfig, sends, n: int):
+    """Step one peer's driver through every tick, with the local user's pose
+    taken from what the peer sent; returns the driver, the peer's state
+    transitions and its sent-message counts."""
     sent: Counter = Counter()
     poses: dict[int, PoseUpdate] = {}
     transitions: list[dict] = []
@@ -918,26 +923,14 @@ def _replay_peer(name: str, my_room, config: SimConfig, sends, n: int) -> dict:
     if my_hello is None:
         raise ReplayDivergence(f"peer {name!r} sent no hello in the transcript")
 
-    session = Session(config.app_version, room_hash(my_room), my_hello.skeleton)
-    session.hello_frame()  # mirror the live handshake; the bytes are already on record
-    host = AvatarHost(my_room, config, None, owner_code=_PEER_CODE[other])
-
-    deliver = {
-        tick + 1 + config.latency_ticks: bytes(blob) for tick, blob in sends[other].items()
-    }
-    dt = 1.0 / config.tick_rate
+    driver = AvatarDriver(name, rooms[name], rooms[_OTHER[name]], my_hello.skeleton, config, None)
+    driver.session.hello_frame()  # mirror the live handshake; the bytes are already on record
+    for tick, blob in sends[_OTHER[name]].items():
+        driver.post(tick, bytes(blob))
     recomputed: list[Placement] = []
-    for t in range(1, n + 2 + config.latency_ticks):
-        my_pose = poses.get(t)
-        data = deliver.get(t)
-        if data:
-            for msg in session.feed(data):
-                q = host.handle(msg, t, my_pose)
-                if q is not None:
-                    recomputed.append(q)
-        if t <= n:
-            host.tick_avatar(t, my_pose, dt)
-    host.flush_pointing()
+    for t in range(1, n + 1):
+        recomputed += driver.step(t, poses.get(t))
+    recomputed += driver.drain(n)
 
     # announcements are emitted in computation order; features that were
     # answered after the last outbound tick never made it onto the wire
@@ -954,58 +947,7 @@ def _replay_peer(name: str, my_room, config: SimConfig, sends, n: int) -> dict:
                 f"({ann.x}, {ann.z}, {ann.yaw}, {ann.pose.name})"
             )
 
-    return {"sent": sent, "poses": poses, "transitions": transitions, "session": session, "host": host}
-
-
-# --- benchmark --------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BenchResult:
-    reps: int
-    grid_ms: tuple[float, float, float]  # mean, min, max
-    refine_ms: tuple[float, float, float]
-    total_ms: tuple[float, float, float]
-    placement: Placement
-    score: float
-
-
-def run_benchmark(
-    room,
-    features: FeatureVector,
-    *,
-    partner: PartnerPose | None = None,
-    scorer=None,
-    reps: int = 10,
-    seed: int = 0,
-    grid_config: GridConfig | None = None,
-    pso_config: PsoConfig | None = None,
-) -> BenchResult:
-    if reps < 1:
-        raise EmptyBenchmark("need at least one repetition to measure anything")
-    room = load_room(room)
-    grid_t: list[float] = []
-    refine_t: list[float] = []
-    last = None
-    for rep in range(reps):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, rep])))
-        last = find_placement(
-            room, features, scorer, partner, grid_config=grid_config, pso_config=pso_config, rng=rng
-        )
-        grid_t.append(last.grid_time_s * 1e3)
-        refine_t.append(last.pso_time_s * 1e3)
-    total = [g + r for g, r in zip(grid_t, refine_t)]
-
-    def stats(v: list[float]) -> tuple[float, float, float]:
-        return (sum(v) / len(v), min(v), max(v))
-
-    return BenchResult(
-        reps=reps,
-        grid_ms=stats(grid_t),
-        refine_ms=stats(refine_t),
-        total_ms=stats(total),
-        placement=last.placement,
-        score=float(last.score),
-    )
+    return driver, transitions, sent
 
 
 # --- command line -----------------------------------------------------------------
@@ -1070,47 +1012,6 @@ def main(argv=None) -> int:
     except (ProtocolError, SceneError, MalformedTrace, ReplayDivergence, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-
-def bench_main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="twinroom-bench",
-        description="Time the placement search for one room against a saved feature vector.",
-    )
-    parser.add_argument("--room", required=True, help="room JSON to search")
-    parser.add_argument("--features", required=True, help="feature vector JSON file")
-    parser.add_argument(
-        "--partner", nargs=3, type=float, metavar=("X", "Z", "YAW"), help="local partner pose"
-    )
-    parser.add_argument("--reps", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--scorer-config", help="JSON overriding similarity weights and scales")
-    args = parser.parse_args(argv)
-
-    try:
-        features = feature_from_json(json.loads(Path(args.features).read_text()))
-        partner = PartnerPose(*args.partner) if args.partner else None
-        scorer = (
-            DefaultScorer(scorer_config_from_json(args.scorer_config))
-            if args.scorer_config
-            else None
-        )
-        res = run_benchmark(
-            args.room, features, partner=partner, scorer=scorer, reps=args.reps, seed=args.seed
-        )
-    except (EmptyBenchmark, SceneError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-
-    for label, (mean, lo, hi) in (
-        ("grid", res.grid_ms),
-        ("refine", res.refine_ms),
-        ("total", res.total_ms),
-    ):
-        print(f"{label:>6}: mean {mean:7.1f} ms   min {lo:7.1f}   max {hi:7.1f}   ({res.reps} reps)")
-    p = res.placement
-    print(f"  best: x={p.x:.3f} z={p.z:.3f} yaw={p.yaw:.3f} {p.pose.name} score={res.score:.6f}")
-    return 0
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,19 +14,26 @@ from twinroom.placement import (
     Placement,
     PlacementPose,
     PsoConfig,
-    extract_features,
+    ScorerConfig,
     feasible,
-    feature_to_json,
 )
-from twinroom.protocol import Hello, PoseUpdate, ProtocolError, WireTransform, decode_all, f32
-from twinroom.retarget import Skeleton
+from twinroom.protocol import (
+    Hello,
+    PoseUpdate,
+    ProtocolError,
+    WireTransform,
+    decode_all,
+    encode_frame,
+    f32,
+)
+from twinroom.retarget import RetargetConfig, Skeleton
 from twinroom.scene import PairingError, load_room, room_hash
 from twinroom.sim import (
     PARTNER_HEAD_ID,
+    AvatarHost,
     PeerRuntime,
     ReplayDivergence,
     SimConfig,
-    bench_main,
     canonical_report_json,
     main,
     pose_update_from_snapshot,
@@ -273,7 +281,7 @@ def test_replay_rejects_tampered_announce(base_result):
             break
     assert target is not None
     i, doc = target
-    from twinroom.protocol import PlacementAnnounce, encode_frame
+    from twinroom.protocol import PlacementAnnounce
 
     rebuilt = b""
     for m in decode_all(bytes.fromhex(doc["data"])):
@@ -298,8 +306,9 @@ def test_hello_app_version_mismatch_raises():
         room_hash=room_hash(load_room(room_b_doc())),
         skeleton=Skeleton().to_floats(),
     )
+    peer.driver.post(0, encode_frame(wrong))
     with pytest.raises(ProtocolError, match="app version"):
-        peer.handle_inbound([wrong], 1)
+        peer.driver.step(1, peer.my_pose)
 
 
 def test_hello_room_hash_mismatch_raises():
@@ -314,8 +323,9 @@ def test_hello_room_hash_mismatch_raises():
         room_hash=room_hash(load_room(room_a_doc())),  # its own room, not the peer's
         skeleton=Skeleton().to_floats(),
     )
+    peer.driver.post(0, encode_frame(wrong))
     with pytest.raises(PairingError, match="room hash"):
-        peer.handle_inbound([wrong], 1)
+        peer.driver.step(1, peer.my_pose)
 
 
 def test_shorter_trace_is_padded_to_lockstep():
@@ -364,6 +374,101 @@ def test_pointing_at_partner_head():
     assert rows, "pointing at the avatar's head must resolve to the partner-head target"
     assert rows[0]["max_miss"] < 1e-6
     assert replay(second.transcript, room_a_doc(), room_b_doc()) == second.report
+
+
+DEMO_ROOMS = Path(__file__).resolve().parents[1] / "demos" / "rooms"
+
+
+@pytest.mark.parametrize("latency", [0, 2])
+def test_replay_matches_live_when_a_search_lands_in_the_drain(latency):
+    # A stops walking 9 ticks before the end, so B's driver answers A's
+    # placement request after the last live tick; the search must still see
+    # B's last pose on the wire as the interpersonal reference
+    office = load_room(DEMO_ROOMS / "office_a.json")
+    loft = load_room(DEMO_ROOMS / "loft_b.json")
+    trace_a = TraceBuilder(start=(-0.8, -1.2)).hold(0.5).walk_to(0.3, 0.8).hold(9 / 60).build()
+    trace_b = TraceBuilder(start=(2.0, 1.6)).hold(0.5).walk_to(1.0, 0.9).hold(1.0).build()
+    result = run(office, loft, trace_a, trace_b, SimConfig(seed=3, latency_ticks=latency))
+    n = result.report["ticks"]
+    assert [ep["tick"] > n for ep in result.report["episodes"]["a"]] == [True]
+    got = replay(result.transcript, office, loft)
+    assert got == result.report
+    assert canonical_report_json(got) == result.report_json
+
+
+def test_replay_is_byte_identical_for_int_valued_float_config():
+    config = quick_config(tick_rate=60, sitting_root_height=1)
+    result = run(
+        room_a_doc(), room_b_doc(), trace_a_script().build(), trace_b_script().build(),
+        config=config,
+    )
+    assert json.loads(result.report_json) == result.report
+    got = replay(result.transcript, room_a_doc(), room_b_doc())
+    assert canonical_report_json(got) == result.report_json
+
+
+def test_config_dict_round_trip_and_strict_keys():
+    config = SimConfig(
+        tick_rate=90.0, latency_ticks=2, seed=7, sitting_root_height=0.7,
+        scorer=ScorerConfig(weights=(0.4, 0.3, 0.2, 0.1)),
+        grid=GridConfig(cell=0.5, yaw_count=8),
+        retarget=RetargetConfig(elbow_hint=(0.1, -1.0, 0.0)),
+    )
+    doc = json.loads(json.dumps(config.to_dict()))
+    assert doc["scorer"]["weights"] == [0.4, 0.3, 0.2, 0.1]
+    assert SimConfig.from_dict(doc) == config
+    del doc["grid"]["cell"]
+    with pytest.raises(ValueError, match="GridConfig"):
+        SimConfig.from_dict(doc)
+    doc = config.to_dict()
+    doc["jitter"] = 1
+    with pytest.raises(ValueError, match="SimConfig"):
+        SimConfig.from_dict(doc)
+
+
+def test_replay_checks_the_inbound_hello(base_result):
+    # A's hello claims B's room: replay raises as the live peer would
+    lines = base_result.transcript.splitlines()
+    for i, ln in enumerate(lines):
+        doc = json.loads(ln)
+        if doc.get("tick") == 0 and doc.get("dir") == "a>b":
+            (hello,) = decode_all(bytes.fromhex(doc["data"]))
+            wrong = Hello(app_version=hello.app_version,
+                          room_hash=room_hash(load_room(room_b_doc())), skeleton=hello.skeleton)
+            doc["data"] = encode_frame(wrong).hex()
+            lines[i] = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    with pytest.raises(PairingError, match="room hash"):
+        replay("\n".join(lines), room_a_doc(), room_b_doc())
+
+
+def test_tick_hooks_seen_by_the_benchmark(monkeypatch):
+    # the benchmark times live ticks from PeerRuntime.begin_tick and replayed
+    # ticks from runs of consecutive AvatarHost.tick_avatar calls per host
+    begins, animated = [], []
+
+    def clock(cls, name, calls, key):
+        original = cls.__dict__[name]
+
+        def wrapper(obj, *args):
+            calls.append(key(obj, *args))
+            return original(obj, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    clock(PeerRuntime, "begin_tick", begins, lambda peer, t: (t, peer.name))
+    clock(AvatarHost, "tick_avatar", animated, lambda host, t, me, dt: (host, t))
+    result = run(
+        room_a_doc(), room_b_doc(), trace_a_script().build(), trace_b_script().build(),
+        config=quick_config(latency_ticks=2),
+    )
+    n = result.report["ticks"]
+    assert begins == [(t, name) for t in range(1, n + 1) for name in ("a", "b")]
+
+    animated.clear()
+    replay(result.transcript, room_a_doc(), room_b_doc())
+    hosts = list(dict.fromkeys(host for host, _ in animated))
+    assert len(hosts) == 2
+    assert animated == [(host, t) for host in hosts for t in range(1, n + 1)]
 
 
 # --- command line -------------------------------------------------------------
@@ -429,42 +534,6 @@ def test_cli_requires_traces_unless_replaying(tmp_path):
     paths = write_fixtures(tmp_path)
     with pytest.raises(SystemExit):
         main(["--room-a", str(paths["room_a"]), "--room-b", str(paths["room_b"])])
-
-
-def test_bench_cli_prints_split_timings(tmp_path, capsys):
-    room = load_room(room_a_doc())
-    features = extract_features(
-        room, Placement(x=0.0, z=0.0, yaw=0.0, pose=PlacementPose.Standing), None
-    )
-    feature_path = tmp_path / "features.json"
-    feature_path.write_text(json.dumps(feature_to_json(features)))
-    room_path = tmp_path / "room.json"
-    room_path.write_text(json.dumps(room_a_doc()))
-    rc = bench_main([
-        "--room", str(room_path),
-        "--features", str(feature_path),
-        "--reps", "2",
-        "--seed", "1",
-    ])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "grid" in out and "refine" in out and "best:" in out
-
-
-def test_bench_cli_rejects_zero_reps(tmp_path, capsys):
-    room = load_room(room_a_doc())
-    features = extract_features(
-        room, Placement(x=0.0, z=0.0, yaw=0.0, pose=PlacementPose.Standing), None
-    )
-    feature_path = tmp_path / "features.json"
-    feature_path.write_text(json.dumps(feature_to_json(features)))
-    room_path = tmp_path / "room.json"
-    room_path.write_text(json.dumps(room_a_doc()))
-    rc = bench_main([
-        "--room", str(room_path), "--features", str(feature_path), "--reps", "0",
-    ])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
 
 
 def per_float_pose_update(snap, tick: int) -> PoseUpdate:
