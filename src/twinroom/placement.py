@@ -13,12 +13,23 @@ user actually stands. Context is captured as a four-part feature vector:
   view cone at eye height,
 * spatial context: nearest distance per object category within 3 m.
 
+Both per-category features are fixed tuples indexed by
+``ObjectCategory.value``, None where no object of the category is in range.
+
 The default scorer turns feature differences into a similarity in [0, 1]
 (identical features score exactly 1). The search scores every cell of a
 0.25 m x 15-degree grid over the remote room, then refines the best cell
-with a small particle swarm confined to that cell's neighborhood. Scorers
-are pluggable: anything with a ``score(target, candidate) -> float`` method
-can replace the default, including learned models.
+with a small particle swarm confined to that cell's neighborhood. Both
+score in batches: a grid cell's (yaw, pose) candidates share its height map
+and spatial table, and a swarm iteration's particles are checked for
+feasibility and get their height maps in one broadcast each, then are
+scored together. Batching changes no result: every score is computed with
+the same floating-point operations as a single ``default_similarity`` call.
+
+Scorers are pluggable: anything with a ``score(target, candidate) -> float``
+method can replace the default, including learned models. A scorer may
+also define ``score_batch(target, candidates) -> list[float]``; without it
+the search calls ``score`` once per candidate.
 """
 
 from __future__ import annotations
@@ -40,8 +51,9 @@ from .scene import (
     OutOfRange,
     Room,
     height_map,
-    objects_in_fov,
+    height_maps,
     objects_in_radius,
+    support_heights,
 )
 
 _EPS = 1e-9
@@ -62,6 +74,9 @@ STAND_CLEARANCE = 0.05
 
 GRID_CELL = 0.25
 GRID_YAW_COUNT = 24
+
+_COS_HALF_ATTENTION = math.cos(ATTENTION_HALF_ANGLE)
+_CATEGORY_COUNT = len(ObjectCategory)
 
 
 class NoFeasiblePlacement(RuntimeError):
@@ -101,16 +116,28 @@ class PartnerPose:
 class FeatureVector:
     """Context descriptor for one (position, yaw, pose) in one room.
 
-    `visual_attention` and `spatial` map object categories to the nearest
-    matching object's distance; absent categories mean no such object was in
-    range. `interpersonal` is (local_x, local_z, relative_yaw) of the
-    partner, None when no partner is placed.
+    `visual_attention` and `spatial` hold, per object category (indexed by
+    ``ObjectCategory.value``), the nearest matching object's distance, or
+    None when no such object was in range. A mapping from categories to
+    distances is accepted and converted. `interpersonal` is (local_x,
+    local_z, relative_yaw) of the partner, None when no partner is placed.
     """
 
     interpersonal: tuple[float, float, float] | None
     pose_accommodation: HeightMap
-    visual_attention: dict[ObjectCategory, float]
-    spatial: dict[ObjectCategory, float]
+    visual_attention: tuple[float | None, ...]
+    spatial: tuple[float | None, ...]
+
+    def __post_init__(self):
+        for name in ("visual_attention", "spatial"):
+            table = getattr(self, name)
+            if type(table) is not tuple:
+                vector = [None] * _CATEGORY_COUNT
+                for cat, dist in table.items():
+                    vector[cat.value] = dist
+                object.__setattr__(self, name, tuple(vector))
+            elif len(table) != _CATEGORY_COUNT:
+                raise ValueError(f"{name} needs {_CATEGORY_COUNT} entries, got {len(table)}")
 
     @property
     def valid_heights(self) -> np.ndarray:
@@ -181,9 +208,27 @@ def scorer_config_from_json(document) -> ScorerConfig:
 
 
 class SimilarityScorer(Protocol):
+    """What the search needs of a scorer: ``score``.
+
+    A scorer may also define ``score_batch(target, candidates) -> list[float]``
+    returning exactly ``[score(target, c) for c in candidates]``; the search
+    then hands it each grid cell's candidates, and each swarm iteration's
+    feasible particles, in one call.
+    """
+
     def score(self, target: FeatureVector, candidate: FeatureVector) -> float:
         """Similarity in [0, 1]; identical features must score 1."""
         ...
+
+
+def _score_all(scorer: SimilarityScorer, target: FeatureVector, candidates: list[FeatureVector]) -> list[float]:
+    score_batch = getattr(scorer, "score_batch", None)
+    if score_batch is None:
+        return [scorer.score(target, c) for c in candidates]
+    scores = score_batch(target, candidates)
+    if len(scores) != len(candidates):
+        raise ValueError(f"score_batch returned {len(scores)} scores for {len(candidates)} candidates")
+    return scores
 
 
 def default_similarity(a: FeatureVector, b: FeatureVector, cfg: ScorerConfig | None = None) -> float:
@@ -202,55 +247,48 @@ def default_similarity(a: FeatureVector, b: FeatureVector, cfg: ScorerConfig | N
     """
     if cfg is None:
         cfg = ScorerConfig()
+    w = cfg.weights
+    return (
+        w[0] * _interpersonal_term(a.interpersonal, b.interpersonal, cfg)
+        + w[1] * _height_term(a.valid_heights, b.valid_heights, cfg.sigma_height)
+        + w[2] * _category_term(a.visual_attention, b.visual_attention, cfg.distance_falloff)
+        + w[3] * _category_term(a.spatial, b.spatial, cfg.distance_falloff)
+    )
 
-    if a.interpersonal is None and b.interpersonal is None:
-        s_inter = 1.0
-    elif a.interpersonal is None or b.interpersonal is None:
-        s_inter = 0.0
-    else:
-        dx = a.interpersonal[0] - b.interpersonal[0]
-        dz = a.interpersonal[1] - b.interpersonal[1]
-        dfacing = abs(wrap_angle(a.interpersonal[2] - b.interpersonal[2]))
-        s_inter = math.exp(-(math.hypot(dx, dz) / cfg.sigma_offset + dfacing / cfg.sigma_facing))
 
-    ha = a.valid_heights
-    hb = b.valid_heights
+def _interpersonal_term(a, b, cfg: ScorerConfig) -> float:
+    if a is None or b is None:
+        return 1.0 if a is b else 0.0
+    dx = a[0] - b[0]
+    dz = a[1] - b[1]
+    dfacing = abs(wrap_angle(a[2] - b[2]))
+    return math.exp(-(math.hypot(dx, dz) / cfg.sigma_offset + dfacing / cfg.sigma_facing))
+
+
+def _height_term(ha: np.ndarray, hb: np.ndarray, sigma: float) -> float:
     if ha.shape != hb.shape:
         raise OutOfRange(
             f"height maps are not comparable: {ha.shape[0]} vs {hb.shape[0]} valid cells"
         )
     if ha.size == 0:
-        s_height = 1.0
-    else:
-        diff = ha - hb
-        rms = math.sqrt(float(np.dot(diff, diff)) / diff.size)
-        s_height = math.exp(-rms / cfg.sigma_height)
-
-    s_attention = _category_term(a.visual_attention, b.visual_attention, cfg.distance_falloff)
-    s_spatial = _category_term(a.spatial, b.spatial, cfg.distance_falloff)
-
-    w = cfg.weights
-    return w[0] * s_inter + w[1] * s_height + w[2] * s_attention + w[3] * s_spatial
+        return 1.0
+    diff = ha - hb
+    rms = math.sqrt(float(np.dot(diff, diff)) / diff.size)
+    return math.exp(-rms / sigma)
 
 
-_CATEGORY_ORDER = tuple(sorted(ObjectCategory, key=lambda c: c.value))
-
-
-def _category_term(da: dict, db: dict, falloff: float) -> float:
+def _category_term(ta: tuple, tb: tuple, falloff: float) -> float:
     total = 0.0
     union = 0
-    # fixed iteration order: category hash order varies between processes
-    for cat in _CATEGORY_ORDER:
-        a = da.get(cat)
-        b = db.get(cat)
-        if a is not None:
+    for a, b in zip(ta, tb):
+        if a is None:
             if b is not None:
                 union += 1
-                total += math.exp(-abs(a - b) / falloff)
-            else:
-                union += 1
-        elif b is not None:
+        elif b is None:
             union += 1
+        else:
+            union += 1
+            total += math.exp(-abs(a - b) / falloff)
     if union == 0:
         return 1.0
     return total / union
@@ -262,6 +300,32 @@ class DefaultScorer:
 
     def score(self, target: FeatureVector, candidate: FeatureVector) -> float:
         return default_similarity(target, candidate, self.config)
+
+    def score_batch(self, target: FeatureVector, candidates: list[FeatureVector]) -> list[float]:
+        """``score`` for each candidate. A height map or spatial table that a
+        candidate shares with the one before it (a grid cell's yaws and
+        poses), and each distinct attention table, is compared with the
+        target once."""
+        cfg = self.config
+        w0, w1, w2, w3 = cfg.weights
+        falloff = cfg.distance_falloff
+        hm = spatial = None
+        attention_terms: dict[tuple, float] = {}
+        out = []
+        for c in candidates:
+            if c.pose_accommodation is not hm:
+                hm = c.pose_accommodation
+                s_height = _height_term(target.valid_heights, c.valid_heights, cfg.sigma_height)
+            if c.spatial is not spatial:
+                spatial = c.spatial
+                s_spatial = _category_term(target.spatial, spatial, falloff)
+            s_inter = _interpersonal_term(target.interpersonal, c.interpersonal, cfg)
+            s_attention = attention_terms.get(c.visual_attention)
+            if s_attention is None:
+                s_attention = _category_term(target.visual_attention, c.visual_attention, falloff)
+                attention_terms[c.visual_attention] = s_attention
+            out.append(w0 * s_inter + w1 * s_height + w2 * s_attention + w3 * s_spatial)
+        return out
 
 
 # --- feature extraction -----------------------------------------------------
@@ -276,28 +340,71 @@ def _interpersonal(x: float, z: float, yaw: float, partner: PartnerPose | None):
     return (dx * c - dz * s, dx * s + dz * c, wrap_angle(partner.yaw - yaw))
 
 
-def _attention(room: Room, x: float, z: float, yaw: float, pose: PlacementPose):
+def _category_codes(room: Room) -> dict[str, int]:
+    """Category code per object id, cached per room."""
+    cached = getattr(room, "_category_codes", None)
+    if cached is None:
+        cached = {o.id: o.category.value for o in room.objects}
+        object.__setattr__(room, "_category_codes", cached)
+    return cached
+
+
+def _eye_view(room: Room, x: float, z: float, pose: PlacementPose) -> list[tuple]:
+    """Every object as seen from the placement's eye: (distance, id, offset
+    x/y/z, category code), nearest first with ties by id, the order of
+    ``scene.objects_in_fov``. One view serves every yaw at that spot."""
     eye_h = EYE_HEIGHT_STANDING if pose is PlacementPose.Standing else EYE_HEIGHT_SITTING
-    forward = (math.sin(yaw), 0.0, math.cos(yaw))
-    out: dict[ObjectCategory, float] = {}
-    for oid, dist in objects_in_fov(room, (x, eye_h, z), forward, ATTENTION_HALF_ANGLE):
-        cat = room.by_id[oid].category
-        if cat not in out:  # results are distance-sorted: first hit is nearest
-            out[cat] = dist
-    return out
+    codes = _category_codes(room)
+    view = []
+    for o in room.scalars:
+        vx = o.px - x
+        vy = o.py - eye_h
+        vz = o.pz - z
+        view.append((math.sqrt(vx * vx + vy * vy + vz * vz), o.id, vx, vy, vz, codes[o.id]))
+    view.sort()
+    return view
 
 
-def _spatial(room: Room, x: float, z: float):
-    out: dict[ObjectCategory, float] = {}
+def _attention(view: list[tuple], fx: float, fz: float) -> tuple:
+    """Nearest distance per category inside the attention cone looking level
+    along (fx, 0, fz) = (sin yaw, 0, cos yaw); the cone test is
+    ``scene.objects_in_fov``'s."""
+    fy = 0.0
+    out = [None] * _CATEGORY_COUNT
+    for dist, _, vx, vy, vz, code in view:
+        # an object coincident with the eye is inside any cone
+        if out[code] is None and (
+            dist < _EPS or vx * fx + vy * fy + vz * fz >= _COS_HALF_ATTENTION * dist
+        ):
+            out[code] = dist
+    return tuple(out)
+
+
+def _spatial(room: Room, x: float, z: float) -> tuple:
+    codes = _category_codes(room)
+    out = [None] * _CATEGORY_COUNT
     for oid, dist in objects_in_radius(room, (x, 0.0, z), SPATIAL_RADIUS):
-        cat = room.by_id[oid].category
-        if cat not in out:
-            out[cat] = dist
-    return out
+        code = codes[oid]
+        if out[code] is None:  # results are distance-sorted: first hit is nearest
+            out[code] = dist
+    return tuple(out)
 
 
-def _accommodation(room: Room, x: float, z: float) -> HeightMap:
-    return height_map(room, (x, 0.0, z), ACCOMMODATION_RADIUS, ACCOMMODATION_CELL)
+def _features_at(room: Room, xs, zs, yaws, pose: PlacementPose,
+                 partner: PartnerPose | None) -> list[FeatureVector]:
+    """Feature vectors of a batch of placements sharing one pose; their
+    height maps come from one broadcast."""
+    centers = np.column_stack((xs, np.zeros(len(xs)), zs))
+    maps = height_maps(room, centers, ACCOMMODATION_RADIUS, ACCOMMODATION_CELL)
+    return [
+        FeatureVector(
+            interpersonal=_interpersonal(x, z, yaw, partner),
+            pose_accommodation=hm,
+            visual_attention=_attention(_eye_view(room, x, z, pose), math.sin(yaw), math.cos(yaw)),
+            spatial=_spatial(room, x, z),
+        )
+        for x, z, yaw, hm in zip(xs, zs, yaws, maps)
+    ]
 
 
 def extract_features(
@@ -310,12 +417,8 @@ def extract_features(
     The eye used for the attention cone sits at the placement position at
     1.6 m (standing) or 1.2 m (sitting) and looks level along the facing.
     """
-    return FeatureVector(
-        interpersonal=_interpersonal(placement.x, placement.z, placement.yaw, partner),
-        pose_accommodation=_accommodation(room, placement.x, placement.z),
-        visual_attention=_attention(room, placement.x, placement.z, placement.yaw, placement.pose),
-        spatial=_spatial(room, placement.x, placement.z),
-    )
+    p = placement
+    return _features_at(room, [p.x], [p.z], [p.yaw], p.pose, partner)[0]
 
 
 # --- feasibility ------------------------------------------------------------
@@ -336,40 +439,11 @@ _FOOT_OX = np.array([c[0] for c in _FOOT_CELLS])
 _FOOT_OZ = np.array([c[1] for c in _FOOT_CELLS])
 
 
-def _blocking_columns(room: Room):
-    """Columns for objects tall enough to block standing, cached per room."""
-    cached = getattr(room, "_stand_blocking", None)
-    if cached is None:
-        arr = room.arrays
-        blocking = arr.support > STAND_CLEARANCE + _EPS
-        if not bool(blocking.any()):
-            cached = ()
-        else:
-            cached = (
-                arr.px[None, blocking], arr.pz[None, blocking],
-                arr.cos[None, blocking], arr.sin[None, blocking],
-                arr.hx[None, blocking] + _EPS, arr.hz[None, blocking] + _EPS,
-            )
-        object.__setattr__(room, "_stand_blocking", cached)
-    return cached
-
-
-def _standing_feasible(room: Room, x: float, z: float) -> bool:
-    """True when every sample cell of the body footprint is near floor level.
-
-    Equivalent to checking support_height_at <= STAND_CLEARANCE at each cell:
-    an object taller than the clearance must not cover any cell.
-    """
-    cols = _blocking_columns(room)
-    if not cols:
-        return True
-    px, pz, cos, sin, hx_tol, hz_tol = cols
-    dx = (x + _FOOT_OX)[:, None] - px
-    dz = (z + _FOOT_OZ)[:, None] - pz
-    lx = dx * cos - dz * sin
-    lz = dx * sin + dz * cos
-    covered = (np.abs(lx) <= hx_tol) & (np.abs(lz) <= hz_tol)
-    return not bool(covered.any())
+def _standing_feasible(room: Room, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Per position, whether every sample cell of the body footprint is near
+    floor level (support at most STAND_CLEARANCE), in one broadcast."""
+    support = support_heights(room, xs[:, None] + _FOOT_OX, zs[:, None] + _FOOT_OZ)
+    return ~(support > STAND_CLEARANCE + _EPS).any(axis=1)
 
 
 def _sitting_feasible(room: Room, x: float, z: float) -> bool:
@@ -386,13 +460,19 @@ def _sitting_feasible(room: Room, x: float, z: float) -> bool:
     return False
 
 
+def _feasible_at(room: Room, xs: list[float], zs: list[float], pose: PlacementPose) -> list[bool]:
+    """``feasible`` for a batch of positions sharing one pose."""
+    if pose is PlacementPose.Standing:
+        ok = _standing_feasible(room, np.array(xs), np.array(zs)).tolist()
+    else:
+        ok = [_sitting_feasible(room, x, z) for x, z in zip(xs, zs)]
+    contains = room.extents.contains
+    return [f and contains(x, z) for f, x, z in zip(ok, xs, zs)]
+
+
 def feasible(room: Room, placement: Placement) -> bool:
     """Whether an avatar can actually hold this placement in this room."""
-    if not room.extents.contains(placement.x, placement.z):
-        return False
-    if placement.pose is PlacementPose.Standing:
-        return _standing_feasible(room, placement.x, placement.z)
-    return _sitting_feasible(room, placement.x, placement.z)
+    return _feasible_at(room, [placement.x], [placement.z], placement.pose)[0]
 
 
 # --- grid search ------------------------------------------------------------
@@ -433,19 +513,6 @@ class GridResult:
     evaluated: int              # candidates that passed feasibility and were scored
 
 
-class _PositionEval:
-    """Per-position work shared by all yaws and poses at one grid cell."""
-
-    __slots__ = ("accommodation", "spatial", "standing_ok", "sitting_ok")
-
-    def __init__(self, room: Room, x: float, z: float):
-        self.standing_ok = _standing_feasible(room, x, z)
-        self.sitting_ok = _sitting_feasible(room, x, z)
-        if self.standing_ok or self.sitting_ok:
-            self.accommodation = _accommodation(room, x, z)
-            self.spatial = _spatial(room, x, z)
-
-
 _POSES = (PlacementPose.Standing, PlacementPose.Sitting)
 
 
@@ -461,7 +528,9 @@ def grid_search(
 
     Candidates are every (cell center, yaw, pose) triple; infeasible ones
     are skipped. Ties resolve to the lowest (x, z, yaw, pose) grid index,
-    with Standing before Sitting: the first best in scan order wins.
+    with Standing before Sitting: the first best in scan order wins. Each
+    cell's candidates share its height map and spatial table and are scored
+    as one batch.
     """
     if scorer is None:
         scorer = DefaultScorer()
@@ -470,31 +539,33 @@ def grid_search(
 
     xs, zs, yaws = grid_axes(room.extents, config.cell, config.yaw_count)
     per_pose = len(xs) * len(zs) * len(yaws)
+    facings = [(yaw, math.sin(yaw), math.cos(yaw)) for yaw in yaws]
+    cell_xs = [x for x in xs for _ in zs]
+    cell_zs = zs * len(xs)
+    ok_by_pose = [_feasible_at(room, cell_xs, cell_zs, pose) for pose in _POSES]
     best_score = -math.inf
     best_placement = None
     evaluated = 0
-    for x in xs:
-        for z in zs:
-            pos = _PositionEval(room, x, z)
-            if not (pos.standing_ok or pos.sitting_ok):
-                continue
-            for yaw in yaws:
-                inter = _interpersonal(x, z, yaw, partner)
-                for pose in _POSES:
-                    ok = pos.standing_ok if pose is PlacementPose.Standing else pos.sitting_ok
-                    if not ok:
-                        continue
-                    candidate = FeatureVector(
-                        interpersonal=inter,
-                        pose_accommodation=pos.accommodation,
-                        visual_attention=_attention(room, x, z, yaw, pose),
-                        spatial=pos.spatial,
-                    )
-                    score = scorer.score(target, candidate)
-                    evaluated += 1
-                    if score > best_score:
-                        best_score = score
-                        best_placement = Placement(x, z, yaw, pose)
+    for x, z, *ok in zip(cell_xs, cell_zs, *ok_by_pose):
+        poses = [pose for pose, pose_ok in zip(_POSES, ok) if pose_ok]
+        if not poses:
+            continue
+        accommodation = height_map(room, (x, 0.0, z), ACCOMMODATION_RADIUS, ACCOMMODATION_CELL)
+        spatial = _spatial(room, x, z)
+        views = [(pose, _eye_view(room, x, z, pose)) for pose in poses]
+        candidates = []
+        placements = []
+        for yaw, fx, fz in facings:
+            inter = _interpersonal(x, z, yaw, partner)
+            for pose, view in views:
+                candidates.append(FeatureVector(inter, accommodation, _attention(view, fx, fz), spatial))
+                placements.append((yaw, pose))
+        scores = _score_all(scorer, target, candidates)
+        evaluated += len(candidates)
+        for score, (yaw, pose) in zip(scores, placements):
+            if score > best_score:
+                best_score = score
+                best_placement = Placement(x, z, yaw, pose)
 
     if best_placement is None:
         raise NoFeasiblePlacement(
@@ -564,15 +635,26 @@ def pso_refine(
 
     pose = seed.pose
 
-    def evaluate(x: float, z: float, yaw: float) -> tuple[float, Placement]:
-        p = Placement(x, z, yaw, pose)
-        if not feasible(room, p):
-            return -math.inf, p
-        return scorer.score(target, extract_features(room, p, partner)), p
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        """Scores of a batch of (x, z, yaw) rows, feasible ones scored as one
+        batch; infeasible points score -inf."""
+        xs, zs, yaws = points.T.tolist()
+        keep = [i for i, ok in enumerate(_feasible_at(room, xs, zs, pose)) if ok]
+        candidates = _features_at(
+            room, [xs[i] for i in keep], [zs[i] for i in keep],
+            [wrap_angle_positive(yaws[i]) for i in keep], pose, partner,
+        )
+        scores = np.full(len(points), -math.inf)
+        scores[keep] = _score_all(scorer, target, candidates)
+        return scores
+
+    def finish(point: np.ndarray, evaluated: int) -> PsoResult:
+        score = float(evaluate(point[None, :])[0])
+        placement = Placement(point[0], point[1], point[2], pose)
+        return PsoResult(placement=placement, score=score, evaluated=evaluated + 1)
 
     if config.iterations == 0:
-        score, p = evaluate(seed.x, seed.z, seed.yaw)
-        return PsoResult(placement=p, score=score, evaluated=1)
+        return finish(np.array([seed.x, seed.z, seed.yaw]), 0)
 
     ext = room.extents
     lo = np.array([
@@ -593,10 +675,7 @@ def pso_refine(
         pos[1:] = rng.uniform(lo, hi, (n - 1, 3))
     vel = np.zeros((n, 3))
 
-    def evaluate_all(points: np.ndarray) -> np.ndarray:
-        return np.array([evaluate(p[0], p[1], p[2])[0] for p in points])
-
-    scores = evaluate_all(pos)
+    scores = evaluate(pos)
     evaluated = n
     pbest = scores.copy()
     pbest_pos = pos.copy()
@@ -613,7 +692,7 @@ def pso_refine(
             + config.social * r2 * (gbest_pos[None, :] - pos)
         )
         pos = np.clip(pos + vel, lo, hi)
-        scores = evaluate_all(pos)
+        scores = evaluate(pos)
         evaluated += n
         improved = scores > pbest
         pbest[improved] = scores[improved]
@@ -623,8 +702,7 @@ def pso_refine(
             gbest = float(pbest[g])
             gbest_pos = pbest_pos[g].copy()
 
-    final_score, final_placement = evaluate(gbest_pos[0], gbest_pos[1], gbest_pos[2])
-    return PsoResult(placement=final_placement, score=final_score, evaluated=evaluated + 1)
+    return finish(gbest_pos, evaluated)
 
 
 # --- combined search --------------------------------------------------------
@@ -692,11 +770,13 @@ def feature_to_json(fv: FeatureVector) -> dict:
             "heights": hm.heights.tolist(),
             "valid": hm.valid.astype(int).tolist(),
         },
-        "visual_attention": {cat.name: d for cat, d in sorted(
-            fv.visual_attention.items(), key=lambda kv: kv[0].value)},
-        "spatial": {cat.name: d for cat, d in sorted(
-            fv.spatial.items(), key=lambda kv: kv[0].value)},
+        "visual_attention": _category_names(fv.visual_attention),
+        "spatial": _category_names(fv.spatial),
     }
+
+
+def _category_names(table: tuple) -> dict:
+    return {ObjectCategory(code).name: d for code, d in enumerate(table) if d is not None}
 
 
 def feature_from_json(document) -> FeatureVector:

@@ -73,10 +73,13 @@ class WireTransform:
     orientation: tuple[float, float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "position", tuple(float(v) for v in self.position))
-        object.__setattr__(self, "orientation", tuple(float(v) for v in self.orientation))
-        if len(self.position) != 3 or len(self.orientation) != 4:
-            raise ProtocolError("transform needs 3 position and 4 orientation floats")
+        try:
+            px, py, pz = self.position
+            qw, qx, qy, qz = self.orientation
+        except ValueError:
+            raise ProtocolError("transform needs 3 position and 4 orientation floats") from None
+        object.__setattr__(self, "position", (float(px), float(py), float(pz)))
+        object.__setattr__(self, "orientation", (float(qw), float(qx), float(qy), float(qz)))
 
 
 @dataclass(frozen=True)
@@ -278,24 +281,28 @@ def _decode_heightmap(r: _Reader) -> HeightMap:
     )
 
 
-def _encode_categories(w: _Writer, table: dict[ObjectCategory, float]) -> None:
-    items = sorted(table.items(), key=lambda kv: kv[0].value)
-    w.u8(len(items))
-    for cat, dist in items:
-        w.u8(cat.value)
+def _encode_categories(w: _Writer, table: tuple[float | None, ...]) -> None:
+    present = [(code, dist) for code, dist in enumerate(table) if dist is not None]
+    w.u8(len(present))
+    for code, dist in present:
+        w.u8(code)
         w.f(float(dist))
 
 
-def _decode_categories(r: _Reader) -> dict[ObjectCategory, float]:
-    out: dict[ObjectCategory, float] = {}
+def _decode_categories(r: _Reader) -> tuple[float | None, ...]:
+    """A category table; codes must be known and strictly ascending, so each
+    table has exactly one encoding."""
+    out: list[float | None] = [None] * len(ObjectCategory)
+    last = -1
     for _ in range(r.u8()):
         code = r.u8()
-        try:
-            cat = ObjectCategory(code)
-        except ValueError:
-            raise ProtocolError(f"unknown object category code {code}") from None
-        out[cat] = r.f(1)[0]
-    return out
+        if code >= len(out):
+            raise ProtocolError(f"unknown object category code {code}")
+        if code <= last:
+            raise ProtocolError(f"category code {code} after {last}: codes must be strictly ascending")
+        last = code
+        out[code] = r.f(1)[0]
+    return tuple(out)
 
 
 def encode_frame(msg: Message) -> bytes:

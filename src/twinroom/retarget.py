@@ -204,20 +204,21 @@ def solve_full_body(skeleton: Skeleton, goals: IkGoals, cfg: RetargetConfig | No
     joints["head"] = neck_base + skeleton.neck * normalized(head_dir)
     orientations["head"] = quat_mul(root.orientation, goals.head.orientation)
 
+    # one hint direction serves both arms, another both legs
+    hint = quat_rotate(root.orientation, cfg.elbow_hint)
     for side, hand_goal in (("left", goals.left_hand), ("right", goals.right_hand)):
         shoulder = root.apply(skeleton.shoulder_local(side))
         target = root.apply(hand_goal.position)
-        hint = quat_rotate(root.orientation, cfg.elbow_hint)
         elbow, wrist = solve_two_bone(shoulder, skeleton.upper_arm, skeleton.forearm, target, hint)
         joints[f"{side[0]}_shoulder"] = shoulder
         joints[f"{side[0]}_elbow"] = elbow
         joints[f"{side[0]}_wrist"] = wrist
         orientations[f"{side}_hand"] = quat_mul(root.orientation, hand_goal.orientation)
 
+    hint = quat_rotate(root.orientation, cfg.knee_hint)
     for side, foot_goal in (("left", goals.left_foot), ("right", goals.right_foot)):
         hip = root.apply(skeleton.hip_local(side))
         target = root.apply(foot_goal.position)
-        hint = quat_rotate(root.orientation, cfg.knee_hint)
         knee, ankle = solve_two_bone(hip, skeleton.thigh, skeleton.shin, target, hint)
         joints[f"{side[0]}_hip"] = hip
         joints[f"{side[0]}_knee"] = knee

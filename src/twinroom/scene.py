@@ -177,19 +177,24 @@ class ObjectScalars:
 
 
 class RoomArrays:
-    """Per-object columns as numpy arrays, for vectorized height maps."""
+    """Per-object columns as (count, 1) numpy arrays, for vectorized
+    footprint tests against a row of points."""
 
-    __slots__ = ("px", "pz", "cos", "sin", "hx", "hz", "support", "count")
+    __slots__ = ("px", "pz", "cos", "sin", "hx_tol", "hz_tol", "support", "count")
 
     def __init__(self, objects: tuple[SceneObject, ...]):
+        def column(values) -> np.ndarray:
+            return np.array(values, dtype=float).reshape(-1, 1)
+
         self.count = len(objects)
-        self.px = np.array([float(o.position[0]) for o in objects])
-        self.pz = np.array([float(o.position[2]) for o in objects])
-        self.cos = np.array([o.cos_yaw for o in objects])
-        self.sin = np.array([o.sin_yaw for o in objects])
-        self.hx = np.array([float(o.size[0]) * 0.5 for o in objects])
-        self.hz = np.array([float(o.size[2]) * 0.5 for o in objects])
-        self.support = np.array([o.support_height for o in objects])
+        self.px = column([float(o.position[0]) for o in objects])
+        self.pz = column([float(o.position[2]) for o in objects])
+        self.cos = column([o.cos_yaw for o in objects])
+        self.sin = column([o.sin_yaw for o in objects])
+        # footprint half extents with the containment tolerance
+        self.hx_tol = column([float(o.size[0]) * 0.5 for o in objects]) + _EPS
+        self.hz_tol = column([float(o.size[2]) * 0.5 for o in objects]) + _EPS
+        self.support = column([o.support_height for o in objects])
 
 
 @dataclass(frozen=True)
@@ -610,9 +615,30 @@ def support_height_at(room: Room, x: float, z: float) -> float:
     return h
 
 
+def support_heights(room: Room, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Max support height among objects covering each point (xs[i], zs[i]),
+    0 for bare floor; the result has the shape of ``xs``.
+
+    One broadcast against every object: the batched form of the footprint
+    test behind height maps and standing feasibility.
+    """
+    arr = room.arrays
+    if arr.count == 0:
+        return np.zeros(xs.shape)
+    # objects along the first axis, points along the long, contiguous last one
+    dx = xs.reshape(1, -1) - arr.px
+    dz = zs.reshape(1, -1) - arr.pz
+    lx = dx * arr.cos - dz * arr.sin
+    lz = dx * arr.sin + dz * arr.cos
+    covered = (np.abs(lx) <= arr.hx_tol) & (np.abs(lz) <= arr.hz_tol)
+    heights = np.where(covered, arr.support, 0.0).max(axis=0)
+    return np.maximum(heights, 0.0).reshape(xs.shape)
+
+
 def _height_map_grid(radius: float, cell_size: float):
     """Constant sample-offset arrays for one (radius, cell_size), cached: the
-    map is recomputed thousands of times per placement search."""
+    map is recomputed thousands of times per placement search. The offsets
+    cover the valid cells only, in row-major order."""
     key = (radius, cell_size)
     cached = _HM_GRIDS.get(key)
     if cached is None:
@@ -620,11 +646,12 @@ def _height_map_grid(radius: float, cell_size: float):
         side = 2 * n + 1
         offs = (np.arange(side) - n) * cell_size
         valid = np.sqrt(offs[:, None] ** 2 + offs[None, :] ** 2) <= radius + _EPS
-        ox = offs[:, None].repeat(side, axis=1).reshape(-1, 1)
-        oz = offs[None, :].repeat(side, axis=0).reshape(-1, 1)
-        for a in (valid, ox, oz):  # shared across every map of this geometry
+        flat_valid = valid.reshape(-1)
+        ox = offs[:, None].repeat(side, axis=1).reshape(-1)[flat_valid]
+        oz = offs[None, :].repeat(side, axis=0).reshape(-1)[flat_valid]
+        for a in (valid, flat_valid, ox, oz):  # shared across every map of this geometry
             a.setflags(write=False)
-        cached = (side, valid, ox, oz)
+        cached = (side, valid, flat_valid, ox, oz)
         _HM_GRIDS[key] = cached
     return cached
 
@@ -632,29 +659,21 @@ def _height_map_grid(radius: float, cell_size: float):
 _HM_GRIDS: dict[tuple[float, float], tuple] = {}
 
 
-def height_map(room: Room, center, radius: float, cell_size: float) -> HeightMap:
+def height_maps(room: Room, centers, radius: float, cell_size: float) -> list[HeightMap]:
+    """One height map per row of ``centers`` (an (m, 3) array), all sampled
+    in one broadcast; invalid cells are never sampled."""
     if radius <= 0.0 or cell_size <= 0.0:
         raise OutOfRange(f"radius and cell_size must be positive, got {radius}, {cell_size}")
-    center = np.asarray(center, dtype=float)
-    side, valid, ox, oz = _height_map_grid(float(radius), float(cell_size))
+    radius, cell_size = float(radius), float(cell_size)
+    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    side, valid, flat_valid, ox, oz = _height_map_grid(radius, cell_size)
+    heights = np.zeros((len(centers), side * side))
+    heights[:, flat_valid] = support_heights(room, centers[:, :1] + ox, centers[:, 2:] + oz)
+    return [
+        HeightMap(center=c, radius=radius, cell_size=cell_size, heights=h, valid=valid)
+        for c, h in zip(centers, heights.reshape(-1, side, side))
+    ]
 
-    arr = room.arrays
-    if arr.count == 0:
-        heights = np.zeros((side, side))
-    else:
-        # flat (side*side, k) footprint test against every object at once
-        dx = (float(center[0]) + ox) - arr.px[None, :]
-        dz = (float(center[2]) + oz) - arr.pz[None, :]
-        lx = dx * arr.cos[None, :] - dz * arr.sin[None, :]
-        lz = dx * arr.sin[None, :] + dz * arr.cos[None, :]
-        covered = (np.abs(lx) <= arr.hx[None, :] + _EPS) & (np.abs(lz) <= arr.hz[None, :] + _EPS)
-        per_obj = np.where(covered, arr.support[None, :], 0.0)
-        heights = np.maximum(per_obj.max(axis=1), 0.0).reshape(side, side)
-    heights = np.where(valid, heights, 0.0)
-    return HeightMap(
-        center=center,
-        radius=float(radius),
-        cell_size=float(cell_size),
-        heights=heights,
-        valid=valid,
-    )
+
+def height_map(room: Room, center, radius: float, cell_size: float) -> HeightMap:
+    return height_maps(room, center, radius, cell_size)[0]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from twinroom.placement import (
     pso_refine,
     scorer_config_from_json,
 )
-from twinroom.scene import HeightMap, ObjectCategory, OutOfRange, load_room
+from twinroom.scene import HeightMap, ObjectCategory, OutOfRange, load_room, objects_in_fov
 
 
 def exhaustive_best(room, target, scorer, partner, config):
@@ -51,6 +52,50 @@ def exhaustive_best(room, target, scorer, partner, config):
                         best_score = score
                         best = p
     return best, best_score, evaluated
+
+
+def reference_pso(room, target, seed, scorer, partner, config, rng):
+    """Reference swarm: the update rule of pso_refine, with every particle
+    checked and scored one by one through the public functions."""
+    rng = np.random.Generator(np.random.PCG64(rng))
+
+    def evaluate(point):
+        p = Placement(point[0], point[1], point[2], seed.pose)
+        if not feasible(room, p):
+            return -math.inf, p
+        return scorer.score(target, extract_features(room, p, partner)), p
+
+    ext = room.extents
+    lo = np.array([max(seed.x - config.position_radius, ext.min_x),
+                   max(seed.z - config.position_radius, ext.min_z), seed.yaw - config.yaw_radius])
+    hi = np.array([min(seed.x + config.position_radius, ext.max_x),
+                   min(seed.z + config.position_radius, ext.max_z), seed.yaw + config.yaw_radius])
+    n = config.particles
+    pos = np.empty((n, 3))
+    pos[0] = (seed.x, seed.z, seed.yaw)
+    pos[1:] = rng.uniform(lo, hi, (n - 1, 3))
+    vel = np.zeros((n, 3))
+    pbest = np.array([evaluate(p)[0] for p in pos])
+    pbest_pos = pos.copy()
+    gbest_pos = pbest_pos[int(np.argmax(pbest))].copy()
+    gbest = float(pbest.max())
+    for _ in range(config.iterations):
+        r1 = rng.uniform(size=(n, 3))
+        r2 = rng.uniform(size=(n, 3))
+        vel = (config.inertia * vel + config.cognitive * r1 * (pbest_pos - pos)
+               + config.social * r2 * (gbest_pos[None, :] - pos))
+        pos = np.clip(pos + vel, lo, hi)
+        for i, p in enumerate(pos):
+            score = evaluate(p)[0]
+            if score > pbest[i]:
+                pbest[i] = score
+                pbest_pos[i] = p
+        g = int(np.argmax(pbest))
+        if float(pbest[g]) > gbest:
+            gbest = float(pbest[g])
+            gbest_pos = pbest_pos[g].copy()
+    score, placement = evaluate(gbest_pos)
+    return placement, score
 
 
 def random_room(rng, max_side=4.0):
@@ -125,6 +170,94 @@ def test_grid_search_equals_exhaustive():
         assert got.placement == want, f"case {case}"
         assert got.score == want_score
         assert got.evaluated == want_evaluated
+
+
+class ScoreOnly:
+    """A scorer with only ``score``: the search must fall back to one call
+    per candidate."""
+
+    def __init__(self):
+        self.inner = DefaultScorer()
+
+    def score(self, target, candidate):
+        return self.inner.score(target, candidate)
+
+
+def demo_rooms():
+    rooms = Path(__file__).resolve().parents[1] / "demos" / "rooms"
+    return [load_room(rooms / f"{name}.json") for name in ("office_a", "loft_b")]
+
+
+def sitting_seed(room):
+    """A feasible Sitting placement at a seat center, or None."""
+    for o in room.objects:
+        p = Placement(float(o.position[0]), float(o.position[2]), 0.3, PlacementPose.Sitting)
+        if o.sittable and feasible(room, p):
+            return p
+    return None
+
+
+def test_batched_search_equals_per_candidate_fallback():
+    batched, fallback = DefaultScorer(), ScoreOnly()
+    rooms = [random_room(np.random.default_rng(700 + i)) for i in range(3)] + demo_rooms()
+    sat = 0
+    for case, room in enumerate(rooms):
+        rng = np.random.default_rng(800 + case)
+        for partner in (None, PartnerPose(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0, 6))):
+            target = random_target(rng, room, partner)
+            grid = grid_search(room, target, batched, partner)
+            assert grid == grid_search(room, target, fallback, partner), f"room {case}"
+            g = grid.placement
+            seeds = [Placement(g.x, g.z, g.yaw, PlacementPose.Standing), sitting_seed(room)]
+            for seed in (s for s in seeds if s is not None):
+                sat += seed.pose is PlacementPose.Sitting
+                got = pso_refine(room, target, seed, batched, partner, rng=case)
+                assert got == pso_refine(room, target, seed, fallback, partner, rng=case)
+                assert got.evaluated == 64 * 31 + 1
+    assert sat >= 4  # the sitting swarm ran in the demo rooms, with and without partner
+
+
+def test_pso_equals_per_particle_reference():
+    rooms = [random_room(np.random.default_rng(750 + i)) for i in range(3)] + demo_rooms()
+    # the wide yaw range sends particles below 0 and past 2*pi, where the
+    # partner's relative facing must use the wrapped yaw, as Placement does
+    for wide, config in enumerate((PsoConfig(), PsoConfig(yaw_radius=math.pi))):
+        for case, room in enumerate(rooms):
+            rng = np.random.default_rng(850 + case)
+            partner = PartnerPose(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0, 6))
+            if not (wide or case % 2):
+                partner = None
+            target = random_target(rng, room, partner)
+            grid = grid_search(room, target, partner=partner, config=GridConfig(cell=0.5, yaw_count=8))
+            for seed in (s for s in (grid.placement, sitting_seed(room)) if s is not None):
+                got = pso_refine(room, target, seed, partner=partner, config=config, rng=case)
+                want = reference_pso(room, target, seed, DefaultScorer(), partner, config, case)
+                assert (got.placement, got.score) == want, f"room {case}, {seed.pose}"
+
+
+def test_find_placement_accepts_a_score_only_scorer():
+    room = demo_rooms()[1]
+    target = extract_features(demo_rooms()[0], Placement(1.35, 0.55, math.pi, PlacementPose.Sitting))
+    cfg = dict(grid_config=GridConfig(cell=0.5, yaw_count=8), pso_config=PsoConfig(particles=8, iterations=4))
+    got = find_placement(room, target, ScoreOnly(), rng=3, **cfg)
+    want = find_placement(room, target, DefaultScorer(), rng=3, **cfg)
+    assert (got.placement, got.score, got.grid_placement, got.grid_score) == (
+        want.placement, want.score, want.grid_placement, want.grid_score)
+
+
+def test_score_batch_is_score_per_candidate():
+    rng = np.random.default_rng(11)
+    room = random_room(rng)
+    partner = PartnerPose(0.5, 0.5, 1.0)
+    target = random_target(rng, room, partner)
+    hm = extract_features(room, Placement(1, 1, 0, PlacementPose.Standing)).pose_accommodation
+    candidates = [random_target(rng, room, partner if i % 2 else None) for i in range(6)]
+    # shared height maps and attention tables, as in a grid cell
+    candidates += [FeatureVector(c.interpersonal, hm, candidates[0].visual_attention, c.spatial)
+                   for c in candidates]
+    scorer = DefaultScorer(ScorerConfig(weights=(0.1, 0.2, 0.3, 0.4)))
+    assert scorer.score_batch(target, candidates) == [scorer.score(target, c) for c in candidates]
+    assert scorer.score_batch(target, []) == []
 
 
 def test_pso_never_scores_below_its_grid_seed():
@@ -494,11 +627,36 @@ def test_attention_uses_pose_eye_height():
     )
     standing = extract_features(room, Placement(0, 0, 0, PlacementPose.Standing))
     sitting = extract_features(room, Placement(0, 0, 0, PlacementPose.Sitting))
-    assert standing.visual_attention[ObjectCategory.Screen] == pytest.approx(3.0)
+    assert standing.visual_attention[ObjectCategory.Screen.value] == pytest.approx(3.0)
     # seated eye is 0.4 lower: the same screen center is farther away
-    assert sitting.visual_attention[ObjectCategory.Screen] == pytest.approx(
+    assert sitting.visual_attention[ObjectCategory.Screen.value] == pytest.approx(
         math.hypot(3.0, 0.4)
     )
+
+
+def test_attention_is_nearest_per_category_in_the_fov():
+    """extract_features' attention against the scene's cone query."""
+    for case in range(20):
+        rng = np.random.default_rng(900 + case)
+        room = random_room(rng)
+        for pose in PlacementPose:
+            p = Placement(rng.uniform(0, 4), rng.uniform(0, 4), rng.uniform(-7, 7), pose)
+            eye_h = 1.6 if pose is PlacementPose.Standing else 1.2
+            want = {}
+            forward = (math.sin(p.yaw), 0.0, math.cos(p.yaw))
+            for oid, dist in objects_in_fov(room, (p.x, eye_h, p.z), forward, math.radians(20.0)):
+                want.setdefault(room.by_id[oid].category, dist)
+            assert extract_features(room, p).visual_attention == FeatureVector(
+                None, make_hm(np.zeros((1, 1))), want, {}).visual_attention
+
+
+def test_category_tables_are_per_category_vectors():
+    f = fv(attention={ObjectCategory.Table: 2.0}, spatial={})
+    assert f.visual_attention == (None, None, 2.0, None, None, None, None)
+    assert f.spatial == (None,) * len(ObjectCategory)
+    assert f == fv(attention=f.visual_attention, spatial=f.spatial)
+    with pytest.raises(ValueError):
+        fv(attention=(1.0,))
 
 
 # --- serialization -------------------------------------------------------

@@ -180,6 +180,29 @@ def test_corrupted_frames_are_rejected():
         decode_frame(bad_state)
 
 
+def test_non_canonical_category_tables_are_rejected():
+    hm = HeightMap(
+        center=np.zeros(3), radius=0.5, cell_size=0.5,
+        heights=np.zeros((3, 3)), valid=np.ones((3, 3), dtype=bool),
+    )
+    msg = FeaturePacket(tick=3, features=FeatureVector(
+        interpersonal=None, pose_accommodation=hm, visual_attention={},
+        spatial={ObjectCategory.Sofa: 1.0, ObjectCategory.Table: 2.0},
+    ))
+    data = encode_frame(msg)
+    assert decode_frame(data)[0] == msg
+    # the frame ends with the spatial table: count, then (u8 code, f32) pairs
+    assert data[-10:-9] == bytes([ObjectCategory.Sofa.value])
+    assert data[-5:-4] == bytes([ObjectCategory.Table.value])
+    for second in (ObjectCategory.Sofa, ObjectCategory.Chair):  # repeated, descending
+        forged = data[:-5] + bytes([second.value]) + data[-4:]
+        with pytest.raises(ProtocolError, match="ascending"):
+            decode_frame(forged)
+    unknown = data[:-5] + bytes([len(ObjectCategory)]) + data[-4:]
+    with pytest.raises(ProtocolError, match="unknown object category"):
+        decode_frame(unknown)
+
+
 def test_oversized_payload_is_rejected():
     inner = encode_frame(Bye())
     padded = inner + b"\x00"
@@ -207,8 +230,10 @@ def test_f32_quantization_contract():
 def test_hello_validates_skeleton_length():
     with pytest.raises(ProtocolError):
         Hello(app_version=1, room_hash=0, skeleton=(1.0,) * 12)
-    with pytest.raises(ProtocolError):
-        WireTransform(position=(1, 2), orientation=(1, 0, 0, 0))
+    for position, orientation in (((1, 2), (1, 0, 0, 0)), ((1, 2, 3, 4), (1, 0, 0, 0)),
+                                  ((1, 2, 3), (1, 0, 0)), ((1, 2, 3), (1, 0, 0, 0, 0))):
+        with pytest.raises(ProtocolError):
+            WireTransform(position=position, orientation=orientation)
 
 
 # --- session --------------------------------------------------------------
