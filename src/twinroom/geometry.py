@@ -15,11 +15,14 @@ transcript has to rebuild a byte-identical report. The rule for a kernel:
   * elementwise arithmetic may move to plain floats, written as numpy's
     operations in numpy's order (np.cross computes a1*b2 - a2*b1, then
     a2*b0 - a0*b2, then a0*b1 - a1*b0; a*b + c is a product, then a sum);
-  * reductions (norm, normalized, quat_normalize, every np.dot and
-    np.linalg.norm) stay on numpy. A small-vector np.dot runs in BLAS, which
-    fuses multiply-adds: a plain Python sum of squares differs from it in the
-    last bit for about 25% of random 4-vectors (and a third of general dot
-    products), and Python before 3.13 has no math.fma to reproduce it.
+  * reductions (norm, normalized, quat_normalize, every np.dot) stay on
+    numpy. A small-vector np.dot runs in BLAS, which fuses multiply-adds: a
+    plain Python sum of squares differs from it in the last bit for about 25%
+    of random 4-vectors (and a third of general dot products), and Python
+    before 3.13 has no math.fma to reproduce it;
+  * `norm` is the one vector norm. It is numpy's own formula for a 1-D
+    float64 vector (np.linalg.norm computes sqrt(x.dot(x))), so it has the
+    same bits without np.linalg.norm's per-call overhead.
 """
 
 from __future__ import annotations

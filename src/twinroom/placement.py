@@ -20,11 +20,17 @@ The default scorer turns feature differences into a similarity in [0, 1]
 (identical features score exactly 1). The search scores every cell of a
 0.25 m x 15-degree grid over the remote room, then refines the best cell
 with a small particle swarm confined to that cell's neighborhood. Both
-score in batches: a grid cell's (yaw, pose) candidates share its height map
-and spatial table, and a swarm iteration's particles are checked for
-feasibility and get their height maps in one broadcast each, then are
-scored together. Batching changes no result: every score is computed with
-the same floating-point operations as a single ``default_similarity`` call.
+work in batches. The grid takes one grid column at a time: its cells'
+height maps come from one broadcast and, per pose, their attention tables
+at every yaw from another; each cell's (yaw, pose) candidates share its
+height map and spatial table and are scored together. A swarm iteration
+checks its particles' feasibility, samples their height maps and computes
+their attention tables in one broadcast each, then scores them together.
+Batching changes no result: every feature and score is computed with the
+same floating-point operations as for a single placement (a category's
+attention entry is the least distance in the cone, which is the nearest
+hit), and ``math.sin``, ``math.cos``, ``math.hypot``, ``math.exp`` and the
+height term's ``np.dot`` still run once per candidate.
 
 Scorers are pluggable: anything with a ``score(target, candidate) -> float``
 method can replace the default, including learned models. A scorer may
@@ -50,9 +56,7 @@ from .scene import (
     ObjectCategory,
     OutOfRange,
     Room,
-    height_map,
     height_maps,
-    objects_in_radius,
     support_heights,
 )
 
@@ -141,13 +145,8 @@ class FeatureVector:
 
     @property
     def valid_heights(self) -> np.ndarray:
-        """Heights at valid cells, flattened; cached for repeated scoring."""
-        cached = getattr(self, "_valid_heights", None)
-        if cached is None:
-            hm = self.pose_accommodation
-            cached = hm.heights[hm.valid]
-            object.__setattr__(self, "_valid_heights", cached)
-        return cached
+        """Heights at valid cells, flattened; cached by the height map."""
+        return self.pose_accommodation.valid_heights
 
     def __eq__(self, other):
         if not isinstance(other, FeatureVector):
@@ -172,12 +171,12 @@ class ScorerConfig:
 
     def __post_init__(self):
         for name in ("sigma_offset", "sigma_facing", "sigma_height", "distance_falloff"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:  # NaN fails every comparison
                 raise ValueError(f"{name} must be positive")
         w = tuple(float(v) for v in self.weights)
-        if len(w) != 4 or any(v < 0.0 for v in w):
+        if len(w) != 4 or not all(v >= 0.0 for v in w):
             raise ValueError("weights must be four non-negative numbers")
-        if abs(sum(w) - 1.0) > 1e-6:
+        if not abs(sum(w) - 1.0) <= 1e-6:
             raise ValueError("weights must sum to 1 so identical features score 1")
         object.__setattr__(self, "weights", w)
 
@@ -340,70 +339,104 @@ def _interpersonal(x: float, z: float, yaw: float, partner: PartnerPose | None):
     return (dx * c - dz * s, dx * s + dz * c, wrap_angle(partner.yaw - yaw))
 
 
-def _category_codes(room: Room) -> dict[str, int]:
-    """Category code per object id, cached per room."""
-    cached = getattr(room, "_category_codes", None)
+class _CategoryIndex:
+    """A room's objects ordered by category code, cached per room: centers
+    as plain floats for per-point loops and as arrays for broadcasts, plus
+    where each present category's run of objects starts."""
+
+    __slots__ = ("points", "px", "py", "pz", "codes", "starts")
+
+    def __init__(self, room: Room):
+        objects = sorted(room.scalars, key=lambda o: o.category.value)
+        codes = [o.category.value for o in objects]
+        self.points = tuple((o.px, o.pz, code) for o, code in zip(objects, codes))
+        self.px = np.array([o.px for o in objects])
+        self.py = np.array([o.py for o in objects])
+        self.pz = np.array([o.pz for o in objects])
+        self.starts = [i for i, code in enumerate(codes) if i == 0 or code != codes[i - 1]]
+        self.codes = [codes[i] for i in self.starts]
+
+
+def _category_index(room: Room) -> _CategoryIndex:
+    cached = getattr(room, "_category_index", None)
     if cached is None:
-        cached = {o.id: o.category.value for o in room.objects}
-        object.__setattr__(room, "_category_codes", cached)
+        cached = _CategoryIndex(room)
+        object.__setattr__(room, "_category_index", cached)
     return cached
 
 
-def _eye_view(room: Room, x: float, z: float, pose: PlacementPose) -> list[tuple]:
-    """Every object as seen from the placement's eye: (distance, id, offset
-    x/y/z, category code), nearest first with ties by id, the order of
-    ``scene.objects_in_fov``. One view serves every yaw at that spot."""
-    eye_h = EYE_HEIGHT_STANDING if pose is PlacementPose.Standing else EYE_HEIGHT_SITTING
-    codes = _category_codes(room)
-    view = []
-    for o in room.scalars:
-        vx = o.px - x
-        vy = o.py - eye_h
-        vz = o.pz - z
-        view.append((math.sqrt(vx * vx + vy * vy + vz * vz), o.id, vx, vy, vz, codes[o.id]))
-    view.sort()
-    return view
+def _attention_at(room: Room, xs: np.ndarray, zs: np.ndarray, fxs: np.ndarray, fzs: np.ndarray,
+                  eye_height: float) -> list[tuple]:
+    """Visual attention tables of a batch of eyes at ``eye_height`` above
+    (xs, zs), looking level along (fxs, 0, fzs) = (sin yaw, 0, cos yaw).
 
-
-def _attention(view: list[tuple], fx: float, fz: float) -> tuple:
-    """Nearest distance per category inside the attention cone looking level
-    along (fx, 0, fz) = (sin yaw, 0, cos yaw); the cone test is
-    ``scene.objects_in_fov``'s."""
-    fy = 0.0
-    out = [None] * _CATEGORY_COUNT
-    for dist, _, vx, vy, vz, code in view:
-        # an object coincident with the eye is inside any cone
-        if out[code] is None and (
-            dist < _EPS or vx * fx + vy * fy + vz * fz >= _COS_HALF_ATTENTION * dist
-        ):
-            out[code] = dist
-    return tuple(out)
+    The four arrays broadcast against each other, and the tables come back
+    in the C order of that shape. One broadcast against every object
+    computes ``scene.objects_in_fov``'s distances and cone test; a
+    category's entry is the least distance among its objects in the cone,
+    which is its first hit in ``objects_in_fov``'s (distance, id) order.
+    """
+    idx = _category_index(room)
+    vx = idx.px - xs[..., None]  # objects along the last axis
+    vy = idx.py - eye_height
+    vz = idx.pz - zs[..., None]
+    dist = np.sqrt(vx * vx + vy * vy + vz * vz)
+    # an object coincident with the eye is inside any cone. The gaze is level,
+    # so the dot product has no y term: vy * 0 only adds a signed zero, and
+    # no comparison tells -0.0 from 0.0
+    inside = (dist < _EPS) | (
+        vx * fxs[..., None] + vz * fzs[..., None] >= _COS_HALF_ATTENTION * dist
+    )
+    nearest = np.full(inside.shape[:-1] + (_CATEGORY_COUNT,), math.inf)
+    if idx.codes:
+        nearest[..., idx.codes] = np.minimum.reduceat(
+            np.where(inside, dist, math.inf), idx.starts, axis=-1
+        )
+    tables = np.where(nearest == math.inf, None, nearest).reshape(-1, _CATEGORY_COUNT)
+    return list(map(tuple, tables.tolist()))
 
 
 def _spatial(room: Room, x: float, z: float) -> tuple:
-    codes = _category_codes(room)
+    """Nearest horizontal center distance per category within
+    SPATIAL_RADIUS, computed as ``scene.objects_in_radius`` does."""
     out = [None] * _CATEGORY_COUNT
-    for oid, dist in objects_in_radius(room, (x, 0.0, z), SPATIAL_RADIUS):
-        code = codes[oid]
-        if out[code] is None:  # results are distance-sorted: first hit is nearest
-            out[code] = dist
+    for px, pz, code in _category_index(room).points:
+        d = math.hypot(px - x, pz - z)
+        if d <= SPATIAL_RADIUS:
+            best = out[code]
+            if best is None or d < best:
+                out[code] = d
     return tuple(out)
 
 
-def _features_at(room: Room, xs, zs, yaws, pose: PlacementPose,
+def _eye_height(pose: PlacementPose) -> float:
+    return EYE_HEIGHT_STANDING if pose is PlacementPose.Standing else EYE_HEIGHT_SITTING
+
+
+def _candidate(interpersonal, accommodation: HeightMap, attention: tuple, spatial: tuple) -> FeatureVector:
+    """A FeatureVector from tables the search built in vector form, without
+    ``__post_init__``'s conversion and checks."""
+    fv = object.__new__(FeatureVector)
+    fv.__dict__.update(interpersonal=interpersonal, pose_accommodation=accommodation,
+                       visual_attention=attention, spatial=spatial)
+    return fv
+
+
+def _features_at(room: Room, xs: list[float], zs: list[float], yaws: list[float], pose: PlacementPose,
                  partner: PartnerPose | None) -> list[FeatureVector]:
     """Feature vectors of a batch of placements sharing one pose; their
-    height maps come from one broadcast."""
+    height maps come from one broadcast and their attention tables from
+    another."""
     centers = np.column_stack((xs, np.zeros(len(xs)), zs))
     maps = height_maps(room, centers, ACCOMMODATION_RADIUS, ACCOMMODATION_CELL)
+    attention = _attention_at(
+        room, centers[:, 0], centers[:, 2],
+        np.array([math.sin(yaw) for yaw in yaws]), np.array([math.cos(yaw) for yaw in yaws]),
+        _eye_height(pose),
+    )
     return [
-        FeatureVector(
-            interpersonal=_interpersonal(x, z, yaw, partner),
-            pose_accommodation=hm,
-            visual_attention=_attention(_eye_view(room, x, z, pose), math.sin(yaw), math.cos(yaw)),
-            spatial=_spatial(room, x, z),
-        )
-        for x, z, yaw, hm in zip(xs, zs, yaws, maps)
+        _candidate(_interpersonal(x, z, yaw, partner), hm, table, _spatial(room, x, z))
+        for x, z, yaw, hm, table in zip(xs, zs, yaws, maps, attention)
     ]
 
 
@@ -483,7 +516,7 @@ class GridConfig:
     yaw_count: int = GRID_YAW_COUNT
 
     def __post_init__(self):
-        if self.cell <= 0.0:
+        if not self.cell > 0.0:
             raise ValueError("grid cell must be positive")
         if self.yaw_count < 1:
             raise ValueError("yaw_count must be at least 1")
@@ -528,9 +561,11 @@ def grid_search(
 
     Candidates are every (cell center, yaw, pose) triple; infeasible ones
     are skipped. Ties resolve to the lowest (x, z, yaw, pose) grid index,
-    with Standing before Sitting: the first best in scan order wins. Each
-    cell's candidates share its height map and spatial table and are scored
-    as one batch.
+    with Standing before Sitting: the first best in scan order wins. The
+    scan goes one grid column (one x) at a time: the column's height maps,
+    and per pose its attention tables at every yaw, come from one broadcast
+    each. Each cell's candidates share its height map and spatial table and
+    are scored as one batch.
     """
     if scorer is None:
         scorer = DefaultScorer()
@@ -539,33 +574,52 @@ def grid_search(
 
     xs, zs, yaws = grid_axes(room.extents, config.cell, config.yaw_count)
     per_pose = len(xs) * len(zs) * len(yaws)
-    facings = [(yaw, math.sin(yaw), math.cos(yaw)) for yaw in yaws]
+    facing_x = np.array([math.sin(yaw) for yaw in yaws])
+    facing_z = np.array([math.cos(yaw) for yaw in yaws])
     cell_xs = [x for x in xs for _ in zs]
     cell_zs = zs * len(xs)
     ok_by_pose = [_feasible_at(room, cell_xs, cell_zs, pose) for pose in _POSES]
     best_score = -math.inf
     best_placement = None
     evaluated = 0
-    for x, z, *ok in zip(cell_xs, cell_zs, *ok_by_pose):
-        poses = [pose for pose, pose_ok in zip(_POSES, ok) if pose_ok]
-        if not poses:
+    for i, x in enumerate(xs):
+        # the column's cells that admit a pose, with the poses they admit
+        cells = []
+        for j, z in enumerate(zs):
+            poses = [pose for pose, ok in zip(_POSES, ok_by_pose) if ok[i * len(zs) + j]]
+            if poses:
+                cells.append((z, poses))
+        if not cells:
             continue
-        accommodation = height_map(room, (x, 0.0, z), ACCOMMODATION_RADIUS, ACCOMMODATION_CELL)
-        spatial = _spatial(room, x, z)
-        views = [(pose, _eye_view(room, x, z, pose)) for pose in poses]
-        candidates = []
-        placements = []
-        for yaw, fx, fz in facings:
-            inter = _interpersonal(x, z, yaw, partner)
-            for pose, view in views:
-                candidates.append(FeatureVector(inter, accommodation, _attention(view, fx, fz), spatial))
-                placements.append((yaw, pose))
-        scores = _score_all(scorer, target, candidates)
-        evaluated += len(candidates)
-        for score, (yaw, pose) in zip(scores, placements):
-            if score > best_score:
-                best_score = score
-                best_placement = Placement(x, z, yaw, pose)
+        cz = np.array([z for z, _ in cells])
+        cx = np.full(len(cells), x)
+        maps = height_maps(room, np.column_stack((cx, np.zeros(len(cells)), cz)),
+                           ACCOMMODATION_RADIUS, ACCOMMODATION_CELL)
+        # per pose, the attention tables of its cells at every yaw
+        attention = {}
+        for pose in _POSES:
+            rows = [k for k, (_, poses) in enumerate(cells) if pose in poses]
+            if rows:
+                tables = _attention_at(room, cx[rows, None], cz[rows, None], facing_x, facing_z,
+                                       _eye_height(pose))
+                for r, k in enumerate(rows):
+                    attention[k, pose] = tables[r * len(yaws):(r + 1) * len(yaws)]
+        for k, (z, poses) in enumerate(cells):
+            accommodation = maps[k]
+            spatial = _spatial(room, x, z)
+            candidates = []
+            placements = []
+            for y, yaw in enumerate(yaws):
+                inter = _interpersonal(x, z, yaw, partner)
+                for pose in poses:
+                    candidates.append(_candidate(inter, accommodation, attention[k, pose][y], spatial))
+                    placements.append((yaw, pose))
+            scores = _score_all(scorer, target, candidates)
+            evaluated += len(candidates)
+            for score, (yaw, pose) in zip(scores, placements):
+                if score > best_score:
+                    best_score = score
+                    best_placement = Placement(x, z, yaw, pose)
 
     if best_placement is None:
         raise NoFeasiblePlacement(
@@ -597,9 +651,9 @@ class PsoConfig:
             raise ValueError("iterations must be non-negative")
         if not (0.0 <= self.inertia <= 1.0):
             raise ValueError("inertia must be within [0, 1]")
-        if self.cognitive < 0.0 or self.social < 0.0:
+        if not (self.cognitive >= 0.0 and self.social >= 0.0):
             raise ValueError("acceleration coefficients must be non-negative")
-        if self.position_radius <= 0.0 or self.yaw_radius <= 0.0:
+        if not (self.position_radius > 0.0 and self.yaw_radius > 0.0):
             raise ValueError("search radii must be positive")
 
 

@@ -10,6 +10,14 @@ wrist goal is placed on the ray from the avatar's shoulder toward the
 retargeted world point, at the user's shoulder-to-wrist distance so the
 elbow stays equally bent, and head/hand motion blends toward the new aim
 over a short interpolation.
+
+Every avatar tick solves the body once. The head joint that gaze aims from
+depends only on the root and the head goal, so it comes from the same
+helper the full solve uses; the unadjusted (mirrored) body is solved as
+well only when an aim transition starts with no remembered pose to start
+from, which a placement's reset of the transitions allows for one tick. The
+skeleton's rest offsets are built once, read-only, and the one vector norm
+is ``geometry.norm``.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from .geometry import (
     Transform,
     cross,
     look_rotation,
+    norm,
     normalized,
     quat_conj,
     quat_from_yaw,
@@ -59,20 +68,36 @@ class Skeleton:
 
     def __post_init__(self):
         for name in ("spine", "neck", "upper_arm", "forearm", "hand", "thigh", "shin"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:  # NaN fails every comparison
                 raise ValueError(f"bone length {name} must be positive")
+        # rest offsets, built once and shared read-only by every solve
+        sx, sy, sz = self.shoulder_offset
+        hx, hy, hz = self.hip_offset
+        rest = {
+            "neck": np.array([0.0, self.spine, 0.0]),
+            "left_shoulder": np.array([-sx, sy, sz], dtype=float),
+            "right_shoulder": np.array([sx, sy, sz], dtype=float),
+            "left_hip": np.array([-hx, hy, hz], dtype=float),
+            "right_hip": np.array([hx, hy, hz], dtype=float),
+        }
+        for offset in rest.values():
+            offset.setflags(write=False)
+        object.__setattr__(self, "_rest", rest)
 
     @property
     def arm_reach(self) -> float:
         return self.upper_arm + self.forearm
 
+    @property
+    def neck_local(self) -> np.ndarray:
+        """Top of the spine, where the neck starts."""
+        return self._rest["neck"]
+
     def shoulder_local(self, side: str) -> np.ndarray:
-        sx, sy, sz = self.shoulder_offset
-        return np.array([sx if side == "right" else -sx, sy, sz])
+        return self._rest[f"{side}_shoulder"]
 
     def hip_local(self, side: str) -> np.ndarray:
-        hx, hy, hz = self.hip_offset
-        return np.array([hx if side == "right" else -hx, hy, hz])
+        return self._rest[f"{side}_hip"]
 
     def to_floats(self) -> tuple[float, ...]:
         return (
@@ -125,9 +150,9 @@ class RetargetConfig:
     calibration_ratio: float = 1.0         # avatar limb length / user limb length
 
     def __post_init__(self):
-        if self.elevation_offset < 0.0:
+        if not self.elevation_offset >= 0.0:  # NaN fails every comparison
             raise ValueError("elevation_offset must be >= 0")
-        if self.interp_speed <= 0.0:
+        if not self.interp_speed > 0.0:
             raise ValueError("interp_speed must be positive")
 
 
@@ -148,7 +173,7 @@ def solve_two_bone(shoulder, upper: float, fore: float, target, hint) -> tuple[n
         raise ValueError("segment lengths must be positive")
     shoulder = np.asarray(shoulder, dtype=float)
     to_target = np.asarray(target, dtype=float) - shoulder
-    d = float(np.linalg.norm(to_target))
+    d = norm(to_target)
     if d < 1e-9:
         direction = normalized(hint)
     else:
@@ -165,7 +190,7 @@ def solve_two_bone(shoulder, upper: float, fore: float, target, hint) -> tuple[n
         cos_a = max(-1.0, min(1.0, cos_a))
         sin_a = math.sqrt(max(0.0, 1.0 - cos_a * cos_a))
     perp = np.asarray(hint, dtype=float) - float(np.dot(hint, direction)) * direction
-    pn = float(np.linalg.norm(perp))
+    pn = norm(perp)
     if pn < 1e-9:
         perp = _fallback_perpendicular(direction)
     else:
@@ -195,13 +220,7 @@ def solve_full_body(skeleton: Skeleton, goals: IkGoals, cfg: RetargetConfig | No
     joints: dict[str, np.ndarray] = {}
     orientations: dict[str, np.ndarray] = {}
 
-    neck_base = root.apply(np.array([0.0, skeleton.spine, 0.0]))
-    joints["neck"] = neck_base
-    head_goal = root.apply(goals.head.position)
-    head_dir = head_goal - neck_base
-    if float(np.linalg.norm(head_dir)) < 1e-9:
-        head_dir = quat_rotate(root.orientation, np.array([0.0, 1.0, 0.0]))
-    joints["head"] = neck_base + skeleton.neck * normalized(head_dir)
+    joints["neck"], joints["head"] = _neck_and_head(skeleton, root, goals.head.position)
     orientations["head"] = quat_mul(root.orientation, goals.head.orientation)
 
     # one hint direction serves both arms, another both legs
@@ -225,6 +244,17 @@ def solve_full_body(skeleton: Skeleton, goals: IkGoals, cfg: RetargetConfig | No
         joints[f"{side[0]}_ankle"] = ankle
 
     return AvatarPose(root=root, joints=joints, orientations=orientations, fingers=goals.fingers)
+
+
+def _neck_and_head(skeleton: Skeleton, root: Transform, head_goal) -> tuple[np.ndarray, np.ndarray]:
+    """World neck base and head joint: the head sits one neck length from the
+    top of the spine toward its root-relative goal (straight up the spine
+    when the goal is on the neck base)."""
+    neck_base = root.apply(skeleton.neck_local)
+    head_dir = root.apply(head_goal) - neck_base
+    if norm(head_dir) < 1e-9:
+        head_dir = quat_rotate(root.orientation, UP)
+    return neck_base, neck_base + skeleton.neck * normalized(head_dir)
 
 
 def rest_goals(skeleton: Skeleton, root: Transform | None = None) -> IkGoals:
@@ -331,12 +361,12 @@ def retarget_pointing(
     user_shoulder = snapshot.root.position + quat_rotate(
         snapshot.root.orientation, skeleton.shoulder_local(side)
     )
-    reach = float(np.linalg.norm(hand.position - user_shoulder)) * cfg.calibration_ratio
+    reach = norm(hand.position - user_shoulder) * cfg.calibration_ratio
     reach = min(max(reach, 1e-6), skeleton.arm_reach)
 
     shoulder = avatar_root.apply(skeleton.shoulder_local(side))
     v = np.asarray(target_point, dtype=float) - shoulder
-    dist = float(np.linalg.norm(v))
+    dist = norm(v)
     if dist < 1e-9:
         raise DegenerateTarget("pointing target coincides with the avatar shoulder")
     aim = v / dist
@@ -367,7 +397,7 @@ def interp_hand(current_pos, current_forward, desired_pos, desired_forward, t: f
     """
     p0 = np.asarray(current_pos, dtype=float)
     p3 = np.asarray(desired_pos, dtype=float)
-    k = float(np.linalg.norm(p3 - p0)) / 3.0
+    k = norm(p3 - p0) / 3.0
     p1 = p0 + k * np.asarray(current_forward, dtype=float)
     p2 = p3 - k * np.asarray(desired_forward, dtype=float)
     u = 1.0 - t
@@ -459,23 +489,26 @@ def avatar_tick(
         _remember(interp, skeleton, pose)
         return AvatarTickResult(pose=pose, pointing={})
 
-    base = solve_full_body(skeleton, goals, cfg)
     adjusted = goals
     root = goals.root
     inv_root_q = quat_conj(root.orientation)
     pointing: dict[str, tuple[float, PointingSolution]] = {}
+    # the unadjusted body, solved only when a transition starts with nothing
+    # remembered to start from
+    base: AvatarPose | None = None
 
     if head_target is not None:
-        desired_fwd = _safe_direction(head_target - base.joints["head"], root)
+        _, head_joint = _neck_and_head(skeleton, root, goals.head.position)
+        desired_fwd = _safe_direction(head_target - head_joint, root)
         st = interp.head
         if st.key != "head-target":
             st.key = "head-target"
             st.t = 0.0
-            st.start_fwd = (
-                interp.last_head_fwd
-                if interp.last_head_fwd is not None
-                else quat_rotate(base.orientations["head"], FORWARD)
-            )
+            if interp.last_head_fwd is None:
+                base = solve_full_body(skeleton, goals, cfg)
+                st.start_fwd = quat_rotate(base.orientations["head"], FORWARD)
+            else:
+                st.start_fwd = interp.last_head_fwd
         st.t = min(1.0, st.t + dt * interp.speed)
         fwd = interp_head(st.start_fwd, desired_fwd, st.t) if st.t < 1.0 else desired_fwd
         head_world_q = look_rotation(fwd, UP)
@@ -496,12 +529,17 @@ def avatar_tick(
         if st.key != key:
             st.key = key
             st.t = 0.0
-            st.start_pos = interp.last_wrist.get(side, base.joints[f"{side[0]}_wrist"]).copy()
+            prev_pos = interp.last_wrist.get(side)
             prev_fwd = interp.last_arm_fwd.get(side)
-            if prev_fwd is None:
-                prev_fwd = _safe_direction(
-                    base.joints[f"{side[0]}_wrist"] - base.joints[f"{side[0]}_shoulder"], root
-                )
+            if prev_pos is None or prev_fwd is None:
+                if base is None:
+                    base = solve_full_body(skeleton, goals, cfg)
+                wrist = base.joints[f"{side[0]}_wrist"]
+                if prev_pos is None:
+                    prev_pos = wrist
+                if prev_fwd is None:
+                    prev_fwd = _safe_direction(wrist - base.joints[f"{side[0]}_shoulder"], root)
+            st.start_pos = prev_pos.copy()
             st.start_fwd = prev_fwd.copy()
         st.t = min(1.0, st.t + dt * interp.speed)
         if st.t < 1.0:
@@ -533,7 +571,7 @@ def _hand_of(snapshot, side: str):
 
 
 def _safe_direction(v: np.ndarray, root: Transform) -> np.ndarray:
-    n = float(np.linalg.norm(v))
+    n = norm(v)
     if n < 1e-9:
         return root.forward()
     return v / n
@@ -546,5 +584,5 @@ def _remember(interp: InterpState, skeleton: Skeleton, pose: AvatarPose) -> None
         shoulder = pose.joints[f"{side[0]}_shoulder"]
         interp.last_wrist[side] = wrist
         v = wrist - shoulder
-        n = float(np.linalg.norm(v))
+        n = norm(v)
         interp.last_arm_fwd[side] = v / n if n > 1e-9 else pose.root.forward()

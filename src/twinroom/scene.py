@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import norm
+
 _EPS = 1e-9
 
 
@@ -295,7 +297,7 @@ class Ray:
     def __post_init__(self):
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
         object.__setattr__(self, "direction", np.asarray(self.direction, dtype=float))
-        n = float(np.linalg.norm(self.direction))
+        n = norm(self.direction)
         if abs(n - 1.0) > 1e-6:
             raise SceneError(f"ray direction must be unit length, |d|={n}")
 
@@ -361,6 +363,16 @@ class HeightMap:
     @property
     def half_n(self) -> int:
         return (self.heights.shape[0] - 1) // 2
+
+    @property
+    def valid_heights(self) -> np.ndarray:
+        """Heights at valid cells, flattened in row-major order; cached for
+        repeated scoring."""
+        cached = getattr(self, "_valid_heights", None)
+        if cached is None:
+            cached = self.heights[self.valid]
+            object.__setattr__(self, "_valid_heights", cached)
+        return cached
 
 
 # --- loading ----------------------------------------------------------------
@@ -661,18 +673,22 @@ _HM_GRIDS: dict[tuple[float, float], tuple] = {}
 
 def height_maps(room: Room, centers, radius: float, cell_size: float) -> list[HeightMap]:
     """One height map per row of ``centers`` (an (m, 3) array), all sampled
-    in one broadcast; invalid cells are never sampled."""
-    if radius <= 0.0 or cell_size <= 0.0:
+    in one broadcast; invalid cells are never sampled, and each map's valid
+    heights are its row of that broadcast."""
+    if not (radius > 0.0 and cell_size > 0.0):
         raise OutOfRange(f"radius and cell_size must be positive, got {radius}, {cell_size}")
     radius, cell_size = float(radius), float(cell_size)
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
     side, valid, flat_valid, ox, oz = _height_map_grid(radius, cell_size)
+    sampled = support_heights(room, centers[:, :1] + ox, centers[:, 2:] + oz)
     heights = np.zeros((len(centers), side * side))
-    heights[:, flat_valid] = support_heights(room, centers[:, :1] + ox, centers[:, 2:] + oz)
-    return [
-        HeightMap(center=c, radius=radius, cell_size=cell_size, heights=h, valid=valid)
-        for c, h in zip(centers, heights.reshape(-1, side, side))
-    ]
+    heights[:, flat_valid] = sampled
+    maps = []
+    for c, h, row in zip(centers, heights.reshape(-1, side, side), sampled):
+        hm = HeightMap(center=c, radius=radius, cell_size=cell_size, heights=h, valid=valid)
+        object.__setattr__(hm, "_valid_heights", row)
+        maps.append(hm)
+    return maps
 
 
 def height_map(room: Room, center, radius: float, cell_size: float) -> HeightMap:

@@ -142,7 +142,8 @@ class SimConfig:
     retarget: RetargetConfig = field(default_factory=RetargetConfig)
 
     def __post_init__(self):
-        if self.tick_rate <= 0.0:
+        # every range check is written so that NaN fails it
+        if not self.tick_rate > 0.0:
             raise ValueError("tick_rate must be positive")
         if self.latency_ticks < 0:
             raise ValueError("latency_ticks must be >= 0")
@@ -150,7 +151,7 @@ class SimConfig:
             raise ValueError("seed must be non-negative")
         if not 0 <= self.app_version <= 0xFFFF:
             raise ValueError("app_version must fit in 16 bits")
-        if self.sitting_root_height <= 0.0:
+        if not self.sitting_root_height > 0.0:
             raise ValueError("sitting_root_height must be positive")
 
     def to_dict(self) -> dict:
@@ -277,7 +278,12 @@ class AvatarHost:
         self.scorer = scorer if scorer is not None else DefaultScorer(config.scorer)
         self.owner_code = owner_code  # seeds the per-episode search rng
         self.skeleton: Skeleton | None = None
-        self.remote: IkGoals | None = None  # latest wire pose, converted on arrival
+        # the latest wire pose stays raw until the avatar is placed; from then
+        # on each one is converted on arrival (`remote`) and its root mapped
+        # through the placement anchor into the avatar's goals (`goals`)
+        self.pose: PoseUpdate | None = None
+        self.remote: IkGoals | None = None
+        self.goals: IkGoals | None = None
         self.state: UserState = UserState.Solo
         self.hand_targets: dict[str, tuple[str, tuple[float, float, float]] | None] = {
             "left": None,
@@ -306,7 +312,10 @@ class AvatarHost:
         if isinstance(msg, Hello):
             self.skeleton = Skeleton.from_floats(msg.skeleton)
         elif isinstance(msg, PoseUpdate):
-            self.remote = _goals_of(msg)
+            self.pose = msg
+            if self.placement is not None:
+                self.remote = _goals_of(msg)
+                self._anchor_goals()
         elif isinstance(msg, StateChange):
             self._on_state(msg.state)
         elif isinstance(msg, TargetUpdate):
@@ -323,8 +332,8 @@ class AvatarHost:
 
     def _on_state(self, new: UserState) -> None:
         if new is UserState.Locomotion:
-            root = self.avatar_root()
-            if root is not None:
+            if self.goals is not None:
+                root = self.goals.root
                 locked = Placement(
                     x=float(root.position[0]),
                     z=float(root.position[2]),
@@ -362,11 +371,14 @@ class AvatarHost:
             yaw=f32(result.placement.yaw),
             pose=result.placement.pose,
         )
-        rt = self.remote.root  # batches lead with the pose
+        if self.placement is None:
+            self.remote = _goals_of(self.pose)  # batches lead with the pose
+        rt = self.remote.root
         self._anchor_user_pos = rt.position.copy()
         self._anchor_avatar_pos = np.array([q.x, float(rt.position[1]), q.z])
         self._delta_q = quat_from_yaw(q.yaw - yaw_of(rt.orientation))
         self.placement = q
+        self._anchor_goals()
         self.frozen = None
         # aim transitions must not bridge a teleport
         self.interp = InterpState(speed=self.cfg.retarget.interp_speed)
@@ -402,27 +414,28 @@ class AvatarHost:
 
     # -- anchored frame
 
-    def avatar_root(self) -> Transform | None:
-        """Remote root mapped through the placement anchor, or None while the
-        avatar has nowhere to stand yet."""
-        if self.placement is None or self.remote is None:
-            return None
-        rt = self.remote.root
+    def _anchor_goals(self) -> None:
+        """The avatar's goals: the remote effectors around the remote root
+        mapped through the placement anchor. Computed once per inbound pose
+        and once per re-anchoring."""
+        r = self.remote
+        rt = r.root
         pos = self._anchor_avatar_pos + quat_rotate(self._delta_q, rt.position - self._anchor_user_pos)
-        return Transform(position=pos, orientation=quat_mul(self._delta_q, rt.orientation))
+        root = Transform(position=pos, orientation=quat_mul(self._delta_q, rt.orientation))
+        self.goals = IkGoals(root, r.head, r.left_hand, r.right_hand, r.left_foot, r.right_foot, r.fingers)
 
     def avatar_head_world(self) -> np.ndarray | None:
-        root = self.avatar_root()
-        if root is None:
+        """The avatar's head in this room, or None while it is not placed."""
+        if self.goals is None:
             return None
-        return root.apply(self.remote.head.position)
+        return self.goals.root.apply(self.goals.head.position)
 
     def partner_pose(self) -> PartnerPose | None:
         """The hosted avatar as an interpersonal reference for the local
         user's own feature extraction."""
-        root = self.avatar_root()
-        if root is None:
+        if self.goals is None:
             return None
+        root = self.goals.root
         return PartnerPose(
             x=float(root.position[0]), z=float(root.position[2]), yaw=yaw_of(root.orientation)
         )
@@ -430,28 +443,31 @@ class AvatarHost:
     # -- per-tick animation
 
     def tick_avatar(self, tick: int, me: LocalUser | None, dt: float) -> None:
-        if self.placement is None or self.remote is None or self.skeleton is None:
+        goals = self.goals
+        if goals is None or self.skeleton is None:
             return
-        root = self.avatar_root()
-        r = self.remote
-        goals = IkGoals(root, r.head, r.left_hand, r.right_hand, r.left_foot, r.right_foot, r.fingers)
+        root = goals.root
         rcfg = self.cfg.retarget
-        eye = root.apply(goals.head.position)
-        resolved: dict[str, np.ndarray | None] = {}
-        for side in ("left", "right"):
-            point = self._resolve(self.hand_targets[side], me)
-            resolved[side] = None if point is None else vertical_compensation(point, eye, rcfg)
+        points = {side: self._resolve(self.hand_targets[side], me) for side in ("left", "right")}
+        resolved = points
+        body = None  # what pointing reads, built only when a hand has a target
+        if points["left"] is not None or points["right"] is not None:
+            eye = root.apply(goals.head.position)
+            resolved = {
+                side: None if point is None else vertical_compensation(point, eye, rcfg)
+                for side, point in points.items()
+            }
+            body = AnchoredBody(
+                root=root,
+                left_hand=root.compose(goals.left_hand),
+                right_hand=root.compose(goals.right_hand),
+            )
         head_point = self._resolve(self.head_target, me)  # gaze is never re-pitched
 
         if self.frozen is not None:
             locked, locked_y = self.frozen
         else:
             locked, locked_y = self.placement, float(root.position[1])
-        body = AnchoredBody(
-            root=root,
-            left_hand=root.compose(goals.left_hand),
-            right_hand=root.compose(goals.right_hand),
-        )
         result = avatar_tick(
             self.skeleton,
             self.state,

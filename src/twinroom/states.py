@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import FORWARD, quat_rotate
+from .geometry import FORWARD, norm, quat_rotate
 from .scene import NormalizedHit, Ray, Room, denormalize_hit, normalize_hit, raycast
 
 
@@ -65,7 +65,7 @@ class EffectorSample:
 
     def ray(self) -> Ray:
         f = self.forward()
-        return Ray(origin=self.position, direction=f / np.linalg.norm(f))
+        return Ray(origin=self.position, direction=f / norm(f))
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class StateConfig:
                 "locomotion_threshold must exceed stop_threshold and both be positive, "
                 f"got {self.locomotion_threshold} / {self.stop_threshold}"
             )
-        if self.fixation_threshold <= 0.0 or self.condition_period <= 0.0 or self.speed_window <= 0.0:
+        if not (self.fixation_threshold > 0.0 and self.condition_period > 0.0 and self.speed_window > 0.0):
             raise ValueError("time windows must be positive")
         if not (self.v_threshold < 0.0 and self.omega_threshold < 0.0):
             raise ValueError("convergence thresholds must be negative rates")
@@ -127,7 +127,7 @@ class SpeedWindow:
     """Ring buffer of (tick, root x, root z) spanning the speed window."""
 
     def __init__(self, tick_rate: float, span: float = 0.166):
-        if tick_rate <= 0.0 or span <= 0.0:
+        if not (tick_rate > 0.0 and span > 0.0):
             raise ValueError("tick_rate and span must be positive")
         self.tick_rate = float(tick_rate)
         self.span_ticks = max(1, round(span * tick_rate))
@@ -398,12 +398,12 @@ def acquire_targets(
                 ch.window.clear()
                 ch.window_target = head_target[0]
             to_target = head_target[2] - hand.position
-            d = float(np.linalg.norm(to_target))
+            d = norm(to_target)
             if d < 1e-9:
                 angle = 0.0
             else:
                 f = hand.forward()
-                cos_a = float(np.dot(f, to_target)) / (float(np.linalg.norm(f)) * d)
+                cos_a = float(np.dot(f, to_target)) / (norm(f) * d)
                 angle = math.acos(max(-1.0, min(1.0, cos_a)))
             ch.window.push(snapshot.tick, d, angle)
 

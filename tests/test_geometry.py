@@ -247,6 +247,13 @@ def test_cross_matches_numpy_bit_for_bit(a, b):
 
 
 @overflow_ok
+@given(st.one_of(vec3s, quats))
+@settings(max_examples=300)
+def test_norm_matches_numpy_norm_bit_for_bit(v):
+    assert same_bits(norm(np.array(v)), float(np.linalg.norm(np.array(v))))
+
+
+@overflow_ok
 @given(quats, vec3s, vec3s)
 @settings(max_examples=300)
 def test_transform_matches_numpy_bit_for_bit(q, p, x):

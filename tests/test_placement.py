@@ -7,7 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twinroom import placement as placement_module
+from twinroom.geometry import wrap_angle
 from twinroom.placement import (
+    ACCOMMODATION_CELL,
+    ACCOMMODATION_RADIUS,
+    ATTENTION_HALF_ANGLE,
+    EYE_HEIGHT_SITTING,
+    EYE_HEIGHT_STANDING,
+    SPATIAL_RADIUS,
     DefaultScorer,
     FeatureVector,
     GridConfig,
@@ -28,7 +36,15 @@ from twinroom.placement import (
     pso_refine,
     scorer_config_from_json,
 )
-from twinroom.scene import HeightMap, ObjectCategory, OutOfRange, load_room, objects_in_fov
+from twinroom.scene import (
+    HeightMap,
+    ObjectCategory,
+    OutOfRange,
+    height_map,
+    load_room,
+    objects_in_fov,
+    objects_in_radius,
+)
 
 
 def exhaustive_best(room, target, scorer, partner, config):
@@ -657,6 +673,111 @@ def test_category_tables_are_per_category_vectors():
     assert f == fv(attention=f.visual_attention, spatial=f.spatial)
     with pytest.raises(ValueError):
         fv(attention=(1.0,))
+
+
+# --- batched features against a per-placement oracle -----------------------------
+
+# C is a grid cell center (cell 0.25 from 0): a lamp sits exactly at its
+# seated eye, two screens are equally far from it, and a table is exactly
+# SPATIAL_RADIUS away
+C = 2.125
+
+
+def oracle_room():
+    def box(oid, category, position, size, **extra):
+        return {"id": oid, "category": category, "position": position, "yaw": 0.0, "size": size,
+                **extra}
+
+    return load_room({"id": "oracle", "extents": {"min": [0, 0], "max": [6, 6]}, "objects": [
+        box("sofa", "Sofa", [C, 0.225, C], [1.0, 0.45, 1.0], sittable=True, sit_height=0.45),
+        box("lamp", "Other", [C, EYE_HEIGHT_SITTING, C], [0.1, 0.1, 0.1]),
+        box("screen_l", "Screen", [C - 0.5, EYE_HEIGHT_SITTING, C + 1.5], [0.4, 0.3, 0.05]),
+        box("screen_r", "Screen", [C + 0.5, EYE_HEIGHT_SITTING, C + 1.5], [0.4, 0.3, 0.05]),
+        box("table", "Table", [C + SPATIAL_RADIUS, 0.375, C], [0.6, 0.75, 0.6]),
+        box("wall", "Wall", [3.0, 1.25, 5.9], [6.0, 2.5, 0.1]),
+    ]})
+
+
+def oracle_features(room, x, z, yaw, pose, partner):
+    """Features of one placement from the scene's own queries."""
+    eye = EYE_HEIGHT_STANDING if pose is PlacementPose.Standing else EYE_HEIGHT_SITTING
+    forward = (math.sin(yaw), 0.0, math.cos(yaw))
+    attention, spatial = {}, {}
+    for oid, dist in objects_in_fov(room, (x, eye, z), forward, ATTENTION_HALF_ANGLE):
+        attention.setdefault(room.by_id[oid].category, dist)
+    for oid, dist in objects_in_radius(room, (x, 0.0, z), SPATIAL_RADIUS):
+        spatial.setdefault(room.by_id[oid].category, dist)
+    inter = None
+    if partner is not None:
+        dx, dz = partner.x - x, partner.z - z
+        c, s = math.cos(yaw), math.sin(yaw)
+        inter = (dx * c - dz * s, dx * s + dz * c, wrap_angle(partner.yaw - yaw))
+    hm = height_map(room, (x, 0.0, z), ACCOMMODATION_RADIUS, ACCOMMODATION_CELL)
+    return FeatureVector(inter, hm, attention, spatial)
+
+
+def assert_same_features(got, want, where):
+    assert got == want, where
+    assert got.valid_heights.tobytes() == want.pose_accommodation.heights[
+        want.pose_accommodation.valid].tobytes(), where
+    for table in (got.visual_attention, got.spatial):
+        assert all(d is None or type(d) is float for d in table), where
+
+
+class Recorder:
+    """Keeps every batch the search scores."""
+
+    def __init__(self):
+        self.inner = DefaultScorer()
+        self.batches = []
+
+    def score(self, target, candidate):
+        return self.inner.score(target, candidate)
+
+    def score_batch(self, target, candidates):
+        self.batches.append(list(candidates))
+        return self.inner.score_batch(target, candidates)
+
+
+def test_grid_features_equal_the_per_placement_oracle():
+    room = oracle_room()
+    partner = PartnerPose(1.0, 4.0, 0.7)
+    config = GridConfig()
+    _, _, yaws = grid_axes(room.extents, config.cell, config.yaw_count)
+    target = extract_features(room, Placement(C, C, 0.0, PlacementPose.Sitting), partner)
+    recorder = Recorder()
+    grid_search(room, target, recorder, partner, config=config)
+    seen = set()
+    for batch in recorder.batches:
+        x, _, z = batch[0].pose_accommodation.center.tolist()
+        poses = [pose for pose in PlacementPose if feasible(room, Placement(x, z, 0.0, pose))]
+        want = [(yaw, pose) for yaw in yaws for pose in poses]
+        assert len(batch) == len(want)
+        for got, (yaw, pose) in zip(batch, want):
+            where = (x, z, yaw, pose)
+            assert_same_features(got, oracle_features(room, x, z, yaw, pose, partner), where)
+            seen.add(where)
+    # the cell at C was searched seated, facing the screens
+    sitting = target.visual_attention
+    assert (C, C, 0.0, PlacementPose.Sitting) in seen
+    assert sitting[ObjectCategory.Other.value] == 0.0  # the lamp at the eye
+    assert sitting[ObjectCategory.Screen.value] == math.sqrt(0.5 * 0.5 + 1.5 * 1.5)
+    assert target.spatial[ObjectCategory.Table.value] == SPATIAL_RADIUS
+
+
+def test_swarm_batch_features_equal_the_per_placement_oracle():
+    room = oracle_room()
+    rng = np.random.default_rng(4)
+    xs = [C] + rng.uniform(0, 6, 40).tolist()
+    zs = [C] + rng.uniform(0, 6, 40).tolist()
+    yaws = [0.0] + rng.uniform(0, 2 * math.pi, 40).tolist()
+    for partner in (None, PartnerPose(4.5, 1.0, 5.0)):
+        for pose in PlacementPose:
+            batch = placement_module._features_at(room, xs, zs, yaws, pose, partner)
+            assert len(batch) == len(xs)
+            for got, x, z, yaw in zip(batch, xs, zs, yaws):
+                where = (x, z, yaw, pose)
+                assert_same_features(got, oracle_features(room, x, z, yaw, pose, partner), where)
 
 
 # --- serialization -------------------------------------------------------

@@ -8,14 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinroom import retarget as R
 from twinroom.geometry import (
     FORWARD,
     Transform,
     UP,
+    look_rotation,
     normalized,
     quat_between,
+    quat_conj,
     quat_from_yaw,
+    quat_mul,
     quat_rotate,
+    slerp_vec,
 )
 from twinroom.placement import Placement, PlacementPose
 from twinroom.retarget import (
@@ -534,3 +539,179 @@ def test_avatar_tick_eases_from_previous_pose():
     rest_wrist = solve_full_body(skeleton, goals).joints["r_wrist"]
     # early in the transition the wrist is still near its rest position
     assert np.linalg.norm(wrist - rest_wrist) < np.linalg.norm(sol.wrist - rest_wrist)
+
+
+# --- one body solve per tick ----------------------------------------------------
+
+
+def _reference_safe_direction(v, root):
+    n = float(np.linalg.norm(v))
+    if n < 1e-9:
+        return root.forward()
+    return v / n
+
+
+def reference_avatar_tick(skeleton, mode, goals, placement, placement_root_height, targets,
+                          head_target, interp, dt, cfg, snapshot):
+    """The two-solve avatar tick: the whole unadjusted body is solved first
+    and read for the head joint and the fallback start of each transition."""
+    if mode is UserState.Locomotion:
+        pose = R.walk_in_place(skeleton, goals, placement, placement_root_height, cfg)
+        interp.reset_transitions()
+        R._remember(interp, skeleton, pose)
+        return R.AvatarTickResult(pose=pose, pointing={})
+    if mode is not UserState.Interaction or (
+        head_target is None and all(v is None for v in targets.values())
+    ):
+        pose = R.solve_full_body(skeleton, goals, cfg)
+        interp.reset_transitions()
+        R._remember(interp, skeleton, pose)
+        return R.AvatarTickResult(pose=pose, pointing={})
+
+    base = R.solve_full_body(skeleton, goals, cfg)
+    adjusted = goals
+    root = goals.root
+    inv_root_q = quat_conj(root.orientation)
+    pointing = {}
+    if head_target is not None:
+        desired_fwd = _reference_safe_direction(head_target - base.joints["head"], root)
+        st_ = interp.head
+        if st_.key != "head-target":
+            st_.key = "head-target"
+            st_.t = 0.0
+            st_.start_fwd = (
+                interp.last_head_fwd
+                if interp.last_head_fwd is not None
+                else quat_rotate(base.orientations["head"], FORWARD)
+            )
+        st_.t = min(1.0, st_.t + dt * interp.speed)
+        fwd = interp_head(st_.start_fwd, desired_fwd, st_.t) if st_.t < 1.0 else desired_fwd
+        head_world_q = look_rotation(fwd, UP)
+        adjusted = replace(
+            adjusted, head=replace(goals.head, orientation=quat_mul(inv_root_q, head_world_q))
+        )
+    else:
+        interp.head.reset()
+    for side in ("left", "right"):
+        point = targets.get(side)
+        st_ = interp.hand(side)
+        if point is None:
+            st_.reset()
+            continue
+        sol = retarget_pointing(skeleton, snapshot, root, point, side, cfg)
+        key = f"{side}-aim"
+        if st_.key != key:
+            st_.key = key
+            st_.t = 0.0
+            st_.start_pos = interp.last_wrist.get(side, base.joints[f"{side[0]}_wrist"]).copy()
+            prev_fwd = interp.last_arm_fwd.get(side)
+            if prev_fwd is None:
+                prev_fwd = _reference_safe_direction(
+                    base.joints[f"{side[0]}_wrist"] - base.joints[f"{side[0]}_shoulder"], root
+                )
+            st_.start_fwd = prev_fwd.copy()
+        st_.t = min(1.0, st_.t + dt * interp.speed)
+        if st_.t < 1.0:
+            wrist_w = interp_hand(st_.start_pos, st_.start_fwd, sol.wrist, sol.aim, st_.t)
+            fwd_t = slerp_vec(st_.start_fwd, sol.aim, st_.t)
+            hand_up = quat_rotate(R._hand_of(snapshot, side).orientation, UP)
+            hand_q_w = look_rotation(fwd_t, hand_up)
+        else:
+            wrist_w = sol.wrist
+            hand_q_w = sol.hand_orientation
+        goal_field = "left_hand" if side == "left" else "right_hand"
+        adjusted = replace(adjusted, **{goal_field: Transform(
+            position=quat_rotate(inv_root_q, wrist_w - root.position),
+            orientation=quat_mul(inv_root_q, hand_q_w),
+        )})
+        pointing[side] = (st_.t, sol)
+    pose = R.solve_full_body(skeleton, adjusted, cfg)
+    R._remember(interp, skeleton, pose)
+    return R.AvatarTickResult(pose=pose, pointing=pointing)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _tick_bits(result) -> list:
+    pose = result.pose
+    out = [_bits(pose.root.position), _bits(pose.root.orientation)]
+    out += [(k, _bits(v)) for k, v in sorted(pose.joints.items())]
+    out += [(k, _bits(v)) for k, v in sorted(pose.orientations.items())]
+    for side, (t, sol) in sorted(result.pointing.items()):
+        out.append((side, t, _bits(sol.shoulder), _bits(sol.wrist), _bits(sol.aim),
+                    _bits(sol.hand_orientation), sol.reach))
+    return out
+
+
+def _interp_bits(interp) -> list:
+    out = [_bits(interp.last_head_fwd)]
+    for side in ("left", "right"):
+        out += [_bits(interp.last_wrist[side]), _bits(interp.last_arm_fwd[side])]
+    for st_ in (interp.head, interp.left, interp.right):
+        out.append((st_.key, st_.t, None if st_.start_pos is None else _bits(st_.start_pos),
+                    None if st_.start_fwd is None else _bits(st_.start_fwd)))
+    return out
+
+
+def scripted_ticks():
+    """(reset, mode, targets, head_target) per tick: `reset` starts a fresh
+    InterpState, as a placement does."""
+    a = np.array([1.0, 1.5, 2.5])
+    b = np.array([-0.8, 1.1, 1.9])
+    head = np.array([0.4, 1.7, 2.0])
+    none = {"left": None, "right": None}
+    I, S, L = UserState.Interaction, UserState.Solo, UserState.Locomotion
+    ticks = []
+    # the first tick after a reset is an Interaction tick with a head target
+    ticks += [(True, I, none, head)] + [(False, I, none, head)] * 4
+    # a hand transition that starts with nothing remembered
+    ticks += [(True, I, {"left": None, "right": a}, None)] + [(False, I, {"left": None, "right": a}, head)] * 5
+    # the target switches mid-transition, then the aim moves to the other hand
+    ticks += [(False, I, {"left": None, "right": b}, head)] * 5
+    ticks += [(False, I, {"left": a, "right": None}, None)] * 5
+    ticks += [(False, I, {"left": b, "right": a}, head)] * 40
+    # both hands start from nothing remembered, with a head target
+    ticks += [(True, I, {"left": a, "right": b}, head)] + [(False, I, {"left": a, "right": b}, head)] * 3
+    ticks += [(False, S, none, None)] * 3 + [(False, L, none, None)] * 3
+    ticks += [(False, I, {"left": None, "right": a}, None)] * 3
+    ticks += [(False, L, {"left": None, "right": a}, head)] * 2 + [(False, S, none, head)] * 2
+    ticks += [(False, I, none, None)] * 2 + [(False, I, {"left": None, "right": b}, head)] * 3
+    return ticks
+
+
+@pytest.mark.parametrize("cfg", [RetargetConfig(), RetargetConfig(interp_speed=7.5, elevation_offset=0.1)])
+def test_avatar_tick_solves_once_and_matches_the_two_solve_tick(cfg, monkeypatch):
+    skeleton = Skeleton()
+    placement = Placement(x=0.4, z=-0.3, yaw=2.0, pose=PlacementPose.Standing)
+    rng = np.random.default_rng(5)
+    snap = user_snapshot()
+    solves = []
+    solve = R.solve_full_body
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    ref_interp = new_interp = None
+    for tick, (reset, mode, targets, head_target) in enumerate(scripted_ticks()):
+        if reset:
+            ref_interp = InterpState(speed=cfg.interp_speed)
+            new_interp = InterpState(speed=cfg.interp_speed)
+        goals = random_goals(rng, skeleton)
+        fallback = (
+            mode is UserState.Interaction
+            and (head_target is not None or any(v is not None for v in targets.values()))
+            and new_interp.last_head_fwd is None
+        )
+        want = reference_avatar_tick(skeleton, mode, goals, placement, 0.9, targets, head_target,
+                                     ref_interp, 1 / 60, cfg, snap)
+        monkeypatch.setattr(R, "solve_full_body", counting)
+        solves.clear()
+        got = avatar_tick(skeleton, mode, goals, placement, 0.9, targets, head_target, new_interp,
+                          1 / 60, cfg, snapshot=snap)
+        monkeypatch.setattr(R, "solve_full_body", solve)
+        assert _tick_bits(got) == _tick_bits(want), f"tick {tick}"
+        assert _interp_bits(new_interp) == _interp_bits(ref_interp), f"tick {tick}"
+        assert len(solves) == (2 if fallback else 1), f"tick {tick}"

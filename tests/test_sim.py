@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinroom.geometry import Transform, quat_conj, quat_mul, quat_normalize
+from twinroom.geometry import Transform, quat_conj, quat_mul, quat_normalize, quat_rotate
 from twinroom.placement import (
     GridConfig,
     Placement,
@@ -16,6 +16,7 @@ from twinroom.placement import (
     PsoConfig,
     ScorerConfig,
     feasible,
+    scorer_config_from_json,
 )
 from twinroom.protocol import (
     Hello,
@@ -40,7 +41,7 @@ from twinroom.sim import (
     replay,
     run,
 )
-from twinroom.states import EffectorSample, UserSnapshot
+from twinroom.states import EffectorSample, StateConfig, UserSnapshot
 from twinroom.traces import TraceBuilder, save_trace
 
 
@@ -424,6 +425,76 @@ def test_config_dict_round_trip_and_strict_keys():
     doc["jitter"] = 1
     with pytest.raises(ValueError, match="SimConfig"):
         SimConfig.from_dict(doc)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (SimConfig, "tick_rate", NAN),
+    (SimConfig, "sitting_root_height", NAN),
+    (ScorerConfig, "sigma_offset", NAN),
+    (ScorerConfig, "sigma_facing", NAN),
+    (ScorerConfig, "sigma_height", NAN),
+    (ScorerConfig, "distance_falloff", NAN),
+    (ScorerConfig, "weights", (NAN, 0.25, 0.25, 0.25)),
+    (ScorerConfig, "weights", (0.25, 0.25, 0.25, NAN)),
+    (GridConfig, "cell", NAN),
+    (PsoConfig, "position_radius", NAN),
+    (PsoConfig, "yaw_radius", NAN),
+    (PsoConfig, "cognitive", NAN),
+    (PsoConfig, "social", NAN),
+    (RetargetConfig, "elevation_offset", NAN),
+    (RetargetConfig, "interp_speed", NAN),
+    (StateConfig, "fixation_threshold", NAN),
+    (StateConfig, "condition_period", NAN),
+    (StateConfig, "speed_window", NAN),
+    (Skeleton, "spine", NAN),
+])
+def test_config_range_checks_reject_nan(make, field, value):
+    make()  # the defaults pass
+    with pytest.raises(ValueError):
+        make(**{field: value})
+
+
+def test_nan_weight_from_json_or_a_transcript_header_is_rejected():
+    # Python's json reads NaN, as in --scorer-config or a transcript header
+    with pytest.raises(ValueError, match="weights"):
+        scorer_config_from_json('{"weights": [NaN, 0.25, 0.25, 0.25]}')
+    doc = json.loads(json.dumps(SimConfig().to_dict()).replace("0.25", "NaN", 1))
+    assert math.isnan(doc["scorer"]["weights"][0])
+    with pytest.raises(ValueError, match="weights"):
+        SimConfig.from_dict(doc)
+
+
+def test_avatar_host_converts_wire_poses_only_once_placed(monkeypatch):
+    """Before a placement the host keeps the raw wire pose; after it, each
+    inbound pose is converted once and its root anchored at arrival."""
+    handle = AvatarHost.handle
+    seen = {"raw": 0, "anchored": 0}
+
+    def checked(host, msg, tick, me):
+        out = handle(host, msg, tick, me)
+        if isinstance(msg, PoseUpdate):
+            assert host.pose is msg
+            if host.placement is None:
+                assert host.remote is None and host.goals is None
+                seen["raw"] += 1
+            else:
+                rt = msg.root
+                user_pos = np.array(rt.position, dtype=float)
+                user_q = quat_normalize(np.array(rt.orientation, dtype=float))
+                pos = host._anchor_avatar_pos + quat_rotate(host._delta_q, user_pos - host._anchor_user_pos)
+                assert host.goals.root.position.tobytes() == pos.tobytes()
+                assert host.goals.root.orientation.tobytes() == quat_mul(host._delta_q, user_q).tobytes()
+                assert host.goals.head is host.remote.head
+                seen["anchored"] += 1
+        return out
+
+    monkeypatch.setattr(AvatarHost, "handle", checked)
+    run(room_a_doc(), room_b_doc(), trace_a_script().build(), trace_b_script().build(),
+        config=quick_config())
+    assert seen["raw"] > 0 and seen["anchored"] > 0
 
 
 def test_replay_checks_the_inbound_hello(base_result):
