@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from twinroom import RetargetConfig, Skeleton, TraceBuilder, load_room, solve_two_bone
-from twinroom.geometry import Transform, point_to_line_distance, quat_from_yaw
+from twinroom.geometry import Transform, norm, point_to_line_distance, quat_from_yaw, sub
 from twinroom.retarget import retarget_pointing, vertical_compensation
 from twinroom.scene import denormalize_hit
 
@@ -45,7 +45,7 @@ def main() -> None:
     print(f"\nuser hand lifted: {snap.right_hand.lifted}")
 
     # The avatar stands at a different spot, facing the loft wall.
-    avatar_root = Transform(np.array([1.4, 0.92, 0.6]), quat_from_yaw(math.pi / 2))
+    avatar_root = Transform((1.4, 0.92, 0.6), quat_from_yaw(math.pi / 2))
     sol = retarget_pointing(sk, snap, avatar_root, remote_spot, side="right")
     miss = point_to_line_distance(remote_spot, sol.shoulder, sol.aim)
     print(f"avatar shoulder: {np.round(sol.shoulder, 3)}")
@@ -63,8 +63,8 @@ def main() -> None:
     elbow, wrist = solve_two_bone(
         sol.shoulder, sk.upper_arm, sk.forearm, sol.wrist, hint=(0.0, -1.0, -0.35)
     )
-    up_len = float(np.linalg.norm(elbow - sol.shoulder))
-    fo_len = float(np.linalg.norm(wrist - elbow))
+    up_len = norm(sub(elbow, sol.shoulder))
+    fo_len = norm(sub(wrist, elbow))
     print(f"\ntwo-bone solve: elbow {np.round(elbow, 3)}")
     print(f"  upper arm {up_len:.3f} m (bone {sk.upper_arm}), forearm {fo_len:.3f} m (bone {sk.forearm})")
 
@@ -72,10 +72,11 @@ def main() -> None:
     # intended, so the aim point can be raised by a fixed visual angle. It is
     # off by default; here is what 4 degrees would do at two distances.
     cfg = RetargetConfig(elevation_offset=math.radians(4.0))
-    eye = avatar_root.position + np.array([0.0, sk.spine + sk.neck, 0.0])
+    x, y, z = avatar_root.position
+    eye = (x, y + sk.spine + sk.neck, z)
     print("\nvertical compensation at 4 degrees (off by default):")
-    for label, spot in (("2 m target", eye + np.array([2.0, -0.2, 0.0])),
-                        ("4 m target", eye + np.array([4.0, -0.2, 0.0]))):
+    for label, spot in (("2 m target", (x + 2.0, eye[1] - 0.2, z)),
+                        ("4 m target", (x + 4.0, eye[1] - 0.2, z))):
         lifted = vertical_compensation(spot, eye, cfg)
         print(f"  {label}: raised {lifted[1] - spot[1]:.3f} m")
 

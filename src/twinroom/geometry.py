@@ -1,28 +1,35 @@
 """Small vector/quaternion toolkit shared by the whole engine.
 
 Conventions used everywhere:
-  * positions are numpy float64 arrays of shape (3,), y is up, units are meters
-  * quaternions are numpy arrays [w, x, y, z], unit norm
+  * positions are float 3-tuples (x, y, z), y is up, units are meters
+  * quaternions are float 4-tuples (w, x, y, z), unit norm
   * yaw is a rotation about +y; yaw 0 faces +z, positive yaw turns +z toward +x
 
-The per-tick kernels (cross, quat_rotate, quat_mul, quat_conj) take numpy
-inputs and return numpy arrays, but do their arithmetic on plain Python
-floats: numpy's per-call overhead on a 3-element vector (np.cross spends most
-of its time on axis bookkeeping) costs far more than the arithmetic. Results
-must stay bit-identical to the numpy formulation, because a replayed
-transcript has to rebuild a byte-identical report. The rule for a kernel:
+Every kernel here takes and returns plain Python floats in tuples, and the
+per-tick path (pose quantization, states, the avatar host, retarget) holds
+nothing else. numpy's per-call overhead on a 3-element vector costs far more
+than the arithmetic, and, more importantly, the tick path must give the same
+bits on every machine: a recorded transcript replays to a byte-identical
+report only if both peers, and the replaying host, round every operation
+alike. The rules:
 
-  * elementwise arithmetic may move to plain floats, written as numpy's
-    operations in numpy's order (np.cross computes a1*b2 - a2*b1, then
-    a2*b0 - a0*b2, then a0*b1 - a1*b0; a*b + c is a product, then a sum);
-  * reductions (norm, normalized, quat_normalize, every np.dot) stay on
-    numpy. A small-vector np.dot runs in BLAS, which fuses multiply-adds: a
-    plain Python sum of squares differs from it in the last bit for about 25%
-    of random 4-vectors (and a third of general dot products), and Python
-    before 3.13 has no math.fma to reproduce it;
-  * `norm` is the one vector norm. It is numpy's own formula for a 1-D
-    float64 vector (np.linalg.norm computes sqrt(x.dot(x))), so it has the
-    same bits without np.linalg.norm's per-call overhead.
+  * elementwise arithmetic is written out in a fixed operation order
+    (a cross product computes a1*b2 - a2*b1, then a2*b0 - a0*b2, then
+    a0*b1 - a1*b0; a*b + c is a product, then a sum). CPython never fuses a
+    multiply-add, and IEEE 754 rounds each +, -, *, / and sqrt correctly, so
+    these bits are the same on every CPU;
+  * every reduction is summed left to right on floats: ``dot`` is
+    a0*b0 + a1*b1 + a2*b2 (+ a3*b3), and ``norm`` is ``math.sqrt`` of it.
+    numpy's ``np.dot`` (and ``np.linalg``, ``np.matmul``, ``@``) runs in a
+    BLAS kernel chosen for the CPU at run time, whose summation order and
+    fused multiply-adds differ between kernels, so the engine calls none of
+    them;
+  * numpy remains at the boundary (trace snapshots and scene objects hold
+    arrays and are read once with ``.tolist()``) and in the placement
+    search's broadcasts, which use only elementwise ``+ - * /``, ``np.sqrt``
+    and comparisons, all correctly rounded on every SIMD path. numpy's
+    transcendentals (``np.sin``, ``np.exp``, ...) are not used: the engine
+    calls ``math``'s once per value instead.
 """
 
 from __future__ import annotations
@@ -30,35 +37,49 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-UP = np.array([0.0, 1.0, 0.0])
-FORWARD = np.array([0.0, 0.0, 1.0])
+UP = (0.0, 1.0, 0.0)
+FORWARD = (0.0, 0.0, 1.0)
 
 _EPS = 1e-12
 
 
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    return np.array([float(x), float(y), float(z)])
+def vec3(x: float, y: float, z: float) -> tuple[float, float, float]:
+    return (float(x), float(y), float(z))
+
+
+def dot(a, b) -> float:
+    """Dot product of two 3- or 4-vectors, summed left to right."""
+    if len(a) == 3:
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+
+
+def sub(a, b) -> tuple[float, float, float]:
+    """Difference a - b of two 3-vectors."""
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
 def norm(v) -> float:
-    v = np.asarray(v, dtype=float)
-    return float(math.sqrt(float(np.dot(v, v))))
+    """Euclidean norm of a 3- or 4-vector: sqrt(x*x + y*y + z*z), summed
+    left to right (w*w first for a quaternion)."""
+    if len(v) == 3:
+        x, y, z = v
+        return math.sqrt(x * x + y * y + z * z)
+    w, x, y, z = v
+    return math.sqrt(w * w + x * x + y * y + z * z)
 
 
-def normalized(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = norm(v)
+def normalized(v) -> tuple[float, float, float]:
+    x, y, z = v
+    n = math.sqrt(x * x + y * y + z * z)
     if n < _EPS:
         raise ValueError("cannot normalize a near-zero vector")
-    return v / n
+    return (x / n, y / n, z / n)
 
 
-def horizontal(v) -> np.ndarray:
+def horizontal(v) -> tuple[float, float, float]:
     """Projection of v onto the ground plane (y zeroed)."""
-    v = np.asarray(v, dtype=float)
-    return np.array([v[0], 0.0, v[2]])
+    return (float(v[0]), 0.0, float(v[2]))
 
 
 def horizontal_distance(a, b) -> float:
@@ -87,209 +108,205 @@ def wrap_angle_positive(a: float) -> float:
     return a
 
 
-def _floats(a) -> list[float]:
-    return np.asarray(a, dtype=float).tolist()
-
-
-def cross(a, b) -> np.ndarray:
-    """Cross product of two 3-vectors; the same bits as np.cross."""
-    ax, ay, az = _floats(a)
-    bx, by, bz = _floats(b)
-    return np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
-
-
-def angle_between(a, b) -> float:
-    """Unsigned angle in radians between two nonzero vectors."""
-    d = float(np.dot(normalized(a), normalized(b)))
-    return math.acos(max(-1.0, min(1.0, d)))
+def cross(a, b) -> tuple[float, float, float]:
+    """Cross product of two 3-vectors."""
+    ax, ay, az = a
+    bx, by, bz = b
+    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
 
 
 # --- quaternions ------------------------------------------------------------
 
-QUAT_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+QUAT_IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
-def quat(w: float, x: float, y: float, z: float) -> np.ndarray:
-    return np.array([float(w), float(x), float(y), float(z)])
+def quat(w: float, x: float, y: float, z: float) -> tuple[float, float, float, float]:
+    return (float(w), float(x), float(y), float(z))
 
 
-def quat_normalize(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    n = norm(q)
+def quat_normalize(q) -> tuple[float, float, float, float]:
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
     if n < _EPS:
         raise ValueError("cannot normalize a near-zero quaternion")
-    return q / n
+    return (w / n, x / n, y / n, z / n)
 
 
-def quat_is_unit(q, tol: float = 1e-6) -> bool:
-    return abs(norm(q) - 1.0) <= tol
-
-
-def quat_mul(a, b) -> np.ndarray:
-    aw, ax, ay, az = _floats(a)
-    bw, bx, by, bz = _floats(b)
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
+def quat_mul(a, b) -> tuple[float, float, float, float]:
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
     )
 
 
-def quat_conj(q) -> np.ndarray:
-    w, x, y, z = _floats(q)
-    return np.array([w, -x, -y, -z])
+def quat_conj(q) -> tuple[float, float, float, float]:
+    w, x, y, z = q
+    return (w, -x, -y, -z)
 
 
-def quat_rotate(q, v) -> np.ndarray:
+def quat_rotate(q, v) -> tuple[float, float, float]:
     """Rotate vector v by unit quaternion q: v + w*t + qv x t with
     t = 2 * (qv x v), where qv is q's vector part."""
-    w, qx, qy, qz = _floats(q)
-    vx, vy, vz = _floats(v)
+    w, qx, qy, qz = q
+    vx, vy, vz = v
     tx = 2.0 * (qy * vz - qz * vy)
     ty = 2.0 * (qz * vx - qx * vz)
     tz = 2.0 * (qx * vy - qy * vx)
-    return np.array([
+    return (
         vx + w * tx + (qy * tz - qz * ty),
         vy + w * ty + (qz * tx - qx * tz),
         vz + w * tz + (qx * ty - qy * tx),
-    ])
+    )
 
 
-def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
-    axis = normalized(axis)
+def quat_from_axis_angle(axis, angle: float) -> tuple[float, float, float, float]:
+    ax, ay, az = normalized(axis)
     h = 0.5 * float(angle)
     s = math.sin(h)
-    return np.array([math.cos(h), axis[0] * s, axis[1] * s, axis[2] * s])
+    return (math.cos(h), ax * s, ay * s, az * s)
 
 
-def quat_from_yaw(yaw: float) -> np.ndarray:
+def quat_from_yaw(yaw: float) -> tuple[float, float, float, float]:
     h = 0.5 * float(yaw)
-    return np.array([math.cos(h), 0.0, math.sin(h), 0.0])
+    return (math.cos(h), 0.0, math.sin(h), 0.0)
 
 
 def yaw_of(q) -> float:
     """Yaw of the rotated forward axis, in [0, 2*pi)."""
-    f = quat_rotate(q, FORWARD)
-    if abs(f[0]) < _EPS and abs(f[2]) < _EPS:
+    fx, _, fz = quat_rotate(q, FORWARD)
+    if abs(fx) < _EPS and abs(fz) < _EPS:
         return 0.0
-    return wrap_angle_positive(math.atan2(float(f[0]), float(f[2])))
+    return wrap_angle_positive(math.atan2(fx, fz))
 
 
-def quat_between(a, b) -> np.ndarray:
+def quat_between(a, b) -> tuple[float, float, float, float]:
     """Shortest-arc rotation taking unit vector a onto unit vector b."""
     a = normalized(a)
     b = normalized(b)
-    d = float(np.dot(a, b))
+    d = dot(a, b)
     if d > 1.0 - 1e-12:
-        return QUAT_IDENTITY.copy()
+        return QUAT_IDENTITY
     if d < -1.0 + 1e-12:
-        axis = _any_perpendicular(a)
-        return quat_from_axis_angle(axis, math.pi)
-    axis = cross(a, b)
-    w = 1.0 + d
-    return quat_normalize(np.array([w, axis[0], axis[1], axis[2]]))
+        return quat_from_axis_angle(_any_perpendicular(a), math.pi)
+    x, y, z = cross(a, b)
+    return quat_normalize((1.0 + d, x, y, z))
 
 
-def look_rotation(forward, up=UP) -> np.ndarray:
+def look_rotation(forward, up=UP) -> tuple[float, float, float, float]:
     """Rotation mapping +z to `forward` with +y as close to `up` as possible."""
     f = normalized(forward)
-    u = np.asarray(up, dtype=float)
-    right = cross(u, f)
+    right = cross(up, f)
     if norm(right) < 1e-9:
         # forward parallel to up: pick a deterministic right axis
-        right = cross(np.array([0.0, 0.0, 1.0]), f)
+        right = cross((0.0, 0.0, 1.0), f)
         if norm(right) < 1e-9:
-            right = np.array([1.0, 0.0, 0.0])
+            right = (1.0, 0.0, 0.0)
     right = normalized(right)
-    u = cross(f, right)
-    m = np.column_stack([right, u, f])
-    return _quat_from_matrix(m)
+    return _quat_from_basis(right, cross(f, right), f)
 
 
-def _quat_from_matrix(m: np.ndarray) -> np.ndarray:
-    t = float(m[0, 0] + m[1, 1] + m[2, 2])
+def _quat_from_basis(r, u, f) -> tuple[float, float, float, float]:
+    """Quaternion of the rotation matrix whose columns are r, u, f, so that
+    m[i][j] is column j's component i."""
+    m00, m10, m20 = r
+    m01, m11, m21 = u
+    m02, m12, m22 = f
+    t = m00 + m11 + m22
     if t > 0.0:
         s = math.sqrt(t + 1.0) * 2.0
         w = 0.25 * s
-        x = (m[2, 1] - m[1, 2]) / s
-        y = (m[0, 2] - m[2, 0]) / s
-        z = (m[1, 0] - m[0, 1]) / s
-    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        w = (m[2, 1] - m[1, 2]) / s
+        x = (m21 - m12) / s
+        y = (m02 - m20) / s
+        z = (m10 - m01) / s
+    elif m00 > m11 and m00 > m22:
+        s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
+        w = (m21 - m12) / s
         x = 0.25 * s
-        y = (m[0, 1] + m[1, 0]) / s
-        z = (m[0, 2] + m[2, 0]) / s
-    elif m[1, 1] > m[2, 2]:
-        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        w = (m[0, 2] - m[2, 0]) / s
-        x = (m[0, 1] + m[1, 0]) / s
+        y = (m01 + m10) / s
+        z = (m02 + m20) / s
+    elif m11 > m22:
+        s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
+        w = (m02 - m20) / s
+        x = (m01 + m10) / s
         y = 0.25 * s
-        z = (m[1, 2] + m[2, 1]) / s
+        z = (m12 + m21) / s
     else:
-        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        w = (m[1, 0] - m[0, 1]) / s
-        x = (m[0, 2] + m[2, 0]) / s
-        y = (m[1, 2] + m[2, 1]) / s
+        s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
+        w = (m10 - m01) / s
+        x = (m02 + m20) / s
+        y = (m12 + m21) / s
         z = 0.25 * s
-    return quat_normalize(np.array([w, x, y, z]))
+    return quat_normalize((w, x, y, z))
 
 
-def _any_perpendicular(v) -> np.ndarray:
+def _any_perpendicular(v) -> tuple[float, float, float]:
     v = normalized(v)
     if abs(v[0]) <= abs(v[1]) and abs(v[0]) <= abs(v[2]):
-        other = np.array([1.0, 0.0, 0.0])
+        other = (1.0, 0.0, 0.0)
     elif abs(v[1]) <= abs(v[2]):
-        other = np.array([0.0, 1.0, 0.0])
+        other = (0.0, 1.0, 0.0)
     else:
-        other = np.array([0.0, 0.0, 1.0])
+        other = (0.0, 0.0, 1.0)
     return normalized(cross(v, other))
 
 
-def slerp_vec(a, b, t: float) -> np.ndarray:
+def slerp_vec(a, b, t: float) -> tuple[float, float, float]:
     """Great-circle interpolation between two unit vectors.
 
     t=0 returns a, t=1 returns b, constant angular speed in t. Antipodal
     inputs rotate through a deterministic perpendicular axis.
     """
-    a = normalized(a)
-    b = normalized(b)
-    d = float(np.dot(a, b))
+    ax, ay, az = a = normalized(a)
+    bx, by, bz = b = normalized(b)
+    d = dot(a, b)
     if d > 1.0 - 1e-12:
-        return normalized(a + (b - a) * t)
+        return normalized((ax + (bx - ax) * t, ay + (by - ay) * t, az + (bz - az) * t))
     if d < -1.0 + 1e-12:
-        axis = _any_perpendicular(a)
-        return quat_rotate(quat_from_axis_angle(axis, math.pi * t), a)
+        return quat_rotate(quat_from_axis_angle(_any_perpendicular(a), math.pi * t), a)
     omega = math.acos(max(-1.0, min(1.0, d)))
     so = math.sin(omega)
-    return (math.sin((1.0 - t) * omega) / so) * a + (math.sin(t * omega) / so) * b
+    ka = math.sin((1.0 - t) * omega) / so
+    kb = math.sin(t * omega) / so
+    return (ka * ax + kb * bx, ka * ay + kb * by, ka * az + kb * bz)
 
 
 def point_to_line_distance(point, origin, direction) -> float:
     """Distance from a point to the infinite line through origin along direction."""
-    d = normalized(direction)
-    rel = np.asarray(point, dtype=float) - np.asarray(origin, dtype=float)
-    return norm(rel - float(np.dot(rel, d)) * d)
+    dx, dy, dz = d = normalized(direction)
+    rel = sub(point, origin)
+    p = dot(rel, d)
+    return norm((rel[0] - p * dx, rel[1] - p * dy, rel[2] - p * dz))
 
 
-@dataclass(frozen=True)
+def float_tuple(v) -> tuple:
+    """A tuple as it is; any other sequence (a list, a numpy array) as a
+    tuple of floats. Types that hold vectors convert their inputs with it
+    once, at construction."""
+    return v if type(v) is tuple else tuple(map(float, v))
+
+
+@dataclass(frozen=True, slots=True)
 class Transform:
     """Position + orientation pair. Used both for world poses and for
-    root-relative offsets; which one is contextual."""
+    root-relative offsets; which one is contextual. Any other sequence
+    given to the constructor is converted to a tuple of floats."""
 
-    position: np.ndarray
-    orientation: np.ndarray
+    position: tuple[float, float, float]
+    orientation: tuple[float, float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "orientation", np.asarray(self.orientation, dtype=float))
+        object.__setattr__(self, "position", float_tuple(self.position))
+        object.__setattr__(self, "orientation", float_tuple(self.orientation))
 
-    def apply(self, local_point) -> np.ndarray:
+    def apply(self, local_point) -> tuple[float, float, float]:
         """Map a point from this frame into the parent frame."""
-        return self.position + quat_rotate(self.orientation, local_point)
+        px, py, pz = self.position
+        rx, ry, rz = quat_rotate(self.orientation, local_point)
+        return (px + rx, py + ry, pz + rz)
 
     def compose(self, child: "Transform") -> "Transform":
         """This transform applied after `child` (child expressed locally)."""
@@ -298,15 +315,15 @@ class Transform:
             orientation=quat_mul(self.orientation, child.orientation),
         )
 
-    def inverse_apply(self, world_point) -> np.ndarray:
+    def inverse_apply(self, world_point) -> tuple[float, float, float]:
         """Map a point from the parent frame into this frame."""
-        w, x, y, z = self.orientation.tolist()
-        px, py, pz = self.position.tolist()
-        qx, qy, qz = _floats(world_point)
+        w, x, y, z = self.orientation
+        px, py, pz = self.position
+        qx, qy, qz = world_point
         return quat_rotate((w, -x, -y, -z), (qx - px, qy - py, qz - pz))
 
-    def forward(self) -> np.ndarray:
+    def forward(self) -> tuple[float, float, float]:
         return quat_rotate(self.orientation, FORWARD)
 
 
-IDENTITY_TRANSFORM = Transform(np.zeros(3), QUAT_IDENTITY.copy())
+IDENTITY_TRANSFORM = Transform((0.0, 0.0, 0.0), QUAT_IDENTITY)

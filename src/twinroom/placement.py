@@ -30,7 +30,11 @@ Batching changes no result: every feature and score is computed with the
 same floating-point operations as for a single placement (a category's
 attention entry is the least distance in the cone, which is the nearest
 hit), and ``math.sin``, ``math.cos``, ``math.hypot``, ``math.exp`` and the
-height term's ``np.dot`` still run once per candidate.
+height term still run once per candidate. The broadcasts use only
+elementwise arithmetic, ``np.sqrt`` and comparisons, which are correctly
+rounded on every CPU, and the height term sums its squared differences with
+``math.fsum``, which is correctly rounded too, so a search gives the same
+bits on every machine.
 
 Scorers are pluggable: anything with a ``score(target, candidate) -> float``
 method can replace the default, including learned models. A scorer may
@@ -272,7 +276,7 @@ def _height_term(ha: np.ndarray, hb: np.ndarray, sigma: float) -> float:
     if ha.size == 0:
         return 1.0
     diff = ha - hb
-    rms = math.sqrt(float(np.dot(diff, diff)) / diff.size)
+    rms = math.sqrt(math.fsum((diff * diff).tolist()) / diff.size)
     return math.exp(-rms / sigma)
 
 
@@ -807,56 +811,4 @@ def find_placement(
         pso_evaluated=pso.evaluated,
         grid_time_s=t1 - t0,
         pso_time_s=t2 - t1,
-    )
-
-
-# --- serialization ----------------------------------------------------------
-
-def feature_to_json(fv: FeatureVector) -> dict:
-    """Plain-JSON form of a feature vector (for fixtures and benchmarks)."""
-    hm = fv.pose_accommodation
-    return {
-        "interpersonal": list(fv.interpersonal) if fv.interpersonal is not None else None,
-        "pose_accommodation": {
-            "center": [float(v) for v in hm.center],
-            "radius": hm.radius,
-            "cell_size": hm.cell_size,
-            "heights": hm.heights.tolist(),
-            "valid": hm.valid.astype(int).tolist(),
-        },
-        "visual_attention": _category_names(fv.visual_attention),
-        "spatial": _category_names(fv.spatial),
-    }
-
-
-def _category_names(table: tuple) -> dict:
-    return {ObjectCategory(code).name: d for code, d in enumerate(table) if d is not None}
-
-
-def feature_from_json(document) -> FeatureVector:
-    if isinstance(document, (str, Path)):
-        # inline JSON starts with '{'; anything else is treated as a path
-        if isinstance(document, str) and document.lstrip().startswith("{"):
-            text = document
-        else:
-            p = Path(document)
-            if not p.exists():
-                raise ValueError(f"feature file not found: {document}")
-            text = p.read_text()
-        document = json.loads(text)
-    hm_doc = document["pose_accommodation"]
-    hm = HeightMap(
-        center=np.array(hm_doc["center"], dtype=float),
-        radius=float(hm_doc["radius"]),
-        cell_size=float(hm_doc["cell_size"]),
-        heights=np.array(hm_doc["heights"], dtype=float),
-        valid=np.array(hm_doc["valid"], dtype=bool),
-    )
-    inter = document.get("interpersonal")
-    by_name = {c.name: c for c in ObjectCategory}
-    return FeatureVector(
-        interpersonal=tuple(float(v) for v in inter) if inter is not None else None,
-        pose_accommodation=hm,
-        visual_attention={by_name[k]: float(v) for k, v in document["visual_attention"].items()},
-        spatial={by_name[k]: float(v) for k, v in document["spatial"].items()},
     )

@@ -16,8 +16,9 @@ depends only on the root and the head goal, so it comes from the same
 helper the full solve uses; the unadjusted (mirrored) body is solved as
 well only when an aim transition starts with no remembered pose to start
 from, which a placement's reset of the transitions allows for one tick. The
-skeleton's rest offsets are built once, read-only, and the one vector norm
-is ``geometry.norm``.
+skeleton's rest offsets are built once. Joints, goals and pointing
+solutions are float tuples, computed with the ``geometry`` kernels and
+their fixed-order reductions (see that module).
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .geometry import (
     FORWARD,
     UP,
     Transform,
     cross,
+    dot,
     look_rotation,
     norm,
     normalized,
@@ -40,6 +40,7 @@ from .geometry import (
     quat_mul,
     quat_rotate,
     slerp_vec,
+    sub,
 )
 from .placement import Placement
 
@@ -70,18 +71,16 @@ class Skeleton:
         for name in ("spine", "neck", "upper_arm", "forearm", "hand", "thigh", "shin"):
             if not getattr(self, name) > 0.0:  # NaN fails every comparison
                 raise ValueError(f"bone length {name} must be positive")
-        # rest offsets, built once and shared read-only by every solve
-        sx, sy, sz = self.shoulder_offset
-        hx, hy, hz = self.hip_offset
+        # rest offsets, built once and shared by every solve
+        sx, sy, sz = map(float, self.shoulder_offset)
+        hx, hy, hz = map(float, self.hip_offset)
         rest = {
-            "neck": np.array([0.0, self.spine, 0.0]),
-            "left_shoulder": np.array([-sx, sy, sz], dtype=float),
-            "right_shoulder": np.array([sx, sy, sz], dtype=float),
-            "left_hip": np.array([-hx, hy, hz], dtype=float),
-            "right_hip": np.array([hx, hy, hz], dtype=float),
+            "neck": (0.0, float(self.spine), 0.0),
+            "left_shoulder": (-sx, sy, sz),
+            "right_shoulder": (sx, sy, sz),
+            "left_hip": (-hx, hy, hz),
+            "right_hip": (hx, hy, hz),
         }
-        for offset in rest.values():
-            offset.setflags(write=False)
         object.__setattr__(self, "_rest", rest)
 
     @property
@@ -89,14 +88,14 @@ class Skeleton:
         return self.upper_arm + self.forearm
 
     @property
-    def neck_local(self) -> np.ndarray:
+    def neck_local(self) -> tuple[float, float, float]:
         """Top of the spine, where the neck starts."""
         return self._rest["neck"]
 
-    def shoulder_local(self, side: str) -> np.ndarray:
+    def shoulder_local(self, side: str) -> tuple[float, float, float]:
         return self._rest[f"{side}_shoulder"]
 
-    def hip_local(self, side: str) -> np.ndarray:
+    def hip_local(self, side: str) -> tuple[float, float, float]:
         return self._rest[f"{side}_hip"]
 
     def to_floats(self) -> tuple[float, ...]:
@@ -133,12 +132,9 @@ class IkGoals:
 @dataclass(frozen=True)
 class AvatarPose:
     root: Transform
-    joints: dict[str, np.ndarray]          # world positions
-    orientations: dict[str, np.ndarray]    # world quaternions: head, hands
+    joints: dict[str, tuple[float, float, float]]               # world positions
+    orientations: dict[str, tuple[float, float, float, float]]  # world quaternions: head, hands
     fingers: bytes = b""
-
-    def bone_vector(self, a: str, b: str) -> np.ndarray:
-        return self.joints[b] - self.joints[a]
 
 
 @dataclass(frozen=True)
@@ -161,7 +157,7 @@ _DEFAULT_RETARGET = RetargetConfig()
 
 # --- core solvers -----------------------------------------------------------
 
-def solve_two_bone(shoulder, upper: float, fore: float, target, hint) -> tuple[np.ndarray, np.ndarray]:
+def solve_two_bone(shoulder, upper: float, fore: float, target, hint) -> tuple[tuple, tuple]:
     """Analytic two-segment IK.
 
     Puts the wrist at the target when reachable, else clamps it to the reach
@@ -171,15 +167,15 @@ def solve_two_bone(shoulder, upper: float, fore: float, target, hint) -> tuple[n
     """
     if upper <= 0.0 or fore <= 0.0:
         raise ValueError("segment lengths must be positive")
-    shoulder = np.asarray(shoulder, dtype=float)
-    to_target = np.asarray(target, dtype=float) - shoulder
+    sx, sy, sz = shoulder
+    to_target = (target[0] - sx, target[1] - sy, target[2] - sz)
     d = norm(to_target)
     if d < 1e-9:
-        direction = normalized(hint)
+        dx, dy, dz = direction = normalized(hint)
     else:
-        direction = to_target / d
+        dx, dy, dz = direction = (to_target[0] / d, to_target[1] / d, to_target[2] / d)
     d_eff = min(max(d, abs(upper - fore)), upper + fore)
-    wrist = shoulder + direction * d_eff
+    wrist = (sx + dx * d_eff, sy + dy * d_eff, sz + dz * d_eff)
 
     if d_eff < 1e-12:
         # equal segments folded fully back: wrist at the shoulder, elbow at
@@ -189,20 +185,25 @@ def solve_two_bone(shoulder, upper: float, fore: float, target, hint) -> tuple[n
         cos_a = (upper * upper + d_eff * d_eff - fore * fore) / (2.0 * upper * d_eff)
         cos_a = max(-1.0, min(1.0, cos_a))
         sin_a = math.sqrt(max(0.0, 1.0 - cos_a * cos_a))
-    perp = np.asarray(hint, dtype=float) - float(np.dot(hint, direction)) * direction
+    h = dot(hint, direction)
+    perp = (hint[0] - h * dx, hint[1] - h * dy, hint[2] - h * dz)
     pn = norm(perp)
     if pn < 1e-9:
-        perp = _fallback_perpendicular(direction)
+        px, py, pz = _fallback_perpendicular(direction)
     else:
-        perp = perp / pn
-    elbow = shoulder + upper * (cos_a * direction + sin_a * perp)
+        px, py, pz = perp[0] / pn, perp[1] / pn, perp[2] / pn
+    elbow = (
+        sx + upper * (cos_a * dx + sin_a * px),
+        sy + upper * (cos_a * dy + sin_a * py),
+        sz + upper * (cos_a * dz + sin_a * pz),
+    )
     return elbow, wrist
 
 
-def _fallback_perpendicular(direction: np.ndarray) -> np.ndarray:
-    axis = np.array([0.0, 1.0, 0.0])
-    if abs(float(np.dot(axis, direction))) > 0.9:
-        axis = np.array([1.0, 0.0, 0.0])
+def _fallback_perpendicular(direction) -> tuple[float, float, float]:
+    axis = (0.0, 1.0, 0.0)
+    if abs(dot(axis, direction)) > 0.9:
+        axis = (1.0, 0.0, 0.0)
     return normalized(cross(direction, axis))
 
 
@@ -217,8 +218,8 @@ def solve_full_body(skeleton: Skeleton, goals: IkGoals, cfg: RetargetConfig | No
     if cfg is None:
         cfg = _DEFAULT_RETARGET
     root = goals.root
-    joints: dict[str, np.ndarray] = {}
-    orientations: dict[str, np.ndarray] = {}
+    joints: dict[str, tuple] = {}
+    orientations: dict[str, tuple] = {}
 
     joints["neck"], joints["head"] = _neck_and_head(skeleton, root, goals.head.position)
     orientations["head"] = quat_mul(root.orientation, goals.head.orientation)
@@ -246,35 +247,38 @@ def solve_full_body(skeleton: Skeleton, goals: IkGoals, cfg: RetargetConfig | No
     return AvatarPose(root=root, joints=joints, orientations=orientations, fingers=goals.fingers)
 
 
-def _neck_and_head(skeleton: Skeleton, root: Transform, head_goal) -> tuple[np.ndarray, np.ndarray]:
+def _neck_and_head(skeleton: Skeleton, root: Transform, head_goal) -> tuple[tuple, tuple]:
     """World neck base and head joint: the head sits one neck length from the
     top of the spine toward its root-relative goal (straight up the spine
     when the goal is on the neck base)."""
-    neck_base = root.apply(skeleton.neck_local)
-    head_dir = root.apply(head_goal) - neck_base
+    nx, ny, nz = neck_base = root.apply(skeleton.neck_local)
+    head_dir = sub(root.apply(head_goal), neck_base)
     if norm(head_dir) < 1e-9:
         head_dir = quat_rotate(root.orientation, UP)
-    return neck_base, neck_base + skeleton.neck * normalized(head_dir)
+    ux, uy, uz = normalized(head_dir)
+    neck = skeleton.neck
+    return neck_base, (nx + neck * ux, ny + neck * uy, nz + neck * uz)
 
 
 def rest_goals(skeleton: Skeleton, root: Transform | None = None) -> IkGoals:
     """Neutral goals: arms hanging, legs straight down, head atop the spine."""
+    ident = (1.0, 0.0, 0.0, 0.0)
     if root is None:
         stand = skeleton.thigh + skeleton.shin + 0.04
-        root = Transform(np.array([0.0, stand, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))
-    ident = np.array([1.0, 0.0, 0.0, 0.0])
-    sh = skeleton.shoulder_local("right")
-    hip = skeleton.hip_local("right")
-    arm_drop = np.array([0.0, -(skeleton.upper_arm + skeleton.forearm), 0.0])
-    leg_drop = np.array([0.0, -(skeleton.thigh + skeleton.shin), 0.0])
-    mirror = np.array([-1.0, 1.0, 1.0])
+        root = Transform((0.0, stand, 0.0), ident)
+    arm = skeleton.upper_arm + skeleton.forearm
+    leg = skeleton.thigh + skeleton.shin
+
+    def below(offset, drop):
+        return Transform((offset[0], offset[1] - drop, offset[2]), ident)
+
     return IkGoals(
         root=root,
-        head=Transform(np.array([0.0, skeleton.spine + skeleton.neck, 0.0]), ident),
-        left_hand=Transform(sh * mirror + arm_drop, ident),
-        right_hand=Transform(sh + arm_drop, ident),
-        left_foot=Transform(hip * mirror + leg_drop, ident),
-        right_foot=Transform(hip + leg_drop, ident),
+        head=Transform((0.0, skeleton.spine + skeleton.neck, 0.0), ident),
+        left_hand=below(skeleton.shoulder_local("left"), arm),
+        right_hand=below(skeleton.shoulder_local("right"), arm),
+        left_foot=below(skeleton.hip_local("left"), leg),
+        right_foot=below(skeleton.hip_local("right"), leg),
     )
 
 
@@ -292,7 +296,7 @@ def walk_in_place(
     leg swing around a stationary root.
     """
     frozen_root = Transform(
-        np.array([frozen_placement.x, root_height, frozen_placement.z]),
+        (float(frozen_placement.x), float(root_height), float(frozen_placement.z)),
         quat_from_yaw(frozen_placement.yaw),
     )
     return solve_full_body(skeleton, replace(goals, root=frozen_root), cfg)
@@ -300,7 +304,7 @@ def walk_in_place(
 
 # --- pointing ---------------------------------------------------------------
 
-def vertical_compensation(target_point, eye, cfg: RetargetConfig) -> np.ndarray:
+def vertical_compensation(target_point, eye, cfg: RetargetConfig) -> tuple[float, float, float]:
     """Raise a pointing target as seen from the eye by the configured angle.
 
     People tend to read pointing as indicating lower than intended, so the
@@ -309,30 +313,27 @@ def vertical_compensation(target_point, eye, cfg: RetargetConfig) -> np.ndarray:
     level target). Targets at the zenith cannot be raised further and pass
     through; offset 0 is the identity.
     """
-    target = np.asarray(target_point, dtype=float).copy()
+    tx, ty, tz = target_point
     if cfg.elevation_offset == 0.0:
-        return target
-    eye = np.asarray(eye, dtype=float)
-    dx = float(target[0] - eye[0])
-    dz = float(target[2] - eye[2])
-    h = math.hypot(dx, dz)
+        return (tx, ty, tz)
+    ex, ey, ez = eye
+    h = math.hypot(tx - ex, tz - ez)
     if h < 1e-9:
-        return target
-    pitch = math.atan2(float(target[1] - eye[1]), h)
+        return (tx, ty, tz)
+    pitch = math.atan2(ty - ey, h)
     pitch = min(pitch + cfg.elevation_offset, 0.5 * math.pi - 1e-3)
-    target[1] = float(eye[1]) + h * math.tan(pitch)
-    return target
+    return (tx, ey + h * math.tan(pitch), tz)
 
 
 @dataclass(frozen=True)
 class PointingSolution:
     """Desired end state for one pointing arm."""
 
-    shoulder: np.ndarray        # avatar shoulder, world
-    wrist: np.ndarray           # desired wrist, world
-    aim: np.ndarray             # unit shoulder->target
-    hand_orientation: np.ndarray  # world quaternion at completion
-    reach: float                # shoulder-to-wrist distance in use
+    shoulder: tuple[float, float, float]    # avatar shoulder, world
+    wrist: tuple[float, float, float]       # desired wrist, world
+    aim: tuple[float, float, float]         # unit shoulder->target
+    hand_orientation: tuple[float, float, float, float]  # world quaternion at completion
+    reach: float                            # shoulder-to-wrist distance in use
 
 
 def retarget_pointing(
@@ -358,24 +359,24 @@ def retarget_pointing(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     hand = snapshot.left_hand if side == "left" else snapshot.right_hand
 
-    user_shoulder = snapshot.root.position + quat_rotate(
-        snapshot.root.orientation, skeleton.shoulder_local(side)
-    )
-    reach = norm(hand.position - user_shoulder) * cfg.calibration_ratio
+    rx, ry, rz = snapshot.root.position
+    ox, oy, oz = quat_rotate(snapshot.root.orientation, skeleton.shoulder_local(side))
+    hx, hy, hz = hand.position
+    reach = norm((hx - (rx + ox), hy - (ry + oy), hz - (rz + oz))) * cfg.calibration_ratio
     reach = min(max(reach, 1e-6), skeleton.arm_reach)
 
-    shoulder = avatar_root.apply(skeleton.shoulder_local(side))
-    v = np.asarray(target_point, dtype=float) - shoulder
+    sx, sy, sz = shoulder = avatar_root.apply(skeleton.shoulder_local(side))
+    v = sub(target_point, shoulder)
     dist = norm(v)
     if dist < 1e-9:
         raise DegenerateTarget("pointing target coincides with the avatar shoulder")
-    aim = v / dist
+    ax, ay, az = aim = (v[0] / dist, v[1] / dist, v[2] / dist)
 
     user_up = quat_rotate(hand.orientation, UP)
     hand_orientation = look_rotation(aim, user_up)
     return PointingSolution(
         shoulder=shoulder,
-        wrist=shoulder + aim * reach,
+        wrist=(sx + ax * reach, sy + ay * reach, sz + az * reach),
         aim=aim,
         hand_orientation=hand_orientation,
         reach=reach,
@@ -384,32 +385,32 @@ def retarget_pointing(
 
 # --- interpolation ----------------------------------------------------------
 
-def interp_head(current_forward, desired_forward, t: float) -> np.ndarray:
+def interp_head(current_forward, desired_forward, t: float) -> tuple[float, float, float]:
     """Great-circle blend of the head's forward direction; t in [0,1]."""
     return slerp_vec(current_forward, desired_forward, t)
 
 
-def interp_hand(current_pos, current_forward, desired_pos, desired_forward, t: float) -> np.ndarray:
+def interp_hand(current_pos, current_forward, desired_pos, desired_forward, t: float) -> tuple[float, float, float]:
     """Cubic Bezier hand path whose end tangents follow the two forwards.
 
     Control distance is a third of the chord, so collinear forwards along the
     chord degenerate to a straight constant-speed segment.
     """
-    p0 = np.asarray(current_pos, dtype=float)
-    p3 = np.asarray(desired_pos, dtype=float)
-    k = norm(p3 - p0) / 3.0
-    p1 = p0 + k * np.asarray(current_forward, dtype=float)
-    p2 = p3 - k * np.asarray(desired_forward, dtype=float)
+    k = norm(sub(desired_pos, current_pos)) / 3.0
     u = 1.0 - t
-    return (u * u * u) * p0 + (3.0 * u * u * t) * p1 + (3.0 * u * t * t) * p2 + (t * t * t) * p3
+    c0, c1, c2, c3 = u * u * u, 3.0 * u * u * t, 3.0 * u * t * t, t * t * t
+    return tuple(
+        c0 * p0 + c1 * (p0 + k * f0) + c2 * (p3 - k * f3) + c3 * p3
+        for p0, f0, p3, f3 in zip(current_pos, current_forward, desired_pos, desired_forward)
+    )
 
 
 @dataclass
 class EffectorInterp:
     key: str | None = None
     t: float = 1.0
-    start_pos: np.ndarray | None = None
-    start_fwd: np.ndarray | None = None
+    start_pos: tuple[float, float, float] | None = None
+    start_fwd: tuple[float, float, float] | None = None
 
     def reset(self) -> None:
         self.key = None
@@ -427,9 +428,9 @@ class InterpState:
     left: EffectorInterp = field(default_factory=EffectorInterp)
     right: EffectorInterp = field(default_factory=EffectorInterp)
     # last solved pose data, the capture source for new transitions
-    last_head_fwd: np.ndarray | None = None
-    last_wrist: dict[str, np.ndarray] = field(default_factory=dict)
-    last_arm_fwd: dict[str, np.ndarray] = field(default_factory=dict)
+    last_head_fwd: tuple[float, float, float] | None = None
+    last_wrist: dict[str, tuple[float, float, float]] = field(default_factory=dict)
+    last_arm_fwd: dict[str, tuple[float, float, float]] = field(default_factory=dict)
 
     def hand(self, side: str) -> EffectorInterp:
         return self.left if side == "left" else self.right
@@ -453,8 +454,8 @@ def avatar_tick(
     goals: IkGoals,
     placement: Placement,
     placement_root_height: float,
-    targets: dict[str, np.ndarray | None],
-    head_target: np.ndarray | None,
+    targets: dict[str, tuple[float, float, float] | None],
+    head_target: tuple[float, float, float] | None,
     interp: InterpState,
     dt: float,
     cfg: RetargetConfig | None = None,
@@ -499,7 +500,7 @@ def avatar_tick(
 
     if head_target is not None:
         _, head_joint = _neck_and_head(skeleton, root, goals.head.position)
-        desired_fwd = _safe_direction(head_target - head_joint, root)
+        desired_fwd = _safe_direction(sub(head_target, head_joint), root)
         st = interp.head
         if st.key != "head-target":
             st.key = "head-target"
@@ -538,9 +539,9 @@ def avatar_tick(
                 if prev_pos is None:
                     prev_pos = wrist
                 if prev_fwd is None:
-                    prev_fwd = _safe_direction(wrist - base.joints[f"{side[0]}_shoulder"], root)
-            st.start_pos = prev_pos.copy()
-            st.start_fwd = prev_fwd.copy()
+                    prev_fwd = _safe_direction(sub(wrist, base.joints[f"{side[0]}_shoulder"]), root)
+            st.start_pos = prev_pos
+            st.start_fwd = prev_fwd
         st.t = min(1.0, st.t + dt * interp.speed)
         if st.t < 1.0:
             wrist_w = interp_hand(st.start_pos, st.start_fwd, sol.wrist, sol.aim, st.t)
@@ -554,7 +555,7 @@ def avatar_tick(
             adjusted,
             **{
                 goal_field: Transform(
-                    position=quat_rotate(inv_root_q, wrist_w - root.position),
+                    position=quat_rotate(inv_root_q, sub(wrist_w, root.position)),
                     orientation=quat_mul(inv_root_q, hand_q_w),
                 )
             },
@@ -570,11 +571,11 @@ def _hand_of(snapshot, side: str):
     return snapshot.left_hand if side == "left" else snapshot.right_hand
 
 
-def _safe_direction(v: np.ndarray, root: Transform) -> np.ndarray:
+def _safe_direction(v, root: Transform) -> tuple[float, float, float]:
     n = norm(v)
     if n < 1e-9:
         return root.forward()
-    return v / n
+    return (v[0] / n, v[1] / n, v[2] / n)
 
 
 def _remember(interp: InterpState, skeleton: Skeleton, pose: AvatarPose) -> None:
@@ -583,6 +584,6 @@ def _remember(interp: InterpState, skeleton: Skeleton, pose: AvatarPose) -> None
         wrist = pose.joints[f"{side[0]}_wrist"]
         shoulder = pose.joints[f"{side[0]}_shoulder"]
         interp.last_wrist[side] = wrist
-        v = wrist - shoulder
+        v = sub(wrist, shoulder)
         n = norm(v)
-        interp.last_arm_fwd[side] = v / n if n > 1e-9 else pose.root.forward()
+        interp.last_arm_fwd[side] = (v[0] / n, v[1] / n, v[2] / n) if n > 1e-9 else pose.root.forward()

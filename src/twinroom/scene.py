@@ -8,7 +8,9 @@ room; a surface point on one object transfers to its pair through normalized
 third of the way across the partner's screen whatever its actual size.
 
 All queries are pure functions of immutable data and are safe to call from
-parallel placement workers.
+parallel placement workers. Scene objects hold numpy arrays as rooms load
+them; per-tick queries (raycasts, surface coordinates) read their plain-float
+mirrors (`ObjectScalars`) and return float tuples.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import norm
+from .geometry import float_tuple, norm
 
 _EPS = 1e-9
 
@@ -106,34 +108,20 @@ class SceneObject:
             return float(self.sit_height)
         return float(self.position[1]) + float(self.size[1]) * 0.5
 
-    def to_local(self, world_point) -> np.ndarray:
+    def to_local(self, world_point) -> tuple[float, float, float]:
         """World point -> box-local frame (center origin, yaw removed)."""
-        p = np.asarray(world_point, dtype=float)
-        dx = p[0] - self.position[0]
-        dz = p[2] - self.position[2]
+        x, y, z = world_point
+        px, py, pz = self.position.tolist()
+        dx = x - px
+        dz = z - pz
         c, s = self.cos_yaw, self.sin_yaw
-        return np.array([dx * c - dz * s, p[1] - self.position[1], dx * s + dz * c])
+        return (dx * c - dz * s, y - py, dx * s + dz * c)
 
-    def to_world(self, local_point) -> np.ndarray:
-        lp = np.asarray(local_point, dtype=float)
+    def to_world(self, local_point) -> tuple[float, float, float]:
+        lx, ly, lz = local_point
+        px, py, pz = self.position.tolist()
         c, s = self.cos_yaw, self.sin_yaw
-        return np.array(
-            [
-                self.position[0] + lp[0] * c + lp[2] * s,
-                self.position[1] + lp[1],
-                self.position[2] - lp[0] * s + lp[2] * c,
-            ]
-        )
-
-    def footprint_contains(self, x: float, z: float) -> bool:
-        dx = x - float(self.position[0])
-        dz = z - float(self.position[2])
-        c, s = self.cos_yaw, self.sin_yaw
-        lx = dx * c - dz * s
-        lz = dx * s + dz * c
-        hx = float(self.size[0]) * 0.5
-        hz = float(self.size[2]) * 0.5
-        return abs(lx) <= hx + _EPS and abs(lz) <= hz + _EPS
+        return (px + lx * c + lz * s, py + ly, pz - lx * s + lz * c)
 
     def footprint_corners(self) -> list[tuple[float, float]]:
         hx = float(self.size[0]) * 0.5
@@ -286,17 +274,18 @@ class Room:
                 raise DuplicateId(f"room {self.id!r}: duplicate object id {o.id!r}")
             index[o.id] = o
         object.__setattr__(r, "by_id", index)
+        object.__setattr__(r, "_scalars", self.scalars + tuple(ObjectScalars(o) for o in extra))
         return r
 
 
 @dataclass(frozen=True)
 class Ray:
-    origin: np.ndarray
-    direction: np.ndarray
+    origin: tuple[float, float, float]
+    direction: tuple[float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
-        object.__setattr__(self, "direction", np.asarray(self.direction, dtype=float))
+        object.__setattr__(self, "origin", float_tuple(self.origin))
+        object.__setattr__(self, "direction", float_tuple(self.direction))
         n = norm(self.direction)
         if abs(n - 1.0) > 1e-6:
             raise SceneError(f"ray direction must be unit length, |d|={n}")
@@ -305,7 +294,7 @@ class Ray:
 @dataclass(frozen=True)
 class RayHit:
     object_id: str
-    world_point: np.ndarray
+    world_point: tuple[float, float, float]
     distance: float
 
 
@@ -495,19 +484,21 @@ def room_hash(room: Room) -> int:
 
 # --- raycast ----------------------------------------------------------------
 
-def _ray_box_distance(obj: SceneObject, origin: np.ndarray, direction: np.ndarray) -> float | None:
+def _ray_box_distance(obj: ObjectScalars, origin, direction) -> float | None:
     """Slab test in the box's local frame. Returns the hit distance, or None.
 
     A ray starting inside the box hits its exit surface.
     """
-    o = obj.to_local(origin)
-    c, s = obj.cos_yaw, obj.sin_yaw
+    c, s = obj.cos, obj.sin
+    dx = origin[0] - obj.px
+    dz = origin[2] - obj.pz
+    o = (dx * c - dz * s, origin[1] - obj.py, dx * s + dz * c)
     d = (
-        float(direction[0]) * c - float(direction[2]) * s,
-        float(direction[1]),
-        float(direction[0]) * s + float(direction[2]) * c,
+        direction[0] * c - direction[2] * s,
+        direction[1],
+        direction[0] * s + direction[2] * c,
     )
-    half = (float(obj.size[0]) * 0.5, float(obj.size[1]) * 0.5, float(obj.size[2]) * 0.5)
+    half = (obj.hx, obj.hy, obj.hz)
     t_near = -math.inf
     t_far = math.inf
     for axis in range(3):
@@ -532,7 +523,7 @@ def raycast(room: Room, ray: Ray) -> RayHit | None:
     """Nearest oriented-box intersection, or None. Exact distance ties go to
     the lexicographically smaller object id."""
     best: tuple[float, str] | None = None
-    for obj in room.objects:
+    for obj in room.scalars:
         t = _ray_box_distance(obj, ray.origin, ray.direction)
         if t is None:
             continue
@@ -542,7 +533,8 @@ def raycast(room: Room, ray: Ray) -> RayHit | None:
     if best is None:
         return None
     t, oid = best
-    return RayHit(object_id=oid, world_point=ray.origin + ray.direction * t, distance=t)
+    (ox, oy, oz), (dx, dy, dz) = ray.origin, ray.direction
+    return RayHit(object_id=oid, world_point=(ox + dx * t, oy + dy * t, oz + dz * t), distance=t)
 
 
 # --- normalized coordinates -------------------------------------------------
@@ -554,24 +546,21 @@ def normalize_hit(obj: SceneObject, world_point) -> NormalizedHit:
     clamped into [0,1] so that boundary points survive float round-off.
     """
     local = obj.to_local(world_point)
-    half = obj.size * 0.5
+    size = obj.size.tolist()
     for axis in range(3):
-        if abs(local[axis]) > half[axis] + 1e-4:
-            raise OutOfRange(
-                f"point {np.asarray(world_point, dtype=float).tolist()} outside object {obj.id!r}"
-            )
-    uvw = [min(1.0, max(0.0, (local[a] + half[a]) / obj.size[a])) for a in range(3)]
-    return NormalizedHit(object_id=obj.id, u=uvw[0], v=uvw[1], w=uvw[2])
+        if abs(local[axis]) > size[axis] * 0.5 + 1e-4:
+            raise OutOfRange(f"point {list(world_point)} outside object {obj.id!r}")
+    u, v, w = (min(1.0, max(0.0, (local[a] + size[a] * 0.5) / size[a])) for a in range(3))
+    return NormalizedHit(object_id=obj.id, u=u, v=v, w=w)
 
 
-def denormalize_hit(obj: SceneObject, hit: NormalizedHit | tuple[float, float, float]) -> np.ndarray:
+def denormalize_hit(obj: SceneObject, hit: NormalizedHit | tuple[float, float, float]) -> tuple[float, float, float]:
     """Size-relative (u,v,w) -> world point on/in the given object."""
     uvw = hit.uvw if isinstance(hit, NormalizedHit) else tuple(hit)
     for name, c in zip("uvw", uvw):
         if not (0.0 <= c <= 1.0):
             raise OutOfRange(f"normalized coordinate {name}={c} outside [0,1]")
-    local = np.array([(uvw[a] - 0.5) * obj.size[a] for a in range(3)])
-    return obj.to_world(local)
+    return obj.to_world([(c - 0.5) * extent for c, extent in zip(uvw, obj.size.tolist())])
 
 
 # --- spatial queries --------------------------------------------------------

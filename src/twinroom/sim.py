@@ -43,6 +43,7 @@ from .geometry import (
     quat_mul,
     quat_normalize,
     quat_rotate,
+    sub,
     yaw_of,
 )
 from .placement import (
@@ -111,7 +112,10 @@ PARTNER_HEAD_ID = "@partner-head"
 
 _PEER_CODE = {"a": 0, "b": 1}
 _OTHER = {"a": "b", "b": "a"}
-TRANSCRIPT_VERSION = 1
+# 2: every reduction on the tick path is summed in a fixed order on floats,
+# which changed the last bits of some results; a version-1 transcript was
+# recorded with BLAS dot products and would not replay to the same report
+TRANSCRIPT_VERSION = 2
 REPORT_VERSION = 1
 
 
@@ -196,10 +200,7 @@ def _config_from_dict(cls, doc: dict):
 # --- wire/pose plumbing --------------------------------------------------------
 
 def _wire_to_transform(wt: WireTransform) -> Transform:
-    return Transform(
-        position=np.array(wt.position, dtype=float),
-        orientation=quat_normalize(np.array(wt.orientation, dtype=float)),
-    )
+    return Transform(position=wt.position, orientation=quat_normalize(wt.orientation))
 
 
 # root then the five effectors, each position (3) + orientation (4)
@@ -209,15 +210,16 @@ _POSE_F32 = struct.Struct("<42f")
 def pose_update_from_snapshot(snap, tick: int) -> PoseUpdate:
     """Quantize a trace snapshot into the wire pose: world root plus five
     root-relative effectors, every float already rounded to 32 bits so the
-    sender computes with exactly what the receiver will see. One pack and
-    unpack of all 42 floats rounds each exactly as `f32` does."""
-    root_q = quat_normalize(snap.root.orientation)
-    root = Transform(position=np.asarray(snap.root.position, dtype=float), orientation=root_q)
+    sender computes with exactly what the receiver will see. Each snapshot
+    array is read once into floats; one pack and unpack of all 42 floats
+    rounds each exactly as `f32` does."""
+    root_q = quat_normalize(snap.root.orientation.tolist())
+    root = Transform(position=tuple(snap.root.position.tolist()), orientation=root_q)
     inv_q = quat_conj(root_q)
-    floats = root.position.tolist() + root_q.tolist()
+    floats = [*root.position, *root_q]
     for sample in (snap.head, snap.left_hand, snap.right_hand, snap.left_foot, snap.right_foot):
-        floats += root.inverse_apply(sample.position).tolist()
-        floats += quat_mul(inv_q, quat_normalize(sample.orientation)).tolist()
+        floats += root.inverse_apply(sample.position.tolist())
+        floats += quat_mul(inv_q, quat_normalize(sample.orientation.tolist()))
     w = _POSE_F32.unpack(_POSE_F32.pack(*floats))
     root_w, head, left_hand, right_hand, left_foot, right_foot = (
         WireTransform(position=w[i:i + 3], orientation=w[i + 3:i + 7]) for i in range(0, 42, 7)
@@ -247,9 +249,9 @@ class LocalUser:
     def root(self) -> Transform:
         return _wire_to_transform(self.pose.root)
 
-    def head(self) -> np.ndarray:
+    def head(self) -> tuple[float, float, float]:
         """World head position: what `PARTNER_HEAD_ID` resolves to."""
-        return self.root.apply(np.array(self.pose.head.position, dtype=float))
+        return self.root.apply(self.pose.head.position)
 
 
 @dataclass(frozen=True)
@@ -293,8 +295,8 @@ class AvatarHost:
         self.placement: Placement | None = None
         self.frozen: tuple[Placement, float] | None = None  # walk-in-place lock
         self.interp = InterpState(speed=config.retarget.interp_speed)
-        self._anchor_user_pos = np.zeros(3)
-        self._anchor_avatar_pos = np.zeros(3)
+        self._anchor_user_pos = (0.0, 0.0, 0.0)
+        self._anchor_avatar_pos = (0.0, 0.0, 0.0)
         self._delta_q = quat_from_yaw(0.0)
         # remote object id -> the local counterpart it is paired with
         self._pair_of = {o.pair_id: o for o in room.objects if o.pair_id is not None}
@@ -334,13 +336,9 @@ class AvatarHost:
         if new is UserState.Locomotion:
             if self.goals is not None:
                 root = self.goals.root
-                locked = Placement(
-                    x=float(root.position[0]),
-                    z=float(root.position[2]),
-                    yaw=yaw_of(root.orientation),
-                    pose=self.placement.pose,
-                )
-                self.frozen = (locked, float(root.position[1]))
+                x, y, z = root.position
+                locked = Placement(x=x, z=z, yaw=yaw_of(root.orientation), pose=self.placement.pose)
+                self.frozen = (locked, y)
         else:
             self.frozen = None
         self.state = new
@@ -349,9 +347,7 @@ class AvatarHost:
         partner = None
         if me is not None:
             rt = me.root
-            partner = PartnerPose(
-                x=float(rt.position[0]), z=float(rt.position[2]), yaw=yaw_of(rt.orientation)
-            )
+            partner = PartnerPose(x=rt.position[0], z=rt.position[2], yaw=yaw_of(rt.orientation))
         episode = len(self.episodes)
         seq = np.random.SeedSequence([self.cfg.seed, self.owner_code, episode])
         result = find_placement(
@@ -374,8 +370,8 @@ class AvatarHost:
         if self.placement is None:
             self.remote = _goals_of(self.pose)  # batches lead with the pose
         rt = self.remote.root
-        self._anchor_user_pos = rt.position.copy()
-        self._anchor_avatar_pos = np.array([q.x, float(rt.position[1]), q.z])
+        self._anchor_user_pos = rt.position
+        self._anchor_avatar_pos = (q.x, rt.position[1], q.z)
         self._delta_q = quat_from_yaw(q.yaw - yaw_of(rt.orientation))
         self.placement = q
         self._anchor_goals()
@@ -420,11 +416,13 @@ class AvatarHost:
         and once per re-anchoring."""
         r = self.remote
         rt = r.root
-        pos = self._anchor_avatar_pos + quat_rotate(self._delta_q, rt.position - self._anchor_user_pos)
-        root = Transform(position=pos, orientation=quat_mul(self._delta_q, rt.orientation))
+        ax, ay, az = self._anchor_avatar_pos
+        dx, dy, dz = quat_rotate(self._delta_q, sub(rt.position, self._anchor_user_pos))
+        root = Transform(position=(ax + dx, ay + dy, az + dz),
+                         orientation=quat_mul(self._delta_q, rt.orientation))
         self.goals = IkGoals(root, r.head, r.left_hand, r.right_hand, r.left_foot, r.right_foot, r.fingers)
 
-    def avatar_head_world(self) -> np.ndarray | None:
+    def avatar_head_world(self) -> tuple[float, float, float] | None:
         """The avatar's head in this room, or None while it is not placed."""
         if self.goals is None:
             return None
@@ -436,9 +434,7 @@ class AvatarHost:
         if self.goals is None:
             return None
         root = self.goals.root
-        return PartnerPose(
-            x=float(root.position[0]), z=float(root.position[2]), yaw=yaw_of(root.orientation)
-        )
+        return PartnerPose(x=root.position[0], z=root.position[2], yaw=yaw_of(root.orientation))
 
     # -- per-tick animation
 
@@ -467,7 +463,7 @@ class AvatarHost:
         if self.frozen is not None:
             locked, locked_y = self.frozen
         else:
-            locked, locked_y = self.placement, float(root.position[1])
+            locked, locked_y = self.placement, root.position[1]
         result = avatar_tick(
             self.skeleton,
             self.state,
@@ -483,7 +479,7 @@ class AvatarHost:
         )
         self._sample_pointing(tick, result, resolved)
 
-    def _resolve(self, entry, me: LocalUser | None) -> np.ndarray | None:
+    def _resolve(self, entry, me: LocalUser | None) -> tuple[float, float, float] | None:
         """Wire target -> world point in this room: the paired counterpart's
         corresponding surface spot, or the local user's live head."""
         if entry is None:
@@ -641,6 +637,10 @@ class PeerRuntime:
         self.snap = None
         self.my_pose: PoseUpdate | None = None
         self.targets = {Effector.Head: None, Effector.LeftHand: None, Effector.RightHand: None}
+        # the room with the partner's head as a gaze target, and where that
+        # head was when it was built
+        self._head_room = None
+        self._head_at: tuple[float, float, float] | None = None
 
     def tick(self, t: int) -> bytes:
         """One lockstep tick; returns the outbound bytes."""
@@ -685,30 +685,29 @@ class PeerRuntime:
             self.reported = self.state_now
 
     def _request_features(self) -> FeatureVector:
-        pos = self.snap.root.position
-        pose = (
-            PlacementPose.Sitting
-            if float(pos[1]) < self.cfg.sitting_root_height
-            else PlacementPose.Standing
-        )
-        here = Placement(
-            x=float(pos[0]), z=float(pos[2]), yaw=yaw_of(self.snap.root.orientation), pose=pose
-        )
+        x, y, z = self.snap.root.position.tolist()
+        pose = PlacementPose.Sitting if y < self.cfg.sitting_root_height else PlacementPose.Standing
+        here = Placement(x=x, z=z, yaw=yaw_of(self.snap.root.orientation.tolist()), pose=pose)
         return extract_features(self.room, here, self.host.partner_pose())
 
     def _fixation_room(self):
+        """The local room plus the partner's head as a gaze target, rebuilt
+        only when the head has moved since the last tick that built it."""
         head = self.host.avatar_head_world()
         if head is None:
             return self.room
-        box = SceneObject(
-            id=PARTNER_HEAD_ID,
-            category=ObjectCategory.Other,
-            position=head,
-            yaw=0.0,
-            size=np.array([0.25, 0.25, 0.25]),
-            pair_id=PARTNER_HEAD_ID,
-        )
-        return self.room.with_extra([box])
+        if head != self._head_at:
+            box = SceneObject(
+                id=PARTNER_HEAD_ID,
+                category=ObjectCategory.Other,
+                position=head,
+                yaw=0.0,
+                size=(0.25, 0.25, 0.25),
+                pair_id=PARTNER_HEAD_ID,
+            )
+            self._head_room = self.room.with_extra([box])
+            self._head_at = head
+        return self._head_room
 
     def emit(self, t: int) -> bytes:
         if self.session.phase is not Phase.Live:

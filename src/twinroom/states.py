@@ -9,7 +9,9 @@ motion converges on it, i.e. when both the hand-to-target distance and the
 hand-aim angle shrink fast enough over a trailing window.
 
 Everything here is a pure function of the snapshot stream and configuration;
-identical inputs produce identical state and event streams.
+identical inputs produce identical state and event streams. Snapshots hold
+numpy arrays as traces load them; each is read into float tuples where it is
+used, and everything computed from it is a float tuple.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import FORWARD, norm, quat_rotate
+from .geometry import FORWARD, dot, norm, quat_rotate
 from .scene import NormalizedHit, Ray, Room, denormalize_hit, normalize_hit, raycast
 
 
@@ -60,12 +62,13 @@ class EffectorSample:
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
         object.__setattr__(self, "orientation", np.asarray(self.orientation, dtype=float))
 
-    def forward(self) -> np.ndarray:
-        return quat_rotate(self.orientation, FORWARD)
+    def forward(self) -> tuple[float, float, float]:
+        return quat_rotate(self.orientation.tolist(), FORWARD)
 
     def ray(self) -> Ray:
-        f = self.forward()
-        return Ray(origin=self.position, direction=f / norm(f))
+        fx, fy, fz = f = self.forward()
+        n = norm(f)
+        return Ray(origin=tuple(self.position.tolist()), direction=(fx / n, fy / n, fz / n))
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,7 @@ def hand_lifted(root: EffectorSample, hand: EffectorSample, cfg: StateConfig) ->
     if float(hand.position[1]) - float(root.position[1]) >= cfg.lift_height:
         return True
     f = hand.forward()
-    pitch = math.asin(max(-1.0, min(1.0, float(f[1]))))
+    pitch = math.asin(max(-1.0, min(1.0, f[1])))
     return pitch >= cfg.lift_pitch
 
 
@@ -189,7 +192,7 @@ def step_locomotion(
 
 # --- fixation ---------------------------------------------------------------
 
-RegisteredTarget = tuple[str, NormalizedHit, np.ndarray]  # id, local hit, world point
+RegisteredTarget = tuple[str, NormalizedHit, tuple[float, float, float]]  # id, local hit, world point
 
 
 @dataclass
@@ -350,7 +353,7 @@ def update_fixation(
     if fx.accumulated >= cfg.fixation_threshold:
         obj = room.by_id[hit.object_id]
         nhit = normalize_hit(obj, hit.world_point)
-        fx.target = (hit.object_id, nhit, np.asarray(hit.world_point, dtype=float))
+        fx.target = (hit.object_id, nhit, hit.world_point)
     return tracker
 
 
@@ -397,13 +400,15 @@ def acquire_targets(
             if ch.window_target != head_target[0]:
                 ch.window.clear()
                 ch.window_target = head_target[0]
-            to_target = head_target[2] - hand.position
+            hx, hy, hz = hand.position.tolist()
+            tx, ty, tz = head_target[2]
+            to_target = (tx - hx, ty - hy, tz - hz)
             d = norm(to_target)
             if d < 1e-9:
                 angle = 0.0
             else:
                 f = hand.forward()
-                cos_a = float(np.dot(f, to_target)) / (norm(f) * d)
+                cos_a = dot(f, to_target) / (norm(f) * d)
                 angle = math.acos(max(-1.0, min(1.0, cos_a)))
             ch.window.push(snapshot.tick, d, angle)
 
@@ -440,6 +445,6 @@ def classify_state(
     return UserState.Solo
 
 
-def target_world_point(room: Room, object_id: str, hit: NormalizedHit) -> np.ndarray:
+def target_world_point(room: Room, object_id: str, hit: NormalizedHit) -> tuple[float, float, float]:
     """Convenience: a registered target's current world point in `room`."""
     return denormalize_hit(room.object(object_id), hit)

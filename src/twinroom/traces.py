@@ -30,6 +30,7 @@ from .geometry import (
     quat_mul,
     quat_rotate,
     slerp_vec,
+    sub,
 )
 from .retarget import Skeleton
 from .states import EffectorSample, StateConfig, UserSnapshot, hand_lifted
@@ -158,19 +159,19 @@ class TraceBuilder:
         self.cfg = state_config if state_config is not None else StateConfig()
         self.stand_height = float(root_height)
         self.root = Transform(
-            np.array([float(start[0]), float(root_height), float(start[1])]),
+            (float(start[0]), float(root_height), float(start[1])),
             quat_from_yaw(yaw),
         )
         sk = self.skeleton
-        down = look_rotation(normalized(np.array([0.0, -1.0, 0.35])))
+        ident = (1.0, 0.0, 0.0, 0.0)
+        down = look_rotation(normalized((0.0, -1.0, 0.35)))
+        hip_x = float(sk.hip_offset[0])
         self.rel: dict[str, Transform] = {
-            "head": Transform(np.array([0.0, sk.spine + sk.neck, 0.0]), np.array([1.0, 0.0, 0.0, 0.0])),
-            "left_hand": Transform(np.array([-0.24, -0.12, 0.08]), down),
-            "right_hand": Transform(np.array([0.24, -0.12, 0.08]), down),
-            "left_foot": Transform(np.array([-sk.hip_offset[0], -self.stand_height, 0.0]),
-                                   np.array([1.0, 0.0, 0.0, 0.0])),
-            "right_foot": Transform(np.array([sk.hip_offset[0], -self.stand_height, 0.0]),
-                                    np.array([1.0, 0.0, 0.0, 0.0])),
+            "head": Transform((0.0, float(sk.spine + sk.neck), 0.0), ident),
+            "left_hand": Transform((-0.24, -0.12, 0.08), down),
+            "right_hand": Transform((0.24, -0.12, 0.08), down),
+            "left_foot": Transform((-hip_x, -self.stand_height, 0.0), ident),
+            "right_foot": Transform((hip_x, -self.stand_height, 0.0), ident),
         }
         self._rest_hands = {k: self.rel[k] for k in ("left_hand", "right_hand")}
         self.fingers = b""
@@ -225,7 +226,7 @@ class TraceBuilder:
     def turn_to(self, yaw: float, seconds: float = 0.2) -> "TraceBuilder":
         """Rotate the root in place; pelvis position stays put."""
         start_fwd = self.root.forward()
-        end_fwd = np.array([math.sin(yaw), 0.0, math.cos(yaw)])
+        end_fwd = (math.sin(yaw), 0.0, math.cos(yaw))
         n = self._ticks(seconds)
         for i in range(1, n + 1):
             fwd = slerp_vec(start_fwd, end_fwd, i / n)
@@ -238,30 +239,28 @@ class TraceBuilder:
         of travel; limbs ride along rigidly."""
         if speed <= 0.0:
             raise ValueError("walking speed must be positive")
-        target = np.array([float(x), self.root.position[1], float(z)])
-        delta = target - self.root.position
-        dist = float(math.hypot(delta[0], delta[2]))
+        start = self.root.position
+        delta = sub((float(x), start[1], float(z)), start)
+        dist = math.hypot(delta[0], delta[2])
         if dist < 1e-9:
             return self
-        direction = delta / dist
-        yaw_q = look_rotation(np.array([direction[0], 0.0, direction[2]]))
+        yaw_q = look_rotation((delta[0] / dist, 0.0, delta[2] / dist))
         n = max(1, math.ceil(dist / (speed * self.dt)))
-        start = self.root.position.copy()
         for i in range(1, n + 1):
             frac = min(1.0, i * speed * self.dt / dist)
-            self.root = Transform(start + delta * frac, yaw_q)
+            self.root = Transform(tuple(s + d * frac for s, d in zip(start, delta)), yaw_q)
             self._emit()
         return self
 
     def gaze_at(self, point, seconds: float = 1.0, turn_s: float = 0.15) -> "TraceBuilder":
         """Turn the head toward a world point, then dwell on it."""
-        point = np.asarray(point, dtype=float)
+        point = tuple(map(float, point))
         inv_q = quat_conj(self.root.orientation)
         n_turn = self._ticks(turn_s)
         start_fwd = quat_rotate(self._world("head").orientation, FORWARD)
         for i in range(1, n_turn + 1):
             head_pos = self._world("head").position
-            desired = normalized(point - head_pos)
+            desired = normalized(sub(point, head_pos))
             fwd = slerp_vec(start_fwd, desired, i / n_turn)
             world_q = look_rotation(fwd)
             self.rel["head"] = Transform(self.rel["head"].position, quat_mul(inv_q, world_q))
@@ -279,13 +278,14 @@ class TraceBuilder:
         the hand closing in on the gaze target (distance and aim angle both
         shrink while the arm comes up).
         """
-        point = np.asarray(point, dtype=float)
+        point = tuple(map(float, point))
         name = f"{side}_hand"
         sk = self.skeleton
         shoulder_world = self.root.apply(sk.shoulder_local(side))
-        aim = normalized(point - shoulder_world)
-        end_pos_world = shoulder_world + aim * min(reach, sk.arm_reach)
-        end_fwd_world = normalized(point - end_pos_world)
+        aim = normalized(sub(point, shoulder_world))
+        length = min(reach, sk.arm_reach)
+        end_pos_world = tuple(s + a * length for s, a in zip(shoulder_world, aim))
+        end_fwd_world = normalized(sub(point, end_pos_world))
 
         start = self.rel[name]
         start_pos_world = self.root.apply(start.position)
@@ -294,7 +294,7 @@ class TraceBuilder:
         n = self._ticks(raise_s)
         for i in range(1, n + 1):
             t = i / n
-            pos_w = start_pos_world + (end_pos_world - start_pos_world) * t
+            pos_w = _lerp(start_pos_world, end_pos_world, t)
             fwd_w = slerp_vec(start_fwd_world, end_fwd_world, t)
             self.rel[name] = Transform(
                 self.root.inverse_apply(pos_w),
@@ -313,7 +313,7 @@ class TraceBuilder:
             t = i / n
             for name, rest in self._rest_hands.items():
                 s = starts[name]
-                pos = s.position + (rest.position - s.position) * t
+                pos = _lerp(s.position, rest.position, t)
                 fwd_s = quat_rotate(s.orientation, FORWARD)
                 fwd_r = quat_rotate(rest.orientation, FORWARD)
                 self.rel[name] = Transform(pos, look_rotation(slerp_vec(fwd_s, fwd_r, t)))
@@ -324,14 +324,11 @@ class TraceBuilder:
 
     def sit(self, root_height: float = 0.55, seconds: float = 0.5) -> "TraceBuilder":
         """Lower the pelvis to seated height (no horizontal motion)."""
-        y0 = float(self.root.position[1])
+        x, y0, z = self.root.position
         n = self._ticks(seconds)
         for i in range(1, n + 1):
             y = y0 + (root_height - y0) * (i / n)
-            self.root = Transform(
-                np.array([self.root.position[0], y, self.root.position[2]]),
-                self.root.orientation,
-            )
+            self.root = Transform((x, y, z), self.root.orientation)
             self._emit()
         return self
 
@@ -344,3 +341,7 @@ class TraceBuilder:
             skeleton=self.skeleton,
             snapshots=tuple(self.snapshots),
         )
+
+
+def _lerp(a, b, t: float) -> tuple[float, float, float]:
+    return tuple(x + (y - x) * t for x, y in zip(a, b))

@@ -451,7 +451,7 @@ def test_07_ik_properties():
             ("l_ankle", goals.left_foot), ("r_ankle", goals.right_foot),
         ):
             target = goals.root.apply(goal.position)
-            worst_error = max(worst_error, float(np.linalg.norm(pose.joints[field] - target)))
+            worst_error = max(worst_error, float(np.linalg.norm(np.subtract(pose.joints[field], target))))
         measured = bone_lengths(sk, pose)
         for name, want in nominal.items():
             worst_drift = max(worst_drift, abs(measured[name] - want))
@@ -472,7 +472,7 @@ def test_07_ik_properties():
             left_foot=goals.left_foot, right_foot=goals.right_foot,
         )
         pose = solve_full_body(sk, goals)
-        stretched = np.linalg.norm(pose.joints["r_wrist"] - pose.joints["r_shoulder"])
+        stretched = np.linalg.norm(np.subtract(pose.joints["r_wrist"], pose.joints["r_shoulder"]))
         worst_sphere = max(worst_sphere, abs(float(stretched) - sk.arm_reach))
 
     ok = worst_error <= 1e-4 and worst_drift <= 1e-12 and worst_sphere <= 1e-9

@@ -1,0 +1,97 @@
+"""Results that do not depend on the machine: no BLAS kernel and no numpy
+transcendental computes anything that reaches a report."""
+from __future__ import annotations
+
+import io
+import json
+import os
+import subprocess
+import sys
+import tokenize
+from pathlib import Path
+
+import pytest
+
+from test_sim import quick_config, room_a_doc, room_b_doc, trace_a_script, trace_b_script
+from twinroom.sim import run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_REPLAY = (
+    "import sys\n"
+    "from twinroom.sim import canonical_report_json, replay\n"
+    "sys.stdout.write(canonical_report_json(replay(*sys.argv[1:4])))\n"
+)
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_replay_matches_under_other_blas_kernels(coretype, tmp_path):
+    # OPENBLAS_CORETYPE makes the replaying process pick another OpenBLAS
+    # kernel, as a peer on another CPU would; it acts on that process only
+    result = run(room_a_doc(), room_b_doc(), trace_a_script().build(), trace_b_script().build(),
+                 config=quick_config())
+    paths = [tmp_path / "session.jsonl", tmp_path / "a.json", tmp_path / "b.json"]
+    paths[0].write_text(result.transcript)
+    paths[1].write_text(json.dumps(room_a_doc()))
+    paths[2].write_text(json.dumps(room_b_doc()))
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_CORETYPE=coretype, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _REPLAY, *map(str, paths)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == result.report_json
+
+
+# numpy calls that run in a BLAS kernel or a CPU-dispatched libm loop
+_BANNED_NUMPY = {"dot", "linalg", "matmul", "einsum", "exp", "sin", "cos", "tan", "arctan2",
+                 "arccos", "arcsin", "log", "hypot"}
+
+
+def banned_calls(source: str) -> list[str]:
+    """Code (not strings or comments) that reaches for BLAS or a numpy
+    transcendental: ``np.<banned>``, any ``.dot(`` and the ``@`` operator."""
+    found = []
+    sig = []  # significant tokens so far on this logical line
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT):
+            sig = []
+            continue
+        if tok.type in (tokenize.COMMENT, tokenize.NL, tokenize.STRING):
+            continue
+        where = f"line {tok.start[0]}"
+        if tok.type == tokenize.OP and tok.string in ("@", "@=") and sig:
+            found.append(f"{where}: {tok.string} operator")
+        if len(sig) >= 2 and sig[-1].string == "." and tok.type == tokenize.NAME:
+            if sig[-2].string in ("np", "numpy") and tok.string in _BANNED_NUMPY:
+                found.append(f"{where}: np.{tok.string}")
+        if tok.string == "(" and len(sig) >= 2 and sig[-1].string == "dot" and sig[-2].string == ".":
+            found.append(f"{where}: .dot(")
+        sig.append(tok)
+    return found
+
+
+def test_source_scan_finds_each_banned_form():
+    sample = (
+        '"""np.dot(a, b) in a docstring is fine"""\n'
+        "@dataclass  # a decorator is fine\n"
+        "class A:\n"
+        "    x = dot(a, b)  # the engine's own left-to-right dot\n"
+        "a = np.dot(u, v)\n"
+        "b = u.dot(v)\n"
+        "c = numpy.linalg.norm(u)\n"
+        "d = u @ v\n"
+        "u @= v\n"
+        "e = np.einsum('i,i', u, v) + np.matmul(u, v)\n"
+        "f = np.exp(u) + np.sin(u) + np.arctan2(u, v) + np.hypot(u, v)\n"
+        "g = np.sqrt(u) + math.exp(1.0)\n"
+    )
+    assert [f.split(": ")[1] for f in banned_calls(sample)] == [
+        "np.dot", ".dot(", ".dot(", "np.linalg", "@ operator", "@= operator", "np.einsum",
+        "np.matmul", "np.exp", "np.sin", "np.arctan2", "np.hypot",
+    ]
+
+
+def test_engine_source_calls_no_blas_and_no_numpy_transcendentals():
+    files = sorted((SRC / "twinroom").glob("*.py"))
+    assert files
+    found = {f.name: banned_calls(f.read_text()) for f in files}
+    assert {name: calls for name, calls in found.items() if calls} == {}

@@ -28,8 +28,6 @@ from twinroom.placement import (
     default_similarity,
     extract_features,
     feasible,
-    feature_from_json,
-    feature_to_json,
     find_placement,
     grid_axes,
     grid_search,
@@ -778,21 +776,3 @@ def test_swarm_batch_features_equal_the_per_placement_oracle():
             for got, x, z, yaw in zip(batch, xs, zs, yaws):
                 where = (x, z, yaw, pose)
                 assert_same_features(got, oracle_features(room, x, z, yaw, pose, partner), where)
-
-
-# --- serialization -------------------------------------------------------
-
-
-def test_feature_vector_json_round_trip():
-    rng = np.random.default_rng(9)
-    room = random_room(rng)
-    partner = PartnerPose(0.5, 0.5, 1.0)
-    original = random_target(rng, room, partner)
-    doc = feature_to_json(original)
-    assert feature_from_json(doc) == original
-    assert feature_from_json(json.dumps(doc)) == original
-
-    bare = extract_features(
-        room, Placement(1, 1, 0, PlacementPose.Standing), None
-    )
-    assert feature_from_json(json.dumps(feature_to_json(bare))) == bare

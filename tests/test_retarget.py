@@ -14,6 +14,7 @@ from twinroom.geometry import (
     Transform,
     UP,
     look_rotation,
+    norm,
     normalized,
     quat_between,
     quat_conj,
@@ -21,6 +22,7 @@ from twinroom.geometry import (
     quat_mul,
     quat_rotate,
     slerp_vec,
+    sub,
 )
 from twinroom.placement import Placement, PlacementPose
 from twinroom.retarget import (
@@ -58,6 +60,7 @@ seg_lengths = st.floats(0.1, 0.6)
 def test_two_bone_preserves_segment_lengths(shoulder, upper, fore, target):
     elbow, wrist = solve_two_bone(shoulder, upper, fore, target, HINT)
     s = np.asarray(shoulder, dtype=float)
+    elbow, wrist = np.asarray(elbow), np.asarray(wrist)
     assert np.linalg.norm(elbow - s) == pytest.approx(upper, abs=1e-12)
     assert np.linalg.norm(wrist - elbow) == pytest.approx(fore, abs=1e-12)
 
@@ -104,7 +107,7 @@ def test_two_bone_elbow_lies_in_hint_half_plane():
     direction = np.array([0.0, 0.0, 1.0])
     perp = HINT - np.dot(HINT, direction) * direction
     perp = perp / np.linalg.norm(perp)
-    e = elbow - shoulder
+    e = np.asarray(elbow) - shoulder
     assert np.dot(e, perp) > 0  # bends toward the hint
     assert abs(np.dot(e, np.cross(direction, perp))) < 1e-12  # stays in plane
 
@@ -113,7 +116,7 @@ def test_two_bone_degenerate_cases():
     # coincident target, unequal segments: wrist sits on the inner annulus
     # along the hint direction
     elbow, wrist = solve_two_bone(np.zeros(3), 0.3, 0.25, np.zeros(3), HINT)
-    np.testing.assert_allclose(wrist, 0.05 * normalized(HINT), atol=1e-12)
+    np.testing.assert_allclose(wrist, 0.05 * np.asarray(normalized(HINT)), atol=1e-12)
     assert np.linalg.norm(elbow) == pytest.approx(0.3, abs=1e-12)
 
     # coincident target, equal segments: the arm folds fully back
@@ -151,16 +154,19 @@ def random_goals(rng, skeleton):
 
 
 def bone_lengths(skeleton, pose: AvatarPose):
+    def bone(a, b):
+        return np.linalg.norm(np.asarray(pose.joints[b]) - np.asarray(pose.joints[a]))
+
     return {
-        "l_upper": np.linalg.norm(pose.bone_vector("l_shoulder", "l_elbow")),
-        "l_fore": np.linalg.norm(pose.bone_vector("l_elbow", "l_wrist")),
-        "r_upper": np.linalg.norm(pose.bone_vector("r_shoulder", "r_elbow")),
-        "r_fore": np.linalg.norm(pose.bone_vector("r_elbow", "r_wrist")),
-        "l_thigh": np.linalg.norm(pose.bone_vector("l_hip", "l_knee")),
-        "l_shin": np.linalg.norm(pose.bone_vector("l_knee", "l_ankle")),
-        "r_thigh": np.linalg.norm(pose.bone_vector("r_hip", "r_knee")),
-        "r_shin": np.linalg.norm(pose.bone_vector("r_knee", "r_ankle")),
-        "neck": np.linalg.norm(pose.bone_vector("neck", "head")),
+        "l_upper": bone("l_shoulder", "l_elbow"),
+        "l_fore": bone("l_elbow", "l_wrist"),
+        "r_upper": bone("r_shoulder", "r_elbow"),
+        "r_fore": bone("r_elbow", "r_wrist"),
+        "l_thigh": bone("l_hip", "l_knee"),
+        "l_shin": bone("l_knee", "l_ankle"),
+        "r_thigh": bone("r_hip", "r_knee"),
+        "r_shin": bone("r_knee", "r_ankle"),
+        "neck": bone("neck", "head"),
     }
 
 
@@ -193,7 +199,7 @@ def test_rest_pose_hangs_arms_straight_down():
     skeleton = Skeleton()
     pose = solve_full_body(skeleton, rest_goals(skeleton))
     for side in "lr":
-        shoulder = pose.joints[f"{side}_shoulder"]
+        shoulder = np.asarray(pose.joints[f"{side}_shoulder"])
         wrist = pose.joints[f"{side}_wrist"]
         np.testing.assert_allclose(
             wrist, shoulder + [0, -skeleton.arm_reach, 0], atol=1e-9
@@ -345,7 +351,7 @@ def test_pointing_ray_passes_through_target():
     to_target = normalized(target - sol.shoulder)
     np.testing.assert_allclose(sol.aim, to_target, atol=1e-12)
     np.testing.assert_allclose(
-        sol.wrist, sol.shoulder + sol.aim * sol.reach, atol=1e-12
+        sol.wrist, np.asarray(sol.shoulder) + np.asarray(sol.aim) * sol.reach, atol=1e-12
     )
     np.testing.assert_allclose(
         sol.shoulder, avatar_root.apply(skeleton.shoulder_local("right")), atol=1e-12
@@ -466,7 +472,7 @@ def test_avatar_tick_locomotion_root_is_constant():
             {"left": None, "right": None}, None, interp, 1 / 60,
             snapshot=user_snapshot(),
         )
-        roots.append(result.pose.root.position.copy())
+        roots.append(result.pose.root.position)
     for r in roots[1:]:
         np.testing.assert_array_equal(r, roots[0])
     np.testing.assert_allclose(roots[0], [2.0, 0.9, 1.0], atol=0)
@@ -491,14 +497,14 @@ def test_avatar_tick_aim_converges_onto_target_ray():
     assert all(b >= a for a, b in zip(completions, completions[1:]))
 
     t, sol = result.pointing["right"]
-    wrist = result.pose.joints["r_wrist"]
-    shoulder = result.pose.joints["r_shoulder"]
+    wrist = np.asarray(result.pose.joints["r_wrist"])
+    shoulder = np.asarray(result.pose.joints["r_shoulder"])
     np.testing.assert_allclose(wrist, sol.wrist, atol=1e-9)
     aim = normalized(wrist - shoulder)
     np.testing.assert_allclose(aim, normalized(target - shoulder), atol=1e-9)
     # the head looks at its target once its own transition finishes
     head_fwd = quat_rotate(result.pose.orientations["head"], FORWARD)
-    want = normalized(target - result.pose.joints["head"])
+    want = normalized(target - np.asarray(result.pose.joints["head"]))
     np.testing.assert_allclose(head_fwd, want, atol=1e-6)
 
 
@@ -535,8 +541,8 @@ def test_avatar_tick_eases_from_previous_pose():
     )
     t, sol = result.pointing["right"]
     assert 0 < t < 1
-    wrist = result.pose.joints["r_wrist"]
-    rest_wrist = solve_full_body(skeleton, goals).joints["r_wrist"]
+    wrist = np.asarray(result.pose.joints["r_wrist"])
+    rest_wrist = np.asarray(solve_full_body(skeleton, goals).joints["r_wrist"])
     # early in the transition the wrist is still near its rest position
     assert np.linalg.norm(wrist - rest_wrist) < np.linalg.norm(sol.wrist - rest_wrist)
 
@@ -545,10 +551,10 @@ def test_avatar_tick_eases_from_previous_pose():
 
 
 def _reference_safe_direction(v, root):
-    n = float(np.linalg.norm(v))
+    n = norm(v)
     if n < 1e-9:
         return root.forward()
-    return v / n
+    return (v[0] / n, v[1] / n, v[2] / n)
 
 
 def reference_avatar_tick(skeleton, mode, goals, placement, placement_root_height, targets,
@@ -574,7 +580,7 @@ def reference_avatar_tick(skeleton, mode, goals, placement, placement_root_heigh
     inv_root_q = quat_conj(root.orientation)
     pointing = {}
     if head_target is not None:
-        desired_fwd = _reference_safe_direction(head_target - base.joints["head"], root)
+        desired_fwd = _reference_safe_direction(sub(head_target, base.joints["head"]), root)
         st_ = interp.head
         if st_.key != "head-target":
             st_.key = "head-target"
@@ -603,13 +609,13 @@ def reference_avatar_tick(skeleton, mode, goals, placement, placement_root_heigh
         if st_.key != key:
             st_.key = key
             st_.t = 0.0
-            st_.start_pos = interp.last_wrist.get(side, base.joints[f"{side[0]}_wrist"]).copy()
+            st_.start_pos = interp.last_wrist.get(side, base.joints[f"{side[0]}_wrist"])
             prev_fwd = interp.last_arm_fwd.get(side)
             if prev_fwd is None:
                 prev_fwd = _reference_safe_direction(
-                    base.joints[f"{side[0]}_wrist"] - base.joints[f"{side[0]}_shoulder"], root
+                    sub(base.joints[f"{side[0]}_wrist"], base.joints[f"{side[0]}_shoulder"]), root
                 )
-            st_.start_fwd = prev_fwd.copy()
+            st_.start_fwd = prev_fwd
         st_.t = min(1.0, st_.t + dt * interp.speed)
         if st_.t < 1.0:
             wrist_w = interp_hand(st_.start_pos, st_.start_fwd, sol.wrist, sol.aim, st_.t)
@@ -621,7 +627,7 @@ def reference_avatar_tick(skeleton, mode, goals, placement, placement_root_heigh
             hand_q_w = sol.hand_orientation
         goal_field = "left_hand" if side == "left" else "right_hand"
         adjusted = replace(adjusted, **{goal_field: Transform(
-            position=quat_rotate(inv_root_q, wrist_w - root.position),
+            position=quat_rotate(inv_root_q, sub(wrist_w, root.position)),
             orientation=quat_mul(inv_root_q, hand_q_w),
         )})
         pointing[side] = (st_.t, sol)
@@ -658,9 +664,9 @@ def _interp_bits(interp) -> list:
 def scripted_ticks():
     """(reset, mode, targets, head_target) per tick: `reset` starts a fresh
     InterpState, as a placement does."""
-    a = np.array([1.0, 1.5, 2.5])
-    b = np.array([-0.8, 1.1, 1.9])
-    head = np.array([0.4, 1.7, 2.0])
+    a = (1.0, 1.5, 2.5)
+    b = (-0.8, 1.1, 1.9)
+    head = (0.4, 1.7, 2.0)
     none = {"left": None, "right": None}
     I, S, L = UserState.Interaction, UserState.Solo, UserState.Locomotion
     ticks = []

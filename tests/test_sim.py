@@ -28,7 +28,7 @@ from twinroom.protocol import (
     f32,
 )
 from twinroom.retarget import RetargetConfig, Skeleton
-from twinroom.scene import PairingError, load_room, room_hash
+from twinroom.scene import ObjectCategory, PairingError, Room, SceneObject, load_room, room_hash
 from twinroom.sim import (
     PARTNER_HEAD_ID,
     AvatarHost,
@@ -41,7 +41,7 @@ from twinroom.sim import (
     replay,
     run,
 )
-from twinroom.states import EffectorSample, StateConfig, UserSnapshot
+from twinroom.states import Effector, EffectorSample, StateConfig, UserSnapshot
 from twinroom.traces import TraceBuilder, save_trace
 
 
@@ -377,6 +377,71 @@ def test_pointing_at_partner_head():
     assert replay(second.transcript, room_a_doc(), room_b_doc()) == second.report
 
 
+def test_fixation_room_is_rebuilt_only_when_the_partner_head_moves(monkeypatch):
+    # A gazes and points at B's avatar head while B sits down and stands up
+    # again, so the head both holds still and moves while it is a target
+    ep = run(room_a_doc(), room_b_doc(), trace_a_script().build(), trace_b_script().build(),
+             config=quick_config()).report["episodes"]["b"][0]
+    sk = Skeleton()
+    head = [ep["x"], 0.92 + sk.spine + sk.neck, ep["z"]]
+    a = TraceBuilder(start=(-0.5, -1.2), yaw=0.0)
+    a.hold(0.2).walk_to(0.6, -0.8, speed=1.4).hold(0.5)
+    a.gaze_at(head, seconds=2.0).point_at(head, side="right", raise_s=0.4, hold_s=1.0).hold(0.3)
+    b = TraceBuilder(start=(0.3, -0.9), yaw=0.5)
+    b.hold(0.1).walk_to(-0.6, -0.3, speed=1.5).hold(1.0)
+    b.sit(root_height=0.8, seconds=0.3).hold(0.5).stand(seconds=0.3).hold(2.0)
+
+    def rebuilt_every_tick(peer):
+        head = peer.host.avatar_head_world()
+        if head is None:
+            return peer.room
+        box = SceneObject(id=PARTNER_HEAD_ID, category=ObjectCategory.Other, position=head, yaw=0.0,
+                          size=(0.25, 0.25, 0.25), pair_id=PARTNER_HEAD_ID)
+        return peer.room.with_extra([box])
+
+    def session(fixation_room):
+        ticks, builds = [], []
+        step_local, with_extra = PeerRuntime.step_local, Room.with_extra
+
+        def recorded(peer, t):
+            step_local(peer, t)
+            fx = [peer.tracker.fixation(e) for e in Effector]
+            ticks.append((peer.name, t, dict(peer.targets),
+                          [(f.candidate, f.accumulated, f.target) for f in fx]))
+
+        def counted(room, extra):
+            builds.append(extra[0].position.tolist())
+            return with_extra(room, extra)
+
+        with monkeypatch.context() as m:
+            m.setattr(PeerRuntime, "step_local", recorded)
+            m.setattr(PeerRuntime, "_fixation_room", fixation_room)
+            m.setattr(Room, "with_extra", counted)
+            result = run(room_a_doc(), room_b_doc(), a.build(), b.build(), config=quick_config())
+        return result, ticks, builds
+
+    cached, cached_ticks, cached_builds = session(PeerRuntime._fixation_room)
+    fresh, fresh_ticks, fresh_builds = session(rebuilt_every_tick)
+    assert any(r["object"] == PARTNER_HEAD_ID for r in cached.report["pointing"]["a"])
+    assert cached_ticks == fresh_ticks
+    assert cached.report_json == fresh.report_json
+    assert cached.transcript == fresh.transcript
+    # one build per distinct head position in a row, never two for the same
+    assert 1 < len(cached_builds) < len(fresh_builds) / 5
+    assert all(p != q for p, q in zip(cached_builds, cached_builds[1:]))
+
+
+def test_version_1_transcript_is_refused_not_reported_as_tampered(base_result):
+    lines = base_result.transcript.splitlines()
+    header = json.loads(lines[0])
+    assert header["version"] == 2
+    header["version"] = 1
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    with pytest.raises(ReplayDivergence) as err:
+        replay("\n".join(lines) + "\n", room_a_doc(), room_b_doc())
+    assert str(err.value) == "unsupported transcript version 1"
+
+
 DEMO_ROOMS = Path(__file__).resolve().parents[1] / "demos" / "rooms"
 
 
@@ -484,9 +549,11 @@ def test_avatar_host_converts_wire_poses_only_once_placed(monkeypatch):
                 rt = msg.root
                 user_pos = np.array(rt.position, dtype=float)
                 user_q = quat_normalize(np.array(rt.orientation, dtype=float))
-                pos = host._anchor_avatar_pos + quat_rotate(host._delta_q, user_pos - host._anchor_user_pos)
-                assert host.goals.root.position.tobytes() == pos.tobytes()
-                assert host.goals.root.orientation.tobytes() == quat_mul(host._delta_q, user_q).tobytes()
+                pos = np.asarray(host._anchor_avatar_pos) + np.asarray(
+                    quat_rotate(host._delta_q, user_pos - host._anchor_user_pos))
+                assert np.asarray(host.goals.root.position).tobytes() == pos.tobytes()
+                assert (np.asarray(host.goals.root.orientation).tobytes()
+                        == np.asarray(quat_mul(host._delta_q, user_q)).tobytes())
                 assert host.goals.head is host.remote.head
                 seen["anchored"] += 1
         return out
