@@ -77,17 +77,6 @@ def normalized(v) -> tuple[float, float, float]:
     return (x / n, y / n, z / n)
 
 
-def horizontal(v) -> tuple[float, float, float]:
-    """Projection of v onto the ground plane (y zeroed)."""
-    return (float(v[0]), 0.0, float(v[2]))
-
-
-def horizontal_distance(a, b) -> float:
-    dx = float(a[0]) - float(b[0])
-    dz = float(a[2]) - float(b[2])
-    return math.hypot(dx, dz)
-
-
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     a = math.fmod(a, 2.0 * math.pi)
@@ -118,10 +107,6 @@ def cross(a, b) -> tuple[float, float, float]:
 # --- quaternions ------------------------------------------------------------
 
 QUAT_IDENTITY = (1.0, 0.0, 0.0, 0.0)
-
-
-def quat(w: float, x: float, y: float, z: float) -> tuple[float, float, float, float]:
-    return (float(w), float(x), float(y), float(z))
 
 
 def quat_normalize(q) -> tuple[float, float, float, float]:
@@ -324,6 +309,3 @@ class Transform:
 
     def forward(self) -> tuple[float, float, float]:
         return quat_rotate(self.orientation, FORWARD)
-
-
-IDENTITY_TRANSFORM = Transform((0.0, 0.0, 0.0), QUAT_IDENTITY)

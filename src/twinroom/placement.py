@@ -7,8 +7,11 @@ user actually stands. Context is captured as a four-part feature vector:
 
 * interpersonal: the partner's offset and relative facing in the subject's
   local frame, or absent when there is no placed partner,
-* pose accommodation: a 0.5 m-radius height map of standable/sittable
-  support around the subject,
+* pose accommodation: the support heights at the 81 cells of a 0.1 m grid
+  whose centers lie within 0.5 m of the subject (the valid cells of
+  ``scene.height_map``'s grid, in row-major order), as a float64 array of
+  exactly ``ACCOMMODATION_CELLS`` entries; on the wire it is 81 f32, so a
+  feature from any other grid cannot be built or sent,
 * visual attention: nearest distance per object category inside a 40 degree
   view cone at eye height,
 * spatial context: nearest distance per object category within 3 m.
@@ -21,11 +24,12 @@ The default scorer turns feature differences into a similarity in [0, 1]
 0.25 m x 15-degree grid over the remote room, then refines the best cell
 with a small particle swarm confined to that cell's neighborhood. Both
 work in batches. The grid takes one grid column at a time: its cells'
-height maps come from one broadcast and, per pose, their attention tables
-at every yaw from another; each cell's (yaw, pose) candidates share its
-height map and spatial table and are scored together. A swarm iteration
-checks its particles' feasibility, samples their height maps and computes
-their attention tables in one broadcast each, then scores them together.
+accommodation heights come from one broadcast and, per pose, their
+attention tables at every yaw from another; each cell's (yaw, pose)
+candidates share its accommodation row and spatial table and are scored
+together. A swarm iteration checks its particles' feasibility, samples
+their accommodation heights and computes their attention tables in one
+broadcast each, then scores them together.
 Batching changes no result: every feature and score is computed with the
 same floating-point operations as for a single placement (a category's
 attention entry is the least distance in the cone, which is the nearest
@@ -55,14 +59,7 @@ from typing import Protocol
 import numpy as np
 
 from .geometry import wrap_angle, wrap_angle_positive
-from .scene import (
-    HeightMap,
-    ObjectCategory,
-    OutOfRange,
-    Room,
-    height_maps,
-    support_heights,
-)
+from .scene import ObjectCategory, Room, height_map_grid, support_heights
 
 _EPS = 1e-9
 
@@ -85,6 +82,9 @@ GRID_YAW_COUNT = 24
 
 _COS_HALF_ATTENTION = math.cos(ATTENTION_HALF_ANGLE)
 _CATEGORY_COUNT = len(ObjectCategory)
+# offsets of the accommodation grid's valid cells from the subject
+_, _ACCOMMODATION_OX, _ACCOMMODATION_OZ = height_map_grid(ACCOMMODATION_RADIUS, ACCOMMODATION_CELL)
+ACCOMMODATION_CELLS = len(_ACCOMMODATION_OX)  # 81
 
 
 class NoFeasiblePlacement(RuntimeError):
@@ -124,19 +124,29 @@ class PartnerPose:
 class FeatureVector:
     """Context descriptor for one (position, yaw, pose) in one room.
 
-    `visual_attention` and `spatial` hold, per object category (indexed by
-    ``ObjectCategory.value``), the nearest matching object's distance, or
-    None when no such object was in range. A mapping from categories to
-    distances is accepted and converted. `interpersonal` is (local_x,
-    local_z, relative_yaw) of the partner, None when no partner is placed.
+    `pose_accommodation` holds the support heights at the accommodation
+    grid's ``ACCOMMODATION_CELLS`` valid cells in row-major order; any
+    sequence of that length is accepted as a float64 array, anything else
+    is rejected. `visual_attention` and `spatial` hold, per object category
+    (indexed by ``ObjectCategory.value``), the nearest matching object's
+    distance, or None when no such object was in range. A mapping from
+    categories to distances is accepted and converted. `interpersonal` is
+    (local_x, local_z, relative_yaw) of the partner, None when no partner
+    is placed.
     """
 
     interpersonal: tuple[float, float, float] | None
-    pose_accommodation: HeightMap
+    pose_accommodation: np.ndarray
     visual_attention: tuple[float | None, ...]
     spatial: tuple[float | None, ...]
 
     def __post_init__(self):
+        heights = np.asarray(self.pose_accommodation, dtype=float)
+        if heights.shape != (ACCOMMODATION_CELLS,):
+            raise ValueError(
+                f"pose_accommodation needs {ACCOMMODATION_CELLS} heights, got shape {heights.shape}"
+            )
+        object.__setattr__(self, "pose_accommodation", heights)
         for name in ("visual_attention", "spatial"):
             table = getattr(self, name)
             if type(table) is not tuple:
@@ -147,17 +157,12 @@ class FeatureVector:
             elif len(table) != _CATEGORY_COUNT:
                 raise ValueError(f"{name} needs {_CATEGORY_COUNT} entries, got {len(table)}")
 
-    @property
-    def valid_heights(self) -> np.ndarray:
-        """Heights at valid cells, flattened; cached by the height map."""
-        return self.pose_accommodation.valid_heights
-
     def __eq__(self, other):
         if not isinstance(other, FeatureVector):
             return NotImplemented
         return (
             self.interpersonal == other.interpersonal
-            and self.pose_accommodation == other.pose_accommodation
+            and np.array_equal(self.pose_accommodation, other.pose_accommodation)
             and self.visual_attention == other.visual_attention
             and self.spatial == other.spatial
         )
@@ -243,7 +248,7 @@ def default_similarity(a: FeatureVector, b: FeatureVector, cfg: ScorerConfig | N
     * interpersonal: offset distance plus absolute wrapped facing delta.
       Both absent counts as a perfect match (neither end has a partner);
       exactly one absent scores 0.
-    * accommodation: RMS height difference over valid cells.
+    * accommodation: RMS height difference over the accommodation cells.
     * attention and spatial: per-category ``exp(-|d_a - d_b| / falloff)``
       averaged over the union of categories; a category present on only one
       side contributes 0. An empty union scores 1.
@@ -253,7 +258,7 @@ def default_similarity(a: FeatureVector, b: FeatureVector, cfg: ScorerConfig | N
     w = cfg.weights
     return (
         w[0] * _interpersonal_term(a.interpersonal, b.interpersonal, cfg)
-        + w[1] * _height_term(a.valid_heights, b.valid_heights, cfg.sigma_height)
+        + w[1] * _height_term(a.pose_accommodation, b.pose_accommodation, cfg.sigma_height)
         + w[2] * _category_term(a.visual_attention, b.visual_attention, cfg.distance_falloff)
         + w[3] * _category_term(a.spatial, b.spatial, cfg.distance_falloff)
     )
@@ -269,14 +274,8 @@ def _interpersonal_term(a, b, cfg: ScorerConfig) -> float:
 
 
 def _height_term(ha: np.ndarray, hb: np.ndarray, sigma: float) -> float:
-    if ha.shape != hb.shape:
-        raise OutOfRange(
-            f"height maps are not comparable: {ha.shape[0]} vs {hb.shape[0]} valid cells"
-        )
-    if ha.size == 0:
-        return 1.0
     diff = ha - hb
-    rms = math.sqrt(math.fsum((diff * diff).tolist()) / diff.size)
+    rms = math.sqrt(math.fsum((diff * diff).tolist()) / ACCOMMODATION_CELLS)
     return math.exp(-rms / sigma)
 
 
@@ -305,20 +304,20 @@ class DefaultScorer:
         return default_similarity(target, candidate, self.config)
 
     def score_batch(self, target: FeatureVector, candidates: list[FeatureVector]) -> list[float]:
-        """``score`` for each candidate. A height map or spatial table that a
-        candidate shares with the one before it (a grid cell's yaws and
-        poses), and each distinct attention table, is compared with the
-        target once."""
+        """``score`` for each candidate. An accommodation row or spatial
+        table that a candidate shares with the one before it (a grid cell's
+        yaws and poses), and each distinct attention table, is compared with
+        the target once."""
         cfg = self.config
         w0, w1, w2, w3 = cfg.weights
         falloff = cfg.distance_falloff
-        hm = spatial = None
+        heights = spatial = None
         attention_terms: dict[tuple, float] = {}
         out = []
         for c in candidates:
-            if c.pose_accommodation is not hm:
-                hm = c.pose_accommodation
-                s_height = _height_term(target.valid_heights, c.valid_heights, cfg.sigma_height)
+            if c.pose_accommodation is not heights:
+                heights = c.pose_accommodation
+                s_height = _height_term(target.pose_accommodation, heights, cfg.sigma_height)
             if c.spatial is not spatial:
                 spatial = c.spatial
                 s_spatial = _category_term(target.spatial, spatial, falloff)
@@ -417,7 +416,12 @@ def _eye_height(pose: PlacementPose) -> float:
     return EYE_HEIGHT_STANDING if pose is PlacementPose.Standing else EYE_HEIGHT_SITTING
 
 
-def _candidate(interpersonal, accommodation: HeightMap, attention: tuple, spatial: tuple) -> FeatureVector:
+def _accommodation_at(room: Room, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """One accommodation row per position (xs[i], zs[i]), in one broadcast."""
+    return support_heights(room, xs[:, None] + _ACCOMMODATION_OX, zs[:, None] + _ACCOMMODATION_OZ)
+
+
+def _candidate(interpersonal, accommodation: np.ndarray, attention: tuple, spatial: tuple) -> FeatureVector:
     """A FeatureVector from tables the search built in vector form, without
     ``__post_init__``'s conversion and checks."""
     fv = object.__new__(FeatureVector)
@@ -429,18 +433,18 @@ def _candidate(interpersonal, accommodation: HeightMap, attention: tuple, spatia
 def _features_at(room: Room, xs: list[float], zs: list[float], yaws: list[float], pose: PlacementPose,
                  partner: PartnerPose | None) -> list[FeatureVector]:
     """Feature vectors of a batch of placements sharing one pose; their
-    height maps come from one broadcast and their attention tables from
-    another."""
-    centers = np.column_stack((xs, np.zeros(len(xs)), zs))
-    maps = height_maps(room, centers, ACCOMMODATION_RADIUS, ACCOMMODATION_CELL)
+    accommodation heights come from one broadcast and their attention
+    tables from another."""
+    cx, cz = np.array(xs, dtype=float), np.array(zs, dtype=float)
+    heights = _accommodation_at(room, cx, cz)
     attention = _attention_at(
-        room, centers[:, 0], centers[:, 2],
+        room, cx, cz,
         np.array([math.sin(yaw) for yaw in yaws]), np.array([math.cos(yaw) for yaw in yaws]),
         _eye_height(pose),
     )
     return [
-        _candidate(_interpersonal(x, z, yaw, partner), hm, table, _spatial(room, x, z))
-        for x, z, yaw, hm, table in zip(xs, zs, yaws, maps, attention)
+        _candidate(_interpersonal(x, z, yaw, partner), row, table, _spatial(room, x, z))
+        for x, z, yaw, row, table in zip(xs, zs, yaws, heights, attention)
     ]
 
 
@@ -566,10 +570,10 @@ def grid_search(
     Candidates are every (cell center, yaw, pose) triple; infeasible ones
     are skipped. Ties resolve to the lowest (x, z, yaw, pose) grid index,
     with Standing before Sitting: the first best in scan order wins. The
-    scan goes one grid column (one x) at a time: the column's height maps,
-    and per pose its attention tables at every yaw, come from one broadcast
-    each. Each cell's candidates share its height map and spatial table and
-    are scored as one batch.
+    scan goes one grid column (one x) at a time: the column's accommodation
+    heights, and per pose its attention tables at every yaw, come from one
+    broadcast each. Each cell's candidates share its accommodation row and
+    spatial table and are scored as one batch.
     """
     if scorer is None:
         scorer = DefaultScorer()
@@ -597,8 +601,7 @@ def grid_search(
             continue
         cz = np.array([z for z, _ in cells])
         cx = np.full(len(cells), x)
-        maps = height_maps(room, np.column_stack((cx, np.zeros(len(cells)), cz)),
-                           ACCOMMODATION_RADIUS, ACCOMMODATION_CELL)
+        heights = _accommodation_at(room, cx, cz)
         # per pose, the attention tables of its cells at every yaw
         attention = {}
         for pose in _POSES:
@@ -609,7 +612,7 @@ def grid_search(
                 for r, k in enumerate(rows):
                     attention[k, pose] = tables[r * len(yaws):(r + 1) * len(yaws)]
         for k, (z, poses) in enumerate(cells):
-            accommodation = maps[k]
+            accommodation = heights[k]
             spatial = _spatial(room, x, z)
             candidates = []
             placements = []
@@ -776,10 +779,6 @@ class PlacementResult:
     pso_evaluated: int
     grid_time_s: float
     pso_time_s: float
-
-    @property
-    def total_time_s(self) -> float:
-        return self.grid_time_s + self.pso_time_s
 
 
 def find_placement(

@@ -9,6 +9,38 @@ PoseUpdate; exactly one PoseUpdate exists per live tick. State and target
 messages are sent only when their content changes. Ticks never decrease; a
 regression closes the session.
 
+Every message has one fixed layout. Each payload starts with a fixed part,
+packed with one precompiled ``struct.Struct``; a blob is a u16 length and
+that many bytes, and a category table is a u8 count and that many
+(u8 category code, f32 distance) pairs in strictly ascending code order.
+
+=================  ==========================================  ==============
+message            payload fields, in order                    struct format
+=================  ==========================================  ==============
+Hello              app version u16, room hash u64, 13          ``<HQ13f``
+                   skeleton floats
+PoseUpdate         tick u32, 42 pose floats, finger blob       ``<I42fH`` +
+                   length u16; then the finger bytes           bytes
+StateChange        tick u32, user state code u8                ``<IB``
+TargetUpdate       tick u32, effector code u8, active u8,      ``<IBBH`` +
+                   object id length u16; then the UTF-8        bytes + ``<3f``
+                   object id and u, v, w
+PlacementAnnounce  tick u32, x, z, yaw, placement pose u8      ``<I3fB``
+FeaturePacket      tick u32, has-interpersonal u8; then (if    ``<IB`` +
+                   set) local x, local z, relative yaw; the    [``<3f``] +
+                   81 accommodation heights; the attention     ``<81f`` + two
+                   table; the spatial table                    tables
+Bye                (empty)
+=================  ==========================================  ==============
+
+The pose is root (world), head, left hand, right hand, left foot, right
+foot (root-relative), each as x, y, z, qw, qx, qy, qz. The accommodation
+heights are ``placement``'s fixed-grid vector, so a packet cannot describe
+any other grid. Decoding reads only inside the declared payload: a payload
+that ends inside a field, leaves bytes unread, or holds an unknown code or
+invalid UTF-8 is a ProtocolError, and only a buffer that ends before the
+frame's declared end raises Truncated.
+
 Messages carry plain Python floats, tuples, and bytes so equality and
 hashing behave normally; the one structured payload is FeaturePacket, which
 carries a placement FeatureVector. Values are rounded to f32 on encode, so
@@ -23,17 +55,30 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .placement import FeatureVector, PlacementPose
-from .scene import HeightMap, ObjectCategory
+from .placement import ACCOMMODATION_CELLS, FeatureVector, PlacementPose
+from .scene import ObjectCategory
 from .states import Effector, UserState
 
 MAGIC = b"TD"
-WIRE_VERSION = 1
+# 2: a FeaturePacket carries the accommodation feature as its 81 heights
+# instead of a whole height map
+WIRE_VERSION = 2
 HEADER = struct.Struct("<2sBBI")
 
 SKELETON_FLOATS = 13
+POSE_FLOATS = 42
+
+# the fixed part of each payload; POSE also quantizes the sender's pose
+POSE = struct.Struct(f"<I{POSE_FLOATS}fH")
+_HELLO = struct.Struct(f"<HQ{SKELETON_FLOATS}f")
+_STATE = struct.Struct("<IB")
+_TARGET = struct.Struct("<IBBH")
+_ANNOUNCE = struct.Struct("<I3fB")
+_FEATURE = struct.Struct("<IB")
+_VEC3 = struct.Struct("<3f")
+_HEIGHTS = struct.Struct(f"<{ACCOMMODATION_CELLS}f")
+_COUNT = struct.Struct("<B")
+_CATEGORY = struct.Struct("<Bf")
 
 
 class ProtocolError(ValueError):
@@ -41,7 +86,7 @@ class ProtocolError(ValueError):
 
 
 class Truncated(ProtocolError):
-    """A frame or payload ended before its declared content."""
+    """The buffer ended before the frame's declared end."""
 
 
 class TickRegression(ProtocolError):
@@ -68,21 +113,6 @@ class MsgType(Enum):
 
 
 @dataclass(frozen=True)
-class WireTransform:
-    position: tuple[float, float, float]
-    orientation: tuple[float, float, float, float]
-
-    def __post_init__(self):
-        try:
-            px, py, pz = self.position
-            qw, qx, qy, qz = self.orientation
-        except ValueError:
-            raise ProtocolError("transform needs 3 position and 4 orientation floats") from None
-        object.__setattr__(self, "position", (float(px), float(py), float(pz)))
-        object.__setattr__(self, "orientation", (float(qw), float(qx), float(qy), float(qz)))
-
-
-@dataclass(frozen=True)
 class Hello:
     app_version: int
     room_hash: int
@@ -96,16 +126,18 @@ class Hello:
 
 @dataclass(frozen=True)
 class PoseUpdate:
-    """One tick of tracked motion: world root, root-relative effectors."""
+    """One tick of tracked motion: 42 floats, the world root and then the
+    head, left hand, right hand, left foot and right foot relative to the
+    root, each as x, y, z, qw, qx, qy, qz."""
 
     tick: int
-    root: WireTransform
-    head: WireTransform
-    left_hand: WireTransform
-    right_hand: WireTransform
-    left_foot: WireTransform
-    right_foot: WireTransform
+    values: tuple[float, ...]
     fingers: bytes = b""
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
+        if len(self.values) != POSE_FLOATS:
+            raise ProtocolError(f"pose must be {POSE_FLOATS} floats, got {len(self.values)}")
 
 
 @dataclass(frozen=True)
@@ -156,210 +188,137 @@ Message = Hello | PoseUpdate | StateChange | TargetUpdate | PlacementAnnounce | 
 
 # --- encoding ---------------------------------------------------------------
 
-class _Writer:
-    __slots__ = ("parts",)
-
-    def __init__(self):
-        self.parts: list[bytes] = []
-
-    def u8(self, v: int):
-        self.parts.append(struct.pack("<B", v))
-
-    def u16(self, v: int):
-        self.parts.append(struct.pack("<H", v))
-
-    def u32(self, v: int):
-        self.parts.append(struct.pack("<I", v))
-
-    def u64(self, v: int):
-        self.parts.append(struct.pack("<Q", v))
-
-    def f(self, *vals: float):
-        self.parts.append(struct.pack(f"<{len(vals)}f", *vals))
-
-    def blob(self, data: bytes):
-        if len(data) > 0xFFFF:
-            raise ProtocolError(f"blob too long for u16 length: {len(data)}")
-        self.u16(len(data))
-        self.parts.append(bytes(data))
-
-    def text(self, s: str):
-        self.blob(s.encode("utf-8"))
-
-    def transform(self, t: WireTransform):
-        self.f(*t.position, *t.orientation)
-
-    def payload(self) -> bytes:
-        return b"".join(self.parts)
+def _blob(data: bytes) -> bytes:
+    if len(data) > 0xFFFF:
+        raise ProtocolError(f"blob too long for u16 length: {len(data)}")
+    return data
 
 
-class _Reader:
-    __slots__ = ("buf", "pos", "end")
-
-    def __init__(self, buf, pos: int, end: int):
-        self.buf = buf
-        self.pos = pos
-        self.end = end
-
-    def _take(self, n: int) -> int:
-        p = self.pos
-        if p + n > self.end:
-            raise Truncated(f"payload needs {n} more bytes at offset {p}")
-        self.pos = p + n
-        return p
-
-    def u8(self) -> int:
-        return self.buf[self._take(1)]
-
-    def u16(self) -> int:
-        p = self._take(2)
-        return struct.unpack_from("<H", self.buf, p)[0]
-
-    def u32(self) -> int:
-        p = self._take(4)
-        return struct.unpack_from("<I", self.buf, p)[0]
-
-    def u64(self) -> int:
-        p = self._take(8)
-        return struct.unpack_from("<Q", self.buf, p)[0]
-
-    def f(self, n: int) -> tuple[float, ...]:
-        p = self._take(4 * n)
-        return struct.unpack_from(f"<{n}f", self.buf, p)
-
-    def blob(self) -> bytes:
-        n = self.u16()
-        p = self._take(n)
-        return bytes(self.buf[p:p + n])
-
-    def text(self) -> str:
-        return self.blob().decode("utf-8")
-
-    def transform(self) -> WireTransform:
-        vals = self.f(7)
-        return WireTransform(position=vals[0:3], orientation=vals[3:7])
-
-    def done(self) -> bool:
-        return self.pos == self.end
-
-
-def _encode_heightmap(w: _Writer, hm: HeightMap) -> None:
-    half_n = hm.half_n
-    if half_n > 0xFF:
-        raise ProtocolError(f"height map too large for the wire: half_n={half_n}")
-    w.f(float(hm.center[0]), float(hm.center[1]), float(hm.center[2]))
-    w.f(hm.radius, hm.cell_size)
-    w.u8(half_n)
-    # the cell count cannot be re-derived from f32 radius/cell (rounding can
-    # change floor(radius/cell)), so the grid size and validity travel too
-    side = 2 * half_n + 1
-    flat_valid = np.asarray(hm.valid, dtype=bool).reshape(-1)
-    bitmap = bytearray((side * side + 7) // 8)
-    for i, v in enumerate(flat_valid):
-        if v:
-            bitmap[i >> 3] |= 1 << (i & 7)
-    w.parts.append(bytes(bitmap))
-    w.f(*(float(h) for h in np.asarray(hm.heights, dtype=float).reshape(-1)))
-
-
-def _decode_heightmap(r: _Reader) -> HeightMap:
-    cx, cy, cz = r.f(3)
-    radius, cell = r.f(2)
-    half_n = r.u8()
-    side = 2 * half_n + 1
-    count = side * side
-    nbytes = (count + 7) // 8
-    p = r._take(nbytes)
-    bitmap = r.buf[p:p + nbytes]
-    valid = np.array(
-        [bool(bitmap[i >> 3] & (1 << (i & 7))) for i in range(count)], dtype=bool
-    ).reshape(side, side)
-    heights = np.array(r.f(count), dtype=float).reshape(side, side)
-    return HeightMap(
-        center=np.array([cx, cy, cz]), radius=radius, cell_size=cell,
-        heights=heights, valid=valid,
-    )
-
-
-def _encode_categories(w: _Writer, table: tuple[float | None, ...]) -> None:
+def _encode_categories(table: tuple[float | None, ...]) -> bytes:
     present = [(code, dist) for code, dist in enumerate(table) if dist is not None]
-    w.u8(len(present))
-    for code, dist in present:
-        w.u8(code)
-        w.f(float(dist))
+    return _COUNT.pack(len(present)) + b"".join(_CATEGORY.pack(code, dist) for code, dist in present)
 
 
-def _decode_categories(r: _Reader) -> tuple[float | None, ...]:
-    """A category table; codes must be known and strictly ascending, so each
-    table has exactly one encoding."""
+def encode_frame(msg: Message) -> bytes:
+    if isinstance(msg, PoseUpdate):
+        code = MsgType.PoseUpdate
+        fingers = _blob(msg.fingers)
+        payload = POSE.pack(msg.tick, *msg.values, len(fingers)) + fingers
+    elif isinstance(msg, Hello):
+        code = MsgType.Hello
+        payload = _HELLO.pack(msg.app_version, msg.room_hash, *msg.skeleton)
+    elif isinstance(msg, StateChange):
+        code = MsgType.StateChange
+        payload = _STATE.pack(msg.tick, msg.state.value)
+    elif isinstance(msg, TargetUpdate):
+        code = MsgType.TargetUpdate
+        oid = _blob(msg.object_id.encode("utf-8"))
+        payload = (_TARGET.pack(msg.tick, msg.effector.value, 1 if msg.active else 0, len(oid))
+                   + oid + _VEC3.pack(*msg.uvw))
+    elif isinstance(msg, PlacementAnnounce):
+        code = MsgType.PlacementAnnounce
+        payload = _ANNOUNCE.pack(msg.tick, msg.x, msg.z, msg.yaw, msg.pose.value)
+    elif isinstance(msg, FeaturePacket):
+        code = MsgType.FeaturePacket
+        fv = msg.features
+        inter = fv.interpersonal
+        payload = b"".join((
+            _FEATURE.pack(msg.tick, 0 if inter is None else 1),
+            b"" if inter is None else _VEC3.pack(*inter),
+            _HEIGHTS.pack(*fv.pose_accommodation.tolist()),
+            _encode_categories(fv.visual_attention),
+            _encode_categories(fv.spatial),
+        ))
+    elif isinstance(msg, Bye):
+        code = MsgType.Bye
+        payload = b""
+    else:
+        raise ProtocolError(f"cannot encode {type(msg).__name__}")
+    return HEADER.pack(MAGIC, WIRE_VERSION, code.value, len(payload)) + payload
+
+
+# --- decoding ---------------------------------------------------------------
+
+def _enum(cls, code: int, what: str):
+    try:
+        return cls(code)
+    except ValueError:
+        raise ProtocolError(f"unknown {what} code {code}") from None
+
+
+def _bytes(p, at: int, n: int) -> bytes:
+    if at + n > len(p):
+        raise ProtocolError(f"a {n}-byte blob at offset {at} overruns the {len(p)}-byte payload")
+    return bytes(p[at:at + n])
+
+
+def _decode_categories(p, at: int) -> tuple[tuple[float | None, ...], int]:
+    """A category table and the offset after it; codes must be known and
+    strictly ascending, so each table has exactly one encoding."""
     out: list[float | None] = [None] * len(ObjectCategory)
+    (count,) = _COUNT.unpack_from(p, at)
+    at += _COUNT.size
     last = -1
-    for _ in range(r.u8()):
-        code = r.u8()
+    for _ in range(count):
+        code, dist = _CATEGORY.unpack_from(p, at)
+        at += _CATEGORY.size
         if code >= len(out):
             raise ProtocolError(f"unknown object category code {code}")
         if code <= last:
             raise ProtocolError(f"category code {code} after {last}: codes must be strictly ascending")
         last = code
-        out[code] = r.f(1)[0]
-    return tuple(out)
+        out[code] = dist
+    return tuple(out), at
 
 
-def encode_frame(msg: Message) -> bytes:
-    w = _Writer()
-    if isinstance(msg, Hello):
-        code = MsgType.Hello
-        w.u16(msg.app_version)
-        w.u64(msg.room_hash)
-        w.f(*msg.skeleton)
-    elif isinstance(msg, PoseUpdate):
-        code = MsgType.PoseUpdate
-        w.u32(msg.tick)
-        for t in (msg.root, msg.head, msg.left_hand, msg.right_hand,
-                  msg.left_foot, msg.right_foot):
-            w.transform(t)
-        w.blob(msg.fingers)
-    elif isinstance(msg, StateChange):
-        code = MsgType.StateChange
-        w.u32(msg.tick)
-        w.u8(msg.state.value)
-    elif isinstance(msg, TargetUpdate):
-        code = MsgType.TargetUpdate
-        w.u32(msg.tick)
-        w.u8(msg.effector.value)
-        w.u8(1 if msg.active else 0)
-        w.text(msg.object_id)
-        w.f(*msg.uvw)
-    elif isinstance(msg, PlacementAnnounce):
-        code = MsgType.PlacementAnnounce
-        w.u32(msg.tick)
-        w.f(msg.x, msg.z, msg.yaw)
-        w.u8(msg.pose.value)
-    elif isinstance(msg, FeaturePacket):
-        code = MsgType.FeaturePacket
-        w.u32(msg.tick)
-        fv = msg.features
-        if fv.interpersonal is None:
-            w.u8(0)
-        else:
-            w.u8(1)
-            w.f(*fv.interpersonal)
-        _encode_heightmap(w, fv.pose_accommodation)
-        _encode_categories(w, fv.visual_attention)
-        _encode_categories(w, fv.spatial)
-    elif isinstance(msg, Bye):
-        code = MsgType.Bye
-    else:
-        raise ProtocolError(f"cannot encode {type(msg).__name__}")
-    payload = w.payload()
-    return HEADER.pack(MAGIC, WIRE_VERSION, code.value, len(payload)) + payload
+def _decode_payload(mtype: MsgType, p) -> tuple[Message, int]:
+    """The message in payload `p` and the number of bytes it used."""
+    if mtype is MsgType.PoseUpdate:
+        v = POSE.unpack_from(p)
+        return PoseUpdate(v[0], v[1:-1], _bytes(p, POSE.size, v[-1])), POSE.size + v[-1]
+    if mtype is MsgType.Hello:
+        v = _HELLO.unpack_from(p)
+        return Hello(app_version=v[0], room_hash=v[1], skeleton=v[2:]), _HELLO.size
+    if mtype is MsgType.StateChange:
+        tick, code = _STATE.unpack_from(p)
+        return StateChange(tick=tick, state=_enum(UserState, code, "user state")), _STATE.size
+    if mtype is MsgType.TargetUpdate:
+        tick, eff_code, active, n = _TARGET.unpack_from(p)
+        effector = _enum(Effector, eff_code, "effector")
+        try:
+            object_id = _bytes(p, _TARGET.size, n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ProtocolError("target object id is not valid UTF-8") from None
+        at = _TARGET.size + n
+        return TargetUpdate(tick=tick, effector=effector, active=active != 0, object_id=object_id,
+                            uvw=_VEC3.unpack_from(p, at)), at + _VEC3.size
+    if mtype is MsgType.PlacementAnnounce:
+        tick, x, z, yaw, code = _ANNOUNCE.unpack_from(p)
+        pose = _enum(PlacementPose, code, "pose")
+        return PlacementAnnounce(tick=tick, x=x, z=z, yaw=yaw, pose=pose), _ANNOUNCE.size
+    if mtype is MsgType.FeaturePacket:
+        tick, has_inter = _FEATURE.unpack_from(p)
+        at = _FEATURE.size
+        inter = None
+        if has_inter:
+            inter = _VEC3.unpack_from(p, at)
+            at += _VEC3.size
+        heights = _HEIGHTS.unpack_from(p, at)
+        attention, at = _decode_categories(p, at + _HEIGHTS.size)
+        spatial, at = _decode_categories(p, at)
+        return FeaturePacket(tick=tick, features=FeatureVector(
+            interpersonal=inter, pose_accommodation=heights,
+            visual_attention=attention, spatial=spatial,
+        )), at
+    return Bye(), 0
 
 
 def decode_frame(buf, offset: int = 0) -> tuple[Message, int]:
     """Decode one frame; returns (message, offset just past the frame).
 
-    Raises Truncated when the buffer ends mid-frame and ProtocolError for
-    malformed content (bad magic, unknown type, payload size mismatch).
+    Raises Truncated when the buffer ends before the frame's declared end,
+    and ProtocolError for malformed content (bad magic, version or type, a
+    payload that does not match its message's layout).
     """
     if offset + HEADER.size > len(buf):
         raise Truncated(f"frame header needs {HEADER.size} bytes at offset {offset}")
@@ -372,65 +331,13 @@ def decode_frame(buf, offset: int = 0) -> tuple[Message, int]:
     end = start + length
     if end > len(buf):
         raise Truncated(f"frame payload needs {length} bytes at offset {start}")
+    mtype = _enum(MsgType, type_code, "message type")
     try:
-        mtype = MsgType(type_code)
-    except ValueError:
-        raise ProtocolError(f"unknown message type {type_code}") from None
-
-    r = _Reader(buf, start, end)
-    msg: Message
-    if mtype is MsgType.Hello:
-        app_version = r.u16()
-        room_hash = r.u64()
-        msg = Hello(app_version=app_version, room_hash=room_hash, skeleton=r.f(SKELETON_FLOATS))
-    elif mtype is MsgType.PoseUpdate:
-        tick = r.u32()
-        parts = [r.transform() for _ in range(6)]
-        msg = PoseUpdate(tick, *parts, fingers=r.blob())
-    elif mtype is MsgType.StateChange:
-        tick = r.u32()
-        code = r.u8()
-        try:
-            state = UserState(code)
-        except ValueError:
-            raise ProtocolError(f"unknown user state code {code}") from None
-        msg = StateChange(tick=tick, state=state)
-    elif mtype is MsgType.TargetUpdate:
-        tick = r.u32()
-        eff_code = r.u8()
-        try:
-            eff = Effector(eff_code)
-        except ValueError:
-            raise ProtocolError(f"unknown effector code {eff_code}") from None
-        active = r.u8() != 0
-        object_id = r.text()
-        msg = TargetUpdate(tick=tick, effector=eff, active=active,
-                           object_id=object_id, uvw=r.f(3))
-    elif mtype is MsgType.PlacementAnnounce:
-        tick = r.u32()
-        x, z, yaw = r.f(3)
-        pose_code = r.u8()
-        try:
-            pose = PlacementPose(pose_code)
-        except ValueError:
-            raise ProtocolError(f"unknown pose code {pose_code}") from None
-        msg = PlacementAnnounce(tick=tick, x=x, z=z, yaw=yaw, pose=pose)
-    elif mtype is MsgType.FeaturePacket:
-        tick = r.u32()
-        inter = tuple(r.f(3)) if r.u8() else None
-        hm = _decode_heightmap(r)
-        attention = _decode_categories(r)
-        spatial = _decode_categories(r)
-        msg = FeaturePacket(tick=tick, features=FeatureVector(
-            interpersonal=inter, pose_accommodation=hm,
-            visual_attention=attention, spatial=spatial,
-        ))
-    else:
-        msg = Bye()
-    if not r.done():
-        raise ProtocolError(
-            f"{mtype.name} payload has {end - r.pos} unread bytes"
-        )
+        msg, used = _decode_payload(mtype, buf[start:end])
+    except struct.error:
+        raise ProtocolError(f"{mtype.name} payload of {length} bytes ends inside a field") from None
+    if used != length:
+        raise ProtocolError(f"{mtype.name} payload has {length - used} unread bytes")
     return msg, end
 
 
@@ -563,8 +470,9 @@ class Session:
     def feed(self, data: bytes) -> list[Message]:
         """Consume stream bytes; returns the complete messages they finish.
 
-        Partial frames are buffered for the next call. Contract violations
-        raise (TickRegression for backwards ticks) and close the session.
+        Partial frames are buffered for the next call. A malformed frame or
+        a contract violation raises ProtocolError (TickRegression for
+        backwards ticks) and closes the session.
         """
         if self.phase is Phase.Closed:
             return []

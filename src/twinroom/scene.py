@@ -353,16 +353,6 @@ class HeightMap:
     def half_n(self) -> int:
         return (self.heights.shape[0] - 1) // 2
 
-    @property
-    def valid_heights(self) -> np.ndarray:
-        """Heights at valid cells, flattened in row-major order; cached for
-        repeated scoring."""
-        cached = getattr(self, "_valid_heights", None)
-        if cached is None:
-            cached = self.heights[self.valid]
-            object.__setattr__(self, "_valid_heights", cached)
-        return cached
-
 
 # --- loading ----------------------------------------------------------------
 
@@ -636,49 +626,27 @@ def support_heights(room: Room, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return np.maximum(heights, 0.0).reshape(xs.shape)
 
 
-def _height_map_grid(radius: float, cell_size: float):
-    """Constant sample-offset arrays for one (radius, cell_size), cached: the
-    map is recomputed thousands of times per placement search. The offsets
-    cover the valid cells only, in row-major order."""
-    key = (radius, cell_size)
-    cached = _HM_GRIDS.get(key)
-    if cached is None:
-        n = int(math.floor(radius / cell_size + _EPS))
-        side = 2 * n + 1
-        offs = (np.arange(side) - n) * cell_size
-        valid = np.sqrt(offs[:, None] ** 2 + offs[None, :] ** 2) <= radius + _EPS
-        flat_valid = valid.reshape(-1)
-        ox = offs[:, None].repeat(side, axis=1).reshape(-1)[flat_valid]
-        oz = offs[None, :].repeat(side, axis=0).reshape(-1)[flat_valid]
-        for a in (valid, flat_valid, ox, oz):  # shared across every map of this geometry
-            a.setflags(write=False)
-        cached = (side, valid, flat_valid, ox, oz)
-        _HM_GRIDS[key] = cached
-    return cached
-
-
-_HM_GRIDS: dict[tuple[float, float], tuple] = {}
-
-
-def height_maps(room: Room, centers, radius: float, cell_size: float) -> list[HeightMap]:
-    """One height map per row of ``centers`` (an (m, 3) array), all sampled
-    in one broadcast; invalid cells are never sampled, and each map's valid
-    heights are its row of that broadcast."""
-    if not (radius > 0.0 and cell_size > 0.0):
-        raise OutOfRange(f"radius and cell_size must be positive, got {radius}, {cell_size}")
-    radius, cell_size = float(radius), float(cell_size)
-    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
-    side, valid, flat_valid, ox, oz = _height_map_grid(radius, cell_size)
-    sampled = support_heights(room, centers[:, :1] + ox, centers[:, 2:] + oz)
-    heights = np.zeros((len(centers), side * side))
-    heights[:, flat_valid] = sampled
-    maps = []
-    for c, h, row in zip(centers, heights.reshape(-1, side, side), sampled):
-        hm = HeightMap(center=c, radius=radius, cell_size=cell_size, heights=h, valid=valid)
-        object.__setattr__(hm, "_valid_heights", row)
-        maps.append(hm)
-    return maps
+def height_map_grid(radius: float, cell_size: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A height map's validity mask and its valid cells' (x, z) offsets from
+    the center, in row-major order."""
+    n = int(math.floor(radius / cell_size + _EPS))
+    side = 2 * n + 1
+    offs = (np.arange(side) - n) * cell_size
+    valid = np.sqrt(offs[:, None] ** 2 + offs[None, :] ** 2) <= radius + _EPS
+    flat_valid = valid.reshape(-1)
+    ox = offs[:, None].repeat(side, axis=1).reshape(-1)[flat_valid]
+    oz = offs[None, :].repeat(side, axis=0).reshape(-1)[flat_valid]
+    return valid, ox, oz
 
 
 def height_map(room: Room, center, radius: float, cell_size: float) -> HeightMap:
-    return height_maps(room, center, radius, cell_size)[0]
+    """The height map around ``center`` (x, y, z); invalid cells are never
+    sampled."""
+    if not (radius > 0.0 and cell_size > 0.0):
+        raise OutOfRange(f"radius and cell_size must be positive, got {radius}, {cell_size}")
+    radius, cell_size = float(radius), float(cell_size)
+    center = np.asarray(center, dtype=float).reshape(3)
+    valid, ox, oz = height_map_grid(radius, cell_size)
+    heights = np.zeros(valid.shape)
+    heights[valid] = support_heights(room, center[0] + ox, center[2] + oz)
+    return HeightMap(center=center, radius=radius, cell_size=cell_size, heights=heights, valid=valid)

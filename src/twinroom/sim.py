@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import struct
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -60,6 +59,7 @@ from .placement import (
     scorer_config_from_json,
 )
 from .protocol import (
+    POSE,
     FeaturePacket,
     Hello,
     Phase,
@@ -69,7 +69,6 @@ from .protocol import (
     Session,
     StateChange,
     TargetUpdate,
-    WireTransform,
     decode_all,
     f32,
 )
@@ -114,8 +113,9 @@ _PEER_CODE = {"a": 0, "b": 1}
 _OTHER = {"a": "b", "b": "a"}
 # 2: every reduction on the tick path is summed in a fixed order on floats,
 # which changed the last bits of some results; a version-1 transcript was
-# recorded with BLAS dot products and would not replay to the same report
-TRANSCRIPT_VERSION = 2
+# recorded with BLAS dot products and would not replay to the same report.
+# 3: wire version 2, whose FeaturePackets carry the 81 accommodation heights
+TRANSCRIPT_VERSION = 3
 REPORT_VERSION = 1
 
 
@@ -199,20 +199,18 @@ def _config_from_dict(cls, doc: dict):
 
 # --- wire/pose plumbing --------------------------------------------------------
 
-def _wire_to_transform(wt: WireTransform) -> Transform:
-    return Transform(position=wt.position, orientation=quat_normalize(wt.orientation))
-
-
-# root then the five effectors, each position (3) + orientation (4)
-_POSE_F32 = struct.Struct("<42f")
+def _wire_transform(values: tuple[float, ...], i: int) -> Transform:
+    """The wire pose's transform at float offset `i`, its quaternion
+    normalized."""
+    return Transform(position=values[i:i + 3], orientation=quat_normalize(values[i + 3:i + 7]))
 
 
 def pose_update_from_snapshot(snap, tick: int) -> PoseUpdate:
     """Quantize a trace snapshot into the wire pose: world root plus five
     root-relative effectors, every float already rounded to 32 bits so the
     sender computes with exactly what the receiver will see. Each snapshot
-    array is read once into floats; one pack and unpack of all 42 floats
-    rounds each exactly as `f32` does."""
+    array is read once into floats; one pack and unpack through the wire's
+    pose layout rounds each of the 42 exactly as `f32` does."""
     root_q = quat_normalize(snap.root.orientation.tolist())
     root = Transform(position=tuple(snap.root.position.tolist()), orientation=root_q)
     inv_q = quat_conj(root_q)
@@ -220,21 +218,16 @@ def pose_update_from_snapshot(snap, tick: int) -> PoseUpdate:
     for sample in (snap.head, snap.left_hand, snap.right_hand, snap.left_foot, snap.right_foot):
         floats += root.inverse_apply(sample.position.tolist())
         floats += quat_mul(inv_q, quat_normalize(sample.orientation.tolist()))
-    w = _POSE_F32.unpack(_POSE_F32.pack(*floats))
-    root_w, head, left_hand, right_hand, left_foot, right_foot = (
-        WireTransform(position=w[i:i + 3], orientation=w[i + 3:i + 7]) for i in range(0, 42, 7)
-    )
-    return PoseUpdate(tick=tick, root=root_w, head=head, left_hand=left_hand, right_hand=right_hand,
-                      left_foot=left_foot, right_foot=right_foot, fingers=snap.fingers)
+    w = POSE.unpack(POSE.pack(tick, *floats, 0))
+    return PoseUpdate(tick=tick, values=w[1:-1], fingers=snap.fingers)
 
 
 def _goals_of(pose: PoseUpdate) -> IkGoals:
     """The remote user's wire pose as transforms: the world root in their own
     room plus the five root-relative effectors."""
-    t = _wire_to_transform
-    return IkGoals(root=t(pose.root), head=t(pose.head), left_hand=t(pose.left_hand),
-                   right_hand=t(pose.right_hand), left_foot=t(pose.left_foot),
-                   right_foot=t(pose.right_foot), fingers=pose.fingers)
+    t, v = _wire_transform, pose.values
+    return IkGoals(root=t(v, 0), head=t(v, 7), left_hand=t(v, 14), right_hand=t(v, 21),
+                   left_foot=t(v, 28), right_foot=t(v, 35), fingers=pose.fingers)
 
 
 class LocalUser:
@@ -247,11 +240,11 @@ class LocalUser:
 
     @cached_property
     def root(self) -> Transform:
-        return _wire_to_transform(self.pose.root)
+        return _wire_transform(self.pose.values, 0)
 
     def head(self) -> tuple[float, float, float]:
         """World head position: what `PARTNER_HEAD_ID` resolves to."""
-        return self.root.apply(self.pose.head.position)
+        return self.root.apply(self.pose.values[7:10])
 
 
 @dataclass(frozen=True)
@@ -274,10 +267,10 @@ class AvatarHost:
     in, or replays would diverge from the live run.
     """
 
-    def __init__(self, room, config: SimConfig, scorer, owner_code: int):
+    def __init__(self, room, config: SimConfig, owner_code: int):
         self.room = room
         self.cfg = config
-        self.scorer = scorer if scorer is not None else DefaultScorer(config.scorer)
+        self.scorer = DefaultScorer(config.scorer)
         self.owner_code = owner_code  # seeds the per-episode search rng
         self.skeleton: Skeleton | None = None
         # the latest wire pose stays raw until the avatar is placed; from then
@@ -554,13 +547,12 @@ class AvatarDriver:
     `n + 1 + latency_ticks`, and animates nothing.
     """
 
-    def __init__(self, name: str, room, remote_room, skeleton: tuple[float, ...], config: SimConfig,
-                 scorer):
+    def __init__(self, name: str, room, remote_room, skeleton: tuple[float, ...], config: SimConfig):
         self.cfg = config
         self.dt = 1.0 / config.tick_rate
         self.session = Session(config.app_version, room_hash(room), skeleton)
         self.expected_remote_hash = room_hash(remote_room)
-        self.host = AvatarHost(room, config, scorer, owner_code=_PEER_CODE[_OTHER[name]])
+        self.host = AvatarHost(room, config, owner_code=_PEER_CODE[_OTHER[name]])
         self.inbox: dict[int, bytearray] = {}
         self.me: LocalUser | None = None
 
@@ -617,13 +609,13 @@ class AvatarDriver:
 class PeerRuntime:
     """One live endpoint: trace in, wire frames out, partner avatar hosted."""
 
-    def __init__(self, name: str, room, remote_room, trace: MotionTrace, config: SimConfig, scorer):
+    def __init__(self, name: str, room, remote_room, trace: MotionTrace, config: SimConfig):
         self.name = name
         self.room = room
         self.trace = trace
         self.cfg = config
         self.dt = 1.0 / config.tick_rate
-        self.driver = AvatarDriver(name, room, remote_room, trace.skeleton.to_floats(), config, scorer)
+        self.driver = AvatarDriver(name, room, remote_room, trace.skeleton.to_floats(), config)
         self.session = self.driver.session
         self.host = self.driver.host
         self.window = SpeedWindow(config.tick_rate, config.state.speed_window)
@@ -798,10 +790,11 @@ def _pad_trace(trace: MotionTrace, n: int) -> MotionTrace:
     return MotionTrace(tick_rate=trace.tick_rate, skeleton=trace.skeleton, snapshots=tuple(snaps))
 
 
-def run(room_a, room_b, trace_a, trace_b, config: SimConfig | None = None, scorer=None) -> SimResult:
+def run(room_a, room_b, trace_a, trace_b, config: SimConfig | None = None) -> SimResult:
     """Simulate both peers in lockstep over the full traces.
 
-    The shorter trace is padded by holding its final snapshot so the peers
+    Searches score with `DefaultScorer(config.scorer)`, as `replay` does:
+    the config is the one recorded way to change scoring. The shorter trace is padded by holding its final snapshot so the peers
     stay in lockstep. Returns the canonical report, the wire transcript, and
     per-search wall-clock timings.
     """
@@ -825,7 +818,7 @@ def run(room_a, room_b, trace_a, trace_b, config: SimConfig | None = None, score
     rooms = {"a": room_a, "b": room_b}
     traces = {"a": _pad_trace(trace_a, n), "b": _pad_trace(trace_b, n)}
     peers = {
-        name: PeerRuntime(name, rooms[name], rooms[_OTHER[name]], traces[name], config, scorer)
+        name: PeerRuntime(name, rooms[name], rooms[_OTHER[name]], traces[name], config)
         for name in ("a", "b")
     }
     lines = [_header_line(config, room_a, room_b, n)]
@@ -938,7 +931,7 @@ def _replay_peer(name: str, rooms, config: SimConfig, sends, n: int):
     if my_hello is None:
         raise ReplayDivergence(f"peer {name!r} sent no hello in the transcript")
 
-    driver = AvatarDriver(name, rooms[name], rooms[_OTHER[name]], my_hello.skeleton, config, None)
+    driver = AvatarDriver(name, rooms[name], rooms[_OTHER[name]], my_hello.skeleton, config)
     driver.session.hello_frame()  # mirror the live handshake; the bytes are already on record
     for tick, blob in sends[_OTHER[name]].items():
         driver.post(tick, bytes(blob))

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import FORWARD, dot, norm, quat_rotate
-from .scene import NormalizedHit, Ray, Room, denormalize_hit, normalize_hit, raycast
+from .scene import NormalizedHit, Ray, Room, normalize_hit, raycast
 
 
 class InsufficientSamples(ValueError):
@@ -443,8 +443,3 @@ def classify_state(
     if any(v is not None for v in targets.values()):
         return UserState.Interaction
     return UserState.Solo
-
-
-def target_world_point(room: Room, object_id: str, hit: NormalizedHit) -> tuple[float, float, float]:
-    """Convenience: a registered target's current world point in `room`."""
-    return denormalize_hit(room.object(object_id), hit)

@@ -16,6 +16,7 @@ from test_retarget import bone_lengths
 
 from twinroom.geometry import Transform, quat_from_yaw
 from twinroom.placement import (
+    ACCOMMODATION_CELLS,
     DefaultScorer,
     FeatureVector,
     GridConfig,
@@ -36,7 +37,6 @@ from twinroom.protocol import (
     PoseUpdate,
     StateChange,
     TargetUpdate,
-    WireTransform,
     decode_all,
     encode_frame,
     f32,
@@ -49,7 +49,7 @@ from twinroom.retarget import (
     avatar_tick,
     solve_full_body,
 )
-from twinroom.scene import HeightMap, ObjectCategory, denormalize_hit, load_room
+from twinroom.scene import ObjectCategory, denormalize_hit, load_room
 from twinroom.sim import SimConfig, pose_update_from_snapshot, replay, run
 from twinroom.sim import AvatarHost
 from twinroom.states import (
@@ -208,7 +208,7 @@ def test_04_pointing_lands_on_remote_screen():
         ],
     })
     config = SimConfig(retarget=RetargetConfig(elevation_offset=0.0))  # no aim lift
-    host = AvatarHost(remote_room, config, None, owner_code=0)
+    host = AvatarHost(remote_room, config, owner_code=0)
 
     uvw = (0.25, 0.5, 0.0)
     local_obj = local_room.by_id["screen_local"]
@@ -493,25 +493,10 @@ def random_message(rng):
         return f32(float(rng.uniform(lo, hi)))
 
     def transform():
-        return WireTransform(
-            position=(rf(), rf(), rf()),
-            orientation=(rf(-1, 1), rf(-1, 1), rf(-1, 1), rf(-1, 1)),
-        )
+        return (rf(), rf(), rf(), rf(-1, 1), rf(-1, 1), rf(-1, 1), rf(-1, 1))
 
-    def height_map():
-        half_n = int(rng.integers(0, 3))
-        side = 2 * half_n + 1
-        heights = np.array(
-            [[rf(0.0, 2.0) for _ in range(side)] for _ in range(side)], dtype=float
-        )
-        valid = rng.random((side, side)) < 0.8
-        return HeightMap(
-            center=np.array([rf(-5, 5), rf(0, 2), rf(-5, 5)]),
-            radius=rf(0.1, 2.0),
-            cell_size=rf(0.05, 0.5),
-            heights=heights,
-            valid=valid,
-        )
+    def accommodation():
+        return [rf(0.0, 2.0) for _ in range(ACCOMMODATION_CELLS)]
 
     def categories():
         picks = [c for c in ObjectCategory if rng.random() < 0.4]
@@ -521,9 +506,7 @@ def random_message(rng):
     tick = int(rng.integers(0, 2**31))
     if kind < 0.40:
         return PoseUpdate(
-            tick=tick, root=transform(), head=transform(),
-            left_hand=transform(), right_hand=transform(),
-            left_foot=transform(), right_foot=transform(),
+            tick=tick, values=sum((transform() for _ in range(6)), ()),
             fingers=bytes(rng.integers(0, 256, size=int(rng.integers(0, 9)), dtype=np.uint8)),
         )
     if kind < 0.55:
@@ -553,7 +536,7 @@ def random_message(rng):
             tick=tick,
             features=FeatureVector(
                 interpersonal=inter,
-                pose_accommodation=height_map(),
+                pose_accommodation=accommodation(),
                 visual_attention=categories(),
                 spatial=categories(),
             ),

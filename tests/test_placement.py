@@ -11,6 +11,7 @@ from twinroom import placement as placement_module
 from twinroom.geometry import wrap_angle
 from twinroom.placement import (
     ACCOMMODATION_CELL,
+    ACCOMMODATION_CELLS,
     ACCOMMODATION_RADIUS,
     ATTENTION_HALF_ANGLE,
     EYE_HEIGHT_SITTING,
@@ -35,9 +36,7 @@ from twinroom.placement import (
     scorer_config_from_json,
 )
 from twinroom.scene import (
-    HeightMap,
     ObjectCategory,
-    OutOfRange,
     height_map,
     load_room,
     objects_in_fov,
@@ -330,7 +329,6 @@ def test_find_placement_combines_and_reports_consistently():
     )
     assert result.score >= result.grid_score
     assert result.grid_time_s >= 0 and result.pso_time_s >= 0
-    assert result.total_time_s == result.grid_time_s + result.pso_time_s
     again = find_placement(
         room,
         target,
@@ -496,18 +494,10 @@ def test_fully_blocked_room_raises_and_sittable_platform_rescues():
 # --- scorer ------------------------------------------------------------------
 
 
-def make_hm(heights):
-    h = np.asarray(heights, dtype=float)
-    valid = np.ones_like(h, dtype=bool)
-    return HeightMap(
-        center=np.zeros(3), radius=0.5, cell_size=0.1, heights=h, valid=valid
-    )
-
-
-def fv(inter=None, hm=None, attention=None, spatial=None):
+def fv(inter=None, heights=None, attention=None, spatial=None):
     return FeatureVector(
         interpersonal=inter,
-        pose_accommodation=make_hm(np.zeros((3, 3))) if hm is None else hm,
+        pose_accommodation=np.zeros(ACCOMMODATION_CELLS) if heights is None else heights,
         visual_attention=attention or {},
         spatial=spatial or {},
     )
@@ -516,7 +506,7 @@ def fv(inter=None, hm=None, attention=None, spatial=None):
 def test_identical_features_score_one():
     a = fv(
         inter=(1.0, 2.0, 0.5),
-        hm=make_hm([[0.1, 0.2], [0.3, 0.4]]),
+        heights=np.linspace(0.1, 0.4, ACCOMMODATION_CELLS),
         attention={ObjectCategory.Screen: 2.0},
         spatial={ObjectCategory.Table: 1.0},
     )
@@ -550,19 +540,19 @@ def test_interpersonal_term_closed_forms():
 
 def test_height_term_is_rms_based():
     cfg = ScorerConfig()
-    a = fv(hm=make_hm(np.zeros((3, 3))))
-    b = fv(hm=make_hm(np.full((3, 3), 0.3)))
+    a = fv(heights=np.zeros(ACCOMMODATION_CELLS))
+    b = fv(heights=np.full(ACCOMMODATION_CELLS, 0.3))
     # rms difference 0.3 with sigma 0.3: that quarter contributes exp(-1)
     assert default_similarity(a, b, cfg) == pytest.approx(
         0.75 + 0.25 * math.exp(-1.0), abs=1e-12
     )
 
 
-def test_mismatched_height_maps_are_rejected():
-    a = fv(hm=make_hm(np.zeros((3, 3))))
-    b = fv(hm=make_hm(np.zeros((5, 5))))
-    with pytest.raises(OutOfRange):
-        default_similarity(a, b)
+def test_wrong_length_accommodation_vector_is_rejected():
+    assert fv(heights=[0.5] * ACCOMMODATION_CELLS).pose_accommodation.dtype == np.float64
+    for bad in ([], np.zeros(ACCOMMODATION_CELLS - 1), np.zeros(ACCOMMODATION_CELLS + 1), np.zeros((9, 9))):
+        with pytest.raises(ValueError, match=f"{ACCOMMODATION_CELLS} heights"):
+            fv(heights=bad)
 
 
 def test_category_term_closed_forms():
@@ -661,7 +651,7 @@ def test_attention_is_nearest_per_category_in_the_fov():
             for oid, dist in objects_in_fov(room, (p.x, eye_h, p.z), forward, math.radians(20.0)):
                 want.setdefault(room.by_id[oid].category, dist)
             assert extract_features(room, p).visual_attention == FeatureVector(
-                None, make_hm(np.zeros((1, 1))), want, {}).visual_attention
+                None, np.zeros(ACCOMMODATION_CELLS), want, {}).visual_attention
 
 
 def test_category_tables_are_per_category_vectors():
@@ -711,13 +701,12 @@ def oracle_features(room, x, z, yaw, pose, partner):
         c, s = math.cos(yaw), math.sin(yaw)
         inter = (dx * c - dz * s, dx * s + dz * c, wrap_angle(partner.yaw - yaw))
     hm = height_map(room, (x, 0.0, z), ACCOMMODATION_RADIUS, ACCOMMODATION_CELL)
-    return FeatureVector(inter, hm, attention, spatial)
+    return FeatureVector(inter, hm.heights[hm.valid], attention, spatial)
 
 
 def assert_same_features(got, want, where):
     assert got == want, where
-    assert got.valid_heights.tobytes() == want.pose_accommodation.heights[
-        want.pose_accommodation.valid].tobytes(), where
+    assert got.pose_accommodation.tobytes() == want.pose_accommodation.tobytes(), where
     for table in (got.visual_attention, got.spatial):
         assert all(d is None or type(d) is float for d in table), where
 
@@ -741,14 +730,16 @@ def test_grid_features_equal_the_per_placement_oracle():
     room = oracle_room()
     partner = PartnerPose(1.0, 4.0, 0.7)
     config = GridConfig()
-    _, _, yaws = grid_axes(room.extents, config.cell, config.yaw_count)
+    xs, zs, yaws = grid_axes(room.extents, config.cell, config.yaw_count)
     target = extract_features(room, Placement(C, C, 0.0, PlacementPose.Sitting), partner)
     recorder = Recorder()
     grid_search(room, target, recorder, partner, config=config)
+    # one batch per cell that admits a pose, in scan order
+    cells = [(x, z, poses) for x in xs for z in zs
+             if (poses := [pose for pose in PlacementPose if feasible(room, Placement(x, z, 0.0, pose))])]
+    assert len(recorder.batches) == len(cells)
     seen = set()
-    for batch in recorder.batches:
-        x, _, z = batch[0].pose_accommodation.center.tolist()
-        poses = [pose for pose in PlacementPose if feasible(room, Placement(x, z, 0.0, pose))]
+    for batch, (x, z, poses) in zip(recorder.batches, cells):
         want = [(yaw, pose) for yaw in yaws for pose in poses]
         assert len(batch) == len(want)
         for got, (yaw, pose) in zip(batch, want):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinroom.placement import FeatureVector, PlacementPose
+from twinroom.placement import ACCOMMODATION_CELLS, FeatureVector, PlacementPose
 from twinroom.protocol import (
+    HEADER,
     Bye,
     FeaturePacket,
     Hello,
@@ -20,13 +23,12 @@ from twinroom.protocol import (
     TargetUpdate,
     TickRegression,
     Truncated,
-    WireTransform,
     decode_all,
     decode_frame,
     encode_frame,
     f32,
 )
-from twinroom.scene import HeightMap, ObjectCategory
+from twinroom.scene import ObjectCategory
 from twinroom.states import Effector, UserState
 
 # every float here is drawn as an exact float32 so decode == encode input
@@ -34,32 +36,9 @@ wire_floats = st.floats(
     width=32, allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6
 )
 vec3 = st.tuples(wire_floats, wire_floats, wire_floats)
-vec4 = st.tuples(wire_floats, wire_floats, wire_floats, wire_floats)
 ticks = st.integers(0, 2**32 - 1)
-transforms = st.builds(WireTransform, position=vec3, orientation=vec4)
-
-
-@st.composite
-def height_maps(draw):
-    half_n = draw(st.integers(0, 3))
-    side = 2 * half_n + 1
-    heights = np.array(
-        draw(
-            st.lists(
-                wire_floats, min_size=side * side, max_size=side * side
-            )
-        )
-    ).reshape(side, side)
-    valid = np.array(
-        draw(st.lists(st.booleans(), min_size=side * side, max_size=side * side))
-    ).reshape(side, side)
-    return HeightMap(
-        center=np.array(draw(vec3)),
-        radius=draw(st.floats(width=32, min_value=0.125, max_value=8)),
-        cell_size=draw(st.floats(width=32, min_value=0.015625, max_value=1)),
-        heights=heights,
-        valid=valid,
-    )
+pose_values = st.tuples(*([wire_floats] * 42))
+accommodations = st.lists(wire_floats, min_size=ACCOMMODATION_CELLS, max_size=ACCOMMODATION_CELLS)
 
 
 category_tables = st.dictionaries(
@@ -71,7 +50,7 @@ category_tables = st.dictionaries(
 def feature_vectors(draw):
     return FeatureVector(
         interpersonal=draw(st.one_of(st.none(), vec3)),
-        pose_accommodation=draw(height_maps()),
+        pose_accommodation=draw(accommodations),
         visual_attention=draw(category_tables),
         spatial=draw(category_tables),
     )
@@ -84,17 +63,7 @@ messages = st.one_of(
         room_hash=st.integers(0, 2**64 - 1),
         skeleton=st.tuples(*([wire_floats] * 13)),
     ),
-    st.builds(
-        PoseUpdate,
-        tick=ticks,
-        root=transforms,
-        head=transforms,
-        left_hand=transforms,
-        right_hand=transforms,
-        left_foot=transforms,
-        right_foot=transforms,
-        fingers=st.binary(max_size=64),
-    ),
+    st.builds(PoseUpdate, tick=ticks, values=pose_values, fingers=st.binary(max_size=64)),
     st.builds(StateChange, tick=ticks, state=st.sampled_from(list(UserState))),
     st.builds(
         TargetUpdate,
@@ -181,12 +150,8 @@ def test_corrupted_frames_are_rejected():
 
 
 def test_non_canonical_category_tables_are_rejected():
-    hm = HeightMap(
-        center=np.zeros(3), radius=0.5, cell_size=0.5,
-        heights=np.zeros((3, 3)), valid=np.ones((3, 3), dtype=bool),
-    )
     msg = FeaturePacket(tick=3, features=FeatureVector(
-        interpersonal=None, pose_accommodation=hm, visual_attention={},
+        interpersonal=None, pose_accommodation=np.zeros(ACCOMMODATION_CELLS), visual_attention={},
         spatial={ObjectCategory.Sofa: 1.0, ObjectCategory.Table: 2.0},
     ))
     data = encode_frame(msg)
@@ -207,8 +172,6 @@ def test_oversized_payload_is_rejected():
     inner = encode_frame(Bye())
     padded = inner + b"\x00"
     # fix up the declared length so the extra byte lands inside the payload
-    import struct
-
     magic, version, code, _ = struct.unpack_from("<2sBBI", padded)
     forged = struct.pack("<2sBBI", magic, version, code, 1) + b"\x00"
     with pytest.raises(ProtocolError, match="unread"):
@@ -221,6 +184,104 @@ def test_decode_all_rejects_trailing_garbage():
         decode_all(stream)
 
 
+# One fixed message of each type and its frame. The first six were pinned
+# under wire version 1 and differ from it only in the version byte; any
+# layout change must edit these bytes and bump WIRE_VERSION together.
+GOLDEN_FRAMES = [
+    (Hello(app_version=1, room_hash=0x0123456789ABCDEF, skeleton=tuple(i * 0.125 for i in range(13))),
+     "544402013e0000000100efcdab8967452301000000000000003e0000803e0000c03e0000003f"
+     "0000203f0000403f0000603f0000803f0000903f0000a03f0000b03f0000c03f"),
+    (PoseUpdate(tick=42, values=sum(((i + 0.5, -i * 0.25, 1.0 + i, 1.0, 0.0, -0.5 * (i % 2), 0.125 * i)
+                                     for i in range(6)), ()), fingers=b"\x01\x02"),
+     "54440202b00000002a000000"
+     "0000003f000000000000803f0000803f0000000000000080"
+     "00000000" "0000c03f000080be000000400000803f00000000000000bf0000003e"
+     "00002040000000bf000040400000803f0000000000000080"
+     "0000803e" "00006040000040bf000080400000803f00000000000000bf0000c03e"
+     "00009040000080bf0000a0400000803f0000000000000080"
+     "0000003f" "0000b0400000a0bf0000c0400000803f00000000000000bf0000203f"
+     "02000102"),
+    (StateChange(tick=7, state=UserState.Interaction), "54440203050000000700000002"),
+    (TargetUpdate(tick=9, effector=Effector.LeftHand, active=True, object_id="screen", uvw=(0.25, 0.5, 0.75)),
+     "544402041a000000090000000101060073637265656e0000803e0000003f0000403f"),
+    (PlacementAnnounce(tick=11, x=1.5, z=-2.25, yaw=0.5, pose=PlacementPose.Sitting),
+     "54440205110000000b0000000000c03f000010c00000003f01"),
+    (Bye(), "5444020700000000"),
+    (FeaturePacket(tick=13, features=FeatureVector(
+        interpersonal=(1.0, -0.5, 0.25),
+        pose_accommodation=[0.0] * 40 + [0.5] + [0.0] * 40,
+        visual_attention={ObjectCategory.Screen: 2.0},
+        spatial={ObjectCategory.Chair: 0.75, ObjectCategory.Table: 1.5},
+    )),
+     "54440206660100000d00000001" "0000803f000000bf0000803e"  # tick, interpersonal
+     + "00000000" * 40 + "0000003f" + "00000000" * 40  # the 81 accommodation heights
+     + "01" "0300000040"  # attention: Screen 2.0
+     + "02" "000000403f" "020000c03f"),  # spatial: Chair 0.75, Table 1.5
+]
+
+
+@pytest.mark.parametrize("msg, frame", GOLDEN_FRAMES, ids=[type(m).__name__ for m, _ in GOLDEN_FRAMES])
+def test_golden_frame_bytes(msg, frame):
+    assert encode_frame(msg).hex() == frame
+    assert decode_frame(bytes.fromhex(frame)) == (msg, len(frame) // 2)
+
+
+def test_payload_ending_inside_a_field_is_malformed_not_truncated():
+    for msg, frame in GOLDEN_FRAMES:
+        if isinstance(msg, Bye):
+            continue
+        data = bytearray.fromhex(frame)
+        struct.pack_into("<I", data, 4, len(data) - HEADER.size - 1)
+        with pytest.raises(ProtocolError) as err:
+            decode_frame(data)  # the declared frame is complete, its last field is not
+        assert not isinstance(err.value, Truncated)
+
+
+@settings(max_examples=400, deadline=None)
+@given(messages, st.data())
+def test_forged_frames_decode_or_raise_protocol_error(msg, data):
+    """Valid frames of every type with flipped bytes and forged lengths:
+    decoding gives a message or a ProtocolError, Truncated only while the
+    declared frame runs past the buffer, and a live session closes on every
+    rejection."""
+    frame = encode_frame(msg)
+    for cut in range(len(frame)):  # only a buffer prefix is truncated
+        with pytest.raises(Truncated):
+            decode_frame(frame[:cut])
+    payload = len(frame) - HEADER.size
+    length = data.draw(st.one_of(st.none(), st.integers(0, payload + 4), st.integers(0, 2**32 - 1)))
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(frame) - 1), st.integers(1, 255)), max_size=3))
+    forged = bytearray(frame)
+    if length is not None:
+        struct.pack_into("<I", forged, 4, length)
+    for i, mask in flips:
+        forged[i] ^= mask
+    forged = bytes(forged)
+    declared_end = HEADER.size + HEADER.unpack_from(forged)[3]
+    decoded = None
+    try:
+        decoded, end = decode_frame(forged)
+    except Truncated:
+        assert declared_end > len(forged)
+        outcome = "wait"
+    except ProtocolError:
+        outcome = "reject"
+    else:
+        assert end == declared_end <= len(forged)
+        outcome = "decoded"
+
+    _, session = linked_pair()
+    try:
+        got = session.feed(forged)
+    except ProtocolError as err:
+        assert outcome != "wait" and not isinstance(err, Truncated)
+        assert session.phase is Phase.Closed
+    else:
+        assert outcome != "reject"
+        assert got == ([] if outcome == "wait" else [decoded])
+        assert session.phase is (Phase.Closed if isinstance(decoded, Bye) else Phase.Live)
+
+
 def test_f32_quantization_contract():
     assert f32(0.1) == 0.10000000149011612
     assert f32(f32(0.1)) == f32(0.1)
@@ -230,10 +291,9 @@ def test_f32_quantization_contract():
 def test_hello_validates_skeleton_length():
     with pytest.raises(ProtocolError):
         Hello(app_version=1, room_hash=0, skeleton=(1.0,) * 12)
-    for position, orientation in (((1, 2), (1, 0, 0, 0)), ((1, 2, 3, 4), (1, 0, 0, 0)),
-                                  ((1, 2, 3), (1, 0, 0)), ((1, 2, 3), (1, 0, 0, 0, 0))):
+    for n in (0, 6, 7, 41, 43):
         with pytest.raises(ProtocolError):
-            WireTransform(position=position, orientation=orientation)
+            PoseUpdate(tick=0, values=(1.0,) * n)
 
 
 # --- session --------------------------------------------------------------
@@ -243,11 +303,7 @@ SKELETON = tuple(float(i) for i in range(13))
 
 
 def pose_at(tick):
-    t = WireTransform(position=(0.0, 0.9, 0.0), orientation=(1.0, 0.0, 0.0, 0.0))
-    return PoseUpdate(
-        tick=tick, root=t, head=t, left_hand=t, right_hand=t,
-        left_foot=t, right_foot=t,
-    )
+    return PoseUpdate(tick=tick, values=(0.0, 0.9, 0.0, 1.0, 0.0, 0.0, 0.0) * 6)
 
 
 def linked_pair():
@@ -390,6 +446,28 @@ def test_bye_keeps_sender_open_until_the_peer_answers():
     assert b.phase is Phase.Closed
     a.feed(b.bye_frame())
     assert a.phase is Phase.Closed
+
+
+def test_frame_declared_one_byte_short_closes_the_session():
+    a, b = linked_pair()
+    pose = bytearray(a.tick(0, pose_at(0), UserState.Solo)[0])
+    struct.pack_into("<I", pose, 4, len(pose) - HEADER.size - 1)
+    with pytest.raises(ProtocolError) as err:
+        b.feed(bytes(pose) + a.bye_frame())
+    assert not isinstance(err.value, Truncated)
+    assert b.phase is Phase.Closed
+
+
+def test_target_object_id_that_is_not_utf8_closes_the_session():
+    a, b = linked_pair()
+    b.feed(a.tick(0, pose_at(0), UserState.Solo)[0])
+    frame = bytearray(encode_frame(TargetUpdate(tick=0, effector=Effector.Head, active=True, object_id="ab")))
+    at = HEADER.size + 8  # tick, effector, active, id length
+    assert frame[at:at + 2] == b"ab"
+    frame[at:at + 2] = b"\xff\xfe"
+    with pytest.raises(ProtocolError, match="UTF-8"):
+        b.feed(bytes(frame))
+    assert b.phase is Phase.Closed
 
 
 def test_received_counters_track_messages():

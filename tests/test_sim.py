@@ -22,7 +22,6 @@ from twinroom.protocol import (
     Hello,
     PoseUpdate,
     ProtocolError,
-    WireTransform,
     decode_all,
     encode_frame,
     f32,
@@ -299,7 +298,7 @@ def test_hello_app_version_mismatch_raises():
     config = quick_config()
     peer = PeerRuntime(
         "a", load_room(room_a_doc()), load_room(room_b_doc()),
-        trace_a_script().build(), config, None,
+        trace_a_script().build(), config,
     )
     peer.begin_tick(1)
     wrong = Hello(
@@ -316,7 +315,7 @@ def test_hello_room_hash_mismatch_raises():
     config = quick_config()
     peer = PeerRuntime(
         "a", load_room(room_a_doc()), load_room(room_b_doc()),
-        trace_a_script().build(), config, None,
+        trace_a_script().build(), config,
     )
     peer.begin_tick(1)
     wrong = Hello(
@@ -434,12 +433,13 @@ def test_fixation_room_is_rebuilt_only_when_the_partner_head_moves(monkeypatch):
 def test_version_1_transcript_is_refused_not_reported_as_tampered(base_result):
     lines = base_result.transcript.splitlines()
     header = json.loads(lines[0])
-    assert header["version"] == 2
-    header["version"] = 1
-    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
-    with pytest.raises(ReplayDivergence) as err:
-        replay("\n".join(lines) + "\n", room_a_doc(), room_b_doc())
-    assert str(err.value) == "unsupported transcript version 1"
+    assert header["version"] == 3
+    for old in (1, 2):
+        header["version"] = old
+        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        with pytest.raises(ReplayDivergence) as err:
+            replay("\n".join(lines) + "\n", room_a_doc(), room_b_doc())
+        assert str(err.value) == f"unsupported transcript version {old}"
 
 
 DEMO_ROOMS = Path(__file__).resolve().parents[1] / "demos" / "rooms"
@@ -546,9 +546,8 @@ def test_avatar_host_converts_wire_poses_only_once_placed(monkeypatch):
                 assert host.remote is None and host.goals is None
                 seen["raw"] += 1
             else:
-                rt = msg.root
-                user_pos = np.array(rt.position, dtype=float)
-                user_q = quat_normalize(np.array(rt.orientation, dtype=float))
+                user_pos = np.array(msg.values[0:3], dtype=float)
+                user_q = quat_normalize(np.array(msg.values[3:7], dtype=float))
                 pos = np.asarray(host._anchor_avatar_pos) + np.asarray(
                     quat_rotate(host._delta_q, user_pos - host._anchor_user_pos))
                 assert np.asarray(host.goals.root.position).tobytes() == pos.tobytes()
@@ -679,28 +678,15 @@ def per_float_pose_update(snap, tick: int) -> PoseUpdate:
     root_q = quat_normalize(snap.root.orientation)
     root = Transform(position=np.asarray(snap.root.position, dtype=float), orientation=root_q)
 
-    def wire(p, q) -> WireTransform:
-        return WireTransform(position=tuple(f32(float(c)) for c in p), orientation=tuple(f32(float(c)) for c in q))
-
-    def rel(sample) -> WireTransform:
-        return wire(root.inverse_apply(sample.position),
-                    quat_mul(quat_conj(root_q), quat_normalize(sample.orientation)))
-
-    return PoseUpdate(
-        tick=tick,
-        root=wire(root.position, root_q),
-        head=rel(snap.head),
-        left_hand=rel(snap.left_hand),
-        right_hand=rel(snap.right_hand),
-        left_foot=rel(snap.left_foot),
-        right_foot=rel(snap.right_foot),
-        fingers=snap.fingers,
-    )
+    values = [*root.position, *root_q]
+    for sample in (snap.head, snap.left_hand, snap.right_hand, snap.left_foot, snap.right_foot):
+        values += root.inverse_apply(sample.position)
+        values += quat_mul(quat_conj(root_q), quat_normalize(sample.orientation))
+    return PoseUpdate(tick=tick, values=tuple(f32(float(c)) for c in values), fingers=snap.fingers)
 
 
 def pose_bits(pose: PoseUpdate) -> list[str]:
-    parts = (pose.root, pose.head, pose.left_hand, pose.right_hand, pose.left_foot, pose.right_foot)
-    return [float.hex(v) for wt in parts for v in (*wt.position, *wt.orientation)]
+    return [float.hex(v) for v in pose.values]
 
 
 def test_batched_pose_quantization_matches_per_float_f32():

@@ -27,7 +27,6 @@ from twinroom.states import (
     hand_lifted,
     pelvis_speed,
     step_locomotion,
-    target_world_point,
     update_fixation,
 )
 
@@ -288,12 +287,9 @@ def test_fixation_registers_after_dwell_threshold():
     # float dwell accumulation may cross the threshold one tick late
     assert first in (need, need + 1)
     assert tracker.head.target is not None
-    oid, nhit, world = tracker.head.target
+    oid, _, world = tracker.head.target
     assert oid == "screen"
     np.testing.assert_allclose(world, [0, 1.5, 2.95], atol=1e-9)
-    np.testing.assert_allclose(
-        target_world_point(room, oid, nhit), world, atol=1e-9
-    )
 
 
 def test_fixation_ignores_unpaired_objects():
