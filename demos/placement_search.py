@@ -32,7 +32,7 @@ def describe(result, room) -> None:
           f"yaw={math.degrees(result.grid_placement.yaw):7.1f} deg  score {result.grid_score:.4f}")
     print(f"  refined best: x={p.x:6.2f} z={p.z:6.2f} yaw={math.degrees(p.yaw):7.1f} deg  "
           f"score {result.score:.4f} ({p.pose.name})")
-    print(f"  evaluated {result.grid_evaluated} grid + {result.pso_evaluated} swarm candidates "
+    print(f"  searched {result.grid_evaluated} feasible grid + {result.pso_evaluated} swarm candidates "
           f"in {1e3 * (result.grid_time_s + result.pso_time_s):.0f} ms")
     near = sorted(
         ((float(np.linalg.norm(o.position[[0, 2]] - [p.x, p.z])), o.id) for o in room.objects),

@@ -20,30 +20,38 @@ Both per-category features are fixed tuples indexed by
 ``ObjectCategory.value``, None where no object of the category is in range.
 
 The default scorer turns feature differences into a similarity in [0, 1]
-(identical features score exactly 1). The search scores every cell of a
-0.25 m x 15-degree grid over the remote room, then refines the best cell
-with a small particle swarm confined to that cell's neighborhood. Both
-work in batches. The grid takes one grid column at a time: its cells'
-accommodation heights come from one broadcast and, per pose, their
-attention tables at every yaw from another; each cell's (yaw, pose)
-candidates share its accommodation row and spatial table and are scored
-together. A swarm iteration checks its particles' feasibility, samples
-their accommodation heights and computes their attention tables in one
-broadcast each, then scores them together.
-Batching changes no result: every feature and score is computed with the
-same floating-point operations as for a single placement (a category's
-attention entry is the least distance in the cone, which is the nearest
-hit), and ``math.sin``, ``math.cos``, ``math.hypot``, ``math.exp`` and the
-height term still run once per candidate. The broadcasts use only
-elementwise arithmetic, ``np.sqrt`` and comparisons, which are correctly
-rounded on every CPU, and the height term sums its squared differences with
-``math.fsum``, which is correctly rounded too, so a search gives the same
-bits on every machine.
+(identical features score exactly 1). The search finds the best cell of a
+0.25 m x 15-degree grid over the remote room, then refines it with a small
+particle swarm confined to that cell's neighborhood. The grid is a bounded
+best-first scan with the result of an exhaustive one. It first takes one
+grid column at a time: its cells' accommodation heights come from one
+broadcast, and each feasible cell gets its spatial table and an upper bound
+on its (yaw, pose) candidates' scores (their height and spatial terms do not
+depend on yaw, attention is at most 1, and the partner offset has the same
+length at every yaw). It then visits cells by descending bound, scores a
+cell's candidates together, and stops once no bound can reach the best
+score. A swarm iteration checks its particles' feasibility, samples their
+accommodation heights and computes their attention tables in one broadcast
+each, then scores them together.
+A swarm's footprint broadcasts run only against the objects whose footprint
+reaches the box its samples lie in, which drops only objects that cover
+none of them.
+Batching, bounding and cropping change no result: every feature and score
+is computed with the same floating-point operations as for a single
+placement (a category's attention entry is the least distance in the cone,
+which is the nearest hit), and ``math.sin``, ``math.cos``, ``math.hypot``,
+``math.exp`` and the height term still run once per scored candidate. The
+broadcasts use only elementwise arithmetic, ``np.sqrt`` and comparisons,
+which are correctly rounded on every CPU, and the height term sums its
+squared differences with ``math.fsum``, which is correctly rounded too, so a
+search gives the same bits on every machine.
 
 Scorers are pluggable: anything with a ``score(target, candidate) -> float``
 method can replace the default, including learned models. A scorer may
 also define ``score_batch(target, candidates) -> list[float]``; without it
-the search calls ``score`` once per candidate.
+the search calls ``score`` once per candidate. A scorer may define
+``score_bound``, an upper bound on a grid cell's candidates' scores;
+without it the grid scores every feasible candidate.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ from typing import Protocol
 import numpy as np
 
 from .geometry import wrap_angle, wrap_angle_positive
-from .scene import ObjectCategory, Room, height_map_grid, support_heights
+from .scene import ObjectCategory, Room, RoomArrays, height_map_grid
 
 _EPS = 1e-9
 
@@ -222,6 +230,14 @@ class SimilarityScorer(Protocol):
     returning exactly ``[score(target, c) for c in candidates]``; the search
     then hands it each grid cell's candidates, and each swarm iteration's
     feasible particles, in one call.
+
+    A scorer may also define ``score_bound(target, accommodation, spatial,
+    partner_distance) -> float``: a float at least the score of every
+    (yaw, pose) candidate of a grid cell whose accommodation row and spatial
+    table are given, as ``score`` computes it. ``partner_distance`` is the
+    length of the partner's offset from the cell, the same at every yaw, or
+    None without a partner. The grid then skips the cells whose bound is
+    below the best score found; without it, every cell is scored.
     """
 
     def score(self, target: FeatureVector, candidate: FeatureVector) -> float:
@@ -271,6 +287,19 @@ def _interpersonal_term(a, b, cfg: ScorerConfig) -> float:
     dz = a[1] - b[1]
     dfacing = abs(wrap_angle(a[2] - b[2]))
     return math.exp(-(math.hypot(dx, dz) / cfg.sigma_offset + dfacing / cfg.sigma_facing))
+
+
+def _interpersonal_bound(a, partner_distance: float | None, sigma_offset: float) -> float:
+    """At least ``_interpersonal_term(a, b, cfg)`` for every b whose offset
+    has length ``partner_distance``: | |a| - |b| | never exceeds |a - b|
+    (the reverse triangle inequality), and the facing term only lowers the
+    term. The gap is padded far beyond the rounding of the rotated offset,
+    the lengths and ``math.exp``."""
+    if a is None or partner_distance is None:
+        return 1.0 if a is None and partner_distance is None else 0.0
+    length = math.hypot(a[0], a[1])
+    gap = abs(length - partner_distance) - 1e-9 * (1.0 + length + partner_distance)
+    return 1.0 if gap <= 0.0 else math.exp(-gap / sigma_offset)
 
 
 def _height_term(ha: np.ndarray, hb: np.ndarray, sigma: float) -> float:
@@ -328,6 +357,20 @@ class DefaultScorer:
                 attention_terms[c.visual_attention] = s_attention
             out.append(w0 * s_inter + w1 * s_height + w2 * s_attention + w3 * s_spatial)
         return out
+
+    def score_bound(self, target: FeatureVector, accommodation: np.ndarray, spatial: tuple,
+                    partner_distance: float | None) -> float:
+        """``score``'s sum with attention at its maximum 1 and the
+        interpersonal term at its bound, in the same order: each addend is
+        at least the score's, so the rounded sum is too."""
+        cfg = self.config
+        w0, w1, w2, w3 = cfg.weights
+        return (
+            w0 * _interpersonal_bound(target.interpersonal, partner_distance, cfg.sigma_offset)
+            + w1 * _height_term(target.pose_accommodation, accommodation, cfg.sigma_height)
+            + w2 * 1.0
+            + w3 * _category_term(target.spatial, spatial, cfg.distance_falloff)
+        )
 
 
 # --- feature extraction -----------------------------------------------------
@@ -416,9 +459,9 @@ def _eye_height(pose: PlacementPose) -> float:
     return EYE_HEIGHT_STANDING if pose is PlacementPose.Standing else EYE_HEIGHT_SITTING
 
 
-def _accommodation_at(room: Room, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+def _accommodation_at(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """One accommodation row per position (xs[i], zs[i]), in one broadcast."""
-    return support_heights(room, xs[:, None] + _ACCOMMODATION_OX, zs[:, None] + _ACCOMMODATION_OZ)
+    return arrays.support_heights(xs[:, None] + _ACCOMMODATION_OX, zs[:, None] + _ACCOMMODATION_OZ)
 
 
 def _candidate(interpersonal, accommodation: np.ndarray, attention: tuple, spatial: tuple) -> FeatureVector:
@@ -431,12 +474,13 @@ def _candidate(interpersonal, accommodation: np.ndarray, attention: tuple, spati
 
 
 def _features_at(room: Room, xs: list[float], zs: list[float], yaws: list[float], pose: PlacementPose,
-                 partner: PartnerPose | None) -> list[FeatureVector]:
+                 partner: PartnerPose | None, arrays: RoomArrays | None = None) -> list[FeatureVector]:
     """Feature vectors of a batch of placements sharing one pose; their
-    accommodation heights come from one broadcast and their attention
-    tables from another."""
+    accommodation heights come from one broadcast against ``arrays`` (by
+    default every object of the room) and their attention tables from
+    another."""
     cx, cz = np.array(xs, dtype=float), np.array(zs, dtype=float)
-    heights = _accommodation_at(room, cx, cz)
+    heights = _accommodation_at(room.arrays if arrays is None else arrays, cx, cz)
     attention = _attention_at(
         room, cx, cz,
         np.array([math.sin(yaw) for yaw in yaws]), np.array([math.cos(yaw) for yaw in yaws]),
@@ -480,10 +524,10 @@ _FOOT_OX = np.array([c[0] for c in _FOOT_CELLS])
 _FOOT_OZ = np.array([c[1] for c in _FOOT_CELLS])
 
 
-def _standing_feasible(room: Room, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+def _standing_feasible(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Per position, whether every sample cell of the body footprint is near
     floor level (support at most STAND_CLEARANCE), in one broadcast."""
-    support = support_heights(room, xs[:, None] + _FOOT_OX, zs[:, None] + _FOOT_OZ)
+    support = arrays.support_heights(xs[:, None] + _FOOT_OX, zs[:, None] + _FOOT_OZ)
     return ~(support > STAND_CLEARANCE + _EPS).any(axis=1)
 
 
@@ -501,10 +545,13 @@ def _sitting_feasible(room: Room, x: float, z: float) -> bool:
     return False
 
 
-def _feasible_at(room: Room, xs: list[float], zs: list[float], pose: PlacementPose) -> list[bool]:
-    """``feasible`` for a batch of positions sharing one pose."""
+def _feasible_at(room: Room, xs: list[float], zs: list[float], pose: PlacementPose,
+                 arrays: RoomArrays | None = None) -> list[bool]:
+    """``feasible`` for a batch of positions sharing one pose, standing
+    tested against ``arrays`` (by default every object of the room)."""
     if pose is PlacementPose.Standing:
-        ok = _standing_feasible(room, np.array(xs), np.array(zs)).tolist()
+        arrays = room.arrays if arrays is None else arrays
+        ok = _standing_feasible(arrays, np.array(xs), np.array(zs)).tolist()
     else:
         ok = [_sitting_feasible(room, x, z) for x, z in zip(xs, zs)]
     contains = room.extents.contains
@@ -551,7 +598,9 @@ class GridResult:
     placement: Placement
     score: float
     candidates_per_pose: int    # grid size, including infeasible cells
-    evaluated: int              # candidates that passed feasibility and were scored
+    evaluated: int              # candidates that passed feasibility, scored or not
+    # candidates actually scored; a diagnostic, left out of comparisons
+    scored: int = field(compare=False)
 
 
 _POSES = (PlacementPose.Standing, PlacementPose.Sitting)
@@ -565,20 +614,27 @@ def grid_search(
     *,
     config: GridConfig | None = None,
 ) -> GridResult:
-    """Exhaustively score the placement grid and return the best candidate.
+    """The best candidate of the placement grid, as an exhaustive scan finds it.
 
     Candidates are every (cell center, yaw, pose) triple; infeasible ones
     are skipped. Ties resolve to the lowest (x, z, yaw, pose) grid index,
-    with Standing before Sitting: the first best in scan order wins. The
-    scan goes one grid column (one x) at a time: the column's accommodation
-    heights, and per pose its attention tables at every yaw, come from one
-    broadcast each. Each cell's candidates share its accommodation row and
-    spatial table and are scored as one batch.
+    with Standing before Sitting: the first best in scan order wins.
+
+    The first phase goes one grid column (one x) at a time: the column's
+    accommodation heights come from one broadcast, and each feasible cell
+    gets its spatial table and the scorer's ``score_bound`` on its
+    candidates. The second visits cells by descending bound, scan order
+    among equal bounds: a cell's attention tables at every yaw come from one
+    broadcast per pose, and its candidates are scored as one batch. It stops
+    at the first bound strictly below the best score, since no candidate
+    left can beat or tie it. A scorer without ``score_bound`` has every cell
+    visited in scan order.
     """
     if scorer is None:
         scorer = DefaultScorer()
     if config is None:
         config = GridConfig()
+    score_bound = getattr(scorer, "score_bound", None)
 
     xs, zs, yaws = grid_axes(room.extents, config.cell, config.yaw_count)
     per_pose = len(xs) * len(zs) * len(yaws)
@@ -587,54 +643,64 @@ def grid_search(
     cell_xs = [x for x in xs for _ in zs]
     cell_zs = zs * len(xs)
     ok_by_pose = [_feasible_at(room, cell_xs, cell_zs, pose) for pose in _POSES]
-    best_score = -math.inf
-    best_placement = None
-    evaluated = 0
+    cells = []  # (x, z, poses, accommodation row, spatial table) in scan order
+    bounds = []
     for i, x in enumerate(xs):
         # the column's cells that admit a pose, with the poses they admit
-        cells = []
+        column = []
         for j, z in enumerate(zs):
             poses = [pose for pose, ok in zip(_POSES, ok_by_pose) if ok[i * len(zs) + j]]
             if poses:
-                cells.append((z, poses))
-        if not cells:
+                column.append((z, poses))
+        if not column:
             continue
-        cz = np.array([z for z, _ in cells])
-        cx = np.full(len(cells), x)
-        heights = _accommodation_at(room, cx, cz)
-        # per pose, the attention tables of its cells at every yaw
-        attention = {}
-        for pose in _POSES:
-            rows = [k for k, (_, poses) in enumerate(cells) if pose in poses]
-            if rows:
-                tables = _attention_at(room, cx[rows, None], cz[rows, None], facing_x, facing_z,
-                                       _eye_height(pose))
-                for r, k in enumerate(rows):
-                    attention[k, pose] = tables[r * len(yaws):(r + 1) * len(yaws)]
-        for k, (z, poses) in enumerate(cells):
-            accommodation = heights[k]
+        cz = np.array([z for z, _ in column])
+        heights = _accommodation_at(room.arrays, np.full(len(column), x), cz)
+        for (z, poses), accommodation in zip(column, heights):
             spatial = _spatial(room, x, z)
-            candidates = []
-            placements = []
-            for y, yaw in enumerate(yaws):
-                inter = _interpersonal(x, z, yaw, partner)
-                for pose in poses:
-                    candidates.append(_candidate(inter, accommodation, attention[k, pose][y], spatial))
-                    placements.append((yaw, pose))
-            scores = _score_all(scorer, target, candidates)
-            evaluated += len(candidates)
-            for score, (yaw, pose) in zip(scores, placements):
-                if score > best_score:
-                    best_score = score
-                    best_placement = Placement(x, z, yaw, pose)
+            cells.append((x, z, poses, accommodation, spatial))
+            if score_bound is None:
+                bounds.append(math.inf)
+            else:
+                distance = None if partner is None else math.hypot(partner.x - x, partner.z - z)
+                bounds.append(score_bound(target, accommodation, spatial, distance))
+
+    best_score = -math.inf
+    best_cell = -1
+    best_placement = None
+    scored = 0
+    # a stable sort keeps scan order among equal bounds and puts NaN last
+    for k in np.argsort(-np.array(bounds, dtype=float), kind="stable").tolist():
+        if bounds[k] < best_score:
+            break
+        x, z, poses, accommodation, spatial = cells[k]
+        attention = [
+            _attention_at(room, np.array([x]), np.array([z]), facing_x, facing_z, _eye_height(pose))
+            for pose in poses
+        ]
+        candidates = []
+        placements = []
+        for y, yaw in enumerate(yaws):
+            inter = _interpersonal(x, z, yaw, partner)
+            for pose, tables in zip(poses, attention):
+                candidates.append(_candidate(inter, accommodation, tables[y], spatial))
+                placements.append((yaw, pose))
+        scores = _score_all(scorer, target, candidates)
+        scored += len(candidates)
+        for score, (yaw, pose) in zip(scores, placements):
+            # within a cell the first best wins; across cells the lower scan index
+            if score > best_score or (score == best_score and k < best_cell):
+                best_score = score
+                best_cell = k
+                best_placement = Placement(x, z, yaw, pose)
 
     if best_placement is None:
         raise NoFeasiblePlacement(
             f"room {room.id!r}: no feasible candidate among {per_pose * 2} grid cells"
         )
-    return GridResult(
-        placement=best_placement, score=best_score, candidates_per_pose=per_pose, evaluated=evaluated
-    )
+    evaluated = len(yaws) * sum(len(poses) for _, _, poses, _, _ in cells)
+    return GridResult(placement=best_placement, score=best_score, candidates_per_pose=per_pose,
+                      evaluated=evaluated, scored=scored)
 
 
 # --- particle swarm refinement ----------------------------------------------
@@ -695,15 +761,33 @@ def pso_refine(
         rng = np.random.Generator(np.random.PCG64(rng))
 
     pose = seed.pose
+    ext = room.extents
+    lo = np.array([
+        max(seed.x - config.position_radius, ext.min_x),
+        max(seed.z - config.position_radius, ext.min_z),
+        seed.yaw - config.yaw_radius,
+    ])
+    hi = np.array([
+        min(seed.x + config.position_radius, ext.max_x),
+        min(seed.z + config.position_radius, ext.max_z),
+        seed.yaw + config.yaw_radius,
+    ])
+    # every point evaluated is the seed or clipped into [lo, hi]; the
+    # accommodation cells, and the foot cells inside them, lie within
+    # ACCOMMODATION_RADIUS of it
+    span_x = (seed.x, lo[0], hi[0])
+    span_z = (seed.z, lo[1], hi[1])
+    r = ACCOMMODATION_RADIUS
+    arrays = room.arrays.reaching(min(span_x) - r, min(span_z) - r, max(span_x) + r, max(span_z) + r)
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         """Scores of a batch of (x, z, yaw) rows, feasible ones scored as one
         batch; infeasible points score -inf."""
         xs, zs, yaws = points.T.tolist()
-        keep = [i for i, ok in enumerate(_feasible_at(room, xs, zs, pose)) if ok]
+        keep = [i for i, ok in enumerate(_feasible_at(room, xs, zs, pose, arrays)) if ok]
         candidates = _features_at(
             room, [xs[i] for i in keep], [zs[i] for i in keep],
-            [wrap_angle_positive(yaws[i]) for i in keep], pose, partner,
+            [wrap_angle_positive(yaws[i]) for i in keep], pose, partner, arrays,
         )
         scores = np.full(len(points), -math.inf)
         scores[keep] = _score_all(scorer, target, candidates)
@@ -716,18 +800,6 @@ def pso_refine(
 
     if config.iterations == 0:
         return finish(np.array([seed.x, seed.z, seed.yaw]), 0)
-
-    ext = room.extents
-    lo = np.array([
-        max(seed.x - config.position_radius, ext.min_x),
-        max(seed.z - config.position_radius, ext.min_z),
-        seed.yaw - config.yaw_radius,
-    ])
-    hi = np.array([
-        min(seed.x + config.position_radius, ext.max_x),
-        min(seed.z + config.position_radius, ext.max_z),
-        seed.yaw + config.yaw_radius,
-    ])
 
     n = config.particles
     pos = np.empty((n, 3))

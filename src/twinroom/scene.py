@@ -170,7 +170,8 @@ class RoomArrays:
     """Per-object columns as (count, 1) numpy arrays, for vectorized
     footprint tests against a row of points."""
 
-    __slots__ = ("px", "pz", "cos", "sin", "hx_tol", "hz_tol", "support", "count")
+    _COLUMNS = ("px", "pz", "cos", "sin", "hx_tol", "hz_tol", "support", "reach_x", "reach_z")
+    __slots__ = _COLUMNS + ("count",)
 
     def __init__(self, objects: tuple[SceneObject, ...]):
         def column(values) -> np.ndarray:
@@ -185,6 +186,45 @@ class RoomArrays:
         self.hx_tol = column([float(o.size[0]) * 0.5 for o in objects]) + _EPS
         self.hz_tol = column([float(o.size[2]) * 0.5 for o in objects]) + _EPS
         self.support = column([o.support_height for o in objects])
+        # half extents of the tolerant footprint's axis-aligned bounding box,
+        # padded far beyond the rounding of the rotated footprint test and
+        # of the box test in `reaching`
+        ax, az = np.abs(self.cos), np.abs(self.sin)
+        self.reach_x = self.hx_tol * ax + self.hz_tol * az
+        self.reach_z = self.hx_tol * az + self.hz_tol * ax
+        pad = 1e-9 * (1.0 + np.abs(self.px) + np.abs(self.pz) + self.reach_x + self.reach_z)
+        self.reach_x += pad
+        self.reach_z += pad
+
+    def reaching(self, min_x: float, min_z: float, max_x: float, max_z: float) -> "RoomArrays":
+        """The objects whose footprint can cover a point of the box
+        [min_x, max_x] x [min_z, max_z]. The others cover none of its
+        points, so ``support_heights`` on points inside the box is
+        bit-identical with the subset."""
+        keep = (
+            (self.px - self.reach_x <= max_x) & (self.px + self.reach_x >= min_x)
+            & (self.pz - self.reach_z <= max_z) & (self.pz + self.reach_z >= min_z)
+        ).reshape(-1)
+        subset = object.__new__(RoomArrays)
+        for name in RoomArrays._COLUMNS:
+            setattr(subset, name, getattr(self, name)[keep])
+        subset.count = int(keep.sum())
+        return subset
+
+    def support_heights(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """Max support height among these objects covering each point
+        (xs[i], zs[i]), 0 for bare floor; the result has the shape of
+        ``xs``. One broadcast against every object."""
+        if self.count == 0:
+            return np.zeros(xs.shape)
+        # objects along the first axis, points along the long, contiguous last one
+        dx = xs.reshape(1, -1) - self.px
+        dz = zs.reshape(1, -1) - self.pz
+        lx = dx * self.cos - dz * self.sin
+        lz = dx * self.sin + dz * self.cos
+        covered = (np.abs(lx) <= self.hx_tol) & (np.abs(lz) <= self.hz_tol)
+        heights = np.where(covered, self.support, 0.0).max(axis=0)
+        return np.maximum(heights, 0.0).reshape(xs.shape)
 
 
 @dataclass(frozen=True)
@@ -610,20 +650,11 @@ def support_heights(room: Room, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Max support height among objects covering each point (xs[i], zs[i]),
     0 for bare floor; the result has the shape of ``xs``.
 
-    One broadcast against every object: the batched form of the footprint
-    test behind height maps and standing feasibility.
+    The batched form of the footprint test behind height maps and standing
+    feasibility, against every object of the room; a search confined to a
+    box calls ``room.arrays.reaching(...).support_heights`` instead.
     """
-    arr = room.arrays
-    if arr.count == 0:
-        return np.zeros(xs.shape)
-    # objects along the first axis, points along the long, contiguous last one
-    dx = xs.reshape(1, -1) - arr.px
-    dz = zs.reshape(1, -1) - arr.pz
-    lx = dx * arr.cos - dz * arr.sin
-    lz = dx * arr.sin + dz * arr.cos
-    covered = (np.abs(lx) <= arr.hx_tol) & (np.abs(lz) <= arr.hz_tol)
-    heights = np.where(covered, arr.support, 0.0).max(axis=0)
-    return np.maximum(heights, 0.0).reshape(xs.shape)
+    return room.arrays.support_heights(xs, zs)
 
 
 def height_map_grid(radius: float, cell_size: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

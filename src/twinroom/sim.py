@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import struct
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -210,7 +211,8 @@ def pose_update_from_snapshot(snap, tick: int) -> PoseUpdate:
     root-relative effectors, every float already rounded to 32 bits so the
     sender computes with exactly what the receiver will see. Each snapshot
     array is read once into floats; one pack and unpack through the wire's
-    pose layout rounds each of the 42 exactly as `f32` does."""
+    pose layout rounds each of the 42 exactly as `f32` does. A value beyond
+    the f32 range is a `MalformedTrace` naming the tick."""
     root_q = quat_normalize(snap.root.orientation.tolist())
     root = Transform(position=tuple(snap.root.position.tolist()), orientation=root_q)
     inv_q = quat_conj(root_q)
@@ -218,7 +220,11 @@ def pose_update_from_snapshot(snap, tick: int) -> PoseUpdate:
     for sample in (snap.head, snap.left_hand, snap.right_hand, snap.left_foot, snap.right_foot):
         floats += root.inverse_apply(sample.position.tolist())
         floats += quat_mul(inv_q, quat_normalize(sample.orientation.tolist()))
-    w = POSE.unpack(POSE.pack(tick, *floats, 0))
+    try:
+        packed = POSE.pack(tick, *floats, 0)
+    except (struct.error, OverflowError) as e:
+        raise MalformedTrace(f"snapshot at tick {tick} does not fit the wire pose: {e}") from None
+    w = POSE.unpack(packed)
     return PoseUpdate(tick=tick, values=w[1:-1], fingers=snap.fingers)
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinroom import placement as placement_module
 from twinroom.geometry import wrap_angle
@@ -271,6 +273,207 @@ def test_score_batch_is_score_per_candidate():
     scorer = DefaultScorer(ScorerConfig(weights=(0.1, 0.2, 0.3, 0.4)))
     assert scorer.score_batch(target, candidates) == [scorer.score(target, c) for c in candidates]
     assert scorer.score_batch(target, []) == []
+
+
+# --- bounded grid -------------------------------------------------------------
+
+
+class NoBound:
+    """A scorer's ``score`` and ``score_batch`` without its ``score_bound``:
+    the grid then scores every feasible candidate in scan order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def score(self, target, candidate):
+        return self.inner.score(target, candidate)
+
+    def score_batch(self, target, candidates):
+        return self.inner.score_batch(target, candidates)
+
+
+class Quantized:
+    """The default score rounded down to a quarter and the default bound
+    rounded up to one, which stays admissible: ties between cells, and
+    bounds equal to the best score, are the rule, so the grid's tie-break
+    and its stopping test are what decide."""
+
+    def __init__(self, config):
+        self.inner = DefaultScorer(config)
+
+    def score(self, target, candidate):
+        return math.floor(self.inner.score(target, candidate) * 4.0) / 4.0
+
+    def score_batch(self, target, candidates):
+        return [math.floor(s * 4.0) / 4.0 for s in self.inner.score_batch(target, candidates)]
+
+    def score_bound(self, target, accommodation, spatial, partner_distance):
+        return math.ceil(self.inner.score_bound(target, accommodation, spatial, partner_distance) * 4.0) / 4.0
+
+
+def random_partner(rng, room):
+    ext = room.extents
+    return PartnerPose(rng.uniform(ext.min_x - 0.5, ext.max_x + 0.5),
+                       rng.uniform(ext.min_z - 0.5, ext.max_z + 0.5), rng.uniform(0, 2 * math.pi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    furnished=st.booleans(),
+    same_room=st.booleans(),
+    partner_here=st.booleans(),
+    partner_there=st.booleans(),
+    coarse=st.booleans(),
+    sigma_offset=st.sampled_from([1.0, 0.05, 1e-6]),
+    quantized=st.booleans(),
+)
+def test_pruned_grid_equals_the_exhaustive_scan(seed, furnished, same_room, partner_here, partner_there,
+                                                coarse, sigma_offset, quantized):
+    rng = np.random.default_rng(seed)
+    room = random_room(rng) if furnished else empty_room(rng.uniform(0.8, 2.0))
+    source = room if same_room else random_room(rng)
+    partner = random_partner(rng, room) if partner_here else None
+    target = random_target(rng, source, random_partner(rng, source) if partner_there else None)
+    weights = rng.dirichlet(np.ones(4))
+    config = ScorerConfig(sigma_offset=sigma_offset, weights=tuple(weights / weights.sum()))
+    scorer = Quantized(config) if quantized else DefaultScorer(config)
+    grid = GridConfig(cell=0.4, yaw_count=6) if coarse else GridConfig()
+    try:
+        want = grid_search(room, target, NoBound(scorer), partner, config=grid)
+    except NoFeasiblePlacement:
+        with pytest.raises(NoFeasiblePlacement):
+            grid_search(room, target, scorer, partner, config=grid)
+        return
+    got = grid_search(room, target, scorer, partner, config=grid)
+    assert got.placement == want.placement
+    assert got.score.hex() == want.score.hex()
+    assert got.evaluated == want.evaluated == want.scored
+    assert got.scored <= got.evaluated
+
+
+class Flat:
+    """Every candidate scores 0.5, and a cell's bound is 0.5 plus its
+    partner distance."""
+
+    def score(self, target, candidate):
+        return 0.5
+
+    def score_batch(self, target, candidates):
+        return [0.5] * len(candidates)
+
+    def score_bound(self, target, accommodation, spatial, partner_distance):
+        return 0.5 + partner_distance
+
+
+def test_grid_ties_go_to_the_first_cell_in_scan_order():
+    # with the partner on the scan-first cell, cells are visited far to
+    # near, and that cell comes last, with a bound equal to the best score
+    room = empty_room(1.0)
+    xs, zs, yaws = grid_axes(room.extents)
+    target = extract_features(room, Placement(0.0, 0.0, 0.0, PlacementPose.Standing))
+    got = grid_search(room, target, Flat(), PartnerPose(xs[0], zs[0], 0.0))
+    assert got.placement == Placement(xs[0], zs[0], yaws[0], PlacementPose.Standing)
+    assert got.score == 0.5
+    assert got.scored == got.evaluated
+
+
+def cell_candidates(room, x, z, partner):
+    """Every feasible (yaw, pose) candidate of a default grid cell, each
+    extracted on its own."""
+    _, _, yaws = grid_axes(room.extents)
+    placements = [Placement(x, z, yaw, pose) for yaw in yaws for pose in PlacementPose]
+    return [extract_features(room, p, partner) for p in placements if feasible(room, p)]
+
+
+def test_score_bound_is_admissible():
+    configs = [ScorerConfig(), ScorerConfig(sigma_offset=1e-6),
+               ScorerConfig(sigma_offset=0.05, weights=(0.7, 0.1, 0.1, 0.1))]
+    rooms = demo_rooms() + [random_room(np.random.default_rng(900 + i)) for i in range(3)]
+    tight = 0
+    for case, room in enumerate(rooms):
+        rng = np.random.default_rng(950 + case)
+        xs, zs, _ = grid_axes(room.extents)
+        cells = [(x, z) for x in xs for z in zs
+                 if feasible(room, Placement(x, z, 0.0, PlacementPose.Standing))]
+        for k in rng.choice(len(cells), 4, replace=False):
+            x, z = cells[k]
+            for partner in (None, PartnerPose(x, z, 1.0), random_partner(rng, room)):  # |b| = 0 on the cell
+                candidates = cell_candidates(room, x, z, partner)
+                distance = None if partner is None else math.hypot(partner.x - x, partner.z - z)
+                own = candidates[int(rng.integers(len(candidates)))]
+                other = random_target(rng, room, random_partner(rng, room))
+                targets = [
+                    own,  # the cell's own features: some candidate scores the bound's 1
+                    other,
+                    random_target(rng, room, None),  # no partner on the target's side
+                    FeatureVector((0.0, 0.0, 0.3), other.pose_accommodation,  # zero-length offset
+                                  other.visual_attention, other.spatial),
+                ]
+                for target in targets:
+                    for config in configs:
+                        scorer = DefaultScorer(config)
+                        bound = scorer.score_bound(target, candidates[0].pose_accommodation,
+                                                   candidates[0].spatial, distance)
+                        scores = scorer.score_batch(target, candidates)
+                        assert bound >= max(scores), (room.id, x, z, partner, target.interpersonal, config)
+                        tight += bound == max(scores)
+    assert tight >= len(rooms) * 4 * 3  # at least the own-feature target under the default config
+
+
+def test_grid_prunes_most_candidates_with_the_default_scorer():
+    """A session's search: each user at their room's counterpart of the same
+    paired object, the local user's avatar placed in the other room first,
+    then the other user's search with both partners known."""
+    office, loft = demo_rooms()
+    standing, sitting = PlacementPose.Standing, PlacementPose.Sitting
+    spots = [  # (office spot, loft spot): the paired chairs, the paired screens
+        (Placement(1.35, 0.55, 0.0, sitting), Placement(-0.9, -1.35, 2.4 - math.pi, sitting)),
+        (Placement(-0.4, 1.0, 0.0, standing), Placement(2.2, 0.3, math.pi / 2, standing)),
+    ]
+    for office_spot, loft_spot in spots:
+        for room, user, other_room, local in ((office, office_spot, loft, loft_spot),
+                                               (loft, loft_spot, office, office_spot)):
+            avatar = grid_search(room, extract_features(other_room, local), DefaultScorer(),
+                                 PartnerPose(user.x, user.z, user.yaw)).placement
+            target = extract_features(room, user, PartnerPose(avatar.x, avatar.z, avatar.yaw))
+            partner = PartnerPose(local.x, local.z, local.yaw)
+            pruned = grid_search(other_room, target, DefaultScorer(), partner)
+            full = grid_search(other_room, target, ScoreOnly(), partner)
+            assert pruned.scored < 0.1 * pruned.evaluated, (other_room.id, pruned.scored, pruned.evaluated)
+            assert full.scored == full.evaluated == pruned.evaluated
+            assert (pruned.placement, pruned.score) == (full.placement, full.score)
+
+
+def test_swarm_crop_changes_no_feature_or_feasibility(monkeypatch):
+    # the table's footprint starts 0.35 m beyond the box the particles stay
+    # in, so only accommodation cells of particles near its edge reach it
+    room = load_room({"id": "crop", "extents": {"min": [-2, -2], "max": [2, 2]}, "objects": [
+        {"id": "table", "category": "Table", "position": [1.05, 0.375, 0.0], "yaw": 0.0,
+         "size": [0.4, 0.75, 0.4]},
+        {"id": "far", "category": "Other", "position": [-1.7, 0.5, -1.7], "yaw": 0.4,
+         "size": [0.3, 1.0, 0.3]},
+    ]})
+    features, feasibility = placement_module._features_at, placement_module._feasible_at
+    reached = []
+
+    def checked_features(room, xs, zs, yaws, pose, partner, arrays=None):
+        got = features(room, xs, zs, yaws, pose, partner, arrays)
+        assert got == features(room, xs, zs, yaws, pose, partner)
+        reached.extend(f for f in got if f.pose_accommodation.any())
+        return got
+
+    def checked_feasibility(room, xs, zs, pose, arrays=None):
+        got = feasibility(room, xs, zs, pose, arrays)
+        assert got == feasibility(room, xs, zs, pose)
+        return got
+
+    monkeypatch.setattr(placement_module, "_features_at", checked_features)
+    monkeypatch.setattr(placement_module, "_feasible_at", checked_feasibility)
+    seed = Placement(0.0, 0.0, 0.0, PlacementPose.Standing)
+    target = extract_features(room, Placement(0.5, 0.0, 1.0, PlacementPose.Standing))
+    pso_refine(room, target, seed, rng=5)
+    assert reached
 
 
 def test_pso_never_scores_below_its_grid_seed():

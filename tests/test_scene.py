@@ -29,6 +29,7 @@ from twinroom.scene import (
     raycast,
     room_hash,
     support_height_at,
+    support_heights,
     validate_pairing,
 )
 
@@ -294,6 +295,75 @@ def test_height_map_matches_pointwise_oracle(room, cx, cz, radius, cell):
                 assert hm.heights[i, j] == pytest.approx(want, abs=1e-12)
             else:
                 assert hm.heights[i, j] == 0.0
+
+
+def full_room_heights(room, xs, zs):
+    """The footprint broadcast against every object of the room, written
+    out from the scene objects."""
+    if not room.objects:
+        return np.zeros(xs.shape)
+
+    def column(values):
+        return np.array(values, dtype=float).reshape(-1, 1)
+
+    objs = room.objects
+    dx = xs.reshape(1, -1) - column([o.position[0] for o in objs])
+    dz = zs.reshape(1, -1) - column([o.position[2] for o in objs])
+    c, s = column([o.cos_yaw for o in objs]), column([o.sin_yaw for o in objs])
+    lx = dx * c - dz * s
+    lz = dx * s + dz * c
+    covered = ((np.abs(lx) <= column([o.size[0] * 0.5 for o in objs]) + 1e-9)
+               & (np.abs(lz) <= column([o.size[2] * 0.5 for o in objs]) + 1e-9))
+    heights = np.where(covered, column([o.support_height for o in objs]), 0.0).max(axis=0)
+    return np.maximum(heights, 0.0).reshape(xs.shape)
+
+
+def footprint_edge_points(obj):
+    """Points within a few 1e-9 of the object's footprint edges and corners,
+    on both sides of the containment tolerance."""
+    hx, hz = obj.size[0] * 0.5, obj.size[2] * 0.5
+    out = []
+    for d in (-1e-9, 0.0, 5e-10, 1e-9, 1.5e-9, 3e-9):
+        for t in (-1.0, -0.5, 0.0, 0.7, 1.0):
+            for sign in (-1.0, 1.0):
+                out.append(obj.to_world((sign * (hx + d), 0.0, t * (hz + d))))
+                out.append(obj.to_world((t * (hx + d), 0.0, sign * (hz + d))))
+    return [(x, z) for x, _, z in out]
+
+
+@settings(max_examples=60, deadline=None)
+@given(room=rooms(max_objects=6), seed=st.integers(0, 2**32 - 1))
+def test_cropped_footprint_broadcast_changes_no_height(room, seed):
+    rng = np.random.default_rng(seed)
+    edges = [p for o in room.objects for p in footprint_edge_points(o)]
+    boxes = []
+    for _ in range(4):  # a random box, and boxes with an edge point on their border or corner
+        lo = rng.uniform(-9.0, 7.0, 2)
+        boxes.append((*lo, *(lo + rng.uniform(0.05, 3.0, 2))))
+        ex, ez = edges[int(rng.integers(len(edges)))]
+        a, b = rng.choice([0.0, 0.3, 1.0], 2), rng.choice([0.0, 0.3, 1.0], 2)
+        boxes.append((ex - a[0], ez - a[1], ex + b[0], ez + b[1]))
+    for min_x, min_z, max_x, max_z in boxes:
+        points = [p for p in edges if min_x <= p[0] <= max_x and min_z <= p[1] <= max_z]
+        points += [(min_x, min_z), (min_x, max_z), (max_x, min_z), (max_x, max_z)]
+        points += list(zip(rng.uniform(min_x, max_x, 50), rng.uniform(min_z, max_z, 50)))
+        xs, zs = np.array(points).T
+        subset = room.arrays.reaching(min_x, min_z, max_x, max_z)
+        assert subset.count <= len(room.objects)
+        got = subset.support_heights(xs, zs)
+        assert got.tobytes() == full_room_heights(room, xs, zs).tobytes()
+        assert support_heights(room, xs, zs).tobytes() == got.tobytes()
+
+
+def test_box_that_no_footprint_reaches_keeps_no_object():
+    room = make_room([box("b", (-8.0, 0.5, -8.0), (1.0, 1.0, 1.0), yaw=0.6),
+                      box("seat", (-6.0, 0.25, -8.0), (0.8, 0.5, 0.8), sittable=True, sit_height=0.45)])
+    subset = room.arrays.reaching(0.0, 0.0, 2.0, 1.0)
+    assert subset.count == 0
+    xs, zs = np.meshgrid(np.linspace(0.0, 2.0, 7), np.linspace(0.0, 1.0, 5))
+    heights = subset.support_heights(xs, zs)
+    assert heights.shape == xs.shape and not heights.any()
+    assert room.arrays.reaching(-7.5, -9.0, 0.0, 0.0).count == 2  # a box both reach keeps both
 
 
 def test_height_map_rejects_bad_geometry():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from twinroom.sim import (
     run,
 )
 from twinroom.states import Effector, EffectorSample, StateConfig, UserSnapshot
-from twinroom.traces import TraceBuilder, save_trace
+from twinroom.traces import MalformedTrace, TraceBuilder, save_trace
 
 
 def room_a_doc() -> dict:
@@ -657,6 +658,27 @@ def test_cli_reports_errors_with_exit_code(tmp_path, capsys):
     paths = write_fixtures(tmp_path)
     slow = TraceBuilder(tick_rate=30.0).hold(0.2).build()
     save_trace(slow, paths["trace_b"])
+    rc = main([
+        "--room-a", str(paths["room_a"]),
+        "--room-b", str(paths["room_b"]),
+        "--trace-a", str(paths["trace_a"]),
+        "--trace-b", str(paths["trace_b"]),
+    ])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_out_of_range_trace_coordinate_is_a_reported_error(tmp_path, capsys):
+    trace = trace_b_script().build()
+    snaps = list(trace.snapshots)
+    root = snaps[5].root
+    far = EffectorSample(np.array([1e39, *root.position[1:]]), root.orientation)
+    trace = replace(trace, snapshots=(*snaps[:5], replace(snaps[5], root=far), *snaps[6:]))
+    with pytest.raises(MalformedTrace, match="tick 6"):
+        run(room_a_doc(), room_b_doc(), trace_a_script().build(), trace, config=quick_config())
+
+    paths = write_fixtures(tmp_path)
+    save_trace(trace, paths["trace_b"])
     rc = main([
         "--room-a", str(paths["room_a"]),
         "--room-b", str(paths["room_b"]),
