@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-import numpy as np
-
 from twinroom import (
     Placement,
     PlacementPose,
@@ -35,7 +33,7 @@ def describe(result, room) -> None:
     print(f"  searched {result.grid_evaluated} feasible grid + {result.pso_evaluated} swarm candidates "
           f"in {1e3 * (result.grid_time_s + result.pso_time_s):.0f} ms")
     near = sorted(
-        ((float(np.linalg.norm(o.position[[0, 2]] - [p.x, p.z])), o.id) for o in room.objects),
+        ((math.hypot(o.position[0] - p.x, o.position[2] - p.z), o.id) for o in room.objects),
     )[:2]
     print(f"  lands next to: {', '.join(f'{oid} ({d:.2f} m)' for d, oid in near)}")
 
@@ -51,8 +49,7 @@ def main() -> None:
 
     print("\n1. user sits at the office desk chair")
     chair = office.object("task_chair")
-    seated = Placement(float(chair.position[0]), float(chair.position[2]),
-                       float(chair.yaw), PlacementPose.Sitting)
+    seated = Placement(chair.position[0], chair.position[2], chair.yaw, PlacementPose.Sitting)
     fv = extract_features(office, seated)
     result = find_placement(loft, fv, rng=7)
     describe(result, loft)

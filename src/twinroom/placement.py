@@ -36,6 +36,10 @@ each, then scores them together.
 A swarm's footprint broadcasts run only against the objects whose footprint
 reaches the box its samples lie in, which drops only objects that cover
 none of them.
+The broadcasts read the room's ``scene.RoomArrays``, whose columns hold the
+objects in category order, so an attention table is one ``np.minimum``
+reduction per category run; the per-point loops (spatial tables, seat
+coverage) read the plain floats of the same objects.
 Batching, bounding and cropping change no result: every feature and score
 is computed with the same floating-point operations as for a single
 placement (a category's attention entry is the least distance in the cone,
@@ -385,68 +389,40 @@ def _interpersonal(x: float, z: float, yaw: float, partner: PartnerPose | None):
     return (dx * c - dz * s, dx * s + dz * c, wrap_angle(partner.yaw - yaw))
 
 
-class _CategoryIndex:
-    """A room's objects ordered by category code, cached per room: centers
-    as plain floats for per-point loops and as arrays for broadcasts, plus
-    where each present category's run of objects starts."""
-
-    __slots__ = ("points", "px", "py", "pz", "codes", "starts")
-
-    def __init__(self, room: Room):
-        objects = sorted(room.scalars, key=lambda o: o.category.value)
-        codes = [o.category.value for o in objects]
-        self.points = tuple((o.px, o.pz, code) for o, code in zip(objects, codes))
-        self.px = np.array([o.px for o in objects])
-        self.py = np.array([o.py for o in objects])
-        self.pz = np.array([o.pz for o in objects])
-        self.starts = [i for i, code in enumerate(codes) if i == 0 or code != codes[i - 1]]
-        self.codes = [codes[i] for i in self.starts]
-
-
-def _category_index(room: Room) -> _CategoryIndex:
-    cached = getattr(room, "_category_index", None)
-    if cached is None:
-        cached = _CategoryIndex(room)
-        object.__setattr__(room, "_category_index", cached)
-    return cached
-
-
-def _attention_at(room: Room, xs: np.ndarray, zs: np.ndarray, fxs: np.ndarray, fzs: np.ndarray,
+def _attention_at(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray, fxs: np.ndarray, fzs: np.ndarray,
                   eye_height: float) -> list[tuple]:
     """Visual attention tables of a batch of eyes at ``eye_height`` above
     (xs, zs), looking level along (fxs, 0, fzs) = (sin yaw, 0, cos yaw).
 
-    The four arrays broadcast against each other, and the tables come back
-    in the C order of that shape. One broadcast against every object
-    computes ``scene.objects_in_fov``'s distances and cone test; a
-    category's entry is the least distance among its objects in the cone,
+    The four 1-D arrays broadcast against each other, and the tables come
+    back in the order of that batch. One broadcast against every object of
+    ``arrays`` computes ``scene.objects_in_fov``'s distances and cone test;
+    a category's entry is the least distance among its objects in the cone,
     which is its first hit in ``objects_in_fov``'s (distance, id) order.
     """
-    idx = _category_index(room)
-    vx = idx.px - xs[..., None]  # objects along the last axis
-    vy = idx.py - eye_height
-    vz = idx.pz - zs[..., None]
+    vx = arrays.px - xs  # objects along the first axis, the batch along the last
+    vy = arrays.py - eye_height
+    vz = arrays.pz - zs
     dist = np.sqrt(vx * vx + vy * vy + vz * vz)
     # an object coincident with the eye is inside any cone. The gaze is level,
     # so the dot product has no y term: vy * 0 only adds a signed zero, and
     # no comparison tells -0.0 from 0.0
-    inside = (dist < _EPS) | (
-        vx * fxs[..., None] + vz * fzs[..., None] >= _COS_HALF_ATTENTION * dist
-    )
-    nearest = np.full(inside.shape[:-1] + (_CATEGORY_COUNT,), math.inf)
-    if idx.codes:
-        nearest[..., idx.codes] = np.minimum.reduceat(
-            np.where(inside, dist, math.inf), idx.starts, axis=-1
+    inside = (dist < _EPS) | (vx * fxs + vz * fzs >= _COS_HALF_ATTENTION * dist)
+    nearest = np.full((_CATEGORY_COUNT, inside.shape[1]), math.inf)
+    if arrays.count:
+        nearest[arrays.run_codes] = np.minimum.reduceat(
+            np.where(inside, dist, math.inf), arrays.starts, axis=0
         )
-    tables = np.where(nearest == math.inf, None, nearest).reshape(-1, _CATEGORY_COUNT)
+    tables = np.where(nearest == math.inf, None, nearest).T
     return list(map(tuple, tables.tolist()))
 
 
-def _spatial(room: Room, x: float, z: float) -> tuple:
+def _spatial(arrays: RoomArrays, x: float, z: float) -> tuple:
     """Nearest horizontal center distance per category within
     SPATIAL_RADIUS, computed as ``scene.objects_in_radius`` does."""
     out = [None] * _CATEGORY_COUNT
-    for px, pz, code in _category_index(room).points:
+    for o, code in zip(arrays.objects, arrays.codes):
+        px, _, pz = o.position
         d = math.hypot(px - x, pz - z)
         if d <= SPATIAL_RADIUS:
             best = out[code]
@@ -479,15 +455,16 @@ def _features_at(room: Room, xs: list[float], zs: list[float], yaws: list[float]
     accommodation heights come from one broadcast against ``arrays`` (by
     default every object of the room) and their attention tables from
     another."""
+    room_arrays = room.arrays
     cx, cz = np.array(xs, dtype=float), np.array(zs, dtype=float)
-    heights = _accommodation_at(room.arrays if arrays is None else arrays, cx, cz)
+    heights = _accommodation_at(room_arrays if arrays is None else arrays, cx, cz)
     attention = _attention_at(
-        room, cx, cz,
+        room_arrays, cx, cz,
         np.array([math.sin(yaw) for yaw in yaws]), np.array([math.cos(yaw) for yaw in yaws]),
         _eye_height(pose),
     )
     return [
-        _candidate(_interpersonal(x, z, yaw, partner), row, table, _spatial(room, x, z))
+        _candidate(_interpersonal(x, z, yaw, partner), row, table, _spatial(room_arrays, x, z))
         for x, z, yaw, row, table in zip(xs, zs, yaws, heights, attention)
     ]
 
@@ -533,14 +510,16 @@ def _standing_feasible(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray) -> np
 
 def _sitting_feasible(room: Room, x: float, z: float) -> bool:
     """True when some sittable object's seat covers the whole body disc."""
-    for o in room.scalars:
+    for o in room.objects:
         if not o.sittable:
             continue
-        dx = x - o.px
-        dz = z - o.pz
-        lx = dx * o.cos - dz * o.sin
-        lz = dx * o.sin + dz * o.cos
-        if abs(lx) <= o.hx - BODY_RADIUS + _EPS and abs(lz) <= o.hz - BODY_RADIUS + _EPS:
+        px, _, pz = o.position
+        hx, _, hz = o.half_size
+        dx = x - px
+        dz = z - pz
+        lx = dx * o.cos_yaw - dz * o.sin_yaw
+        lz = dx * o.sin_yaw + dz * o.cos_yaw
+        if abs(lx) <= hx - BODY_RADIUS + _EPS and abs(lz) <= hz - BODY_RADIUS + _EPS:
             return True
     return False
 
@@ -636,6 +615,7 @@ def grid_search(
         config = GridConfig()
     score_bound = getattr(scorer, "score_bound", None)
 
+    arrays = room.arrays
     xs, zs, yaws = grid_axes(room.extents, config.cell, config.yaw_count)
     per_pose = len(xs) * len(zs) * len(yaws)
     facing_x = np.array([math.sin(yaw) for yaw in yaws])
@@ -655,9 +635,9 @@ def grid_search(
         if not column:
             continue
         cz = np.array([z for z, _ in column])
-        heights = _accommodation_at(room.arrays, np.full(len(column), x), cz)
+        heights = _accommodation_at(arrays, np.full(len(column), x), cz)
         for (z, poses), accommodation in zip(column, heights):
-            spatial = _spatial(room, x, z)
+            spatial = _spatial(arrays, x, z)
             cells.append((x, z, poses, accommodation, spatial))
             if score_bound is None:
                 bounds.append(math.inf)
@@ -675,7 +655,7 @@ def grid_search(
             break
         x, z, poses, accommodation, spatial = cells[k]
         attention = [
-            _attention_at(room, np.array([x]), np.array([z]), facing_x, facing_z, _eye_height(pose))
+            _attention_at(arrays, np.array([x]), np.array([z]), facing_x, facing_z, _eye_height(pose))
             for pose in poses
         ]
         candidates = []

@@ -8,9 +8,13 @@ room; a surface point on one object transfers to its pair through normalized
 third of the way across the partner's screen whatever its actual size.
 
 All queries are pure functions of immutable data and are safe to call from
-parallel placement workers. Scene objects hold numpy arrays as rooms load
-them; per-tick queries (raycasts, surface coordinates) read their plain-float
-mirrors (`ObjectScalars`) and return float tuples.
+parallel placement workers. A room holds its objects in two forms. Each
+`SceneObject` holds plain floats (float tuples for position and size) and
+the values derived from them once; the per-point queries (raycasts, surface
+coordinates, fields of view, support heights) loop over `Room.objects` and
+return float tuples. `RoomArrays`, built once per room, holds the same
+objects in category order as numpy columns for the placement search's
+broadcasts.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +31,8 @@ import numpy as np
 from .geometry import float_tuple, norm
 
 _EPS = 1e-9
+# how far a point may lie outside a room's extents and still count as inside
+_EXTENTS_TOL = 1e-6
 
 
 class SceneError(ValueError):
@@ -62,56 +69,79 @@ class ObjectCategory(Enum):
     Other = 6
 
 
-@dataclass(frozen=True)
+def _finite(oid: str, name: str, value) -> float:
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise MalformedRoom(f"object {oid!r}: {name} must be a number, got {value!r}") from None
+    if not math.isfinite(v):
+        raise MalformedRoom(f"object {oid!r}: {name} must be finite, got {v}")
+    return v
+
+
+def _vec3(oid: str, name: str, value) -> tuple[float, float, float]:
+    try:
+        items = tuple(value)
+    except TypeError:
+        items = ()
+    if len(items) != 3:
+        raise MalformedRoom(f"object {oid!r}: {name} must be a 3-vector, got {value!r}")
+    return tuple(_finite(oid, name, v) for v in items)
+
+
+@dataclass(frozen=True, slots=True)
 class SceneObject:
-    """One oriented box. position is the box center; size is full extents."""
+    """One oriented box. position is the box center; size is full extents.
+
+    position, size, yaw and sit_height hold Python floats, whatever numbers
+    they were given. The values every query reads are derived once here:
+    the yaw's cosine and sine, the half extents and the support height.
+    """
 
     id: str
     category: ObjectCategory
-    position: np.ndarray
+    position: tuple[float, float, float]
     yaw: float
-    size: np.ndarray
+    size: tuple[float, float, float]
     sittable: bool = False
     sit_height: float | None = None
     pair_id: str | None = None
 
-    # cached trig, filled in __post_init__
-    cos_yaw: float = field(init=False, repr=False, compare=False, default=1.0)
-    sin_yaw: float = field(init=False, repr=False, compare=False, default=0.0)
+    cos_yaw: float = field(init=False, repr=False, compare=False)
+    sin_yaw: float = field(init=False, repr=False, compare=False)
+    half_size: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    # height of the surface this object offers: seat height for sittable
+    # objects (a chair's backrest does not count), box top otherwise
+    support_height: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "size", np.asarray(self.size, dtype=float))
-        if self.position.shape != (3,) or self.size.shape != (3,):
-            raise MalformedRoom(f"object {self.id!r}: position/size must be 3-vectors")
-        if not (np.all(np.isfinite(self.position)) and np.all(np.isfinite(self.size))):
-            raise MalformedRoom(f"object {self.id!r}: non-finite position or size")
-        if np.any(self.size <= 0.0):
-            raise NonPositiveExtent(
-                f"object {self.id!r}: size must be positive, got {self.size.tolist()}"
-            )
+        oid = self.id
+        position = _vec3(oid, "position", self.position)
+        size = _vec3(oid, "size", self.size)
+        if not all(v > 0.0 for v in size):
+            raise NonPositiveExtent(f"object {oid!r}: size must be positive, got {list(size)}")
+        yaw = _finite(oid, "yaw", self.yaw)
+        sit_height = None if self.sit_height is None else _finite(oid, "sit_height", self.sit_height)
         if self.sittable:
-            if self.sit_height is None:
-                raise MalformedRoom(f"object {self.id!r}: sittable requires sit_height")
-            if not (0.2 <= self.sit_height <= 0.8):
-                raise MalformedRoom(
-                    f"object {self.id!r}: sit_height {self.sit_height} outside [0.2, 0.8]"
-                )
-        object.__setattr__(self, "cos_yaw", math.cos(self.yaw))
-        object.__setattr__(self, "sin_yaw", math.sin(self.yaw))
-
-    @property
-    def support_height(self) -> float:
-        """Height of the surface this object offers: seat height for sittable
-        objects (a chair's backrest does not count), box top otherwise."""
-        if self.sittable:
-            return float(self.sit_height)
-        return float(self.position[1]) + float(self.size[1]) * 0.5
+            if sit_height is None:
+                raise MalformedRoom(f"object {oid!r}: sittable requires sit_height")
+            if not (0.2 <= sit_height <= 0.8):
+                raise MalformedRoom(f"object {oid!r}: sit_height {sit_height} outside [0.2, 0.8]")
+        half = (size[0] * 0.5, size[1] * 0.5, size[2] * 0.5)
+        put = object.__setattr__
+        put(self, "position", position)
+        put(self, "size", size)
+        put(self, "yaw", yaw)
+        put(self, "sit_height", sit_height)
+        put(self, "cos_yaw", math.cos(yaw))
+        put(self, "sin_yaw", math.sin(yaw))
+        put(self, "half_size", half)
+        put(self, "support_height", sit_height if self.sittable else position[1] + half[1])
 
     def to_local(self, world_point) -> tuple[float, float, float]:
         """World point -> box-local frame (center origin, yaw removed)."""
         x, y, z = world_point
-        px, py, pz = self.position.tolist()
+        px, py, pz = self.position
         dx = x - px
         dz = z - pz
         c, s = self.cos_yaw, self.sin_yaw
@@ -119,72 +149,53 @@ class SceneObject:
 
     def to_world(self, local_point) -> tuple[float, float, float]:
         lx, ly, lz = local_point
-        px, py, pz = self.position.tolist()
+        px, py, pz = self.position
         c, s = self.cos_yaw, self.sin_yaw
         return (px + lx * c + lz * s, py + ly, pz - lx * s + lz * c)
 
     def footprint_corners(self) -> list[tuple[float, float]]:
-        hx = float(self.size[0]) * 0.5
-        hz = float(self.size[2]) * 0.5
+        px, _, pz = self.position
+        hx, _, hz = self.half_size
         c, s = self.cos_yaw, self.sin_yaw
-        out = []
-        for lx, lz in ((-hx, -hz), (-hx, hz), (hx, -hz), (hx, hz)):
-            out.append(
-                (
-                    float(self.position[0]) + lx * c + lz * s,
-                    float(self.position[2]) - lx * s + lz * c,
-                )
-            )
-        return out
-
-
-class ObjectScalars:
-    """Plain-float mirror of one SceneObject for hot query loops.
-
-    Attribute access on numpy scalars dominates the placement search budget
-    otherwise; these are ordinary Python floats.
-    """
-
-    __slots__ = (
-        "id", "category", "px", "py", "pz", "cos", "sin",
-        "hx", "hy", "hz", "support", "sittable", "sit_height",
-    )
-
-    def __init__(self, o: SceneObject):
-        self.id = o.id
-        self.category = o.category
-        self.px = float(o.position[0])
-        self.py = float(o.position[1])
-        self.pz = float(o.position[2])
-        self.cos = o.cos_yaw
-        self.sin = o.sin_yaw
-        self.hx = float(o.size[0]) * 0.5
-        self.hy = float(o.size[1]) * 0.5
-        self.hz = float(o.size[2]) * 0.5
-        self.support = o.support_height
-        self.sittable = o.sittable
-        self.sit_height = float(o.sit_height) if o.sit_height is not None else None
+        return [
+            (px + lx * c + lz * s, pz - lx * s + lz * c)
+            for lx, lz in ((-hx, -hz), (-hx, hz), (hx, -hz), (hx, hz))
+        ]
 
 
 class RoomArrays:
-    """Per-object columns as (count, 1) numpy arrays, for vectorized
-    footprint tests against a row of points."""
+    """A room's objects in category order, with per-object columns as
+    (count, 1) numpy arrays for broadcasts against a row of points.
 
-    _COLUMNS = ("px", "pz", "cos", "sin", "hx_tol", "hz_tol", "support", "reach_x", "reach_z")
-    __slots__ = _COLUMNS + ("count",)
+    ``codes`` holds each object's category code; ``starts`` and
+    ``run_codes`` hold where each present category's run of objects starts
+    and its code. Maxima and minima over these columns, per category or
+    not, do not depend on the order of the objects.
+    """
+
+    __slots__ = (
+        "objects", "count", "codes", "starts", "run_codes",
+        "px", "py", "pz", "cos", "sin", "hx_tol", "hz_tol", "support", "reach_x", "reach_z",
+    )
 
     def __init__(self, objects: tuple[SceneObject, ...]):
         def column(values) -> np.ndarray:
             return np.array(values, dtype=float).reshape(-1, 1)
 
+        objects = tuple(sorted(objects, key=lambda o: o.category.value))
+        self.objects = objects
         self.count = len(objects)
-        self.px = column([float(o.position[0]) for o in objects])
-        self.pz = column([float(o.position[2]) for o in objects])
+        self.codes = tuple(o.category.value for o in objects)
+        self.starts = [i for i, code in enumerate(self.codes) if i == 0 or code != self.codes[i - 1]]
+        self.run_codes = [self.codes[i] for i in self.starts]
+        self.px = column([o.position[0] for o in objects])
+        self.py = column([o.position[1] for o in objects])
+        self.pz = column([o.position[2] for o in objects])
         self.cos = column([o.cos_yaw for o in objects])
         self.sin = column([o.sin_yaw for o in objects])
         # footprint half extents with the containment tolerance
-        self.hx_tol = column([float(o.size[0]) * 0.5 for o in objects]) + _EPS
-        self.hz_tol = column([float(o.size[2]) * 0.5 for o in objects]) + _EPS
+        self.hx_tol = column([o.half_size[0] for o in objects]) + _EPS
+        self.hz_tol = column([o.half_size[2] for o in objects]) + _EPS
         self.support = column([o.support_height for o in objects])
         # half extents of the tolerant footprint's axis-aligned bounding box,
         # padded far beyond the rounding of the rotated footprint test and
@@ -204,12 +215,8 @@ class RoomArrays:
         keep = (
             (self.px - self.reach_x <= max_x) & (self.px + self.reach_x >= min_x)
             & (self.pz - self.reach_z <= max_z) & (self.pz + self.reach_z >= min_z)
-        ).reshape(-1)
-        subset = object.__new__(RoomArrays)
-        for name in RoomArrays._COLUMNS:
-            setattr(subset, name, getattr(self, name)[keep])
-        subset.count = int(keep.sum())
-        return subset
+        ).reshape(-1).tolist()
+        return RoomArrays(tuple(o for o, k in zip(self.objects, keep) if k))
 
     def support_heights(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
         """Max support height among these objects covering each point
@@ -249,10 +256,10 @@ class Extents:
     def depth(self) -> float:
         return self.max_z - self.min_z
 
-    def contains(self, x: float, z: float, tol: float = 1e-6) -> bool:
+    def contains(self, x: float, z: float) -> bool:
         return (
-            self.min_x - tol <= x <= self.max_x + tol
-            and self.min_z - tol <= z <= self.max_z + tol
+            self.min_x - _EXTENTS_TOL <= x <= self.max_x + _EXTENTS_TOL
+            and self.min_z - _EXTENTS_TOL <= z <= self.max_z + _EXTENTS_TOL
         )
 
 
@@ -278,21 +285,9 @@ class Room:
                         f"room {self.id!r}: object {o.id!r} extends outside room extents"
                     )
 
-    @property
-    def scalars(self) -> tuple[ObjectScalars, ...]:
-        cached = getattr(self, "_scalars", None)
-        if cached is None:
-            cached = tuple(ObjectScalars(o) for o in self.objects)
-            object.__setattr__(self, "_scalars", cached)
-        return cached
-
-    @property
+    @cached_property
     def arrays(self) -> RoomArrays:
-        cached = getattr(self, "_arrays", None)
-        if cached is None:
-            cached = RoomArrays(self.objects)
-            object.__setattr__(self, "_arrays", cached)
-        return cached
+        return RoomArrays(self.objects)
 
     def object(self, object_id: str) -> SceneObject:
         try:
@@ -314,7 +309,6 @@ class Room:
                 raise DuplicateId(f"room {self.id!r}: duplicate object id {o.id!r}")
             index[o.id] = o
         object.__setattr__(r, "by_id", index)
-        object.__setattr__(r, "_scalars", self.scalars + tuple(ObjectScalars(o) for o in extra))
         return r
 
 
@@ -389,10 +383,6 @@ class HeightMap:
             and np.array_equal(self.valid, other.valid)
         )
 
-    @property
-    def half_n(self) -> int:
-        return (self.heights.shape[0] - 1) // 2
-
 
 # --- loading ----------------------------------------------------------------
 
@@ -408,11 +398,11 @@ def _parse_object(doc: dict) -> SceneObject:
         return SceneObject(
             id=str(doc["id"]),
             category=cat,
-            position=np.array(doc["position"], dtype=float),
-            yaw=float(doc["yaw"]),
-            size=np.array(doc["size"], dtype=float),
+            position=doc["position"],
+            yaw=doc["yaw"],
+            size=doc["size"],
             sittable=bool(doc.get("sittable", False)),
-            sit_height=(float(doc["sit_height"]) if doc.get("sit_height") is not None else None),
+            sit_height=doc.get("sit_height"),
             pair_id=(str(doc["pair_id"]) if doc.get("pair_id") is not None else None),
         )
     except KeyError as e:
@@ -495,9 +485,9 @@ def room_hash(room: Room) -> int:
                 (
                     o.id,
                     o.category.name,
-                    repr(tuple(o.position.tolist())),
+                    repr(o.position),
                     repr(o.yaw),
-                    repr(tuple(o.size.tolist())),
+                    repr(o.size),
                     repr(o.sittable),
                     repr(o.sit_height),
                     repr(o.pair_id),
@@ -514,21 +504,22 @@ def room_hash(room: Room) -> int:
 
 # --- raycast ----------------------------------------------------------------
 
-def _ray_box_distance(obj: ObjectScalars, origin, direction) -> float | None:
+def _ray_box_distance(obj: SceneObject, origin, direction) -> float | None:
     """Slab test in the box's local frame. Returns the hit distance, or None.
 
     A ray starting inside the box hits its exit surface.
     """
-    c, s = obj.cos, obj.sin
-    dx = origin[0] - obj.px
-    dz = origin[2] - obj.pz
-    o = (dx * c - dz * s, origin[1] - obj.py, dx * s + dz * c)
+    c, s = obj.cos_yaw, obj.sin_yaw
+    px, py, pz = obj.position
+    dx = origin[0] - px
+    dz = origin[2] - pz
+    o = (dx * c - dz * s, origin[1] - py, dx * s + dz * c)
     d = (
         direction[0] * c - direction[2] * s,
         direction[1],
         direction[0] * s + direction[2] * c,
     )
-    half = (obj.hx, obj.hy, obj.hz)
+    half = obj.half_size
     t_near = -math.inf
     t_far = math.inf
     for axis in range(3):
@@ -553,7 +544,7 @@ def raycast(room: Room, ray: Ray) -> RayHit | None:
     """Nearest oriented-box intersection, or None. Exact distance ties go to
     the lexicographically smaller object id."""
     best: tuple[float, str] | None = None
-    for obj in room.scalars:
+    for obj in room.objects:
         t = _ray_box_distance(obj, ray.origin, ray.direction)
         if t is None:
             continue
@@ -576,7 +567,7 @@ def normalize_hit(obj: SceneObject, world_point) -> NormalizedHit:
     clamped into [0,1] so that boundary points survive float round-off.
     """
     local = obj.to_local(world_point)
-    size = obj.size.tolist()
+    size = obj.size
     for axis in range(3):
         if abs(local[axis]) > size[axis] * 0.5 + 1e-4:
             raise OutOfRange(f"point {list(world_point)} outside object {obj.id!r}")
@@ -590,7 +581,7 @@ def denormalize_hit(obj: SceneObject, hit: NormalizedHit | tuple[float, float, f
     for name, c in zip("uvw", uvw):
         if not (0.0 <= c <= 1.0):
             raise OutOfRange(f"normalized coordinate {name}={c} outside [0,1]")
-    return obj.to_world([(c - 0.5) * extent for c, extent in zip(uvw, obj.size.tolist())])
+    return obj.to_world([(c - 0.5) * extent for c, extent in zip(uvw, obj.size)])
 
 
 # --- spatial queries --------------------------------------------------------
@@ -602,10 +593,11 @@ def objects_in_fov(room: Room, eye, forward, half_angle: float) -> list[tuple[st
     fx, fy, fz = float(forward[0]), float(forward[1]), float(forward[2])
     cos_half = math.cos(half_angle)
     out: list[tuple[float, str]] = []
-    for o in room.scalars:
-        vx = o.px - ex
-        vy = o.py - ey
-        vz = o.pz - ez
+    for o in room.objects:
+        px, py, pz = o.position
+        vx = px - ex
+        vy = py - ey
+        vz = pz - ez
         dist = math.sqrt(vx * vx + vy * vy + vz * vz)
         if dist < _EPS:
             out.append((dist, o.id))  # coincident with the eye: inside any cone
@@ -623,8 +615,9 @@ def objects_in_radius(room: Room, center, radius: float) -> list[tuple[str, floa
     cx = float(center[0])
     cz = float(center[2])
     out: list[tuple[float, str]] = []
-    for o in room.scalars:
-        d = math.hypot(o.px - cx, o.pz - cz)
+    for o in room.objects:
+        px, _, pz = o.position
+        d = math.hypot(px - cx, pz - cz)
         if d <= radius:
             out.append((d, o.id))
     out.sort()
@@ -635,14 +628,16 @@ def support_height_at(room: Room, x: float, z: float) -> float:
     """Max support height among objects covering (x, z); 0 for bare floor.
     Never negative: a surface below the floor cannot be stood on."""
     h = 0.0
-    for o in room.scalars:
-        dx = x - o.px
-        dz = z - o.pz
-        lx = dx * o.cos - dz * o.sin
-        lz = dx * o.sin + dz * o.cos
-        if abs(lx) <= o.hx + _EPS and abs(lz) <= o.hz + _EPS:
-            if o.support > h:
-                h = o.support
+    for o in room.objects:
+        px, _, pz = o.position
+        hx, _, hz = o.half_size
+        dx = x - px
+        dz = z - pz
+        lx = dx * o.cos_yaw - dz * o.sin_yaw
+        lz = dx * o.sin_yaw + dz * o.cos_yaw
+        if abs(lx) <= hx + _EPS and abs(lz) <= hz + _EPS:
+            if o.support_height > h:
+                h = o.support_height
     return h
 
 

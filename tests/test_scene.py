@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,9 @@ from twinroom.scene import (
     support_heights,
     validate_pairing,
 )
+
+
+ROOMS = Path(__file__).resolve().parents[1] / "demos" / "rooms"
 
 
 def box(oid, pos, size, yaw=0.0, category=ObjectCategory.Table, **kw):
@@ -93,7 +98,7 @@ def penetration_depths(room, points):
         dz = pts[:, 2] - o.position[2]
         lx = dx * o.cos_yaw - dz * o.sin_yaw
         lz = dx * o.sin_yaw + dz * o.cos_yaw
-        half = o.size * 0.5
+        half = np.asarray(o.size) * 0.5
         depth = np.minimum(
             np.minimum(half[0] - np.abs(lx), half[1] - np.abs(dy)),
             half[2] - np.abs(lz),
@@ -104,7 +109,7 @@ def penetration_depths(room, points):
 
 def on_surface(obj, point, tol=1e-6):
     local = obj.to_local(point)
-    half = obj.size * 0.5
+    half = np.asarray(obj.size) * 0.5
     inside = all(abs(local[a]) <= half[a] + tol for a in range(3))
     touching = any(abs(abs(local[a]) - half[a]) <= tol for a in range(3))
     return inside and touching
@@ -208,7 +213,7 @@ def test_same_uvw_lands_proportionally_on_paired_sizes():
     uvw = (0.25, 0.75, 0.5)
     pa = a.to_local(denormalize_hit(a, uvw))
     pb = b.to_local(denormalize_hit(b, uvw))
-    np.testing.assert_allclose(pa / a.size, pb / b.size, atol=1e-12)
+    np.testing.assert_allclose(pa / np.asarray(a.size), pb / np.asarray(b.size), atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -283,7 +288,6 @@ def test_height_map_matches_pointwise_oracle(room, cx, cz, radius, cell):
     hm = height_map(room, (cx, 0, cz), radius, cell)
     n = int(math.floor(radius / cell + 1e-9))
     assert hm.heights.shape == (2 * n + 1, 2 * n + 1)
-    assert hm.half_n == n
     for i in range(2 * n + 1):
         for j in range(2 * n + 1):
             ox = (i - n) * cell
@@ -464,6 +468,36 @@ def test_room_hash_stable_across_loads():
     assert room_hash(load_room(doc)) == room_hash(load_room(json.dumps(doc)))
 
 
+def test_room_hash_is_pinned():
+    # Hello and every transcript header carry it: these values must not move
+    assert room_hash(load_room(ROOMS / "office_a.json")) == 0xA08BB210621BFECB
+    assert room_hash(load_room(ROOMS / "loft_b.json")) == 0x0308BBE9C8680E70
+    integer_coordinates = {
+        "id": "r",
+        "extents": {"min": [0, 0], "max": [4, 3]},
+        "objects": [
+            {
+                "id": "desk", "category": "Table", "position": [2, 0.4, 1], "yaw": 0,
+                "size": [1, 1, 1], "sittable": False,
+            }
+        ],
+    }
+    assert room_hash(load_room(integer_coordinates)) == 0x3EB02E0B65FB4A41
+
+
+def test_rooms_and_objects_compare_by_value_and_hash():
+    a = load_room(ROOMS / "office_a.json")
+    b = load_room(ROOMS / "office_a.json")
+    assert a == b and a.objects == b.objects
+    assert hash(a.objects[0]) == hash(b.objects[0])
+    assert len(set(a.objects + b.objects)) == len(a.objects)
+    first = a.objects[0]
+    px, py, pz = first.position
+    moved = dataclasses.replace(first, position=(px + 0.01, py, pz))
+    assert moved != first
+    assert Room(id=a.id, extents=a.extents, objects=(moved, *a.objects[1:])) != a
+
+
 # --- loading and validation -------------------------------------------------
 
 
@@ -507,17 +541,26 @@ def test_load_room_rejects_object_outside_extents():
 
 
 def test_load_room_rejects_bad_objects():
-    for patch, err in [
-        ({"size": [0, 1, 1]}, NonPositiveExtent),
-        ({"category": "Spaceship"}, MalformedRoom),
-        ({"sittable": True}, MalformedRoom),  # sittable without sit_height
-        ({"sittable": True, "sit_height": 1.5}, MalformedRoom),
-        ({"position": [1, 2]}, MalformedRoom),
+    for patch, err, match in [
+        ({"size": [0, 1, 1]}, NonPositiveExtent, None),
+        ({"category": "Spaceship"}, MalformedRoom, None),
+        ({"sittable": True}, MalformedRoom, None),  # sittable without sit_height
+        ({"sittable": True, "sit_height": 1.5}, MalformedRoom, None),
+        ({"position": [1, 2]}, MalformedRoom, None),
+        ({"yaw": math.inf}, MalformedRoom, "'desk': yaw"),
+        ({"yaw": math.nan}, MalformedRoom, "'desk': yaw"),
+        ({"sit_height": math.nan}, MalformedRoom, "'desk': sit_height"),
+        ({"sittable": True, "sit_height": -math.inf}, MalformedRoom, "'desk': sit_height"),
+        ({"position": [1, math.nan, 1]}, MalformedRoom, "'desk': position"),
+        ({"size": [1, 1, math.inf]}, MalformedRoom, "'desk': size"),
     ]:
         doc = room_doc()
         doc["objects"][0].update(patch)
-        with pytest.raises(err):
+        with pytest.raises(err, match=match):
             load_room(doc)
+    doc = json.dumps(room_doc()).replace('"yaw": 0.0', '"yaw": Infinity')
+    with pytest.raises(MalformedRoom, match="'desk': yaw"):
+        load_room(doc)
 
 
 def test_load_room_rejects_degenerate_extents():

@@ -410,7 +410,7 @@ def test_fixation_room_is_rebuilt_only_when_the_partner_head_moves(monkeypatch):
                           [(f.candidate, f.accumulated, f.target) for f in fx]))
 
         def counted(room, extra):
-            builds.append(extra[0].position.tolist())
+            builds.append(list(extra[0].position))
             return with_extra(room, extra)
 
         with monkeypatch.context() as m:
