@@ -25,26 +25,32 @@ The default scorer turns feature differences into a similarity in [0, 1]
 particle swarm confined to that cell's neighborhood. The grid is a bounded
 best-first scan with the result of an exhaustive one. It first takes one
 grid column at a time: its cells' accommodation heights come from one
-broadcast, and each feasible cell gets its spatial table and an upper bound
-on its (yaw, pose) candidates' scores (their height and spatial terms do not
+broadcast and their spatial tables from another, and each feasible cell
+gets an upper bound on its (yaw, pose) candidates' scores (their height and spatial terms do not
 depend on yaw, attention is at most 1, and the partner offset has the same
 length at every yaw). It then visits cells by descending bound, scores a
 cell's candidates together, and stops once no bound can reach the best
-score. A swarm iteration checks its particles' feasibility, samples their
-accommodation heights and computes their attention tables in one broadcast
-each, then scores them together.
+score. A standing swarm iteration is one footprint broadcast: it samples
+every particle's accommodation heights, and a particle's feasibility is read
+off the 13 foot cells among them (each foot cell is an accommodation cell,
+offset for offset, bit for bit). A sitting iteration tests the seats first
+and samples only the feasible particles. The feasible particles' attention
+tables come from one more broadcast and their spatial tables from one
+difference broadcast, and they are scored together; the default scorer
+computes the height term once per distinct accommodation row.
 A swarm's footprint broadcasts run only against the objects whose footprint
 reaches the box its samples lie in, which drops only objects that cover
 none of them.
 The broadcasts read the room's ``scene.RoomArrays``, whose columns hold the
-objects in category order, so an attention table is one ``np.minimum``
-reduction per category run; the per-point loops (spatial tables, seat
-coverage) read the plain floats of the same objects.
+objects in category order, so an attention or spatial table is one
+``np.minimum`` reduction per category run; the seat-coverage loop reads the
+plain floats of the same objects.
 Batching, bounding and cropping change no result: every feature and score
 is computed with the same floating-point operations as for a single
 placement (a category's attention entry is the least distance in the cone,
 which is the nearest hit), and ``math.sin``, ``math.cos``, ``math.hypot``,
-``math.exp`` and the height term still run once per scored candidate. The
+``math.exp`` and the height term still run on the same inputs (the height
+term once per distinct row, which gives every equal row the same value). The
 broadcasts use only elementwise arithmetic, ``np.sqrt`` and comparisons,
 which are correctly rounded on every CPU, and the height term sums its
 squared differences with ``math.fsum``, which is correctly rounded too, so a
@@ -337,20 +343,26 @@ class DefaultScorer:
         return default_similarity(target, candidate, self.config)
 
     def score_batch(self, target: FeatureVector, candidates: list[FeatureVector]) -> list[float]:
-        """``score`` for each candidate. An accommodation row or spatial
-        table that a candidate shares with the one before it (a grid cell's
-        yaws and poses), and each distinct attention table, is compared with
-        the target once."""
+        """``score`` for each candidate. The height term is computed once per
+        distinct accommodation row content, a spatial table that a candidate
+        shares with the one before it (a grid cell's yaws and poses) is
+        compared with the target once, and so is each distinct attention
+        table."""
         cfg = self.config
         w0, w1, w2, w3 = cfg.weights
         falloff = cfg.distance_falloff
         heights = spatial = None
+        height_terms: dict[bytes, float] = {}
         attention_terms: dict[tuple, float] = {}
         out = []
         for c in candidates:
             if c.pose_accommodation is not heights:
                 heights = c.pose_accommodation
-                s_height = _height_term(target.pose_accommodation, heights, cfg.sigma_height)
+                key = heights.tobytes()
+                s_height = height_terms.get(key)
+                if s_height is None:
+                    s_height = _height_term(target.pose_accommodation, heights, cfg.sigma_height)
+                    height_terms[key] = s_height
             if c.spatial is not spatial:
                 spatial = c.spatial
                 s_spatial = _category_term(target.spatial, spatial, falloff)
@@ -379,14 +391,19 @@ class DefaultScorer:
 
 # --- feature extraction -----------------------------------------------------
 
-def _interpersonal(x: float, z: float, yaw: float, partner: PartnerPose | None):
+def _interpersonal(x: float, z: float, yaw: float, cos_yaw: float, sin_yaw: float,
+                   partner: PartnerPose | None):
     if partner is None:
         return None
     dx = partner.x - x
     dz = partner.z - z
-    c = math.cos(yaw)
-    s = math.sin(yaw)
-    return (dx * c - dz * s, dx * s + dz * c, wrap_angle(partner.yaw - yaw))
+    return (dx * cos_yaw - dz * sin_yaw, dx * sin_yaw + dz * cos_yaw, wrap_angle(partner.yaw - yaw))
+
+
+def _tables(nearest: np.ndarray) -> list[tuple]:
+    """Per-category tables, one per column of a (category, batch) array of
+    least distances, None where the distance is inf (nothing in range)."""
+    return list(map(tuple, np.where(nearest == math.inf, None, nearest).T.tolist()))
 
 
 def _attention_at(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray, fxs: np.ndarray, fzs: np.ndarray,
@@ -413,22 +430,24 @@ def _attention_at(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray, fxs: np.nd
         nearest[arrays.run_codes] = np.minimum.reduceat(
             np.where(inside, dist, math.inf), arrays.starts, axis=0
         )
-    tables = np.where(nearest == math.inf, None, nearest).T
-    return list(map(tuple, tables.tolist()))
+    return _tables(nearest)
 
 
-def _spatial(arrays: RoomArrays, x: float, z: float) -> tuple:
-    """Nearest horizontal center distance per category within
-    SPATIAL_RADIUS, computed as ``scene.objects_in_radius`` does."""
-    out = [None] * _CATEGORY_COUNT
-    for o, code in zip(arrays.objects, arrays.codes):
-        px, _, pz = o.position
-        d = math.hypot(px - x, pz - z)
-        if d <= SPATIAL_RADIUS:
-            best = out[code]
-            if best is None or d < best:
-                out[code] = d
-    return tuple(out)
+def _spatial_at(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray) -> list[tuple]:
+    """Spatial tables of a batch of positions (xs[i], zs[i]): per category,
+    the nearest horizontal center distance within SPATIAL_RADIUS, each
+    distance ``math.hypot`` of the center offset, as
+    ``scene.objects_in_radius`` computes it."""
+    nearest = np.full((_CATEGORY_COUNT, len(xs)), math.inf)
+    if arrays.count:
+        dist = np.array([
+            [math.hypot(dx, dz) for dx, dz in zip(row_x, row_z)]
+            for row_x, row_z in zip((arrays.px - xs).tolist(), (arrays.pz - zs).tolist())
+        ]).reshape(arrays.count, len(xs))
+        nearest[arrays.run_codes] = np.minimum.reduceat(
+            np.where(dist <= SPATIAL_RADIUS, dist, math.inf), arrays.starts, axis=0
+        )
+    return _tables(nearest)
 
 
 def _eye_height(pose: PlacementPose) -> float:
@@ -450,22 +469,24 @@ def _candidate(interpersonal, accommodation: np.ndarray, attention: tuple, spati
 
 
 def _features_at(room: Room, xs: list[float], zs: list[float], yaws: list[float], pose: PlacementPose,
-                 partner: PartnerPose | None, arrays: RoomArrays | None = None) -> list[FeatureVector]:
-    """Feature vectors of a batch of placements sharing one pose; their
-    accommodation heights come from one broadcast against ``arrays`` (by
-    default every object of the room) and their attention tables from
-    another."""
-    room_arrays = room.arrays
+                 partner: PartnerPose | None, heights: np.ndarray | None = None) -> list[FeatureVector]:
+    """Feature vectors of a batch of placements sharing one pose. Their
+    attention tables come from one broadcast and their spatial tables from
+    another; ``heights`` holds their accommodation rows when the caller has
+    them already, and by default they come from one broadcast against every
+    object of the room. ``math.sin`` and ``math.cos`` run once per
+    placement, for the attention cone and the partner offset alike."""
+    arrays = room.arrays
     cx, cz = np.array(xs, dtype=float), np.array(zs, dtype=float)
-    heights = _accommodation_at(room_arrays if arrays is None else arrays, cx, cz)
-    attention = _attention_at(
-        room_arrays, cx, cz,
-        np.array([math.sin(yaw) for yaw in yaws]), np.array([math.cos(yaw) for yaw in yaws]),
-        _eye_height(pose),
-    )
+    if heights is None:
+        heights = _accommodation_at(arrays, cx, cz)
+    sins = [math.sin(yaw) for yaw in yaws]
+    coss = [math.cos(yaw) for yaw in yaws]
+    attention = _attention_at(arrays, cx, cz, np.array(sins), np.array(coss), _eye_height(pose))
+    spatial = _spatial_at(arrays, cx, cz)
     return [
-        _candidate(_interpersonal(x, z, yaw, partner), row, table, _spatial(room_arrays, x, z))
-        for x, z, yaw, row, table in zip(xs, zs, yaws, heights, attention)
+        _candidate(_interpersonal(x, z, yaw, c, s, partner), row, table, near)
+        for x, z, yaw, c, s, row, table, near in zip(xs, zs, yaws, coss, sins, heights, attention, spatial)
     ]
 
 
@@ -499,6 +520,11 @@ def _foot_cells() -> tuple[tuple[float, float], ...]:
 _FOOT_CELLS = _foot_cells()
 _FOOT_OX = np.array([c[0] for c in _FOOT_CELLS])
 _FOOT_OZ = np.array([c[1] for c in _FOOT_CELLS])
+# the foot cells are accommodation cells, offset for offset bit for bit, so a
+# point's accommodation row holds its footprint's support heights too
+_FOOT_COLUMNS = [
+    list(zip(_ACCOMMODATION_OX.tolist(), _ACCOMMODATION_OZ.tolist())).index(cell) for cell in _FOOT_CELLS
+]
 
 
 def _standing_feasible(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -506,6 +532,11 @@ def _standing_feasible(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray) -> np
     floor level (support at most STAND_CLEARANCE), in one broadcast."""
     support = arrays.support_heights(xs[:, None] + _FOOT_OX, zs[:, None] + _FOOT_OZ)
     return ~(support > STAND_CLEARANCE + _EPS).any(axis=1)
+
+
+def _standing_clear(rows: np.ndarray) -> np.ndarray:
+    """``_standing_feasible`` read off the positions' accommodation rows."""
+    return ~(rows[:, _FOOT_COLUMNS] > STAND_CLEARANCE + _EPS).any(axis=1)
 
 
 def _sitting_feasible(room: Room, x: float, z: float) -> bool:
@@ -524,13 +555,10 @@ def _sitting_feasible(room: Room, x: float, z: float) -> bool:
     return False
 
 
-def _feasible_at(room: Room, xs: list[float], zs: list[float], pose: PlacementPose,
-                 arrays: RoomArrays | None = None) -> list[bool]:
-    """``feasible`` for a batch of positions sharing one pose, standing
-    tested against ``arrays`` (by default every object of the room)."""
+def _feasible_at(room: Room, xs: list[float], zs: list[float], pose: PlacementPose) -> list[bool]:
+    """``feasible`` for a batch of positions sharing one pose."""
     if pose is PlacementPose.Standing:
-        arrays = room.arrays if arrays is None else arrays
-        ok = _standing_feasible(arrays, np.array(xs), np.array(zs)).tolist()
+        ok = _standing_feasible(room.arrays, np.array(xs), np.array(zs)).tolist()
     else:
         ok = [_sitting_feasible(room, x, z) for x, z in zip(xs, zs)]
     contains = room.extents.contains
@@ -540,6 +568,30 @@ def _feasible_at(room: Room, xs: list[float], zs: list[float], pose: PlacementPo
 def feasible(room: Room, placement: Placement) -> bool:
     """Whether an avatar can actually hold this placement in this room."""
     return _feasible_at(room, [placement.x], [placement.z], placement.pose)[0]
+
+
+def _swarm_features(room: Room, arrays: RoomArrays, xs: list[float], zs: list[float], yaws: list[float],
+                    pose: PlacementPose, partner: PartnerPose | None) -> tuple[list[int], list[FeatureVector]]:
+    """The feasible placements of a swarm iteration, by index, and their
+    feature vectors (at the wrapped yaw, as ``Placement`` holds it).
+    ``arrays`` holds the objects whose footprint reaches the swarm's box.
+    Standing, one accommodation broadcast over every point gives both the
+    feasibility, read off the foot columns, and the feasible points' rows;
+    sitting, the seats are tested first and only the feasible points'
+    rows are broadcast."""
+    if pose is PlacementPose.Standing:
+        rows = _accommodation_at(arrays, np.array(xs), np.array(zs))
+        contains = room.extents.contains
+        keep = [i for i, (ok, x, z) in enumerate(zip(_standing_clear(rows).tolist(), xs, zs))
+                if ok and contains(x, z)]
+        rows = rows[keep]
+    else:
+        keep = [i for i, ok in enumerate(_feasible_at(room, xs, zs, pose)) if ok]
+        rows = _accommodation_at(arrays, np.array([xs[i] for i in keep], dtype=float),
+                                 np.array([zs[i] for i in keep], dtype=float))
+    features = _features_at(room, [xs[i] for i in keep], [zs[i] for i in keep],
+                            [wrap_angle_positive(yaws[i]) for i in keep], pose, partner, rows)
+    return keep, features
 
 
 # --- grid search ------------------------------------------------------------
@@ -600,9 +652,9 @@ def grid_search(
     with Standing before Sitting: the first best in scan order wins.
 
     The first phase goes one grid column (one x) at a time: the column's
-    accommodation heights come from one broadcast, and each feasible cell
-    gets its spatial table and the scorer's ``score_bound`` on its
-    candidates. The second visits cells by descending bound, scan order
+    accommodation heights come from one broadcast and its spatial tables
+    from another, and each feasible cell gets the scorer's ``score_bound``
+    on its candidates. The second visits cells by descending bound, scan order
     among equal bounds: a cell's attention tables at every yaw come from one
     broadcast per pose, and its candidates are scored as one batch. It stops
     at the first bound strictly below the best score, since no candidate
@@ -618,8 +670,9 @@ def grid_search(
     arrays = room.arrays
     xs, zs, yaws = grid_axes(room.extents, config.cell, config.yaw_count)
     per_pose = len(xs) * len(zs) * len(yaws)
-    facing_x = np.array([math.sin(yaw) for yaw in yaws])
-    facing_z = np.array([math.cos(yaw) for yaw in yaws])
+    sins = [math.sin(yaw) for yaw in yaws]
+    coss = [math.cos(yaw) for yaw in yaws]
+    facing_x, facing_z = np.array(sins), np.array(coss)
     cell_xs = [x for x in xs for _ in zs]
     cell_zs = zs * len(xs)
     ok_by_pose = [_feasible_at(room, cell_xs, cell_zs, pose) for pose in _POSES]
@@ -635,9 +688,9 @@ def grid_search(
         if not column:
             continue
         cz = np.array([z for z, _ in column])
-        heights = _accommodation_at(arrays, np.full(len(column), x), cz)
-        for (z, poses), accommodation in zip(column, heights):
-            spatial = _spatial(arrays, x, z)
+        cx = np.full(len(column), x)
+        for (z, poses), accommodation, spatial in zip(column, _accommodation_at(arrays, cx, cz),
+                                                      _spatial_at(arrays, cx, cz)):
             cells.append((x, z, poses, accommodation, spatial))
             if score_bound is None:
                 bounds.append(math.inf)
@@ -661,7 +714,7 @@ def grid_search(
         candidates = []
         placements = []
         for y, yaw in enumerate(yaws):
-            inter = _interpersonal(x, z, yaw, partner)
+            inter = _interpersonal(x, z, yaw, coss[y], sins[y], partner)
             for pose, tables in zip(poses, attention):
                 candidates.append(_candidate(inter, accommodation, tables[y], spatial))
                 placements.append((yaw, pose))
@@ -732,6 +785,12 @@ def pso_refine(
     Particle 0 starts exactly at the seed, so the result never scores below
     it; infeasible points score -inf and are never adopted. Zero iterations
     returns the seed unchanged.
+
+    Each iteration is one pass (``_swarm_features``): standing, one
+    footprint broadcast over every particle gives both the particles'
+    feasibility and the feasible ones' accommodation rows, and the batch is
+    scored in one call, where the default scorer computes the height term
+    once per distinct row.
     """
     if scorer is None:
         scorer = DefaultScorer()
@@ -764,11 +823,7 @@ def pso_refine(
         """Scores of a batch of (x, z, yaw) rows, feasible ones scored as one
         batch; infeasible points score -inf."""
         xs, zs, yaws = points.T.tolist()
-        keep = [i for i, ok in enumerate(_feasible_at(room, xs, zs, pose, arrays)) if ok]
-        candidates = _features_at(
-            room, [xs[i] for i in keep], [zs[i] for i in keep],
-            [wrap_angle_positive(yaws[i]) for i in keep], pose, partner, arrays,
-        )
+        keep, candidates = _swarm_features(room, arrays, xs, zs, yaws, pose, partner)
         scores = np.full(len(points), -math.inf)
         scores[keep] = _score_all(scorer, target, candidates)
         return scores

@@ -275,7 +275,12 @@ def _decode_payload(mtype: MsgType, p) -> tuple[Message, int]:
     """The message in payload `p` and the number of bytes it used."""
     if mtype is MsgType.PoseUpdate:
         v = POSE.unpack_from(p)
-        return PoseUpdate(v[0], v[1:-1], _bytes(p, POSE.size, v[-1])), POSE.size + v[-1]
+        n = v[-1]
+        # the layout yields exactly POSE_FLOATS values as a tuple, so the
+        # message is built without __post_init__'s copy and length check
+        msg = object.__new__(PoseUpdate)
+        msg.__dict__.update(tick=v[0], values=v[1:-1], fingers=_bytes(p, POSE.size, n))
+        return msg, POSE.size + n
     if mtype is MsgType.Hello:
         v = _HELLO.unpack_from(p)
         return Hello(app_version=v[0], room_hash=v[1], skeleton=v[2:]), _HELLO.size
@@ -313,6 +318,9 @@ def _decode_payload(mtype: MsgType, p) -> tuple[Message, int]:
     return Bye(), 0
 
 
+_MSG_TYPES = {mtype.value: mtype for mtype in MsgType}
+
+
 def decode_frame(buf, offset: int = 0) -> tuple[Message, int]:
     """Decode one frame; returns (message, offset just past the frame).
 
@@ -331,7 +339,9 @@ def decode_frame(buf, offset: int = 0) -> tuple[Message, int]:
     end = start + length
     if end > len(buf):
         raise Truncated(f"frame payload needs {length} bytes at offset {start}")
-    mtype = _enum(MsgType, type_code, "message type")
+    mtype = _MSG_TYPES.get(type_code)
+    if mtype is None:
+        raise ProtocolError(f"unknown message type code {type_code}")
     try:
         msg, used = _decode_payload(mtype, buf[start:end])
     except struct.error:
@@ -477,14 +487,17 @@ class Session:
         if self.phase is Phase.Closed:
             return []
         self._rx.extend(data)
+        return self.receive(self._frames())
+
+    def receive(self, msgs) -> list[Message]:
+        """Admit messages in stream order, as ``feed`` admits the ones it
+        decodes, up to and including a Bye; returns those admitted. A
+        contract violation raises ProtocolError and closes the session."""
+        if self.phase is Phase.Closed:
+            return []
         out: list[Message] = []
-        offset = 0
         try:
-            while True:
-                try:
-                    msg, offset = decode_frame(self._rx, offset)
-                except Truncated:
-                    break
+            for msg in msgs:
                 self._admit(msg)
                 out.append(msg)
                 if isinstance(msg, Bye):
@@ -492,9 +505,19 @@ class Session:
         except ProtocolError:
             self.phase = Phase.Closed
             raise
-        finally:
-            del self._rx[:offset]
         return out
+
+    def _frames(self):
+        """The buffered frames' messages, each decoded as the one before it
+        is admitted; a partial last frame stays buffered."""
+        offset = 0
+        while True:
+            try:
+                msg, offset = decode_frame(self._rx, offset)
+            except Truncated:
+                del self._rx[:offset]
+                return
+            yield msg
 
     def _admit(self, msg: Message) -> None:
         self.received[type(msg).__name__] += 1

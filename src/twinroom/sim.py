@@ -63,6 +63,7 @@ from .protocol import (
     POSE,
     FeaturePacket,
     Hello,
+    Message,
     Phase,
     PlacementAnnounce,
     PoseUpdate,
@@ -559,12 +560,18 @@ class AvatarDriver:
         self.session = Session(config.app_version, room_hash(room), skeleton)
         self.expected_remote_hash = room_hash(remote_room)
         self.host = AvatarHost(room, config, owner_code=_PEER_CODE[_OTHER[name]])
-        self.inbox: dict[int, bytearray] = {}
+        self.inbox: dict[int, bytearray | list[Message]] = {}
         self.me: LocalUser | None = None
 
     def post(self, sent_tick: int, blob: bytes) -> None:
         """Put bytes the partner sent at `sent_tick` on the wire."""
         self.inbox.setdefault(sent_tick + 1 + self.cfg.latency_ticks, bytearray()).extend(blob)
+
+    def post_decoded(self, sent_tick: int, msgs: list[Message]) -> None:
+        """Put what the partner sent at `sent_tick` on the wire as the
+        messages its whole frames decode to; the session admits them as it
+        admits the ones it decodes itself."""
+        self.inbox[sent_tick + 1 + self.cfg.latency_ticks] = msgs
 
     def step(self, t: int, pose: PoseUpdate | None) -> list[Placement]:
         """Live tick `t`: deliver, then animate. `pose` is the local user's
@@ -586,7 +593,12 @@ class AvatarDriver:
 
     def _deliver(self, t: int, pose: PoseUpdate | None) -> list[Placement]:
         data = self.inbox.pop(t, None)
-        msgs = self.session.feed(bytes(data)) if data else []
+        if not data:
+            msgs = []
+        elif type(data) is list:
+            msgs = self.session.receive(data)
+        else:
+            msgs = self.session.feed(bytes(data))
         if pose is not None and self.session.phase is Phase.Live:
             self.me = LocalUser(pose)
         placed = []
@@ -884,10 +896,13 @@ def replay(transcript, room_a, room_b) -> dict:
         if not p.exists():
             raise ReplayDivergence(f"transcript file not found: {transcript}")
         text = p.read_text()
-    lines = [json.loads(ln) for ln in str(text).splitlines() if ln.strip()]
-    if not lines or lines[0].get("type") != "header":
+    # parsed one line at a time, and each tick's bytes are dropped once
+    # decoded: both peers' decoded messages are held until the end, so no
+    # other copy of the transcript is held with them
+    docs = (json.loads(ln) for ln in str(text).splitlines() if ln.strip())
+    header = next(docs, None)
+    if header is None or header.get("type") != "header":
         raise ReplayDivergence("transcript does not start with a header line")
-    header = lines[0]
     if header.get("version") != TRANSCRIPT_VERSION:
         raise ReplayDivergence(f"unsupported transcript version {header.get('version')!r}")
     config = SimConfig.from_dict(header["config"])
@@ -900,7 +915,7 @@ def replay(transcript, room_a, room_b) -> dict:
             )
 
     sends: dict[str, dict[int, bytearray]] = {"a": {}, "b": {}}  # keyed by sender
-    for doc in lines[1:]:
+    for doc in docs:
         if doc.get("type") != "frames":
             raise ReplayDivergence(f"unexpected transcript entry type {doc.get('type')!r}")
         src = doc["dir"].split(">", 1)[0]
@@ -908,23 +923,29 @@ def replay(transcript, room_a, room_b) -> dict:
             raise ReplayDivergence(f"unknown direction {doc['dir']!r}")
         sends[src].setdefault(int(doc["tick"]), bytearray()).extend(bytes.fromhex(doc["data"]))
 
+    # each recorded frame is decoded once: its sender's replay reads the
+    # local user's poses and the sent messages from it, and the receiving
+    # session admits it
+    decoded = {name: {tick: decode_all(bytes(sends[name].pop(tick))) for tick in sorted(sends[name])}
+               for name in ("a", "b")}
     drivers, transitions, sent = {}, {}, {}
     for name in ("a", "b"):
-        drivers[name], transitions[name], sent[name] = _replay_peer(name, rooms, config, sends, n)
+        drivers[name], transitions[name], sent[name] = _replay_peer(name, rooms, config, decoded, n)
     return _assemble_report(config, rooms, n, drivers, transitions, sent)
 
 
-def _replay_peer(name: str, rooms, config: SimConfig, sends, n: int):
+def _replay_peer(name: str, rooms, config: SimConfig, decoded, n: int):
     """Step one peer's driver through every tick, with the local user's pose
     taken from what the peer sent; returns the driver, the peer's state
-    transitions and its sent-message counts."""
+    transitions and its sent-message counts. `decoded` holds each peer's
+    sent messages per tick."""
     sent: Counter = Counter()
     poses: dict[int, PoseUpdate] = {}
     transitions: list[dict] = []
     announced: list[PlacementAnnounce] = []
     my_hello: Hello | None = None
-    for tick in sorted(sends[name]):
-        for msg in decode_all(bytes(sends[name][tick])):
+    for msgs in decoded[name].values():
+        for msg in msgs:
             sent[type(msg).__name__] += 1
             if isinstance(msg, PoseUpdate):
                 poses[msg.tick] = msg
@@ -939,8 +960,8 @@ def _replay_peer(name: str, rooms, config: SimConfig, sends, n: int):
 
     driver = AvatarDriver(name, rooms[name], rooms[_OTHER[name]], my_hello.skeleton, config)
     driver.session.hello_frame()  # mirror the live handshake; the bytes are already on record
-    for tick, blob in sends[_OTHER[name]].items():
-        driver.post(tick, bytes(blob))
+    for tick, msgs in decoded[_OTHER[name]].items():
+        driver.post_decoded(tick, msgs)
     recomputed: list[Placement] = []
     for t in range(1, n + 1):
         recomputed += driver.step(t, poses.get(t))

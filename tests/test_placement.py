@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinroom import placement as placement_module
-from twinroom.geometry import wrap_angle
+from twinroom.geometry import wrap_angle, wrap_angle_positive
 from twinroom.placement import (
     ACCOMMODATION_CELL,
     ACCOMMODATION_CELLS,
@@ -44,6 +44,8 @@ from twinroom.scene import (
     objects_in_fov,
     objects_in_radius,
 )
+
+from test_scene import footprint_edge_points
 
 
 def exhaustive_best(room, target, scorer, partner, config):
@@ -270,6 +272,14 @@ def test_score_batch_is_score_per_candidate():
     # shared height maps and attention tables, as in a grid cell
     candidates += [FeatureVector(c.interpersonal, hm, candidates[0].visual_attention, c.spatial)
                    for c in candidates]
+    # rows equal in content that are distinct objects, and rows that differ
+    # from them only in the sign of their zero heights
+    for c in candidates[:6]:
+        candidates.append(FeatureVector(c.interpersonal, hm.copy(), c.visual_attention, c.spatial))
+        candidates.append(FeatureVector(c.interpersonal, np.where(hm == 0.0, -0.0, hm), c.visual_attention,
+                                        c.spatial))
+    assert (hm == 0.0).any() and (hm != 0.0).any()
+    assert candidates[-1].pose_accommodation.tobytes() != hm.tobytes()
     scorer = DefaultScorer(ScorerConfig(weights=(0.1, 0.2, 0.3, 0.4)))
     assert scorer.score_batch(target, candidates) == [scorer.score(target, c) for c in candidates]
     assert scorer.score_batch(target, []) == []
@@ -454,26 +464,70 @@ def test_swarm_crop_changes_no_feature_or_feasibility(monkeypatch):
         {"id": "far", "category": "Other", "position": [-1.7, 0.5, -1.7], "yaw": 0.4,
          "size": [0.3, 1.0, 0.3]},
     ]})
-    features, feasibility = placement_module._features_at, placement_module._feasible_at
+    swarm_features = placement_module._swarm_features
     reached = []
 
-    def checked_features(room, xs, zs, yaws, pose, partner, arrays=None):
-        got = features(room, xs, zs, yaws, pose, partner, arrays)
-        assert got == features(room, xs, zs, yaws, pose, partner)
+    def checked(room, arrays, xs, zs, yaws, pose, partner):
+        keep, got = swarm_features(room, arrays, xs, zs, yaws, pose, partner)
+        assert arrays.count < len(room.objects)
+        # the full-room computation: every object, feasibility first
+        ok = placement_module._feasible_at(room, xs, zs, pose)
+        assert keep == [i for i, f in enumerate(ok) if f]
+        want = placement_module._features_at(
+            room, [xs[i] for i in keep], [zs[i] for i in keep],
+            [wrap_angle_positive(yaws[i]) for i in keep], pose, partner,
+        )
+        assert got == want
+        for g, w in zip(got, want):
+            assert g.pose_accommodation.tobytes() == w.pose_accommodation.tobytes()
         reached.extend(f for f in got if f.pose_accommodation.any())
-        return got
+        return keep, got
 
-    def checked_feasibility(room, xs, zs, pose, arrays=None):
-        got = feasibility(room, xs, zs, pose, arrays)
-        assert got == feasibility(room, xs, zs, pose)
-        return got
-
-    monkeypatch.setattr(placement_module, "_features_at", checked_features)
-    monkeypatch.setattr(placement_module, "_feasible_at", checked_feasibility)
+    monkeypatch.setattr(placement_module, "_swarm_features", checked)
     seed = Placement(0.0, 0.0, 0.0, PlacementPose.Standing)
     target = extract_features(room, Placement(0.5, 0.0, 1.0, PlacementPose.Standing))
     pso_refine(room, target, seed, rng=5)
     assert reached
+
+
+def test_foot_cells_are_accommodation_cells():
+    offsets = list(zip(placement_module._ACCOMMODATION_OX.tolist(), placement_module._ACCOMMODATION_OZ.tolist()))
+    columns = placement_module._FOOT_COLUMNS
+    assert len(columns) == len(placement_module._FOOT_CELLS) == 13
+    for (ox, oz), k in zip(placement_module._FOOT_CELLS, columns):
+        assert (ox.hex(), oz.hex()) == (offsets[k][0].hex(), offsets[k][1].hex())
+    assert columns == [21, 29, 30, 31, 38, 39, 40, 41, 42, 49, 50, 51, 59]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_foot_columns_give_the_standing_footprint_test(seed):
+    """Standing feasibility read off the accommodation rows equals the
+    13-cell footprint broadcast, for points whose foot cells land within
+    3e-9 of a footprint's edges and corners."""
+    rng = np.random.default_rng(seed)
+    room = random_room(rng)
+    edges = [p for o in room.objects for p in footprint_edge_points(o)]
+    foot = placement_module._FOOT_CELLS
+    picked = rng.choice(len(edges), 40)
+    xs = [edges[k][0] - foot[f][0] for k in picked for f in range(len(foot))]
+    zs = [edges[k][1] - foot[f][1] for k in picked for f in range(len(foot))]
+    ext = room.extents
+    xs += rng.uniform(ext.min_x, ext.max_x, 100).tolist()
+    zs += rng.uniform(ext.min_z, ext.max_z, 100).tolist()
+    cx, cz = np.array(xs), np.array(zs)
+    arrays = room.arrays
+    rows = placement_module._accommodation_at(arrays, cx, cz)
+    want = placement_module._standing_feasible(arrays, cx, cz)
+    got = placement_module._standing_clear(rows)
+    assert got.tolist() == want.tolist()
+    assert got.any() and not got.all()
+    # the swarm's evaluation keeps exactly the feasible points, with their rows
+    keep, features = placement_module._swarm_features(room, arrays, xs, zs, [0.0] * len(xs),
+                                                     PlacementPose.Standing, None)
+    ok = placement_module._feasible_at(room, xs, zs, PlacementPose.Standing)
+    assert keep == [i for i, f in enumerate(ok) if f]
+    assert all(f.pose_accommodation.tobytes() == rows[i].tobytes() for i, f in zip(keep, features))
 
 
 def test_pso_never_scores_below_its_grid_seed():

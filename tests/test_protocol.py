@@ -477,3 +477,35 @@ def test_received_counters_track_messages():
     assert b.received["PoseUpdate"] == 1
     assert b.received["StateChange"] == 1
     assert b.received["Hello"] == 1
+
+
+def outcome(call):
+    try:
+        return call()
+    except ProtocolError as err:
+        return type(err), str(err)
+
+
+def test_receive_admits_decoded_messages_as_feed_admits_bytes():
+    state = encode_frame(StateChange(tick=0, state=UserState.Locomotion))
+    pose = [encode_frame(pose_at(t)) for t in range(3)]
+    hello = encode_frame(Hello(app_version=1, room_hash=0xA, skeleton=SKELETON))
+    streams = [
+        [pose[0] + state, pose[1], pose[1] + pose[2]],
+        [pose[2], pose[1], pose[2]],  # a tick regression closes the session
+        [state],  # a batch that does not lead with its pose
+        [pose[0] + encode_frame(Bye()) + pose[1], pose[2]],  # nothing after a bye
+        [pose[0], hello],  # a second hello
+    ]
+    for chunks in streams:
+        fed, received = linked_pair()[1], linked_pair()[1]
+        for chunk in chunks:
+            want = outcome(lambda: fed.feed(chunk))
+            assert outcome(lambda: received.receive(decode_all(chunk))) == want
+        assert (received.phase, received.received) == (fed.phase, fed.received)
+    # a bye ends the stream: the frames after it are not admitted
+    bye_stream = streams[3]
+    session = linked_pair()[1]
+    assert [type(m) for m in session.receive(decode_all(bye_stream[0]))] == [PoseUpdate, Bye]
+    assert session.receive(decode_all(bye_stream[1])) == []
+    assert session.phase is Phase.Closed and session.received["PoseUpdate"] == 1

@@ -323,11 +323,11 @@ def full_room_heights(room, xs, zs):
 
 
 def footprint_edge_points(obj):
-    """Points within a few 1e-9 of the object's footprint edges and corners,
-    on both sides of the containment tolerance."""
+    """Points within 3e-9 of the object's footprint edges and corners, on
+    both sides of the edge and of the containment tolerance."""
     hx, hz = obj.size[0] * 0.5, obj.size[2] * 0.5
     out = []
-    for d in (-1e-9, 0.0, 5e-10, 1e-9, 1.5e-9, 3e-9):
+    for d in (-3e-9, -1e-9, 0.0, 5e-10, 1e-9, 1.5e-9, 3e-9):
         for t in (-1.0, -0.5, 0.0, 0.7, 1.0):
             for sign in (-1.0, 1.0):
                 out.append(obj.to_world((sign * (hx + d), 0.0, t * (hz + d))))
