@@ -22,25 +22,37 @@ Both per-category features are fixed tuples indexed by
 The default scorer turns feature differences into a similarity in [0, 1]
 (identical features score exactly 1). The search finds the best cell of a
 0.25 m x 15-degree grid over the remote room, then refines it with a small
-particle swarm confined to that cell's neighborhood. The grid is a bounded
-best-first scan with the result of an exhaustive one. It first takes one
-grid column at a time: its cells' accommodation heights come from one
-broadcast and their spatial tables from another, and each feasible cell
-gets an upper bound on its (yaw, pose) candidates' scores (their height and spatial terms do not
-depend on yaw, attention is at most 1, and the partner offset has the same
-length at every yaw). It then visits cells by descending bound, scores a
-cell's candidates together, and stops once no bound can reach the best
-score. A standing swarm iteration is one footprint broadcast: it samples
-every particle's accommodation heights, and a particle's feasibility is read
-off the 13 foot cells among them (each foot cell is an accommodation cell,
-offset for offset, bit for bit). A sitting iteration tests the seats first
-and samples only the feasible particles. The feasible particles' attention
-tables come from one more broadcast and their spatial tables from one
-difference broadcast, and they are scored together; the default scorer
-computes the height term once per distinct accommodation row.
-A swarm's footprint broadcasts run only against the objects whose footprint
-reaches the box its samples lie in, which drops only objects that cover
-none of them.
+particle swarm confined to that cell's neighborhood.
+
+A placement is feasible inside the room's extents when nothing under the
+feet rises above STAND_CLEARANCE (standing) or a sittable object's seat
+covers the whole body disc (sitting). The standing test reads the 13 foot
+cells off the point's accommodation row (each foot cell is an accommodation
+cell, offset for offset, bit for bit), so one broadcast gives a point both
+its feasibility and its row. No point admits both poses: a seat under the
+body disc also covers the center foot cell, at a sit_height of at least 0.2.
+One function builds every candidate's features: it takes the
+accommodation rows and spatial tables from its caller and adds the
+attention tables in one broadcast.
+
+The grid is a bounded best-first scan with the result of an exhaustive one.
+It first takes one grid column at a time: one broadcast gives its cells'
+accommodation rows, hence their standing feasibility, the seat test decides
+the rest, and another broadcast gives the feasible cells' spatial tables.
+Each feasible cell holds one pose and gets an upper bound on its yaw
+candidates' scores (their height and spatial terms do not depend on yaw,
+attention is at most 1, and the partner offset has the same length at every
+yaw). It then visits cells by descending bound, scores a cell's candidates
+together, and stops once no bound can reach the best score. A standing swarm
+iteration is one accommodation broadcast over every particle, which gives
+both their feasibility and their rows; a sitting iteration tests the seats
+first and samples only the feasible particles. The feasible particles get
+their spatial tables from one difference broadcast and are scored together;
+the default scorer computes the height term once per distinct accommodation
+row.
+A swarm's accommodation broadcasts run only against the objects whose
+footprint reaches the box its samples lie in, which drops only objects that
+cover none of them.
 The broadcasts read the room's ``scene.RoomArrays``, whose columns hold the
 objects in category order, so an attention or spatial table is one
 ``np.minimum`` reduction per category run; the seat-coverage loop reads the
@@ -243,8 +255,8 @@ class SimilarityScorer(Protocol):
 
     A scorer may also define ``score_bound(target, accommodation, spatial,
     partner_distance) -> float``: a float at least the score of every
-    (yaw, pose) candidate of a grid cell whose accommodation row and spatial
-    table are given, as ``score`` computes it. ``partner_distance`` is the
+    candidate of a grid cell (one per yaw, at the cell's one pose) whose
+    accommodation row and spatial table are given, as ``score`` computes it. ``partner_distance`` is the
     length of the partner's offset from the cell, the same at every yaw, or
     None without a partner. The grid then skips the cells whose bound is
     below the best score found; without it, every cell is scored.
@@ -345,7 +357,7 @@ class DefaultScorer:
     def score_batch(self, target: FeatureVector, candidates: list[FeatureVector]) -> list[float]:
         """``score`` for each candidate. The height term is computed once per
         distinct accommodation row content, a spatial table that a candidate
-        shares with the one before it (a grid cell's yaws and poses) is
+        shares with the one before it (a grid cell's yaws) is
         compared with the target once, and so is each distinct attention
         table."""
         cfg = self.config
@@ -469,24 +481,21 @@ def _candidate(interpersonal, accommodation: np.ndarray, attention: tuple, spati
 
 
 def _features_at(room: Room, xs: list[float], zs: list[float], yaws: list[float], pose: PlacementPose,
-                 partner: PartnerPose | None, heights: np.ndarray | None = None) -> list[FeatureVector]:
-    """Feature vectors of a batch of placements sharing one pose. Their
-    attention tables come from one broadcast and their spatial tables from
-    another; ``heights`` holds their accommodation rows when the caller has
-    them already, and by default they come from one broadcast against every
-    object of the room. ``math.sin`` and ``math.cos`` run once per
-    placement, for the attention cone and the partner offset alike."""
-    arrays = room.arrays
-    cx, cz = np.array(xs, dtype=float), np.array(zs, dtype=float)
-    if heights is None:
-        heights = _accommodation_at(arrays, cx, cz)
+                 partner: PartnerPose | None, rows, spatial: list[tuple]) -> list[FeatureVector]:
+    """Feature vectors of a batch of placements sharing one pose, from their
+    accommodation rows and spatial tables. Their attention tables come from
+    one broadcast against every object of the room, and ``math.sin`` and
+    ``math.cos`` run once per placement, for the attention cone and the
+    partner offset alike. Each candidate holds the row and the table it was
+    given, so placements given the same objects (a grid cell's yaws) share
+    them."""
     sins = [math.sin(yaw) for yaw in yaws]
     coss = [math.cos(yaw) for yaw in yaws]
-    attention = _attention_at(arrays, cx, cz, np.array(sins), np.array(coss), _eye_height(pose))
-    spatial = _spatial_at(arrays, cx, cz)
+    attention = _attention_at(room.arrays, np.array(xs, dtype=float), np.array(zs, dtype=float),
+                              np.array(sins), np.array(coss), _eye_height(pose))
     return [
         _candidate(_interpersonal(x, z, yaw, c, s, partner), row, table, near)
-        for x, z, yaw, c, s, row, table, near in zip(xs, zs, yaws, coss, sins, heights, attention, spatial)
+        for x, z, yaw, c, s, row, table, near in zip(xs, zs, yaws, coss, sins, rows, attention, spatial)
     ]
 
 
@@ -501,7 +510,10 @@ def extract_features(
     1.6 m (standing) or 1.2 m (sitting) and looks level along the facing.
     """
     p = placement
-    return _features_at(room, [p.x], [p.z], [p.yaw], p.pose, partner)[0]
+    arrays = room.arrays
+    cx, cz = np.array([p.x]), np.array([p.z])
+    rows = _accommodation_at(arrays, cx, cz)
+    return _features_at(room, [p.x], [p.z], [p.yaw], p.pose, partner, rows, _spatial_at(arrays, cx, cz))[0]
 
 
 # --- feasibility ------------------------------------------------------------
@@ -518,8 +530,6 @@ def _foot_cells() -> tuple[tuple[float, float], ...]:
 
 
 _FOOT_CELLS = _foot_cells()
-_FOOT_OX = np.array([c[0] for c in _FOOT_CELLS])
-_FOOT_OZ = np.array([c[1] for c in _FOOT_CELLS])
 # the foot cells are accommodation cells, offset for offset bit for bit, so a
 # point's accommodation row holds its footprint's support heights too
 _FOOT_COLUMNS = [
@@ -527,15 +537,10 @@ _FOOT_COLUMNS = [
 ]
 
 
-def _standing_feasible(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Per position, whether every sample cell of the body footprint is near
-    floor level (support at most STAND_CLEARANCE), in one broadcast."""
-    support = arrays.support_heights(xs[:, None] + _FOOT_OX, zs[:, None] + _FOOT_OZ)
-    return ~(support > STAND_CLEARANCE + _EPS).any(axis=1)
-
-
 def _standing_clear(rows: np.ndarray) -> np.ndarray:
-    """``_standing_feasible`` read off the positions' accommodation rows."""
+    """Per accommodation row, whether every sample cell of the body footprint
+    (the row's foot columns) is near floor level: support at most
+    STAND_CLEARANCE."""
     return ~(rows[:, _FOOT_COLUMNS] > STAND_CLEARANCE + _EPS).any(axis=1)
 
 
@@ -555,43 +560,28 @@ def _sitting_feasible(room: Room, x: float, z: float) -> bool:
     return False
 
 
-def _feasible_at(room: Room, xs: list[float], zs: list[float], pose: PlacementPose) -> list[bool]:
-    """``feasible`` for a batch of positions sharing one pose."""
-    if pose is PlacementPose.Standing:
-        ok = _standing_feasible(room.arrays, np.array(xs), np.array(zs)).tolist()
-    else:
-        ok = [_sitting_feasible(room, x, z) for x, z in zip(xs, zs)]
+def _feasible_rows(room: Room, arrays: RoomArrays, xs: list[float], zs: list[float],
+                   pose: PlacementPose) -> tuple[list[int], np.ndarray]:
+    """The positions (xs[i], zs[i]) that admit ``pose``, by index, and their
+    accommodation rows, sampled from ``arrays`` (the room's objects, or those
+    whose footprint reaches the positions' cells). Standing, one broadcast
+    over every position gives the rows, and feasibility is read off their
+    foot columns; sitting, the seats are tested first and only the feasible
+    positions' rows are broadcast."""
     contains = room.extents.contains
-    return [f and contains(x, z) for f, x, z in zip(ok, xs, zs)]
+    if pose is PlacementPose.Standing:
+        rows = _accommodation_at(arrays, np.array(xs, dtype=float), np.array(zs, dtype=float))
+        keep = [i for i, (ok, x, z) in enumerate(zip(_standing_clear(rows).tolist(), xs, zs))
+                if ok and contains(x, z)]
+        return keep, rows[keep]
+    keep = [i for i, (x, z) in enumerate(zip(xs, zs)) if _sitting_feasible(room, x, z) and contains(x, z)]
+    return keep, _accommodation_at(arrays, np.array([xs[i] for i in keep], dtype=float),
+                                   np.array([zs[i] for i in keep], dtype=float))
 
 
 def feasible(room: Room, placement: Placement) -> bool:
     """Whether an avatar can actually hold this placement in this room."""
-    return _feasible_at(room, [placement.x], [placement.z], placement.pose)[0]
-
-
-def _swarm_features(room: Room, arrays: RoomArrays, xs: list[float], zs: list[float], yaws: list[float],
-                    pose: PlacementPose, partner: PartnerPose | None) -> tuple[list[int], list[FeatureVector]]:
-    """The feasible placements of a swarm iteration, by index, and their
-    feature vectors (at the wrapped yaw, as ``Placement`` holds it).
-    ``arrays`` holds the objects whose footprint reaches the swarm's box.
-    Standing, one accommodation broadcast over every point gives both the
-    feasibility, read off the foot columns, and the feasible points' rows;
-    sitting, the seats are tested first and only the feasible points'
-    rows are broadcast."""
-    if pose is PlacementPose.Standing:
-        rows = _accommodation_at(arrays, np.array(xs), np.array(zs))
-        contains = room.extents.contains
-        keep = [i for i, (ok, x, z) in enumerate(zip(_standing_clear(rows).tolist(), xs, zs))
-                if ok and contains(x, z)]
-        rows = rows[keep]
-    else:
-        keep = [i for i, ok in enumerate(_feasible_at(room, xs, zs, pose)) if ok]
-        rows = _accommodation_at(arrays, np.array([xs[i] for i in keep], dtype=float),
-                                 np.array([zs[i] for i in keep], dtype=float))
-    features = _features_at(room, [xs[i] for i in keep], [zs[i] for i in keep],
-                            [wrap_angle_positive(yaws[i]) for i in keep], pose, partner, rows)
-    return keep, features
+    return bool(_feasible_rows(room, room.arrays, [placement.x], [placement.z], placement.pose)[0])
 
 
 # --- grid search ------------------------------------------------------------
@@ -634,9 +624,6 @@ class GridResult:
     scored: int = field(compare=False)
 
 
-_POSES = (PlacementPose.Standing, PlacementPose.Sitting)
-
-
 def grid_search(
     room: Room,
     target: FeatureVector,
@@ -648,18 +635,20 @@ def grid_search(
     """The best candidate of the placement grid, as an exhaustive scan finds it.
 
     Candidates are every (cell center, yaw, pose) triple; infeasible ones
-    are skipped. Ties resolve to the lowest (x, z, yaw, pose) grid index,
-    with Standing before Sitting: the first best in scan order wins.
+    are skipped, and a cell admits at most one pose. Ties resolve to the
+    lowest (x, z, yaw) grid index: the first best in scan order wins.
 
-    The first phase goes one grid column (one x) at a time: the column's
-    accommodation heights come from one broadcast and its spatial tables
-    from another, and each feasible cell gets the scorer's ``score_bound``
-    on its candidates. The second visits cells by descending bound, scan order
-    among equal bounds: a cell's attention tables at every yaw come from one
-    broadcast per pose, and its candidates are scored as one batch. It stops
-    at the first bound strictly below the best score, since no candidate
-    left can beat or tie it. A scorer without ``score_bound`` has every cell
-    visited in scan order.
+    The first phase goes one grid column (one x) at a time: one broadcast
+    gives every cell's accommodation row, whose foot columns decide
+    standing; a cell that cannot stand is tested for a seat. The feasible
+    cells' spatial tables come from one more broadcast, and each gets the
+    scorer's ``score_bound`` on its candidates. The second visits cells by
+    descending bound, scan order among equal bounds: ``_features_at`` builds
+    a cell's candidate at every yaw, all holding the cell's row and spatial
+    table, with the attention tables from one broadcast, and they are
+    scored as one batch. It stops at the first bound strictly below the
+    best score, since no candidate left can beat or tie it. A scorer
+    without ``score_bound`` has every cell visited in scan order.
     """
     if scorer is None:
         scorer = DefaultScorer()
@@ -668,35 +657,33 @@ def grid_search(
     score_bound = getattr(scorer, "score_bound", None)
 
     arrays = room.arrays
+    contains = room.extents.contains
     xs, zs, yaws = grid_axes(room.extents, config.cell, config.yaw_count)
     per_pose = len(xs) * len(zs) * len(yaws)
-    sins = [math.sin(yaw) for yaw in yaws]
-    coss = [math.cos(yaw) for yaw in yaws]
-    facing_x, facing_z = np.array(sins), np.array(coss)
-    cell_xs = [x for x in xs for _ in zs]
-    cell_zs = zs * len(xs)
-    ok_by_pose = [_feasible_at(room, cell_xs, cell_zs, pose) for pose in _POSES]
-    cells = []  # (x, z, poses, accommodation row, spatial table) in scan order
+    column_zs = np.array(zs)
+    cells = []  # (x, z, pose, accommodation row, spatial table) in scan order
     bounds = []
-    for i, x in enumerate(xs):
-        # the column's cells that admit a pose, with the poses they admit
+    for x in xs:
+        # the column's cells that admit a pose, with the pose and the row
         column = []
-        for j, z in enumerate(zs):
-            poses = [pose for pose, ok in zip(_POSES, ok_by_pose) if ok[i * len(zs) + j]]
-            if poses:
-                column.append((z, poses))
+        rows = _accommodation_at(arrays, np.full(len(zs), x), column_zs)
+        for z, standing, row in zip(zs, _standing_clear(rows).tolist(), rows):
+            if not contains(x, z):
+                continue
+            if standing:
+                column.append((z, PlacementPose.Standing, row))
+            elif _sitting_feasible(room, x, z):
+                column.append((z, PlacementPose.Sitting, row))
         if not column:
             continue
-        cz = np.array([z for z, _ in column])
-        cx = np.full(len(column), x)
-        for (z, poses), accommodation, spatial in zip(column, _accommodation_at(arrays, cx, cz),
-                                                      _spatial_at(arrays, cx, cz)):
-            cells.append((x, z, poses, accommodation, spatial))
+        for (z, pose, row), spatial in zip(column, _spatial_at(arrays, np.full(len(column), x),
+                                                                 np.array([z for z, _, _ in column]))):
+            cells.append((x, z, pose, row, spatial))
             if score_bound is None:
                 bounds.append(math.inf)
             else:
                 distance = None if partner is None else math.hypot(partner.x - x, partner.z - z)
-                bounds.append(score_bound(target, accommodation, spatial, distance))
+                bounds.append(score_bound(target, row, spatial, distance))
 
     best_score = -math.inf
     best_cell = -1
@@ -706,21 +693,12 @@ def grid_search(
     for k in np.argsort(-np.array(bounds, dtype=float), kind="stable").tolist():
         if bounds[k] < best_score:
             break
-        x, z, poses, accommodation, spatial = cells[k]
-        attention = [
-            _attention_at(arrays, np.array([x]), np.array([z]), facing_x, facing_z, _eye_height(pose))
-            for pose in poses
-        ]
-        candidates = []
-        placements = []
-        for y, yaw in enumerate(yaws):
-            inter = _interpersonal(x, z, yaw, coss[y], sins[y], partner)
-            for pose, tables in zip(poses, attention):
-                candidates.append(_candidate(inter, accommodation, tables[y], spatial))
-                placements.append((yaw, pose))
+        x, z, pose, row, spatial = cells[k]
+        n = len(yaws)
+        candidates = _features_at(room, [x] * n, [z] * n, yaws, pose, partner, [row] * n, [spatial] * n)
         scores = _score_all(scorer, target, candidates)
-        scored += len(candidates)
-        for score, (yaw, pose) in zip(scores, placements):
+        scored += n
+        for score, yaw in zip(scores, yaws):
             # within a cell the first best wins; across cells the lower scan index
             if score > best_score or (score == best_score and k < best_cell):
                 best_score = score
@@ -729,11 +707,10 @@ def grid_search(
 
     if best_placement is None:
         raise NoFeasiblePlacement(
-            f"room {room.id!r}: no feasible candidate among {per_pose * 2} grid cells"
+            f"room {room.id!r}: none of the {per_pose * 2} grid candidates is feasible"
         )
-    evaluated = len(yaws) * sum(len(poses) for _, _, poses, _, _ in cells)
     return GridResult(placement=best_placement, score=best_score, candidates_per_pose=per_pose,
-                      evaluated=evaluated, scored=scored)
+                      evaluated=len(yaws) * len(cells), scored=scored)
 
 
 # --- particle swarm refinement ----------------------------------------------
@@ -786,11 +763,11 @@ def pso_refine(
     it; infeasible points score -inf and are never adopted. Zero iterations
     returns the seed unchanged.
 
-    Each iteration is one pass (``_swarm_features``): standing, one
-    footprint broadcast over every particle gives both the particles'
-    feasibility and the feasible ones' accommodation rows, and the batch is
-    scored in one call, where the default scorer computes the height term
-    once per distinct row.
+    Each iteration is one pass: ``_feasible_rows`` gives the feasible
+    particles and their accommodation rows (standing, from one broadcast
+    over every particle), ``_features_at`` builds their candidates, and the
+    batch is scored in one call, where the default scorer computes the
+    height term once per distinct row.
     """
     if scorer is None:
         scorer = DefaultScorer()
@@ -823,7 +800,13 @@ def pso_refine(
         """Scores of a batch of (x, z, yaw) rows, feasible ones scored as one
         batch; infeasible points score -inf."""
         xs, zs, yaws = points.T.tolist()
-        keep, candidates = _swarm_features(room, arrays, xs, zs, yaws, pose, partner)
+        keep, rows = _feasible_rows(room, arrays, xs, zs, pose)
+        kxs = [xs[i] for i in keep]
+        kzs = [zs[i] for i in keep]
+        spatial = _spatial_at(room.arrays, np.array(kxs, dtype=float), np.array(kzs, dtype=float))
+        # features at the wrapped yaw, as ``Placement`` holds it
+        candidates = _features_at(room, kxs, kzs, [wrap_angle_positive(yaws[i]) for i in keep], pose, partner,
+                                  rows, spatial)
         scores = np.full(len(points), -math.inf)
         scores[keep] = _score_all(scorer, target, candidates)
         return scores

@@ -641,17 +641,6 @@ def support_height_at(room: Room, x: float, z: float) -> float:
     return h
 
 
-def support_heights(room: Room, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Max support height among objects covering each point (xs[i], zs[i]),
-    0 for bare floor; the result has the shape of ``xs``.
-
-    The batched form of the footprint test behind height maps and standing
-    feasibility, against every object of the room; a search confined to a
-    box calls ``room.arrays.reaching(...).support_heights`` instead.
-    """
-    return room.arrays.support_heights(xs, zs)
-
-
 def height_map_grid(radius: float, cell_size: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A height map's validity mask and its valid cells' (x, z) offsets from
     the center, in row-major order."""
@@ -674,5 +663,5 @@ def height_map(room: Room, center, radius: float, cell_size: float) -> HeightMap
     center = np.asarray(center, dtype=float).reshape(3)
     valid, ox, oz = height_map_grid(radius, cell_size)
     heights = np.zeros(valid.shape)
-    heights[valid] = support_heights(room, center[0] + ox, center[2] + oz)
+    heights[valid] = room.arrays.support_heights(center[0] + ox, center[2] + oz)
     return HeightMap(center=center, radius=radius, cell_size=cell_size, heights=heights, valid=valid)

@@ -50,6 +50,7 @@ from .placement import (
     DefaultScorer,
     FeatureVector,
     GridConfig,
+    NoFeasiblePlacement,
     PartnerPose,
     Placement,
     PlacementPose,
@@ -1008,7 +1009,6 @@ def main(argv=None) -> int:
     parser.add_argument("--report", help="write the report JSON here (default: stdout)")
     parser.add_argument("--transcript", help="write the wire transcript JSONL here")
     parser.add_argument("--latency-ticks", type=int, default=0, help="one-way delivery delay")
-    parser.add_argument("--tick-rate", type=float, default=None, help="must match the traces; defaults to theirs")
     parser.add_argument(
         "--replay",
         metavar="TRANSCRIPT",
@@ -1026,12 +1026,11 @@ def main(argv=None) -> int:
             parser.error("--trace-a and --trace-b are required unless --replay is given")
         trace_a = load_trace(args.trace_a)
         trace_b = load_trace(args.trace_b)
-        rate = args.tick_rate if args.tick_rate is not None else trace_a.tick_rate
         scorer_cfg = (
             scorer_config_from_json(args.scorer_config) if args.scorer_config else ScorerConfig()
         )
         config = SimConfig(
-            tick_rate=rate, latency_ticks=args.latency_ticks, seed=args.seed, scorer=scorer_cfg
+            tick_rate=trace_a.tick_rate, latency_ticks=args.latency_ticks, seed=args.seed, scorer=scorer_cfg
         )
         result = run(args.room_a, args.room_b, trace_a, trace_b, config)
         if args.transcript:
@@ -1044,7 +1043,8 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         return 0
-    except (ProtocolError, SceneError, MalformedTrace, ReplayDivergence, ValueError) as e:
+    except (ProtocolError, SceneError, MalformedTrace, ReplayDivergence, NoFeasiblePlacement,
+            ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -10,15 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinroom import placement as placement_module
-from twinroom.geometry import wrap_angle, wrap_angle_positive
+from twinroom.geometry import wrap_angle
 from twinroom.placement import (
     ACCOMMODATION_CELL,
     ACCOMMODATION_CELLS,
     ACCOMMODATION_RADIUS,
     ATTENTION_HALF_ANGLE,
+    BODY_RADIUS,
     EYE_HEIGHT_SITTING,
     EYE_HEIGHT_STANDING,
     SPATIAL_RADIUS,
+    STAND_CLEARANCE,
     DefaultScorer,
     FeatureVector,
     GridConfig,
@@ -39,10 +41,12 @@ from twinroom.placement import (
 )
 from twinroom.scene import (
     ObjectCategory,
+    RoomArrays,
     height_map,
     load_room,
     objects_in_fov,
     objects_in_radius,
+    support_height_at,
 )
 
 from test_scene import footprint_edge_points
@@ -464,30 +468,36 @@ def test_swarm_crop_changes_no_feature_or_feasibility(monkeypatch):
         {"id": "far", "category": "Other", "position": [-1.7, 0.5, -1.7], "yaw": 0.4,
          "size": [0.3, 1.0, 0.3]},
     ]})
-    swarm_features = placement_module._swarm_features
-    reached = []
-
-    def checked(room, arrays, xs, zs, yaws, pose, partner):
-        keep, got = swarm_features(room, arrays, xs, zs, yaws, pose, partner)
-        assert arrays.count < len(room.objects)
-        # the full-room computation: every object, feasibility first
-        ok = placement_module._feasible_at(room, xs, zs, pose)
-        assert keep == [i for i, f in enumerate(ok) if f]
-        want = placement_module._features_at(
-            room, [xs[i] for i in keep], [zs[i] for i in keep],
-            [wrap_angle_positive(yaws[i]) for i in keep], pose, partner,
-        )
-        assert got == want
-        for g, w in zip(got, want):
-            assert g.pose_accommodation.tobytes() == w.pose_accommodation.tobytes()
-        reached.extend(f for f in got if f.pose_accommodation.any())
-        return keep, got
-
-    monkeypatch.setattr(placement_module, "_swarm_features", checked)
     seed = Placement(0.0, 0.0, 0.0, PlacementPose.Standing)
     target = extract_features(room, Placement(0.5, 0.0, 1.0, PlacementPose.Standing))
-    pso_refine(room, target, seed, rng=5)
-    assert reached
+    feasible_rows = placement_module._feasible_rows
+
+    def swarm(crop):
+        """The swarm's feasibility calls (objects sampled, indices, rows) and
+        scored batches, with the crop or against every object."""
+        calls = []
+
+        def recorded(room, arrays, xs, zs, pose):
+            keep, rows = feasible_rows(room, arrays, xs, zs, pose)
+            calls.append((arrays.count, keep, rows.tobytes()))
+            return keep, rows
+
+        with monkeypatch.context() as m:
+            m.setattr(placement_module, "_feasible_rows", recorded)
+            if not crop:
+                m.setattr(RoomArrays, "reaching", lambda self, *box: self)
+            recorder = Recorder()
+            result = pso_refine(room, target, seed, recorder, rng=5)
+        return result, calls, recorder.batches
+
+    cropped, cropped_calls, cropped_batches = swarm(crop=True)
+    full, full_calls, full_batches = swarm(crop=False)
+    assert {count for count, _, _ in cropped_calls} == {1}
+    assert {count for count, _, _ in full_calls} == {2}
+    assert [call[1:] for call in cropped_calls] == [call[1:] for call in full_calls]
+    assert cropped_batches == full_batches
+    assert cropped == full
+    assert any(f.pose_accommodation.any() for batch in cropped_batches for f in batch)
 
 
 def test_foot_cells_are_accommodation_cells():
@@ -502,9 +512,9 @@ def test_foot_cells_are_accommodation_cells():
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_foot_columns_give_the_standing_footprint_test(seed):
-    """Standing feasibility read off the accommodation rows equals the
-    13-cell footprint broadcast, for points whose foot cells land within
-    3e-9 of a footprint's edges and corners."""
+    """Standing feasibility read off the accommodation rows' foot columns
+    equals the support at each foot cell, one point at a time, for points
+    whose foot cells land within 3e-9 of a footprint's edges and corners."""
     rng = np.random.default_rng(seed)
     room = random_room(rng)
     edges = [p for o in room.objects for p in footprint_edge_points(o)]
@@ -515,19 +525,17 @@ def test_foot_columns_give_the_standing_footprint_test(seed):
     ext = room.extents
     xs += rng.uniform(ext.min_x, ext.max_x, 100).tolist()
     zs += rng.uniform(ext.min_z, ext.max_z, 100).tolist()
-    cx, cz = np.array(xs), np.array(zs)
-    arrays = room.arrays
-    rows = placement_module._accommodation_at(arrays, cx, cz)
-    want = placement_module._standing_feasible(arrays, cx, cz)
-    got = placement_module._standing_clear(rows)
-    assert got.tolist() == want.tolist()
-    assert got.any() and not got.all()
-    # the swarm's evaluation keeps exactly the feasible points, with their rows
-    keep, features = placement_module._swarm_features(room, arrays, xs, zs, [0.0] * len(xs),
-                                                     PlacementPose.Standing, None)
-    ok = placement_module._feasible_at(room, xs, zs, PlacementPose.Standing)
-    assert keep == [i for i, f in enumerate(ok) if f]
-    assert all(f.pose_accommodation.tobytes() == rows[i].tobytes() for i, f in zip(keep, features))
+    want = [
+        i for i, (x, z) in enumerate(zip(xs, zs))
+        if ext.contains(x, z)
+        and all(support_height_at(room, x + ox, z + oz) <= STAND_CLEARANCE + 1e-9 for ox, oz in foot)
+    ]
+    keep, rows = placement_module._feasible_rows(room, room.arrays, xs, zs, PlacementPose.Standing)
+    assert keep == want
+    assert 0 < len(keep) < len(xs)
+    # the feasible points keep their accommodation rows
+    each = [height_map(room, (xs[i], 0.0, zs[i]), ACCOMMODATION_RADIUS, ACCOMMODATION_CELL) for i in keep]
+    assert rows.tobytes() == np.array([hm.heights[hm.valid] for hm in each]).tobytes()
 
 
 def test_pso_never_scores_below_its_grid_seed():
@@ -711,6 +719,38 @@ def test_sitting_respects_seat_rotation():
     room = sitting_room(yaw=math.pi / 2)  # long axis now along z
     assert feasible(room, Placement(0, 0.29, 0, PlacementPose.Sitting))
     assert not feasible(room, Placement(0.11, 0, 0, PlacementPose.Sitting))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_no_point_admits_both_poses(seed):
+    """A seat under the whole body disc also covers the center foot cell, at
+    a sit_height of at least 0.2, above STAND_CLEARANCE; so a grid cell has
+    at most one pose."""
+    rng = np.random.default_rng(seed)
+    w, d = rng.uniform(2.5, 4.0, 2)
+    objects = [{"id": "rug", "category": "Other", "position": [w / 2, 0.02, d / 2], "yaw": 0.0,
+                "size": [w, 0.04, d]}]
+    for i in range(rng.integers(1, 4)):
+        sx, sz = rng.uniform(0.45, 1.2, 2)
+        r = math.hypot(sx, sz) / 2
+        objects.append({
+            "id": f"seat{i}", "category": "Sofa", "yaw": rng.uniform(0, 2 * math.pi),
+            "position": [rng.uniform(r, w - r), 0.25, rng.uniform(r, d - r)], "size": [sx, 0.5, sz],
+            "sittable": True, "sit_height": 0.2 if rng.random() < 0.5 else rng.uniform(0.2, 0.8),
+        })
+    room = load_room({"id": "seats", "extents": {"min": [0, 0], "max": [w, d]}, "objects": objects})
+    # within 3e-9 of the edges of the region where the body disc fits on a seat
+    points = [p for o in room.objects if o.sittable for p in footprint_edge_points(o, BODY_RADIUS)]
+    points += zip(rng.uniform(0, w, 100).tolist(), rng.uniform(0, d, 100).tolist())
+    seated = standing = 0
+    for x, z in points:
+        sit = feasible(room, Placement(x, z, 0.0, PlacementPose.Sitting))
+        stand = feasible(room, Placement(x, z, 0.0, PlacementPose.Standing))
+        assert not (sit and stand), (x, z)
+        seated += sit
+        standing += stand
+    assert seated and standing
 
 
 def test_fully_blocked_room_raises_and_sittable_platform_rescues():
@@ -1017,9 +1057,12 @@ def test_swarm_batch_features_equal_the_per_placement_oracle():
     xs = [C] + rng.uniform(0, 6, 40).tolist()
     zs = [C] + rng.uniform(0, 6, 40).tolist()
     yaws = [0.0] + rng.uniform(0, 2 * math.pi, 40).tolist()
+    cx, cz = np.array(xs), np.array(zs)
+    rows = placement_module._accommodation_at(room.arrays, cx, cz)
+    spatial = placement_module._spatial_at(room.arrays, cx, cz)
     for partner in (None, PartnerPose(4.5, 1.0, 5.0)):
         for pose in PlacementPose:
-            batch = placement_module._features_at(room, xs, zs, yaws, pose, partner)
+            batch = placement_module._features_at(room, xs, zs, yaws, pose, partner, rows, spatial)
             assert len(batch) == len(xs)
             for got, x, z, yaw in zip(batch, xs, zs, yaws):
                 where = (x, z, yaw, pose)

@@ -31,7 +31,6 @@ from twinroom.scene import (
     raycast,
     room_hash,
     support_height_at,
-    support_heights,
     validate_pairing,
 )
 
@@ -322,10 +321,11 @@ def full_room_heights(room, xs, zs):
     return np.maximum(heights, 0.0).reshape(xs.shape)
 
 
-def footprint_edge_points(obj):
-    """Points within 3e-9 of the object's footprint edges and corners, on
-    both sides of the edge and of the containment tolerance."""
-    hx, hz = obj.size[0] * 0.5, obj.size[2] * 0.5
+def footprint_edge_points(obj, inset=0.0):
+    """Points within 3e-9 of the edges and corners of the object's footprint
+    shrunk by ``inset`` on every side, on both sides of the edge and of the
+    containment tolerance."""
+    hx, hz = obj.size[0] * 0.5 - inset, obj.size[2] * 0.5 - inset
     out = []
     for d in (-3e-9, -1e-9, 0.0, 5e-10, 1e-9, 1.5e-9, 3e-9):
         for t in (-1.0, -0.5, 0.0, 0.7, 1.0):
@@ -356,7 +356,7 @@ def test_cropped_footprint_broadcast_changes_no_height(room, seed):
         assert subset.count <= len(room.objects)
         got = subset.support_heights(xs, zs)
         assert got.tobytes() == full_room_heights(room, xs, zs).tobytes()
-        assert support_heights(room, xs, zs).tobytes() == got.tobytes()
+        assert room.arrays.support_heights(xs, zs).tobytes() == got.tobytes()
 
 
 def test_box_that_no_footprint_reaches_keeps_no_object():

@@ -654,18 +654,36 @@ def test_cli_run_then_replay_matches(tmp_path, capsys):
     assert report_2.read_bytes() == report_1.read_bytes()
 
 
+def blocked_room_b_doc() -> dict:
+    """Room b with one box filling it and no seat: no avatar fits."""
+    doc = room_b_doc()
+    for o in doc["objects"]:
+        o.pop("sittable", None)
+        o.pop("sit_height", None)
+    doc["objects"].append({"id": "fill", "category": "Other", "position": [0.0, 0.5, 0.0], "yaw": 0.0,
+                           "size": [4.0, 1.0, 4.0]})
+    return doc
+
+
 def test_cli_reports_errors_with_exit_code(tmp_path, capsys):
+    def cli(paths):
+        return main([
+            "--room-a", str(paths["room_a"]),
+            "--room-b", str(paths["room_b"]),
+            "--trace-a", str(paths["trace_a"]),
+            "--trace-b", str(paths["trace_b"]),
+        ])
+
     paths = write_fixtures(tmp_path)
     slow = TraceBuilder(tick_rate=30.0).hold(0.2).build()
     save_trace(slow, paths["trace_b"])
-    rc = main([
-        "--room-a", str(paths["room_a"]),
-        "--room-b", str(paths["room_b"]),
-        "--trace-a", str(paths["trace_a"]),
-        "--trace-b", str(paths["trace_b"]),
-    ])
-    assert rc == 1
+    assert cli(paths) == 1
     assert "error:" in capsys.readouterr().err
+
+    paths = write_fixtures(tmp_path)
+    paths["room_b"].write_text(json.dumps(blocked_room_b_doc()))
+    assert cli(paths) == 1
+    assert "error: room 'beta': none of the" in capsys.readouterr().err
 
 
 def test_out_of_range_trace_coordinate_is_a_reported_error(tmp_path, capsys):
