@@ -24,9 +24,11 @@ alike. The rules:
     BLAS kernel chosen for the CPU at run time, whose summation order and
     fused multiply-adds differ between kernels, so the engine calls none of
     them;
-  * numpy remains at the boundary (trace snapshots hold arrays and are
-    read once with ``.tolist()``) and in the placement search's
-    broadcasts, which use only elementwise ``+ - * /``, ``np.sqrt`` and
+  * numpy remains at the boundary (trace snapshots hold arrays, converted
+    with ``.tolist()`` at each read: per peer tick the head's up to twice
+    and each hand's up to three times, in pose quantization,
+    ``EffectorSample.ray`` and ``acquire_targets``) and in the placement
+    search's broadcasts, which use only elementwise ``+ - * /``, ``np.sqrt`` and
     comparisons, all correctly rounded on every SIMD path. numpy's
     transcendentals (``np.sin``, ``np.exp``, ...) are not used: the engine
     calls ``math``'s once per value instead.

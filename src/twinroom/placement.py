@@ -81,7 +81,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Protocol
@@ -221,7 +221,8 @@ class ScorerConfig:
 
 
 def scorer_config_from_json(document) -> ScorerConfig:
-    """Load a ScorerConfig from a JSON file path, JSON text, or dict."""
+    """Load a ScorerConfig from a JSON file path, JSON text, or dict. Fields
+    left out keep their defaults; an unknown key raises ValueError."""
     if isinstance(document, ScorerConfig):
         return document
     if isinstance(document, (str, Path)):
@@ -236,6 +237,10 @@ def scorer_config_from_json(document) -> ScorerConfig:
         document = json.loads(text)
     if not isinstance(document, dict):
         raise ValueError(f"scorer config must be a JSON object, got {type(document).__name__}")
+    known = {f.name for f in fields(ScorerConfig)}
+    unknown = [key for key in document if key not in known]
+    if unknown:
+        raise ValueError(f"unknown scorer config keys: {', '.join(map(repr, unknown))}")
     kwargs = {}
     for key in ("sigma_offset", "sigma_facing", "sigma_height", "distance_falloff"):
         if key in document:

@@ -13,12 +13,14 @@ over a short interpolation.
 
 Every avatar tick solves the body once. The head joint that gaze aims from
 depends only on the root and the head goal, so it comes from the same
-helper the full solve uses; the unadjusted (mirrored) body is solved as
-well only when an aim transition starts with no remembered pose to start
-from, which a placement's reset of the transitions allows for one tick. The
-skeleton's rest offsets are built once. Joints, goals and pointing
-solutions are float tuples, computed with the ``geometry`` kernels and
-their fixed-order reductions (see that module).
+helper the full solve uses. Each avatar's `InterpState` remembers the last
+pose it solved, and a new aim transition starts from it: the head from its
+forward direction, a hand from its wrist and shoulder-to-wrist direction.
+A placement starts a fresh `InterpState` that remembers no pose; a
+transition starting then starts from the unadjusted (mirrored) body, solved
+as well on that tick. The skeleton's rest offsets are built once. Joints,
+goals and pointing solutions are float tuples, computed with the
+``geometry`` kernels and their fixed-order reductions (see that module).
 """
 
 from __future__ import annotations
@@ -357,7 +359,7 @@ def retarget_pointing(
         cfg = _DEFAULT_RETARGET
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    hand = snapshot.left_hand if side == "left" else snapshot.right_hand
+    hand = _hand_of(snapshot, side)
 
     rx, ry, rz = snapshot.root.position
     ox, oy, oz = quat_rotate(snapshot.root.orientation, skeleton.shoulder_local(side))
@@ -407,13 +409,13 @@ def interp_hand(current_pos, current_forward, desired_pos, desired_forward, t: f
 
 @dataclass
 class EffectorInterp:
-    key: str | None = None
+    """One effector's aim transition, running iff `start_fwd` is set."""
+
     t: float = 1.0
     start_pos: tuple[float, float, float] | None = None
     start_fwd: tuple[float, float, float] | None = None
 
     def reset(self) -> None:
-        self.key = None
         self.t = 1.0
         self.start_pos = None
         self.start_fwd = None
@@ -421,16 +423,13 @@ class EffectorInterp:
 
 @dataclass
 class InterpState:
-    """Per-effector aim transitions for one avatar."""
+    """Per-effector aim transitions for one avatar, and the last pose it
+    solved, from which each new transition starts."""
 
-    speed: float = 2.0
     head: EffectorInterp = field(default_factory=EffectorInterp)
     left: EffectorInterp = field(default_factory=EffectorInterp)
     right: EffectorInterp = field(default_factory=EffectorInterp)
-    # last solved pose data, the capture source for new transitions
-    last_head_fwd: tuple[float, float, float] | None = None
-    last_wrist: dict[str, tuple[float, float, float]] = field(default_factory=dict)
-    last_arm_fwd: dict[str, tuple[float, float, float]] = field(default_factory=dict)
+    last: AvatarPose | None = None
 
     def hand(self, side: str) -> EffectorInterp:
         return self.left if side == "left" else self.right
@@ -470,6 +469,9 @@ def avatar_tick(
 
     `targets` maps "left"/"right" to world aim points (already compensated);
     `snapshot` carries the user's live pose for elbow flexion and hand up.
+    Each transition advances by `dt * cfg.interp_speed` per tick and starts
+    from `interp.last`, which every tick sets to the pose it returns; with no
+    pose remembered, it starts from the unadjusted body.
     """
     from .states import UserState  # local import: avoid cycle at module load
 
@@ -479,7 +481,7 @@ def avatar_tick(
     if mode is UserState.Locomotion:
         pose = walk_in_place(skeleton, goals, placement, placement_root_height, cfg)
         interp.reset_transitions()
-        _remember(interp, skeleton, pose)
+        interp.last = pose
         return AvatarTickResult(pose=pose, pointing={})
 
     if mode is not UserState.Interaction or (
@@ -487,30 +489,27 @@ def avatar_tick(
     ):
         pose = solve_full_body(skeleton, goals, cfg)
         interp.reset_transitions()
-        _remember(interp, skeleton, pose)
+        interp.last = pose
         return AvatarTickResult(pose=pose, pointing={})
 
     adjusted = goals
     root = goals.root
     inv_root_q = quat_conj(root.orientation)
     pointing: dict[str, tuple[float, PointingSolution]] = {}
-    # the unadjusted body, solved only when a transition starts with nothing
-    # remembered to start from
-    base: AvatarPose | None = None
+    # where transitions start: the remembered pose, or the unadjusted body,
+    # solved only when a transition starts with nothing remembered
+    start = interp.last
 
     if head_target is not None:
         _, head_joint = _neck_and_head(skeleton, root, goals.head.position)
         desired_fwd = _safe_direction(sub(head_target, head_joint), root)
         st = interp.head
-        if st.key != "head-target":
-            st.key = "head-target"
+        if st.start_fwd is None:
+            if start is None:
+                start = solve_full_body(skeleton, goals, cfg)
             st.t = 0.0
-            if interp.last_head_fwd is None:
-                base = solve_full_body(skeleton, goals, cfg)
-                st.start_fwd = quat_rotate(base.orientations["head"], FORWARD)
-            else:
-                st.start_fwd = interp.last_head_fwd
-        st.t = min(1.0, st.t + dt * interp.speed)
+            st.start_fwd = quat_rotate(start.orientations["head"], FORWARD)
+        st.t = min(1.0, st.t + dt * cfg.interp_speed)
         fwd = interp_head(st.start_fwd, desired_fwd, st.t) if st.t < 1.0 else desired_fwd
         head_world_q = look_rotation(fwd, UP)
         adjusted = replace(
@@ -526,23 +525,14 @@ def avatar_tick(
             st.reset()
             continue
         sol = retarget_pointing(skeleton, snapshot, root, point, side, cfg)
-        key = f"{side}-aim"
-        if st.key != key:
-            st.key = key
+        if st.start_fwd is None:
+            if start is None:
+                start = solve_full_body(skeleton, goals, cfg)
+            wrist = start.joints[f"{side[0]}_wrist"]
             st.t = 0.0
-            prev_pos = interp.last_wrist.get(side)
-            prev_fwd = interp.last_arm_fwd.get(side)
-            if prev_pos is None or prev_fwd is None:
-                if base is None:
-                    base = solve_full_body(skeleton, goals, cfg)
-                wrist = base.joints[f"{side[0]}_wrist"]
-                if prev_pos is None:
-                    prev_pos = wrist
-                if prev_fwd is None:
-                    prev_fwd = _safe_direction(sub(wrist, base.joints[f"{side[0]}_shoulder"]), root)
-            st.start_pos = prev_pos
-            st.start_fwd = prev_fwd
-        st.t = min(1.0, st.t + dt * interp.speed)
+            st.start_pos = wrist
+            st.start_fwd = _safe_direction(sub(wrist, start.joints[f"{side[0]}_shoulder"]), start.root)
+        st.t = min(1.0, st.t + dt * cfg.interp_speed)
         if st.t < 1.0:
             wrist_w = interp_hand(st.start_pos, st.start_fwd, sol.wrist, sol.aim, st.t)
             fwd_t = slerp_vec(st.start_fwd, sol.aim, st.t)
@@ -563,7 +553,7 @@ def avatar_tick(
         pointing[side] = (st.t, sol)
 
     pose = solve_full_body(skeleton, adjusted, cfg)
-    _remember(interp, skeleton, pose)
+    interp.last = pose
     return AvatarTickResult(pose=pose, pointing=pointing)
 
 
@@ -577,13 +567,3 @@ def _safe_direction(v, root: Transform) -> tuple[float, float, float]:
         return root.forward()
     return (v[0] / n, v[1] / n, v[2] / n)
 
-
-def _remember(interp: InterpState, skeleton: Skeleton, pose: AvatarPose) -> None:
-    interp.last_head_fwd = quat_rotate(pose.orientations["head"], FORWARD)
-    for side in ("left", "right"):
-        wrist = pose.joints[f"{side[0]}_wrist"]
-        shoulder = pose.joints[f"{side[0]}_shoulder"]
-        interp.last_wrist[side] = wrist
-        v = sub(wrist, shoulder)
-        n = norm(v)
-        interp.last_arm_fwd[side] = (v[0] / n, v[1] / n, v[2] / n) if n > 1e-9 else pose.root.forward()

@@ -265,6 +265,11 @@ class AnchoredBody:
     right_hand: Transform
 
 
+def _partner_at(root: Transform) -> PartnerPose:
+    """A root on the floor plane, as the search's interpersonal reference."""
+    return PartnerPose(x=root.position[0], z=root.position[2], yaw=yaw_of(root.orientation))
+
+
 # --- avatar hosting -----------------------------------------------------------
 
 class AvatarHost:
@@ -295,7 +300,7 @@ class AvatarHost:
         self.head_target: tuple[str, tuple[float, float, float]] | None = None
         self.placement: Placement | None = None
         self.frozen: tuple[Placement, float] | None = None  # walk-in-place lock
-        self.interp = InterpState(speed=config.retarget.interp_speed)
+        self.interp = InterpState()
         self._anchor_user_pos = (0.0, 0.0, 0.0)
         self._anchor_avatar_pos = (0.0, 0.0, 0.0)
         self._delta_q = quat_from_yaw(0.0)
@@ -345,10 +350,7 @@ class AvatarHost:
         self.state = new
 
     def _place(self, features: FeatureVector, tick: int, me: LocalUser | None) -> Placement:
-        partner = None
-        if me is not None:
-            rt = me.root
-            partner = PartnerPose(x=rt.position[0], z=rt.position[2], yaw=yaw_of(rt.orientation))
+        partner = None if me is None else _partner_at(me.root)
         episode = len(self.episodes)
         seq = np.random.SeedSequence([self.cfg.seed, self.owner_code, episode])
         result = find_placement(
@@ -378,7 +380,7 @@ class AvatarHost:
         self._anchor_goals()
         self.frozen = None
         # aim transitions must not bridge a teleport
-        self.interp = InterpState(speed=self.cfg.retarget.interp_speed)
+        self.interp = InterpState()
         self.episodes.append(
             {
                 "episode": episode,
@@ -432,10 +434,7 @@ class AvatarHost:
     def partner_pose(self) -> PartnerPose | None:
         """The hosted avatar as an interpersonal reference for the local
         user's own feature extraction."""
-        if self.goals is None:
-            return None
-        root = self.goals.root
-        return PartnerPose(x=root.position[0], z=root.position[2], yaw=yaw_of(root.orientation))
+        return None if self.goals is None else _partner_at(self.goals.root)
 
     # -- per-tick animation
 
@@ -640,7 +639,6 @@ class PeerRuntime:
         self.window = SpeedWindow(config.tick_rate, config.state.speed_window)
         self.tracker = FixationTracker(config.tick_rate, config.state)
         self.loco = UserState.Solo
-        self.reported = UserState.Solo
         self.state_now = UserState.Solo
         self.transitions: list[dict] = []
         self.pending_features: deque[FeatureVector] = deque()
@@ -690,10 +688,10 @@ class PeerRuntime:
                     self.tracker, side, hand.ray(), room, self.dt, self.cfg.state, lifted=hand.lifted
                 )
         self.targets = acquire_targets(self.tracker, snap, room, self.cfg.state)
-        self.state_now = classify_state(self.loco, self.targets)
-        if self.state_now is not self.reported:
-            self.transitions.append({"tick": t, "state": self.state_now.name})
-            self.reported = self.state_now
+        state = classify_state(self.loco, self.targets)
+        if state is not self.state_now:
+            self.transitions.append({"tick": t, "state": state.name})
+            self.state_now = state
 
     def _request_features(self) -> FeatureVector:
         x, y, z = self.snap.root.position.tolist()

@@ -363,7 +363,7 @@ def test_06_locomotion_invariants():
                 goals = wandering_goals(rng, sk)
                 result = avatar_tick(
                     sk, UserState.Locomotion, goals, locked, locked_y,
-                    {"left": None, "right": None}, None, InterpState(speed=2.0),
+                    {"left": None, "right": None}, None, InterpState(),
                     1.0 / 60.0, RetargetConfig(), snapshot=None,
                 )
                 np.testing.assert_allclose(

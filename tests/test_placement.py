@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -893,6 +894,16 @@ def test_scorer_config_validation_and_json():
     assert scorer_config_from_json(cfg) is cfg
     with pytest.raises(ValueError):
         scorer_config_from_json("[1, 2]")
+
+
+def test_scorer_config_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="unknown scorer config keys: 'sigma_ofset', 'weigths'"):
+        scorer_config_from_json({"sigma_ofset": 2.0, "weigths": [1, 0, 0, 0]})
+    with pytest.raises(ValueError, match="'sigma_ofset'"):
+        scorer_config_from_json(json.dumps({"sigma_height": 0.5, "sigma_ofset": 2.0}))
+    # a partial override keeps every other default
+    cfg = scorer_config_from_json({"sigma_facing": 1.0})
+    assert cfg == replace(ScorerConfig(), sigma_facing=1.0)
 
 
 # --- interpersonal extraction ----------------------------------------------

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -480,7 +480,7 @@ def test_avatar_tick_locomotion_root_is_constant():
 
 def test_avatar_tick_aim_converges_onto_target_ray():
     skeleton, goals, placement = standing_setup()
-    interp = InterpState(speed=2.0)
+    interp = InterpState()
     target = np.array([1.0, 1.5, 2.5])
     snap = user_snapshot()
     completions = []
@@ -489,7 +489,7 @@ def test_avatar_tick_aim_converges_onto_target_ray():
         result = avatar_tick(
             skeleton, UserState.Interaction, goals, placement, 0.9,
             {"left": None, "right": target}, target, interp, 1 / 60,
-            snapshot=snap,
+            RetargetConfig(interp_speed=2.0), snapshot=snap,
         )
         completions.append(result.pointing["right"][0])
     assert completions[0] == pytest.approx(2.0 / 60, abs=1e-12)
@@ -518,12 +518,12 @@ def test_avatar_tick_dropping_target_returns_to_mirror():
             skeleton, UserState.Interaction, goals, placement, 0.9,
             {"left": None, "right": target}, None, interp, 1 / 60, snapshot=snap,
         )
-    assert interp.right.key == "right-aim"
+    assert interp.right.start_fwd is not None  # the aim transition runs
     result = avatar_tick(
         skeleton, UserState.Interaction, goals, placement, 0.9,
         {"left": None, "right": None}, None, interp, 1 / 60, snapshot=snap,
     )
-    assert interp.right.key is None
+    assert interp.right.start_fwd is None
     mirror = solve_full_body(skeleton, goals)
     np.testing.assert_allclose(
         result.pose.joints["r_wrist"], mirror.joints["r_wrist"], atol=1e-12
@@ -532,12 +532,13 @@ def test_avatar_tick_dropping_target_returns_to_mirror():
 
 def test_avatar_tick_eases_from_previous_pose():
     skeleton, goals, placement = standing_setup()
-    interp = InterpState(speed=2.0)
+    interp = InterpState()
     snap = user_snapshot()
     target = np.array([1.0, 1.5, 2.5])
     result = avatar_tick(
         skeleton, UserState.Interaction, goals, placement, 0.9,
-        {"left": None, "right": target}, None, interp, 1 / 60, snapshot=snap,
+        {"left": None, "right": target}, None, interp, 1 / 60,
+        RetargetConfig(interp_speed=2.0), snapshot=snap,
     )
     t, sol = result.pointing["right"]
     assert 0 < t < 1
@@ -557,21 +558,68 @@ def _reference_safe_direction(v, root):
     return (v[0] / n, v[1] / n, v[2] / n)
 
 
+@dataclass
+class _ReferenceEffector:
+    key: str | None = None
+    t: float = 1.0
+    start_pos: tuple | None = None
+    start_fwd: tuple | None = None
+
+    def reset(self):
+        self.key = None
+        self.t = 1.0
+        self.start_pos = None
+        self.start_fwd = None
+
+
+@dataclass
+class _ReferenceInterp:
+    """The three-field transition state: its own speed, a key per running
+    transition, and three values derived from the last pose on every tick."""
+
+    speed: float
+    head: _ReferenceEffector = field(default_factory=_ReferenceEffector)
+    left: _ReferenceEffector = field(default_factory=_ReferenceEffector)
+    right: _ReferenceEffector = field(default_factory=_ReferenceEffector)
+    last_head_fwd: tuple | None = None
+    last_wrist: dict = field(default_factory=dict)
+    last_arm_fwd: dict = field(default_factory=dict)
+
+    def hand(self, side):
+        return self.left if side == "left" else self.right
+
+    def reset_transitions(self):
+        self.head.reset()
+        self.left.reset()
+        self.right.reset()
+
+
+def _reference_remember(interp, pose):
+    interp.last_head_fwd = quat_rotate(pose.orientations["head"], FORWARD)
+    for side in ("left", "right"):
+        wrist = pose.joints[f"{side[0]}_wrist"]
+        v = sub(wrist, pose.joints[f"{side[0]}_shoulder"])
+        n = norm(v)
+        interp.last_wrist[side] = wrist
+        interp.last_arm_fwd[side] = (v[0] / n, v[1] / n, v[2] / n) if n > 1e-9 else pose.root.forward()
+
+
 def reference_avatar_tick(skeleton, mode, goals, placement, placement_root_height, targets,
                           head_target, interp, dt, cfg, snapshot):
-    """The two-solve avatar tick: the whole unadjusted body is solved first
-    and read for the head joint and the fallback start of each transition."""
+    """The two-solve avatar tick over the three-field state: the whole
+    unadjusted body is solved first and read for the head joint and the
+    fallback start of each transition."""
     if mode is UserState.Locomotion:
         pose = R.walk_in_place(skeleton, goals, placement, placement_root_height, cfg)
         interp.reset_transitions()
-        R._remember(interp, skeleton, pose)
+        _reference_remember(interp, pose)
         return R.AvatarTickResult(pose=pose, pointing={})
     if mode is not UserState.Interaction or (
         head_target is None and all(v is None for v in targets.values())
     ):
         pose = R.solve_full_body(skeleton, goals, cfg)
         interp.reset_transitions()
-        R._remember(interp, skeleton, pose)
+        _reference_remember(interp, pose)
         return R.AvatarTickResult(pose=pose, pointing={})
 
     base = R.solve_full_body(skeleton, goals, cfg)
@@ -632,7 +680,7 @@ def reference_avatar_tick(skeleton, mode, goals, placement, placement_root_heigh
         )})
         pointing[side] = (st_.t, sol)
     pose = R.solve_full_body(skeleton, adjusted, cfg)
-    R._remember(interp, skeleton, pose)
+    _reference_remember(interp, pose)
     return R.AvatarTickResult(pose=pose, pointing=pointing)
 
 
@@ -651,14 +699,18 @@ def _tick_bits(result) -> list:
     return out
 
 
-def _interp_bits(interp) -> list:
-    out = [_bits(interp.last_head_fwd)]
-    for side in ("left", "right"):
-        out += [_bits(interp.last_wrist[side]), _bits(interp.last_arm_fwd[side])]
-    for st_ in (interp.head, interp.left, interp.right):
-        out.append((st_.key, st_.t, None if st_.start_pos is None else _bits(st_.start_pos),
-                    None if st_.start_fwd is None else _bits(st_.start_fwd)))
-    return out
+def _effector_bits(st_, running: bool) -> tuple:
+    """(running, t, start_pos, start_fwd) of one effector's transition."""
+    return (running, st_.t, None if st_.start_pos is None else _bits(st_.start_pos),
+            None if st_.start_fwd is None else _bits(st_.start_fwd))
+
+
+def _transitions(interp) -> list:
+    return [_effector_bits(st_, st_.start_fwd is not None) for st_ in (interp.head, interp.left, interp.right)]
+
+
+def _reference_transitions(interp) -> list:
+    return [_effector_bits(st_, st_.key is not None) for st_ in (interp.head, interp.left, interp.right)]
 
 
 def scripted_ticks():
@@ -703,13 +755,13 @@ def test_avatar_tick_solves_once_and_matches_the_two_solve_tick(cfg, monkeypatch
     ref_interp = new_interp = None
     for tick, (reset, mode, targets, head_target) in enumerate(scripted_ticks()):
         if reset:
-            ref_interp = InterpState(speed=cfg.interp_speed)
-            new_interp = InterpState(speed=cfg.interp_speed)
+            ref_interp = _ReferenceInterp(speed=cfg.interp_speed)
+            new_interp = InterpState()
         goals = random_goals(rng, skeleton)
         fallback = (
             mode is UserState.Interaction
             and (head_target is not None or any(v is not None for v in targets.values()))
-            and new_interp.last_head_fwd is None
+            and new_interp.last is None
         )
         want = reference_avatar_tick(skeleton, mode, goals, placement, 0.9, targets, head_target,
                                      ref_interp, 1 / 60, cfg, snap)
@@ -719,5 +771,6 @@ def test_avatar_tick_solves_once_and_matches_the_two_solve_tick(cfg, monkeypatch
                           1 / 60, cfg, snapshot=snap)
         monkeypatch.setattr(R, "solve_full_body", solve)
         assert _tick_bits(got) == _tick_bits(want), f"tick {tick}"
-        assert _interp_bits(new_interp) == _interp_bits(ref_interp), f"tick {tick}"
+        assert _transitions(new_interp) == _reference_transitions(ref_interp), f"tick {tick}"
+        assert new_interp.last is got.pose, f"tick {tick}"
         assert len(solves) == (2 if fallback else 1), f"tick {tick}"

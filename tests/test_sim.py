@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twinroom import sim as sim_module
 from twinroom.geometry import Transform, quat_conj, quat_mul, quat_normalize, quat_rotate
 from twinroom.placement import (
     GridConfig,
@@ -43,6 +44,8 @@ from twinroom.sim import (
 )
 from twinroom.states import Effector, EffectorSample, StateConfig, UserSnapshot
 from twinroom.traces import MalformedTrace, TraceBuilder, save_trace
+
+from test_retarget import _tick_bits
 
 
 def room_a_doc() -> dict:
@@ -237,6 +240,43 @@ def test_replay_reproduces_report(base_result):
     got = replay(base_result.transcript, room_a_doc(), room_b_doc())
     assert got == base_result.report
     assert canonical_report_json(got) == base_result.report_json
+
+
+def test_replay_rebuilds_every_avatar_tick(monkeypatch):
+    # the report pins no solved body, so compare the avatar motion itself:
+    # each hosted avatar's per-tick pose and pointing, live and replayed
+    def motion(session):
+        ticks, hosting = {}, []
+        tick_avatar, solve = AvatarHost.tick_avatar, sim_module.avatar_tick
+
+        def hosted(host, t, me, dt):
+            hosting.append((host.owner_code, t))
+            try:
+                return tick_avatar(host, t, me, dt)
+            finally:
+                hosting.pop()
+
+        def recorded(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            owner, t = hosting[-1]
+            ticks.setdefault(owner, []).append((t, bool(result.pointing), _tick_bits(result)))
+            return result
+
+        with monkeypatch.context() as m:
+            m.setattr(AvatarHost, "tick_avatar", hosted)
+            m.setattr(sim_module, "avatar_tick", recorded)
+            out = session()
+        return out, ticks
+
+    live, live_ticks = motion(lambda: run(
+        room_a_doc(), room_b_doc(), trace_a_script().build(), trace_b_script().build(),
+        config=quick_config(),
+    ))
+    report, replayed_ticks = motion(lambda: replay(live.transcript, room_a_doc(), room_b_doc()))
+    assert report == live.report
+    assert sorted(live_ticks) == [0, 1]
+    assert any(pointed for ticks in live_ticks.values() for _, pointed, _ in ticks)
+    assert replayed_ticks == live_ticks
 
 
 def test_replay_with_latency():
@@ -684,6 +724,18 @@ def test_cli_reports_errors_with_exit_code(tmp_path, capsys):
     paths["room_b"].write_text(json.dumps(blocked_room_b_doc()))
     assert cli(paths) == 1
     assert "error: room 'beta': none of the" in capsys.readouterr().err
+
+    # a misspelled scorer-config key is refused, not silently dropped
+    paths = write_fixtures(tmp_path)
+    misspelled = json.dumps({"sigma_ofset": 2.0, "weigths": [1, 0, 0, 0]})
+    assert main([
+        "--room-a", str(paths["room_a"]),
+        "--room-b", str(paths["room_b"]),
+        "--trace-a", str(paths["trace_a"]),
+        "--trace-b", str(paths["trace_b"]),
+        "--scorer-config", misspelled,
+    ]) == 1
+    assert "error: unknown scorer config keys: 'sigma_ofset', 'weigths'" in capsys.readouterr().err
 
 
 def test_out_of_range_trace_coordinate_is_a_reported_error(tmp_path, capsys):
