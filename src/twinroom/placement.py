@@ -36,20 +36,23 @@ accommodation rows and spatial tables from its caller and adds the
 attention tables in one broadcast.
 
 The grid is a bounded best-first scan with the result of an exhaustive one.
-It first takes one grid column at a time: one broadcast gives its cells'
-accommodation rows, hence their standing feasibility, the seat test decides
-the rest, and another broadcast gives the feasible cells' spatial tables.
-Each feasible cell holds one pose and gets an upper bound on its yaw
-candidates' scores (their height and spatial terms do not depend on yaw,
-attention is at most 1, and the partner offset has the same length at every
-yaw). It then visits cells by descending bound, scores a cell's candidates
-together, and stops once no bound can reach the best score. A standing swarm
-iteration is one accommodation broadcast over every particle, which gives
-both their feasibility and their rows; a sitting iteration tests the seats
-first and samples only the feasible particles. The feasible particles get
-their spatial tables from one difference broadcast and are scored together;
-the default scorer computes the height term once per distinct accommodation
-row.
+Its room-only phase, ``grid_tables``, takes one grid column at a time: one
+broadcast gives its cells' accommodation rows, hence their standing
+feasibility, the seat test decides the rest, and another broadcast gives the
+feasible cells' spatial tables. Nothing in it depends on the target, so a
+caller that searches one room again (a session's avatar host) passes the
+tables back in and skips it. Each feasible cell holds one pose and gets an
+upper bound on its yaw candidates' scores (their height and spatial terms do
+not depend on yaw, attention is at most 1, and the partner offset has the
+same length at every yaw). The search then visits cells by descending bound,
+scores a cell's candidates together, and stops once no bound can reach the
+best score.
+A standing swarm iteration is one accommodation broadcast over every
+particle, which gives both their feasibility and their rows; a sitting
+iteration tests the seats first and samples only the feasible particles.
+The feasible particles get their spatial tables from one difference
+broadcast and are scored together; the default scorer computes the height
+term once per distinct accommodation row.
 A swarm's accommodation broadcasts run only against the objects whose
 footprint reaches the box its samples lie in, which drops only objects that
 cover none of them.
@@ -115,6 +118,13 @@ _CATEGORY_COUNT = len(ObjectCategory)
 # offsets of the accommodation grid's valid cells from the subject
 _, _ACCOMMODATION_OX, _ACCOMMODATION_OZ = height_map_grid(ACCOMMODATION_RADIUS, ACCOMMODATION_CELL)
 ACCOMMODATION_CELLS = len(_ACCOMMODATION_OX)  # 81
+
+
+def require_int(name: str, value) -> None:
+    """A ValueError naming ``name`` unless ``value`` is an int (a bool is
+    not): a count or a seed must not be a float that happens to be whole."""
+    if type(value) is bool or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 class NoFeasiblePlacement(RuntimeError):
@@ -599,6 +609,7 @@ class GridConfig:
     def __post_init__(self):
         if not self.cell > 0.0:
             raise ValueError("grid cell must be positive")
+        require_int("yaw_count", self.yaw_count)
         if self.yaw_count < 1:
             raise ValueError("yaw_count must be at least 1")
 
@@ -619,6 +630,70 @@ def grid_axes(
     return xs, zs, yaws
 
 
+@dataclass(frozen=True, eq=False)
+class GridTables:
+    """The room-only phase of a grid search: every grid cell that admits a
+    pose, in scan order, with its pose, its accommodation row (a row of
+    ``rows``, one ``(cells, ACCOMMODATION_CELLS)`` array) and its spatial
+    table. Nothing here depends on the target, the partner or the scorer, so
+    one room's tables serve all of its searches under ``config``."""
+
+    room: Room
+    config: GridConfig
+    yaws: list[float]
+    candidates_per_pose: int    # grid size, including infeasible cells
+    xs: list[float]
+    zs: list[float]
+    poses: list[PlacementPose]
+    rows: np.ndarray
+    spatial: list[tuple]
+
+
+def grid_tables(room: Room, config: GridConfig | None = None) -> GridTables:
+    """The grid's feasible cells and their room-only features.
+
+    One grid column (one x) at a time, one broadcast gives every cell's
+    accommodation row, whose foot columns decide standing; a cell that
+    cannot stand is tested for a seat. The feasible cells' spatial tables
+    come from one more broadcast over all of them.
+    """
+    if config is None:
+        config = GridConfig()
+    arrays = room.arrays
+    contains = room.extents.contains
+    xs, zs, yaws = grid_axes(room.extents, config.cell, config.yaw_count)
+    column_zs = np.array(zs)
+    cell_xs, cell_zs, poses, rows = [], [], [], []
+    for x in xs:
+        column = _accommodation_at(arrays, np.full(len(zs), x), column_zs)
+        keep = []
+        for i, (z, standing) in enumerate(zip(zs, _standing_clear(column).tolist())):
+            if not contains(x, z):
+                continue
+            if standing:
+                poses.append(PlacementPose.Standing)
+            elif _sitting_feasible(room, x, z):
+                poses.append(PlacementPose.Sitting)
+            else:
+                continue
+            keep.append(i)
+            cell_xs.append(x)
+            cell_zs.append(z)
+        if keep:
+            rows.append(column[keep])  # a copy: no row keeps its column alive
+    return GridTables(
+        room=room,
+        config=config,
+        yaws=yaws,
+        candidates_per_pose=len(xs) * len(zs) * len(yaws),
+        xs=cell_xs,
+        zs=cell_zs,
+        poses=poses,
+        rows=np.concatenate(rows) if rows else np.empty((0, ACCOMMODATION_CELLS)),
+        spatial=_spatial_at(arrays, np.array(cell_xs, dtype=float), np.array(cell_zs, dtype=float)),
+    )
+
+
 @dataclass(frozen=True)
 class GridResult:
     placement: Placement
@@ -627,6 +702,8 @@ class GridResult:
     evaluated: int              # candidates that passed feasibility, scored or not
     # candidates actually scored; a diagnostic, left out of comparisons
     scored: int = field(compare=False)
+    # the room-only phase this search used, for the room's later searches
+    tables: GridTables = field(compare=False, repr=False)
 
 
 def grid_search(
@@ -636,6 +713,7 @@ def grid_search(
     partner: PartnerPose | None = None,
     *,
     config: GridConfig | None = None,
+    tables: GridTables | None = None,
 ) -> GridResult:
     """The best candidate of the placement grid, as an exhaustive scan finds it.
 
@@ -643,53 +721,44 @@ def grid_search(
     are skipped, and a cell admits at most one pose. Ties resolve to the
     lowest (x, z, yaw) grid index: the first best in scan order wins.
 
-    The first phase goes one grid column (one x) at a time: one broadcast
-    gives every cell's accommodation row, whose foot columns decide
-    standing; a cell that cannot stand is tested for a seat. The feasible
-    cells' spatial tables come from one more broadcast, and each gets the
-    scorer's ``score_bound`` on its candidates. The second visits cells by
-    descending bound, scan order among equal bounds: ``_features_at`` builds
-    a cell's candidate at every yaw, all holding the cell's row and spatial
-    table, with the attention tables from one broadcast, and they are
-    scored as one batch. It stops at the first bound strictly below the
-    best score, since no candidate left can beat or tie it. A scorer
-    without ``score_bound`` has every cell visited in scan order.
+    The room-only phase is ``grid_tables(room, config)``: the feasible
+    cells, each with its one pose, accommodation row and spatial table.
+    ``tables`` from an earlier search of the same room under the same
+    config skip it, with the same result; tables built for another room or
+    config are a ValueError. The result holds the tables it used.
+
+    Each feasible cell gets the scorer's ``score_bound`` on its candidates.
+    Cells are visited by descending bound, scan order among equal bounds:
+    ``_features_at`` builds a cell's candidate at every yaw, all holding the
+    cell's row and spatial table, with the attention tables from one
+    broadcast, and they are scored as one batch. The visit stops at the
+    first bound strictly below the best score, since no candidate left can
+    beat or tie it. A scorer without ``score_bound`` has every cell visited
+    in scan order.
     """
     if scorer is None:
         scorer = DefaultScorer()
     if config is None:
         config = GridConfig()
+    if tables is None:
+        tables = grid_tables(room, config)
+    elif tables.room != room or tables.config != config:
+        raise ValueError(
+            f"grid tables were built for room {tables.room.id!r} under {tables.config}, "
+            f"not room {room.id!r} under {config}"
+        )
     score_bound = getattr(scorer, "score_bound", None)
 
-    arrays = room.arrays
-    contains = room.extents.contains
-    xs, zs, yaws = grid_axes(room.extents, config.cell, config.yaw_count)
-    per_pose = len(xs) * len(zs) * len(yaws)
-    column_zs = np.array(zs)
-    cells = []  # (x, z, pose, accommodation row, spatial table) in scan order
-    bounds = []
-    for x in xs:
-        # the column's cells that admit a pose, with the pose and the row
-        column = []
-        rows = _accommodation_at(arrays, np.full(len(zs), x), column_zs)
-        for z, standing, row in zip(zs, _standing_clear(rows).tolist(), rows):
-            if not contains(x, z):
-                continue
-            if standing:
-                column.append((z, PlacementPose.Standing, row))
-            elif _sitting_feasible(room, x, z):
-                column.append((z, PlacementPose.Sitting, row))
-        if not column:
-            continue
-        for (z, pose, row), spatial in zip(column, _spatial_at(arrays, np.full(len(column), x),
-                                                                 np.array([z for z, _, _ in column]))):
-            cells.append((x, z, pose, row, spatial))
-            if score_bound is None:
-                bounds.append(math.inf)
-            else:
-                distance = None if partner is None else math.hypot(partner.x - x, partner.z - z)
-                bounds.append(score_bound(target, row, spatial, distance))
+    cells = list(zip(tables.xs, tables.zs, tables.poses, tables.rows, tables.spatial))
+    if score_bound is None:
+        bounds = [math.inf] * len(cells)
+    else:
+        bounds = [
+            score_bound(target, row, spatial, None if partner is None else math.hypot(partner.x - x, partner.z - z))
+            for x, z, _, row, spatial in cells
+        ]
 
+    yaws = tables.yaws
     best_score = -math.inf
     best_cell = -1
     best_placement = None
@@ -712,10 +781,10 @@ def grid_search(
 
     if best_placement is None:
         raise NoFeasiblePlacement(
-            f"room {room.id!r}: none of the {per_pose * 2} grid candidates is feasible"
+            f"room {room.id!r}: none of the {tables.candidates_per_pose * 2} grid candidates is feasible"
         )
-    return GridResult(placement=best_placement, score=best_score, candidates_per_pose=per_pose,
-                      evaluated=len(yaws) * len(cells), scored=scored)
+    return GridResult(placement=best_placement, score=best_score, candidates_per_pose=tables.candidates_per_pose,
+                      evaluated=len(yaws) * len(cells), scored=scored, tables=tables)
 
 
 # --- particle swarm refinement ----------------------------------------------
@@ -733,6 +802,8 @@ class PsoConfig:
     yaw_radius: float = math.radians(30.0)
 
     def __post_init__(self):
+        require_int("particles", self.particles)
+        require_int("iterations", self.iterations)
         if self.particles < 1:
             raise ValueError("particles must be at least 1")
         if self.iterations < 0:
@@ -874,6 +945,8 @@ class PlacementResult:
     pso_evaluated: int
     grid_time_s: float
     pso_time_s: float
+    # the grid's room-only phase, for the room's later searches
+    tables: GridTables = field(compare=False, repr=False)
 
 
 def find_placement(
@@ -885,12 +958,16 @@ def find_placement(
     grid_config: GridConfig | None = None,
     pso_config: PsoConfig | None = None,
     rng: np.random.Generator | int = 0,
+    tables: GridTables | None = None,
 ) -> PlacementResult:
-    """Grid search followed by swarm refinement; the full placement query."""
+    """Grid search followed by swarm refinement; the full placement query.
+    ``tables`` are passed to ``grid_search``, and the result holds the ones
+    it used, so a caller searching one room again can skip the grid's
+    room-only phase with the same result."""
     if scorer is None:
         scorer = DefaultScorer()
     t0 = time.perf_counter()
-    grid = grid_search(room, target, scorer, partner, config=grid_config)
+    grid = grid_search(room, target, scorer, partner, config=grid_config, tables=tables)
     t1 = time.perf_counter()
     pso = pso_refine(room, target, grid.placement, scorer, partner, pso_config, rng)
     t2 = time.perf_counter()
@@ -905,4 +982,5 @@ def find_placement(
         pso_evaluated=pso.evaluated,
         grid_time_s=t1 - t0,
         pso_time_s=t2 - t1,
+        tables=grid.tables,
     )

@@ -31,7 +31,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from .placement import (
     DefaultScorer,
     FeatureVector,
     GridConfig,
+    GridTables,
     NoFeasiblePlacement,
     PartnerPose,
     Placement,
@@ -58,6 +59,7 @@ from .placement import (
     ScorerConfig,
     extract_features,
     find_placement,
+    require_int,
     scorer_config_from_json,
 )
 from .protocol import (
@@ -152,6 +154,8 @@ class SimConfig:
         # every range check is written so that NaN fails it
         if not self.tick_rate > 0.0:
             raise ValueError("tick_rate must be positive")
+        for name in ("latency_ticks", "seed", "app_version"):
+            require_int(name, getattr(self, name))
         if self.latency_ticks < 0:
             raise ValueError("latency_ticks must be >= 0")
         if self.seed < 0:
@@ -184,20 +188,34 @@ def _config_to_dict(config) -> dict:
     return doc
 
 
-def _config_from_dict(cls, doc: dict):
+def _config_from_dict(cls, doc: dict, path: str = ""):
+    """A config from its `to_dict` form. Every value must have its field's
+    annotated type: an int field takes an int, a float field an int or a
+    float (never a bool), a tuple field a list of as many such values and a
+    nested config an object; anything else is a ValueError naming the
+    field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path or cls.__name__} must be an object, got {doc!r}")
     names = [f.name for f in fields(cls)]
     if sorted(doc) != sorted(names):
         raise ValueError(f"{cls.__name__} needs exactly the keys {sorted(names)}, got {sorted(doc)}")
     types = get_type_hints(cls)
-    kwargs = {}
-    for name in names:
-        value = doc[name]
-        if is_dataclass(types[name]):
-            value = _config_from_dict(types[name], value)
-        elif isinstance(value, list):
-            value = tuple(value)
-        kwargs[name] = value
-    return cls(**kwargs)
+    return cls(**{name: _json_value(types[name], doc[name], path + name) for name in names})
+
+
+def _json_value(hint, value, path: str):
+    if is_dataclass(hint):
+        return _config_from_dict(hint, value, path + ".")
+    if get_origin(hint) is tuple:
+        items = get_args(hint)
+        if not isinstance(value, list) or len(value) != len(items):
+            raise ValueError(f"{path} must be a list of {len(items)} values, got {value!r}")
+        return tuple(_json_value(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+    if hint is int:
+        require_int(path, value)
+    elif hint is not float or type(value) is bool or not isinstance(value, (int, float)):
+        raise ValueError(f"{path} must be a number, got {value!r}")
+    return value
 
 
 # --- wire/pose plumbing --------------------------------------------------------
@@ -285,6 +303,9 @@ class AvatarHost:
         self.cfg = config
         self.scorer = DefaultScorer(config.scorer)
         self.owner_code = owner_code  # seeds the per-episode search rng
+        # the room's placement-grid tables, built by the first search and
+        # passed to every later one
+        self.grid_tables: GridTables | None = None
         self.skeleton: Skeleton | None = None
         # the latest wire pose stays raw until the avatar is placed; from then
         # on each one is converted on arrival (`remote`) and its root mapped
@@ -361,7 +382,9 @@ class AvatarHost:
             grid_config=self.cfg.grid,
             pso_config=self.cfg.pso,
             rng=np.random.Generator(np.random.PCG64(seq)),
+            tables=self.grid_tables,
         )
+        self.grid_tables = result.tables
         # quantize before anchoring so the avatar stands exactly where the
         # wire announcement says it does
         q = Placement(

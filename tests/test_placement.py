@@ -37,11 +37,13 @@ from twinroom.placement import (
     find_placement,
     grid_axes,
     grid_search,
+    grid_tables,
     pso_refine,
     scorer_config_from_json,
 )
 from twinroom.scene import (
     ObjectCategory,
+    Room,
     RoomArrays,
     height_map,
     load_room,
@@ -354,17 +356,35 @@ def test_pruned_grid_equals_the_exhaustive_scan(seed, furnished, same_room, part
     config = ScorerConfig(sigma_offset=sigma_offset, weights=tuple(weights / weights.sum()))
     scorer = Quantized(config) if quantized else DefaultScorer(config)
     grid = GridConfig(cell=0.4, yaw_count=6) if coarse else GridConfig()
+    # one room's tables serve its searches for any target, with the result
+    # of a fresh search
+    tables = grid_tables(room, grid)
+    other_target = random_target(rng, source, None)
     try:
         want = grid_search(room, target, NoBound(scorer), partner, config=grid)
     except NoFeasiblePlacement:
-        with pytest.raises(NoFeasiblePlacement):
-            grid_search(room, target, scorer, partner, config=grid)
+        for search_target in (target, other_target):
+            for given in (None, tables):
+                with pytest.raises(NoFeasiblePlacement):
+                    grid_search(room, search_target, scorer, partner, config=grid, tables=given)
         return
     got = grid_search(room, target, scorer, partner, config=grid)
     assert got.placement == want.placement
     assert got.score.hex() == want.score.hex()
     assert got.evaluated == want.evaluated == want.scored
     assert got.scored <= got.evaluated
+    for search_target in (target, other_target):
+        fresh = grid_search(room, search_target, scorer, partner, config=grid)
+        reused = grid_search(room, search_target, scorer, partner, config=grid, tables=tables)
+        assert reused.placement == fresh.placement
+        assert reused.score.hex() == fresh.score.hex()
+        assert (reused.evaluated, reused.scored) == (fresh.evaluated, fresh.scored)
+    with pytest.raises(ValueError, match="grid tables"):
+        grid_search(Room(room.id + "-other", room.extents, room.objects), target, scorer, partner,
+                    config=grid, tables=tables)
+    with pytest.raises(ValueError, match="grid tables"):
+        grid_search(room, target, scorer, partner, config=replace(grid, yaw_count=grid.yaw_count + 1),
+                    tables=tables)
 
 
 class Flat:

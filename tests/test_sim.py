@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twinroom import placement as placement_module
 from twinroom import sim as sim_module
 from twinroom.geometry import Transform, quat_conj, quat_mul, quat_normalize, quat_rotate
 from twinroom.placement import (
@@ -279,6 +280,52 @@ def test_replay_rebuilds_every_avatar_tick(monkeypatch):
     assert replayed_ticks == live_ticks
 
 
+def test_each_host_builds_its_grid_tables_once_per_session(monkeypatch):
+    # two walks per user, so each hosted room is searched at least twice
+    trace_a = (TraceBuilder(start=(-0.5, -1.2)).hold(0.2).walk_to(0.6, -0.8, speed=1.4).hold(1.0)
+               .walk_to(-0.5, 0.5, speed=1.4).hold(1.0).build())
+    trace_b = (TraceBuilder(start=(0.3, -0.9), yaw=0.5).hold(0.1).walk_to(-0.6, -0.3, speed=1.5).hold(1.0)
+               .walk_to(0.5, 0.6, speed=1.5).hold(1.0).build())
+    built = []
+    grid_tables = placement_module.grid_tables
+
+    def counted(room, config=None):
+        built.append(room.id)
+        return grid_tables(room, config)
+
+    monkeypatch.setattr(placement_module, "grid_tables", counted)
+
+    def session():
+        return run(room_a_doc(), room_b_doc(), trace_a, trace_b, config=quick_config())
+
+    live = session()
+    assert all(len(episodes) >= 2 for episodes in live.report["episodes"].values())
+    searched = ["alpha", "beta"]  # both hosted rooms, once each
+    assert sorted(built) == searched
+    built.clear()
+    assert replay(live.transcript, room_a_doc(), room_b_doc()) == live.report
+    assert sorted(built) == searched
+    built.clear()
+    assert session().report_json == live.report_json  # a new session builds them again
+    assert sorted(built) == searched
+
+    # reusing the tables changes no byte of the report or the transcript
+    place = AvatarHost._place
+
+    def place_with_fresh_tables(host, *args):
+        try:
+            return place(host, *args)
+        finally:
+            host.grid_tables = None
+
+    monkeypatch.setattr(AvatarHost, "_place", place_with_fresh_tables)
+    built.clear()
+    fresh = session()
+    assert len(built) == sum(len(episodes) for episodes in live.report["episodes"].values())
+    assert fresh.report_json == live.report_json
+    assert fresh.transcript == live.transcript
+
+
 def test_replay_with_latency():
     config = quick_config(latency_ticks=3)
     result = run(
@@ -533,6 +580,46 @@ def test_config_dict_round_trip_and_strict_keys():
         SimConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("path, value", [
+    ("pso.particles", 64.0),
+    ("pso.particles", True),
+    ("pso.iterations", 30.0),
+    ("grid.yaw_count", 24.0),
+    ("latency_ticks", 2.0),
+    ("seed", 1.0),
+    ("app_version", "1"),
+    ("tick_rate", "60"),
+    ("tick_rate", True),
+    ("scorer.weights", [0.25, 0.25, 0.5]),
+    ("scorer.weights", [0.25, 0.25, 0.25, "0.25"]),
+    ("retarget.elbow_hint", 1.0),
+    ("state", 1.0),
+])
+def test_config_from_dict_rejects_a_value_of_the_wrong_type(path, value):
+    doc = SimConfig().to_dict()
+    *owners, name = path.split(".")
+    section = doc
+    for owner in owners:
+        section = section[owner]
+    section[name] = value
+    with pytest.raises(ValueError, match=f"^{path}"):
+        SimConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (PsoConfig, "particles", 2.5),
+    (PsoConfig, "particles", True),
+    (PsoConfig, "iterations", 30.0),
+    (GridConfig, "yaw_count", 24.0),
+    (SimConfig, "latency_ticks", 2.0),
+    (SimConfig, "seed", 1.0),
+    (SimConfig, "app_version", False),
+])
+def test_config_counts_and_seeds_must_be_ints(make, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        make(**{field: value})
+
+
 NAN = float("nan")
 
 
@@ -705,7 +792,7 @@ def blocked_room_b_doc() -> dict:
     return doc
 
 
-def test_cli_reports_errors_with_exit_code(tmp_path, capsys):
+def test_cli_reports_errors_with_exit_code(tmp_path, capsys, base_result):
     def cli(paths):
         return main([
             "--room-a", str(paths["room_a"]),
@@ -736,6 +823,22 @@ def test_cli_reports_errors_with_exit_code(tmp_path, capsys):
         "--scorer-config", misspelled,
     ]) == 1
     assert "error: unknown scorer config keys: 'sigma_ofset', 'weigths'" in capsys.readouterr().err
+
+    # a mistyped value in a transcript header is refused before any tick
+    header, rest = base_result.transcript.split("\n", 1)
+    for path, value, message in ((("pso", "particles"), 64.0, "pso.particles must be an int, got 64.0"),
+                                 (("tick_rate",), "60", "tick_rate must be a number, got '60'")):
+        doc = json.loads(header)
+        *owners, name = path
+        section = doc["config"]
+        for owner in owners:
+            section = section[owner]
+        section[name] = value
+        transcript = tmp_path / "mistyped.jsonl"
+        transcript.write_text(json.dumps(doc) + "\n" + rest)
+        assert main(["--room-a", str(paths["room_a"]), "--room-b", str(paths["room_b"]),
+                     "--replay", str(transcript)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_out_of_range_trace_coordinate_is_a_reported_error(tmp_path, capsys):
