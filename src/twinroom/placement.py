@@ -84,15 +84,14 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from pathlib import Path
-from typing import Protocol
+from typing import Protocol, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .geometry import wrap_angle, wrap_angle_positive
-from .scene import ObjectCategory, Room, RoomArrays, height_map_grid
+from .scene import ObjectCategory, Room, RoomArrays, height_map_grid, read_document
 
 _EPS = 1e-9
 
@@ -125,6 +124,51 @@ def require_int(name: str, value) -> None:
     not): a count or a seed must not be a float that happens to be whole."""
     if type(value) is bool or not isinstance(value, int):
         raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def config_to_dict(config) -> dict:
+    """A config dataclass in plain JSON: one key per field, nested configs as
+    objects, tuples as lists. Values keep their type, so `config_from_dict`
+    restores a config that serializes to the same bytes."""
+    doc = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            value = config_to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        doc[f.name] = value
+    return doc
+
+
+def config_from_dict(cls, doc: dict, path: str = ""):
+    """A config from its `config_to_dict` form. Every value must have its field's
+    annotated type: an int field takes an int, a float field an int or a
+    float (never a bool), a tuple field a list of as many such values and a
+    nested config an object; anything else is a ValueError naming the
+    field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path or cls.__name__} must be an object, got {doc!r}")
+    names = [f.name for f in fields(cls)]
+    if sorted(doc) != sorted(names):
+        raise ValueError(f"{cls.__name__} needs exactly the keys {sorted(names)}, got {sorted(doc)}")
+    types = get_type_hints(cls)
+    return cls(**{name: _json_value(types[name], doc[name], path + name) for name in names})
+
+
+def _json_value(hint, value, path: str):
+    if is_dataclass(hint):
+        return config_from_dict(hint, value, path + ".")
+    if get_origin(hint) is tuple:
+        items = get_args(hint)
+        if not isinstance(value, list) or len(value) != len(items):
+            raise ValueError(f"{path} must be a list of {len(items)} values, got {value!r}")
+        return tuple(_json_value(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+    if hint is int:
+        require_int(path, value)
+    elif hint is not float or type(value) is bool or not isinstance(value, (int, float)):
+        raise ValueError(f"{path} must be a number, got {value!r}")
+    return value
 
 
 class NoFeasiblePlacement(RuntimeError):
@@ -169,8 +213,8 @@ class FeatureVector:
     sequence of that length is accepted as a float64 array, anything else
     is rejected. `visual_attention` and `spatial` hold, per object category
     (indexed by ``ObjectCategory.value``), the nearest matching object's
-    distance, or None when no such object was in range. A mapping from
-    categories to distances is accepted and converted. `interpersonal` is
+    distance, or None when no such object was in range; anything but a
+    tuple of one entry per category is rejected. `interpersonal` is
     (local_x, local_z, relative_yaw) of the partner, None when no partner
     is placed.
     """
@@ -189,13 +233,8 @@ class FeatureVector:
         object.__setattr__(self, "pose_accommodation", heights)
         for name in ("visual_attention", "spatial"):
             table = getattr(self, name)
-            if type(table) is not tuple:
-                vector = [None] * _CATEGORY_COUNT
-                for cat, dist in table.items():
-                    vector[cat.value] = dist
-                object.__setattr__(self, name, tuple(vector))
-            elif len(table) != _CATEGORY_COUNT:
-                raise ValueError(f"{name} needs {_CATEGORY_COUNT} entries, got {len(table)}")
+            if type(table) is not tuple or len(table) != _CATEGORY_COUNT:
+                raise ValueError(f"{name} needs a tuple of {_CATEGORY_COUNT} entries, got {table!r}")
 
     def __eq__(self, other):
         if not isinstance(other, FeatureVector):
@@ -231,33 +270,24 @@ class ScorerConfig:
 
 
 def scorer_config_from_json(document) -> ScorerConfig:
-    """Load a ScorerConfig from a JSON file path, JSON text, or dict. Fields
-    left out keep their defaults; an unknown key raises ValueError."""
+    """A ScorerConfig from itself, a dict, or JSON read by `scene.read_document`
+    (inline if it starts with '{' or '[', else a file path), typed as a
+    transcript header's ``scorer`` is. Fields left out keep their defaults;
+    an unknown key raises ValueError."""
     if isinstance(document, ScorerConfig):
         return document
-    if isinstance(document, (str, Path)):
-        # inline JSON starts with '{' or '['; anything else is a path
-        if isinstance(document, str) and document.lstrip()[:1] in ("{", "["):
-            text = document
-        else:
-            p = Path(document)
-            if not p.exists():
-                raise ValueError(f"scorer config file not found: {document}")
-            text = p.read_text()
-        document = json.loads(text)
+    if not isinstance(document, dict):
+        try:
+            document = json.loads(read_document(document, ValueError))
+        except json.JSONDecodeError as e:
+            raise ValueError(f"scorer config is not valid JSON: {e}") from None
     if not isinstance(document, dict):
         raise ValueError(f"scorer config must be a JSON object, got {type(document).__name__}")
-    known = {f.name for f in fields(ScorerConfig)}
-    unknown = [key for key in document if key not in known]
+    defaults = config_to_dict(ScorerConfig())
+    unknown = [key for key in document if key not in defaults]
     if unknown:
         raise ValueError(f"unknown scorer config keys: {', '.join(map(repr, unknown))}")
-    kwargs = {}
-    for key in ("sigma_offset", "sigma_facing", "sigma_height", "distance_falloff"):
-        if key in document:
-            kwargs[key] = float(document[key])
-    if "weights" in document:
-        kwargs["weights"] = tuple(float(v) for v in document["weights"])
-    return ScorerConfig(**kwargs)
+    return config_from_dict(ScorerConfig, {**defaults, **document})
 
 
 class SimilarityScorer(Protocol):

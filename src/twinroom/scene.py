@@ -409,31 +409,40 @@ def _parse_object(doc: dict) -> SceneObject:
         raise MalformedRoom(f"object document missing field {e.args[0]!r}") from None
 
 
+def read_document(document, error: type[Exception]) -> str:
+    """The text of a JSON or JSONL document, given inline or by file.
+
+    A str whose first non-blank character is '{' or '[' is the document
+    itself; any other str, or a Path, names a file. A file that cannot be
+    read, or an argument of any other type, raises ``error`` naming it.
+    """
+    if isinstance(document, str) and document.lstrip()[:1] in ("{", "["):
+        return document
+    if not isinstance(document, (str, Path)):
+        raise error(f"unsupported document type {type(document).__name__}")
+    try:
+        return Path(document).read_text()
+    except FileNotFoundError:
+        raise error(f"file not found: {document}") from None
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a NUL in the path
+        raise error(f"cannot read {document}: {getattr(e, 'strerror', None) or e}") from None
+
+
 def load_room(document) -> Room:
-    """Build a validated Room from a JSON file path, JSON text, or dict.
+    """Build a validated Room from itself, a dict, or JSON read by
+    `read_document` (inline if it starts with '{' or '[', else a file path).
 
     Pairing references are not resolved here; they name objects in the other
     room and are checked against it at session start (validate_pairing).
     """
     if isinstance(document, Room):
         return document
-    if isinstance(document, (str, Path)):
-        # inline JSON starts with '{'; anything else is treated as a path
-        if isinstance(document, str) and document.lstrip().startswith("{"):
-            text = document
-        else:
-            p = Path(document)
-            if not p.exists():
-                raise MalformedRoom(f"room file not found: {document}")
-            text = p.read_text()
+    doc = document
+    if not isinstance(doc, dict):
         try:
-            doc = json.loads(text)
+            doc = json.loads(read_document(document, MalformedRoom))
         except json.JSONDecodeError as e:
             raise MalformedRoom(f"room document is not valid JSON: {e}") from None
-    elif isinstance(document, dict):
-        doc = document
-    else:
-        raise MalformedRoom(f"unsupported room document type {type(document).__name__}")
 
     try:
         ext = doc["extents"]

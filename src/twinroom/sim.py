@@ -28,10 +28,9 @@ import json
 import struct
 import sys
 from collections import Counter, deque
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -57,6 +56,8 @@ from .placement import (
     PlacementPose,
     PsoConfig,
     ScorerConfig,
+    config_from_dict,
+    config_to_dict,
     extract_features,
     find_placement,
     require_int,
@@ -88,10 +89,10 @@ from .retarget import (
 from .scene import (
     ObjectCategory,
     PairingError,
-    SceneError,
     SceneObject,
     denormalize_hit,
     load_room,
+    read_document,
     room_hash,
     validate_pairing,
 )
@@ -116,6 +117,7 @@ PARTNER_HEAD_ID = "@partner-head"
 
 _PEER_CODE = {"a": 0, "b": 1}
 _OTHER = {"a": "b", "b": "a"}
+_SENDER = {"a>b": "a", "b>a": "b"}  # a frames line's direction to its sender
 # 2: every reduction on the tick path is summed in a fixed order on floats,
 # which changed the last bits of some results; a version-1 transcript was
 # recorded with BLAS dot products and would not replay to the same report.
@@ -166,56 +168,12 @@ class SimConfig:
             raise ValueError("sitting_root_height must be positive")
 
     def to_dict(self) -> dict:
-        """Plain-JSON form: one key per field, nested configs as objects,
-        tuples as lists. Values keep their type, so `from_dict` restores a
-        config that serializes to the same bytes."""
-        return _config_to_dict(self)
+        """Plain-JSON form (`config_to_dict`), which `from_dict` restores."""
+        return config_to_dict(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "SimConfig":
-        return _config_from_dict(SimConfig, doc)
-
-
-def _config_to_dict(config) -> dict:
-    doc = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if is_dataclass(value):
-            value = _config_to_dict(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        doc[f.name] = value
-    return doc
-
-
-def _config_from_dict(cls, doc: dict, path: str = ""):
-    """A config from its `to_dict` form. Every value must have its field's
-    annotated type: an int field takes an int, a float field an int or a
-    float (never a bool), a tuple field a list of as many such values and a
-    nested config an object; anything else is a ValueError naming the
-    field."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path or cls.__name__} must be an object, got {doc!r}")
-    names = [f.name for f in fields(cls)]
-    if sorted(doc) != sorted(names):
-        raise ValueError(f"{cls.__name__} needs exactly the keys {sorted(names)}, got {sorted(doc)}")
-    types = get_type_hints(cls)
-    return cls(**{name: _json_value(types[name], doc[name], path + name) for name in names})
-
-
-def _json_value(hint, value, path: str):
-    if is_dataclass(hint):
-        return _config_from_dict(hint, value, path + ".")
-    if get_origin(hint) is tuple:
-        items = get_args(hint)
-        if not isinstance(value, list) or len(value) != len(items):
-            raise ValueError(f"{path} must be a list of {len(items)} values, got {value!r}")
-        return tuple(_json_value(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
-    if hint is int:
-        require_int(path, value)
-    elif hint is not float or type(value) is bool or not isinstance(value, (int, float)):
-        raise ValueError(f"{path} must be a number, got {value!r}")
-    return value
+        return config_from_dict(SimConfig, doc)
 
 
 # --- wire/pose plumbing --------------------------------------------------------
@@ -905,45 +863,46 @@ def run(room_a, room_b, trace_a, trace_b, config: SimConfig | None = None) -> Si
 def replay(transcript, room_a, room_b) -> dict:
     """Rebuild the full run report from a transcript and the two rooms.
 
-    Placement searches are re-run from the wire feature packets with the
-    seeds recorded in the embedded config, and cross-checked against the
-    announcements actually sent; any disagreement raises ReplayDivergence.
+    The transcript is JSONL read by `scene.read_document` (inline if it
+    starts with '{' or '[', else a file path). Placement searches are re-run
+    from the wire feature packets with the seeds recorded in the embedded
+    config, and cross-checked against the announcements actually sent; any
+    disagreement, or a malformed line, raises ReplayDivergence.
     """
     rooms = {"a": load_room(room_a), "b": load_room(room_b)}
-    text = transcript
-    if isinstance(transcript, Path):
-        text = transcript.read_text()
-    elif isinstance(transcript, str) and not transcript.lstrip().startswith("{"):
-        p = Path(transcript)
-        if not p.exists():
-            raise ReplayDivergence(f"transcript file not found: {transcript}")
-        text = p.read_text()
     # parsed one line at a time, and each tick's bytes are dropped once
     # decoded: both peers' decoded messages are held until the end, so no
     # other copy of the transcript is held with them
-    docs = (json.loads(ln) for ln in str(text).splitlines() if ln.strip())
-    header = next(docs, None)
+    lines = enumerate(read_document(transcript, ReplayDivergence).splitlines(), 1)
+    docs = ((number, _transcript_entry(number, line)) for number, line in lines if line.strip())
+    number, header = next(docs, (0, None))
     if header is None or header.get("type") != "header":
         raise ReplayDivergence("transcript does not start with a header line")
     if header.get("version") != TRANSCRIPT_VERSION:
         raise ReplayDivergence(f"unsupported transcript version {header.get('version')!r}")
-    config = SimConfig.from_dict(header["config"])
-    n = int(header["ticks"])
+    config = SimConfig.from_dict(header.get("config"))
+    n, recorded = header.get("ticks"), header.get("rooms")
+    if type(n) is not int or not isinstance(recorded, dict) or not {"a", "b"} <= recorded.keys():
+        raise ReplayDivergence(f"line {number}: the header needs an int ticks and rooms a and b")
     for name in ("a", "b"):
         have = f"{room_hash(rooms[name]):016x}"
-        if header["rooms"][name] != have:
+        if recorded[name] != have:
             raise ReplayDivergence(
-                f"room {name!r} hash {have} does not match transcript {header['rooms'][name]}"
+                f"room {name!r} hash {have} does not match transcript {recorded[name]}"
             )
 
     sends: dict[str, dict[int, bytearray]] = {"a": {}, "b": {}}  # keyed by sender
-    for doc in docs:
+    for number, doc in docs:
         if doc.get("type") != "frames":
-            raise ReplayDivergence(f"unexpected transcript entry type {doc.get('type')!r}")
-        src = doc["dir"].split(">", 1)[0]
-        if src not in sends:
-            raise ReplayDivergence(f"unknown direction {doc['dir']!r}")
-        sends[src].setdefault(int(doc["tick"]), bytearray()).extend(bytes.fromhex(doc["data"]))
+            raise ReplayDivergence(f"line {number}: unexpected transcript entry type {doc.get('type')!r}")
+        src, tick = _SENDER.get(str(doc.get("dir"))), doc.get("tick")
+        try:
+            blob = bytes.fromhex(doc.get("data"))  # a TypeError unless a str
+        except (TypeError, ValueError):
+            blob = None
+        if src is None or type(tick) is not int or blob is None:
+            raise ReplayDivergence(f"line {number}: frames need dir a>b or b>a, an int tick and hex data")
+        sends[src].setdefault(tick, bytearray()).extend(blob)
 
     # each recorded frame is decoded once: its sender's replay reads the
     # local user's poses and the sent messages from it, and the receiving
@@ -954,6 +913,17 @@ def replay(transcript, room_a, room_b) -> dict:
     for name in ("a", "b"):
         drivers[name], transitions[name], sent[name] = _replay_peer(name, rooms, config, decoded, n)
     return _assemble_report(config, rooms, n, drivers, transitions, sent)
+
+
+def _transcript_entry(number: int, line: str) -> dict:
+    """Transcript line `number` as a JSON object, or a ReplayDivergence."""
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError:
+        doc = None
+    if not isinstance(doc, dict):
+        raise ReplayDivergence(f"line {number}: not a JSON object")
+    return doc
 
 
 def _replay_peer(name: str, rooms, config: SimConfig, decoded, n: int):
@@ -1047,15 +1017,11 @@ def main(argv=None) -> int:
             parser.error("--trace-a and --trace-b are required unless --replay is given")
         trace_a = load_trace(args.trace_a)
         trace_b = load_trace(args.trace_b)
-        scorer_cfg = (
-            scorer_config_from_json(args.scorer_config) if args.scorer_config else ScorerConfig()
-        )
-        config = SimConfig(
-            tick_rate=trace_a.tick_rate, latency_ticks=args.latency_ticks, seed=args.seed, scorer=scorer_cfg
-        )
+        config = SimConfig(tick_rate=trace_a.tick_rate, latency_ticks=args.latency_ticks, seed=args.seed,
+                           scorer=scorer_config_from_json(args.scorer_config or {}))
         result = run(args.room_a, args.room_b, trace_a, trace_b, config)
         if args.transcript:
-            Path(args.transcript).write_text(result.transcript)
+            _write_out(args.transcript, result.transcript)
         _write_out(args.report, result.report_json)
         for row in result.timings:
             print(
@@ -1064,8 +1030,9 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         return 0
-    except (ProtocolError, SceneError, MalformedTrace, ReplayDivergence, NoFeasiblePlacement,
-            ValueError) as e:
+    # ProtocolError, SceneError and MalformedTrace are ValueErrors; an OSError
+    # can only come from writing --report or --transcript
+    except (ValueError, ReplayDivergence, NoFeasiblePlacement, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -33,6 +33,7 @@ from .geometry import (
     sub,
 )
 from .retarget import Skeleton
+from .scene import read_document
 from .states import EffectorSample, StateConfig, UserSnapshot, hand_lifted
 
 
@@ -93,20 +94,11 @@ def save_trace(trace: MotionTrace, path) -> None:
 
 
 def load_trace(document) -> MotionTrace:
-    """Load a trace from a JSONL file path or string content."""
+    """Load a trace from itself or from JSONL read by `scene.read_document`
+    (inline if it starts with '{' or '[', else a file path)."""
     if isinstance(document, MotionTrace):
         return document
-    text = document
-    if isinstance(document, (str, Path)):
-        # inline JSONL starts with '{'; anything else is treated as a path
-        if isinstance(document, str) and document.lstrip().startswith("{"):
-            text = document
-        else:
-            p = Path(document)
-            if not p.exists():
-                raise MalformedTrace(f"trace file not found: {document}")
-            text = p.read_text()
-    lines = [ln for ln in str(text).splitlines() if ln.strip()]
+    lines = [ln for ln in read_document(document, MalformedTrace).splitlines() if ln.strip()]
     if not lines:
         raise MalformedTrace("trace is empty")
     try:
@@ -126,7 +118,7 @@ def load_trace(document) -> MotionTrace:
                 fingers=bytes.fromhex(doc.get("fingers", "")),
                 **parts,
             ))
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError, AttributeError) as e:
         if isinstance(e, MalformedTrace):
             raise
         raise MalformedTrace(f"bad trace document: {e}") from None

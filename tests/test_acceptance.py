@@ -11,7 +11,7 @@ import statistics
 import numpy as np
 import pytest
 
-from test_placement import exhaustive_best, random_room, random_target
+from test_placement import exhaustive_best, per_category, random_room, random_target
 from test_retarget import bone_lengths
 
 from twinroom.geometry import Transform, quat_from_yaw
@@ -500,7 +500,7 @@ def random_message(rng):
 
     def categories():
         picks = [c for c in ObjectCategory if rng.random() < 0.4]
-        return {c: rf(0.0, 5.0) for c in picks}
+        return per_category({c: rf(0.0, 5.0) for c in picks})
 
     kind = rng.random()
     tick = int(rng.integers(0, 2**31))

@@ -2,6 +2,7 @@
 transcendental computes anything that reaches a report."""
 from __future__ import annotations
 
+import ast
 import io
 import json
 import os
@@ -95,3 +96,15 @@ def test_engine_source_calls_no_blas_and_no_numpy_transcendentals():
     assert files
     found = {f.name: banned_calls(f.read_text()) for f in files}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def test_only_the_document_reader_reads_files():
+    # every room, trace, transcript and scorer config goes through one reader,
+    # so each takes the same inline-or-path rule and the same read errors
+    found = set()
+    for f in sorted((SRC / "twinroom").glob("*.py")):
+        for top in ast.parse(f.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in ("read_text", "exists"):
+                    found.add((f.name, getattr(top, "name", None)))
+    assert found == {("scene.py", "read_document")}

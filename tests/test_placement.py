@@ -812,12 +812,19 @@ def test_fully_blocked_room_raises_and_sittable_platform_rescues():
 # --- scorer ------------------------------------------------------------------
 
 
+def per_category(table: dict) -> tuple:
+    """A category table as FeatureVector holds it, from a mapping of
+    categories to distances: one entry per category, None where absent."""
+    return tuple(table.get(cat) for cat in ObjectCategory)
+
+
 def fv(inter=None, heights=None, attention=None, spatial=None):
+    """A FeatureVector whose category tables may be given as mappings."""
     return FeatureVector(
         interpersonal=inter,
         pose_accommodation=np.zeros(ACCOMMODATION_CELLS) if heights is None else heights,
-        visual_attention=attention or {},
-        spatial=spatial or {},
+        visual_attention=attention if isinstance(attention, tuple) else per_category(attention or {}),
+        spatial=spatial if isinstance(spatial, tuple) else per_category(spatial or {}),
     )
 
 
@@ -979,7 +986,7 @@ def test_attention_is_nearest_per_category_in_the_fov():
             for oid, dist in objects_in_fov(room, (p.x, eye_h, p.z), forward, math.radians(20.0)):
                 want.setdefault(room.by_id[oid].category, dist)
             assert extract_features(room, p).visual_attention == FeatureVector(
-                None, np.zeros(ACCOMMODATION_CELLS), want, {}).visual_attention
+                None, np.zeros(ACCOMMODATION_CELLS), per_category(want), per_category({})).visual_attention
 
 
 def test_category_tables_are_per_category_vectors():
@@ -989,6 +996,8 @@ def test_category_tables_are_per_category_vectors():
     assert f == fv(attention=f.visual_attention, spatial=f.spatial)
     with pytest.raises(ValueError):
         fv(attention=(1.0,))
+    with pytest.raises(ValueError):  # a mapping is not converted
+        FeatureVector(None, np.zeros(ACCOMMODATION_CELLS), {ObjectCategory.Table: 2.0}, f.spatial)
 
 
 # --- batched features against a per-placement oracle -----------------------------
@@ -1029,7 +1038,7 @@ def oracle_features(room, x, z, yaw, pose, partner):
         c, s = math.cos(yaw), math.sin(yaw)
         inter = (dx * c - dz * s, dx * s + dz * c, wrap_angle(partner.yaw - yaw))
     hm = height_map(room, (x, 0.0, z), ACCOMMODATION_RADIUS, ACCOMMODATION_CELL)
-    return FeatureVector(inter, hm.heights[hm.valid], attention, spatial)
+    return FeatureVector(inter, hm.heights[hm.valid], per_category(attention), per_category(spatial))
 
 
 def assert_same_features(got, want, where):

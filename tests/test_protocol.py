@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_placement import per_category
 from twinroom.placement import ACCOMMODATION_CELLS, FeatureVector, PlacementPose
 from twinroom.protocol import (
     HEADER,
@@ -43,7 +44,7 @@ accommodations = st.lists(wire_floats, min_size=ACCOMMODATION_CELLS, max_size=AC
 
 category_tables = st.dictionaries(
     st.sampled_from(list(ObjectCategory)), wire_floats, max_size=len(ObjectCategory)
-)
+).map(per_category)
 
 
 @st.composite
@@ -151,8 +152,8 @@ def test_corrupted_frames_are_rejected():
 
 def test_non_canonical_category_tables_are_rejected():
     msg = FeaturePacket(tick=3, features=FeatureVector(
-        interpersonal=None, pose_accommodation=np.zeros(ACCOMMODATION_CELLS), visual_attention={},
-        spatial={ObjectCategory.Sofa: 1.0, ObjectCategory.Table: 2.0},
+        interpersonal=None, pose_accommodation=np.zeros(ACCOMMODATION_CELLS), visual_attention=per_category({}),
+        spatial=per_category({ObjectCategory.Sofa: 1.0, ObjectCategory.Table: 2.0}),
     ))
     data = encode_frame(msg)
     assert decode_frame(data)[0] == msg
@@ -210,8 +211,8 @@ GOLDEN_FRAMES = [
     (FeaturePacket(tick=13, features=FeatureVector(
         interpersonal=(1.0, -0.5, 0.25),
         pose_accommodation=[0.0] * 40 + [0.5] + [0.0] * 40,
-        visual_attention={ObjectCategory.Screen: 2.0},
-        spatial={ObjectCategory.Chair: 0.75, ObjectCategory.Table: 1.5},
+        visual_attention=per_category({ObjectCategory.Screen: 2.0}),
+        spatial=per_category({ObjectCategory.Chair: 0.75, ObjectCategory.Table: 1.5}),
     )),
      "54440206660100000d00000001" "0000803f000000bf0000803e"  # tick, interpersonal
      + "00000000" * 40 + "0000003f" + "00000000" * 40  # the 81 accommodation heights

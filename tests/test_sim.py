@@ -841,6 +841,50 @@ def test_cli_reports_errors_with_exit_code(tmp_path, capsys, base_result):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+BROKEN_TRANSCRIPTS = ("header without ticks", "frames without dir", "header is an array")
+
+
+def broken_transcript(transcript: str, case: str) -> str:
+    """`transcript` with its header or its first frames line broken as
+    `case` (one of BROKEN_TRANSCRIPTS) says."""
+    header, frames, rest = transcript.split("\n", 2)
+    header, frames = json.loads(header), json.loads(frames)
+    if case == "header without ticks":
+        del header["ticks"]
+    elif case == "frames without dir":
+        del frames["dir"]
+    elif case == "header is an array":
+        header = [header]
+    return "\n".join([json.dumps(header), json.dumps(frames), rest])
+
+
+@pytest.mark.parametrize("flag, value", [
+    *((flag, value) for flag in ("--room-a", "--trace-a", "--replay", "--scorer-config")
+      for value in ("missing file", "directory", "{not json")),
+    ("--scorer-config", '{"sigma_height": "0.5"}'),
+    ("--scorer-config", '{"sigma_height": true}'),
+    *(("--replay", case) for case in BROKEN_TRANSCRIPTS),
+    ("--report", "missing directory"),
+    ("--report", "directory"),
+])
+def test_cli_reports_every_input_and_output_file_error(flag, value, tmp_path, capsys, base_result):
+    paths = write_fixtures(tmp_path)
+    transcript = tmp_path / "session.jsonl"
+    transcript.write_text(broken_transcript(base_result.transcript, value) if value in BROKEN_TRANSCRIPTS
+                          else base_result.transcript)
+    args = {"--room-a": paths["room_a"], "--room-b": paths["room_b"]}
+    if flag in ("--replay", "--report"):
+        args["--replay"] = transcript
+    else:
+        args.update({"--trace-a": paths["trace_a"], "--trace-b": paths["trace_b"]})
+    if value not in BROKEN_TRANSCRIPTS:
+        args[flag] = {"missing file": tmp_path / "absent.json", "directory": tmp_path,
+                      "missing directory": tmp_path / "absent" / "report.json"}.get(value, value)
+    assert main([str(part) for item in args.items() for part in item]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_out_of_range_trace_coordinate_is_a_reported_error(tmp_path, capsys):
     trace = trace_b_script().build()
     snaps = list(trace.snapshots)
