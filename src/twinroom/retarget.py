@@ -45,6 +45,7 @@ from .geometry import (
     sub,
 )
 from .placement import Placement
+from .states import UserState
 
 
 class DegenerateTarget(ValueError):
@@ -449,7 +450,7 @@ class AvatarTickResult:
 
 def avatar_tick(
     skeleton: Skeleton,
-    mode,
+    mode: UserState,
     goals: IkGoals,
     placement: Placement,
     placement_root_height: float,
@@ -473,8 +474,6 @@ def avatar_tick(
     from `interp.last`, which every tick sets to the pose it returns; with no
     pose remembered, it starts from the unadjusted body.
     """
-    from .states import UserState  # local import: avoid cycle at module load
-
     if cfg is None:
         cfg = _DEFAULT_RETARGET
 

@@ -395,13 +395,16 @@ def _parse_object(doc: dict) -> SceneObject:
         cat = _CATEGORY_BY_NAME.get(cat_name)
         if cat is None:
             raise MalformedRoom(f"unknown category {cat_name!r}")
+        sittable = doc.get("sittable", False)
+        if type(sittable) is not bool:
+            raise MalformedRoom(f"object {doc['id']!r}: sittable must be true or false, got {sittable!r}")
         return SceneObject(
             id=str(doc["id"]),
             category=cat,
             position=doc["position"],
             yaw=doc["yaw"],
             size=doc["size"],
-            sittable=bool(doc.get("sittable", False)),
+            sittable=sittable,
             sit_height=doc.get("sit_height"),
             pair_id=(str(doc["pair_id"]) if doc.get("pair_id") is not None else None),
         )

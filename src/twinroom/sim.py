@@ -14,8 +14,10 @@ Each simulated tick runs the same fixed pipeline on each peer:
 
 After the last tick each driver drains what is still on the wire.
 
-The driver sees only wire bytes, the local room, the run config and the local
-user's pose as it goes on the wire. `replay` steps the very same driver, one
+The driver sees only the wire, the local room, the run config and the local
+user's pose as it goes on the wire. `run` decodes each batch once where it
+records it, `replay` where it reads it, and the receiving session admits the
+messages with `Session.receive`. `replay` steps the very same driver, one
 peer after the other, with that pose decoded from the peer's recorded sends,
 so given only the transcript and the two rooms it rebuilds the full report,
 placement searches included, bit for bit.
@@ -529,10 +531,11 @@ class AvatarDriver:
     """One peer's wire-facing half: the link session and the partner's avatar.
 
     `run` steps it inside the lockstep tick and `replay` steps it through a
-    transcript, so both compute the avatar side with the same code. Bytes the
-    partner sends at tick `s` arrive at `s + 1 + latency_ticks`; after the
-    last live tick `n`, `drain` delivers the rest, up to the partner's Bye at
-    `n + 1 + latency_ticks`, and animates nothing.
+    transcript, so both compute the avatar side with the same code, from the
+    same decoded batches. What the partner sends at tick `s` arrives at
+    `s + 1 + latency_ticks`; after the last live tick `n`, `drain` delivers
+    the rest, up to the partner's Bye at `n + 1 + latency_ticks`, and
+    animates nothing.
     """
 
     def __init__(self, name: str, room, remote_room, skeleton: tuple[float, ...], config: SimConfig):
@@ -541,18 +544,13 @@ class AvatarDriver:
         self.session = Session(config.app_version, room_hash(room), skeleton)
         self.expected_remote_hash = room_hash(remote_room)
         self.host = AvatarHost(room, config, owner_code=_PEER_CODE[_OTHER[name]])
-        self.inbox: dict[int, bytearray | list[Message]] = {}
+        self.inbox: dict[int, list[Message]] = {}
         self.me: LocalUser | None = None
 
-    def post(self, sent_tick: int, blob: bytes) -> None:
-        """Put bytes the partner sent at `sent_tick` on the wire."""
-        self.inbox.setdefault(sent_tick + 1 + self.cfg.latency_ticks, bytearray()).extend(blob)
-
-    def post_decoded(self, sent_tick: int, msgs: list[Message]) -> None:
-        """Put what the partner sent at `sent_tick` on the wire as the
-        messages its whole frames decode to; the session admits them as it
-        admits the ones it decodes itself."""
-        self.inbox[sent_tick + 1 + self.cfg.latency_ticks] = msgs
+    def post(self, sent_tick: int, msgs: list[Message]) -> None:
+        """Put the messages the partner sent at `sent_tick`, decoded from
+        their recorded frames, on the wire."""
+        self.inbox.setdefault(sent_tick + 1 + self.cfg.latency_ticks, []).extend(msgs)
 
     def step(self, t: int, pose: PoseUpdate | None) -> list[Placement]:
         """Live tick `t`: deliver, then animate. `pose` is the local user's
@@ -573,13 +571,7 @@ class AvatarDriver:
         return placed
 
     def _deliver(self, t: int, pose: PoseUpdate | None) -> list[Placement]:
-        data = self.inbox.pop(t, None)
-        if not data:
-            msgs = []
-        elif type(data) is list:
-            msgs = self.session.receive(data)
-        else:
-            msgs = self.session.feed(bytes(data))
+        msgs = self.session.receive(self.inbox.pop(t, ()))
         if pose is not None and self.session.phase is Phase.Live:
             self.me = LocalUser(pose)
         placed = []
@@ -668,7 +660,7 @@ class PeerRuntime:
                 update_fixation(
                     self.tracker, side, hand.ray(), room, self.dt, self.cfg.state, lifted=hand.lifted
                 )
-        self.targets = acquire_targets(self.tracker, snap, room, self.cfg.state)
+        self.targets = acquire_targets(self.tracker, snap, self.cfg.state)
         state = classify_state(self.loco, self.targets)
         if state is not self.state_now:
             self.transitions.append({"tick": t, "state": state.name})
@@ -822,8 +814,9 @@ def run(room_a, room_b, trace_a, trace_b, config: SimConfig | None = None) -> Si
     lines = [_header_line(config, room_a, room_b, n)]
 
     def post(src: str, tick: int, blob: bytes) -> None:
+        # what the recorded bytes decode to, never the sender's unquantized messages
         lines.append(_frames_line(tick, src, _OTHER[src], blob))
-        peers[_OTHER[src]].driver.post(tick, blob)
+        peers[_OTHER[src]].driver.post(tick, decode_all(blob))
 
     for name in ("a", "b"):
         post(name, 0, peers[name].session.hello_frame())
@@ -953,7 +946,7 @@ def _replay_peer(name: str, rooms, config: SimConfig, decoded, n: int):
     driver = AvatarDriver(name, rooms[name], rooms[_OTHER[name]], my_hello.skeleton, config)
     driver.session.hello_frame()  # mirror the live handshake; the bytes are already on record
     for tick, msgs in decoded[_OTHER[name]].items():
-        driver.post_decoded(tick, msgs)
+        driver.post(tick, msgs)
     recomputed: list[Placement] = []
     for t in range(1, n + 1):
         recomputed += driver.step(t, poses.get(t))

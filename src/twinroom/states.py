@@ -360,7 +360,6 @@ def update_fixation(
 def acquire_targets(
     tracker: FixationTracker,
     snapshot: UserSnapshot,
-    room: Room,
     cfg: StateConfig,
 ) -> dict[Effector, tuple[str, NormalizedHit] | None]:
     """Resolve this tick's interaction targets for head and both hands.

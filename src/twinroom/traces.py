@@ -104,7 +104,9 @@ def load_trace(document) -> MotionTrace:
     try:
         header = json.loads(lines[0])
         skeleton = Skeleton.from_floats(header["skeleton"])
-        tick_rate = float(header["tick_rate"])
+        tick_rate = header["tick_rate"]
+        if type(tick_rate) not in (int, float):  # a bool is not a number here
+            raise MalformedTrace(f"tick_rate must be a number, got {tick_rate!r}")
         snaps = []
         for ln in lines[1:]:
             doc = json.loads(ln)
@@ -113,8 +115,10 @@ def load_trace(document) -> MotionTrace:
                 name: _sample_from_list(doc[name], lifted=name in lifted)
                 for name in _EFFECTOR_FIELDS
             }
+            if type(doc["tick"]) is not int:
+                raise MalformedTrace(f"tick must be an int, got {doc['tick']!r}")
             snaps.append(UserSnapshot(
-                tick=int(doc["tick"]),
+                tick=doc["tick"],
                 fingers=bytes.fromhex(doc.get("fingers", "")),
                 **parts,
             ))
@@ -122,7 +126,7 @@ def load_trace(document) -> MotionTrace:
         if isinstance(e, MalformedTrace):
             raise
         raise MalformedTrace(f"bad trace document: {e}") from None
-    return MotionTrace(tick_rate=tick_rate, skeleton=skeleton, snapshots=tuple(snaps))
+    return MotionTrace(tick_rate=float(tick_rate), skeleton=skeleton, snapshots=tuple(snaps))
 
 
 # --- scripted motion --------------------------------------------------------

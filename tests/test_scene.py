@@ -553,6 +553,9 @@ def test_load_room_rejects_bad_objects():
         ({"sittable": True, "sit_height": -math.inf}, MalformedRoom, "'desk': sit_height"),
         ({"position": [1, math.nan, 1]}, MalformedRoom, "'desk': position"),
         ({"size": [1, 1, math.inf]}, MalformedRoom, "'desk': size"),
+        ({"sittable": "false", "sit_height": 0.45}, MalformedRoom, "'desk': sittable must be"),
+        ({"sittable": 0}, MalformedRoom, "'desk': sittable must be"),
+        ({"sittable": 1, "sit_height": 0.45}, MalformedRoom, "'desk': sittable must be"),
     ]:
         doc = room_doc()
         doc["objects"][0].update(patch)

@@ -25,6 +25,7 @@ from twinroom.protocol import (
     Hello,
     PoseUpdate,
     ProtocolError,
+    Session,
     decode_all,
     encode_frame,
     f32,
@@ -243,6 +244,21 @@ def test_replay_reproduces_report(base_result):
     assert canonical_report_json(got) == base_result.report_json
 
 
+def test_run_and_replay_admit_decoded_batches(monkeypatch):
+    # a live run decodes each batch once where it records it, as a replay
+    # does where it reads it: no session reads a byte stream
+    def no_stream(session, data):
+        raise AssertionError("a session was fed bytes")
+
+    monkeypatch.setattr(Session, "feed", no_stream)
+    live = run(
+        room_a_doc(), room_b_doc(), trace_a_script().build(), trace_b_script().build(),
+        config=quick_config(),
+    )
+    assert all(p["phase"] == "Closed" for p in live.report["protocol"].values())
+    assert replay(live.transcript, room_a_doc(), room_b_doc()) == live.report
+
+
 def test_replay_rebuilds_every_avatar_tick(monkeypatch):
     # the report pins no solved body, so compare the avatar motion itself:
     # each hosted avatar's per-tick pose and pointing, live and replayed
@@ -394,7 +410,7 @@ def test_hello_app_version_mismatch_raises():
         room_hash=room_hash(load_room(room_b_doc())),
         skeleton=Skeleton().to_floats(),
     )
-    peer.driver.post(0, encode_frame(wrong))
+    peer.driver.post(0, [wrong])
     with pytest.raises(ProtocolError, match="app version"):
         peer.driver.step(1, peer.my_pose)
 
@@ -411,7 +427,7 @@ def test_hello_room_hash_mismatch_raises():
         room_hash=room_hash(load_room(room_a_doc())),  # its own room, not the peer's
         skeleton=Skeleton().to_floats(),
     )
-    peer.driver.post(0, encode_frame(wrong))
+    peer.driver.post(0, [wrong])
     with pytest.raises(PairingError, match="room hash"):
         peer.driver.step(1, peer.my_pose)
 

@@ -391,7 +391,7 @@ def converge_hand_onto_gaze(stop_after=None):
             base = quat_between(FORWARD, to_t / np.linalg.norm(to_t))
             hand = sample(pos, base if err == 0 else aim, lifted=True)
         snap = snapshot(t, right=hand)
-        results.append(acquire_targets(tracker, snap, room, cfg))
+        results.append(acquire_targets(tracker, snap, cfg))
     return tracker, results
 
 
@@ -422,12 +422,11 @@ def test_converged_assignment_survives_hand_stopping():
 
 
 def test_lowering_the_hand_drops_the_assignment():
-    room = fixation_room()
     cfg = StateConfig()
     tracker, results = converge_hand_onto_gaze()
     assert results[-1][Effector.RightHand] is not None
     snap = snapshot(len(results), right=sample((0, 0.8, 0.5)))  # lifted=False
-    out = acquire_targets(tracker, snap, room, cfg)
+    out = acquire_targets(tracker, snap, cfg)
     assert out[Effector.RightHand] is None
     assert tracker.hands[Effector.RightHand].converged_to is None
 
@@ -440,7 +439,7 @@ def test_losing_the_gaze_target_drops_the_assignment():
     update_fixation(tracker, Effector.Head, up, room, DT, cfg)
     t = len(results)
     hand = sample((0, 1.2, 1.0), IDENTITY, lifted=True)
-    out = acquire_targets(tracker, snapshot(t, right=hand), room, cfg)
+    out = acquire_targets(tracker, snapshot(t, right=hand), cfg)
     assert out[Effector.Head] is None
     assert out[Effector.RightHand] is None
 
@@ -458,7 +457,7 @@ def test_slow_drift_never_converges():
             FORWARD, np.array([math.sin(0.3), 0.0, math.cos(0.3)])
         )
         out = acquire_targets(
-            tracker, snapshot(t, right=sample(pos, aim, lifted=True)), room, cfg
+            tracker, snapshot(t, right=sample(pos, aim, lifted=True)), cfg
         )
         assert out[Effector.RightHand] is None
 
@@ -474,7 +473,7 @@ def test_hands_own_fixation_wins_without_convergence():
             tracker, Effector.LeftHand, desk_ray, room, DT, cfg, lifted=True
         )
     hand = sample((-3, 1.2, 0), aim_at((-3, 1.2, 0), (-3, 0.4, 2.7)), lifted=True)
-    out = acquire_targets(tracker, snapshot(40, left=hand), room, cfg)
+    out = acquire_targets(tracker, snapshot(40, left=hand), cfg)
     assert out[Effector.Head][0] == "screen"
     assert out[Effector.LeftHand][0] == "desk"  # own fixation, not the gaze
 

@@ -136,6 +136,23 @@ def test_load_rejects_short_effector(tmp_path):
         load_trace("\n".join([lines[0], json.dumps(row)] + lines[2:]))
 
 
+@pytest.mark.parametrize(
+    "line, field, value",
+    [(0, "tick_rate", True), (0, "tick_rate", "60"), (1, "tick", 1.7), (1, "tick", True)],
+)
+def test_load_rejects_mistyped_numbers(tmp_path, line, field, value):
+    import json
+
+    path = tmp_path / "t.jsonl"
+    save_trace(TraceBuilder().hold(0.05).build(), path)
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[line])
+    doc[field] = value
+    lines[line] = json.dumps(doc)
+    with pytest.raises(MalformedTrace, match=f"{field} must be"):
+        load_trace("\n".join(lines))
+
+
 def test_trace_rejects_tick_gap():
     base = TraceBuilder().hold(0.1).build()
     snaps = list(base.snapshots)
