@@ -377,7 +377,6 @@ class Session:
         self.local_hello = Hello(app_version=app_version, room_hash=room_hash, skeleton=skeleton)
         self.remote_hello: Hello | None = None
         self.phase = Phase.Handshake
-        self.sent = Counter()
         self.received = Counter()
         self._hello_sent = False
         self._bye_sent = False
@@ -394,7 +393,6 @@ class Session:
         if self._hello_sent:
             raise ProtocolError("hello already sent")
         self._hello_sent = True
-        self.sent[MsgType.Hello.name] += 1
         if self.remote_hello is not None:
             self.phase = Phase.Live
         return encode_frame(self.local_hello)
@@ -429,11 +427,9 @@ class Session:
         self._last_out_tick = tick
 
         frames = [encode_frame(pose)]
-        self.sent[MsgType.PoseUpdate.name] += 1
 
         if state is not self._sent_state:
             frames.append(encode_frame(StateChange(tick=tick, state=state)))
-            self.sent[MsgType.StateChange.name] += 1
             self._sent_state = state
 
         if targets is not None:
@@ -452,11 +448,9 @@ class Session:
                     upd = TargetUpdate(tick=tick, effector=eff, active=True,
                                        object_id=quantized[0], uvw=quantized[1])
                 frames.append(encode_frame(upd))
-                self.sent[MsgType.TargetUpdate.name] += 1
 
         if features is not None:
             frames.append(encode_frame(FeaturePacket(tick=tick, features=features)))
-            self.sent[MsgType.FeaturePacket.name] += 1
 
         if placement is not None:
             if placement.tick != tick:
@@ -464,7 +458,6 @@ class Session:
                     f"placement tick {placement.tick} != batch tick {tick}"
                 )
             frames.append(encode_frame(placement))
-            self.sent[MsgType.PlacementAnnounce.name] += 1
 
         return frames
 
@@ -472,7 +465,6 @@ class Session:
         # Outbound side is done, but the peer's in-flight frames (up to and
         # including its own bye) are still read; only an inbound Bye closes.
         self._bye_sent = True
-        self.sent[MsgType.Bye.name] += 1
         return encode_frame(Bye())
 
     # -- inbound

@@ -69,24 +69,29 @@ class ObjectCategory(Enum):
     Other = 6
 
 
-def _finite(oid: str, name: str, value) -> float:
+def _finite(owner: str, name: str, value) -> float:
+    """`value` as a finite float; `owner` names the object or room whose
+    field `name` it is. `float()` would also take a numeric string or a
+    bool, which are refused."""
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        raise MalformedRoom(f"{owner}: {name} must be a number, got {value!r}")
     try:
         v = float(value)
     except (TypeError, ValueError):
-        raise MalformedRoom(f"object {oid!r}: {name} must be a number, got {value!r}") from None
+        raise MalformedRoom(f"{owner}: {name} must be a number, got {value!r}") from None
     if not math.isfinite(v):
-        raise MalformedRoom(f"object {oid!r}: {name} must be finite, got {v}")
+        raise MalformedRoom(f"{owner}: {name} must be finite, got {v}")
     return v
 
 
-def _vec3(oid: str, name: str, value) -> tuple[float, float, float]:
+def _vec3(owner: str, name: str, value) -> tuple[float, float, float]:
     try:
         items = tuple(value)
     except TypeError:
         items = ()
     if len(items) != 3:
-        raise MalformedRoom(f"object {oid!r}: {name} must be a 3-vector, got {value!r}")
-    return tuple(_finite(oid, name, v) for v in items)
+        raise MalformedRoom(f"{owner}: {name} must be a 3-vector, got {value!r}")
+    return tuple(_finite(owner, name, v) for v in items)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,18 +120,18 @@ class SceneObject:
     support_height: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        oid = self.id
-        position = _vec3(oid, "position", self.position)
-        size = _vec3(oid, "size", self.size)
+        owner = f"object {self.id!r}"
+        position = _vec3(owner, "position", self.position)
+        size = _vec3(owner, "size", self.size)
         if not all(v > 0.0 for v in size):
-            raise NonPositiveExtent(f"object {oid!r}: size must be positive, got {list(size)}")
-        yaw = _finite(oid, "yaw", self.yaw)
-        sit_height = None if self.sit_height is None else _finite(oid, "sit_height", self.sit_height)
+            raise NonPositiveExtent(f"{owner}: size must be positive, got {list(size)}")
+        yaw = _finite(owner, "yaw", self.yaw)
+        sit_height = None if self.sit_height is None else _finite(owner, "sit_height", self.sit_height)
         if self.sittable:
             if sit_height is None:
-                raise MalformedRoom(f"object {oid!r}: sittable requires sit_height")
+                raise MalformedRoom(f"{owner}: sittable requires sit_height")
             if not (0.2 <= sit_height <= 0.8):
-                raise MalformedRoom(f"object {oid!r}: sit_height {sit_height} outside [0.2, 0.8]")
+                raise MalformedRoom(f"{owner}: sit_height {sit_height} outside [0.2, 0.8]")
         half = (size[0] * 0.5, size[1] * 0.5, size[2] * 0.5)
         put = object.__setattr__
         put(self, "position", position)
@@ -449,11 +454,12 @@ def load_room(document) -> Room:
 
     try:
         ext = doc["extents"]
+        owner = f"room {doc.get('id')!r}"
         extents = Extents(
-            min_x=float(ext["min"][0]),
-            min_z=float(ext["min"][1]),
-            max_x=float(ext["max"][0]),
-            max_z=float(ext["max"][1]),
+            min_x=_finite(owner, "extents min_x", ext["min"][0]),
+            min_z=_finite(owner, "extents min_z", ext["min"][1]),
+            max_x=_finite(owner, "extents max_x", ext["max"][0]),
+            max_z=_finite(owner, "extents max_z", ext["max"][1]),
         )
         objects = tuple(_parse_object(o) for o in doc.get("objects", []))
         return Room(id=str(doc["id"]), extents=extents, objects=objects)

@@ -20,7 +20,9 @@ records it, `replay` where it reads it, and the receiving session admits the
 messages with `Session.receive`. `replay` steps the very same driver, one
 peer after the other, with that pose decoded from the peer's recorded sends,
 so given only the transcript and the two rooms it rebuilds the full report,
-placement searches included, bit for bit.
+placement searches included, bit for bit. In both modes each user's part of
+the report comes from the partner's driver: the one that admitted that
+user's messages and hosts their avatar.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import argparse
 import json
 import struct
 import sys
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -255,7 +257,9 @@ class AvatarHost:
 
     State here is fed only by wire messages plus the local user's own
     pose as it went on the wire (`LocalUser`); no raw trace data may leak
-    in, or replays would diverge from the live run.
+    in, or replays would diverge from the live run. What it records (the
+    remote user's episodes, searches, pointing and state transitions) is
+    that user's part of the report, in `run` and `replay` alike.
     """
 
     def __init__(self, room, config: SimConfig, owner_code: int):
@@ -289,6 +293,7 @@ class AvatarHost:
         self._pair_of = {o.pair_id: o for o in room.objects if o.pair_id is not None}
         self.episodes: list[dict] = []
         self.search: list[dict] = []
+        self.transitions: list[dict] = []
         self.pointing_rows: list[dict] = []
         self._open: dict[str, dict | None] = {"left": None, "right": None}
         self.timings: list[dict] = []
@@ -306,6 +311,7 @@ class AvatarHost:
                 self.remote = _goals_of(msg)
                 self._anchor_goals()
         elif isinstance(msg, StateChange):
+            self.transitions.append({"tick": msg.tick, "state": msg.state.name})
             self._on_state(msg.state)
         elif isinstance(msg, TargetUpdate):
             entry = (msg.object_id, msg.uvw) if msg.active else None
@@ -613,7 +619,6 @@ class PeerRuntime:
         self.tracker = FixationTracker(config.tick_rate, config.state)
         self.loco = UserState.Solo
         self.state_now = UserState.Solo
-        self.transitions: list[dict] = []
         self.pending_features: deque[FeatureVector] = deque()
         self.pending_announce: deque[Placement] = deque()
         self.snap = None
@@ -661,10 +666,7 @@ class PeerRuntime:
                     self.tracker, side, hand.ray(), room, self.dt, self.cfg.state, lifted=hand.lifted
                 )
         self.targets = acquire_targets(self.tracker, snap, self.cfg.state)
-        state = classify_state(self.loco, self.targets)
-        if state is not self.state_now:
-            self.transitions.append({"tick": t, "state": state.name})
-            self.state_now = state
+        self.state_now = classify_state(self.loco, self.targets)
 
     def _request_features(self) -> FeatureVector:
         x, y, z = self.snap.root.position.tolist()
@@ -747,9 +749,12 @@ def _room_summary(room) -> dict:
     return {"id": room.id, "hash": f"{room_hash(room):016x}", "objects": len(room.objects)}
 
 
-def _assemble_report(config, rooms, ticks, drivers, transitions, sent) -> dict:
-    """The run report; each user's avatar is hosted by the other peer's driver."""
-    hosts = {name: drivers[_OTHER[name]].host for name in ("a", "b")}
+def _assemble_report(config, rooms, ticks, drivers) -> dict:
+    """The run report. Each user's part (episodes, search, pointing,
+    transitions and sent counts) comes from the partner's driver, which
+    admitted that user's messages and hosts their avatar."""
+    partners = {name: drivers[_OTHER[name]] for name in ("a", "b")}
+    hosts = {name: partners[name].host for name in ("a", "b")}
     return {
         "version": REPORT_VERSION,
         "ticks": ticks,
@@ -758,10 +763,10 @@ def _assemble_report(config, rooms, ticks, drivers, transitions, sent) -> dict:
         "episodes": {name: hosts[name].episodes for name in ("a", "b")},
         "search": {name: hosts[name].search for name in ("a", "b")},
         "pointing": {name: hosts[name].pointing_rows for name in ("a", "b")},
-        "transitions": transitions,
+        "transitions": {name: hosts[name].transitions for name in ("a", "b")},
         "protocol": {
             name: {
-                "sent": dict(sent[name]),
+                "sent": dict(partners[name].session.received),
                 "received": dict(drivers[name].session.received),
                 "phase": drivers[name].session.phase.name,
             }
@@ -832,14 +837,7 @@ def run(room_a, room_b, trace_a, trace_b, config: SimConfig | None = None) -> Si
     for name in ("a", "b"):
         peers[name].driver.drain(n)  # too late to announce: nothing is sent after tick n
 
-    report = _assemble_report(
-        config,
-        rooms,
-        n,
-        drivers={name: peers[name].driver for name in ("a", "b")},
-        transitions={name: peers[name].transitions for name in ("a", "b")},
-        sent={name: peers[name].session.sent for name in ("a", "b")},
-    )
+    report = _assemble_report(config, rooms, n, {name: peers[name].driver for name in ("a", "b")})
     timings = tuple(
         {"peer": name, **row} for name in ("a", "b") for row in peers[name].host.timings
     )
@@ -902,10 +900,8 @@ def replay(transcript, room_a, room_b) -> dict:
     # session admits it
     decoded = {name: {tick: decode_all(bytes(sends[name].pop(tick))) for tick in sorted(sends[name])}
                for name in ("a", "b")}
-    drivers, transitions, sent = {}, {}, {}
-    for name in ("a", "b"):
-        drivers[name], transitions[name], sent[name] = _replay_peer(name, rooms, config, decoded, n)
-    return _assemble_report(config, rooms, n, drivers, transitions, sent)
+    drivers = {name: _replay_peer(name, rooms, config, decoded, n) for name in ("a", "b")}
+    return _assemble_report(config, rooms, n, drivers)
 
 
 def _transcript_entry(number: int, line: str) -> dict:
@@ -919,23 +915,17 @@ def _transcript_entry(number: int, line: str) -> dict:
     return doc
 
 
-def _replay_peer(name: str, rooms, config: SimConfig, decoded, n: int):
+def _replay_peer(name: str, rooms, config: SimConfig, decoded, n: int) -> AvatarDriver:
     """Step one peer's driver through every tick, with the local user's pose
-    taken from what the peer sent; returns the driver, the peer's state
-    transitions and its sent-message counts. `decoded` holds each peer's
-    sent messages per tick."""
-    sent: Counter = Counter()
+    taken from what the peer sent, and check the placements it announced;
+    returns the driver. `decoded` holds each peer's sent messages per tick."""
     poses: dict[int, PoseUpdate] = {}
-    transitions: list[dict] = []
     announced: list[PlacementAnnounce] = []
     my_hello: Hello | None = None
     for msgs in decoded[name].values():
         for msg in msgs:
-            sent[type(msg).__name__] += 1
             if isinstance(msg, PoseUpdate):
                 poses[msg.tick] = msg
-            elif isinstance(msg, StateChange):
-                transitions.append({"tick": msg.tick, "state": msg.state.name})
             elif isinstance(msg, PlacementAnnounce):
                 announced.append(msg)
             elif isinstance(msg, Hello):
@@ -967,7 +957,7 @@ def _replay_peer(name: str, rooms, config: SimConfig, decoded, n: int):
                 f"({ann.x}, {ann.z}, {ann.yaw}, {ann.pose.name})"
             )
 
-    return driver, transitions, sent
+    return driver
 
 
 # --- command line -----------------------------------------------------------------

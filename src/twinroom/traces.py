@@ -42,6 +42,8 @@ class MalformedTrace(ValueError):
 
 
 _EFFECTOR_FIELDS = ("root", "head", "left_hand", "right_hand", "left_foot", "right_foot")
+_HANDS = ("left_hand", "right_hand")
+_NUMBER_TYPES = frozenset((int, float))  # a bool or a numeric string is not a number here
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,8 @@ class MotionTrace:
     snapshots: tuple[UserSnapshot, ...]
 
     def __post_init__(self):
-        if self.tick_rate <= 0.0:
-            raise MalformedTrace(f"tick rate must be positive, got {self.tick_rate}")
+        if not 0.0 < self.tick_rate < math.inf:  # NaN fails too
+            raise MalformedTrace(f"tick rate must be positive and finite, got {self.tick_rate}")
         for i, snap in enumerate(self.snapshots):
             if snap.tick != i + 1:
                 raise MalformedTrace(
@@ -67,14 +69,13 @@ def _sample_to_list(s: EffectorSample) -> list[float]:
     return [float(v) for v in s.position] + [float(v) for v in s.orientation]
 
 
-def _sample_from_list(vals, lifted: bool = False) -> EffectorSample:
-    if len(vals) != 7:
-        raise MalformedTrace(f"effector needs 7 floats (position + quaternion), got {len(vals)}")
-    return EffectorSample(
-        position=np.array(vals[0:3], dtype=float),
-        orientation=np.array(vals[3:7], dtype=float),
-        lifted=lifted,
-    )
+def _finite_numbers(values, count: int) -> bool:
+    """Whether `values` is a list of `count` finite ints or floats."""
+    try:
+        return (type(values) is list and len(values) == count
+                and set(map(type, values)) <= _NUMBER_TYPES and all(map(math.isfinite, values)))
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def save_trace(trace: MotionTrace, path) -> None:
@@ -103,25 +104,31 @@ def load_trace(document) -> MotionTrace:
         raise MalformedTrace("trace is empty")
     try:
         header = json.loads(lines[0])
+        if not _finite_numbers(header["skeleton"], 13):
+            raise MalformedTrace(f"skeleton must be 13 finite ints or floats, got {header['skeleton']!r}")
         skeleton = Skeleton.from_floats(header["skeleton"])
         tick_rate = header["tick_rate"]
-        if type(tick_rate) not in (int, float):  # a bool is not a number here
+        if type(tick_rate) not in _NUMBER_TYPES:
             raise MalformedTrace(f"tick_rate must be a number, got {tick_rate!r}")
         snaps = []
         for ln in lines[1:]:
             doc = json.loads(ln)
-            lifted = set(doc.get("lifted", ()))
+            tick = doc["tick"]
+            if type(tick) is not int:
+                raise MalformedTrace(f"tick must be an int, got {tick!r}")
+            lifted = doc.get("lifted", [])
+            if type(lifted) is not list or not all(name in _HANDS for name in lifted):
+                raise MalformedTrace(f"tick {tick}: lifted must be a list of hand names, got {lifted!r}")
+            lists = [doc.get(name) for name in _EFFECTOR_FIELDS]
+            for name, v in zip(_EFFECTOR_FIELDS, lists):
+                if not _finite_numbers(v, 7):
+                    raise MalformedTrace(f"tick {tick}: {name} must be 7 floats (position + quaternion), "
+                                         f"each a finite int or float, got {v!r}")
             parts = {
-                name: _sample_from_list(doc[name], lifted=name in lifted)
-                for name in _EFFECTOR_FIELDS
+                name: EffectorSample(position=row[0:3], orientation=row[3:7], lifted=name in lifted)
+                for name, row in zip(_EFFECTOR_FIELDS, np.array(lists, dtype=float))
             }
-            if type(doc["tick"]) is not int:
-                raise MalformedTrace(f"tick must be an int, got {doc['tick']!r}")
-            snaps.append(UserSnapshot(
-                tick=doc["tick"],
-                fingers=bytes.fromhex(doc.get("fingers", "")),
-                **parts,
-            ))
+            snaps.append(UserSnapshot(tick=tick, fingers=bytes.fromhex(doc.get("fingers", "")), **parts))
     except (KeyError, ValueError, TypeError, AttributeError) as e:
         if isinstance(e, MalformedTrace):
             raise

@@ -358,8 +358,6 @@ def test_tick_emits_exactly_one_pose_and_dedups_state():
     assert len(frames) == 2
     frames = a.tick(3, pose_at(3), UserState.Locomotion)
     assert len(frames) == 1  # unchanged state is not repeated
-    assert a.sent["PoseUpdate"] == 4
-    assert a.sent["StateChange"] == 1
 
 
 def test_target_updates_dedup_at_f32_resolution():

@@ -556,6 +556,11 @@ def test_load_room_rejects_bad_objects():
         ({"sittable": "false", "sit_height": 0.45}, MalformedRoom, "'desk': sittable must be"),
         ({"sittable": 0}, MalformedRoom, "'desk': sittable must be"),
         ({"sittable": 1, "sit_height": 0.45}, MalformedRoom, "'desk': sittable must be"),
+        ({"position": ["1.5", 0.4, 1]}, MalformedRoom, "'desk': position must be a number"),
+        ({"size": [1.2, True, 0.6]}, MalformedRoom, "'desk': size must be a number"),
+        ({"yaw": "0"}, MalformedRoom, "'desk': yaw must be a number"),
+        ({"yaw": True}, MalformedRoom, "'desk': yaw must be a number"),
+        ({"sittable": True, "sit_height": "0.45"}, MalformedRoom, "'desk': sit_height must be a number"),
     ]:
         doc = room_doc()
         doc["objects"][0].update(patch)
@@ -569,6 +574,27 @@ def test_load_room_rejects_bad_objects():
 def test_load_room_rejects_degenerate_extents():
     with pytest.raises(NonPositiveExtent):
         load_room(room_doc(extents={"min": [0, 0], "max": [0, 4]}, objects=[]))
+
+
+@pytest.mark.parametrize("end, index, value", [
+    ("min", 0, "0"), ("max", 1, "4.0"), ("max", 0, True), ("min", 1, math.nan), ("max", 1, math.inf),
+])
+def test_load_room_rejects_mistyped_extents(end, index, value):
+    ext = {"min": [0, 0], "max": [5, 4]}
+    ext[end][index] = value
+    field = f"{end}_{'xz'[index]}"
+    with pytest.raises(MalformedRoom, match=f"room 'r': extents {field} must be"):
+        load_room(room_doc(extents=ext))
+
+
+def test_ints_and_numpy_scalars_are_room_numbers():
+    desk = SceneObject(id="d", category=ObjectCategory.Table, position=(np.float32(2.0), np.int64(0), 1),
+                       yaw=np.float64(0.5), size=(1, np.float32(0.5), 0.25))
+    assert desk.position == (2.0, 0.0, 1.0) and desk.size == (1.0, 0.5, 0.25) and desk.yaw == 0.5
+    assert all(type(v) is float for v in (*desk.position, *desk.size, desk.yaw))
+    with pytest.raises(MalformedRoom, match="'d': yaw must be a number"):
+        SceneObject(id="d", category=ObjectCategory.Table, position=(2, 0, 1), yaw=np.bool_(True),
+                    size=(1, 1, 1))
 
 
 def test_load_room_rejects_missing_fields_and_bad_sources():

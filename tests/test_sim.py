@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from twinroom.protocol import (
     PoseUpdate,
     ProtocolError,
     Session,
+    StateChange,
     decode_all,
     encode_frame,
     f32,
@@ -353,6 +355,29 @@ def test_replay_with_latency():
     for peer in ("a", "b"):
         assert result.report["protocol"][peer]["sent"]["PoseUpdate"] == n - 3
     assert replay(result.transcript, room_a_doc(), room_b_doc()) == result.report
+
+
+@pytest.mark.parametrize("latency", [0, 3])
+def test_reported_sends_and_transitions_match_the_transcript(latency):
+    # read off the recorded frames alone, whatever builds the report
+    result = run(
+        room_a_doc(), room_b_doc(), trace_a_script().build(), trace_b_script().build(),
+        config=quick_config(latency_ticks=latency),
+    )
+    sent = {"a": Counter(), "b": Counter()}
+    transitions = {"a": [], "b": []}
+    for line in result.transcript.splitlines()[1:]:
+        doc = json.loads(line)
+        sender = doc["dir"][0]
+        for msg in decode_all(bytes.fromhex(doc["data"])):
+            sent[sender][type(msg).__name__] += 1
+            if isinstance(msg, StateChange):
+                transitions[sender].append({"tick": msg.tick, "state": msg.state.name})
+    assert sent["a"]["FeaturePacket"] and sent["b"]["PlacementAnnounce"] and transitions["a"]
+    replayed = replay(result.transcript, room_a_doc(), room_b_doc())
+    for mode, report in (("run", result.report), ("replay", replayed)):
+        assert {p: report["protocol"][p]["sent"] for p in ("a", "b")} == sent, mode
+        assert report["transitions"] == transitions, mode
 
 
 def test_replay_rejects_swapped_rooms(base_result):

@@ -136,9 +136,21 @@ def test_load_rejects_short_effector(tmp_path):
         load_trace("\n".join([lines[0], json.dumps(row)] + lines[2:]))
 
 
+_POSE = [0.0, 0.92, 0.0, 1.0, 0.0, 0.0, 0.0]
+
+
 @pytest.mark.parametrize(
     "line, field, value",
-    [(0, "tick_rate", True), (0, "tick_rate", "60"), (1, "tick", 1.7), (1, "tick", True)],
+    [(0, "tick_rate", True), (0, "tick_rate", "60"), (1, "tick", 1.7), (1, "tick", True),
+     (0, "skeleton", [*Skeleton().to_floats()[:12], "0.5"]),
+     (0, "skeleton", [True, *Skeleton().to_floats()[1:]]),
+     (1, "root", ["0.0", *_POSE[1:]]),
+     (1, "head", [0.0, math.nan, *_POSE[2:]]),
+     (1, "left_foot", [*_POSE[:6], True]),
+     (1, "right_hand", [*_POSE[:3], 1e400, *_POSE[4:]]),
+     (1, "left_hand", [*_POSE[:6], 10**400]),
+     (1, "lifted", "right_hand"),
+     (1, "lifted", ["right_hand", "tail"])],
 )
 def test_load_rejects_mistyped_numbers(tmp_path, line, field, value):
     import json
@@ -149,7 +161,9 @@ def test_load_rejects_mistyped_numbers(tmp_path, line, field, value):
     doc = json.loads(lines[line])
     doc[field] = value
     lines[line] = json.dumps(doc)
-    with pytest.raises(MalformedTrace, match=f"{field} must be"):
+    # each row error names its tick, unless the tick itself is the error
+    where = "tick 1: " if line and field != "tick" else ""
+    with pytest.raises(MalformedTrace, match=f"^{where}{field} must be"):
         load_trace("\n".join(lines))
 
 
@@ -162,8 +176,9 @@ def test_trace_rejects_tick_gap():
 
 
 def test_trace_rejects_bad_tick_rate():
-    with pytest.raises(MalformedTrace, match="tick rate"):
-        MotionTrace(tick_rate=0.0, skeleton=Skeleton(), snapshots=())
+    for rate in (0.0, math.nan, math.inf):
+        with pytest.raises(MalformedTrace, match="tick rate"):
+            MotionTrace(tick_rate=rate, skeleton=Skeleton(), snapshots=())
 
 
 # --- builder primitives ------------------------------------------------------
