@@ -91,7 +91,9 @@ from typing import Protocol, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .geometry import wrap_angle, wrap_angle_positive
-from .scene import ObjectCategory, Room, RoomArrays, height_map_grid, read_document
+from .scene import (
+    ObjectCategory, Room, RoomArrays, height_map_grid, read_document, require_int, require_number, require_numbers,
+)
 
 _EPS = 1e-9
 
@@ -119,13 +121,6 @@ _, _ACCOMMODATION_OX, _ACCOMMODATION_OZ = height_map_grid(ACCOMMODATION_RADIUS, 
 ACCOMMODATION_CELLS = len(_ACCOMMODATION_OX)  # 81
 
 
-def require_int(name: str, value) -> None:
-    """A ValueError naming ``name`` unless ``value`` is an int (a bool is
-    not): a count or a seed must not be a float that happens to be whole."""
-    if type(value) is bool or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-
-
 def config_to_dict(config) -> dict:
     """A config dataclass in plain JSON: one key per field, nested configs as
     objects, tuples as lists. Values keep their type, so `config_from_dict`
@@ -143,8 +138,9 @@ def config_to_dict(config) -> dict:
 
 def config_from_dict(cls, doc: dict, path: str = ""):
     """A config from its `config_to_dict` form. Every value must have its field's
-    annotated type: an int field takes an int, a float field an int or a
-    float (never a bool), a tuple field a list of as many such values and a
+    annotated type, as `scene.require_int`, `require_number` and
+    `require_numbers` take it: an int field takes an int, a float field a
+    finite int or float, a tuple field a list of as many such values and a
     nested config an object; anything else is a ValueError naming the
     field."""
     if not isinstance(doc, dict):
@@ -160,15 +156,10 @@ def _json_value(hint, value, path: str):
     if is_dataclass(hint):
         return config_from_dict(hint, value, path + ".")
     if get_origin(hint) is tuple:
-        items = get_args(hint)
-        if not isinstance(value, list) or len(value) != len(items):
-            raise ValueError(f"{path} must be a list of {len(items)} values, got {value!r}")
-        return tuple(_json_value(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+        return tuple(require_numbers(value, len(get_args(hint)), path, ValueError))
     if hint is int:
-        require_int(path, value)
-    elif hint is not float or type(value) is bool or not isinstance(value, (int, float)):
-        raise ValueError(f"{path} must be a number, got {value!r}")
-    return value
+        return require_int(value, path, ValueError)
+    return require_number(value, path, ValueError)
 
 
 class NoFeasiblePlacement(RuntimeError):
@@ -639,7 +630,7 @@ class GridConfig:
     def __post_init__(self):
         if not self.cell > 0.0:
             raise ValueError("grid cell must be positive")
-        require_int("yaw_count", self.yaw_count)
+        require_int(self.yaw_count, "yaw_count", ValueError)
         if self.yaw_count < 1:
             raise ValueError("yaw_count must be at least 1")
 
@@ -832,8 +823,8 @@ class PsoConfig:
     yaw_radius: float = math.radians(30.0)
 
     def __post_init__(self):
-        require_int("particles", self.particles)
-        require_int("iterations", self.iterations)
+        require_int(self.particles, "particles", ValueError)
+        require_int(self.iterations, "iterations", ValueError)
         if self.particles < 1:
             raise ValueError("particles must be at least 1")
         if self.iterations < 0:

@@ -69,31 +69,6 @@ class ObjectCategory(Enum):
     Other = 6
 
 
-def _finite(owner: str, name: str, value) -> float:
-    """`value` as a finite float; `owner` names the object or room whose
-    field `name` it is. `float()` would also take a numeric string or a
-    bool, which are refused."""
-    if isinstance(value, (str, bytes, bool, np.bool_)):
-        raise MalformedRoom(f"{owner}: {name} must be a number, got {value!r}")
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise MalformedRoom(f"{owner}: {name} must be a number, got {value!r}") from None
-    if not math.isfinite(v):
-        raise MalformedRoom(f"{owner}: {name} must be finite, got {v}")
-    return v
-
-
-def _vec3(owner: str, name: str, value) -> tuple[float, float, float]:
-    try:
-        items = tuple(value)
-    except TypeError:
-        items = ()
-    if len(items) != 3:
-        raise MalformedRoom(f"{owner}: {name} must be a 3-vector, got {value!r}")
-    return tuple(_finite(owner, name, v) for v in items)
-
-
 @dataclass(frozen=True, slots=True)
 class SceneObject:
     """One oriented box. position is the box center; size is full extents.
@@ -120,20 +95,29 @@ class SceneObject:
     support_height: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        owner = f"object {self.id!r}"
-        position = _vec3(owner, "position", self.position)
-        size = _vec3(owner, "size", self.size)
+        try:
+            oid = require_str(self.id, "id", MalformedRoom)
+            pair_id = self.pair_id if self.pair_id is None else require_str(self.pair_id, "pair_id", MalformedRoom)
+            if type(self.sittable) is not bool:
+                raise MalformedRoom(f"sittable must be true or false, got {self.sittable!r}")
+            position = tuple(map(float, require_numbers(self.position, 3, "position", MalformedRoom)))
+            size = tuple(map(float, require_numbers(self.size, 3, "size", MalformedRoom)))
+            yaw = float(require_number(self.yaw, "yaw", MalformedRoom))
+            sit_height = self.sit_height
+            if sit_height is not None:
+                sit_height = float(require_number(sit_height, "sit_height", MalformedRoom))
+            if self.sittable and sit_height is None:
+                raise MalformedRoom("sittable requires sit_height")
+            if self.sittable and not 0.2 <= sit_height <= 0.8:
+                raise MalformedRoom(f"sit_height {sit_height} outside [0.2, 0.8]")
+        except MalformedRoom as e:
+            raise MalformedRoom(f"object {self.id!r}: {e}") from None
         if not all(v > 0.0 for v in size):
-            raise NonPositiveExtent(f"{owner}: size must be positive, got {list(size)}")
-        yaw = _finite(owner, "yaw", self.yaw)
-        sit_height = None if self.sit_height is None else _finite(owner, "sit_height", self.sit_height)
-        if self.sittable:
-            if sit_height is None:
-                raise MalformedRoom(f"{owner}: sittable requires sit_height")
-            if not (0.2 <= sit_height <= 0.8):
-                raise MalformedRoom(f"{owner}: sit_height {sit_height} outside [0.2, 0.8]")
+            raise NonPositiveExtent(f"object {self.id!r}: size must be positive, got {list(size)}")
         half = (size[0] * 0.5, size[1] * 0.5, size[2] * 0.5)
         put = object.__setattr__
+        put(self, "id", oid)
+        put(self, "pair_id", pair_id)
         put(self, "position", position)
         put(self, "size", size)
         put(self, "yaw", yaw)
@@ -276,6 +260,7 @@ class Room:
     by_id: dict[str, SceneObject] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "id", require_str(self.id, "room id", MalformedRoom))
         object.__setattr__(self, "objects", tuple(self.objects))
         index: dict[str, SceneObject] = {}
         for o in self.objects:
@@ -394,27 +379,76 @@ class HeightMap:
 _CATEGORY_BY_NAME = {c.name: c for c in ObjectCategory}
 
 
-def _parse_object(doc: dict) -> SceneObject:
+def _parse_object(doc) -> SceneObject:
+    if not isinstance(doc, dict):
+        raise MalformedRoom(f"objects entry must be an object, got {doc!r}")
     try:
-        cat_name = doc["category"]
-        cat = _CATEGORY_BY_NAME.get(cat_name)
-        if cat is None:
-            raise MalformedRoom(f"unknown category {cat_name!r}")
-        sittable = doc.get("sittable", False)
-        if type(sittable) is not bool:
-            raise MalformedRoom(f"object {doc['id']!r}: sittable must be true or false, got {sittable!r}")
+        category = doc["category"]
+        if not isinstance(category, str) or category not in _CATEGORY_BY_NAME:
+            raise MalformedRoom(f"object {doc.get('id')!r}: category must be one of "
+                                f"{', '.join(_CATEGORY_BY_NAME)}, got {category!r}")
         return SceneObject(
-            id=str(doc["id"]),
-            category=cat,
+            id=doc["id"],
+            category=_CATEGORY_BY_NAME[category],
             position=doc["position"],
             yaw=doc["yaw"],
             size=doc["size"],
-            sittable=sittable,
+            sittable=doc.get("sittable", False),
             sit_height=doc.get("sit_height"),
-            pair_id=(str(doc["pair_id"]) if doc.get("pair_id") is not None else None),
+            pair_id=doc.get("pair_id"),
         )
     except KeyError as e:
         raise MalformedRoom(f"object document missing field {e.args[0]!r}") from None
+
+
+# Every loader takes its document's fields through these four checks. Each
+# returns the value it checked, or raises ``error`` naming the field.
+
+_NUMBER_TYPES = (int, float, np.integer, np.floating)  # np.bool_ is neither
+_JSON_NUMBERS = frozenset((int, float))
+
+
+def require_number(value, name: str, error: type[Exception]):
+    """A finite int or float, numpy scalars included; never a bool or a string."""
+    if type(value) is bool or not isinstance(value, _NUMBER_TYPES):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        if math.isfinite(value):
+            return value
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise error(f"{name} must be finite, got {value!r}")
+
+
+def require_numbers(values, count: int, name: str, error: type[Exception]):
+    """A list (or, built in code, a tuple or numpy vector) of exactly
+    ``count`` values, each a `require_number`."""
+    if not isinstance(values, (list, tuple, np.ndarray)) or len(values) != count:
+        raise error(f"{name} must be a list of {count} floats, got {values!r}")
+    try:  # a JSON list of ints and floats passes in one C-level pass
+        if set(map(type, values)) <= _JSON_NUMBERS and all(map(math.isfinite, values)):
+            return values
+    except OverflowError:
+        pass
+    for v in values:  # numpy scalars pass here; anything else is named
+        require_number(v, name, error)
+    return values
+
+
+def require_int(value, name: str, error: type[Exception]):
+    """An int, never a bool: a count, a seed or a tick is not a float that
+    happens to be whole."""
+    if type(value) is bool or not isinstance(value, int):
+        raise error(f"{name} must be an int, got {value!r}")
+    return value
+
+
+def require_str(value, name: str, error: type[Exception]) -> str:
+    """A string, as a plain str (a numpy string too): an id is never another
+    JSON value made into one."""
+    if not isinstance(value, str):
+        raise error(f"{name} must be a string, got {value!r}")
+    return str(value)
 
 
 def read_document(document, error: type[Exception]) -> str:
@@ -453,16 +487,15 @@ def load_room(document) -> Room:
             raise MalformedRoom(f"room document is not valid JSON: {e}") from None
 
     try:
-        ext = doc["extents"]
-        owner = f"room {doc.get('id')!r}"
-        extents = Extents(
-            min_x=_finite(owner, "extents min_x", ext["min"][0]),
-            min_z=_finite(owner, "extents min_z", ext["min"][1]),
-            max_x=_finite(owner, "extents max_x", ext["max"][0]),
-            max_z=_finite(owner, "extents max_z", ext["max"][1]),
-        )
+        ext, owner = doc["extents"], f"room {doc.get('id')!r}"
+        corners = {end: ext[end] for end in ("min", "max")}
+        for end, xz in corners.items():
+            if not isinstance(xz, list) or len(xz) != 2:
+                raise MalformedRoom(f"{owner}: extents {end} must be a list of 2 numbers, got {xz!r}")
+        extents = Extents(*(float(require_number(v, f"{owner}: extents {end}_{axis}", MalformedRoom))
+                            for end, xz in corners.items() for axis, v in zip("xz", xz)))
         objects = tuple(_parse_object(o) for o in doc.get("objects", []))
-        return Room(id=str(doc["id"]), extents=extents, objects=objects)
+        return Room(id=doc["id"], extents=extents, objects=objects)
     except KeyError as e:
         raise MalformedRoom(f"room document missing field {e.args[0]!r}") from None
     except (TypeError, IndexError) as e:

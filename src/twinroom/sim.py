@@ -64,7 +64,6 @@ from .placement import (
     config_to_dict,
     extract_features,
     find_placement,
-    require_int,
     scorer_config_from_json,
 )
 from .protocol import (
@@ -97,6 +96,7 @@ from .scene import (
     denormalize_hit,
     load_room,
     read_document,
+    require_int,
     room_hash,
     validate_pairing,
 )
@@ -158,10 +158,10 @@ class SimConfig:
 
     def __post_init__(self):
         # every range check is written so that NaN fails it
-        if not self.tick_rate > 0.0:
-            raise ValueError("tick_rate must be positive")
+        if not 0.0 < self.tick_rate < np.inf:
+            raise ValueError("tick_rate must be positive and finite")
         for name in ("latency_ticks", "seed", "app_version"):
-            require_int(name, getattr(self, name))
+            require_int(getattr(self, name), name, ValueError)
         if self.latency_ticks < 0:
             raise ValueError("latency_ticks must be >= 0")
         if self.seed < 0:
@@ -872,9 +872,10 @@ def replay(transcript, room_a, room_b) -> dict:
     if header.get("version") != TRANSCRIPT_VERSION:
         raise ReplayDivergence(f"unsupported transcript version {header.get('version')!r}")
     config = SimConfig.from_dict(header.get("config"))
-    n, recorded = header.get("ticks"), header.get("rooms")
-    if type(n) is not int or not isinstance(recorded, dict) or not {"a", "b"} <= recorded.keys():
-        raise ReplayDivergence(f"line {number}: the header needs an int ticks and rooms a and b")
+    n = require_int(header.get("ticks"), "the transcript header's ticks", ReplayDivergence)
+    recorded = header.get("rooms")
+    if not isinstance(recorded, dict) or not {"a", "b"} <= recorded.keys():
+        raise ReplayDivergence(f"line {number}: the header needs rooms a and b")
     for name in ("a", "b"):
         have = f"{room_hash(rooms[name]):016x}"
         if recorded[name] != have:
@@ -886,12 +887,13 @@ def replay(transcript, room_a, room_b) -> dict:
     for number, doc in docs:
         if doc.get("type") != "frames":
             raise ReplayDivergence(f"line {number}: unexpected transcript entry type {doc.get('type')!r}")
-        src, tick = _SENDER.get(str(doc.get("dir"))), doc.get("tick")
+        src = _SENDER.get(str(doc.get("dir")))
         try:
+            tick = require_int(doc.get("tick"), "tick", ValueError)
             blob = bytes.fromhex(doc.get("data"))  # a TypeError unless a str
         except (TypeError, ValueError):
-            blob = None
-        if src is None or type(tick) is not int or blob is None:
+            src = None
+        if src is None:
             raise ReplayDivergence(f"line {number}: frames need dir a>b or b>a, an int tick and hex data")
         sends[src].setdefault(tick, bytearray()).extend(blob)
 

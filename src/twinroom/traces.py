@@ -33,7 +33,7 @@ from .geometry import (
     sub,
 )
 from .retarget import Skeleton
-from .scene import read_document
+from .scene import read_document, require_int, require_number, require_numbers
 from .states import EffectorSample, StateConfig, UserSnapshot, hand_lifted
 
 
@@ -43,7 +43,6 @@ class MalformedTrace(ValueError):
 
 _EFFECTOR_FIELDS = ("root", "head", "left_hand", "right_hand", "left_foot", "right_foot")
 _HANDS = ("left_hand", "right_hand")
-_NUMBER_TYPES = frozenset((int, float))  # a bool or a numeric string is not a number here
 
 
 @dataclass(frozen=True)
@@ -67,15 +66,6 @@ class MotionTrace:
 
 def _sample_to_list(s: EffectorSample) -> list[float]:
     return [float(v) for v in s.position] + [float(v) for v in s.orientation]
-
-
-def _finite_numbers(values, count: int) -> bool:
-    """Whether `values` is a list of `count` finite ints or floats."""
-    try:
-        return (type(values) is list and len(values) == count
-                and set(map(type, values)) <= _NUMBER_TYPES and all(map(math.isfinite, values)))
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 def save_trace(trace: MotionTrace, path) -> None:
@@ -104,26 +94,19 @@ def load_trace(document) -> MotionTrace:
         raise MalformedTrace("trace is empty")
     try:
         header = json.loads(lines[0])
-        if not _finite_numbers(header["skeleton"], 13):
-            raise MalformedTrace(f"skeleton must be 13 finite ints or floats, got {header['skeleton']!r}")
-        skeleton = Skeleton.from_floats(header["skeleton"])
-        tick_rate = header["tick_rate"]
-        if type(tick_rate) not in _NUMBER_TYPES:
-            raise MalformedTrace(f"tick_rate must be a number, got {tick_rate!r}")
+        skeleton = Skeleton.from_floats(require_numbers(header["skeleton"], 13, "skeleton", MalformedTrace))
+        tick_rate = require_number(header["tick_rate"], "tick_rate", MalformedTrace)
         snaps = []
         for ln in lines[1:]:
             doc = json.loads(ln)
-            tick = doc["tick"]
-            if type(tick) is not int:
-                raise MalformedTrace(f"tick must be an int, got {tick!r}")
+            tick = require_int(doc["tick"], "tick", MalformedTrace)
             lifted = doc.get("lifted", [])
             if type(lifted) is not list or not all(name in _HANDS for name in lifted):
                 raise MalformedTrace(f"tick {tick}: lifted must be a list of hand names, got {lifted!r}")
-            lists = [doc.get(name) for name in _EFFECTOR_FIELDS]
-            for name, v in zip(_EFFECTOR_FIELDS, lists):
-                if not _finite_numbers(v, 7):
-                    raise MalformedTrace(f"tick {tick}: {name} must be 7 floats (position + quaternion), "
-                                         f"each a finite int or float, got {v!r}")
+            try:
+                lists = [require_numbers(doc.get(name), 7, name, MalformedTrace) for name in _EFFECTOR_FIELDS]
+            except MalformedTrace as e:
+                raise MalformedTrace(f"tick {tick}: {e}") from None
             parts = {
                 name: EffectorSample(position=row[0:3], orientation=row[3:7], lifted=name in lifted)
                 for name, row in zip(_EFFECTOR_FIELDS, np.array(lists, dtype=float))

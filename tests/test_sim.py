@@ -926,6 +926,53 @@ def test_cli_reports_every_input_and_output_file_error(flag, value, tmp_path, ca
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def _objects(index, **fields):
+    """A room-a edit that updates object `index` with `fields`."""
+    return lambda doc: doc["objects"][index].update(fields)
+
+
+@pytest.mark.parametrize("flag, edit, message", [
+    pytest.param("--room-a", lambda doc: doc.update(id=5), "room id must be a string, got 5", id="room id"),
+    pytest.param("--room-a", _objects(3, id=None), "object None: id must be a string", id="object id"),
+    pytest.param("--room-a", _objects(3, pair_id={"a": 1}), "object 'sofa_a': pair_id must be a string",
+                 id="pair_id"),
+    pytest.param("--room-a", _objects(0, category=["Screen"]), "object 'screen_a': category must be one of",
+                 id="category"),
+    pytest.param("--room-a", lambda doc: doc["objects"].append(7), "objects entry must be an object, got 7",
+                 id="objects entry"),
+    pytest.param("--room-a", lambda doc: doc["extents"]["min"].append(99),
+                 "room 'alpha': extents min must be a list of 2 numbers", id="extents min"),
+    pytest.param("--room-a", lambda doc: doc["extents"]["max"].append("junk"),
+                 "room 'alpha': extents max must be a list of 2 numbers", id="extents max"),
+    pytest.param("--room-a", lambda doc: doc["extents"].update(min={"x": -2.5, "z": -2.0}),
+                 "room 'alpha': extents min must be a list of 2 numbers", id="extents corner object"),
+    pytest.param("--scorer-config", '{"sigma_height": Infinity}', "sigma_height must be finite, got inf",
+                 id="scorer Infinity"),
+    pytest.param("--scorer-config", '{"distance_falloff": 1e400}', "distance_falloff must be finite, got inf",
+                 id="scorer 1e400"),
+    pytest.param("--replay", math.inf, "tick_rate must be finite, got inf", id="header tick_rate"),
+])
+def test_cli_names_each_mistyped_field(flag, edit, message, tmp_path, capsys, base_result):
+    paths = write_fixtures(tmp_path)
+    args = {"--room-a": paths["room_a"], "--room-b": paths["room_b"],
+            "--trace-a": paths["trace_a"], "--trace-b": paths["trace_b"]}
+    if flag == "--room-a":
+        doc = room_a_doc()
+        edit(doc)
+        paths["room_a"].write_text(json.dumps(doc))
+    elif flag == "--scorer-config":
+        args[flag] = edit
+    else:
+        header, rest = base_result.transcript.split("\n", 1)
+        header = json.loads(header)
+        header["config"]["tick_rate"] = edit
+        args = {"--room-a": paths["room_a"], "--room-b": paths["room_b"], "--replay": tmp_path / "t.jsonl"}
+        args["--replay"].write_text(json.dumps(header) + "\n" + rest)
+    assert main([str(part) for item in args.items() for part in item]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+
+
 def test_out_of_range_trace_coordinate_is_a_reported_error(tmp_path, capsys):
     trace = trace_b_script().build()
     snaps = list(trace.snapshots)
