@@ -18,6 +18,11 @@ alike. The rules:
     a0*b1 - a1*b0; a*b + c is a product, then a sum). CPython never fuses a
     multiply-add, and IEEE 754 rounds each +, -, *, / and sqrt correctly, so
     these bits are the same on every CPU;
+  * a batched kernel repeats its scalar kernel's operations, in the same
+    order, for each element: ``Transform.apply_all`` maps several points
+    with exactly ``apply``'s arithmetic (``quat_rotate`` written out once
+    per point, then the position's sum), so a point gets the same bits
+    through either;
   * every reduction is summed left to right on floats: ``dot`` is
     a0*b0 + a1*b1 + a2*b2 (+ a3*b3), and ``norm`` is ``math.sqrt`` of it.
     numpy's ``np.dot`` (and ``np.linalg``, ``np.matmul``, ``@``) runs in a
@@ -286,14 +291,33 @@ class Transform:
     orientation: tuple[float, float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "position", float_tuple(self.position))
-        object.__setattr__(self, "orientation", float_tuple(self.orientation))
+        if type(self.position) is not tuple or type(self.orientation) is not tuple:
+            object.__setattr__(self, "position", float_tuple(self.position))
+            object.__setattr__(self, "orientation", float_tuple(self.orientation))
 
     def apply(self, local_point) -> tuple[float, float, float]:
         """Map a point from this frame into the parent frame."""
         px, py, pz = self.position
         rx, ry, rz = quat_rotate(self.orientation, local_point)
         return (px + rx, py + ry, pz + rz)
+
+    def apply_all(self, local_points) -> list[tuple[float, float, float]]:
+        """`apply` of each point, in one call: `quat_rotate`'s operations,
+        then the position's sum, each in `apply`'s order, so every point
+        gets the same bits."""
+        px, py, pz = self.position
+        w, qx, qy, qz = self.orientation
+        out = []
+        for vx, vy, vz in local_points:
+            tx = 2.0 * (qy * vz - qz * vy)
+            ty = 2.0 * (qz * vx - qx * vz)
+            tz = 2.0 * (qx * vy - qy * vx)
+            out.append((
+                px + (vx + w * tx + (qy * tz - qz * ty)),
+                py + (vy + w * ty + (qz * tx - qx * tz)),
+                pz + (vz + w * tz + (qx * ty - qy * tx)),
+            ))
+        return out
 
     def compose(self, child: "Transform") -> "Transform":
         """This transform applied after `child` (child expressed locally)."""

@@ -18,15 +18,20 @@ pose it solved, and a new aim transition starts from it: the head from its
 forward direction, a hand from its wrist and shoulder-to-wrist direction.
 A placement starts a fresh `InterpState` that remembers no pose; a
 transition starting then starts from the unadjusted (mirrored) body, solved
-as well on that tick. The skeleton's rest offsets are built once. Joints,
-goals and pointing solutions are float tuples, computed with the
-``geometry`` kernels and their fixed-order reductions (see that module).
+as well on that tick. The skeleton's rest offsets are built once, and a
+full-body solve maps them and the five goals, ten root-relative points, into
+the world with one ``Transform.apply_all`` call, which gives each point the
+bits ``Transform.apply`` would. Joints, goals and pointing solutions are
+float tuples, computed with the ``geometry`` kernels and their fixed-order
+reductions (see that module); the rotation arithmetic lives only there. The
+tick path builds each adjusted ``IkGoals`` and ``Transform`` directly, with
+no ``dataclasses.replace``, which inspects the fields on every call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .geometry import (
     FORWARD,
@@ -52,6 +57,9 @@ class DegenerateTarget(ValueError):
     pass
 
 
+_SIDES = {"left": 0, "right": 1}  # offset of a side's entry in `Skeleton._rest`
+
+
 @dataclass(frozen=True)
 class Skeleton:
     """Bone lengths in meters plus root-relative rest offsets.
@@ -74,16 +82,11 @@ class Skeleton:
         for name in ("spine", "neck", "upper_arm", "forearm", "hand", "thigh", "shin"):
             if not getattr(self, name) > 0.0:  # NaN fails every comparison
                 raise ValueError(f"bone length {name} must be positive")
-        # rest offsets, built once and shared by every solve
+        # root-relative rest offsets, built once and shared by every solve:
+        # the neck base, the left and right shoulders, the left and right hips
         sx, sy, sz = map(float, self.shoulder_offset)
         hx, hy, hz = map(float, self.hip_offset)
-        rest = {
-            "neck": (0.0, float(self.spine), 0.0),
-            "left_shoulder": (-sx, sy, sz),
-            "right_shoulder": (sx, sy, sz),
-            "left_hip": (-hx, hy, hz),
-            "right_hip": (hx, hy, hz),
-        }
+        rest = ((0.0, float(self.spine), 0.0), (-sx, sy, sz), (sx, sy, sz), (-hx, hy, hz), (hx, hy, hz))
         object.__setattr__(self, "_rest", rest)
 
     @property
@@ -93,13 +96,13 @@ class Skeleton:
     @property
     def neck_local(self) -> tuple[float, float, float]:
         """Top of the spine, where the neck starts."""
-        return self._rest["neck"]
+        return self._rest[0]
 
     def shoulder_local(self, side: str) -> tuple[float, float, float]:
-        return self._rest[f"{side}_shoulder"]
+        return self._rest[1 + _SIDES[side]]
 
     def hip_local(self, side: str) -> tuple[float, float, float]:
-        return self._rest[f"{side}_hip"]
+        return self._rest[3 + _SIDES[side]]
 
     def to_floats(self) -> tuple[float, ...]:
         return (
@@ -221,41 +224,42 @@ def solve_full_body(skeleton: Skeleton, goals: IkGoals, cfg: RetargetConfig | No
     if cfg is None:
         cfg = _DEFAULT_RETARGET
     root = goals.root
-    joints: dict[str, tuple] = {}
-    orientations: dict[str, tuple] = {}
-
-    joints["neck"], joints["head"] = _neck_and_head(skeleton, root, goals.head.position)
-    orientations["head"] = quat_mul(root.orientation, goals.head.orientation)
-
+    q = root.orientation
+    # the ten root-relative points in one call: the rest offsets, then the goals
+    (neck_base, l_shoulder, r_shoulder, l_hip, r_hip,
+     head_goal, l_hand, r_hand, l_foot, r_foot) = root.apply_all((
+        *skeleton._rest, goals.head.position, goals.left_hand.position, goals.right_hand.position,
+        goals.left_foot.position, goals.right_foot.position,
+    ))
+    neck, head = _neck_and_head(skeleton, root, neck_base, head_goal)
     # one hint direction serves both arms, another both legs
-    hint = quat_rotate(root.orientation, cfg.elbow_hint)
-    for side, hand_goal in (("left", goals.left_hand), ("right", goals.right_hand)):
-        shoulder = root.apply(skeleton.shoulder_local(side))
-        target = root.apply(hand_goal.position)
-        elbow, wrist = solve_two_bone(shoulder, skeleton.upper_arm, skeleton.forearm, target, hint)
-        joints[f"{side[0]}_shoulder"] = shoulder
-        joints[f"{side[0]}_elbow"] = elbow
-        joints[f"{side[0]}_wrist"] = wrist
-        orientations[f"{side}_hand"] = quat_mul(root.orientation, hand_goal.orientation)
-
-    hint = quat_rotate(root.orientation, cfg.knee_hint)
-    for side, foot_goal in (("left", goals.left_foot), ("right", goals.right_foot)):
-        hip = root.apply(skeleton.hip_local(side))
-        target = root.apply(foot_goal.position)
-        knee, ankle = solve_two_bone(hip, skeleton.thigh, skeleton.shin, target, hint)
-        joints[f"{side[0]}_hip"] = hip
-        joints[f"{side[0]}_knee"] = knee
-        joints[f"{side[0]}_ankle"] = ankle
-
+    hint = quat_rotate(q, cfg.elbow_hint)
+    l_elbow, l_wrist = solve_two_bone(l_shoulder, skeleton.upper_arm, skeleton.forearm, l_hand, hint)
+    r_elbow, r_wrist = solve_two_bone(r_shoulder, skeleton.upper_arm, skeleton.forearm, r_hand, hint)
+    hint = quat_rotate(q, cfg.knee_hint)
+    l_knee, l_ankle = solve_two_bone(l_hip, skeleton.thigh, skeleton.shin, l_foot, hint)
+    r_knee, r_ankle = solve_two_bone(r_hip, skeleton.thigh, skeleton.shin, r_foot, hint)
+    joints = {
+        "neck": neck, "head": head,
+        "l_shoulder": l_shoulder, "l_elbow": l_elbow, "l_wrist": l_wrist,
+        "r_shoulder": r_shoulder, "r_elbow": r_elbow, "r_wrist": r_wrist,
+        "l_hip": l_hip, "l_knee": l_knee, "l_ankle": l_ankle,
+        "r_hip": r_hip, "r_knee": r_knee, "r_ankle": r_ankle,
+    }
+    orientations = {
+        "head": quat_mul(q, goals.head.orientation),
+        "left_hand": quat_mul(q, goals.left_hand.orientation),
+        "right_hand": quat_mul(q, goals.right_hand.orientation),
+    }
     return AvatarPose(root=root, joints=joints, orientations=orientations, fingers=goals.fingers)
 
 
-def _neck_and_head(skeleton: Skeleton, root: Transform, head_goal) -> tuple[tuple, tuple]:
-    """World neck base and head joint: the head sits one neck length from the
-    top of the spine toward its root-relative goal (straight up the spine
-    when the goal is on the neck base)."""
-    nx, ny, nz = neck_base = root.apply(skeleton.neck_local)
-    head_dir = sub(root.apply(head_goal), neck_base)
+def _neck_and_head(skeleton: Skeleton, root: Transform, neck_base, head_goal) -> tuple[tuple, tuple]:
+    """World neck base and head joint, from the world neck base and head
+    goal: the head sits one neck length from the top of the spine toward its
+    goal (straight up the spine when the goal is on the neck base)."""
+    nx, ny, nz = neck_base
+    head_dir = sub(head_goal, neck_base)
     if norm(head_dir) < 1e-9:
         head_dir = quat_rotate(root.orientation, UP)
     ux, uy, uz = normalized(head_dir)
@@ -302,7 +306,9 @@ def walk_in_place(
         (float(frozen_placement.x), float(root_height), float(frozen_placement.z)),
         quat_from_yaw(frozen_placement.yaw),
     )
-    return solve_full_body(skeleton, replace(goals, root=frozen_root), cfg)
+    pinned = IkGoals(frozen_root, goals.head, goals.left_hand, goals.right_hand,
+                     goals.left_foot, goals.right_foot, goals.fingers)
+    return solve_full_body(skeleton, pinned, cfg)
 
 
 # --- pointing ---------------------------------------------------------------
@@ -491,8 +497,9 @@ def avatar_tick(
         interp.last = pose
         return AvatarTickResult(pose=pose, pointing={})
 
-    adjusted = goals
     root = goals.root
+    head = goals.head
+    hands = {"left": goals.left_hand, "right": goals.right_hand}
     inv_root_q = quat_conj(root.orientation)
     pointing: dict[str, tuple[float, PointingSolution]] = {}
     # where transitions start: the remembered pose, or the unadjusted body,
@@ -500,7 +507,7 @@ def avatar_tick(
     start = interp.last
 
     if head_target is not None:
-        _, head_joint = _neck_and_head(skeleton, root, goals.head.position)
+        _, head_joint = _neck_and_head(skeleton, root, *root.apply_all((skeleton.neck_local, head.position)))
         desired_fwd = _safe_direction(sub(head_target, head_joint), root)
         st = interp.head
         if st.start_fwd is None:
@@ -511,9 +518,7 @@ def avatar_tick(
         st.t = min(1.0, st.t + dt * cfg.interp_speed)
         fwd = interp_head(st.start_fwd, desired_fwd, st.t) if st.t < 1.0 else desired_fwd
         head_world_q = look_rotation(fwd, UP)
-        adjusted = replace(
-            adjusted, head=replace(goals.head, orientation=quat_mul(inv_root_q, head_world_q))
-        )
+        head = Transform(head.position, quat_mul(inv_root_q, head_world_q))
     else:
         interp.head.reset()
 
@@ -539,18 +544,14 @@ def avatar_tick(
         else:
             wrist_w = sol.wrist
             hand_q_w = sol.hand_orientation
-        goal_field = "left_hand" if side == "left" else "right_hand"
-        adjusted = replace(
-            adjusted,
-            **{
-                goal_field: Transform(
-                    position=quat_rotate(inv_root_q, sub(wrist_w, root.position)),
-                    orientation=quat_mul(inv_root_q, hand_q_w),
-                )
-            },
+        hands[side] = Transform(
+            position=quat_rotate(inv_root_q, sub(wrist_w, root.position)),
+            orientation=quat_mul(inv_root_q, hand_q_w),
         )
         pointing[side] = (st.t, sol)
 
+    adjusted = IkGoals(root, head, hands["left"], hands["right"],
+                       goals.left_foot, goals.right_foot, goals.fingers)
     pose = solve_full_body(skeleton, adjusted, cfg)
     interp.last = pose
     return AvatarTickResult(pose=pose, pointing=pointing)

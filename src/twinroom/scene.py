@@ -279,6 +279,36 @@ class Room:
     def arrays(self) -> RoomArrays:
         return RoomArrays(self.objects)
 
+    @cached_property
+    def content_hash(self) -> int:
+        """`room_hash`: FNV-1a over a canonical form, objects by id. A
+        `with_extra` view is another `Room` and hashes its own objects."""
+        parts = [
+            self.id,
+            repr((self.extents.min_x, self.extents.min_z, self.extents.max_x, self.extents.max_z)),
+        ]
+        for o in sorted(self.objects, key=lambda o: o.id):
+            parts.append(
+                "|".join(
+                    (
+                        o.id,
+                        o.category.name,
+                        repr(o.position),
+                        repr(o.yaw),
+                        repr(o.size),
+                        repr(o.sittable),
+                        repr(o.sit_height),
+                        repr(o.pair_id),
+                    )
+                )
+            )
+        data = "\n".join(parts).encode()
+        h = 0xCBF29CE484222325
+        for b in data:
+            h ^= b
+            h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        return h
+
     def object(self, object_id: str) -> SceneObject:
         try:
             return self.by_id[object_id]
@@ -486,15 +516,22 @@ def load_room(document) -> Room:
         except json.JSONDecodeError as e:
             raise MalformedRoom(f"room document is not valid JSON: {e}") from None
 
+    if not isinstance(doc, dict):
+        raise MalformedRoom(f"room document must be an object, got {type(doc).__name__}")
     try:
         ext, owner = doc["extents"], f"room {doc.get('id')!r}"
+        if not isinstance(ext, dict):
+            raise MalformedRoom(f"{owner}: extents must be an object with min and max, got {ext!r}")
         corners = {end: ext[end] for end in ("min", "max")}
         for end, xz in corners.items():
             if not isinstance(xz, list) or len(xz) != 2:
                 raise MalformedRoom(f"{owner}: extents {end} must be a list of 2 numbers, got {xz!r}")
         extents = Extents(*(float(require_number(v, f"{owner}: extents {end}_{axis}", MalformedRoom))
                             for end, xz in corners.items() for axis, v in zip("xz", xz)))
-        objects = tuple(_parse_object(o) for o in doc.get("objects", []))
+        objects = doc.get("objects", [])
+        if not isinstance(objects, list):
+            raise MalformedRoom(f"{owner}: objects must be a list, got {objects!r}")
+        objects = tuple(_parse_object(o) for o in objects)
         return Room(id=doc["id"], extents=extents, objects=objects)
     except KeyError as e:
         raise MalformedRoom(f"room document missing field {e.args[0]!r}") from None
@@ -525,32 +562,9 @@ def validate_pairing(local: Room, remote: Room) -> None:
 
 
 def room_hash(room: Room) -> int:
-    """Stable 64-bit content hash of a room (FNV-1a over a canonical form)."""
-    parts = [
-        room.id,
-        repr((room.extents.min_x, room.extents.min_z, room.extents.max_x, room.extents.max_z)),
-    ]
-    for o in sorted(room.objects, key=lambda o: o.id):
-        parts.append(
-            "|".join(
-                (
-                    o.id,
-                    o.category.name,
-                    repr(o.position),
-                    repr(o.yaw),
-                    repr(o.size),
-                    repr(o.sittable),
-                    repr(o.sit_height),
-                    repr(o.pair_id),
-                )
-            )
-        )
-    data = "\n".join(parts).encode()
-    h = 0xCBF29CE484222325
-    for b in data:
-        h ^= b
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
+    """Stable 64-bit content hash of a room (FNV-1a over a canonical form),
+    computed once per `Room` (see `Room.content_hash`)."""
+    return room.content_hash
 
 
 # --- raycast ----------------------------------------------------------------

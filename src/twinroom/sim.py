@@ -210,14 +210,6 @@ def pose_update_from_snapshot(snap, tick: int) -> PoseUpdate:
     return PoseUpdate(tick=tick, values=w[1:-1], fingers=snap.fingers)
 
 
-def _goals_of(pose: PoseUpdate) -> IkGoals:
-    """The remote user's wire pose as transforms: the world root in their own
-    room plus the five root-relative effectors."""
-    t, v = _wire_transform, pose.values
-    return IkGoals(root=t(v, 0), head=t(v, 7), left_hand=t(v, 14), right_hand=t(v, 21),
-                   left_foot=t(v, 28), right_foot=t(v, 35), fingers=pose.fingers)
-
-
 class LocalUser:
     """The local user's latest pose on the wire, as the avatar host uses it.
     Few ticks need it (a search, a target on the partner's head), so its
@@ -272,10 +264,9 @@ class AvatarHost:
         self.grid_tables: GridTables | None = None
         self.skeleton: Skeleton | None = None
         # the latest wire pose stays raw until the avatar is placed; from then
-        # on each one is converted on arrival (`remote`) and its root mapped
-        # through the placement anchor into the avatar's goals (`goals`)
+        # on each one is converted on arrival into the avatar's goals, its
+        # root mapped through the placement anchor
         self.pose: PoseUpdate | None = None
-        self.remote: IkGoals | None = None
         self.goals: IkGoals | None = None
         self.state: UserState = UserState.Solo
         self.hand_targets: dict[str, tuple[str, tuple[float, float, float]] | None] = {
@@ -308,8 +299,7 @@ class AvatarHost:
         elif isinstance(msg, PoseUpdate):
             self.pose = msg
             if self.placement is not None:
-                self.remote = _goals_of(msg)
-                self._anchor_goals()
+                self._anchor_goals(_wire_transform(msg.values, 0))
         elif isinstance(msg, StateChange):
             self.transitions.append({"tick": msg.tick, "state": msg.state.name})
             self._on_state(msg.state)
@@ -359,14 +349,12 @@ class AvatarHost:
             yaw=f32(result.placement.yaw),
             pose=result.placement.pose,
         )
-        if self.placement is None:
-            self.remote = _goals_of(self.pose)  # batches lead with the pose
-        rt = self.remote.root
+        rt = _wire_transform(self.pose.values, 0)  # batches lead with the pose
         self._anchor_user_pos = rt.position
         self._anchor_avatar_pos = (q.x, rt.position[1], q.z)
         self._delta_q = quat_from_yaw(q.yaw - yaw_of(rt.orientation))
         self.placement = q
-        self._anchor_goals()
+        self._anchor_goals(rt)
         self.frozen = None
         # aim transitions must not bridge a teleport
         self.interp = InterpState()
@@ -402,17 +390,16 @@ class AvatarHost:
 
     # -- anchored frame
 
-    def _anchor_goals(self) -> None:
-        """The avatar's goals: the remote effectors around the remote root
-        mapped through the placement anchor. Computed once per inbound pose
-        and once per re-anchoring."""
-        r = self.remote
-        rt = r.root
+    def _anchor_goals(self, rt: Transform) -> None:
+        """The avatar's goals: the latest wire pose's effectors around its
+        root `rt`, mapped through the placement anchor. Computed once per
+        inbound pose and once per re-anchoring."""
         ax, ay, az = self._anchor_avatar_pos
         dx, dy, dz = quat_rotate(self._delta_q, sub(rt.position, self._anchor_user_pos))
         root = Transform(position=(ax + dx, ay + dy, az + dz),
                          orientation=quat_mul(self._delta_q, rt.orientation))
-        self.goals = IkGoals(root, r.head, r.left_hand, r.right_hand, r.left_foot, r.right_foot, r.fingers)
+        t, v = _wire_transform, self.pose.values
+        self.goals = IkGoals(root, t(v, 7), t(v, 14), t(v, 21), t(v, 28), t(v, 35), self.pose.fingers)
 
     def avatar_head_world(self) -> tuple[float, float, float] | None:
         """The avatar's head in this room, or None while it is not placed."""

@@ -65,7 +65,7 @@ class MotionTrace:
 
 
 def _sample_to_list(s: EffectorSample) -> list[float]:
-    return [float(v) for v in s.position] + [float(v) for v in s.orientation]
+    return s.position.tolist() + s.orientation.tolist()
 
 
 def save_trace(trace: MotionTrace, path) -> None:
@@ -94,11 +94,15 @@ def load_trace(document) -> MotionTrace:
         raise MalformedTrace("trace is empty")
     try:
         header = json.loads(lines[0])
+        if not isinstance(header, dict):
+            raise MalformedTrace(f"trace header must be an object, got {type(header).__name__}")
         skeleton = Skeleton.from_floats(require_numbers(header["skeleton"], 13, "skeleton", MalformedTrace))
         tick_rate = require_number(header["tick_rate"], "tick_rate", MalformedTrace)
         snaps = []
-        for ln in lines[1:]:
+        for row, ln in enumerate(lines[1:], 1):
             doc = json.loads(ln)
+            if not isinstance(doc, dict):
+                raise MalformedTrace(f"trace row {row} must be an object, got {type(doc).__name__}")
             tick = require_int(doc["tick"], "tick", MalformedTrace)
             lifted = doc.get("lifted", [])
             if type(lifted) is not list or not all(name in _HANDS for name in lifted):

@@ -284,3 +284,15 @@ def test_kernels_return_float_tuples_for_lists_and_arrays():
     for out in (quat_rotate(q, v), quat_mul(q, q), cross(v, UP), normalized(v), quat_normalize(q),
                 Transform(np.array(v), list(q)).apply(v)):
         assert type(out) is tuple and all(type(c) is float for c in out)
+
+
+@overflow_ok
+@given(quats, vec3s, st.lists(vec3s, max_size=12))
+@settings(max_examples=150, derandomize=True)
+def test_apply_all_is_apply_of_each_point(q, p, points):
+    t = Transform(position=p, orientation=q)
+    got = t.apply_all(points)
+    assert len(got) == len(points)
+    for out, x in zip(got, points):
+        assert type(out) is tuple and all(type(c) is float for c in out)
+        assert same_bits(out, t.apply(x))

@@ -152,3 +152,36 @@ def test_a_wrong_typed_leaf_is_the_loaders_own_error(case):
 def test_the_unedited_documents_load():
     assert [o.id for o in load_room(json.dumps(ROOM)).objects] == ["desk", "chair"]
     assert len(load_trace("\n".join(map(json.dumps, TRACE)))) == 2
+
+
+# --- a container of the wrong JSON type ----------------------------------------
+
+@pytest.mark.parametrize("document, edit, message", [
+    pytest.param("room", lambda d: d.update(extents=[[0, 0], [1, 1]]),
+                 "room 'r': extents must be an object with min and max", id="extents list"),
+    pytest.param("room", lambda d: d.update(extents="min max"),
+                 "room 'r': extents must be an object with min and max", id="extents string"),
+    pytest.param("room", lambda d: d.update(objects=5), "room 'r': objects must be a list, got 5",
+                 id="objects number"),
+    pytest.param("room", lambda d: d.update(objects={"desk": ROOM["objects"][0]}),
+                 "room 'r': objects must be a list", id="objects object"),
+    pytest.param("trace", lambda d: d.__setitem__(0, [60.0, list(Skeleton().to_floats())]),
+                 "trace header must be an object, got list", id="trace header list"),
+    pytest.param("trace", lambda d: d.__setitem__(2, [2, "", *([_POSE] * 6)]),
+                 "trace row 2 must be an object, got list", id="trace row list"),
+])
+def test_a_wrong_typed_container_is_named(document, edit, message):
+    doc = copy.deepcopy(ROOM if document == "room" else TRACE)
+    edit(doc)
+    if document == "room":
+        with pytest.raises(MalformedRoom, match=f"^{message}"):
+            load_room(json.dumps(doc))
+    else:
+        with pytest.raises(MalformedTrace, match=f"^{message}"):
+            load_trace("\n".join(map(json.dumps, doc)))
+
+
+@pytest.mark.parametrize("text", ["[]", "[1, 2]", '["r"]'])
+def test_a_room_document_is_an_object(text):
+    with pytest.raises(MalformedRoom, match="^room document must be an object, got list"):
+        load_room(text)

@@ -258,6 +258,67 @@ def test_full_body_uses_configured_hints():
     assert np.array_equal(solo.pose.joints["l_elbow"], moved.joints["l_elbow"])
 
 
+def reference_solve_full_body(skeleton, goals, cfg=None):
+    """The full-body solve mapping each root-relative point through its own
+    `root.apply`: the neck base and head joint, then each arm and each leg."""
+    if cfg is None:
+        cfg = RetargetConfig()
+    root = goals.root
+    joints, orientations = {}, {}
+    nx, ny, nz = neck_base = root.apply(skeleton.neck_local)
+    head_dir = sub(root.apply(goals.head.position), neck_base)
+    if norm(head_dir) < 1e-9:
+        head_dir = quat_rotate(root.orientation, UP)
+    ux, uy, uz = normalized(head_dir)
+    joints["neck"] = neck_base
+    joints["head"] = (nx + skeleton.neck * ux, ny + skeleton.neck * uy, nz + skeleton.neck * uz)
+    orientations["head"] = quat_mul(root.orientation, goals.head.orientation)
+    hint = quat_rotate(root.orientation, cfg.elbow_hint)
+    for side, hand_goal in (("left", goals.left_hand), ("right", goals.right_hand)):
+        shoulder = root.apply(skeleton.shoulder_local(side))
+        target = root.apply(hand_goal.position)
+        elbow, wrist = solve_two_bone(shoulder, skeleton.upper_arm, skeleton.forearm, target, hint)
+        joints[f"{side[0]}_shoulder"] = shoulder
+        joints[f"{side[0]}_elbow"] = elbow
+        joints[f"{side[0]}_wrist"] = wrist
+        orientations[f"{side}_hand"] = quat_mul(root.orientation, hand_goal.orientation)
+    hint = quat_rotate(root.orientation, cfg.knee_hint)
+    for side, foot_goal in (("left", goals.left_foot), ("right", goals.right_foot)):
+        hip = root.apply(skeleton.hip_local(side))
+        target = root.apply(foot_goal.position)
+        knee, ankle = solve_two_bone(hip, skeleton.thigh, skeleton.shin, target, hint)
+        joints[f"{side[0]}_hip"] = hip
+        joints[f"{side[0]}_knee"] = knee
+        joints[f"{side[0]}_ankle"] = ankle
+    return AvatarPose(root=root, joints=joints, orientations=orientations, fingers=goals.fingers)
+
+
+unit = st.floats(-1.0, 1.0)
+quat4 = st.tuples(unit, unit, unit, unit).filter(lambda q: norm(q) > 0.1).map(lambda q: tuple(c / norm(q) for c in q))
+hint3 = st.tuples(unit, unit, unit).filter(lambda v: norm(v) > 0.1)
+skeletons = st.builds(
+    Skeleton, spine=seg_lengths, neck=st.floats(0.05, 0.3), upper_arm=seg_lengths, forearm=seg_lengths,
+    thigh=seg_lengths, shin=seg_lengths, shoulder_offset=st.tuples(st.floats(0, 0.4), seg_lengths, unit),
+    hip_offset=st.tuples(st.floats(0, 0.3), st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
+)
+transforms = st.builds(Transform, position=vec3, orientation=quat4)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(skeleton=skeletons, root=transforms, effectors=st.lists(transforms, min_size=5, max_size=5),
+       head_on_neck=st.booleans(), cfg=st.builds(RetargetConfig, elbow_hint=hint3, knee_hint=hint3))
+def test_full_body_equals_the_per_point_solve_bit_for_bit(skeleton, root, effectors, head_on_neck, cfg):
+    # goals anywhere around the root; a head goal on the neck base takes the
+    # straight-up-the-spine branch
+    if head_on_neck:
+        effectors[0] = Transform(skeleton.neck_local, effectors[0].orientation)
+    goals = IkGoals(root, *effectors, fingers=b"\x07")
+    got, want = solve_full_body(skeleton, goals, cfg), reference_solve_full_body(skeleton, goals, cfg)
+    assert _tick_bits(R.AvatarTickResult(got, {})) == _tick_bits(R.AvatarTickResult(want, {}))
+    assert list(got.joints) == list(want.joints) and list(got.orientations) == list(want.orientations)
+    assert got.root is root and got.fingers == b"\x07"
+
+
 # --- walk in place --------------------------------------------------------
 
 

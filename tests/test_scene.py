@@ -485,6 +485,25 @@ def test_room_hash_is_pinned():
     assert room_hash(load_room(integer_coordinates)) == 0x3EB02E0B65FB4A41
 
 
+def test_room_hash_is_computed_once_per_room():
+    # every run and replay asks for both rooms' hashes several times
+    for name, want in (("office_a.json", 0xA08BB210621BFECB), ("loft_b.json", 0x0308BBE9C8680E70)):
+        room = load_room(ROOMS / name)
+        assert "content_hash" not in vars(room)
+        assert room_hash(room) == want
+        assert vars(room)["content_hash"] == want
+        assert room_hash(room) == want
+    # a view with extra objects is another room and gets its own hash, the
+    # same as a room that holds those objects from the start
+    base = make_room([box("a", (1, 0.5, 1), (1, 1, 1))])
+    h = room_hash(base)
+    extra = base.with_extra([box("b", (-1, 0.5, -1), (1, 1, 1))])
+    assert room_hash(extra) != h
+    assert room_hash(extra) == room_hash(make_room([box("a", (1, 0.5, 1), (1, 1, 1)),
+                                                    box("b", (-1, 0.5, -1), (1, 1, 1))]))
+    assert room_hash(base) == h
+
+
 def test_rooms_and_objects_compare_by_value_and_hash():
     a = load_room(ROOMS / "office_a.json")
     b = load_room(ROOMS / "office_a.json")

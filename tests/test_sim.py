@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from twinroom import placement as placement_module
+from twinroom import retarget as retarget_module
 from twinroom import sim as sim_module
 from twinroom.geometry import Transform, quat_conj, quat_mul, quat_normalize, quat_rotate
 from twinroom.placement import (
@@ -46,10 +47,10 @@ from twinroom.sim import (
     replay,
     run,
 )
-from twinroom.states import Effector, EffectorSample, StateConfig, UserSnapshot
+from twinroom.states import Effector, EffectorSample, StateConfig, UserSnapshot, UserState
 from twinroom.traces import MalformedTrace, TraceBuilder, save_trace
 
-from test_retarget import _tick_bits
+from test_retarget import _tick_bits, reference_solve_full_body
 
 
 def room_a_doc() -> dict:
@@ -296,6 +297,45 @@ def test_replay_rebuilds_every_avatar_tick(monkeypatch):
     assert sorted(live_ticks) == [0, 1]
     assert any(pointed for ticks in live_ticks.values() for _, pointed, _ in ticks)
     assert replayed_ticks == live_ticks
+
+
+def test_every_avatar_tick_equals_the_per_point_solve(monkeypatch):
+    # the full-body solve maps its points in one call: each hosted avatar
+    # tick, live and replayed, keeps the bits of the per-point solve
+    def motion(session):
+        ticks, tick = [], sim_module.avatar_tick
+
+        def recorded(*args, **kwargs):
+            result = tick(*args, **kwargs)
+            ticks.append((args[1], _tick_bits(result)))
+            return result
+
+        with monkeypatch.context() as m:
+            m.setattr(sim_module, "avatar_tick", recorded)
+            out = session()
+        return out, ticks
+
+    def both():
+        # B walks again once placed, so A's host also walks B's avatar in place
+        trace_b = trace_b_script().walk_to(0.4, 0.5, speed=1.5).hold(0.5)
+        live, live_ticks = motion(lambda: run(room_a_doc(), room_b_doc(), trace_a_script().build(),
+                                              trace_b.build(), config=quick_config()))
+        _, replayed = motion(lambda: replay(live.transcript, room_a_doc(), room_b_doc()))
+        return live, live_ticks, replayed
+
+    live, live_ticks, replayed = both()
+    solves = []
+
+    def reference(*args):
+        solves.append(1)
+        return reference_solve_full_body(*args)
+
+    monkeypatch.setattr(retarget_module, "solve_full_body", reference)
+    ref_live, ref_ticks, ref_replayed = both()
+    assert len(solves) >= len(ref_ticks) + len(ref_replayed)
+    assert {mode for mode, _ in ref_ticks} == set(UserState)
+    assert live_ticks == ref_ticks and replayed == ref_replayed
+    assert live.transcript == ref_live.transcript and live.report == ref_live.report
 
 
 def test_each_host_builds_its_grid_tables_once_per_session(monkeypatch):
@@ -712,7 +752,7 @@ def test_avatar_host_converts_wire_poses_only_once_placed(monkeypatch):
         if isinstance(msg, PoseUpdate):
             assert host.pose is msg
             if host.placement is None:
-                assert host.remote is None and host.goals is None
+                assert host.goals is None
                 seen["raw"] += 1
             else:
                 user_pos = np.array(msg.values[0:3], dtype=float)
@@ -722,7 +762,11 @@ def test_avatar_host_converts_wire_poses_only_once_placed(monkeypatch):
                 assert np.asarray(host.goals.root.position).tobytes() == pos.tobytes()
                 assert (np.asarray(host.goals.root.orientation).tobytes()
                         == np.asarray(quat_mul(host._delta_q, user_q)).tobytes())
-                assert host.goals.head is host.remote.head
+                goals = host.goals
+                effectors = (goals.head, goals.left_hand, goals.right_hand, goals.left_foot, goals.right_foot)
+                assert [(e.position, e.orientation) for e in effectors] == [
+                    (msg.values[i:i + 3], quat_normalize(msg.values[i + 3:i + 7])) for i in range(7, 42, 7)]
+                assert goals.fingers is msg.fingers
                 seen["anchored"] += 1
         return out
 
@@ -951,6 +995,14 @@ def _objects(index, **fields):
     pytest.param("--scorer-config", '{"distance_falloff": 1e400}', "distance_falloff must be finite, got inf",
                  id="scorer 1e400"),
     pytest.param("--replay", math.inf, "tick_rate must be finite, got inf", id="header tick_rate"),
+    pytest.param("--room-a", lambda doc: doc.update(extents=[[-2.5, -2.0], [2.5, 2.0]]),
+                 "room 'alpha': extents must be an object with min and max", id="extents list"),
+    pytest.param("--room-a", lambda doc: doc.update(objects=5), "room 'alpha': objects must be a list, got 5",
+                 id="objects number"),
+    pytest.param("--trace-a", lambda lines: lines.__setitem__(0, "[60.0]"),
+                 "trace header must be an object, got list", id="trace header list"),
+    pytest.param("--trace-a", lambda lines: lines.__setitem__(3, "[3]"),
+                 "trace row 3 must be an object, got list", id="trace row list"),
 ])
 def test_cli_names_each_mistyped_field(flag, edit, message, tmp_path, capsys, base_result):
     paths = write_fixtures(tmp_path)
@@ -962,6 +1014,10 @@ def test_cli_names_each_mistyped_field(flag, edit, message, tmp_path, capsys, ba
         paths["room_a"].write_text(json.dumps(doc))
     elif flag == "--scorer-config":
         args[flag] = edit
+    elif flag == "--trace-a":
+        lines = paths["trace_a"].read_text().splitlines()
+        edit(lines)
+        paths["trace_a"].write_text("\n".join(lines) + "\n")
     else:
         header, rest = base_result.transcript.split("\n", 1)
         header = json.loads(header)

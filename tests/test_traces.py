@@ -57,6 +57,39 @@ def test_save_load_round_trip(tmp_path):
     assert_traces_equal(load_trace(path), trace)
 
 
+def _reference_trace_text(trace: MotionTrace) -> str:
+    """The trace encoder that took every effector value through float()."""
+    import json
+
+    lines = [json.dumps({"tick_rate": trace.tick_rate, "skeleton": list(trace.skeleton.to_floats())},
+                        sort_keys=True)]
+    for snap in trace.snapshots:
+        doc = {"tick": snap.tick, "fingers": snap.fingers.hex()}
+        lifted = [n for n in ("left_hand", "right_hand") if getattr(snap, n).lifted]
+        if lifted:
+            doc["lifted"] = lifted
+        for name in ("root", "head", "left_hand", "right_hand", "left_foot", "right_foot"):
+            s = getattr(snap, name)
+            doc[name] = [float(v) for v in s.position] + [float(v) for v in s.orientation]
+        lines.append(json.dumps(doc, sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+def test_saved_bytes_match_the_per_value_encoder(tmp_path):
+    b = TraceBuilder(start=(0.5, -0.25), yaw=0.3)
+    b.fingers = bytes([1, 2, 250])
+    b.hold(0.1).walk_to(1.5, 1.0, speed=1.2).point_at([2.0, 1.4, 3.0]).sit().lower_hands()
+    built = b.build()
+    path = tmp_path / "built.jsonl"
+    save_trace(built, path)
+    assert path.read_bytes() == _reference_trace_text(built).encode()
+    # a loaded trace holds each row's values as views of one float array
+    loaded = load_trace(path)
+    again = tmp_path / "loaded.jsonl"
+    save_trace(loaded, again)
+    assert again.read_bytes() == _reference_trace_text(loaded).encode() == path.read_bytes()
+
+
 def test_load_accepts_inline_text(tmp_path):
     trace = TraceBuilder().hold(0.05).build()
     path = tmp_path / "t.jsonl"
