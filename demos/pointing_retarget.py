@@ -15,11 +15,29 @@ from pathlib import Path
 import numpy as np
 
 from twinroom import RetargetConfig, Skeleton, TraceBuilder, load_room, solve_two_bone
-from twinroom.geometry import Transform, norm, point_to_line_distance, quat_from_yaw, sub
+from twinroom.geometry import (
+    Transform,
+    norm,
+    point_to_line_distance,
+    quat_conj,
+    quat_from_yaw,
+    quat_mul,
+    sub,
+)
 from twinroom.retarget import retarget_pointing, vertical_compensation
 from twinroom.scene import denormalize_hit
 
 ROOMS = Path(__file__).parent / "rooms"
+
+
+def right_hand_of(snap) -> Transform:
+    """The user's right hand relative to their root: the form the avatar's
+    goals carry it in, and the one pointing reads."""
+    root = Transform(snap.root.position, snap.root.orientation)
+    return Transform(
+        root.inverse_apply(snap.right_hand.position),
+        quat_mul(quat_conj(root.orientation), snap.right_hand.orientation),
+    )
 
 
 def main() -> None:
@@ -44,9 +62,10 @@ def main() -> None:
     snap = user.snapshots[-1]
     print(f"\nuser hand lifted: {snap.right_hand.lifted}")
 
-    # The avatar stands at a different spot, facing the loft wall.
+    # The avatar stands at a different spot, facing the loft wall; its arm
+    # takes the user's hand as carried relative to the avatar's root.
     avatar_root = Transform((1.4, 0.92, 0.6), quat_from_yaw(math.pi / 2))
-    sol = retarget_pointing(sk, snap, avatar_root, remote_spot, side="right")
+    sol = retarget_pointing(sk, avatar_root, right_hand_of(snap), remote_spot, side="right")
     miss = point_to_line_distance(remote_spot, sol.shoulder, sol.aim)
     print(f"avatar shoulder: {np.round(sol.shoulder, 3)}")
     print(f"avatar wrist:    {np.round(sol.wrist, 3)} (reach {sol.reach:.3f} m)")
@@ -56,7 +75,7 @@ def main() -> None:
     for reach in (0.22, 0.40, 0.60):
         b = TraceBuilder(skeleton=sk, start=(0.6, -0.3), yaw=0.0).hold(0.1)
         b.point_at(local_spot, side="right", reach=reach)
-        s = retarget_pointing(sk, b.snapshots[-1], avatar_root, remote_spot, side="right")
+        s = retarget_pointing(sk, avatar_root, right_hand_of(b.snapshots[-1]), remote_spot, side="right")
         print(f"  user reach {min(reach, sk.arm_reach):.2f} m -> avatar reach {s.reach:.2f} m")
 
     # The elbow comes from a two-bone solve along the same ray.

@@ -3,13 +3,17 @@
 The avatar's body is a fixed-length skeleton posed analytically: arms and
 legs by two-bone IK toward root-relative targets, the head by a look-at from
 the neck. In the solo state the goals are the user's tracked effectors, so
-the avatar mirrors them. During locomotion the root is pinned at the frozen
-placement while the limbs keep mimicking, which reads as walking in place.
-In the interaction state the pointing arm is decoupled from mimicry: the
-wrist goal is placed on the ray from the avatar's shoulder toward the
-retargeted world point, at the user's shoulder-to-wrist distance so the
-elbow stays equally bent, and head/hand motion blends toward the new aim
-over a short interpolation.
+the avatar mirrors them. During locomotion the root is pinned at a given
+world root (the host freezes the avatar's root when walking starts) while
+the limbs keep mimicking, which reads as walking in place. In the
+interaction state the pointing arm is decoupled from mimicry: the wrist goal
+is placed on the ray from the avatar's shoulder toward the retargeted world
+point, at the user's shoulder-to-wrist distance so the elbow stays equally
+bent, and head/hand motion blends toward the new aim over a short
+interpolation. The user's body that pointing reads is the goals themselves:
+the user's hand is the root-relative goal hand, so the user's shoulder and
+the avatar's are one point, mapped with the hand in one call. A pointing
+solution carries the user's hand up vector, which an easing hand reuses.
 
 Every avatar tick solves the body once. The head joint that gaze aims from
 depends only on the root and the head goal, so it comes from the same
@@ -43,13 +47,11 @@ from .geometry import (
     norm,
     normalized,
     quat_conj,
-    quat_from_yaw,
     quat_mul,
     quat_rotate,
     slerp_vec,
     sub,
 )
-from .placement import Placement
 from .states import UserState
 
 
@@ -156,6 +158,11 @@ class RetargetConfig:
             raise ValueError("elevation_offset must be >= 0")
         if not self.interp_speed > 0.0:
             raise ValueError("interp_speed must be positive")
+        if not 0.0 < self.calibration_ratio < math.inf:
+            raise ValueError("calibration_ratio must be positive and finite")
+        for name in ("elbow_hint", "knee_hint"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ValueError(f"{name} entries must be finite")
 
 
 _DEFAULT_RETARGET = RetargetConfig()
@@ -292,21 +299,16 @@ def rest_goals(skeleton: Skeleton, root: Transform | None = None) -> IkGoals:
 def walk_in_place(
     skeleton: Skeleton,
     goals: IkGoals,
-    frozen_placement: Placement,
-    root_height: float,
+    root: Transform,
     cfg: RetargetConfig | None = None,
 ) -> AvatarPose:
-    """Locomotion pose: root pinned at the frozen placement, limbs mimicking.
+    """Locomotion pose: the root pinned at `root`, limbs mimicking.
 
-    The user's root translation and turning are discarded entirely; only the
-    root-relative limb goals come through, so a walking user yields arm and
-    leg swing around a stationary root.
+    The goals' own root, and with it the user's translation and turning, is
+    discarded entirely; only the root-relative limb goals come through, so a
+    walking user yields arm and leg swing around a stationary root.
     """
-    frozen_root = Transform(
-        (float(frozen_placement.x), float(root_height), float(frozen_placement.z)),
-        quat_from_yaw(frozen_placement.yaw),
-    )
-    pinned = IkGoals(frozen_root, goals.head, goals.left_hand, goals.right_hand,
+    pinned = IkGoals(root, goals.head, goals.left_hand, goals.right_hand,
                      goals.left_foot, goals.right_foot, goals.fingers)
     return solve_full_body(skeleton, pinned, cfg)
 
@@ -343,12 +345,13 @@ class PointingSolution:
     aim: tuple[float, float, float]         # unit shoulder->target
     hand_orientation: tuple[float, float, float, float]  # world quaternion at completion
     reach: float                            # shoulder-to-wrist distance in use
+    hand_up: tuple[float, float, float]     # the user's hand up vector, world
 
 
 def retarget_pointing(
     skeleton: Skeleton,
-    snapshot,
-    avatar_root: Transform,
+    root: Transform,
+    hand: Transform,
     target_point,
     side: str,
     cfg: RetargetConfig | None = None,
@@ -356,39 +359,37 @@ def retarget_pointing(
     """Aim the avatar's arm so its shoulder-to-wrist ray passes through the
     target while copying the user's elbow flexion.
 
-    The wrist lands on the shoulder-to-target ray at the user's current
-    shoulder-to-wrist distance (scaled by the calibration ratio and clamped
-    to the reach sphere), so a half-extended user arm stays half-extended.
-    The hand faces along the aim with its up vector taken from the user's
-    hand.
+    `root` is the avatar's world root and `hand` the user's hand relative to
+    it, as in `IkGoals`; the avatar shoulder and the user's wrist come from
+    one `Transform.apply_all` call. The wrist lands on the shoulder-to-target
+    ray at the user's shoulder-to-wrist distance (scaled by the calibration
+    ratio and clamped to the reach sphere), so a half-extended user arm stays
+    half-extended. The hand faces along the aim with its up vector taken from
+    the user's hand.
     """
     if cfg is None:
         cfg = _DEFAULT_RETARGET
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    hand = _hand_of(snapshot, side)
-
-    rx, ry, rz = snapshot.root.position
-    ox, oy, oz = quat_rotate(snapshot.root.orientation, skeleton.shoulder_local(side))
-    hx, hy, hz = hand.position
-    reach = norm((hx - (rx + ox), hy - (ry + oy), hz - (rz + oz))) * cfg.calibration_ratio
+    shoulder, (hx, hy, hz) = root.apply_all((skeleton.shoulder_local(side), hand.position))
+    sx, sy, sz = shoulder
+    reach = norm((hx - sx, hy - sy, hz - sz)) * cfg.calibration_ratio
     reach = min(max(reach, 1e-6), skeleton.arm_reach)
 
-    sx, sy, sz = shoulder = avatar_root.apply(skeleton.shoulder_local(side))
     v = sub(target_point, shoulder)
     dist = norm(v)
     if dist < 1e-9:
         raise DegenerateTarget("pointing target coincides with the avatar shoulder")
     ax, ay, az = aim = (v[0] / dist, v[1] / dist, v[2] / dist)
 
-    user_up = quat_rotate(hand.orientation, UP)
-    hand_orientation = look_rotation(aim, user_up)
+    hand_up = quat_rotate(quat_mul(root.orientation, hand.orientation), UP)
     return PointingSolution(
         shoulder=shoulder,
         wrist=(sx + ax * reach, sy + ay * reach, sz + az * reach),
         aim=aim,
-        hand_orientation=hand_orientation,
+        hand_orientation=look_rotation(aim, hand_up),
         reach=reach,
+        hand_up=hand_up,
     )
 
 
@@ -458,33 +459,33 @@ def avatar_tick(
     skeleton: Skeleton,
     mode: UserState,
     goals: IkGoals,
-    placement: Placement,
-    placement_root_height: float,
+    pinned_root: Transform | None,
     targets: dict[str, tuple[float, float, float] | None],
     head_target: tuple[float, float, float] | None,
     interp: InterpState,
     dt: float,
     cfg: RetargetConfig | None = None,
-    snapshot=None,
 ) -> AvatarTickResult:
     """One avatar frame for the given user state.
 
-    Solo mirrors the goals. Locomotion pins the root via walk_in_place.
+    Solo mirrors the goals. Locomotion pins the root at `pinned_root` via
+    walk_in_place; no other state reads it, so it may be None then.
     Interaction re-aims the pointing arm(s) and head at the (already
     retargeted) world-space targets, easing from the previous pose; target
     points may move every tick and the aim follows them in real time.
 
-    `targets` maps "left"/"right" to world aim points (already compensated);
-    `snapshot` carries the user's live pose for elbow flexion and hand up.
-    Each transition advances by `dt * cfg.interp_speed` per tick and starts
-    from `interp.last`, which every tick sets to the pose it returns; with no
-    pose remembered, it starts from the unadjusted body.
+    `targets` maps "left"/"right" to world aim points (already compensated).
+    A pointing arm reads the elbow flexion and hand up of its goal hand, so
+    the goals are the only body the tick reads. Each transition advances by
+    `dt * cfg.interp_speed` per tick and starts from `interp.last`, which
+    every tick sets to the pose it returns; with no pose remembered, it
+    starts from the unadjusted body.
     """
     if cfg is None:
         cfg = _DEFAULT_RETARGET
 
     if mode is UserState.Locomotion:
-        pose = walk_in_place(skeleton, goals, placement, placement_root_height, cfg)
+        pose = walk_in_place(skeleton, goals, pinned_root, cfg)
         interp.reset_transitions()
         interp.last = pose
         return AvatarTickResult(pose=pose, pointing={})
@@ -528,7 +529,7 @@ def avatar_tick(
         if point is None:
             st.reset()
             continue
-        sol = retarget_pointing(skeleton, snapshot, root, point, side, cfg)
+        sol = retarget_pointing(skeleton, root, hands[side], point, side, cfg)
         if st.start_fwd is None:
             if start is None:
                 start = solve_full_body(skeleton, goals, cfg)
@@ -540,7 +541,7 @@ def avatar_tick(
         if st.t < 1.0:
             wrist_w = interp_hand(st.start_pos, st.start_fwd, sol.wrist, sol.aim, st.t)
             fwd_t = slerp_vec(st.start_fwd, sol.aim, st.t)
-            hand_q_w = look_rotation(fwd_t, quat_rotate(_hand_of(snapshot, side).orientation, UP))
+            hand_q_w = look_rotation(fwd_t, sol.hand_up)
         else:
             wrist_w = sol.wrist
             hand_q_w = sol.hand_orientation
@@ -555,10 +556,6 @@ def avatar_tick(
     pose = solve_full_body(skeleton, adjusted, cfg)
     interp.last = pose
     return AvatarTickResult(pose=pose, pointing=pointing)
-
-
-def _hand_of(snapshot, side: str):
-    return snapshot.left_hand if side == "left" else snapshot.right_hand
 
 
 def _safe_direction(v, root: Transform) -> tuple[float, float, float]:

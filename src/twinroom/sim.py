@@ -47,6 +47,7 @@ from .geometry import (
     quat_normalize,
     quat_rotate,
     sub,
+    wrap_angle_positive,
     yaw_of,
 )
 from .placement import (
@@ -227,16 +228,6 @@ class LocalUser:
         return self.root.apply(self.pose.values[7:10])
 
 
-@dataclass(frozen=True)
-class AnchoredBody:
-    """The remote user's root and hands mapped into the local room. Rigid, so
-    distances and relative orientations match the user's body exactly."""
-
-    root: Transform
-    left_hand: Transform
-    right_hand: Transform
-
-
 def _partner_at(root: Transform) -> PartnerPose:
     """A root on the floor plane, as the search's interpersonal reference."""
     return PartnerPose(x=root.position[0], z=root.position[2], yaw=yaw_of(root.orientation))
@@ -269,17 +260,15 @@ class AvatarHost:
         self.pose: PoseUpdate | None = None
         self.goals: IkGoals | None = None
         self.state: UserState = UserState.Solo
-        self.hand_targets: dict[str, tuple[str, tuple[float, float, float]] | None] = {
-            "left": None,
-            "right": None,
-        }
-        self.head_target: tuple[str, tuple[float, float, float]] | None = None
+        # (object id, uvw) or None per effector, indexed by `Effector.value`
+        self.targets: list[tuple[str, tuple[float, float, float]] | None] = [None] * len(Effector)
         self.placement: Placement | None = None
-        self.frozen: tuple[Placement, float] | None = None  # walk-in-place lock
+        self.frozen: Transform | None = None  # walk-in-place root, pinned when walking starts
         self.interp = InterpState()
         self._anchor_user_pos = (0.0, 0.0, 0.0)
         self._anchor_avatar_pos = (0.0, 0.0, 0.0)
         self._delta_q = quat_from_yaw(0.0)
+        self._placement_q = quat_from_yaw(0.0)  # the placement's facing
         # remote object id -> the local counterpart it is paired with
         self._pair_of = {o.pair_id: o for o in room.objects if o.pair_id is not None}
         self.episodes: list[dict] = []
@@ -304,26 +293,17 @@ class AvatarHost:
             self.transitions.append({"tick": msg.tick, "state": msg.state.name})
             self._on_state(msg.state)
         elif isinstance(msg, TargetUpdate):
-            entry = (msg.object_id, msg.uvw) if msg.active else None
-            if msg.effector is Effector.Head:
-                self.head_target = entry
-            elif msg.effector is Effector.LeftHand:
-                self.hand_targets["left"] = entry
-            else:
-                self.hand_targets["right"] = entry
+            self.targets[msg.effector.value] = (msg.object_id, msg.uvw) if msg.active else None
         elif isinstance(msg, FeaturePacket):
             return self._place(msg.features, tick, me)
         return None  # PlacementAnnounce / Bye carry no avatar-side state
 
     def _on_state(self, new: UserState) -> None:
-        if new is UserState.Locomotion:
-            if self.goals is not None:
-                root = self.goals.root
-                x, y, z = root.position
-                locked = Placement(x=x, z=z, yaw=yaw_of(root.orientation), pose=self.placement.pose)
-                self.frozen = (locked, y)
-        else:
+        if new is not UserState.Locomotion:
             self.frozen = None
+        elif self.goals is not None:
+            root = self.goals.root
+            self.frozen = Transform(root.position, quat_from_yaw(wrap_angle_positive(yaw_of(root.orientation))))
         self.state = new
 
     def _place(self, features: FeatureVector, tick: int, me: LocalUser | None) -> Placement:
@@ -353,6 +333,7 @@ class AvatarHost:
         self._anchor_user_pos = rt.position
         self._anchor_avatar_pos = (q.x, rt.position[1], q.z)
         self._delta_q = quat_from_yaw(q.yaw - yaw_of(rt.orientation))
+        self._placement_q = quat_from_yaw(q.yaw)
         self.placement = q
         self._anchor_goals(rt)
         self.frozen = None
@@ -418,41 +399,21 @@ class AvatarHost:
         goals = self.goals
         if goals is None or self.skeleton is None:
             return
-        root = goals.root
         rcfg = self.cfg.retarget
-        points = {side: self._resolve(self.hand_targets[side], me) for side in ("left", "right")}
-        resolved = points
-        body = None  # what pointing reads, built only when a hand has a target
-        if points["left"] is not None or points["right"] is not None:
-            eye = root.apply(goals.head.position)
+        head_point, left, right = [self._resolve(entry, me) for entry in self.targets]
+        resolved = {"left": left, "right": right}
+        if left is not None or right is not None:
+            eye = self.avatar_head_world()  # gaze is never re-pitched, pointing is
             resolved = {
                 side: None if point is None else vertical_compensation(point, eye, rcfg)
-                for side, point in points.items()
+                for side, point in resolved.items()
             }
-            body = AnchoredBody(
-                root=root,
-                left_hand=root.compose(goals.left_hand),
-                right_hand=root.compose(goals.right_hand),
-            )
-        head_point = self._resolve(self.head_target, me)  # gaze is never re-pitched
-
-        if self.frozen is not None:
-            locked, locked_y = self.frozen
-        else:
-            locked, locked_y = self.placement, root.position[1]
-        result = avatar_tick(
-            self.skeleton,
-            self.state,
-            goals,
-            locked,
-            locked_y,
-            resolved,
-            head_point,
-            self.interp,
-            dt,
-            rcfg,
-            snapshot=body,
-        )
+        pinned = self.frozen  # None unless walking
+        if pinned is None and self.state is UserState.Locomotion:
+            # walking since before this placement: its spot, at the live root height
+            pinned = Transform((self.placement.x, goals.root.position[1], self.placement.z), self._placement_q)
+        result = avatar_tick(self.skeleton, self.state, goals, pinned, resolved, head_point,
+                             self.interp, dt, rcfg)
         self._sample_pointing(tick, result, resolved)
 
     def _resolve(self, entry, me: LocalUser | None) -> tuple[float, float, float] | None:
@@ -471,8 +432,7 @@ class AvatarHost:
         return denormalize_hit(obj, uvw)
 
     def _sample_pointing(self, tick: int, result, resolved) -> None:
-        for side in ("left", "right"):
-            entry = self.hand_targets[side]
+        for side, entry in zip(("left", "right"), self.targets[Effector.LeftHand.value:]):
             oid = entry[0] if entry is not None else None
             row = self._open[side]
             if row is not None and row["object"] != oid:
@@ -776,9 +736,10 @@ def run(room_a, room_b, trace_a, trace_b, config: SimConfig | None = None) -> Si
     """Simulate both peers in lockstep over the full traces.
 
     Searches score with `DefaultScorer(config.scorer)`, as `replay` does:
-    the config is the one recorded way to change scoring. The shorter trace is padded by holding its final snapshot so the peers
-    stay in lockstep. Returns the canonical report, the wire transcript, and
-    per-search wall-clock timings.
+    the config is the one recorded way to change scoring. The shorter trace
+    is padded by holding its final snapshot so the peers stay in lockstep.
+    Returns the canonical report, the wire transcript, and per-search
+    wall-clock timings.
     """
     room_a = load_room(room_a)
     room_b = load_room(room_b)

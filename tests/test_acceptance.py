@@ -359,12 +359,13 @@ def test_06_locomotion_invariants():
                 yaw=float(rng.uniform(0, math.tau)), pose=PlacementPose.Standing,
             )
             locked_y = 0.91
+            pinned = Transform((locked.x, locked_y, locked.z), quat_from_yaw(locked.yaw))
             for _ in range(2):
                 goals = wandering_goals(rng, sk)
                 result = avatar_tick(
-                    sk, UserState.Locomotion, goals, locked, locked_y,
+                    sk, UserState.Locomotion, goals, pinned,
                     {"left": None, "right": None}, None, InterpState(),
-                    1.0 / 60.0, RetargetConfig(), snapshot=None,
+                    1.0 / 60.0, RetargetConfig(),
                 )
                 np.testing.assert_allclose(
                     result.pose.root.position, [locked.x, locked_y, locked.z], atol=1e-12

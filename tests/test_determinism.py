@@ -108,3 +108,41 @@ def test_only_the_document_reader_reads_files():
                 if isinstance(node, ast.Attribute) and node.attr in ("read_text", "exists"):
                     found.add((f.name, getattr(top, "name", None)))
     assert found == {("scene.py", "read_document")}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads: each binding of an ``import``
+    or a ``from ... import`` (``from __future__`` aside) that no name node in
+    the module uses, an attribute chain's first name included."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_import_scan_finds_each_unused_name():
+    sample = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "import json\n"
+        "from .geometry import Transform, sub as minus, quat_rotate\n"
+        "def f(a: Transform) -> None:\n"
+        "    return np.zeros(3), os.path.join('a'), minus(a, a)\n"
+    )
+    assert unused_imports(sample) == ["line 4: json", "line 5: quat_rotate"]
+
+
+def test_engine_modules_use_every_name_they_import():
+    # the package's __init__ imports its public names to re-export them
+    files = [f for f in sorted((SRC / "twinroom").glob("*.py")) if f.name != "__init__.py"]
+    assert files
+    found = {f.name: unused_imports(f.read_text()) for f in files}
+    assert {name: names for name, names in found.items() if names} == {}

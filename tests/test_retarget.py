@@ -24,7 +24,6 @@ from twinroom.geometry import (
     slerp_vec,
     sub,
 )
-from twinroom.placement import Placement, PlacementPose
 from twinroom.retarget import (
     AvatarPose,
     DegenerateTarget,
@@ -42,7 +41,7 @@ from twinroom.retarget import (
     vertical_compensation,
     walk_in_place,
 )
-from twinroom.states import EffectorSample, UserSnapshot, UserState
+from twinroom.states import UserState
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 HINT = np.array([0.0, -1.0, -0.35])
@@ -247,13 +246,13 @@ def test_full_body_uses_configured_hints():
         assert not np.allclose(moved.joints[f"{side}_knee"], default.joints[f"{side}_knee"])
 
     # the config reaches the solver through walk_in_place and avatar_tick too
-    placement = Placement(x=0.5, z=-1.0, yaw=0.3, pose=PlacementPose.Standing)
-    walking = walk_in_place(skeleton, goals, placement, 0.9, cfg)
+    pinned = Transform((0.5, 0.9, -1.0), quat_from_yaw(0.3))
+    walking = walk_in_place(skeleton, goals, pinned, cfg)
     frozen = replace(goals, root=walking.root)
     assert np.array_equal(walking.joints["r_elbow"], solve_full_body(skeleton, frozen, cfg).joints["r_elbow"])
     solo = avatar_tick(
-        skeleton, UserState.Solo, goals, placement, 0.9, {"left": None, "right": None}, None,
-        InterpState(), 1 / 60, cfg, snapshot=user_snapshot(),
+        skeleton, UserState.Solo, goals, None, {"left": None, "right": None}, None,
+        InterpState(), 1 / 60, cfg,
     )
     assert np.array_equal(solo.pose.joints["l_elbow"], moved.joints["l_elbow"])
 
@@ -324,11 +323,11 @@ def test_full_body_equals_the_per_point_solve_bit_for_bit(skeleton, root, effect
 
 def test_walk_in_place_pins_root_and_mimics_limbs():
     skeleton = Skeleton()
-    placement = Placement(x=1.5, z=2.5, yaw=0.7, pose=PlacementPose.Standing)
+    pinned = Transform((1.5, 0.9, 2.5), quat_from_yaw(0.7))
     rng = np.random.default_rng(3)
     for _ in range(20):
         goals = random_goals(rng, skeleton)  # root wanders; it must not matter
-        pose = walk_in_place(skeleton, goals, placement, root_height=0.9)
+        pose = walk_in_place(skeleton, goals, pinned)
         np.testing.assert_allclose(pose.root.position, [1.5, 0.9, 2.5], atol=0)
         np.testing.assert_allclose(
             pose.root.orientation, quat_from_yaw(0.7), atol=1e-12
@@ -386,29 +385,16 @@ def test_retarget_config_validation():
 # --- pointing solution --------------------------------------------------------
 
 
-def user_snapshot(root_pos=(0, 0.9, 0), right_hand_pos=(0.3, 1.2, 0.3)):
-    def s(p, q=IDENTITY, lifted=False):
-        return EffectorSample(
-            position=np.asarray(p, dtype=float), orientation=q, lifted=lifted
-        )
-
-    return UserSnapshot(
-        tick=0,
-        root=s(root_pos),
-        head=s((0, 1.6, 0)),
-        left_hand=s((-0.3, 1.0, 0.1), lifted=True),
-        right_hand=s(right_hand_pos, lifted=True),
-        left_foot=s((0.1, 0, 0)),
-        right_foot=s((-0.1, 0, 0)),
-    )
+def goal_hand(position=(0.3, 0.3, 0.3)):
+    """A user's hand relative to the root, as `IkGoals` carries it."""
+    return Transform(np.asarray(position, dtype=float), IDENTITY)
 
 
 def test_pointing_ray_passes_through_target():
     skeleton = Skeleton()
-    snap = user_snapshot()
     avatar_root = Transform(np.array([2.0, 0.9, 1.0]), quat_from_yaw(0.4))
     target = np.array([3.0, 1.8, 4.0])
-    sol = retarget_pointing(skeleton, snap, avatar_root, target, "right")
+    sol = retarget_pointing(skeleton, avatar_root, goal_hand(), target, "right")
     to_target = normalized(target - sol.shoulder)
     np.testing.assert_allclose(sol.aim, to_target, atol=1e-12)
     np.testing.assert_allclose(
@@ -424,37 +410,75 @@ def test_pointing_preserves_elbow_flexion():
     avatar_root = Transform(np.array([0.0, 0.9, 0.0]), IDENTITY)
     target = np.array([0.0, 1.5, 3.0])
 
-    user_shoulder = np.array([0.18, 0.9 + 0.48, 0.0])
-    half = user_snapshot(right_hand_pos=user_shoulder + [0, 0, 0.25])
-    sol = retarget_pointing(skeleton, half, avatar_root, target, "right")
+    user_shoulder = np.array([0.18, 0.48, 0.0])
+    half = goal_hand(user_shoulder + [0, 0, 0.25])
+    sol = retarget_pointing(skeleton, avatar_root, half, target, "right")
     assert sol.reach == pytest.approx(0.25, abs=1e-12)
 
-    stretched = user_snapshot(right_hand_pos=user_shoulder + [0, 0, 2.0])
-    sol = retarget_pointing(skeleton, stretched, avatar_root, target, "right")
+    stretched = goal_hand(user_shoulder + [0, 0, 2.0])
+    sol = retarget_pointing(skeleton, avatar_root, stretched, target, "right")
     assert sol.reach == pytest.approx(skeleton.arm_reach, abs=1e-12)
 
 
 def test_pointing_calibration_ratio_scales_reach():
     skeleton = Skeleton()
     avatar_root = Transform(np.array([0.0, 0.9, 0.0]), IDENTITY)
-    user_shoulder = np.array([0.18, 1.38, 0.0])
-    snap = user_snapshot(right_hand_pos=user_shoulder + [0, 0, 0.2])
+    user_shoulder = np.array([0.18, 0.48, 0.0])
+    hand = goal_hand(user_shoulder + [0, 0, 0.2])
     cfg = RetargetConfig(calibration_ratio=1.5)
     sol = retarget_pointing(
-        skeleton, snap, avatar_root, np.array([0, 1.5, 3.0]), "right", cfg
+        skeleton, avatar_root, hand, np.array([0, 1.5, 3.0]), "right", cfg
     )
     assert sol.reach == pytest.approx(0.3, abs=1e-12)
 
 
 def test_pointing_rejects_degenerate_input():
     skeleton = Skeleton()
-    snap = user_snapshot()
     avatar_root = Transform(np.array([0.0, 0.9, 0.0]), IDENTITY)
     shoulder = avatar_root.apply(skeleton.shoulder_local("right"))
     with pytest.raises(DegenerateTarget):
-        retarget_pointing(skeleton, snap, avatar_root, shoulder, "right")
+        retarget_pointing(skeleton, avatar_root, goal_hand(), shoulder, "right")
     with pytest.raises(ValueError):
-        retarget_pointing(skeleton, snap, avatar_root, np.ones(3), "up")
+        retarget_pointing(skeleton, avatar_root, goal_hand(), np.ones(3), "up")
+
+
+def reference_retarget_pointing(skeleton, root, user_hand, target_point, side, cfg):
+    """The world-space pointing solve around the avatar's world `root`, with
+    `user_hand` the user's world hand. The user's shoulder is the root
+    position plus the rotated rest offset, the avatar's shoulder is mapped
+    through `root` on its own, and the hand up comes from the world hand."""
+    rx, ry, rz = root.position
+    ox, oy, oz = quat_rotate(root.orientation, skeleton.shoulder_local(side))
+    hx, hy, hz = user_hand.position
+    reach = norm((hx - (rx + ox), hy - (ry + oy), hz - (rz + oz))) * cfg.calibration_ratio
+    reach = min(max(reach, 1e-6), skeleton.arm_reach)
+    sx, sy, sz = shoulder = root.apply(skeleton.shoulder_local(side))
+    v = sub(target_point, shoulder)
+    dist = norm(v)
+    if dist < 1e-9:
+        raise DegenerateTarget("pointing target coincides with the avatar shoulder")
+    ax, ay, az = aim = (v[0] / dist, v[1] / dist, v[2] / dist)
+    hand_up = quat_rotate(user_hand.orientation, UP)
+    return R.PointingSolution(
+        shoulder=shoulder, wrist=(sx + ax * reach, sy + ay * reach, sz + az * reach), aim=aim,
+        hand_orientation=look_rotation(aim, hand_up), reach=reach, hand_up=hand_up,
+    )
+
+
+def _solution_bits(sol) -> tuple:
+    return (_bits(sol.shoulder), _bits(sol.wrist), _bits(sol.aim), _bits(sol.hand_orientation),
+            _bits(sol.reach), _bits(sol.hand_up))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(skeleton=skeletons, root=transforms, hand=transforms, target=vec3,
+       side=st.sampled_from(["left", "right"]), ratio=st.floats(0.25, 4.0))
+def test_pointing_equals_the_world_space_solve_bit_for_bit(skeleton, root, hand, target, side, ratio):
+    # the user's body is the goals: the avatar's root, the hand composed onto it
+    cfg = RetargetConfig(calibration_ratio=ratio)
+    got = retarget_pointing(skeleton, root, hand, target, side, cfg)
+    want = reference_retarget_pointing(skeleton, root, root.compose(hand), target, side, cfg)
+    assert _solution_bits(got) == _solution_bits(want)
 
 
 # --- interpolation ------------------------------------------------------------
@@ -502,17 +526,15 @@ def standing_setup():
     skeleton = Skeleton()
     root = Transform(np.array([0.0, 0.9, 0.0]), IDENTITY)
     goals = rest_goals(skeleton, root)
-    placement = Placement(x=0.0, z=0.0, yaw=0.0, pose=PlacementPose.Standing)
-    return skeleton, goals, placement
+    return skeleton, goals
 
 
 def test_avatar_tick_solo_mirrors_goals():
-    skeleton, goals, placement = standing_setup()
+    skeleton, goals = standing_setup()
     interp = InterpState()
     result = avatar_tick(
-        skeleton, UserState.Solo, goals, placement, 0.9,
+        skeleton, UserState.Solo, goals, None,
         {"left": None, "right": None}, None, interp, 1 / 60,
-        snapshot=user_snapshot(),
     )
     mirror = solve_full_body(skeleton, goals)
     for joint, p in mirror.joints.items():
@@ -521,17 +543,16 @@ def test_avatar_tick_solo_mirrors_goals():
 
 
 def test_avatar_tick_locomotion_root_is_constant():
-    skeleton, goals, _ = standing_setup()
-    placement = Placement(x=2.0, z=1.0, yaw=1.2, pose=PlacementPose.Standing)
+    skeleton, goals = standing_setup()
+    pinned = Transform((2.0, 0.9, 1.0), quat_from_yaw(1.2))
     interp = InterpState()
     rng = np.random.default_rng(11)
     roots = []
     for _ in range(30):
         moving = random_goals(rng, skeleton)
         result = avatar_tick(
-            skeleton, UserState.Locomotion, moving, placement, 0.9,
+            skeleton, UserState.Locomotion, moving, pinned,
             {"left": None, "right": None}, None, interp, 1 / 60,
-            snapshot=user_snapshot(),
         )
         roots.append(result.pose.root.position)
     for r in roots[1:]:
@@ -540,17 +561,16 @@ def test_avatar_tick_locomotion_root_is_constant():
 
 
 def test_avatar_tick_aim_converges_onto_target_ray():
-    skeleton, goals, placement = standing_setup()
+    skeleton, goals = standing_setup()
     interp = InterpState()
     target = np.array([1.0, 1.5, 2.5])
-    snap = user_snapshot()
     completions = []
     result = None
     for _ in range(40):  # 40 ticks at speed 2 > the 0.5 s transition
         result = avatar_tick(
-            skeleton, UserState.Interaction, goals, placement, 0.9,
+            skeleton, UserState.Interaction, goals, None,
             {"left": None, "right": target}, target, interp, 1 / 60,
-            RetargetConfig(interp_speed=2.0), snapshot=snap,
+            RetargetConfig(interp_speed=2.0),
         )
         completions.append(result.pointing["right"][0])
     assert completions[0] == pytest.approx(2.0 / 60, abs=1e-12)
@@ -570,19 +590,18 @@ def test_avatar_tick_aim_converges_onto_target_ray():
 
 
 def test_avatar_tick_dropping_target_returns_to_mirror():
-    skeleton, goals, placement = standing_setup()
+    skeleton, goals = standing_setup()
     interp = InterpState()
-    snap = user_snapshot()
     target = np.array([1.0, 1.5, 2.5])
     for _ in range(5):
         avatar_tick(
-            skeleton, UserState.Interaction, goals, placement, 0.9,
-            {"left": None, "right": target}, None, interp, 1 / 60, snapshot=snap,
+            skeleton, UserState.Interaction, goals, None,
+            {"left": None, "right": target}, None, interp, 1 / 60,
         )
     assert interp.right.start_fwd is not None  # the aim transition runs
     result = avatar_tick(
-        skeleton, UserState.Interaction, goals, placement, 0.9,
-        {"left": None, "right": None}, None, interp, 1 / 60, snapshot=snap,
+        skeleton, UserState.Interaction, goals, None,
+        {"left": None, "right": None}, None, interp, 1 / 60,
     )
     assert interp.right.start_fwd is None
     mirror = solve_full_body(skeleton, goals)
@@ -592,14 +611,13 @@ def test_avatar_tick_dropping_target_returns_to_mirror():
 
 
 def test_avatar_tick_eases_from_previous_pose():
-    skeleton, goals, placement = standing_setup()
+    skeleton, goals = standing_setup()
     interp = InterpState()
-    snap = user_snapshot()
     target = np.array([1.0, 1.5, 2.5])
     result = avatar_tick(
-        skeleton, UserState.Interaction, goals, placement, 0.9,
+        skeleton, UserState.Interaction, goals, None,
         {"left": None, "right": target}, None, interp, 1 / 60,
-        RetargetConfig(interp_speed=2.0), snapshot=snap,
+        RetargetConfig(interp_speed=2.0),
     )
     t, sol = result.pointing["right"]
     assert 0 < t < 1
@@ -665,13 +683,13 @@ def _reference_remember(interp, pose):
         interp.last_arm_fwd[side] = (v[0] / n, v[1] / n, v[2] / n) if n > 1e-9 else pose.root.forward()
 
 
-def reference_avatar_tick(skeleton, mode, goals, placement, placement_root_height, targets,
-                          head_target, interp, dt, cfg, snapshot):
+def reference_avatar_tick(skeleton, mode, goals, pinned_root, targets, head_target, interp, dt, cfg):
     """The two-solve avatar tick over the three-field state: the whole
     unadjusted body is solved first and read for the head joint and the
-    fallback start of each transition."""
+    fallback start of each transition. Pointing reads the user's body in
+    world space, built from the goals, through the world-space solve."""
     if mode is UserState.Locomotion:
-        pose = R.walk_in_place(skeleton, goals, placement, placement_root_height, cfg)
+        pose = R.walk_in_place(skeleton, goals, pinned_root, cfg)
         interp.reset_transitions()
         _reference_remember(interp, pose)
         return R.AvatarTickResult(pose=pose, pointing={})
@@ -713,7 +731,8 @@ def reference_avatar_tick(skeleton, mode, goals, placement, placement_root_heigh
         if point is None:
             st_.reset()
             continue
-        sol = retarget_pointing(skeleton, snapshot, root, point, side, cfg)
+        user_hand = root.compose(goals.left_hand if side == "left" else goals.right_hand)
+        sol = reference_retarget_pointing(skeleton, root, user_hand, point, side, cfg)
         key = f"{side}-aim"
         if st_.key != key:
             st_.key = key
@@ -729,7 +748,7 @@ def reference_avatar_tick(skeleton, mode, goals, placement, placement_root_heigh
         if st_.t < 1.0:
             wrist_w = interp_hand(st_.start_pos, st_.start_fwd, sol.wrist, sol.aim, st_.t)
             fwd_t = slerp_vec(st_.start_fwd, sol.aim, st_.t)
-            hand_up = quat_rotate(R._hand_of(snapshot, side).orientation, UP)
+            hand_up = quat_rotate(user_hand.orientation, UP)
             hand_q_w = look_rotation(fwd_t, hand_up)
         else:
             wrist_w = sol.wrist
@@ -803,9 +822,8 @@ def scripted_ticks():
 @pytest.mark.parametrize("cfg", [RetargetConfig(), RetargetConfig(interp_speed=7.5, elevation_offset=0.1)])
 def test_avatar_tick_solves_once_and_matches_the_two_solve_tick(cfg, monkeypatch):
     skeleton = Skeleton()
-    placement = Placement(x=0.4, z=-0.3, yaw=2.0, pose=PlacementPose.Standing)
+    pinned = Transform((0.4, 0.9, -0.3), quat_from_yaw(2.0))
     rng = np.random.default_rng(5)
-    snap = user_snapshot()
     solves = []
     solve = R.solve_full_body
 
@@ -824,12 +842,11 @@ def test_avatar_tick_solves_once_and_matches_the_two_solve_tick(cfg, monkeypatch
             and (head_target is not None or any(v is not None for v in targets.values()))
             and new_interp.last is None
         )
-        want = reference_avatar_tick(skeleton, mode, goals, placement, 0.9, targets, head_target,
-                                     ref_interp, 1 / 60, cfg, snap)
+        want = reference_avatar_tick(skeleton, mode, goals, pinned, targets, head_target,
+                                     ref_interp, 1 / 60, cfg)
         monkeypatch.setattr(R, "solve_full_body", counting)
         solves.clear()
-        got = avatar_tick(skeleton, mode, goals, placement, 0.9, targets, head_target, new_interp,
-                          1 / 60, cfg, snapshot=snap)
+        got = avatar_tick(skeleton, mode, goals, pinned, targets, head_target, new_interp, 1 / 60, cfg)
         monkeypatch.setattr(R, "solve_full_body", solve)
         assert _tick_bits(got) == _tick_bits(want), f"tick {tick}"
         assert _transitions(new_interp) == _reference_transitions(ref_interp), f"tick {tick}"

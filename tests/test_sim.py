@@ -13,7 +13,16 @@ import pytest
 from twinroom import placement as placement_module
 from twinroom import retarget as retarget_module
 from twinroom import sim as sim_module
-from twinroom.geometry import Transform, quat_conj, quat_mul, quat_normalize, quat_rotate
+from twinroom.geometry import (
+    Transform,
+    quat_conj,
+    quat_from_yaw,
+    quat_mul,
+    quat_normalize,
+    quat_rotate,
+    wrap_angle_positive,
+    yaw_of,
+)
 from twinroom.placement import (
     GridConfig,
     Placement,
@@ -50,7 +59,7 @@ from twinroom.sim import (
 from twinroom.states import Effector, EffectorSample, StateConfig, UserSnapshot, UserState
 from twinroom.traces import MalformedTrace, TraceBuilder, save_trace
 
-from test_retarget import _tick_bits, reference_solve_full_body
+from test_retarget import _bits, _tick_bits, reference_solve_full_body
 
 
 def room_a_doc() -> dict:
@@ -336,6 +345,56 @@ def test_every_avatar_tick_equals_the_per_point_solve(monkeypatch):
     assert {mode for mode, _ in ref_ticks} == set(UserState)
     assert live_ticks == ref_ticks and replayed == ref_replayed
     assert live.transcript == ref_live.transcript and live.report == ref_live.report
+
+
+def test_a_walking_host_holds_the_root_it_froze(monkeypatch):
+    # between two state changes every Locomotion tick of a host solves one
+    # root, bit for bit: the avatar root's position at the freeze, facing
+    # its yaw wrapped to [0, 2*pi)
+    def segments(session):
+        out, hosting = {}, []
+        handle, tick_avatar, solve = AvatarHost.handle, AvatarHost.tick_avatar, sim_module.avatar_tick
+
+        def handled(host, msg, tick, me):
+            if isinstance(msg, StateChange):
+                at = None if host.goals is None else host.goals.root
+                out.setdefault(host.owner_code, []).append((msg.state, at, []))
+            return handle(host, msg, tick, me)
+
+        def hosted(host, t, me, dt):
+            hosting.append(host.owner_code)
+            try:
+                return tick_avatar(host, t, me, dt)
+            finally:
+                hosting.pop()
+
+        def recorded(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            if args[1] is UserState.Locomotion:
+                root = result.pose.root
+                out[hosting[-1]][-1][2].append(_bits(root.position) + _bits(root.orientation))
+            return result
+
+        with monkeypatch.context() as m:
+            m.setattr(AvatarHost, "handle", handled)
+            m.setattr(AvatarHost, "tick_avatar", hosted)
+            m.setattr(sim_module, "avatar_tick", recorded)
+            return session(), out
+
+    # B walks again once placed, so A's host freezes B's avatar mid-session
+    trace_b = trace_b_script().walk_to(0.4, 0.5, speed=1.5).hold(0.5)
+    live, live_segments = segments(lambda: run(room_a_doc(), room_b_doc(), trace_a_script().build(),
+                                               trace_b.build(), config=quick_config()))
+    _, replayed = segments(lambda: replay(live.transcript, room_a_doc(), room_b_doc()))
+    assert replayed == live_segments
+    frozen = 0
+    for state, at, roots in (seg for segs in live_segments.values() for seg in segs):
+        if state is UserState.Locomotion and at is not None:
+            yaw = wrap_angle_positive(yaw_of(at.orientation))
+            assert roots and set(roots) == {_bits(at.position) + _bits(quat_from_yaw(yaw))}
+            frozen += len(roots)
+    assert frozen >= 10
+
 
 
 def test_each_host_builds_its_grid_tables_once_per_session(monkeypatch):
@@ -720,6 +779,12 @@ NAN = float("nan")
     (PsoConfig, "social", NAN),
     (RetargetConfig, "elevation_offset", NAN),
     (RetargetConfig, "interp_speed", NAN),
+    (RetargetConfig, "calibration_ratio", 0.0),
+    (RetargetConfig, "calibration_ratio", -1.0),
+    (RetargetConfig, "calibration_ratio", NAN),
+    (RetargetConfig, "calibration_ratio", math.inf),
+    (RetargetConfig, "elbow_hint", (NAN, 0.0, 0.0)),
+    (RetargetConfig, "knee_hint", (0.0, math.inf, 0.0)),
     (StateConfig, "fixation_threshold", NAN),
     (StateConfig, "condition_period", NAN),
     (StateConfig, "speed_window", NAN),
