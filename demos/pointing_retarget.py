@@ -24,7 +24,7 @@ from twinroom.geometry import (
     quat_mul,
     sub,
 )
-from twinroom.retarget import retarget_pointing, vertical_compensation
+from twinroom.retarget import Joint, rest_goals, retarget_pointing, solve_full_body, vertical_compensation
 from twinroom.scene import denormalize_hit
 
 ROOMS = Path(__file__).parent / "rooms"
@@ -89,10 +89,11 @@ def main() -> None:
 
     # Optional perceived-pointing lift: observers read pointing as lower than
     # intended, so the aim point can be raised by a fixed visual angle. It is
-    # off by default; here is what 4 degrees would do at two distances.
+    # off by default; here is what 4 degrees would do at two distances, seen
+    # from the avatar's eye: its solved head joint, here in the rest pose.
     cfg = RetargetConfig(elevation_offset=math.radians(4.0))
-    x, y, z = avatar_root.position
-    eye = (x, y + sk.spine + sk.neck, z)
+    x, _, z = avatar_root.position
+    eye = solve_full_body(sk, rest_goals(sk, avatar_root)).joints[Joint.Head]
     print("\nvertical compensation at 4 degrees (off by default):")
     for label, spot in (("2 m target", (x + 2.0, eye[1] - 0.2, z)),
                         ("4 m target", (x + 4.0, eye[1] - 0.2, z))):

@@ -26,6 +26,7 @@ from .protocol import ProtocolError, Session, decode_all, encode_frame
 from .retarget import (
     AvatarPose,
     IkGoals,
+    Joint,
     RetargetConfig,
     Skeleton,
     avatar_tick,

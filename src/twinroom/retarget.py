@@ -13,29 +13,37 @@ bent, and head/hand motion blends toward the new aim over a short
 interpolation. The user's body that pointing reads is the goals themselves:
 the user's hand is the root-relative goal hand, so the user's shoulder and
 the avatar's are one point, mapped with the hand in one call. A pointing
-solution carries the user's hand up vector, which an easing hand reuses.
+solution carries the point it aims at and the user's hand up vector, which
+an easing hand reuses.
 
-Every avatar tick solves the body once. The head joint that gaze aims from
-depends only on the root and the head goal, so it comes from the same
-helper the full solve uses. Each avatar's `InterpState` remembers the last
-pose it solved, and a new aim transition starts from it: the head from its
-forward direction, a hand from its wrist and shoulder-to-wrist direction.
-A placement starts a fresh `InterpState` that remembers no pose; a
-transition starting then starts from the unadjusted (mirrored) body, solved
-as well on that tick. The skeleton's rest offsets are built once, and a
-full-body solve maps them and the five goals, ten root-relative points, into
-the world with one ``Transform.apply_all`` call, which gives each point the
-bits ``Transform.apply`` would. Joints, goals and pointing solutions are
-float tuples, computed with the ``geometry`` kernels and their fixed-order
-reductions (see that module); the rotation arithmetic lives only there. The
-tick path builds each adjusted ``IkGoals`` and ``Transform`` directly, with
-no ``dataclasses.replace``, which inspects the fields on every call.
+Every avatar tick solves the head joint once: one neck length from the top
+of the spine toward the head goal, where the head is drawn. It is the
+avatar's one eye. Gaze aims from it, pointing targets are lifted as seen
+from it (`vertical_compensation`), and the body solve reuses it. Each
+avatar's `InterpState` remembers the last pose it solved, and a new aim
+transition starts from it: the head from its forward direction, a hand from
+its wrist and shoulder-to-wrist direction. A placement starts a fresh
+`InterpState` that remembers no pose; a transition starting then starts from
+the unadjusted (mirrored) body, solved as well on that tick.
+`AvatarPose.joints` is a 14-tuple indexed by `Joint`; orientations, targets,
+pointing solutions and transitions are 3-tuples indexed by `Effector.value`
+(head, left hand, right hand). The skeleton's rest offsets are built once,
+and a full-body solve maps them and the limb goals, eight root-relative
+points, into the world with one ``Transform.apply_all`` call, which gives
+each point the bits ``Transform.apply`` would. Joints, goals and pointing
+solutions are float tuples, computed with the ``geometry`` kernels and their
+fixed-order reductions (see that module); the rotation arithmetic lives only
+there. The tick path builds each adjusted ``IkGoals`` and ``Transform``
+directly, with no ``dataclasses.replace``, which inspects the fields on
+every call.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from enum import IntEnum
 
 from .geometry import (
     FORWARD,
@@ -52,7 +60,7 @@ from .geometry import (
     slerp_vec,
     sub,
 )
-from .states import UserState
+from .states import Effector, UserState
 
 
 class DegenerateTarget(ValueError):
@@ -137,11 +145,26 @@ class IkGoals:
     fingers: bytes = b""
 
 
+# the index of each joint in `AvatarPose.joints`; the neck joint is the top of the spine
+Joint = IntEnum("Joint", [
+    "Neck", "Head", "LeftShoulder", "LeftElbow", "LeftWrist", "RightShoulder", "RightElbow", "RightWrist",
+    "LeftHip", "LeftKnee", "LeftAnkle", "RightHip", "RightKnee", "RightAnkle",
+], start=0)
+
+
+# each hand's `Effector.value`, its side, and its arm's shoulder and wrist
+_ARMS = (
+    (Effector.LeftHand.value, "left", Joint.LeftShoulder, Joint.LeftWrist),
+    (Effector.RightHand.value, "right", Joint.RightShoulder, Joint.RightWrist),
+)
+HANDS = tuple(arm[:2] for arm in _ARMS)  # (`Effector.value`, side) of each hand
+
+
 @dataclass(frozen=True)
 class AvatarPose:
     root: Transform
-    joints: dict[str, tuple[float, float, float]]               # world positions
-    orientations: dict[str, tuple[float, float, float, float]]  # world quaternions: head, hands
+    joints: tuple[tuple[float, float, float], ...]               # world positions, by `Joint`
+    orientations: tuple[tuple[float, float, float, float], ...]  # world quaternions, by `Effector.value`
     fingers: bytes = b""
 
 
@@ -220,25 +243,27 @@ def _fallback_perpendicular(direction) -> tuple[float, float, float]:
     return normalized(cross(direction, axis))
 
 
-def solve_full_body(skeleton: Skeleton, goals: IkGoals, cfg: RetargetConfig | None = None) -> AvatarPose:
+def solve_full_body(skeleton: Skeleton, goals: IkGoals, cfg: RetargetConfig | None = None,
+                    neck_head=None) -> AvatarPose:
     """Pose the whole skeleton against root-relative goals.
 
     Hands and feet use two-bone IK with the hint planes of `cfg` (elbow and
     knee hints, root-relative); the head is placed one neck length from the
-    top of the spine toward its goal and keeps the goal's orientation. Finger
-    data passes through untouched.
+    top of the spine toward its goal (or at `neck_head`, the `_neck_and_head`
+    a caller solved for this root and head goal) and keeps the goal's
+    orientation. Finger data passes through untouched.
     """
     if cfg is None:
         cfg = _DEFAULT_RETARGET
     root = goals.root
     q = root.orientation
-    # the ten root-relative points in one call: the rest offsets, then the goals
-    (neck_base, l_shoulder, r_shoulder, l_hip, r_hip,
-     head_goal, l_hand, r_hand, l_foot, r_foot) = root.apply_all((
-        *skeleton._rest, goals.head.position, goals.left_hand.position, goals.right_hand.position,
+    if neck_head is None:
+        neck_head = _neck_and_head(skeleton, root, goals.head.position)
+    # the eight root-relative points in one call: the rest offsets, then the goals
+    (l_shoulder, r_shoulder, l_hip, r_hip, l_hand, r_hand, l_foot, r_foot) = root.apply_all((
+        *skeleton._rest[1:], goals.left_hand.position, goals.right_hand.position,
         goals.left_foot.position, goals.right_foot.position,
     ))
-    neck, head = _neck_and_head(skeleton, root, neck_base, head_goal)
     # one hint direction serves both arms, another both legs
     hint = quat_rotate(q, cfg.elbow_hint)
     l_elbow, l_wrist = solve_two_bone(l_shoulder, skeleton.upper_arm, skeleton.forearm, l_hand, hint)
@@ -246,27 +271,20 @@ def solve_full_body(skeleton: Skeleton, goals: IkGoals, cfg: RetargetConfig | No
     hint = quat_rotate(q, cfg.knee_hint)
     l_knee, l_ankle = solve_two_bone(l_hip, skeleton.thigh, skeleton.shin, l_foot, hint)
     r_knee, r_ankle = solve_two_bone(r_hip, skeleton.thigh, skeleton.shin, r_foot, hint)
-    joints = {
-        "neck": neck, "head": head,
-        "l_shoulder": l_shoulder, "l_elbow": l_elbow, "l_wrist": l_wrist,
-        "r_shoulder": r_shoulder, "r_elbow": r_elbow, "r_wrist": r_wrist,
-        "l_hip": l_hip, "l_knee": l_knee, "l_ankle": l_ankle,
-        "r_hip": r_hip, "r_knee": r_knee, "r_ankle": r_ankle,
-    }
-    orientations = {
-        "head": quat_mul(q, goals.head.orientation),
-        "left_hand": quat_mul(q, goals.left_hand.orientation),
-        "right_hand": quat_mul(q, goals.right_hand.orientation),
-    }
+    joints = (*neck_head, l_shoulder, l_elbow, l_wrist, r_shoulder, r_elbow, r_wrist,
+              l_hip, l_knee, l_ankle, r_hip, r_knee, r_ankle)
+    orientations = (quat_mul(q, goals.head.orientation), quat_mul(q, goals.left_hand.orientation),
+                    quat_mul(q, goals.right_hand.orientation))
     return AvatarPose(root=root, joints=joints, orientations=orientations, fingers=goals.fingers)
 
 
-def _neck_and_head(skeleton: Skeleton, root: Transform, neck_base, head_goal) -> tuple[tuple, tuple]:
-    """World neck base and head joint, from the world neck base and head
-    goal: the head sits one neck length from the top of the spine toward its
-    goal (straight up the spine when the goal is on the neck base)."""
+def _neck_and_head(skeleton: Skeleton, root: Transform, head_goal) -> tuple[tuple, tuple]:
+    """World neck base and head joint for the root-relative head goal: the
+    head sits one neck length from the top of the spine toward its goal
+    (straight up the spine when the goal is on the neck base)."""
+    neck_base, head_world = root.apply_all((skeleton.neck_local, head_goal))
     nx, ny, nz = neck_base
-    head_dir = sub(head_goal, neck_base)
+    head_dir = sub(head_world, neck_base)
     if norm(head_dir) < 1e-9:
         head_dir = quat_rotate(root.orientation, UP)
     ux, uy, uz = normalized(head_dir)
@@ -340,6 +358,7 @@ def vertical_compensation(target_point, eye, cfg: RetargetConfig) -> tuple[float
 class PointingSolution:
     """Desired end state for one pointing arm."""
 
+    target: tuple[float, float, float]      # the aimed world point
     shoulder: tuple[float, float, float]    # avatar shoulder, world
     wrist: tuple[float, float, float]       # desired wrist, world
     aim: tuple[float, float, float]         # unit shoulder->target
@@ -384,6 +403,7 @@ def retarget_pointing(
 
     hand_up = quat_rotate(quat_mul(root.orientation, hand.orientation), UP)
     return PointingSolution(
+        target=target_point,
         shoulder=shoulder,
         wrist=(sx + ax * reach, sy + ay * reach, sz + az * reach),
         aim=aim,
@@ -431,28 +451,27 @@ class EffectorInterp:
 
 @dataclass
 class InterpState:
-    """Per-effector aim transitions for one avatar, and the last pose it
-    solved, from which each new transition starts."""
+    """Per-effector aim transitions for one avatar, indexed by
+    `Effector.value`, and the last pose it solved, from which each new
+    transition starts."""
 
-    head: EffectorInterp = field(default_factory=EffectorInterp)
-    left: EffectorInterp = field(default_factory=EffectorInterp)
-    right: EffectorInterp = field(default_factory=EffectorInterp)
+    transitions: tuple[EffectorInterp, ...] = field(
+        default_factory=lambda: tuple(EffectorInterp() for _ in Effector))
     last: AvatarPose | None = None
 
-    def hand(self, side: str) -> EffectorInterp:
-        return self.left if side == "left" else self.right
-
     def reset_transitions(self) -> None:
-        self.head.reset()
-        self.left.reset()
-        self.right.reset()
+        for st in self.transitions:
+            st.reset()
+
+
+_NO_POINTING = (None,) * len(Effector)
 
 
 @dataclass(frozen=True)
 class AvatarTickResult:
     pose: AvatarPose
-    # per-side (aim completion in [0,1], solution) for hands that pointed
-    pointing: dict[str, tuple[float, PointingSolution]]
+    # by `Effector.value`: (aim completion in [0,1], solution) for a hand that pointed, else None
+    pointing: tuple[tuple[float, PointingSolution] | None, ...] = _NO_POINTING
 
 
 def avatar_tick(
@@ -460,8 +479,7 @@ def avatar_tick(
     mode: UserState,
     goals: IkGoals,
     pinned_root: Transform | None,
-    targets: dict[str, tuple[float, float, float] | None],
-    head_target: tuple[float, float, float] | None,
+    targets: Sequence[tuple[float, float, float] | None],
     interp: InterpState,
     dt: float,
     cfg: RetargetConfig | None = None,
@@ -470,73 +488,70 @@ def avatar_tick(
 
     Solo mirrors the goals. Locomotion pins the root at `pinned_root` via
     walk_in_place; no other state reads it, so it may be None then.
-    Interaction re-aims the pointing arm(s) and head at the (already
-    retargeted) world-space targets, easing from the previous pose; target
-    points may move every tick and the aim follows them in real time.
+    Interaction re-aims the head and the pointing arm(s) at the world-space
+    targets, easing from the previous pose; target points may move every
+    tick and the aim follows them in real time.
 
-    `targets` maps "left"/"right" to world aim points (already compensated).
-    A pointing arm reads the elbow flexion and hand up of its goal hand, so
-    the goals are the only body the tick reads. Each transition advances by
-    `dt * cfg.interp_speed` per tick and starts from `interp.last`, which
-    every tick sets to the pose it returns; with no pose remembered, it
-    starts from the unadjusted body.
+    `targets` holds a world point or None per effector, by `Effector.value`.
+    The head joint is solved once and is the eye: the head aims from it,
+    each hand at its target lifted as seen from it (`vertical_compensation`),
+    and the final solve reuses it. A pointing arm reads the elbow flexion
+    and hand up of its goal hand, so the goals are the only body the tick
+    reads. Each transition advances by `dt * cfg.interp_speed` per tick and
+    starts from `interp.last`, which every tick sets to the pose it returns;
+    with no pose remembered, it starts from the unadjusted body.
     """
     if cfg is None:
         cfg = _DEFAULT_RETARGET
 
-    if mode is UserState.Locomotion:
-        pose = walk_in_place(skeleton, goals, pinned_root, cfg)
+    if mode is not UserState.Interaction or all(point is None for point in targets):
+        if mode is UserState.Locomotion:
+            pose = walk_in_place(skeleton, goals, pinned_root, cfg)
+        else:
+            pose = solve_full_body(skeleton, goals, cfg)
         interp.reset_transitions()
         interp.last = pose
-        return AvatarTickResult(pose=pose, pointing={})
-
-    if mode is not UserState.Interaction or (
-        head_target is None and all(v is None for v in targets.values())
-    ):
-        pose = solve_full_body(skeleton, goals, cfg)
-        interp.reset_transitions()
-        interp.last = pose
-        return AvatarTickResult(pose=pose, pointing={})
+        return AvatarTickResult(pose)
 
     root = goals.root
-    head = goals.head
-    hands = {"left": goals.left_hand, "right": goals.right_hand}
     inv_root_q = quat_conj(root.orientation)
-    pointing: dict[str, tuple[float, PointingSolution]] = {}
+    neck_head = _neck_and_head(skeleton, root, goals.head.position)
+    eye = neck_head[1]
+    # the head and hand goals, by `Effector.value`, as the tick adjusts them
+    effectors = [goals.head, goals.left_hand, goals.right_hand]
+    pointing = list(_NO_POINTING)
     # where transitions start: the remembered pose, or the unadjusted body,
     # solved only when a transition starts with nothing remembered
     start = interp.last
 
-    if head_target is not None:
-        _, head_joint = _neck_and_head(skeleton, root, *root.apply_all((skeleton.neck_local, head.position)))
-        desired_fwd = _safe_direction(sub(head_target, head_joint), root)
-        st = interp.head
+    head = Effector.Head.value
+    st = interp.transitions[head]
+    if targets[head] is None:
+        st.reset()
+    else:
+        desired_fwd = _safe_direction(sub(targets[head], eye), root)
         if st.start_fwd is None:
             if start is None:
-                start = solve_full_body(skeleton, goals, cfg)
+                start = solve_full_body(skeleton, goals, cfg, neck_head=neck_head)
             st.t = 0.0
-            st.start_fwd = quat_rotate(start.orientations["head"], FORWARD)
+            st.start_fwd = quat_rotate(start.orientations[head], FORWARD)
         st.t = min(1.0, st.t + dt * cfg.interp_speed)
         fwd = interp_head(st.start_fwd, desired_fwd, st.t) if st.t < 1.0 else desired_fwd
-        head_world_q = look_rotation(fwd, UP)
-        head = Transform(head.position, quat_mul(inv_root_q, head_world_q))
-    else:
-        interp.head.reset()
+        effectors[head] = Transform(goals.head.position, quat_mul(inv_root_q, look_rotation(fwd, UP)))
 
-    for side in ("left", "right"):
-        point = targets.get(side)
-        st = interp.hand(side)
-        if point is None:
+    for i, side, shoulder, wrist in _ARMS:
+        st = interp.transitions[i]
+        if targets[i] is None:
             st.reset()
             continue
-        sol = retarget_pointing(skeleton, root, hands[side], point, side, cfg)
+        point = vertical_compensation(targets[i], eye, cfg)
+        sol = retarget_pointing(skeleton, root, effectors[i], point, side, cfg)
         if st.start_fwd is None:
             if start is None:
-                start = solve_full_body(skeleton, goals, cfg)
-            wrist = start.joints[f"{side[0]}_wrist"]
+                start = solve_full_body(skeleton, goals, cfg, neck_head=neck_head)
             st.t = 0.0
-            st.start_pos = wrist
-            st.start_fwd = _safe_direction(sub(wrist, start.joints[f"{side[0]}_shoulder"]), start.root)
+            st.start_pos = start.joints[wrist]
+            st.start_fwd = _safe_direction(sub(start.joints[wrist], start.joints[shoulder]), start.root)
         st.t = min(1.0, st.t + dt * cfg.interp_speed)
         if st.t < 1.0:
             wrist_w = interp_hand(st.start_pos, st.start_fwd, sol.wrist, sol.aim, st.t)
@@ -545,17 +560,16 @@ def avatar_tick(
         else:
             wrist_w = sol.wrist
             hand_q_w = sol.hand_orientation
-        hands[side] = Transform(
+        effectors[i] = Transform(
             position=quat_rotate(inv_root_q, sub(wrist_w, root.position)),
             orientation=quat_mul(inv_root_q, hand_q_w),
         )
-        pointing[side] = (st.t, sol)
+        pointing[i] = (st.t, sol)
 
-    adjusted = IkGoals(root, head, hands["left"], hands["right"],
-                       goals.left_foot, goals.right_foot, goals.fingers)
-    pose = solve_full_body(skeleton, adjusted, cfg)
+    adjusted = IkGoals(root, *effectors, goals.left_foot, goals.right_foot, goals.fingers)
+    pose = solve_full_body(skeleton, adjusted, cfg, neck_head=neck_head)
     interp.last = pose
-    return AvatarTickResult(pose=pose, pointing=pointing)
+    return AvatarTickResult(pose, tuple(pointing))
 
 
 def _safe_direction(v, root: Transform) -> tuple[float, float, float]:

@@ -82,14 +82,7 @@ from .protocol import (
     decode_all,
     f32,
 )
-from .retarget import (
-    IkGoals,
-    InterpState,
-    RetargetConfig,
-    Skeleton,
-    avatar_tick,
-    vertical_compensation,
-)
+from .retarget import HANDS, IkGoals, InterpState, RetargetConfig, Skeleton, avatar_tick
 from .scene import (
     ObjectCategory,
     PairingError,
@@ -275,7 +268,7 @@ class AvatarHost:
         self.search: list[dict] = []
         self.transitions: list[dict] = []
         self.pointing_rows: list[dict] = []
-        self._open: dict[str, dict | None] = {"left": None, "right": None}
+        self._open: list[dict | None] = [None] * len(Effector)  # a hand's open row, by `Effector.value`
         self.timings: list[dict] = []
 
     # -- inbound message handling
@@ -383,7 +376,8 @@ class AvatarHost:
         self.goals = IkGoals(root, t(v, 7), t(v, 14), t(v, 21), t(v, 28), t(v, 35), self.pose.fingers)
 
     def avatar_head_world(self) -> tuple[float, float, float] | None:
-        """The avatar's head in this room, or None while it is not placed."""
+        """The avatar's head goal in this room, where the local user's gaze
+        finds the partner's head, or None while it is not placed."""
         if self.goals is None:
             return None
         return self.goals.root.apply(self.goals.head.position)
@@ -399,22 +393,13 @@ class AvatarHost:
         goals = self.goals
         if goals is None or self.skeleton is None:
             return
-        rcfg = self.cfg.retarget
-        head_point, left, right = [self._resolve(entry, me) for entry in self.targets]
-        resolved = {"left": left, "right": right}
-        if left is not None or right is not None:
-            eye = self.avatar_head_world()  # gaze is never re-pitched, pointing is
-            resolved = {
-                side: None if point is None else vertical_compensation(point, eye, rcfg)
-                for side, point in resolved.items()
-            }
         pinned = self.frozen  # None unless walking
         if pinned is None and self.state is UserState.Locomotion:
             # walking since before this placement: its spot, at the live root height
             pinned = Transform((self.placement.x, goals.root.position[1], self.placement.z), self._placement_q)
-        result = avatar_tick(self.skeleton, self.state, goals, pinned, resolved, head_point,
-                             self.interp, dt, rcfg)
-        self._sample_pointing(tick, result, resolved)
+        targets = [self._resolve(entry, me) for entry in self.targets]
+        result = avatar_tick(self.skeleton, self.state, goals, pinned, targets, self.interp, dt, self.cfg.retarget)
+        self._sample_pointing(tick, result)
 
     def _resolve(self, entry, me: LocalUser | None) -> tuple[float, float, float] | None:
         """Wire target -> world point in this room: the paired counterpart's
@@ -431,22 +416,21 @@ class AvatarHost:
             return None
         return denormalize_hit(obj, uvw)
 
-    def _sample_pointing(self, tick: int, result, resolved) -> None:
-        for side, entry in zip(("left", "right"), self.targets[Effector.LeftHand.value:]):
+    def _sample_pointing(self, tick: int, result) -> None:
+        for i, side in HANDS:
+            entry = self.targets[i]
             oid = entry[0] if entry is not None else None
-            row = self._open[side]
+            row = self._open[i]
             if row is not None and row["object"] != oid:
-                self._close(side)
+                self._close(i)
                 row = None
-            if oid is None:
-                continue
-            got = result.pointing.get(side)
-            if got is None:
+            got = result.pointing[i]
+            if oid is None or got is None:
                 continue
             t, solution = got
             if t < 1.0:  # arm still easing toward the aim
                 continue
-            miss = point_to_line_distance(resolved[side], solution.shoulder, solution.aim)
+            miss = point_to_line_distance(solution.target, solution.shoulder, solution.aim)
             if row is None:
                 row = {
                     "side": side,
@@ -457,25 +441,25 @@ class AvatarHost:
                     "max_miss": 0.0,
                     "_sum": 0.0,
                 }
-                self._open[side] = row
+                self._open[i] = row
             row["samples"] += 1
             row["last_tick"] = tick
             row["_sum"] += miss
             if miss > row["max_miss"]:
                 row["max_miss"] = miss
 
-    def _close(self, side: str) -> None:
-        row = self._open[side]
+    def _close(self, i: int) -> None:
+        row = self._open[i]
         if row is None:
             return
         total = row.pop("_sum")
         row["mean_miss"] = total / row["samples"] if row["samples"] else 0.0
         self.pointing_rows.append(row)
-        self._open[side] = None
+        self._open[i] = None
 
     def flush_pointing(self) -> None:
-        for side in ("left", "right"):
-            self._close(side)
+        for i, _ in HANDS:
+            self._close(i)
 
 
 # --- the avatar-host driver -------------------------------------------------------
@@ -737,7 +721,8 @@ def run(room_a, room_b, trace_a, trace_b, config: SimConfig | None = None) -> Si
 
     Searches score with `DefaultScorer(config.scorer)`, as `replay` does:
     the config is the one recorded way to change scoring. The shorter trace
-    is padded by holding its final snapshot so the peers stay in lockstep.
+    is padded by holding its final snapshot so the peers stay in lockstep,
+    and a config that `replay` would refuse in a transcript is refused here.
     Returns the canonical report, the wire transcript, and per-search
     wall-clock timings.
     """
@@ -755,6 +740,7 @@ def run(room_a, room_b, trace_a, trace_b, config: SimConfig | None = None) -> Si
         raise ValueError(
             f"config tick rate {config.tick_rate} does not match traces ({trace_a.tick_rate})"
         )
+    SimConfig.from_dict(config.to_dict())  # the checks `replay` applies to the recorded config
     validate_pairing(room_a, room_b)
 
     n = max(len(trace_a), len(trace_b))

@@ -44,6 +44,7 @@ from twinroom.protocol import (
 from twinroom.retarget import (
     IkGoals,
     InterpState,
+    Joint,
     RetargetConfig,
     Skeleton,
     avatar_tick,
@@ -363,8 +364,7 @@ def test_06_locomotion_invariants():
             for _ in range(2):
                 goals = wandering_goals(rng, sk)
                 result = avatar_tick(
-                    sk, UserState.Locomotion, goals, pinned,
-                    {"left": None, "right": None}, None, InterpState(),
+                    sk, UserState.Locomotion, goals, pinned, (None, None, None), InterpState(),
                     1.0 / 60.0, RetargetConfig(),
                 )
                 np.testing.assert_allclose(
@@ -447,12 +447,12 @@ def test_07_ik_properties():
     for _ in range(1000):
         goals = reachable_goals(rng, sk)
         pose = solve_full_body(sk, goals)
-        for field, goal in (
-            ("l_wrist", goals.left_hand), ("r_wrist", goals.right_hand),
-            ("l_ankle", goals.left_foot), ("r_ankle", goals.right_foot),
+        for joint, goal in (
+            (Joint.LeftWrist, goals.left_hand), (Joint.RightWrist, goals.right_hand),
+            (Joint.LeftAnkle, goals.left_foot), (Joint.RightAnkle, goals.right_foot),
         ):
             target = goals.root.apply(goal.position)
-            worst_error = max(worst_error, float(np.linalg.norm(np.subtract(pose.joints[field], target))))
+            worst_error = max(worst_error, float(np.linalg.norm(np.subtract(pose.joints[joint], target))))
         measured = bone_lengths(sk, pose)
         for name, want in nominal.items():
             worst_drift = max(worst_drift, abs(measured[name] - want))
@@ -473,7 +473,7 @@ def test_07_ik_properties():
             left_foot=goals.left_foot, right_foot=goals.right_foot,
         )
         pose = solve_full_body(sk, goals)
-        stretched = np.linalg.norm(np.subtract(pose.joints["r_wrist"], pose.joints["r_shoulder"]))
+        stretched = np.linalg.norm(np.subtract(pose.joints[Joint.RightWrist], pose.joints[Joint.RightShoulder]))
         worst_sphere = max(worst_sphere, abs(float(stretched) - sk.arm_reach))
 
     ok = worst_error <= 1e-4 and worst_drift <= 1e-12 and worst_sphere <= 1e-9

@@ -29,6 +29,7 @@ from twinroom.retarget import (
     DegenerateTarget,
     IkGoals,
     InterpState,
+    Joint,
     RetargetConfig,
     Skeleton,
     avatar_tick,
@@ -41,10 +42,13 @@ from twinroom.retarget import (
     vertical_compensation,
     walk_in_place,
 )
-from twinroom.states import UserState
+from twinroom.states import Effector, UserState
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 HINT = np.array([0.0, -1.0, -0.35])
+NO_TARGETS = (None, None, None)  # head, left hand, right hand, as `Effector.value` indexes them
+HEAD, LEFT, RIGHT = (e.value for e in Effector)
+J = Joint
 
 coords = st.floats(-3, 3)
 vec3 = st.tuples(coords, coords, coords)
@@ -157,15 +161,15 @@ def bone_lengths(skeleton, pose: AvatarPose):
         return np.linalg.norm(np.asarray(pose.joints[b]) - np.asarray(pose.joints[a]))
 
     return {
-        "l_upper": bone("l_shoulder", "l_elbow"),
-        "l_fore": bone("l_elbow", "l_wrist"),
-        "r_upper": bone("r_shoulder", "r_elbow"),
-        "r_fore": bone("r_elbow", "r_wrist"),
-        "l_thigh": bone("l_hip", "l_knee"),
-        "l_shin": bone("l_knee", "l_ankle"),
-        "r_thigh": bone("r_hip", "r_knee"),
-        "r_shin": bone("r_knee", "r_ankle"),
-        "neck": bone("neck", "head"),
+        "l_upper": bone(J.LeftShoulder, J.LeftElbow),
+        "l_fore": bone(J.LeftElbow, J.LeftWrist),
+        "r_upper": bone(J.RightShoulder, J.RightElbow),
+        "r_fore": bone(J.RightElbow, J.RightWrist),
+        "l_thigh": bone(J.LeftHip, J.LeftKnee),
+        "l_shin": bone(J.LeftKnee, J.LeftAnkle),
+        "r_thigh": bone(J.RightHip, J.RightKnee),
+        "r_shin": bone(J.RightKnee, J.RightAnkle),
+        "neck": bone(J.Neck, J.Head),
     }
 
 
@@ -197,14 +201,12 @@ def test_full_body_passes_fingers_through():
 def test_rest_pose_hangs_arms_straight_down():
     skeleton = Skeleton()
     pose = solve_full_body(skeleton, rest_goals(skeleton))
-    for side in "lr":
-        shoulder = np.asarray(pose.joints[f"{side}_shoulder"])
-        wrist = pose.joints[f"{side}_wrist"]
+    for shoulder, wrist, ankle in ((J.LeftShoulder, J.LeftWrist, J.LeftAnkle),
+                                   (J.RightShoulder, J.RightWrist, J.RightAnkle)):
         np.testing.assert_allclose(
-            wrist, shoulder + [0, -skeleton.arm_reach, 0], atol=1e-9
+            pose.joints[wrist], np.asarray(pose.joints[shoulder]) + [0, -skeleton.arm_reach, 0], atol=1e-9
         )
-        ankle = pose.joints[f"{side}_ankle"]
-        assert ankle[1] == pytest.approx(0.04, abs=1e-9)  # rest root clearance
+        assert pose.joints[ankle][1] == pytest.approx(0.04, abs=1e-9)  # rest root clearance
 
 
 def test_skeleton_float_round_trip():
@@ -229,67 +231,58 @@ def test_full_body_uses_configured_hints():
     )
     default = solve_full_body(skeleton, goals)
     same = solve_full_body(skeleton, goals, RetargetConfig())
-    for joint, p in default.joints.items():
+    for joint, p in zip(Joint, default.joints):
         assert np.array_equal(same.joints[joint], p), joint
 
     # elbows and knees pushed out to the +x side
     cfg = RetargetConfig(elbow_hint=(1.0, -0.2, 0.0), knee_hint=(1.0, 0.0, 0.2))
     moved = solve_full_body(skeleton, goals, cfg)
-    for side in "lr":
-        assert not np.allclose(moved.joints[f"{side}_elbow"], default.joints[f"{side}_elbow"])
-        np.testing.assert_allclose(moved.joints[f"{side}_wrist"], default.joints[f"{side}_wrist"], atol=0)
+    for shoulder, elbow_j, wrist, knee in ((J.LeftShoulder, J.LeftElbow, J.LeftWrist, J.LeftKnee),
+                                           (J.RightShoulder, J.RightElbow, J.RightWrist, J.RightKnee)):
+        assert not np.allclose(moved.joints[elbow_j], default.joints[elbow_j])
+        np.testing.assert_allclose(moved.joints[wrist], default.joints[wrist], atol=0)
         elbow, _ = solve_two_bone(
-            moved.joints[f"{side}_shoulder"], skeleton.upper_arm, skeleton.forearm,
-            moved.joints[f"{side}_wrist"], quat_rotate(goals.root.orientation, cfg.elbow_hint),
+            moved.joints[shoulder], skeleton.upper_arm, skeleton.forearm,
+            moved.joints[wrist], quat_rotate(goals.root.orientation, cfg.elbow_hint),
         )
-        np.testing.assert_allclose(moved.joints[f"{side}_elbow"], elbow, atol=1e-12)
-        assert not np.allclose(moved.joints[f"{side}_knee"], default.joints[f"{side}_knee"])
+        np.testing.assert_allclose(moved.joints[elbow_j], elbow, atol=1e-12)
+        assert not np.allclose(moved.joints[knee], default.joints[knee])
 
     # the config reaches the solver through walk_in_place and avatar_tick too
     pinned = Transform((0.5, 0.9, -1.0), quat_from_yaw(0.3))
     walking = walk_in_place(skeleton, goals, pinned, cfg)
     frozen = replace(goals, root=walking.root)
-    assert np.array_equal(walking.joints["r_elbow"], solve_full_body(skeleton, frozen, cfg).joints["r_elbow"])
-    solo = avatar_tick(
-        skeleton, UserState.Solo, goals, None, {"left": None, "right": None}, None,
-        InterpState(), 1 / 60, cfg,
-    )
-    assert np.array_equal(solo.pose.joints["l_elbow"], moved.joints["l_elbow"])
+    assert np.array_equal(walking.joints[J.RightElbow], solve_full_body(skeleton, frozen, cfg).joints[J.RightElbow])
+    solo = avatar_tick(skeleton, UserState.Solo, goals, None, NO_TARGETS, InterpState(), 1 / 60, cfg)
+    assert np.array_equal(solo.pose.joints[J.LeftElbow], moved.joints[J.LeftElbow])
 
 
-def reference_solve_full_body(skeleton, goals, cfg=None):
+def reference_solve_full_body(skeleton, goals, cfg=None, neck_head=None):
     """The full-body solve mapping each root-relative point through its own
-    `root.apply`: the neck base and head joint, then each arm and each leg."""
+    `root.apply`: the neck base and head joint, then each arm and each leg.
+    It ignores a reused `neck_head` and solves the head joint again."""
     if cfg is None:
         cfg = RetargetConfig()
     root = goals.root
-    joints, orientations = {}, {}
     nx, ny, nz = neck_base = root.apply(skeleton.neck_local)
     head_dir = sub(root.apply(goals.head.position), neck_base)
     if norm(head_dir) < 1e-9:
         head_dir = quat_rotate(root.orientation, UP)
     ux, uy, uz = normalized(head_dir)
-    joints["neck"] = neck_base
-    joints["head"] = (nx + skeleton.neck * ux, ny + skeleton.neck * uy, nz + skeleton.neck * uz)
-    orientations["head"] = quat_mul(root.orientation, goals.head.orientation)
+    joints = [neck_base, (nx + skeleton.neck * ux, ny + skeleton.neck * uy, nz + skeleton.neck * uz)]
+    orientations = [quat_mul(root.orientation, goals.head.orientation)]
     hint = quat_rotate(root.orientation, cfg.elbow_hint)
     for side, hand_goal in (("left", goals.left_hand), ("right", goals.right_hand)):
         shoulder = root.apply(skeleton.shoulder_local(side))
         target = root.apply(hand_goal.position)
-        elbow, wrist = solve_two_bone(shoulder, skeleton.upper_arm, skeleton.forearm, target, hint)
-        joints[f"{side[0]}_shoulder"] = shoulder
-        joints[f"{side[0]}_elbow"] = elbow
-        joints[f"{side[0]}_wrist"] = wrist
-        orientations[f"{side}_hand"] = quat_mul(root.orientation, hand_goal.orientation)
+        joints += [shoulder, *solve_two_bone(shoulder, skeleton.upper_arm, skeleton.forearm, target, hint)]
+        orientations.append(quat_mul(root.orientation, hand_goal.orientation))
     hint = quat_rotate(root.orientation, cfg.knee_hint)
     for side, foot_goal in (("left", goals.left_foot), ("right", goals.right_foot)):
         hip = root.apply(skeleton.hip_local(side))
         target = root.apply(foot_goal.position)
-        knee, ankle = solve_two_bone(hip, skeleton.thigh, skeleton.shin, target, hint)
-        joints[f"{side[0]}_hip"] = hip
-        joints[f"{side[0]}_knee"] = knee
-        joints[f"{side[0]}_ankle"] = ankle
-    return AvatarPose(root=root, joints=joints, orientations=orientations, fingers=goals.fingers)
+        joints += [hip, *solve_two_bone(hip, skeleton.thigh, skeleton.shin, target, hint)]
+    return AvatarPose(root=root, joints=tuple(joints), orientations=tuple(orientations), fingers=goals.fingers)
 
 
 unit = st.floats(-1.0, 1.0)
@@ -313,9 +306,12 @@ def test_full_body_equals_the_per_point_solve_bit_for_bit(skeleton, root, effect
         effectors[0] = Transform(skeleton.neck_local, effectors[0].orientation)
     goals = IkGoals(root, *effectors, fingers=b"\x07")
     got, want = solve_full_body(skeleton, goals, cfg), reference_solve_full_body(skeleton, goals, cfg)
-    assert _tick_bits(R.AvatarTickResult(got, {})) == _tick_bits(R.AvatarTickResult(want, {}))
-    assert list(got.joints) == list(want.joints) and list(got.orientations) == list(want.orientations)
+    assert _tick_bits(R.AvatarTickResult(got)) == _tick_bits(R.AvatarTickResult(want))
+    assert len(got.joints) == len(Joint) and len(got.orientations) == len(Effector)
     assert got.root is root and got.fingers == b"\x07"
+    # the neck and head joints a tick solved once give the same body when reused
+    reused = solve_full_body(skeleton, goals, cfg, neck_head=R._neck_and_head(skeleton, root, goals.head.position))
+    assert _tick_bits(R.AvatarTickResult(reused)) == _tick_bits(R.AvatarTickResult(want))
 
 
 # --- walk in place --------------------------------------------------------
@@ -339,7 +335,7 @@ def test_walk_in_place_pins_root_and_mimics_limbs():
             skeleton.upper_arm, skeleton.forearm, want,
             quat_rotate(pose.root.orientation, HINT),
         )
-        np.testing.assert_allclose(pose.joints["r_wrist"], wrist, atol=1e-9)
+        np.testing.assert_allclose(pose.joints[J.RightWrist], wrist, atol=1e-9)
 
 
 # --- pointing compensation --------------------------------------------------
@@ -460,13 +456,13 @@ def reference_retarget_pointing(skeleton, root, user_hand, target_point, side, c
     ax, ay, az = aim = (v[0] / dist, v[1] / dist, v[2] / dist)
     hand_up = quat_rotate(user_hand.orientation, UP)
     return R.PointingSolution(
-        shoulder=shoulder, wrist=(sx + ax * reach, sy + ay * reach, sz + az * reach), aim=aim,
+        target=target_point, shoulder=shoulder, wrist=(sx + ax * reach, sy + ay * reach, sz + az * reach), aim=aim,
         hand_orientation=look_rotation(aim, hand_up), reach=reach, hand_up=hand_up,
     )
 
 
 def _solution_bits(sol) -> tuple:
-    return (_bits(sol.shoulder), _bits(sol.wrist), _bits(sol.aim), _bits(sol.hand_orientation),
+    return (_bits(sol.target), _bits(sol.shoulder), _bits(sol.wrist), _bits(sol.aim), _bits(sol.hand_orientation),
             _bits(sol.reach), _bits(sol.hand_up))
 
 
@@ -532,14 +528,11 @@ def standing_setup():
 def test_avatar_tick_solo_mirrors_goals():
     skeleton, goals = standing_setup()
     interp = InterpState()
-    result = avatar_tick(
-        skeleton, UserState.Solo, goals, None,
-        {"left": None, "right": None}, None, interp, 1 / 60,
-    )
+    result = avatar_tick(skeleton, UserState.Solo, goals, None, NO_TARGETS, interp, 1 / 60)
     mirror = solve_full_body(skeleton, goals)
-    for joint, p in mirror.joints.items():
+    for joint, p in zip(Joint, mirror.joints):
         np.testing.assert_allclose(result.pose.joints[joint], p, atol=0)
-    assert result.pointing == {}
+    assert result.pointing == (None, None, None)
 
 
 def test_avatar_tick_locomotion_root_is_constant():
@@ -550,10 +543,7 @@ def test_avatar_tick_locomotion_root_is_constant():
     roots = []
     for _ in range(30):
         moving = random_goals(rng, skeleton)
-        result = avatar_tick(
-            skeleton, UserState.Locomotion, moving, pinned,
-            {"left": None, "right": None}, None, interp, 1 / 60,
-        )
+        result = avatar_tick(skeleton, UserState.Locomotion, moving, pinned, NO_TARGETS, interp, 1 / 60)
         roots.append(result.pose.root.position)
     for r in roots[1:]:
         np.testing.assert_array_equal(r, roots[0])
@@ -568,24 +558,23 @@ def test_avatar_tick_aim_converges_onto_target_ray():
     result = None
     for _ in range(40):  # 40 ticks at speed 2 > the 0.5 s transition
         result = avatar_tick(
-            skeleton, UserState.Interaction, goals, None,
-            {"left": None, "right": target}, target, interp, 1 / 60,
+            skeleton, UserState.Interaction, goals, None, (target, None, target), interp, 1 / 60,
             RetargetConfig(interp_speed=2.0),
         )
-        completions.append(result.pointing["right"][0])
+        completions.append(result.pointing[RIGHT][0])
     assert completions[0] == pytest.approx(2.0 / 60, abs=1e-12)
     assert completions[-1] == 1.0
     assert all(b >= a for a, b in zip(completions, completions[1:]))
 
-    t, sol = result.pointing["right"]
-    wrist = np.asarray(result.pose.joints["r_wrist"])
-    shoulder = np.asarray(result.pose.joints["r_shoulder"])
+    t, sol = result.pointing[RIGHT]
+    wrist = np.asarray(result.pose.joints[J.RightWrist])
+    shoulder = np.asarray(result.pose.joints[J.RightShoulder])
     np.testing.assert_allclose(wrist, sol.wrist, atol=1e-9)
     aim = normalized(wrist - shoulder)
     np.testing.assert_allclose(aim, normalized(target - shoulder), atol=1e-9)
     # the head looks at its target once its own transition finishes
-    head_fwd = quat_rotate(result.pose.orientations["head"], FORWARD)
-    want = normalized(target - np.asarray(result.pose.joints["head"]))
+    head_fwd = quat_rotate(result.pose.orientations[HEAD], FORWARD)
+    want = normalized(target - np.asarray(result.pose.joints[J.Head]))
     np.testing.assert_allclose(head_fwd, want, atol=1e-6)
 
 
@@ -594,19 +583,13 @@ def test_avatar_tick_dropping_target_returns_to_mirror():
     interp = InterpState()
     target = np.array([1.0, 1.5, 2.5])
     for _ in range(5):
-        avatar_tick(
-            skeleton, UserState.Interaction, goals, None,
-            {"left": None, "right": target}, None, interp, 1 / 60,
-        )
-    assert interp.right.start_fwd is not None  # the aim transition runs
-    result = avatar_tick(
-        skeleton, UserState.Interaction, goals, None,
-        {"left": None, "right": None}, None, interp, 1 / 60,
-    )
-    assert interp.right.start_fwd is None
+        avatar_tick(skeleton, UserState.Interaction, goals, None, (None, None, target), interp, 1 / 60)
+    assert interp.transitions[RIGHT].start_fwd is not None  # the aim transition runs
+    result = avatar_tick(skeleton, UserState.Interaction, goals, None, NO_TARGETS, interp, 1 / 60)
+    assert interp.transitions[RIGHT].start_fwd is None
     mirror = solve_full_body(skeleton, goals)
     np.testing.assert_allclose(
-        result.pose.joints["r_wrist"], mirror.joints["r_wrist"], atol=1e-12
+        result.pose.joints[J.RightWrist], mirror.joints[J.RightWrist], atol=1e-12
     )
 
 
@@ -615,14 +598,13 @@ def test_avatar_tick_eases_from_previous_pose():
     interp = InterpState()
     target = np.array([1.0, 1.5, 2.5])
     result = avatar_tick(
-        skeleton, UserState.Interaction, goals, None,
-        {"left": None, "right": target}, None, interp, 1 / 60,
+        skeleton, UserState.Interaction, goals, None, (None, None, target), interp, 1 / 60,
         RetargetConfig(interp_speed=2.0),
     )
-    t, sol = result.pointing["right"]
+    t, sol = result.pointing[RIGHT]
     assert 0 < t < 1
-    wrist = np.asarray(result.pose.joints["r_wrist"])
-    rest_wrist = np.asarray(solve_full_body(skeleton, goals).joints["r_wrist"])
+    wrist = np.asarray(result.pose.joints[J.RightWrist])
+    rest_wrist = np.asarray(solve_full_body(skeleton, goals).joints[J.RightWrist])
     # early in the transition the wrist is still near its rest position
     assert np.linalg.norm(wrist - rest_wrist) < np.linalg.norm(sol.wrist - rest_wrist)
 
@@ -673,41 +655,44 @@ class _ReferenceInterp:
         self.right.reset()
 
 
+_REFERENCE_ARMS = (("left", LEFT, J.LeftShoulder, J.LeftWrist), ("right", RIGHT, J.RightShoulder, J.RightWrist))
+
+
 def _reference_remember(interp, pose):
-    interp.last_head_fwd = quat_rotate(pose.orientations["head"], FORWARD)
-    for side in ("left", "right"):
-        wrist = pose.joints[f"{side[0]}_wrist"]
-        v = sub(wrist, pose.joints[f"{side[0]}_shoulder"])
+    interp.last_head_fwd = quat_rotate(pose.orientations[HEAD], FORWARD)
+    for side, _, shoulder, wrist_j in _REFERENCE_ARMS:
+        wrist = pose.joints[wrist_j]
+        v = sub(wrist, pose.joints[shoulder])
         n = norm(v)
         interp.last_wrist[side] = wrist
         interp.last_arm_fwd[side] = (v[0] / n, v[1] / n, v[2] / n) if n > 1e-9 else pose.root.forward()
 
 
-def reference_avatar_tick(skeleton, mode, goals, pinned_root, targets, head_target, interp, dt, cfg):
+def reference_avatar_tick(skeleton, mode, goals, pinned_root, targets, interp, dt, cfg):
     """The two-solve avatar tick over the three-field state: the whole
-    unadjusted body is solved first and read for the head joint and the
+    unadjusted body is solved first and read for the head joint, which is
+    the eye that gaze and pointing compensation aim from, and for the
     fallback start of each transition. Pointing reads the user's body in
     world space, built from the goals, through the world-space solve."""
     if mode is UserState.Locomotion:
         pose = R.walk_in_place(skeleton, goals, pinned_root, cfg)
         interp.reset_transitions()
         _reference_remember(interp, pose)
-        return R.AvatarTickResult(pose=pose, pointing={})
-    if mode is not UserState.Interaction or (
-        head_target is None and all(v is None for v in targets.values())
-    ):
+        return R.AvatarTickResult(pose=pose)
+    if mode is not UserState.Interaction or all(v is None for v in targets):
         pose = R.solve_full_body(skeleton, goals, cfg)
         interp.reset_transitions()
         _reference_remember(interp, pose)
-        return R.AvatarTickResult(pose=pose, pointing={})
+        return R.AvatarTickResult(pose=pose)
 
     base = R.solve_full_body(skeleton, goals, cfg)
+    eye = base.joints[J.Head]
     adjusted = goals
     root = goals.root
     inv_root_q = quat_conj(root.orientation)
-    pointing = {}
-    if head_target is not None:
-        desired_fwd = _reference_safe_direction(sub(head_target, base.joints["head"]), root)
+    pointing = [None, None, None]
+    if targets[HEAD] is not None:
+        desired_fwd = _reference_safe_direction(sub(targets[HEAD], eye), root)
         st_ = interp.head
         if st_.key != "head-target":
             st_.key = "head-target"
@@ -715,7 +700,7 @@ def reference_avatar_tick(skeleton, mode, goals, pinned_root, targets, head_targ
             st_.start_fwd = (
                 interp.last_head_fwd
                 if interp.last_head_fwd is not None
-                else quat_rotate(base.orientations["head"], FORWARD)
+                else quat_rotate(base.orientations[HEAD], FORWARD)
             )
         st_.t = min(1.0, st_.t + dt * interp.speed)
         fwd = interp_head(st_.start_fwd, desired_fwd, st_.t) if st_.t < 1.0 else desired_fwd
@@ -725,24 +710,22 @@ def reference_avatar_tick(skeleton, mode, goals, pinned_root, targets, head_targ
         )
     else:
         interp.head.reset()
-    for side in ("left", "right"):
-        point = targets.get(side)
+    for side, i, shoulder, wrist in _REFERENCE_ARMS:
         st_ = interp.hand(side)
-        if point is None:
+        if targets[i] is None:
             st_.reset()
             continue
         user_hand = root.compose(goals.left_hand if side == "left" else goals.right_hand)
+        point = vertical_compensation(targets[i], eye, cfg)
         sol = reference_retarget_pointing(skeleton, root, user_hand, point, side, cfg)
         key = f"{side}-aim"
         if st_.key != key:
             st_.key = key
             st_.t = 0.0
-            st_.start_pos = interp.last_wrist.get(side, base.joints[f"{side[0]}_wrist"])
+            st_.start_pos = interp.last_wrist.get(side, base.joints[wrist])
             prev_fwd = interp.last_arm_fwd.get(side)
             if prev_fwd is None:
-                prev_fwd = _reference_safe_direction(
-                    sub(base.joints[f"{side[0]}_wrist"], base.joints[f"{side[0]}_shoulder"]), root
-                )
+                prev_fwd = _reference_safe_direction(sub(base.joints[wrist], base.joints[shoulder]), root)
             st_.start_fwd = prev_fwd
         st_.t = min(1.0, st_.t + dt * interp.speed)
         if st_.t < 1.0:
@@ -758,10 +741,10 @@ def reference_avatar_tick(skeleton, mode, goals, pinned_root, targets, head_targ
             position=quat_rotate(inv_root_q, sub(wrist_w, root.position)),
             orientation=quat_mul(inv_root_q, hand_q_w),
         )})
-        pointing[side] = (st_.t, sol)
+        pointing[i] = (st_.t, sol)
     pose = R.solve_full_body(skeleton, adjusted, cfg)
     _reference_remember(interp, pose)
-    return R.AvatarTickResult(pose=pose, pointing=pointing)
+    return R.AvatarTickResult(pose=pose, pointing=tuple(pointing))
 
 
 def _bits(value) -> bytes:
@@ -771,11 +754,13 @@ def _bits(value) -> bytes:
 def _tick_bits(result) -> list:
     pose = result.pose
     out = [_bits(pose.root.position), _bits(pose.root.orientation)]
-    out += [(k, _bits(v)) for k, v in sorted(pose.joints.items())]
-    out += [(k, _bits(v)) for k, v in sorted(pose.orientations.items())]
-    for side, (t, sol) in sorted(result.pointing.items()):
-        out.append((side, t, _bits(sol.shoulder), _bits(sol.wrist), _bits(sol.aim),
-                    _bits(sol.hand_orientation), sol.reach))
+    out += [_bits(v) for v in pose.joints]
+    out += [_bits(v) for v in pose.orientations]
+    for i, got in enumerate(result.pointing):
+        if got is not None:
+            t, sol = got
+            out.append((i, t, _bits(sol.target), _bits(sol.shoulder), _bits(sol.wrist), _bits(sol.aim),
+                        _bits(sol.hand_orientation), sol.reach))
     return out
 
 
@@ -786,7 +771,7 @@ def _effector_bits(st_, running: bool) -> tuple:
 
 
 def _transitions(interp) -> list:
-    return [_effector_bits(st_, st_.start_fwd is not None) for st_ in (interp.head, interp.left, interp.right)]
+    return [_effector_bits(st_, st_.start_fwd is not None) for st_ in interp.transitions]
 
 
 def _reference_transitions(interp) -> list:
@@ -794,28 +779,27 @@ def _reference_transitions(interp) -> list:
 
 
 def scripted_ticks():
-    """(reset, mode, targets, head_target) per tick: `reset` starts a fresh
-    InterpState, as a placement does."""
+    """(reset, mode, targets) per tick, the targets by `Effector.value`:
+    `reset` starts a fresh InterpState, as a placement does."""
     a = (1.0, 1.5, 2.5)
     b = (-0.8, 1.1, 1.9)
     head = (0.4, 1.7, 2.0)
-    none = {"left": None, "right": None}
     I, S, L = UserState.Interaction, UserState.Solo, UserState.Locomotion
     ticks = []
     # the first tick after a reset is an Interaction tick with a head target
-    ticks += [(True, I, none, head)] + [(False, I, none, head)] * 4
+    ticks += [(True, I, (head, None, None))] + [(False, I, (head, None, None))] * 4
     # a hand transition that starts with nothing remembered
-    ticks += [(True, I, {"left": None, "right": a}, None)] + [(False, I, {"left": None, "right": a}, head)] * 5
+    ticks += [(True, I, (None, None, a))] + [(False, I, (head, None, a))] * 5
     # the target switches mid-transition, then the aim moves to the other hand
-    ticks += [(False, I, {"left": None, "right": b}, head)] * 5
-    ticks += [(False, I, {"left": a, "right": None}, None)] * 5
-    ticks += [(False, I, {"left": b, "right": a}, head)] * 40
+    ticks += [(False, I, (head, None, b))] * 5
+    ticks += [(False, I, (None, a, None))] * 5
+    ticks += [(False, I, (head, b, a))] * 40
     # both hands start from nothing remembered, with a head target
-    ticks += [(True, I, {"left": a, "right": b}, head)] + [(False, I, {"left": a, "right": b}, head)] * 3
-    ticks += [(False, S, none, None)] * 3 + [(False, L, none, None)] * 3
-    ticks += [(False, I, {"left": None, "right": a}, None)] * 3
-    ticks += [(False, L, {"left": None, "right": a}, head)] * 2 + [(False, S, none, head)] * 2
-    ticks += [(False, I, none, None)] * 2 + [(False, I, {"left": None, "right": b}, head)] * 3
+    ticks += [(True, I, (head, a, b))] + [(False, I, (head, a, b))] * 3
+    ticks += [(False, S, NO_TARGETS)] * 3 + [(False, L, NO_TARGETS)] * 3
+    ticks += [(False, I, (None, None, a))] * 3
+    ticks += [(False, L, (head, None, a))] * 2 + [(False, S, (head, None, None))] * 2
+    ticks += [(False, I, NO_TARGETS)] * 2 + [(False, I, (head, None, b))] * 3
     return ticks
 
 
@@ -824,31 +808,35 @@ def test_avatar_tick_solves_once_and_matches_the_two_solve_tick(cfg, monkeypatch
     skeleton = Skeleton()
     pinned = Transform((0.4, 0.9, -0.3), quat_from_yaw(2.0))
     rng = np.random.default_rng(5)
-    solves = []
-    solve = R.solve_full_body
+    solves, heads = [], []
+    solve, neck_and_head = R.solve_full_body, R._neck_and_head
 
     def counting(*args, **kwargs):
         solves.append(1)
         return solve(*args, **kwargs)
 
+    def counting_heads(*args):
+        heads.append(1)
+        return neck_and_head(*args)
+
     ref_interp = new_interp = None
-    for tick, (reset, mode, targets, head_target) in enumerate(scripted_ticks()):
+    for tick, (reset, mode, targets) in enumerate(scripted_ticks()):
         if reset:
             ref_interp = _ReferenceInterp(speed=cfg.interp_speed)
             new_interp = InterpState()
         goals = random_goals(rng, skeleton)
-        fallback = (
-            mode is UserState.Interaction
-            and (head_target is not None or any(v is not None for v in targets.values()))
-            and new_interp.last is None
-        )
-        want = reference_avatar_tick(skeleton, mode, goals, pinned, targets, head_target,
-                                     ref_interp, 1 / 60, cfg)
+        fallback = mode is UserState.Interaction and any(targets) and new_interp.last is None
+        want = reference_avatar_tick(skeleton, mode, goals, pinned, targets, ref_interp, 1 / 60, cfg)
         monkeypatch.setattr(R, "solve_full_body", counting)
+        monkeypatch.setattr(R, "_neck_and_head", counting_heads)
         solves.clear()
-        got = avatar_tick(skeleton, mode, goals, pinned, targets, head_target, new_interp, 1 / 60, cfg)
+        heads.clear()
+        got = avatar_tick(skeleton, mode, goals, pinned, targets, new_interp, 1 / 60, cfg)
         monkeypatch.setattr(R, "solve_full_body", solve)
+        monkeypatch.setattr(R, "_neck_and_head", neck_and_head)
         assert _tick_bits(got) == _tick_bits(want), f"tick {tick}"
         assert _transitions(new_interp) == _reference_transitions(ref_interp), f"tick {tick}"
         assert new_interp.last is got.pose, f"tick {tick}"
         assert len(solves) == (2 if fallback else 1), f"tick {tick}"
+        # the head joint is solved once per tick, and a fallback solve reuses it too
+        assert len(heads) == 1, f"tick {tick}"

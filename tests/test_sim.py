@@ -4,8 +4,9 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -15,11 +16,14 @@ from twinroom import retarget as retarget_module
 from twinroom import sim as sim_module
 from twinroom.geometry import (
     Transform,
+    normalized,
+    point_to_line_distance,
     quat_conj,
     quat_from_yaw,
     quat_mul,
     quat_normalize,
     quat_rotate,
+    sub,
     wrap_angle_positive,
     yaw_of,
 )
@@ -42,7 +46,7 @@ from twinroom.protocol import (
     encode_frame,
     f32,
 )
-from twinroom.retarget import RetargetConfig, Skeleton
+from twinroom.retarget import Joint, RetargetConfig, Skeleton, vertical_compensation
 from twinroom.scene import ObjectCategory, PairingError, Room, SceneObject, load_room, room_hash
 from twinroom.sim import (
     PARTNER_HEAD_ID,
@@ -288,7 +292,7 @@ def test_replay_rebuilds_every_avatar_tick(monkeypatch):
         def recorded(*args, **kwargs):
             result = solve(*args, **kwargs)
             owner, t = hosting[-1]
-            ticks.setdefault(owner, []).append((t, bool(result.pointing), _tick_bits(result)))
+            ticks.setdefault(owner, []).append((t, any(result.pointing), _tick_bits(result)))
             return result
 
         with monkeypatch.context() as m:
@@ -335,9 +339,9 @@ def test_every_avatar_tick_equals_the_per_point_solve(monkeypatch):
     live, live_ticks, replayed = both()
     solves = []
 
-    def reference(*args):
+    def reference(*args, **kwargs):
         solves.append(1)
-        return reference_solve_full_body(*args)
+        return reference_solve_full_body(*args, **kwargs)
 
     monkeypatch.setattr(retarget_module, "solve_full_body", reference)
     ref_live, ref_ticks, ref_replayed = both()
@@ -604,6 +608,48 @@ def test_pointing_at_partner_head():
     assert replay(second.transcript, room_a_doc(), room_b_doc()) == second.report
 
 
+def test_pointing_is_raised_as_seen_from_the_solved_head_joint(base_result, monkeypatch):
+    # with an elevation offset, every completed pointing solution aims
+    # through its target raised as seen from that tick's solved head joint
+    config = quick_config(retarget=RetargetConfig(elevation_offset=0.1))
+    seen, tick = [], sim_module.avatar_tick
+
+    def recorded(*args):
+        result = tick(*args)
+        seen.append((args[2], args[4], result))
+        return result
+
+    def session():
+        return run(room_a_doc(), room_b_doc(), trace_a_script().build(), trace_b_script().build(), config=config)
+
+    with monkeypatch.context() as m:
+        m.setattr(sim_module, "avatar_tick", recorded)
+        lifted = session()
+    completed = from_goal = 0
+    for goals, targets, result in seen:
+        eye = result.pose.joints[Joint.Head]
+        for i, shoulder, wrist in ((Effector.LeftHand.value, Joint.LeftShoulder, Joint.LeftWrist),
+                                   (Effector.RightHand.value, Joint.RightShoulder, Joint.RightWrist)):
+            if result.pointing[i] is None:
+                continue
+            t, solution = result.pointing[i]
+            raised = vertical_compensation(targets[i], eye, config.retarget)
+            assert solution.target == raised and raised[1] > targets[i][1]
+            from_goal += raised != vertical_compensation(
+                targets[i], goals.root.apply(goals.head.position), config.retarget)
+            if t == 1.0:
+                completed += 1
+                arm = sub(result.pose.joints[wrist], result.pose.joints[shoulder])
+                assert point_to_line_distance(raised, result.pose.joints[shoulder], normalized(arm)) < 1e-9
+    assert completed > 0 and from_goal > 0  # the head goal would have been another eye
+    assert all(row["max_miss"] < 1e-9 for row in lifted.report["pointing"]["a"])
+    again = session()
+    assert again.transcript == lifted.transcript and again.report_json == lifted.report_json
+    assert replay(lifted.transcript, room_a_doc(), room_b_doc()) == lifted.report
+    # the lift moves the avatar's arm, not what either user sends
+    assert lifted.transcript.splitlines()[1:] == base_result.transcript.splitlines()[1:]
+
+
 def test_fixation_room_is_rebuilt_only_when_the_partner_head_moves(monkeypatch):
     # A gazes and points at B's avatar head while B sits down and stands up
     # again, so the head both holds still and moves while it is a target
@@ -794,6 +840,41 @@ def test_config_range_checks_reject_nan(make, field, value):
     make()  # the defaults pass
     with pytest.raises(ValueError):
         make(**{field: value})
+
+
+def _float_fields(cls, path=""):
+    """The dotted path of every float field of a config, nested configs included."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            yield from _float_fields(hints[f.name], f"{path}{f.name}.")
+        elif hints[f.name] is float:
+            yield path + f.name
+
+
+def _with_field(config, path: str, value):
+    owner, _, rest = path.partition(".")
+    if not rest:
+        return replace(config, **{owner: value})
+    return replace(config, **{owner: _with_field(getattr(config, owner), rest, value)})
+
+
+@pytest.mark.parametrize("value", [math.inf, NAN])
+@pytest.mark.parametrize("path", list(_float_fields(SimConfig)))
+def test_run_refuses_every_config_that_replay_refuses(path, value):
+    # a config is refused where it is built, or else by `run` with the
+    # message `replay` gives for the same value in a transcript header
+    try:
+        config = _with_field(SimConfig(), path, value)
+    except ValueError:
+        return
+    doc = config.to_dict()
+    with pytest.raises(ValueError, match=f"^{path} must be finite") as refused:
+        SimConfig.from_dict(doc)
+    trace = TraceBuilder().hold(0.05).build()
+    with pytest.raises(ValueError) as err:
+        run(room_a_doc(), room_b_doc(), trace, trace, config=config)
+    assert str(err.value) == str(refused.value)
 
 
 def test_nan_weight_from_json_or_a_transcript_header_is_rejected():
