@@ -86,13 +86,13 @@ import math
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Protocol, get_args, get_origin, get_type_hints
+from typing import Protocol, get_type_hints
 
 import numpy as np
 
 from .geometry import wrap_angle, wrap_angle_positive
 from .scene import (
-    ObjectCategory, Room, RoomArrays, height_map_grid, read_document, require_int, require_number, require_numbers,
+    ObjectCategory, Room, RoomArrays, height_map_grid, read_document, require_field, require_fields,
 )
 
 _EPS = 1e-9
@@ -138,11 +138,10 @@ def config_to_dict(config) -> dict:
 
 def config_from_dict(cls, doc: dict, path: str = ""):
     """A config from its `config_to_dict` form. Every value must have its field's
-    annotated type, as `scene.require_int`, `require_number` and
-    `require_numbers` take it: an int field takes an int, a float field a
-    finite int or float, a tuple field a list of as many such values and a
-    nested config an object; anything else is a ValueError naming the
-    field."""
+    annotated type, as `scene.require_field` takes it: an int field takes an
+    int, a float field a finite int or float, a tuple field a list of as many
+    such values and a nested config an object; anything else is a ValueError
+    naming the field by its full path."""
     if not isinstance(doc, dict):
         raise ValueError(f"{path or cls.__name__} must be an object, got {doc!r}")
     names = [f.name for f in fields(cls)]
@@ -155,11 +154,7 @@ def config_from_dict(cls, doc: dict, path: str = ""):
 def _json_value(hint, value, path: str):
     if is_dataclass(hint):
         return config_from_dict(hint, value, path + ".")
-    if get_origin(hint) is tuple:
-        return tuple(require_numbers(value, len(get_args(hint)), path, ValueError))
-    if hint is int:
-        return require_int(value, path, ValueError)
-    return require_number(value, path, ValueError)
+    return require_field(hint, value, path, ValueError)
 
 
 class NoFeasiblePlacement(RuntimeError):
@@ -249,12 +244,13 @@ class ScorerConfig:
     weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
 
     def __post_init__(self):
+        require_fields(self)
         for name in ("sigma_offset", "sigma_facing", "sigma_height", "distance_falloff"):
-            if not getattr(self, name) > 0.0:  # NaN fails every comparison
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         w = tuple(float(v) for v in self.weights)
-        if len(w) != 4 or not all(v >= 0.0 for v in w):
-            raise ValueError("weights must be four non-negative numbers")
+        if not all(v >= 0.0 for v in w):
+            raise ValueError("weights must be non-negative")
         if not abs(sum(w) - 1.0) <= 1e-6:
             raise ValueError("weights must sum to 1 so identical features score 1")
         object.__setattr__(self, "weights", w)
@@ -628,9 +624,9 @@ class GridConfig:
     yaw_count: int = GRID_YAW_COUNT
 
     def __post_init__(self):
+        require_fields(self)
         if not self.cell > 0.0:
             raise ValueError("grid cell must be positive")
-        require_int(self.yaw_count, "yaw_count", ValueError)
         if self.yaw_count < 1:
             raise ValueError("yaw_count must be at least 1")
 
@@ -823,8 +819,7 @@ class PsoConfig:
     yaw_radius: float = math.radians(30.0)
 
     def __post_init__(self):
-        require_int(self.particles, "particles", ValueError)
-        require_int(self.iterations, "iterations", ValueError)
+        require_fields(self)
         if self.particles < 1:
             raise ValueError("particles must be at least 1")
         if self.iterations < 0:

@@ -57,7 +57,7 @@ from enum import Enum
 
 from .placement import ACCOMMODATION_CELLS, FeatureVector, PlacementPose
 from .scene import ObjectCategory
-from .states import Effector, UserState
+from .states import Effector, UserState, WireTarget
 
 MAGIC = b"TD"
 # 2: a FeaturePacket carries the accommodation feature as its 81 heights
@@ -385,7 +385,7 @@ class Session:
         self._last_out_tick: int | None = None
         # receivers assume Solo and no targets until told otherwise
         self._sent_state = UserState.Solo
-        self._sent_targets: dict[Effector, tuple | None] = {e: None for e in Effector}
+        self._sent_targets: list[WireTarget | None] = [None] * len(Effector)
 
     # -- outbound
 
@@ -402,16 +402,17 @@ class Session:
         tick: int,
         pose: PoseUpdate,
         state: UserState,
-        targets: dict[Effector, tuple[str, tuple[float, float, float]] | None] | None = None,
+        targets: list[WireTarget | None] | None = None,
         features: FeatureVector | None = None,
         placement: PlacementAnnounce | None = None,
     ) -> list[bytes]:
         """Emit one tick's outbound batch, deduplicating unchanged content.
 
-        `targets` is the complete current target map (effector to (object
-        id, normalized uvw) or None); the session diffs it against what the
-        peer already knows. `features` and `placement` are event-like and
-        sent whenever given.
+        `targets` is the complete current target table indexed by `Effector`
+        ((object id, normalized uvw) or None each, as `acquire_targets` gives
+        it; any other length is a ValueError). The session diffs it, in
+        `Effector` order, against what the peer already knows. `features`
+        and `placement` are event-like and sent whenever given.
         """
         if self.phase is not Phase.Live:
             raise ProtocolError(f"cannot send ticks in phase {self.phase.name}")
@@ -433,13 +434,12 @@ class Session:
             self._sent_state = state
 
         if targets is not None:
-            for eff in sorted(targets, key=lambda e: e.value):
-                entry = targets[eff]
+            for eff, entry in zip(Effector, targets, strict=True):
                 quantized = None
                 if entry is not None:
                     oid, uvw = entry
                     quantized = (oid, (f32(uvw[0]), f32(uvw[1]), f32(uvw[2])))
-                if quantized == self._sent_targets.get(eff):
+                if quantized == self._sent_targets[eff]:
                     continue
                 self._sent_targets[eff] = quantized
                 if quantized is None:

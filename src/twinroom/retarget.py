@@ -26,7 +26,7 @@ its wrist and shoulder-to-wrist direction. A placement starts a fresh
 `InterpState` that remembers no pose; a transition starting then starts from
 the unadjusted (mirrored) body, solved as well on that tick.
 `AvatarPose.joints` is a 14-tuple indexed by `Joint`; orientations, targets,
-pointing solutions and transitions are 3-tuples indexed by `Effector.value`
+pointing solutions and transitions are 3-tuples indexed by `Effector`
 (head, left hand, right hand). The skeleton's rest offsets are built once,
 and a full-body solve maps them and the limb goals, eight root-relative
 points, into the world with one ``Transform.apply_all`` call, which gives
@@ -60,6 +60,7 @@ from .geometry import (
     slerp_vec,
     sub,
 )
+from .scene import require_fields
 from .states import Effector, UserState
 
 
@@ -152,19 +153,19 @@ Joint = IntEnum("Joint", [
 ], start=0)
 
 
-# each hand's `Effector.value`, its side, and its arm's shoulder and wrist
+# each hand's `Effector`, its side, and its arm's shoulder and wrist
 _ARMS = (
-    (Effector.LeftHand.value, "left", Joint.LeftShoulder, Joint.LeftWrist),
-    (Effector.RightHand.value, "right", Joint.RightShoulder, Joint.RightWrist),
+    (Effector.LeftHand, "left", Joint.LeftShoulder, Joint.LeftWrist),
+    (Effector.RightHand, "right", Joint.RightShoulder, Joint.RightWrist),
 )
-HANDS = tuple(arm[:2] for arm in _ARMS)  # (`Effector.value`, side) of each hand
+HANDS = tuple(arm[:2] for arm in _ARMS)  # (`Effector`, side) of each hand
 
 
 @dataclass(frozen=True)
 class AvatarPose:
     root: Transform
     joints: tuple[tuple[float, float, float], ...]               # world positions, by `Joint`
-    orientations: tuple[tuple[float, float, float, float], ...]  # world quaternions, by `Effector.value`
+    orientations: tuple[tuple[float, float, float, float], ...]  # world quaternions, by `Effector`
     fingers: bytes = b""
 
 
@@ -177,15 +178,13 @@ class RetargetConfig:
     calibration_ratio: float = 1.0         # avatar limb length / user limb length
 
     def __post_init__(self):
-        if not self.elevation_offset >= 0.0:  # NaN fails every comparison
+        require_fields(self)
+        if not self.elevation_offset >= 0.0:
             raise ValueError("elevation_offset must be >= 0")
         if not self.interp_speed > 0.0:
             raise ValueError("interp_speed must be positive")
-        if not 0.0 < self.calibration_ratio < math.inf:
-            raise ValueError("calibration_ratio must be positive and finite")
-        for name in ("elbow_hint", "knee_hint"):
-            if not all(map(math.isfinite, getattr(self, name))):
-                raise ValueError(f"{name} entries must be finite")
+        if not self.calibration_ratio > 0.0:
+            raise ValueError("calibration_ratio must be positive")
 
 
 _DEFAULT_RETARGET = RetargetConfig()
@@ -452,7 +451,7 @@ class EffectorInterp:
 @dataclass
 class InterpState:
     """Per-effector aim transitions for one avatar, indexed by
-    `Effector.value`, and the last pose it solved, from which each new
+    `Effector`, and the last pose it solved, from which each new
     transition starts."""
 
     transitions: tuple[EffectorInterp, ...] = field(
@@ -470,7 +469,7 @@ _NO_POINTING = (None,) * len(Effector)
 @dataclass(frozen=True)
 class AvatarTickResult:
     pose: AvatarPose
-    # by `Effector.value`: (aim completion in [0,1], solution) for a hand that pointed, else None
+    # by `Effector`: (aim completion in [0,1], solution) for a hand that pointed, else None
     pointing: tuple[tuple[float, PointingSolution] | None, ...] = _NO_POINTING
 
 
@@ -492,7 +491,7 @@ def avatar_tick(
     targets, easing from the previous pose; target points may move every
     tick and the aim follows them in real time.
 
-    `targets` holds a world point or None per effector, by `Effector.value`.
+    `targets` holds a world point or None per effector, by `Effector`.
     The head joint is solved once and is the eye: the head aims from it,
     each hand at its target lifted as seen from it (`vertical_compensation`),
     and the final solve reuses it. A pointing arm reads the elbow flexion
@@ -517,14 +516,14 @@ def avatar_tick(
     inv_root_q = quat_conj(root.orientation)
     neck_head = _neck_and_head(skeleton, root, goals.head.position)
     eye = neck_head[1]
-    # the head and hand goals, by `Effector.value`, as the tick adjusts them
+    # the head and hand goals, by `Effector`, as the tick adjusts them
     effectors = [goals.head, goals.left_hand, goals.right_hand]
     pointing = list(_NO_POINTING)
     # where transitions start: the remembered pose, or the unadjusted body,
     # solved only when a transition starts with nothing remembered
     start = interp.last
 
-    head = Effector.Head.value
+    head = Effector.Head
     st = interp.transitions[head]
     if targets[head] is None:
         st.reset()

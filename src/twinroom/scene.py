@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -479,6 +480,29 @@ def require_str(value, name: str, error: type[Exception]) -> str:
     if not isinstance(value, str):
         raise error(f"{name} must be a string, got {value!r}")
     return str(value)
+
+
+def require_field(hint, value, name: str, error: type[Exception]):
+    """A value for a config field annotated ``hint``: a `require_numbers` of a
+    tuple's length (as a tuple), a `require_int` or a `require_number`."""
+    if get_origin(hint) is tuple:
+        return tuple(require_numbers(value, len(get_args(hint)), name, error))
+    return (require_int if hint is int else require_number)(value, name, error)
+
+
+_field_hints = cache(get_type_hints)  # a config class's resolved field annotations
+
+
+def require_fields(config) -> None:
+    """Each field of a config dataclass as `require_field` takes it, a nested
+    config an instance of its class: what `placement.config_from_dict` asks
+    of a document, asked first by each config's ``__post_init__``."""
+    for name, hint in _field_hints(type(config)).items():
+        value = getattr(config, name)
+        if not is_dataclass(hint):
+            require_field(hint, value, name, ValueError)
+        elif type(value) is not hint:
+            raise ValueError(f"{name} must be a {hint.__name__}, got {value!r}")
 
 
 def read_document(document, error: type[Exception]) -> str:

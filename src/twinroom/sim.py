@@ -90,6 +90,7 @@ from .scene import (
     denormalize_hit,
     load_room,
     read_document,
+    require_fields,
     require_int,
     room_hash,
     validate_pairing,
@@ -101,6 +102,7 @@ from .states import (
     StateConfig,
     StateEvent,
     UserState,
+    WireTarget,
     acquire_targets,
     classify_state,
     pelvis_speed,
@@ -151,11 +153,9 @@ class SimConfig:
     retarget: RetargetConfig = field(default_factory=RetargetConfig)
 
     def __post_init__(self):
-        # every range check is written so that NaN fails it
-        if not 0.0 < self.tick_rate < np.inf:
-            raise ValueError("tick_rate must be positive and finite")
-        for name in ("latency_ticks", "seed", "app_version"):
-            require_int(getattr(self, name), name, ValueError)
+        require_fields(self)
+        if not self.tick_rate > 0.0:
+            raise ValueError("tick_rate must be positive")
         if self.latency_ticks < 0:
             raise ValueError("latency_ticks must be >= 0")
         if self.seed < 0:
@@ -253,8 +253,8 @@ class AvatarHost:
         self.pose: PoseUpdate | None = None
         self.goals: IkGoals | None = None
         self.state: UserState = UserState.Solo
-        # (object id, uvw) or None per effector, indexed by `Effector.value`
-        self.targets: list[tuple[str, tuple[float, float, float]] | None] = [None] * len(Effector)
+        # (object id, uvw) or None per effector, indexed by `Effector`
+        self.targets: list[WireTarget | None] = [None] * len(Effector)
         self.placement: Placement | None = None
         self.frozen: Transform | None = None  # walk-in-place root, pinned when walking starts
         self.interp = InterpState()
@@ -268,7 +268,7 @@ class AvatarHost:
         self.search: list[dict] = []
         self.transitions: list[dict] = []
         self.pointing_rows: list[dict] = []
-        self._open: list[dict | None] = [None] * len(Effector)  # a hand's open row, by `Effector.value`
+        self._open: list[dict | None] = [None] * len(Effector)  # a hand's open row, by `Effector`
         self.timings: list[dict] = []
 
     # -- inbound message handling
@@ -286,7 +286,7 @@ class AvatarHost:
             self.transitions.append({"tick": msg.tick, "state": msg.state.name})
             self._on_state(msg.state)
         elif isinstance(msg, TargetUpdate):
-            self.targets[msg.effector.value] = (msg.object_id, msg.uvw) if msg.active else None
+            self.targets[msg.effector] = (msg.object_id, msg.uvw) if msg.active else None
         elif isinstance(msg, FeaturePacket):
             return self._place(msg.features, tick, me)
         return None  # PlacementAnnounce / Bye carry no avatar-side state
@@ -554,7 +554,7 @@ class PeerRuntime:
         self.pending_announce: deque[Placement] = deque()
         self.snap = None
         self.my_pose: PoseUpdate | None = None
-        self.targets = {Effector.Head: None, Effector.LeftHand: None, Effector.RightHand: None}
+        self.targets: list[WireTarget | None] = [None] * len(Effector)
         # the room with the partner's head as a gaze target, and where that
         # head was when it was built
         self._head_room = None
@@ -590,11 +590,9 @@ class PeerRuntime:
 
         room = self._fixation_room()
         if self.loco is not UserState.Locomotion:
-            update_fixation(self.tracker, Effector.Head, snap.head.ray(), room, self.dt, self.cfg.state)
-            for side in (Effector.LeftHand, Effector.RightHand):
-                hand = snap.hand(side)
+            for effector, sample in zip(Effector, snap.effectors):
                 update_fixation(
-                    self.tracker, side, hand.ray(), room, self.dt, self.cfg.state, lifted=hand.lifted
+                    self.tracker, effector, sample.ray(), room, self.dt, self.cfg.state, lifted=sample.lifted
                 )
         self.targets = acquire_targets(self.tracker, snap, self.cfg.state)
         self.state_now = classify_state(self.loco, self.targets)
@@ -627,17 +625,13 @@ class PeerRuntime:
     def emit(self, t: int) -> bytes:
         if self.session.phase is not Phase.Live:
             return b""
-        wire_targets = {
-            eff: ((entry[0], entry[1].uvw) if entry is not None else None)
-            for eff, entry in self.targets.items()
-        }
         features = self.pending_features.popleft() if self.pending_features else None
         announce = None
         if self.pending_announce:
             q = self.pending_announce.popleft()
             announce = PlacementAnnounce(tick=t, x=q.x, z=q.z, yaw=f32(q.yaw), pose=q.pose)
         frames = self.session.tick(
-            t, self.my_pose, self.state_now, targets=wire_targets, features=features, placement=announce
+            t, self.my_pose, self.state_now, targets=self.targets, features=features, placement=announce
         )
         return b"".join(frames)
 
@@ -721,8 +715,9 @@ def run(room_a, room_b, trace_a, trace_b, config: SimConfig | None = None) -> Si
 
     Searches score with `DefaultScorer(config.scorer)`, as `replay` does:
     the config is the one recorded way to change scoring. The shorter trace
-    is padded by holding its final snapshot so the peers stay in lockstep,
-    and a config that `replay` would refuse in a transcript is refused here.
+    is padded by holding its final snapshot so the peers stay in lockstep.
+    A config that `replay` would refuse in a transcript header cannot be
+    built: each config's own checks are the decoder's (`scene.require_fields`).
     Returns the canonical report, the wire transcript, and per-search
     wall-clock timings.
     """
@@ -740,7 +735,6 @@ def run(room_a, room_b, trace_a, trace_b, config: SimConfig | None = None) -> Si
         raise ValueError(
             f"config tick rate {config.tick_rate} does not match traces ({trace_a.tick_rate})"
         )
-    SimConfig.from_dict(config.to_dict())  # the checks `replay` applies to the recorded config
     validate_pairing(room_a, room_b)
 
     n = max(len(trace_a), len(trace_b))

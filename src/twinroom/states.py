@@ -12,6 +12,8 @@ Everything here is a pure function of the snapshot stream and configuration;
 identical inputs produce identical state and event streams. Snapshots hold
 numpy arrays as traces load them; each is read into float tuples where it is
 used, and everything computed from it is a float tuple.
+Every per-effector table (a snapshot's `effectors`, the tracker's `channels`,
+the wire targets `acquire_targets` returns) is indexed by `Effector`.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import Enum, IntEnum
 
 import numpy as np
 
 from .geometry import FORWARD, dot, norm, quat_rotate
-from .scene import NormalizedHit, Ray, Room, normalize_hit, raycast
+from .scene import Ray, Room, normalize_hit, raycast, require_fields
 
 
 class InsufficientSamples(ValueError):
@@ -37,7 +39,7 @@ class UserState(Enum):
     Interaction = 2
 
 
-class Effector(Enum):
+class Effector(IntEnum):
     Head = 0
     LeftHand = 1
     RightHand = 2
@@ -82,12 +84,10 @@ class UserSnapshot:
     right_foot: EffectorSample
     fingers: bytes = b""
 
-    def hand(self, effector: Effector) -> EffectorSample:
-        if effector is Effector.LeftHand:
-            return self.left_hand
-        if effector is Effector.RightHand:
-            return self.right_hand
-        raise ValueError(f"{effector} is not a hand")
+    @property
+    def effectors(self) -> tuple[EffectorSample, EffectorSample, EffectorSample]:
+        """Head, left hand and right hand, indexed by `Effector`."""
+        return (self.head, self.left_hand, self.right_hand)
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,7 @@ class StateConfig:
     lift_pitch: float = -math.radians(30.0)  # hand forward pitch above this counts too
 
     def __post_init__(self):
+        require_fields(self)
         if not (self.locomotion_threshold > self.stop_threshold > 0.0):
             raise ValueError(
                 "locomotion_threshold must exceed stop_threshold and both be positive, "
@@ -192,7 +193,8 @@ def step_locomotion(
 
 # --- fixation ---------------------------------------------------------------
 
-RegisteredTarget = tuple[str, NormalizedHit, tuple[float, float, float]]  # id, local hit, world point
+RegisteredTarget = tuple[str, tuple[float, float, float], tuple[float, float, float]]  # id, uvw, world point
+WireTarget = tuple[str, tuple[float, float, float]]  # id and uvw, as a `TargetUpdate` carries them
 
 
 @dataclass
@@ -273,7 +275,9 @@ def check_angle_condition(window: ConvergenceWindow, cfg: StateConfig) -> bool:
 
 
 @dataclass
-class HandChannel:
+class Channel:
+    """An effector's fixation and a hand's convergence on the gaze target."""
+
     fixation: EffectorFixation
     window: ConvergenceWindow
     window_target: str | None = None
@@ -282,34 +286,21 @@ class HandChannel:
 
 @dataclass
 class FixationTracker:
-    """Per-effector fixation state plus hand convergence bookkeeping."""
+    """One `Channel` per effector, indexed by `Effector`."""
 
     tick_rate: float
     cfg: StateConfig
-    head: EffectorFixation = field(default_factory=EffectorFixation)
-    hands: dict[Effector, HandChannel] = field(init=False)
+    channels: tuple[Channel, ...] = field(init=False)
 
     def __post_init__(self):
-        self.hands = {
-            e: HandChannel(
-                fixation=EffectorFixation(),
-                window=ConvergenceWindow(self.tick_rate, self.cfg.condition_period),
-            )
-            for e in (Effector.LeftHand, Effector.RightHand)
-        }
-
-    def fixation(self, effector: Effector) -> EffectorFixation:
-        if effector is Effector.Head:
-            return self.head
-        return self.hands[effector].fixation
+        self.clear_all()
 
     def clear_all(self) -> None:
-        self.head.clear()
-        for ch in self.hands.values():
-            ch.fixation.clear()
-            ch.window.clear()
-            ch.window_target = None
-            ch.converged_to = None
+        """Fresh channels: no fixation, no window, nothing converged."""
+        self.channels = tuple(
+            Channel(EffectorFixation(), ConvergenceWindow(self.tick_rate, self.cfg.condition_period))
+            for _ in Effector
+        )
 
 
 def _interaction_candidate(room: Room, object_id: str) -> bool:
@@ -326,7 +317,7 @@ def update_fixation(
     dt: float,
     cfg: StateConfig,
     lifted: bool = True,
-) -> FixationTracker:
+) -> None:
     """Accumulate dwell time on whatever paired object the ray keeps hitting.
 
     The registered target refreshes its hit point every tick while fixation
@@ -336,15 +327,15 @@ def update_fixation(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    fx = tracker.fixation(effector)
+    fx = tracker.channels[effector].fixation
     if effector is not Effector.Head and not lifted:
         fx.clear()
-        return tracker
+        return
 
     hit = raycast(room, ray)
     if hit is None or not _interaction_candidate(room, hit.object_id):
         fx.clear()
-        return tracker
+        return
     if hit.object_id != fx.candidate:
         fx.candidate = hit.object_id
         fx.accumulated = 0.0
@@ -352,17 +343,15 @@ def update_fixation(
     fx.accumulated += dt
     if fx.accumulated >= cfg.fixation_threshold:
         obj = room.by_id[hit.object_id]
-        nhit = normalize_hit(obj, hit.world_point)
-        fx.target = (hit.object_id, nhit, hit.world_point)
-    return tracker
+        fx.target = (hit.object_id, normalize_hit(obj, hit.world_point).uvw, hit.world_point)
 
 
 def acquire_targets(
     tracker: FixationTracker,
     snapshot: UserSnapshot,
     cfg: StateConfig,
-) -> dict[Effector, tuple[str, NormalizedHit] | None]:
-    """Resolve this tick's interaction targets for head and both hands.
+) -> list[WireTarget | None]:
+    """Resolve this tick's interaction targets, indexed by `Effector`.
 
     The head's target is its own fixation. Each lifted hand first takes its
     own fixation; additionally, while the head holds a target the hand's
@@ -372,19 +361,15 @@ def acquire_targets(
     drops when the gaze target changes or the hand lowers. Head and hands may
     end up with different targets.
     """
-    head_target = tracker.head.target
-    out: dict[Effector, tuple[str, NormalizedHit] | None] = {
-        Effector.Head: (head_target[0], head_target[1]) if head_target else None
-    }
+    head_target = tracker.channels[Effector.Head].fixation.target
+    out: list[WireTarget | None] = [head_target[:2] if head_target else None]
 
-    for side in (Effector.LeftHand, Effector.RightHand):
-        ch = tracker.hands[side]
-        hand = snapshot.hand(side)
+    for ch, hand in zip(tracker.channels[1:], snapshot.effectors[1:]):
         if not hand.lifted:
             ch.converged_to = None
             ch.window.clear()
             ch.window_target = None
-            out[side] = None
+            out.append(None)
             continue
 
         if ch.converged_to is not None and (
@@ -411,34 +396,25 @@ def acquire_targets(
                 angle = math.acos(max(-1.0, min(1.0, cos_a)))
             ch.window.push(snapshot.tick, d, angle)
 
+        # converged_to is now None or the gaze target's id, which it latches
         own = ch.fixation.target
-        assigned: str | None = None
-        if head_target is not None:
-            differs = own is None or own[0] != head_target[0]
-            if ch.converged_to == head_target[0]:
-                assigned = head_target[0]
-            elif differs and ch.window.spans_period():
-                if check_distance_condition(ch.window, cfg) and check_angle_condition(ch.window, cfg):
-                    ch.converged_to = head_target[0]
-                    assigned = head_target[0]
-
-        if assigned is not None:
-            out[side] = (head_target[0], head_target[1])
-        elif own is not None:
-            out[side] = (own[0], own[1])
-        else:
-            out[side] = None
+        if (head_target is not None and ch.converged_to is None and ch.window.spans_period()
+                and (own is None or own[0] != head_target[0])
+                and check_distance_condition(ch.window, cfg) and check_angle_condition(ch.window, cfg)):
+            ch.converged_to = head_target[0]
+        chosen = head_target if ch.converged_to is not None else own
+        out.append(chosen[:2] if chosen is not None else None)
     return out
 
 
 def classify_state(
     locomotion_state: UserState,
-    targets: dict[Effector, tuple[str, NormalizedHit] | None],
+    targets: list[WireTarget | None],
 ) -> UserState:
     """Locomotion dominates; otherwise any registered target means
     interaction; otherwise solo."""
     if locomotion_state is UserState.Locomotion:
         return UserState.Locomotion
-    if any(v is not None for v in targets.values()):
+    if any(v is not None for v in targets):
         return UserState.Interaction
     return UserState.Solo

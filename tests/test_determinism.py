@@ -146,3 +146,51 @@ def test_engine_modules_use_every_name_they_import():
     assert files
     found = {f.name: unused_imports(f.read_text()) for f in files}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unused_private_names(source: str) -> list[str]:
+    """Module-level private names (``_x``; dunders and the bare ``_`` aside)
+    that a module binds and never reads: each top-level ``def``, ``class`` or
+    assignment target that no name node in the module loads. An attribute
+    of the same name (``obj._x``) is not a use."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        bound[name.id] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [
+        f"line {line}: {name}" for name, line in bound.items()
+        if name.startswith("_") and not name.startswith("__") and name != "_" and name not in used
+    ]
+
+
+def test_private_name_scan_finds_each_orphan():
+    sample = (
+        "_USED = 1\n"
+        "_UNUSED, _ = 2, 3\n"
+        "_DEFAULT: int = 4\n"
+        "__all__ = ['f']\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "def _orphan():\n"
+        "    return _helper()\n"
+        "class _Gone:\n"
+        "    _inner = 5\n"
+        "def f(o, x=_DEFAULT):\n"
+        "    return o._UNUSED, o._Gone\n"
+    )
+    assert unused_private_names(sample) == ["line 2: _UNUSED", "line 7: _orphan", "line 9: _Gone"]
+
+
+def test_engine_modules_use_every_private_name_they_define():
+    files = sorted((SRC / "twinroom").glob("*.py"))
+    assert files
+    found = {f.name: unused_private_names(f.read_text()) for f in files}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -362,20 +362,34 @@ def test_tick_emits_exactly_one_pose_and_dedups_state():
 
 def test_target_updates_dedup_at_f32_resolution():
     a, b = linked_pair()
-    t0 = {Effector.Head: ("screen", (0.1, 0.5, 0.0)),
-          Effector.LeftHand: None, Effector.RightHand: None}
+    t0 = [("screen", (0.1, 0.5, 0.0)), None, None]  # head, left hand, right hand
     frames = a.tick(0, pose_at(0), UserState.Solo, targets=t0)
     assert len(frames) == 2  # pose + one activation
     # same point, but computed with double rounding noise below f32 steps
-    t1 = {Effector.Head: ("screen", (f32(0.1), 0.5, 0.0)),
-          Effector.LeftHand: None, Effector.RightHand: None}
+    t1 = [("screen", (f32(0.1), 0.5, 0.0)), None, None]
     frames = a.tick(1, pose_at(1), UserState.Solo, targets=t1)
     assert len(frames) == 1  # deduplicated
-    t2 = {Effector.Head: None, Effector.LeftHand: None, Effector.RightHand: None}
+    t2 = [None, None, None]
     frames = a.tick(2, pose_at(2), UserState.Solo, targets=t2)
     assert len(frames) == 2  # explicit drop
     drop = decode_all(frames[1])[0]
     assert isinstance(drop, TargetUpdate) and not drop.active
+
+
+def test_target_updates_follow_effector_order():
+    a, _ = linked_pair()
+    targets = [("screen", (0.1, 0.5, 0.0)), ("desk", (0.5, 1.0, 0.5)), ("screen", (0.9, 0.5, 0.0))]
+    frames = a.tick(0, pose_at(0), UserState.Solo, targets=targets)
+    updates = [decode_all(frame)[0] for frame in frames[1:]]
+    assert [(u.effector, u.object_id) for u in updates] == [
+        (Effector.Head, "screen"), (Effector.LeftHand, "desk"), (Effector.RightHand, "screen")]
+
+
+@pytest.mark.parametrize("targets", [[None, None], [None] * 4])
+def test_a_target_table_of_the_wrong_length_is_refused(targets):
+    a, _ = linked_pair()
+    with pytest.raises(ValueError):
+        a.tick(0, pose_at(0), UserState.Solo, targets=targets)
 
 
 def test_outbound_ticks_must_increase():

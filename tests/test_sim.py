@@ -678,8 +678,8 @@ def test_fixation_room_is_rebuilt_only_when_the_partner_head_moves(monkeypatch):
 
         def recorded(peer, t):
             step_local(peer, t)
-            fx = [peer.tracker.fixation(e) for e in Effector]
-            ticks.append((peer.name, t, dict(peer.targets),
+            fx = [ch.fixation for ch in peer.tracker.channels]
+            ticks.append((peer.name, t, list(peer.targets),
                           [(f.candidate, f.accumulated, f.target) for f in fx]))
 
         def counted(room, extra):
@@ -875,6 +875,38 @@ def test_run_refuses_every_config_that_replay_refuses(path, value):
     with pytest.raises(ValueError) as err:
         run(room_a_doc(), room_b_doc(), trace, trace, config=config)
     assert str(err.value) == str(refused.value)
+
+
+def test_every_config_refuses_a_non_finite_float_where_it_is_built():
+    # what `config_from_dict` refuses in a document, each config refuses in
+    # code: inf and NaN in every float field, and in every entry of a tuple
+    cases = []
+    for cls in (SimConfig, StateConfig, ScorerConfig, GridConfig, PsoConfig, RetargetConfig):
+        defaults = cls()  # the defaults pass
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            default = getattr(defaults, f.name)
+            for bad in (math.inf, -math.inf, NAN):
+                if hints[f.name] is float:
+                    cases.append((cls, f.name, bad))
+                elif isinstance(default, tuple):
+                    cases += [(cls, f.name, default[:i] + (bad,) + default[i + 1:]) for i in range(len(default))]
+    accepted = []
+    for cls, name, value in cases:
+        try:
+            cls(**{name: value})
+        except ValueError as e:
+            assert str(e).startswith(f"{name} must be finite"), (cls.__name__, name, str(e))
+        else:
+            accepted.append((cls.__name__, name, value))
+    assert len(cases) > 100 and accepted == []
+
+
+def test_a_config_refuses_a_nested_config_of_another_class():
+    with pytest.raises(ValueError, match="^state must be a StateConfig"):
+        SimConfig(state=PsoConfig())
+    with pytest.raises(ValueError, match="^retarget must be a RetargetConfig"):
+        SimConfig(retarget=None)
 
 
 def test_nan_weight_from_json_or_a_transcript_header_is_rejected():

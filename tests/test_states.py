@@ -278,16 +278,17 @@ def test_fixation_registers_after_dwell_threshold():
     room = fixation_room()
     cfg = StateConfig()
     tracker = FixationTracker(TICK_RATE, cfg)
+    head = tracker.channels[Effector.Head].fixation
     need = math.ceil(cfg.fixation_threshold / DT)
     first = None
     for i in range(need + 1):
         update_fixation(tracker, Effector.Head, gaze_ray(), room, DT, cfg)
-        if first is None and tracker.head.target is not None:
+        if first is None and head.target is not None:
             first = i + 1
     # float dwell accumulation may cross the threshold one tick late
     assert first in (need, need + 1)
-    assert tracker.head.target is not None
-    oid, _, world = tracker.head.target
+    assert head.target is not None
+    oid, _, world = head.target
     assert oid == "screen"
     np.testing.assert_allclose(world, [0, 1.5, 2.95], atol=1e-9)
 
@@ -296,49 +297,53 @@ def test_fixation_ignores_unpaired_objects():
     room = fixation_room()
     cfg = StateConfig()
     tracker = FixationTracker(TICK_RATE, cfg)
+    head = tracker.channels[Effector.Head].fixation
     for _ in range(60):
         update_fixation(tracker, Effector.Head, gaze_ray((3, 1.5, 0)), room, DT, cfg)
-    assert tracker.head.candidate is None and tracker.head.target is None
+    assert head.candidate is None and head.target is None
 
 
 def test_fixation_candidate_switch_restarts_dwell():
     room = fixation_room()
     cfg = StateConfig()
     tracker = FixationTracker(TICK_RATE, cfg)
+    head = tracker.channels[Effector.Head].fixation
     desk_ray = Ray(
         origin=np.array([-3.0, 0.4, 0.0]), direction=FORWARD
     )
     for _ in range(20):
         update_fixation(tracker, Effector.Head, gaze_ray(), room, DT, cfg)
-    assert tracker.head.candidate == "screen"
+    assert head.candidate == "screen"
     update_fixation(tracker, Effector.Head, desk_ray, room, DT, cfg)
-    assert tracker.head.candidate == "desk"
-    assert tracker.head.accumulated == pytest.approx(DT)
-    assert tracker.head.target is None
+    assert head.candidate == "desk"
+    assert head.accumulated == pytest.approx(DT)
+    assert head.target is None
 
 
 def test_fixation_miss_clears_everything():
     room = fixation_room()
     cfg = StateConfig()
     tracker = FixationTracker(TICK_RATE, cfg)
+    head = tracker.channels[Effector.Head].fixation
     for _ in range(40):
         update_fixation(tracker, Effector.Head, gaze_ray(), room, DT, cfg)
-    assert tracker.head.target is not None
+    assert head.target is not None
     up = Ray(origin=np.array([0.0, 1.5, 0.0]), direction=np.array([0.0, 1.0, 0.0]))
     update_fixation(tracker, Effector.Head, up, room, DT, cfg)
-    assert tracker.head.candidate is None and tracker.head.target is None
+    assert head.candidate is None and head.target is None
 
 
 def test_fixation_target_tracks_a_sliding_gaze():
     room = fixation_room()
     cfg = StateConfig()
     tracker = FixationTracker(TICK_RATE, cfg)
+    head = tracker.channels[Effector.Head].fixation
     for i in range(40):
         x = -0.5 + i * 0.02  # pan across the screen face
         ray = Ray(origin=np.array([x, 1.5, 0.0]), direction=FORWARD)
         update_fixation(tracker, Effector.Head, ray, room, DT, cfg)
-    assert tracker.head.target is not None
-    assert tracker.head.target[2][0] == pytest.approx(-0.5 + 39 * 0.02)
+    assert head.target is not None
+    assert head.target[2][0] == pytest.approx(-0.5 + 39 * 0.02)
 
 
 def test_hand_fixation_needs_lift():
@@ -349,11 +354,11 @@ def test_hand_fixation_needs_lift():
         update_fixation(
             tracker, Effector.LeftHand, gaze_ray(), room, DT, cfg, lifted=True
         )
-    assert tracker.fixation(Effector.LeftHand).target is not None
+    assert tracker.channels[Effector.LeftHand].fixation.target is not None
     update_fixation(
         tracker, Effector.LeftHand, gaze_ray(), room, DT, cfg, lifted=False
     )
-    assert tracker.fixation(Effector.LeftHand).target is None
+    assert tracker.channels[Effector.LeftHand].fixation.target is None
 
 
 def test_update_fixation_rejects_bad_dt():
@@ -406,7 +411,7 @@ def test_hand_inherits_gaze_target_after_convergence():
     )
     assert results[hand_first][Effector.RightHand][0] == "screen"
     # convergence needs the full condition period after the gaze registers
-    span = tracker.hands[Effector.RightHand].window.span_ticks
+    span = tracker.channels[Effector.RightHand].window.span_ticks
     assert hand_first >= head_first + span
     # and it latches for every later tick of the run
     assert all(
@@ -428,7 +433,7 @@ def test_lowering_the_hand_drops_the_assignment():
     snap = snapshot(len(results), right=sample((0, 0.8, 0.5)))  # lifted=False
     out = acquire_targets(tracker, snap, cfg)
     assert out[Effector.RightHand] is None
-    assert tracker.hands[Effector.RightHand].converged_to is None
+    assert tracker.channels[Effector.RightHand].converged_to is None
 
 
 def test_losing_the_gaze_target_drops_the_assignment():
@@ -482,10 +487,10 @@ def test_hands_own_fixation_wins_without_convergence():
 
 
 def test_classify_state_priorities():
-    nothing = {e: None for e in Effector}
+    nothing = [None] * len(Effector)
     assert classify_state(UserState.Solo, nothing) is UserState.Solo
     assert classify_state(UserState.Locomotion, nothing) is UserState.Locomotion
-    with_target = dict(nothing)
+    with_target = list(nothing)
     with_target[Effector.Head] = ("screen", None)
     assert classify_state(UserState.Solo, with_target) is UserState.Interaction
     assert classify_state(UserState.Locomotion, with_target) is UserState.Locomotion
