@@ -38,45 +38,55 @@ attention tables in one broadcast.
 The grid is a bounded best-first scan with the result of an exhaustive one.
 Its room-only phase, ``grid_tables``, takes one grid column at a time: one
 broadcast gives its cells' accommodation rows, hence their standing
-feasibility, the seat test decides the rest, and another broadcast gives the
-feasible cells' spatial tables. Nothing in it depends on the target, so a
+feasibility, another their seat coverage, which decides the rest, and a last
+broadcast gives the feasible cells' spatial tables. Nothing in it depends on the target, so a
 caller that searches one room again (a session's avatar host) passes the
-tables back in and skips it. Each feasible cell holds one pose and gets an
-upper bound on its yaw candidates' scores (their height and spatial terms do
-not depend on yaw, attention is at most 1, and the partner offset has the
-same length at every yaw). The search then visits cells by descending bound,
-scores a cell's candidates together, and stops once no bound can reach the
-best score.
+tables back in and skips it. Each feasible cell holds one pose, and one
+``score_bound`` call over all of them gives each cell an upper bound on its
+yaw candidates' scores (their height and spatial terms do not depend on yaw,
+attention is at most 1, and the partner offset has the same length at every
+yaw). The search then visits cells by descending bound, scores a cell's
+candidates together, and stops once no bound can reach the best score.
 A standing swarm iteration is one accommodation broadcast over every
 particle, which gives both their feasibility and their rows; a sitting
-iteration tests the seats first and samples only the feasible particles.
-The feasible particles get their spatial tables from one difference
-broadcast and are scored together; the default scorer computes the height
-term once per distinct accommodation row.
+iteration tests the seats first, in one broadcast per sittable object, and
+samples only the feasible particles.
+From the second evaluation on, the swarm screens the feasible particles: one
+``score_bound`` call, from their rows, their interpersonal features and
+spatial tables from one ``np.sqrt`` broadcast, bounds their scores, and a
+particle whose bound is at most its personal best scores -inf instead of its
+score. Neither can improve that best, so nothing the swarm keeps changes. A
+particle with an object centre at the edge of SPATIAL_RADIUS, where the
+broadcast and ``math.hypot`` may disagree on what is in range, is never
+skipped. The other particles get their exact spatial tables from one
+difference broadcast and are scored together; the default scorer computes
+the height term once per distinct accommodation row.
 A swarm's accommodation broadcasts run only against the objects whose
 footprint reaches the box its samples lie in, which drops only objects that
 cover none of them.
 The broadcasts read the room's ``scene.RoomArrays``, whose columns hold the
 objects in category order, so an attention or spatial table is one
-``np.minimum`` reduction per category run; the seat-coverage loop reads the
-plain floats of the same objects.
-Batching, bounding and cropping change no result: every feature and score
-is computed with the same floating-point operations as for a single
-placement (a category's attention entry is the least distance in the cone,
-which is the nearest hit), and ``math.sin``, ``math.cos``, ``math.hypot``,
-``math.exp`` and the height term still run on the same inputs (the height
-term once per distinct row, which gives every equal row the same value). The
-broadcasts use only elementwise arithmetic, ``np.sqrt`` and comparisons,
-which are correctly rounded on every CPU, and the height term sums its
-squared differences with ``math.fsum``, which is correctly rounded too, so a
-search gives the same bits on every machine.
+``np.minimum`` reduction per category run; the seat test runs over the
+sittable objects of the same room, one broadcast each.
+Batching, bounding, screening and cropping change no result: every feature
+and score is computed with the same floating-point operations as for a
+single placement (a category's attention entry is the least distance in the
+cone, which is the nearest hit), and ``math.sin``, ``math.cos``,
+``math.hypot``, ``math.exp`` and the height term still run on the same
+inputs (the height term once per distinct row, which gives every equal row
+the same value). The broadcasts use only elementwise arithmetic,
+``np.sqrt``, ``np.fmod`` and comparisons, which are correctly rounded on
+every CPU, and the height term sums its squared differences with
+``math.fsum``, which is correctly rounded too, so a search gives the same
+bits on every machine. A bound only decides what is skipped, never a score.
 
 Scorers are pluggable: anything with a ``score(target, candidate) -> float``
 method can replace the default, including learned models. A scorer may
 also define ``score_batch(target, candidates) -> list[float]``; without it
 the search calls ``score`` once per candidate. A scorer may define
-``score_bound``, an upper bound on a grid cell's candidates' scores;
-without it the grid scores every feasible candidate.
+``score_bound``, batched upper bounds on scores (see ``SimilarityScorer``);
+without it the grid scores every feasible candidate and the swarm every
+feasible particle.
 """
 
 from __future__ import annotations
@@ -282,16 +292,24 @@ class SimilarityScorer(Protocol):
 
     A scorer may also define ``score_batch(target, candidates) -> list[float]``
     returning exactly ``[score(target, c) for c in candidates]``; the search
-    then hands it each grid cell's candidates, and each swarm iteration's
-    feasible particles, in one call.
+    then hands it each grid cell's candidates, and the feasible particles
+    each swarm iteration scores, in one call.
 
-    A scorer may also define ``score_bound(target, accommodation, spatial,
-    partner_distance) -> float``: a float at least the score of every
-    candidate of a grid cell (one per yaw, at the cell's one pose) whose
-    accommodation row and spatial table are given, as ``score`` computes it. ``partner_distance`` is the
-    length of the partner's offset from the cell, the same at every yaw, or
-    None without a partner. The grid then skips the cells whose bound is
-    below the best score found; without it, every cell is scored.
+    A scorer may also define ``score_bound(target, accommodation, spatial, *,
+    partner_distance=None, interpersonal=None)``, returning one float per
+    candidate position, each at least the float ``score`` of that position's
+    candidate. ``accommodation`` is an ``(n, ACCOMMODATION_CELLS)`` array of
+    rows and ``spatial`` a ``(categories, n)`` array of spatial tables, inf
+    where no object of a category is in range.
+    The grid calls it once over all of a room's feasible cells and passes
+    ``partner_distance``, the length of the partner's offset from each cell:
+    each bound must then hold at every yaw. It skips the cells whose bound is
+    below the best score found. The swarm passes ``interpersonal``, the
+    particles' exact ``(n, 3)`` features, and spatial entries that may differ
+    from the exact ones by rounding (never in which categories are present).
+    It skips the particles whose bound is at most their personal best. Both
+    None means there is no partner. Without ``score_bound`` everything is
+    scored.
     """
 
     def score(self, target: FeatureVector, candidate: FeatureVector) -> float:
@@ -307,6 +325,14 @@ def _score_all(scorer: SimilarityScorer, target: FeatureVector, candidates: list
     if len(scores) != len(candidates):
         raise ValueError(f"score_batch returned {len(scores)} scores for {len(candidates)} candidates")
     return scores
+
+
+def _bounds(bounds, n: int) -> np.ndarray:
+    """A ``score_bound`` result as a float array, checked to hold n bounds."""
+    bounds = np.asarray(bounds, dtype=float)
+    if bounds.shape != (n,):
+        raise ValueError(f"score_bound returned shape {bounds.shape} for {n} candidates")
+    return bounds
 
 
 def default_similarity(a: FeatureVector, b: FeatureVector, cfg: ScorerConfig | None = None) -> float:
@@ -341,19 +367,6 @@ def _interpersonal_term(a, b, cfg: ScorerConfig) -> float:
     dz = a[1] - b[1]
     dfacing = abs(wrap_angle(a[2] - b[2]))
     return math.exp(-(math.hypot(dx, dz) / cfg.sigma_offset + dfacing / cfg.sigma_facing))
-
-
-def _interpersonal_bound(a, partner_distance: float | None, sigma_offset: float) -> float:
-    """At least ``_interpersonal_term(a, b, cfg)`` for every b whose offset
-    has length ``partner_distance``: | |a| - |b| | never exceeds |a - b|
-    (the reverse triangle inequality), and the facing term only lowers the
-    term. The gap is padded far beyond the rounding of the rotated offset,
-    the lengths and ``math.exp``."""
-    if a is None or partner_distance is None:
-        return 1.0 if a is None and partner_distance is None else 0.0
-    length = math.hypot(a[0], a[1])
-    gap = abs(length - partner_distance) - 1e-9 * (1.0 + length + partner_distance)
-    return 1.0 if gap <= 0.0 else math.exp(-gap / sigma_offset)
 
 
 def _height_term(ha: np.ndarray, hb: np.ndarray, sigma: float) -> float:
@@ -418,30 +431,125 @@ class DefaultScorer:
             out.append(w0 * s_inter + w1 * s_height + w2 * s_attention + w3 * s_spatial)
         return out
 
-    def score_bound(self, target: FeatureVector, accommodation: np.ndarray, spatial: tuple,
-                    partner_distance: float | None) -> float:
-        """``score``'s sum with attention at its maximum 1 and the
-        interpersonal term at its bound, in the same order: each addend is
-        at least the score's, so the rounded sum is too."""
+    def score_bound(self, target: FeatureVector, accommodation: np.ndarray, spatial: np.ndarray, *,
+                    partner_distance: np.ndarray | None = None,
+                    interpersonal: np.ndarray | None = None) -> np.ndarray:
+        """``score``'s sum with attention at its maximum 1 and every other
+        term at a bound, in the same order: each addend is at least the
+        score's, so the rounded sum is too."""
         cfg = self.config
         w0, w1, w2, w3 = cfg.weights
         return (
-            w0 * _interpersonal_bound(target.interpersonal, partner_distance, cfg.sigma_offset)
-            + w1 * _height_term(target.pose_accommodation, accommodation, cfg.sigma_height)
+            w0 * _interpersonal_bound(target.interpersonal, partner_distance, interpersonal, cfg)
+            + w1 * _height_bound(target.pose_accommodation, accommodation, cfg.sigma_height)
             + w2 * 1.0
-            + w3 * _category_term(target.spatial, spatial, cfg.distance_falloff)
+            + w3 * _category_bound(target.spatial, spatial, cfg.distance_falloff)
         )
+
+
+# exp(-x) at x = 0, 1/32, ..., 40, from math.exp. exp(-x) is convex, so the
+# chords np.interp draws between these points lie above it
+_EXP_XS = np.arange(1281) / 32.0
+_EXP_TABLE = np.array([math.exp(-x) for x in _EXP_XS.tolist()])
+
+
+def _exp_upper(x: np.ndarray) -> np.ndarray:
+    """At least ``math.exp(-y)`` for every float y >= 0 that is at least x,
+    elementwise: the table's chord at x less a pad far beyond the rounding of
+    ``math.exp``, of the table and of the chord; 1 at or below 0, and the
+    last entry past the table's end. A NaN stays NaN."""
+    return np.interp(x * (1.0 - 1e-9) - 1e-9, _EXP_XS, _EXP_TABLE)
+
+
+def _wrap_angles(a: np.ndarray) -> np.ndarray:
+    """``geometry.wrap_angle`` of each entry, with the same operations."""
+    a = np.fmod(a, 2.0 * math.pi)
+    return np.where(a <= -math.pi, a + 2.0 * math.pi, np.where(a > math.pi, a - 2.0 * math.pi, a))
+
+
+def _wrap_angles_positive(a: np.ndarray) -> np.ndarray:
+    """``geometry.wrap_angle_positive`` of each entry, with the same
+    operations."""
+    a = np.fmod(a, 2.0 * math.pi)
+    a = np.where(a < 0.0, a + 2.0 * math.pi, a)
+    return np.where(a >= 2.0 * math.pi, 0.0, a)
+
+
+def _interpersonal_bound(a, partner_distance: np.ndarray | None, interpersonal: np.ndarray | None,
+                         cfg: ScorerConfig):
+    """At least ``_interpersonal_term(a, b, cfg)`` for each candidate b.
+
+    Given the exact features b, the term's exponent is the one ``score``
+    computes, with the offset's length from ``np.sqrt`` lowered past its
+    rounding. Given only the lengths of the b offsets, it holds at every yaw:
+    | |a| - |b| | never exceeds |a - b| (the reverse triangle inequality), the
+    facing term only lowers the term, and the gap is lowered far beyond the
+    rounding of the rotated offset and the lengths (by a pad that |a| cannot
+    exceed, so an infinite |a| gives an infinite gap, not NaN)."""
+    if a is None or (partner_distance is None and interpersonal is None):
+        return 1.0 if a is None and partner_distance is None and interpersonal is None else 0.0
+    if interpersonal is None:
+        gap = np.abs(math.hypot(a[0], a[1]) - partner_distance)
+        return _exp_upper((gap * (1.0 - 1e-9) - 1e-9 * (1.0 + 2.0 * partner_distance)) / cfg.sigma_offset)
+    dx = a[0] - interpersonal[:, 0]
+    dz = a[1] - interpersonal[:, 1]
+    offset = np.sqrt(dx * dx + dz * dz) * (1.0 - 1e-9)
+    facing = np.abs(_wrap_angles(a[2] - interpersonal[:, 2]))
+    return _exp_upper(offset / cfg.sigma_offset + facing / cfg.sigma_facing)
+
+
+def _height_bound(ha: np.ndarray, rows: np.ndarray, sigma: float) -> np.ndarray:
+    """At least ``_height_term(ha, row, sigma)`` for each row: the squares'
+    numpy sum differs from ``math.fsum``'s only by rounding, far below the
+    pad."""
+    diff = rows - ha
+    rms = np.sqrt((diff * diff).sum(axis=1) / ACCOMMODATION_CELLS)
+    return _exp_upper(rms * (1.0 - 1e-9) / sigma)
+
+
+def _category_bound(ta: tuple, nearest: np.ndarray, falloff: float) -> np.ndarray:
+    """At least ``_category_term(ta, tb, falloff)`` for each column tb of a
+    (categories, batch) array, inf where a category is absent. Each
+    distance may differ from the exact one by rounding, which the pad
+    covers, but not in being present; then the union is the same, each
+    term is at least its exact one, and the terms are summed in the same
+    order. The pad grows with the gap, so a target distance of inf, which a
+    peer may send, bounds its term by the table's last entry (the term is 0)
+    instead of making inf - inf, and NaN gives NaN only where the term is
+    NaN."""
+    here = [c for c, d in enumerate(ta) if d is not None]
+    a = np.array([ta[c] for c in here])[:, None]
+    there = nearest[here] < math.inf
+    b = np.where(there, nearest[here], 0.0)
+    gap = np.abs(a - b)
+    terms = np.where(there, _exp_upper((gap * (1.0 - 1e-9) - 1e-9 * (1.0 + 2.0 * b)) / falloff), 0.0)
+    total = sum(terms, np.zeros(nearest.shape[1]))  # category by category, as _category_term adds
+    union = len(here) + (nearest[[c for c, d in enumerate(ta) if d is None]] < math.inf).sum(axis=0)
+    return np.where(union == 0, 1.0, total / np.maximum(union, 1))
 
 
 # --- feature extraction -----------------------------------------------------
 
-def _interpersonal(x: float, z: float, yaw: float, cos_yaw: float, sin_yaw: float,
-                   partner: PartnerPose | None):
+def _interpersonal_at(partner: PartnerPose | None, xs, zs, yaws, sins: np.ndarray,
+                      coss: np.ndarray) -> np.ndarray | None:
+    """The partner's (local_x, local_z, relative_yaw) from each placement
+    (xs[i], zs[i], yaws[i]) with the given yaw sines and cosines, one row
+    each, or None without a partner. Positions may be one float for all."""
     if partner is None:
         return None
-    dx = partner.x - x
-    dz = partner.z - z
-    return (dx * cos_yaw - dz * sin_yaw, dx * sin_yaw + dz * cos_yaw, wrap_angle(partner.yaw - yaw))
+    dx = partner.x - xs
+    dz = partner.z - zs
+    return np.stack((dx * coss - dz * sins, dx * sins + dz * coss, _wrap_angles(partner.yaw - yaws)), axis=1)
+
+
+def _least_per_category(arrays: RoomArrays, dist: np.ndarray) -> np.ndarray:
+    """The least of an (objects, batch) array of distances per category run
+    of ``arrays``, as a (categories, batch) array, inf where a category has
+    no object or none at a finite distance."""
+    nearest = np.full((_CATEGORY_COUNT, dist.shape[1]), math.inf)
+    if arrays.count:
+        nearest[arrays.run_codes] = np.minimum.reduceat(dist, arrays.starts, axis=0)
+    return nearest
 
 
 def _tables(nearest: np.ndarray) -> list[tuple]:
@@ -469,29 +577,36 @@ def _attention_at(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray, fxs: np.nd
     # so the dot product has no y term: vy * 0 only adds a signed zero, and
     # no comparison tells -0.0 from 0.0
     inside = (dist < _EPS) | (vx * fxs + vz * fzs >= _COS_HALF_ATTENTION * dist)
-    nearest = np.full((_CATEGORY_COUNT, inside.shape[1]), math.inf)
-    if arrays.count:
-        nearest[arrays.run_codes] = np.minimum.reduceat(
-            np.where(inside, dist, math.inf), arrays.starts, axis=0
-        )
-    return _tables(nearest)
+    return _tables(_least_per_category(arrays, np.where(inside, dist, math.inf)))
 
 
-def _spatial_at(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray) -> list[tuple]:
-    """Spatial tables of a batch of positions (xs[i], zs[i]): per category,
-    the nearest horizontal center distance within SPATIAL_RADIUS, each
-    distance ``math.hypot`` of the center offset, as
-    ``scene.objects_in_radius`` computes it."""
-    nearest = np.full((_CATEGORY_COUNT, len(xs)), math.inf)
-    if arrays.count:
-        dist = np.array([
-            [math.hypot(dx, dz) for dx, dz in zip(row_x, row_z)]
-            for row_x, row_z in zip((arrays.px - xs).tolist(), (arrays.pz - zs).tolist())
-        ]).reshape(arrays.count, len(xs))
-        nearest[arrays.run_codes] = np.minimum.reduceat(
-            np.where(dist <= SPATIAL_RADIUS, dist, math.inf), arrays.starts, axis=0
-        )
-    return _tables(nearest)
+def _spatial_at(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Spatial tables of a batch of positions (xs[i], zs[i]) as a
+    (categories, batch) array: per category, the nearest horizontal center
+    distance within SPATIAL_RADIUS, inf where there is none, each distance
+    ``math.hypot`` of the center offset, as ``scene.objects_in_radius``
+    computes it."""
+    dist = np.array([
+        [math.hypot(dx, dz) for dx, dz in zip(row_x, row_z)]
+        for row_x, row_z in zip((arrays.px - xs).tolist(), (arrays.pz - zs).tolist())
+    ]).reshape(arrays.count, len(xs))
+    return _least_per_category(arrays, np.where(dist <= SPATIAL_RADIUS, dist, math.inf))
+
+
+# how far np.sqrt and math.hypot of one offset may disagree, and far beyond
+_RADIUS_PAD = 1e-9 * (1.0 + SPATIAL_RADIUS)
+
+
+def _spatial_screen(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_spatial_at``'s array from one ``np.sqrt`` broadcast, and per
+    position whether some object centre lies within _RADIUS_PAD of
+    SPATIAL_RADIUS, where the two may disagree on whether it is in range.
+    Elsewhere the entries differ from ``_spatial_at``'s only by rounding."""
+    dx = arrays.px - xs
+    dz = arrays.pz - zs
+    dist = np.sqrt(dx * dx + dz * dz)
+    edge = (np.abs(dist - SPATIAL_RADIUS) <= _RADIUS_PAD).any(axis=0)
+    return _least_per_category(arrays, np.where(dist <= SPATIAL_RADIUS, dist, math.inf)), edge
 
 
 def _eye_height(pose: PlacementPose) -> float:
@@ -503,6 +618,11 @@ def _accommodation_at(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray) -> np.
     return arrays.support_heights(xs[:, None] + _ACCOMMODATION_OX, zs[:, None] + _ACCOMMODATION_OZ)
 
 
+def _turns(yaws: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """``math.sin`` and ``math.cos`` of each yaw."""
+    return np.array([math.sin(yaw) for yaw in yaws]), np.array([math.cos(yaw) for yaw in yaws])
+
+
 def _candidate(interpersonal, accommodation: np.ndarray, attention: tuple, spatial: tuple) -> FeatureVector:
     """A FeatureVector from tables the search built in vector form, without
     ``__post_init__``'s conversion and checks."""
@@ -512,23 +632,18 @@ def _candidate(interpersonal, accommodation: np.ndarray, attention: tuple, spati
     return fv
 
 
-def _features_at(room: Room, xs: list[float], zs: list[float], yaws: list[float], pose: PlacementPose,
-                 partner: PartnerPose | None, rows, spatial: list[tuple]) -> list[FeatureVector]:
+def _features_at(room: Room, xs: np.ndarray, zs: np.ndarray, sins: np.ndarray, coss: np.ndarray,
+                 pose: PlacementPose, interpersonal: np.ndarray | None, rows, spatial: list[tuple]
+                 ) -> list[FeatureVector]:
     """Feature vectors of a batch of placements sharing one pose, from their
-    accommodation rows and spatial tables. Their attention tables come from
-    one broadcast against every object of the room, and ``math.sin`` and
-    ``math.cos`` run once per placement, for the attention cone and the
-    partner offset alike. Each candidate holds the row and the table it was
-    given, so placements given the same objects (a grid cell's yaws) share
-    them."""
-    sins = [math.sin(yaw) for yaw in yaws]
-    coss = [math.cos(yaw) for yaw in yaws]
-    attention = _attention_at(room.arrays, np.array(xs, dtype=float), np.array(zs, dtype=float),
-                              np.array(sins), np.array(coss), _eye_height(pose))
-    return [
-        _candidate(_interpersonal(x, z, yaw, c, s, partner), row, table, near)
-        for x, z, yaw, c, s, row, table, near in zip(xs, zs, yaws, coss, sins, rows, attention, spatial)
-    ]
+    positions, yaw sines and cosines, interpersonal rows (None without a
+    partner), accommodation rows and spatial tables. Their attention tables
+    come from one broadcast against every object of the room. Each
+    candidate holds the row and the table it was given, so placements given
+    the same objects (a grid cell's yaws) share them."""
+    attention = _attention_at(room.arrays, xs, zs, sins, coss, _eye_height(pose))
+    offsets = [None] * len(attention) if interpersonal is None else list(map(tuple, interpersonal.tolist()))
+    return [_candidate(*features) for features in zip(offsets, rows, attention, spatial)]
 
 
 def extract_features(
@@ -543,9 +658,10 @@ def extract_features(
     """
     p = placement
     arrays = room.arrays
-    cx, cz = np.array([p.x]), np.array([p.z])
-    rows = _accommodation_at(arrays, cx, cz)
-    return _features_at(room, [p.x], [p.z], [p.yaw], p.pose, partner, rows, _spatial_at(arrays, cx, cz))[0]
+    cx, cz, yaw = np.array([p.x]), np.array([p.z]), np.array([p.yaw])
+    sins, coss = _turns([p.yaw])
+    return _features_at(room, cx, cz, sins, coss, p.pose, _interpersonal_at(partner, cx, cz, yaw, sins, coss),
+                        _accommodation_at(arrays, cx, cz), _tables(_spatial_at(arrays, cx, cz)))[0]
 
 
 # --- feasibility ------------------------------------------------------------
@@ -576,39 +692,38 @@ def _standing_clear(rows: np.ndarray) -> np.ndarray:
     return ~(rows[:, _FOOT_COLUMNS] > STAND_CLEARANCE + _EPS).any(axis=1)
 
 
-def _sitting_feasible(room: Room, x: float, z: float) -> bool:
-    """True when some sittable object's seat covers the whole body disc."""
+def _seated(room: Room, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Per position (xs[i], zs[i]), whether some sittable object's seat
+    covers the whole body disc."""
+    covered = np.zeros(len(xs), dtype=bool)
     for o in room.objects:
         if not o.sittable:
             continue
         px, _, pz = o.position
         hx, _, hz = o.half_size
-        dx = x - px
-        dz = z - pz
+        dx = xs - px
+        dz = zs - pz
         lx = dx * o.cos_yaw - dz * o.sin_yaw
         lz = dx * o.sin_yaw + dz * o.cos_yaw
-        if abs(lx) <= hx - BODY_RADIUS + _EPS and abs(lz) <= hz - BODY_RADIUS + _EPS:
-            return True
-    return False
+        covered |= (np.abs(lx) <= hx - BODY_RADIUS + _EPS) & (np.abs(lz) <= hz - BODY_RADIUS + _EPS)
+    return covered
 
 
-def _feasible_rows(room: Room, arrays: RoomArrays, xs: list[float], zs: list[float],
-                   pose: PlacementPose) -> tuple[list[int], np.ndarray]:
+def _feasible_rows(room: Room, arrays: RoomArrays, xs, zs, pose: PlacementPose) -> tuple[list[int], np.ndarray]:
     """The positions (xs[i], zs[i]) that admit ``pose``, by index, and their
     accommodation rows, sampled from ``arrays`` (the room's objects, or those
     whose footprint reaches the positions' cells). Standing, one broadcast
     over every position gives the rows, and feasibility is read off their
     foot columns; sitting, the seats are tested first and only the feasible
     positions' rows are broadcast."""
-    contains = room.extents.contains
+    cx, cz = np.asarray(xs, dtype=float), np.asarray(zs, dtype=float)
+    inside = room.extents.contains_all(cx, cz)
     if pose is PlacementPose.Standing:
-        rows = _accommodation_at(arrays, np.array(xs, dtype=float), np.array(zs, dtype=float))
-        keep = [i for i, (ok, x, z) in enumerate(zip(_standing_clear(rows).tolist(), xs, zs))
-                if ok and contains(x, z)]
+        rows = _accommodation_at(arrays, cx, cz)
+        keep = np.flatnonzero(_standing_clear(rows) & inside).tolist()
         return keep, rows[keep]
-    keep = [i for i, (x, z) in enumerate(zip(xs, zs)) if _sitting_feasible(room, x, z) and contains(x, z)]
-    return keep, _accommodation_at(arrays, np.array([xs[i] for i in keep], dtype=float),
-                                   np.array([zs[i] for i in keep], dtype=float))
+    keep = np.flatnonzero(_seated(room, cx, cz) & inside).tolist()
+    return keep, _accommodation_at(arrays, cx[keep], cz[keep])
 
 
 def feasible(room: Room, placement: Placement) -> bool:
@@ -652,8 +767,10 @@ class GridTables:
     """The room-only phase of a grid search: every grid cell that admits a
     pose, in scan order, with its pose, its accommodation row (a row of
     ``rows``, one ``(cells, ACCOMMODATION_CELLS)`` array) and its spatial
-    table. Nothing here depends on the target, the partner or the scorer, so
-    one room's tables serve all of its searches under ``config``."""
+    table (a column of ``nearest``, one ``(categories, cells)`` array, and
+    an entry of ``spatial``). Nothing here depends on the target, the
+    partner or the scorer, so one room's tables serve all of its searches
+    under ``config``."""
 
     room: Room
     config: GridConfig
@@ -663,6 +780,7 @@ class GridTables:
     zs: list[float]
     poses: list[PlacementPose]
     rows: np.ndarray
+    nearest: np.ndarray
     spatial: list[tuple]
 
 
@@ -670,8 +788,8 @@ def grid_tables(room: Room, config: GridConfig | None = None) -> GridTables:
     """The grid's feasible cells and their room-only features.
 
     One grid column (one x) at a time, one broadcast gives every cell's
-    accommodation row, whose foot columns decide standing; a cell that
-    cannot stand is tested for a seat. The feasible cells' spatial tables
+    accommodation row, whose foot columns decide standing, and the seat test
+    decides a cell that cannot stand. The feasible cells' spatial tables
     come from one more broadcast over all of them.
     """
     if config is None:
@@ -682,14 +800,16 @@ def grid_tables(room: Room, config: GridConfig | None = None) -> GridTables:
     column_zs = np.array(zs)
     cell_xs, cell_zs, poses, rows = [], [], [], []
     for x in xs:
-        column = _accommodation_at(arrays, np.full(len(zs), x), column_zs)
+        column_xs = np.full(len(zs), x)
+        column = _accommodation_at(arrays, column_xs, column_zs)
         keep = []
-        for i, (z, standing) in enumerate(zip(zs, _standing_clear(column).tolist())):
+        for i, (z, standing, seated) in enumerate(zip(zs, _standing_clear(column).tolist(),
+                                                      _seated(room, column_xs, column_zs).tolist())):
             if not contains(x, z):
                 continue
             if standing:
                 poses.append(PlacementPose.Standing)
-            elif _sitting_feasible(room, x, z):
+            elif seated:
                 poses.append(PlacementPose.Sitting)
             else:
                 continue
@@ -698,6 +818,7 @@ def grid_tables(room: Room, config: GridConfig | None = None) -> GridTables:
             cell_zs.append(z)
         if keep:
             rows.append(column[keep])  # a copy: no row keeps its column alive
+    nearest = _spatial_at(arrays, np.array(cell_xs, dtype=float), np.array(cell_zs, dtype=float))
     return GridTables(
         room=room,
         config=config,
@@ -707,7 +828,8 @@ def grid_tables(room: Room, config: GridConfig | None = None) -> GridTables:
         zs=cell_zs,
         poses=poses,
         rows=np.concatenate(rows) if rows else np.empty((0, ACCOMMODATION_CELLS)),
-        spatial=_spatial_at(arrays, np.array(cell_xs, dtype=float), np.array(cell_zs, dtype=float)),
+        nearest=nearest,
+        spatial=_tables(nearest),
     )
 
 
@@ -744,11 +866,11 @@ def grid_search(
     config skip it, with the same result; tables built for another room or
     config are a ValueError. The result holds the tables it used.
 
-    Each feasible cell gets the scorer's ``score_bound`` on its candidates.
-    Cells are visited by descending bound, scan order among equal bounds:
-    ``_features_at`` builds a cell's candidate at every yaw, all holding the
-    cell's row and spatial table, with the attention tables from one
-    broadcast, and they are scored as one batch. The visit stops at the
+    One ``score_bound`` call gives every feasible cell a bound on its
+    candidates. Cells are visited by descending bound, scan order among
+    equal bounds: ``_features_at`` builds a cell's candidate at every yaw,
+    all holding the cell's row and spatial table, with the attention tables
+    from one broadcast, and they are scored as one batch. The visit stops at the
     first bound strictly below the best score, since no candidate left can
     beat or tie it. A scorer without ``score_bound`` has every cell visited
     in scan order.
@@ -768,28 +890,32 @@ def grid_search(
 
     cells = list(zip(tables.xs, tables.zs, tables.poses, tables.rows, tables.spatial))
     if score_bound is None:
-        bounds = [math.inf] * len(cells)
+        bounds = np.full(len(cells), math.inf)
     else:
-        bounds = [
-            score_bound(target, row, spatial, None if partner is None else math.hypot(partner.x - x, partner.z - z))
-            for x, z, _, row, spatial in cells
-        ]
+        distance = None
+        if partner is not None:
+            dx = partner.x - np.array(tables.xs, dtype=float)
+            dz = partner.z - np.array(tables.zs, dtype=float)
+            distance = np.sqrt(dx * dx + dz * dz)
+        bounds = _bounds(score_bound(target, tables.rows, tables.nearest, partner_distance=distance), len(cells))
 
-    yaws = tables.yaws
+    yaws = np.array(tables.yaws)
+    n = len(yaws)
+    sins, coss = _turns(tables.yaws)
     best_score = -math.inf
     best_cell = -1
     best_placement = None
     scored = 0
     # a stable sort keeps scan order among equal bounds and puts NaN last
-    for k in np.argsort(-np.array(bounds, dtype=float), kind="stable").tolist():
+    for k in np.argsort(-bounds, kind="stable").tolist():
         if bounds[k] < best_score:
             break
         x, z, pose, row, spatial = cells[k]
-        n = len(yaws)
-        candidates = _features_at(room, [x] * n, [z] * n, yaws, pose, partner, [row] * n, [spatial] * n)
+        candidates = _features_at(room, np.full(n, x), np.full(n, z), sins, coss, pose,
+                                  _interpersonal_at(partner, x, z, yaws, sins, coss), [row] * n, [spatial] * n)
         scores = _score_all(scorer, target, candidates)
         scored += n
-        for score, yaw in zip(scores, yaws):
+        for score, yaw in zip(scores, tables.yaws):
             # within a cell the first best wins; across cells the lower scan index
             if score > best_score or (score == best_score and k < best_cell):
                 best_score = score
@@ -801,7 +927,7 @@ def grid_search(
             f"room {room.id!r}: none of the {tables.candidates_per_pose * 2} grid candidates is feasible"
         )
     return GridResult(placement=best_placement, score=best_score, candidates_per_pose=tables.candidates_per_pose,
-                      evaluated=len(yaws) * len(cells), scored=scored, tables=tables)
+                      evaluated=n * len(cells), scored=scored, tables=tables)
 
 
 # --- particle swarm refinement ----------------------------------------------
@@ -857,8 +983,12 @@ def pso_refine(
 
     Each iteration is one pass: ``_feasible_rows`` gives the feasible
     particles and their accommodation rows (standing, from one broadcast
-    over every particle), ``_features_at`` builds their candidates, and the
-    batch is scored in one call, where the default scorer computes the
+    over every particle). With the scorer's ``score_bound``, a particle
+    whose bound is at most its personal best, and that has no object
+    centre at the edge of SPATIAL_RADIUS, scores -inf: it could not
+    improve that best either way, so the result is the same. The others
+    get their spatial tables, ``_features_at`` builds their candidates, and
+    the batch is scored in one call, where the default scorer computes the
     height term once per distinct row.
     """
     if scorer is None:
@@ -888,19 +1018,32 @@ def pso_refine(
     r = ACCOMMODATION_RADIUS
     arrays = room.arrays.reaching(min(span_x) - r, min(span_z) - r, max(span_x) + r, max(span_z) + r)
 
-    def evaluate(points: np.ndarray) -> np.ndarray:
+    score_bound = getattr(scorer, "score_bound", None)
+
+    def evaluate(points: np.ndarray, pbest: np.ndarray | None = None) -> np.ndarray:
         """Scores of a batch of (x, z, yaw) rows, feasible ones scored as one
-        batch; infeasible points score -inf."""
-        xs, zs, yaws = points.T.tolist()
-        keep, rows = _feasible_rows(room, arrays, xs, zs, pose)
-        kxs = [xs[i] for i in keep]
-        kzs = [zs[i] for i in keep]
-        spatial = _spatial_at(room.arrays, np.array(kxs, dtype=float), np.array(kzs, dtype=float))
+        batch; infeasible points score -inf. Given the points' personal
+        bests, so does a feasible point that the screen shows cannot beat
+        its own."""
+        keep, rows = _feasible_rows(room, arrays, points[:, 0], points[:, 1], pose)
+        keep = np.array(keep, dtype=int)
+        kxs, kzs = points[keep, 0], points[keep, 1]
         # features at the wrapped yaw, as ``Placement`` holds it
-        candidates = _features_at(room, kxs, kzs, [wrap_angle_positive(yaws[i]) for i in keep], pose, partner,
-                                  rows, spatial)
+        kyaws = _wrap_angles_positive(points[keep, 2])
+        sins, coss = _turns(kyaws.tolist())
+        offsets = _interpersonal_at(partner, kxs, kzs, kyaws, sins, coss)
+        if pbest is not None and score_bound is not None:
+            nearest, edge = _spatial_screen(room.arrays, kxs, kzs)
+            bounds = _bounds(score_bound(target, rows, nearest, interpersonal=offsets), len(keep))
+            exact = edge | ~(bounds <= pbest[keep])  # a NaN bound skips nothing
+            keep, kxs, kzs, sins, coss, rows = (v[exact] for v in (keep, kxs, kzs, sins, coss, rows))
+            if offsets is not None:
+                offsets = offsets[exact]
         scores = np.full(len(points), -math.inf)
-        scores[keep] = _score_all(scorer, target, candidates)
+        if len(keep):
+            spatial = _tables(_spatial_at(room.arrays, kxs, kzs))
+            candidates = _features_at(room, kxs, kzs, sins, coss, pose, offsets, rows, spatial)
+            scores[keep] = _score_all(scorer, target, candidates)
         return scores
 
     def finish(point: np.ndarray, evaluated: int) -> PsoResult:
@@ -935,7 +1078,7 @@ def pso_refine(
             + config.social * r2 * (gbest_pos[None, :] - pos)
         )
         pos = np.clip(pos + vel, lo, hi)
-        scores = evaluate(pos)
+        scores = evaluate(pos, pbest)
         evaluated += n
         improved = scores > pbest
         pbest[improved] = scores[improved]

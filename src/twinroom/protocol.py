@@ -412,7 +412,8 @@ class Session:
         ((object id, normalized uvw) or None each, as `acquire_targets` gives
         it; any other length is a ValueError). The session diffs it, in
         `Effector` order, against what the peer already knows. `features`
-        and `placement` are event-like and sent whenever given.
+        and `placement` are event-like and sent whenever given. A refused
+        batch changes nothing, so the tick can be sent again.
         """
         if self.phase is not Phase.Live:
             raise ProtocolError(f"cannot send ticks in phase {self.phase.name}")
@@ -425,6 +426,10 @@ class Session:
             )
         if pose.tick != tick:
             raise ProtocolError(f"pose update tick {pose.tick} != batch tick {tick}")
+        if targets is not None and len(targets) != len(Effector):
+            raise ValueError(f"a target table holds {len(Effector)} entries, got {len(targets)}")
+        if placement is not None and placement.tick != tick:
+            raise ProtocolError(f"placement tick {placement.tick} != batch tick {tick}")
         self._last_out_tick = tick
 
         frames = [encode_frame(pose)]
@@ -434,7 +439,7 @@ class Session:
             self._sent_state = state
 
         if targets is not None:
-            for eff, entry in zip(Effector, targets, strict=True):
+            for eff, entry in zip(Effector, targets):
                 quantized = None
                 if entry is not None:
                     oid, uvw = entry
@@ -453,10 +458,6 @@ class Session:
             frames.append(encode_frame(FeaturePacket(tick=tick, features=features)))
 
         if placement is not None:
-            if placement.tick != tick:
-                raise ProtocolError(
-                    f"placement tick {placement.tick} != batch tick {tick}"
-                )
             frames.append(encode_frame(placement))
 
         return frames

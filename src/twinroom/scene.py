@@ -252,6 +252,13 @@ class Extents:
             and self.min_z - _EXTENTS_TOL <= z <= self.max_z + _EXTENTS_TOL
         )
 
+    def contains_all(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """``contains`` of each point (xs[i], zs[i]), with the same comparisons."""
+        return (
+            (self.min_x - _EXTENTS_TOL <= xs) & (xs <= self.max_x + _EXTENTS_TOL)
+            & (self.min_z - _EXTENTS_TOL <= zs) & (zs <= self.max_z + _EXTENTS_TOL)
+        )
+
 
 @dataclass(frozen=True)
 class Room:

@@ -43,8 +43,9 @@ def test_replay_matches_under_other_blas_kernels(coretype, tmp_path):
 
 
 # numpy calls that run in a BLAS kernel or a CPU-dispatched libm loop
-_BANNED_NUMPY = {"dot", "linalg", "matmul", "einsum", "exp", "sin", "cos", "tan", "arctan2",
-                 "arccos", "arcsin", "log", "hypot"}
+_BANNED_NUMPY = {"dot", "linalg", "matmul", "einsum", "exp", "exp2", "expm1", "sin", "cos", "tan", "sinh",
+                 "cosh", "tanh", "arctan", "arctan2", "arccos", "arcsin", "log", "log1p", "log2", "log10",
+                 "power", "float_power", "cbrt", "hypot"}
 
 
 def banned_calls(source: str) -> list[str]:
@@ -83,11 +84,16 @@ def test_source_scan_finds_each_banned_form():
         "u @= v\n"
         "e = np.einsum('i,i', u, v) + np.matmul(u, v)\n"
         "f = np.exp(u) + np.sin(u) + np.arctan2(u, v) + np.hypot(u, v)\n"
-        "g = np.sqrt(u) + math.exp(1.0)\n"
+        "g = np.exp2(u) + np.expm1(u) + np.log1p(u) + np.log2(u) + np.log10(u)\n"
+        "h = np.power(u, 2) + np.float_power(u, 2) + np.sinh(u) + np.cosh(u) + np.tanh(u)\n"
+        "k = np.arctan(u) + np.cbrt(u)\n"
+        "m = np.sqrt(u) + np.fmod(u, v) + np.interp(u, v, w) + math.exp(1.0)\n"
     )
     assert [f.split(": ")[1] for f in banned_calls(sample)] == [
         "np.dot", ".dot(", ".dot(", "np.linalg", "@ operator", "@= operator", "np.einsum",
-        "np.matmul", "np.exp", "np.sin", "np.arctan2", "np.hypot",
+        "np.matmul", "np.exp", "np.sin", "np.arctan2", "np.hypot", "np.exp2", "np.expm1", "np.log1p",
+        "np.log2", "np.log10", "np.power", "np.float_power", "np.sinh", "np.cosh", "np.tanh",
+        "np.arctan", "np.cbrt",
     ]
 
 

@@ -324,8 +324,8 @@ class Quantized:
     def score_batch(self, target, candidates):
         return [math.floor(s * 4.0) / 4.0 for s in self.inner.score_batch(target, candidates)]
 
-    def score_bound(self, target, accommodation, spatial, partner_distance):
-        return math.ceil(self.inner.score_bound(target, accommodation, spatial, partner_distance) * 4.0) / 4.0
+    def score_bound(self, target, accommodation, spatial, **given):
+        return np.ceil(self.inner.score_bound(target, accommodation, spatial, **given) * 4.0) / 4.0
 
 
 def random_partner(rng, room):
@@ -397,7 +397,7 @@ class Flat:
     def score_batch(self, target, candidates):
         return [0.5] * len(candidates)
 
-    def score_bound(self, target, accommodation, spatial, partner_distance):
+    def score_bound(self, target, accommodation, spatial, *, partner_distance):
         return 0.5 + partner_distance
 
 
@@ -445,15 +445,71 @@ def test_score_bound_is_admissible():
                     FeatureVector((0.0, 0.0, 0.3), other.pose_accommodation,  # zero-length offset
                                   other.visual_attention, other.spatial),
                 ]
+                # one cell of the grid's batched call
+                rows = candidates[0].pose_accommodation[None, :]
+                nearest = np.array([[math.inf if d is None else d] for d in candidates[0].spatial])
+                distances = None if distance is None else np.array([distance])
                 for target in targets:
                     for config in configs:
                         scorer = DefaultScorer(config)
-                        bound = scorer.score_bound(target, candidates[0].pose_accommodation,
-                                                   candidates[0].spatial, distance)
+                        bound = scorer.score_bound(target, rows, nearest, partner_distance=distances)[0]
                         scores = scorer.score_batch(target, candidates)
                         assert bound >= max(scores), (room.id, x, z, partner, target.interpersonal, config)
                         tight += bound == max(scores)
     assert tight >= len(rooms) * 4 * 3  # at least the own-feature target under the default config
+
+
+# offsets of SPATIAL_RADIUS from an object centre, as nearly as floats hold it
+_RING = ((SPATIAL_RADIUS, 0.0), (-SPATIAL_RADIUS, 0.0), (0.0, SPATIAL_RADIUS), (1.8, 2.4), (-2.4, -1.8))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    demo=st.booleans(),
+    partner_here=st.booleans(),
+    partner_there=st.booleans(),
+    sigma_offset=st.sampled_from([1.0, 0.05, 1e-6]),
+)
+def test_batched_score_bound_is_admissible(seed, demo, partner_here, partner_there, sigma_offset):
+    """The default bound, called as the swarm calls it, is at least each
+    particle's float score, and called as the grid calls it, at least the
+    score at every yaw of each cell, for yaws far outside [0, 2 pi) too. A
+    particle at SPATIAL_RADIUS from an object centre is flagged, so the
+    swarm never skips it."""
+    rng = np.random.default_rng(seed)
+    room = demo_rooms()[int(rng.integers(2))] if demo else random_room(rng)
+    partner = random_partner(rng, room) if partner_here else None
+    target = random_target(rng, room, random_partner(rng, room) if partner_there else None)
+    weights = rng.dirichlet(np.ones(4))
+    scorer = DefaultScorer(ScorerConfig(sigma_offset=sigma_offset, weights=tuple(weights / weights.sum())))
+    pose = PlacementPose.Standing if rng.random() < 0.5 else PlacementPose.Sitting
+    ext = room.extents
+    ring = [(o.position[0] + dx, o.position[2] + dz) for o in room.objects for dx, dz in _RING]
+    xs = rng.uniform(ext.min_x, ext.max_x, 12).tolist() + [x for x, _ in ring]
+    zs = rng.uniform(ext.min_z, ext.max_z, 12).tolist() + [z for _, z in ring]
+    cx, cz = np.array(xs), np.array(zs)
+    rows = placement_module._accommodation_at(room.arrays, cx, cz)
+    yaws = rng.uniform(-3.0 * math.pi, 5.0 * math.pi, (len(xs), 4))
+    scores = np.array([[scorer.score(target, extract_features(room, Placement(x, z, yaw, pose), partner))
+                        for yaw in row.tolist()] for x, z, row in zip(xs, zs, yaws)])
+
+    # the swarm: each particle at its first yaw, with its exact interpersonal
+    # features and the screen's spatial tables
+    nearest, edge = placement_module._spatial_screen(room.arrays, cx, cz)
+    offsets = None if partner is None else np.array([
+        extract_features(room, Placement(x, z, yaw, pose), partner).interpersonal
+        for x, z, yaw in zip(xs, zs, yaws[:, 0].tolist())])
+    bounds = scorer.score_bound(target, rows, nearest, interpersonal=offsets)
+    assert edge[12:].all()
+    assert (bounds[~edge] >= scores[~edge, 0]).all()
+
+    # the grid: each position a cell, with its exact spatial table
+    dx, dz = (0.0, 0.0) if partner is None else (partner.x - cx, partner.z - cz)
+    distance = None if partner is None else np.sqrt(dx * dx + dz * dz)
+    bounds = scorer.score_bound(target, rows, placement_module._spatial_at(room.arrays, cx, cz),
+                                partner_distance=distance)
+    assert (bounds >= scores.max(axis=1)).all()
 
 
 def test_grid_prunes_most_candidates_with_the_default_scorer():
@@ -557,6 +613,35 @@ def test_foot_columns_give_the_standing_footprint_test(seed):
     # the feasible points keep their accommodation rows
     each = [height_map(room, (xs[i], 0.0, zs[i]), ACCOMMODATION_RADIUS, ACCOMMODATION_CELL) for i in keep]
     assert rows.tobytes() == np.array([hm.heights[hm.valid] for hm in each]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_seat_broadcast_gives_the_sitting_test_per_point(seed):
+    """Sitting feasibility from the seat broadcast equals each seat's local
+    coverage test, one point at a time, for points within 3e-9 of a seat's
+    edges shrunk by BODY_RADIUS, and for random points."""
+    rng = np.random.default_rng(seed)
+    room = random_room(rng)
+    seats = [o for o in room.objects if o.sittable]
+    edges = [p for o in seats for p in footprint_edge_points(o, BODY_RADIUS)]
+    ext = room.extents
+    xs = [x for x, _ in edges] + rng.uniform(ext.min_x, ext.max_x, 100).tolist()
+    zs = [z for _, z in edges] + rng.uniform(ext.min_z, ext.max_z, 100).tolist()
+
+    def seated(x, z):
+        for o in seats:
+            lx, _, lz = o.to_local((x, 0.0, z))
+            if abs(lx) <= o.half_size[0] - BODY_RADIUS + 1e-9 and abs(lz) <= o.half_size[2] - BODY_RADIUS + 1e-9:
+                return True
+        return False
+
+    want = [i for i, (x, z) in enumerate(zip(xs, zs)) if ext.contains(x, z) and seated(x, z)]
+    keep, rows = placement_module._feasible_rows(room, room.arrays, xs, zs, PlacementPose.Sitting)
+    assert keep == want
+    assert bool(seats) == (0 < len(keep) < len(xs))
+    each = [height_map(room, (xs[i], 0.0, zs[i]), ACCOMMODATION_RADIUS, ACCOMMODATION_CELL) for i in keep]
+    assert rows.tobytes() == b"".join(hm.heights[hm.valid].tobytes() for hm in each)
 
 
 def test_pso_never_scores_below_its_grid_seed():
@@ -1063,6 +1148,84 @@ class Recorder:
         return self.inner.score_batch(target, candidates)
 
 
+def test_bounds_change_no_result_for_a_target_a_peer_may_send():
+    """A target with inf or NaN entries, which the wire carries as they
+    are, gets the grid and swarm results of the unbounded search: each bound
+    is NaN or at least the score, and a NaN bound skips nothing."""
+    office, loft = demo_rooms()
+    base = extract_features(office, Placement(-0.4, 1.0, 0.0, PlacementPose.Standing), PartnerPose(1.0, 0.5, 2.0))
+    partner = PartnerPose(2.2, 0.3, math.pi / 2)
+    targets = []
+    for c in range(len(ObjectCategory)):
+        for v in (math.inf, math.nan):
+            spatial = base.spatial[:c] + (v,) + base.spatial[c + 1:]
+            targets.append(FeatureVector(base.interpersonal, base.pose_accommodation, base.visual_attention, spatial))
+    for inter in ((math.inf, math.nan, 0.0), (math.inf, 0.0, 0.0), (0.0, 0.0, math.nan)):
+        targets.append(FeatureVector(inter, base.pose_accommodation, base.visual_attention, base.spatial))
+    heights = base.pose_accommodation.copy()
+    heights[5] = math.inf
+    targets.append(FeatureVector(base.interpersonal, heights, base.visual_attention, base.spatial))
+
+    def outcome(search):
+        try:
+            result = search()
+        except NoFeasiblePlacement:
+            return "none"
+        return result.placement, repr(result.score), result.evaluated  # repr: NaN equals NaN
+
+    seed = Placement(-0.5, 0.5, 1.0, PlacementPose.Standing)
+    config = PsoConfig(particles=32, iterations=12)
+    for target in targets:
+        for scorer in (DefaultScorer(), NoBound(DefaultScorer())):
+            got = (outcome(lambda: grid_search(loft, target, scorer, partner)),
+                   outcome(lambda: pso_refine(loft, target, seed, scorer, partner, config, rng=1)))
+            if isinstance(scorer, NoBound):
+                assert got == bounded, (target.interpersonal, target.spatial)
+            bounded = got
+
+
+class Screened(Recorder):
+    """A ``Recorder`` that forwards ``score_bound`` and counts the positions
+    it bounds."""
+
+    def __init__(self):
+        super().__init__()
+        self.bounded = 0
+
+    def score_bound(self, target, accommodation, spatial, **given):
+        self.bounded += len(accommodation)
+        return self.inner.score_bound(target, accommodation, spatial, **given)
+
+
+def test_the_swarm_screen_skips_most_particles_and_changes_no_result():
+    """Session searches, as in the pruned-grid test: after its first
+    iteration the screened swarm scores under half of its feasible
+    particles, with the result of the unscreened one."""
+    office, loft = demo_rooms()
+    standing, sitting = PlacementPose.Standing, PlacementPose.Sitting
+    spots = [  # (office spot, loft spot): the paired chairs, the paired screens
+        (Placement(1.35, 0.55, 0.0, sitting), Placement(-0.9, -1.35, 2.4 - math.pi, sitting)),
+        (Placement(-0.4, 1.0, 0.0, standing), Placement(2.2, 0.3, math.pi / 2, standing)),
+    ]
+    exact = bounded = 0
+    for case, (office_spot, loft_spot) in enumerate(spots):
+        for room, user, other_room, local in ((office, office_spot, loft, loft_spot),
+                                               (loft, loft_spot, office, office_spot)):
+            avatar = grid_search(room, extract_features(other_room, local), DefaultScorer(),
+                                 PartnerPose(user.x, user.z, user.yaw)).placement
+            target = extract_features(room, user, PartnerPose(avatar.x, avatar.z, avatar.yaw))
+            partner = PartnerPose(local.x, local.z, local.yaw)
+            seed = grid_search(other_room, target, partner=partner).placement
+            screened = Screened()
+            got = pso_refine(other_room, target, seed, screened, partner, rng=case)
+            assert got == pso_refine(other_room, target, seed, NoBound(DefaultScorer()), partner, rng=case)
+            # the first batch is the swarm's start and the last its result;
+            # the others are the particles that passed the screen
+            exact += sum(len(batch) for batch in screened.batches[1:-1])
+            bounded += screened.bounded
+    assert 0 < exact < 0.5 * bounded, (exact, bounded)
+
+
 def test_grid_features_equal_the_per_placement_oracle():
     room = oracle_room()
     partner = PartnerPose(1.0, 4.0, 0.7)
@@ -1099,10 +1262,12 @@ def test_swarm_batch_features_equal_the_per_placement_oracle():
     yaws = [0.0] + rng.uniform(0, 2 * math.pi, 40).tolist()
     cx, cz = np.array(xs), np.array(zs)
     rows = placement_module._accommodation_at(room.arrays, cx, cz)
-    spatial = placement_module._spatial_at(room.arrays, cx, cz)
+    spatial = placement_module._tables(placement_module._spatial_at(room.arrays, cx, cz))
+    sins, coss = placement_module._turns(yaws)
     for partner in (None, PartnerPose(4.5, 1.0, 5.0)):
+        offsets = placement_module._interpersonal_at(partner, cx, cz, np.array(yaws), sins, coss)
         for pose in PlacementPose:
-            batch = placement_module._features_at(room, xs, zs, yaws, pose, partner, rows, spatial)
+            batch = placement_module._features_at(room, cx, cz, sins, coss, pose, offsets, rows, spatial)
             assert len(batch) == len(xs)
             for got, x, z, yaw in zip(batch, xs, zs, yaws):
                 where = (x, z, yaw, pose)

@@ -385,11 +385,18 @@ def test_target_updates_follow_effector_order():
         (Effector.Head, "screen"), (Effector.LeftHand, "desk"), (Effector.RightHand, "screen")]
 
 
-@pytest.mark.parametrize("targets", [[None, None], [None] * 4])
+@pytest.mark.parametrize("targets", [[None, None], [None] * 4, [("desk", (0.5, 1.0, 0.5))] * 4])
 def test_a_target_table_of_the_wrong_length_is_refused(targets):
     a, _ = linked_pair()
     with pytest.raises(ValueError):
-        a.tick(0, pose_at(0), UserState.Solo, targets=targets)
+        a.tick(0, pose_at(0), UserState.Locomotion, targets=targets)
+    # the refusal changed nothing: the same tick, sent right, gives what a
+    # fresh session sends
+    table = [("screen", (0.1, 0.5, 0.0)), None, ("desk", (0.5, 1.0, 0.5))]
+    fresh, _ = linked_pair()
+    want = fresh.tick(0, pose_at(0), UserState.Locomotion, targets=table)
+    assert a.tick(0, pose_at(0), UserState.Locomotion, targets=table) == want
+    assert len(want) == 4  # the pose, the state change and two targets
 
 
 def test_outbound_ticks_must_increase():
