@@ -21,8 +21,9 @@ alike. The rules:
   * a batched kernel repeats its scalar kernel's operations, in the same
     order, for each element: ``Transform.apply_all`` maps several points
     with exactly ``apply``'s arithmetic (``quat_rotate`` written out once
-    per point, then the position's sum), so a point gets the same bits
-    through either;
+    per point, then the position's sum), and ``inverse_apply_all`` with
+    exactly ``inverse_apply``'s, so a point gets the same bits through
+    either;
   * every reduction is summed left to right on floats: ``dot`` is
     a0*b0 + a1*b1 + a2*b2 (+ a3*b3), and ``norm`` is ``math.sqrt`` of it.
     numpy's ``np.dot`` (and ``np.linalg``, ``np.matmul``, ``@``) runs in a
@@ -332,6 +333,28 @@ class Transform:
         px, py, pz = self.position
         qx, qy, qz = world_point
         return quat_rotate((w, -x, -y, -z), (qx - px, qy - py, qz - pz))
+
+    def inverse_apply_all(self, world_points) -> list[tuple[float, float, float]]:
+        """`inverse_apply` of each point, in one call: the position's
+        difference, then `quat_rotate`'s operations by the conjugate, each in
+        `inverse_apply`'s order, so every point gets the same bits."""
+        px, py, pz = self.position
+        w, x, y, z = self.orientation
+        qx, qy, qz = -x, -y, -z
+        out = []
+        for ax, ay, az in world_points:
+            vx = ax - px
+            vy = ay - py
+            vz = az - pz
+            tx = 2.0 * (qy * vz - qz * vy)
+            ty = 2.0 * (qz * vx - qx * vz)
+            tz = 2.0 * (qx * vy - qy * vx)
+            out.append((
+                vx + w * tx + (qy * tz - qz * ty),
+                vy + w * ty + (qz * tx - qx * tz),
+                vz + w * tz + (qx * ty - qy * tx),
+            ))
+        return out
 
     def forward(self) -> tuple[float, float, float]:
         return quat_rotate(self.orientation, FORWARD)

@@ -139,6 +139,16 @@ class PoseUpdate:
         if len(self.values) != POSE_FLOATS:
             raise ProtocolError(f"pose must be {POSE_FLOATS} floats, got {len(self.values)}")
 
+    @staticmethod
+    def from_layout(v: tuple, fingers: bytes) -> "PoseUpdate":
+        """The message of one `POSE` unpack `v` (tick, the 42 floats, the
+        finger blob's length) and its finger bytes. The layout yields exactly
+        POSE_FLOATS values as a tuple, so the message is built without
+        __post_init__'s copy and length check."""
+        msg = object.__new__(PoseUpdate)
+        msg.__dict__.update(tick=v[0], values=v[1:-1], fingers=fingers)
+        return msg
+
 
 @dataclass(frozen=True)
 class StateChange:
@@ -276,11 +286,7 @@ def _decode_payload(mtype: MsgType, p) -> tuple[Message, int]:
     if mtype is MsgType.PoseUpdate:
         v = POSE.unpack_from(p)
         n = v[-1]
-        # the layout yields exactly POSE_FLOATS values as a tuple, so the
-        # message is built without __post_init__'s copy and length check
-        msg = object.__new__(PoseUpdate)
-        msg.__dict__.update(tick=v[0], values=v[1:-1], fingers=_bytes(p, POSE.size, n))
-        return msg, POSE.size + n
+        return PoseUpdate.from_layout(v, _bytes(p, POSE.size, n)), POSE.size + n
     if mtype is MsgType.Hello:
         v = _HELLO.unpack_from(p)
         return Hello(app_version=v[0], room_hash=v[1], skeleton=v[2:]), _HELLO.size
@@ -412,8 +418,11 @@ class Session:
         ((object id, normalized uvw) or None each, as `acquire_targets` gives
         it; any other length is a ValueError). The session diffs it, in
         `Effector` order, against what the peer already knows. `features`
-        and `placement` are event-like and sent whenever given. A refused
-        batch changes nothing, so the tick can be sent again.
+        and `placement` are event-like and sent whenever given. Every frame
+        is encoded before the session records the tick, its state and its
+        targets as sent, so a refused batch (a bad argument, or a value
+        that does not fit its wire field) changes nothing and the tick can
+        be sent again.
         """
         if self.phase is not Phase.Live:
             raise ProtocolError(f"cannot send ticks in phase {self.phase.name}")
@@ -430,23 +439,22 @@ class Session:
             raise ValueError(f"a target table holds {len(Effector)} entries, got {len(targets)}")
         if placement is not None and placement.tick != tick:
             raise ProtocolError(f"placement tick {placement.tick} != batch tick {tick}")
-        self._last_out_tick = tick
-
         frames = [encode_frame(pose)]
 
         if state is not self._sent_state:
             frames.append(encode_frame(StateChange(tick=tick, state=state)))
-            self._sent_state = state
 
+        sent_targets = self._sent_targets
         if targets is not None:
+            sent_targets = sent_targets.copy()
             for eff, entry in zip(Effector, targets):
                 quantized = None
                 if entry is not None:
                     oid, uvw = entry
                     quantized = (oid, (f32(uvw[0]), f32(uvw[1]), f32(uvw[2])))
-                if quantized == self._sent_targets[eff]:
+                if quantized == sent_targets[eff]:
                     continue
-                self._sent_targets[eff] = quantized
+                sent_targets[eff] = quantized
                 if quantized is None:
                     upd = TargetUpdate(tick=tick, effector=eff, active=False)
                 else:
@@ -460,6 +468,10 @@ class Session:
         if placement is not None:
             frames.append(encode_frame(placement))
 
+        # every frame is encoded: only now is the batch recorded as sent
+        self._last_out_tick = tick
+        self._sent_state = state
+        self._sent_targets = sent_targets
         return frames
 
     def bye_frame(self) -> bytes:

@@ -12,7 +12,10 @@ parallel placement workers. A room holds its objects in two forms. Each
 `SceneObject` holds plain floats (float tuples for position and size) and
 the values derived from them once; the per-point queries (raycasts, surface
 coordinates, fields of view, support heights) loop over `Room.objects` and
-return float tuples. `RoomArrays`, built once per room, holds the same
+return float tuples. A raycast runs the exact slab test only on the boxes
+whose padded bounding sphere the ray meets in front of its origin; the pad
+grows with the distance, so the gate never skips a box the slab test hits
+(see `raycast`). `RoomArrays`, built once per room, holds the same
 objects in category order as numpy columns for the placement search's
 broadcasts.
 """
@@ -76,7 +79,8 @@ class SceneObject:
 
     position, size, yaw and sit_height hold Python floats, whatever numbers
     they were given. The values every query reads are derived once here:
-    the yaw's cosine and sine, the half extents and the support height.
+    the yaw's cosine and sine, the half extents, the bounding sphere's
+    radius (the half extents' norm) and the support height.
     """
 
     id: str
@@ -91,6 +95,8 @@ class SceneObject:
     cos_yaw: float = field(init=False, repr=False, compare=False)
     sin_yaw: float = field(init=False, repr=False, compare=False)
     half_size: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    # radius of the sphere about `position` that holds the whole box
+    radius: float = field(init=False, repr=False, compare=False)
     # height of the surface this object offers: seat height for sittable
     # objects (a chair's backrest does not count), box top otherwise
     support_height: float = field(init=False, repr=False, compare=False)
@@ -126,6 +132,7 @@ class SceneObject:
         put(self, "cos_yaw", math.cos(yaw))
         put(self, "sin_yaw", math.sin(yaw))
         put(self, "half_size", half)
+        put(self, "radius", norm(half))
         put(self, "support_height", sit_height if self.sittable else position[1] + half[1])
 
     def to_local(self, world_point) -> tuple[float, float, float]:
@@ -638,9 +645,40 @@ def _ray_box_distance(obj: SceneObject, origin, direction) -> float | None:
 
 def raycast(room: Room, ray: Ray) -> RayHit | None:
     """Nearest oriented-box intersection, or None. Exact distance ties go to
-    the lexicographically smaller object id."""
+    the lexicographically smaller object id.
+
+    A bounding-sphere gate (Kay & Kajiya, 1986) runs before each box's slab
+    test. With ``v`` the vector from the ray's origin to the box centre,
+    ``tc = v . d`` and the closest-point vector ``w = v - tc * d``, the box
+    is skipped when ``tc < -reach`` (the sphere lies wholly behind the
+    origin) or ``|w| > reach`` (the ray's line passes outside it), where
+    ``reach = radius + 1e-5 * (1 + radius + |tc|)``. It never skips a box
+    the slab test hits: every point of the box lies within ``radius`` of
+    its centre, and the pad, which grows with the distance, is orders of
+    magnitude above everything that separates the slab test's floats from
+    exact geometry at any coordinate: the rounding of both tests (about
+    1e-15 of the distances), the slab test's 1e-12 cut-off for axes the ray
+    runs along, and the 1e-6 by which a `Ray` direction may miss unit length
+    (at most 2e-6 ``|tc|`` on ``|w|``). A ray with a non-finite coordinate
+    makes both comparisons false, so the gate skips nothing for it.
+    """
+    (ox, oy, oz), (dx, dy, dz) = ray.origin, ray.direction
     best: tuple[float, str] | None = None
     for obj in room.objects:
+        px, py, pz = obj.position
+        vx = px - ox
+        vy = py - oy
+        vz = pz - oz
+        tc = vx * dx + vy * dy + vz * dz
+        r = obj.radius
+        reach = r + 1e-5 * (1.0 + r + abs(tc))
+        if tc < -reach:
+            continue
+        wx = vx - tc * dx
+        wy = vy - tc * dy
+        wz = vz - tc * dz
+        if wx * wx + wy * wy + wz * wz > reach * reach:
+            continue
         t = _ray_box_distance(obj, ray.origin, ray.direction)
         if t is None:
             continue
@@ -650,7 +688,6 @@ def raycast(room: Room, ray: Ray) -> RayHit | None:
     if best is None:
         return None
     t, oid = best
-    (ox, oy, oz), (dx, dy, dz) = ray.origin, ray.direction
     return RayHit(object_id=oid, world_point=(ox + dx * t, oy + dy * t, oz + dz * t), distance=t)
 
 

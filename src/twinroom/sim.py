@@ -185,23 +185,28 @@ def _wire_transform(values: tuple[float, ...], i: int) -> Transform:
 def pose_update_from_snapshot(snap, tick: int) -> PoseUpdate:
     """Quantize a trace snapshot into the wire pose: world root plus five
     root-relative effectors, every float already rounded to 32 bits so the
-    sender computes with exactly what the receiver will see. Each snapshot
-    array is read once into floats; one pack and unpack through the wire's
-    pose layout rounds each of the 42 exactly as `f32` does. A value beyond
-    the f32 range is a `MalformedTrace` naming the tick."""
+    sender computes with exactly what the receiver will see. Each of the
+    snapshot's twelve arrays is read once into floats, and the five
+    effector positions are mapped into the root frame in one
+    `Transform.inverse_apply_all` call. One pack and unpack through the
+    wire's pose layout rounds each of the 42 floats exactly as `f32` does,
+    and the message is built from the unpacked tuple as the decoder builds
+    it. A value beyond the f32 range is a `MalformedTrace` naming the tick;
+    a zero quaternion is `quat_normalize`'s ValueError."""
     root_q = quat_normalize(snap.root.orientation.tolist())
     root = Transform(position=tuple(snap.root.position.tolist()), orientation=root_q)
+    samples = (snap.head, snap.left_hand, snap.right_hand, snap.left_foot, snap.right_foot)
+    points = root.inverse_apply_all([sample.position.tolist() for sample in samples])
     inv_q = quat_conj(root_q)
     floats = [*root.position, *root_q]
-    for sample in (snap.head, snap.left_hand, snap.right_hand, snap.left_foot, snap.right_foot):
-        floats += root.inverse_apply(sample.position.tolist())
+    for point, sample in zip(points, samples):
+        floats += point
         floats += quat_mul(inv_q, quat_normalize(sample.orientation.tolist()))
     try:
         packed = POSE.pack(tick, *floats, 0)
     except (struct.error, OverflowError) as e:
         raise MalformedTrace(f"snapshot at tick {tick} does not fit the wire pose: {e}") from None
-    w = POSE.unpack(packed)
-    return PoseUpdate(tick=tick, values=w[1:-1], fingers=snap.fingers)
+    return PoseUpdate.from_layout(POSE.unpack(packed), snap.fingers)
 
 
 class LocalUser:
@@ -667,7 +672,10 @@ def _header_line(config: SimConfig, room_a, room_b, ticks: int) -> str:
 
 
 def _frames_line(tick: int, src: str, dst: str, blob: bytes) -> str:
-    return _jsonl({"type": "frames", "tick": tick, "dir": f"{src}>{dst}", "data": blob.hex()})
+    """`_jsonl` of a frames line, written out: its four keys sorted, and
+    values that JSON writes as they are (an int tick, peer names "a" and
+    "b", hex digits)."""
+    return f'{{"data":"{blob.hex()}","dir":"{src}>{dst}","tick":{tick},"type":"frames"}}'
 
 
 def _room_summary(room) -> dict:

@@ -68,9 +68,24 @@ class EffectorSample:
         return quat_rotate(self.orientation.tolist(), FORWARD)
 
     def ray(self) -> Ray:
+        """The ray along `forward`, divided by its norm. While that norm lies
+        in (1e-150, 1e150) its square is a normal float, so the quotients
+        are floats of unit norm to a few ulp and `Ray`'s conversion and
+        unit check cannot fail: the ray is built without them. A norm
+        outside that range goes through the checking constructor, which
+        refuses what the division cannot make unit: a forward whose square
+        overflows (components beyond about 1e77), is subnormal (a
+        quaternion of squared norm 1/2 turning the axis about 180 degrees,
+        off by 1e-160), or is not finite."""
         fx, fy, fz = f = self.forward()
         n = norm(f)
-        return Ray(origin=tuple(self.position.tolist()), direction=(fx / n, fy / n, fz / n))
+        origin = tuple(self.position.tolist())
+        direction = (fx / n, fy / n, fz / n)
+        if not 1e-150 < n < 1e150:
+            return Ray(origin=origin, direction=direction)
+        ray = object.__new__(Ray)
+        ray.__dict__.update(origin=origin, direction=direction)
+        return ray
 
 
 @dataclass(frozen=True)

@@ -296,3 +296,28 @@ def test_apply_all_is_apply_of_each_point(q, p, points):
     for out, x in zip(got, points):
         assert type(out) is tuple and all(type(c) is float for c in out)
         assert same_bits(out, t.apply(x))
+
+
+@overflow_ok
+@given(quats, vec3s, st.lists(vec3s, max_size=12))
+@settings(max_examples=150, derandomize=True)
+def test_inverse_apply_all_is_inverse_apply_of_each_point(q, p, points):
+    t = Transform(position=p, orientation=q)
+    got = t.inverse_apply_all(points)
+    assert len(got) == len(points)
+    for out, x in zip(got, points):
+        assert type(out) is tuple and all(type(c) is float for c in out)
+        assert same_bits(out, t.inverse_apply(x))
+    # the lists a snapshot's arrays read into give the same bits
+    assert all(same_bits(a, b) for a, b in zip(t.inverse_apply_all([list(x) for x in points]), got))
+
+
+def test_batched_kernels_match_per_point_on_full_mantissas():
+    # normal draws fill every mantissa bit, so a regrouped sum shows, which
+    # the hypothesis draws above rarely reveal
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        t = Transform(position=rng.normal(0.0, 3.0, 3).tolist(), orientation=rng.normal(0.0, 1.0, 4).tolist())
+        points = rng.normal(0.0, 3.0, (5, 3)).tolist()
+        assert all(same_bits(a, t.inverse_apply(x)) for a, x in zip(t.inverse_apply_all(points), points))
+        assert all(same_bits(a, t.apply(x)) for a, x in zip(t.apply_all(points), points))

@@ -399,6 +399,25 @@ def test_a_target_table_of_the_wrong_length_is_refused(targets):
     assert len(want) == 4  # the pose, the state change and two targets
 
 
+@pytest.mark.parametrize("state", [UserState.Interaction, UserState.Solo])
+def test_a_tick_whose_frames_cannot_be_encoded_changes_nothing(state):
+    # the table's length is right, but a uvw beyond the f32 range fails only
+    # while the frames are encoded, after the state change's frame is made
+    a, _ = linked_pair()
+    a.tick(1, pose_at(1), UserState.Solo, targets=[("screen", (0.2, 0.2, 0.2)), None, None])
+    bad = [("desk", (1e39, 0.0, 0.0)), None, ("screen", (0.5, 0.5, 0.5))]
+    with pytest.raises(OverflowError):
+        a.tick(2, pose_at(2), state, targets=bad)
+    table = [None, ("desk", (0.5, 1.0, 0.5)), ("screen", (0.5, 0.5, 0.5))]
+    fresh, _ = linked_pair()
+    fresh.tick(1, pose_at(1), UserState.Solo, targets=[("screen", (0.2, 0.2, 0.2)), None, None])
+    want = fresh.tick(2, pose_at(2), state, targets=table)
+    assert a.tick(2, pose_at(2), state, targets=table) == want
+    # the pose, the head's drop and two hand targets, and the state change
+    # when there is one
+    assert len(want) == (5 if state is UserState.Interaction else 4)
+
+
 def test_outbound_ticks_must_increase():
     a, _ = linked_pair()
     a.tick(5, pose_at(5), UserState.Solo)

@@ -3,13 +3,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twinroom import scene as scene_module
 from twinroom.scene import (
     DuplicateId,
     MalformedRoom,
@@ -19,6 +21,7 @@ from twinroom.scene import (
     OutOfRange,
     PairingError,
     Ray,
+    RayHit,
     Room,
     SceneError,
     SceneObject,
@@ -192,6 +195,100 @@ def test_raycast_against_marching_oracle(room, origin, direction):
             ts = np.arange(step, hit.distance - step, step)
             samples = o[None, :] + ts[:, None] * d[None, :]
             assert penetration_depths(room, samples).max() <= step
+
+
+def ungated_raycast(room, ray):
+    """`raycast` without its bounding-sphere gate: the slab test on every box."""
+    best = None
+    for obj in room.objects:
+        t = scene_module._ray_box_distance(obj, ray.origin, ray.direction)
+        if t is None:
+            continue
+        key = (t, obj.id)
+        if best is None or key < best:
+            best = key
+    if best is None:
+        return None
+    t, oid = best
+    (ox, oy, oz), (dx, dy, dz) = ray.origin, ray.direction
+    return RayHit(object_id=oid, world_point=(ox + dx * t, oy + dy * t, oz + dz * t), distance=t)
+
+
+def hit_bits(hit):
+    return None if hit is None else (hit.object_id, struct.pack("<4d", *hit.world_point, hit.distance))
+
+
+def unit_or_x(v):
+    n = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    return (1.0, 0.0, 0.0) if n < 1e-9 else (v[0] / n, v[1] / n, v[2] / n)
+
+
+unit = st.floats(-1.0, 1.0)
+unit_vectors = st.tuples(unit, unit, unit).map(unit_or_x)
+GATE_CASES = ("outside", "inside", "far", "axis", "corner", "tangent", "tie")
+
+
+@st.composite
+def gate_cases(draw):
+    """A room and a ray of one of GATE_CASES, aimed at a box or anywhere."""
+    room = draw(rooms())
+    obj = draw(st.sampled_from(room.objects))
+    kind = draw(st.sampled_from(GATE_CASES))
+    if kind == "tie":  # a coincident twin whose id sorts first
+        room = make_room(room.objects + (box("a" + obj.id, obj.position, obj.size, yaw=obj.yaw),))
+    hx, hy, hz = obj.half_size
+    if kind in ("corner", "tangent"):
+        target = obj.to_world(tuple(draw(st.sampled_from((-h, h))) for h in (hx, hy, hz)))
+    else:
+        target = obj.to_world((draw(unit) * hx, draw(unit) * hy, draw(unit) * hz))
+    if kind in ("axis", "tangent"):
+        if kind == "axis":  # along a box axis: the slab test's parallel branch
+            c, s = obj.cos_yaw, obj.sin_yaw
+            direction = draw(st.sampled_from(((c, 0.0, -s), (s, 0.0, c), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0))))
+            direction = tuple(draw(st.sampled_from((1.0, -1.0))) * v for v in direction)
+        else:  # through a corner, square to its radius: the sphere's tangent there
+            rx, ry, rz = (t - p for t, p in zip(target, obj.position))
+            ux, uy, uz = draw(unit_vectors)
+            direction = unit_or_x((ry * uz - rz * uy, rz * ux - rx * uz, rx * uy - ry * ux))
+        back = draw(st.floats(0.0, 20.0))
+        origin = tuple(t - back * d for t, d in zip(target, direction))
+    else:
+        if kind == "inside":
+            origin = obj.to_world((draw(unit) * hx, draw(unit) * hy, draw(unit) * hz))
+        elif kind == "far":
+            away = draw(st.floats(1.0, 1e6))
+            origin = tuple(p + away * u for p, u in zip(obj.position, draw(unit_vectors)))
+        else:
+            origin = draw(st.tuples(st.floats(-9, 9), st.floats(-1, 5), st.floats(-9, 9)))
+        aimed = kind in ("corner", "tie") or draw(st.booleans())
+        direction = unit_or_x(tuple(t - o for t, o in zip(target, origin))) if aimed else draw(unit_vectors)
+    # a Ray's direction may miss unit length by up to 1e-6
+    stretch = draw(st.sampled_from((0.0, 0.0, 9.9e-7, -9.9e-7)))
+    direction = tuple(d * (1.0 + stretch) for d in direction)
+    return room, Ray(origin=origin, direction=direction)
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=gate_cases())
+@example(case=(make_room([box("b", (0, 0.5, 0), (1, 1, 1))]), Ray(origin=(-5, 0.5, 0.5), direction=(1, 0, 0))))
+def test_gated_raycast_gives_the_ungated_hit(case):
+    room, ray = case
+    assert hit_bits(raycast(room, ray)) == hit_bits(ungated_raycast(room, ray))
+
+
+def test_gated_raycast_cases_hit_and_miss():
+    # the gate cases reach both outcomes and every ungated path often enough
+    # for the equivalence above to mean something
+    outcomes = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=gate_cases())
+    def collect(case):
+        room, ray = case
+        outcomes.append(ungated_raycast(room, ray) is not None)
+
+    collect()
+    assert 0.3 < sum(outcomes) / len(outcomes) < 0.95
 
 
 # --- normalized coordinates ---------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -10,10 +11,14 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twinroom import placement as placement_module
 from twinroom import retarget as retarget_module
+from twinroom import scene as scene_module
 from twinroom import sim as sim_module
+from twinroom import states as states_module
 from twinroom.geometry import (
     Transform,
     normalized,
@@ -37,6 +42,7 @@ from twinroom.placement import (
     scorer_config_from_json,
 )
 from twinroom.protocol import (
+    POSE,
     Hello,
     PoseUpdate,
     ProtocolError,
@@ -54,6 +60,8 @@ from twinroom.sim import (
     PeerRuntime,
     ReplayDivergence,
     SimConfig,
+    _frames_line,
+    _jsonl,
     canonical_report_json,
     main,
     pose_update_from_snapshot,
@@ -64,6 +72,7 @@ from twinroom.states import Effector, EffectorSample, StateConfig, UserSnapshot,
 from twinroom.traces import MalformedTrace, TraceBuilder, save_trace
 
 from test_retarget import _bits, _tick_bits, reference_solve_full_body
+from test_scene import ungated_raycast
 
 
 def room_a_doc() -> dict:
@@ -1271,3 +1280,103 @@ def test_batched_pose_quantization_matches_per_float_f32():
         got, want = pose_update_from_snapshot(snap, tick), per_float_pose_update(snap, tick)
         assert got == want
         assert pose_bits(got) == pose_bits(want)
+
+
+def transform_pose_update(snap, tick: int) -> PoseUpdate:
+    """Pose quantization one `Transform.inverse_apply` per effector, through
+    `PoseUpdate`'s checking constructor."""
+    root_q = quat_normalize(snap.root.orientation.tolist())
+    root = Transform(position=tuple(snap.root.position.tolist()), orientation=root_q)
+    inv_q = quat_conj(root_q)
+    floats = [*root.position, *root_q]
+    for sample in (snap.head, snap.left_hand, snap.right_hand, snap.left_foot, snap.right_foot):
+        floats += root.inverse_apply(sample.position.tolist())
+        floats += quat_mul(inv_q, quat_normalize(sample.orientation.tolist()))
+    try:
+        packed = POSE.pack(tick, *floats, 0)
+    except (struct.error, OverflowError) as e:
+        raise MalformedTrace(f"snapshot at tick {tick} does not fit the wire pose: {e}") from None
+    w = POSE.unpack(packed)
+    return PoseUpdate(tick=tick, values=w[1:-1], fingers=snap.fingers)
+
+
+def pose_outcome(make):
+    try:
+        pose = make()
+    except Exception as e:  # the same exception, type and message, from both
+        return type(e), str(e)
+    assert type(pose) is PoseUpdate and type(pose.values) is tuple and len(pose.values) == 42
+    return pose.tick, struct.pack("<42d", *pose.values), pose.fingers
+
+
+F32_MAX = 3.4028234663852886e38
+wire_floats = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from((-0.0, 0.0, 1e-45, -1e-40, F32_MAX, -F32_MAX, 3.4028235e38, 3.5e38)),
+    st.floats(3e38, 3.5e38).map(lambda v: v if v % 2 else -v),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+non_unit_quats = st.one_of(
+    st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    st.tuples(wire_floats, wire_floats, wire_floats, wire_floats),
+)
+
+
+@st.composite
+def wire_snapshots(draw):
+    def part():
+        p = draw(st.tuples(wire_floats, wire_floats, wire_floats))
+        return EffectorSample(np.array(p), np.array(draw(non_unit_quats)))
+
+    return UserSnapshot(tick=1, root=part(), head=part(), left_hand=part(), right_hand=part(),
+                        left_foot=part(), right_foot=part(), fingers=draw(st.binary(max_size=4)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(snap=wire_snapshots(), tick=st.one_of(st.integers(0, 2**32 - 1), st.just(2**32)))
+@example(snap=trace_a_script().build().snapshots[100], tick=7)
+def test_pose_quantization_is_the_per_effector_transform_version(snap, tick):
+    assert pose_outcome(lambda: pose_update_from_snapshot(snap, tick)) == \
+        pose_outcome(lambda: transform_pose_update(snap, tick))
+
+
+@pytest.mark.parametrize("tick, blob", [(0, b""), (3, bytes(range(256)) * 40), (2**32 - 1, b"\x00"),
+                                        (10**15, b"TD\x02")])
+def test_frames_line_is_the_json_line(tick, blob):
+    for src, dst in (("a", "b"), ("b", "a")):
+        want = _jsonl({"type": "frames", "tick": tick, "dir": f"{src}>{dst}", "data": blob.hex()})
+        assert _frames_line(tick, src, dst, blob) == want
+
+
+def test_the_raycast_gate_skips_most_boxes_and_changes_no_report(monkeypatch):
+    office = load_room(DEMO_ROOMS / "office_a.json")
+    loft = load_room(DEMO_ROOMS / "loft_b.json")
+    screen_a, screen_b = [-0.4, 1.4, 1.88], [2.84, 1.5, 0.3]
+    a = TraceBuilder(start=(0.5, -1.0)).hold(0.2).walk_to(0.0, 0.2).hold(0.3)
+    a.gaze_at(screen_a, seconds=1.0).point_at(screen_a, side="right", raise_s=0.4, hold_s=1.0)
+    b = TraceBuilder(start=(-1.0, 0.5)).hold(0.2).walk_to(0.8, 0.3).hold(0.3)
+    b.gaze_at(screen_b, seconds=1.0).point_at(screen_b, side="left", raise_s=0.4, hold_s=1.0)
+    traces = a.build(), b.build()
+    pairs, slabs = [], []
+    gated, slab = states_module.raycast, scene_module._ray_box_distance
+
+    def counted_raycast(room, ray):
+        pairs.append(len(room.objects))
+        return gated(room, ray)
+
+    def counted_slab(obj, origin, direction):
+        slabs.append(obj.id)
+        return slab(obj, origin, direction)
+
+    with monkeypatch.context() as m:
+        m.setattr(states_module, "raycast", counted_raycast)
+        m.setattr(scene_module, "_ray_box_distance", counted_slab)
+        result = run(office, loft, *traces, quick_config())
+    with monkeypatch.context() as m:
+        m.setattr(states_module, "raycast", ungated_raycast)
+        ungated = run(office, loft, *traces, quick_config())
+    assert len(pairs) > 200 and len(slabs) < sum(pairs) / 3
+    assert {r["object"] for name in ("a", "b") for r in result.report["pointing"][name]} >= {
+        "wall_screen", "projector_wall"}
+    assert result.report_json == ungated.report_json
+    assert result.transcript == ungated.transcript

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinroom.geometry import FORWARD, quat_between, quat_from_yaw
+from twinroom.geometry import FORWARD, norm, quat_between, quat_from_yaw, quat_rotate
 from twinroom.scene import ObjectCategory, Ray, Room, SceneObject, load_room
 from twinroom.states import (
     ConvergenceWindow,
@@ -505,3 +506,38 @@ def test_state_config_validation():
         StateConfig(v_threshold=0.1)
     with pytest.raises(ValueError):
         StateConfig(omega_threshold=0.5)
+
+
+def checked_ray(s: EffectorSample) -> Ray:
+    """`EffectorSample.ray` through `Ray`'s converting and checking constructor."""
+    fx, fy, fz = f = quat_rotate(s.orientation.tolist(), FORWARD)
+    n = norm(f)
+    return Ray(origin=tuple(s.position.tolist()), direction=(fx / n, fy / n, fz / n))
+
+
+def ray_outcome(make):
+    try:
+        ray = make()
+    except Exception as e:  # the same exception, type and message, from both
+        return type(e), str(e)
+    assert type(ray) is Ray and all(type(c) is float for c in ray.origin + ray.direction)
+    return struct.pack("<6d", *ray.origin, *ray.direction)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    position=st.tuples(finite, finite, finite),
+    q=st.tuples(finite, finite, finite, finite).filter(any),
+)
+@example(position=(0.0, 1.6, 0.0), q=(1e100, 0.0, 2e100, 0.0))  # forward's square overflows
+@example(position=(-0.0, 1.6, 0.0), q=(1e160, 1e160, 0.0, 0.0))  # forward is not finite
+@example(position=(0.0, 1.6, 0.0), q=(3e-161, 0.5, 0.5, 3e-161))  # forward's square is subnormal
+@example(position=(0.0, 1.6, 0.0), q=(1e-200, 0.5, 0.5, 1e-200))  # forward's square underflows to 0
+@example(position=(0.0, 1.6, 0.0), q=(0.0, 0.7071067811865476, 0.0, 0.0))  # forward's norm is 2e-16
+@example(position=(5.0, 1.6, -1e300), q=(0.3, -0.2, 0.9, 0.1))
+def test_effector_ray_is_the_checked_ray(position, q):
+    s = EffectorSample(position=np.array(position), orientation=np.array(q))
+    assert ray_outcome(s.ray) == ray_outcome(lambda: checked_ray(s))
