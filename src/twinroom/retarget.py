@@ -27,15 +27,19 @@ its wrist and shoulder-to-wrist direction. A placement starts a fresh
 the unadjusted (mirrored) body, solved as well on that tick.
 `AvatarPose.joints` is a 14-tuple indexed by `Joint`; orientations, targets,
 pointing solutions and transitions are 3-tuples indexed by `Effector`
-(head, left hand, right hand). The skeleton's rest offsets are built once,
-and a full-body solve maps them and the limb goals, eight root-relative
-points, into the world with one ``Transform.apply_all`` call, which gives
-each point the bits ``Transform.apply`` would. Joints, goals and pointing
-solutions are float tuples, computed with the ``geometry`` kernels and their
-fixed-order reductions (see that module); the rotation arithmetic lives only
-there. The tick path builds each adjusted ``IkGoals`` and ``Transform``
-directly, with no ``dataclasses.replace``, which inspects the fields on
-every call.
+(head, left hand, right hand). `IkGoals` holds the root `Transform` and two
+5-tuples in the wire pose's effector order: the root-relative positions and
+the unit quaternions of the head and hands, by `Effector`, then of the
+`LEFT_FOOT` and `RIGHT_FOOT`. The avatar host slices them straight from the
+wire pose, and the tick path edits copies of the tables, building a
+``Transform`` only for a pointing hand. The skeleton's rest offsets are
+built once, and a full-body solve maps them and the limb goals, eight
+root-relative points, into the world with one ``Transform.apply_all`` call,
+which gives each point the bits ``Transform.apply`` would. Joints, goals and
+pointing solutions are float tuples, computed with the ``geometry`` kernels
+and their fixed-order reductions (see that module); the rotation arithmetic
+lives only there, and `solve_two_bone` writes out ``norm`` and ``dot`` in
+their order.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from enum import IntEnum
 
 from .geometry import (
     FORWARD,
+    QUAT_IDENTITY,
     UP,
     Transform,
     cross,
@@ -133,16 +138,20 @@ class Skeleton:
         )
 
 
+# the feet's entries in `IkGoals`' tables, after the head and hands by `Effector`
+LEFT_FOOT, RIGHT_FOOT = len(Effector), len(Effector) + 1
+
+
 @dataclass(frozen=True)
 class IkGoals:
-    """Root pose in world space; effector targets relative to the root."""
+    """Root pose in world space; effector goals relative to the root, as
+    two tables in the wire pose's order: the head, left hand and right hand
+    indexed by `Effector`, then `LEFT_FOOT` and `RIGHT_FOOT`. Positions are
+    float 3-tuples and orientations unit quaternions."""
 
     root: Transform
-    head: Transform
-    left_hand: Transform
-    right_hand: Transform
-    left_foot: Transform
-    right_foot: Transform
+    positions: tuple[tuple[float, float, float], ...]
+    orientations: tuple[tuple[float, float, float, float], ...]
     fingers: bytes = b""
 
 
@@ -203,12 +212,13 @@ def solve_two_bone(shoulder, upper: float, fore: float, target, hint) -> tuple[t
     if upper <= 0.0 or fore <= 0.0:
         raise ValueError("segment lengths must be positive")
     sx, sy, sz = shoulder
-    to_target = (target[0] - sx, target[1] - sy, target[2] - sz)
-    d = norm(to_target)
+    # `norm` and `dot` written out, each in its order
+    vx, vy, vz = target[0] - sx, target[1] - sy, target[2] - sz
+    d = math.sqrt(vx * vx + vy * vy + vz * vz)
     if d < 1e-9:
-        dx, dy, dz = direction = normalized(hint)
+        dx, dy, dz = normalized(hint)
     else:
-        dx, dy, dz = direction = (to_target[0] / d, to_target[1] / d, to_target[2] / d)
+        dx, dy, dz = vx / d, vy / d, vz / d
     d_eff = min(max(d, abs(upper - fore)), upper + fore)
     wrist = (sx + dx * d_eff, sy + dy * d_eff, sz + dz * d_eff)
 
@@ -220,13 +230,14 @@ def solve_two_bone(shoulder, upper: float, fore: float, target, hint) -> tuple[t
         cos_a = (upper * upper + d_eff * d_eff - fore * fore) / (2.0 * upper * d_eff)
         cos_a = max(-1.0, min(1.0, cos_a))
         sin_a = math.sqrt(max(0.0, 1.0 - cos_a * cos_a))
-    h = dot(hint, direction)
-    perp = (hint[0] - h * dx, hint[1] - h * dy, hint[2] - h * dz)
-    pn = norm(perp)
+    hx, hy, hz = hint
+    h = hx * dx + hy * dy + hz * dz
+    vx, vy, vz = hx - h * dx, hy - h * dy, hz - h * dz
+    pn = math.sqrt(vx * vx + vy * vy + vz * vz)
     if pn < 1e-9:
-        px, py, pz = _fallback_perpendicular(direction)
+        px, py, pz = _fallback_perpendicular((dx, dy, dz))
     else:
-        px, py, pz = perp[0] / pn, perp[1] / pn, perp[2] / pn
+        px, py, pz = vx / pn, vy / pn, vz / pn
     elbow = (
         sx + upper * (cos_a * dx + sin_a * px),
         sy + upper * (cos_a * dy + sin_a * py),
@@ -256,13 +267,13 @@ def solve_full_body(skeleton: Skeleton, goals: IkGoals, cfg: RetargetConfig | No
         cfg = _DEFAULT_RETARGET
     root = goals.root
     q = root.orientation
+    head_goal, *limb_goals = goals.positions
     if neck_head is None:
-        neck_head = _neck_and_head(skeleton, root, goals.head.position)
-    # the eight root-relative points in one call: the rest offsets, then the goals
-    (l_shoulder, r_shoulder, l_hip, r_hip, l_hand, r_hand, l_foot, r_foot) = root.apply_all((
-        *skeleton._rest[1:], goals.left_hand.position, goals.right_hand.position,
-        goals.left_foot.position, goals.right_foot.position,
-    ))
+        neck_head = _neck_and_head(skeleton, root, head_goal)
+    # the eight root-relative points in one call: the rest offsets, then the
+    # hand and foot goals
+    (l_shoulder, r_shoulder, l_hip, r_hip, l_hand, r_hand, l_foot, r_foot) = root.apply_all(
+        (*skeleton._rest[1:], *limb_goals))
     # one hint direction serves both arms, another both legs
     hint = quat_rotate(q, cfg.elbow_hint)
     l_elbow, l_wrist = solve_two_bone(l_shoulder, skeleton.upper_arm, skeleton.forearm, l_hand, hint)
@@ -272,8 +283,8 @@ def solve_full_body(skeleton: Skeleton, goals: IkGoals, cfg: RetargetConfig | No
     r_knee, r_ankle = solve_two_bone(r_hip, skeleton.thigh, skeleton.shin, r_foot, hint)
     joints = (*neck_head, l_shoulder, l_elbow, l_wrist, r_shoulder, r_elbow, r_wrist,
               l_hip, l_knee, l_ankle, r_hip, r_knee, r_ankle)
-    orientations = (quat_mul(q, goals.head.orientation), quat_mul(q, goals.left_hand.orientation),
-                    quat_mul(q, goals.right_hand.orientation))
+    head_q, l_hand_q, r_hand_q, _, _ = goals.orientations
+    orientations = (quat_mul(q, head_q), quat_mul(q, l_hand_q), quat_mul(q, r_hand_q))
     return AvatarPose(root=root, joints=joints, orientations=orientations, fingers=goals.fingers)
 
 
@@ -293,24 +304,23 @@ def _neck_and_head(skeleton: Skeleton, root: Transform, head_goal) -> tuple[tupl
 
 def rest_goals(skeleton: Skeleton, root: Transform | None = None) -> IkGoals:
     """Neutral goals: arms hanging, legs straight down, head atop the spine."""
-    ident = (1.0, 0.0, 0.0, 0.0)
     if root is None:
         stand = skeleton.thigh + skeleton.shin + 0.04
-        root = Transform((0.0, stand, 0.0), ident)
+        root = Transform((0.0, stand, 0.0), QUAT_IDENTITY)
     arm = skeleton.upper_arm + skeleton.forearm
     leg = skeleton.thigh + skeleton.shin
 
     def below(offset, drop):
-        return Transform((offset[0], offset[1] - drop, offset[2]), ident)
+        return (offset[0], offset[1] - drop, offset[2])
 
-    return IkGoals(
-        root=root,
-        head=Transform((0.0, skeleton.spine + skeleton.neck, 0.0), ident),
-        left_hand=below(skeleton.shoulder_local("left"), arm),
-        right_hand=below(skeleton.shoulder_local("right"), arm),
-        left_foot=below(skeleton.hip_local("left"), leg),
-        right_foot=below(skeleton.hip_local("right"), leg),
+    positions = (
+        (0.0, skeleton.spine + skeleton.neck, 0.0),
+        below(skeleton.shoulder_local("left"), arm),
+        below(skeleton.shoulder_local("right"), arm),
+        below(skeleton.hip_local("left"), leg),
+        below(skeleton.hip_local("right"), leg),
     )
+    return IkGoals(root, positions, (QUAT_IDENTITY,) * len(positions))
 
 
 def walk_in_place(
@@ -325,8 +335,7 @@ def walk_in_place(
     discarded entirely; only the root-relative limb goals come through, so a
     walking user yields arm and leg swing around a stationary root.
     """
-    pinned = IkGoals(root, goals.head, goals.left_hand, goals.right_hand,
-                     goals.left_foot, goals.right_foot, goals.fingers)
+    pinned = IkGoals(root, goals.positions, goals.orientations, goals.fingers)
     return solve_full_body(skeleton, pinned, cfg)
 
 
@@ -514,10 +523,11 @@ def avatar_tick(
 
     root = goals.root
     inv_root_q = quat_conj(root.orientation)
-    neck_head = _neck_and_head(skeleton, root, goals.head.position)
+    neck_head = _neck_and_head(skeleton, root, goals.positions[Effector.Head])
     eye = neck_head[1]
-    # the head and hand goals, by `Effector`, as the tick adjusts them
-    effectors = [goals.head, goals.left_hand, goals.right_hand]
+    # the goal tables as the tick adjusts them
+    positions = list(goals.positions)
+    orientations = list(goals.orientations)
     pointing = list(_NO_POINTING)
     # where transitions start: the remembered pose, or the unadjusted body,
     # solved only when a transition starts with nothing remembered
@@ -536,7 +546,7 @@ def avatar_tick(
             st.start_fwd = quat_rotate(start.orientations[head], FORWARD)
         st.t = min(1.0, st.t + dt * cfg.interp_speed)
         fwd = interp_head(st.start_fwd, desired_fwd, st.t) if st.t < 1.0 else desired_fwd
-        effectors[head] = Transform(goals.head.position, quat_mul(inv_root_q, look_rotation(fwd, UP)))
+        orientations[head] = quat_mul(inv_root_q, look_rotation(fwd, UP))
 
     for i, side, shoulder, wrist in _ARMS:
         st = interp.transitions[i]
@@ -544,7 +554,7 @@ def avatar_tick(
             st.reset()
             continue
         point = vertical_compensation(targets[i], eye, cfg)
-        sol = retarget_pointing(skeleton, root, effectors[i], point, side, cfg)
+        sol = retarget_pointing(skeleton, root, Transform(positions[i], orientations[i]), point, side, cfg)
         if st.start_fwd is None:
             if start is None:
                 start = solve_full_body(skeleton, goals, cfg, neck_head=neck_head)
@@ -559,13 +569,11 @@ def avatar_tick(
         else:
             wrist_w = sol.wrist
             hand_q_w = sol.hand_orientation
-        effectors[i] = Transform(
-            position=quat_rotate(inv_root_q, sub(wrist_w, root.position)),
-            orientation=quat_mul(inv_root_q, hand_q_w),
-        )
+        positions[i] = quat_rotate(inv_root_q, sub(wrist_w, root.position))
+        orientations[i] = quat_mul(inv_root_q, hand_q_w)
         pointing[i] = (st.t, sol)
 
-    adjusted = IkGoals(root, *effectors, goals.left_foot, goals.right_foot, goals.fingers)
+    adjusted = IkGoals(root, tuple(positions), tuple(orientations), goals.fingers)
     pose = solve_full_body(skeleton, adjusted, cfg, neck_head=neck_head)
     interp.last = pose
     return AvatarTickResult(pose, tuple(pointing))

@@ -176,12 +176,6 @@ class SimConfig:
 
 # --- wire/pose plumbing --------------------------------------------------------
 
-def _wire_transform(values: tuple[float, ...], i: int) -> Transform:
-    """The wire pose's transform at float offset `i`, its quaternion
-    normalized."""
-    return Transform(position=values[i:i + 3], orientation=quat_normalize(values[i + 3:i + 7]))
-
-
 def pose_update_from_snapshot(snap, tick: int) -> PoseUpdate:
     """Quantize a trace snapshot into the wire pose: world root plus five
     root-relative effectors, every float already rounded to 32 bits so the
@@ -219,7 +213,8 @@ class LocalUser:
 
     @cached_property
     def root(self) -> Transform:
-        return _wire_transform(self.pose.values, 0)
+        values = self.pose.values
+        return Transform(values[0:3], quat_normalize(values[3:7]))
 
     def head(self) -> tuple[float, float, float]:
         """World head position: what `PARTNER_HEAD_ID` resolves to."""
@@ -286,7 +281,7 @@ class AvatarHost:
         elif isinstance(msg, PoseUpdate):
             self.pose = msg
             if self.placement is not None:
-                self._anchor_goals(_wire_transform(msg.values, 0))
+                self._anchor_goals(msg.values[0:3], quat_normalize(msg.values[3:7]))
         elif isinstance(msg, StateChange):
             self.transitions.append({"tick": msg.tick, "state": msg.state.name})
             self._on_state(msg.state)
@@ -327,13 +322,14 @@ class AvatarHost:
             yaw=f32(result.placement.yaw),
             pose=result.placement.pose,
         )
-        rt = _wire_transform(self.pose.values, 0)  # batches lead with the pose
-        self._anchor_user_pos = rt.position
-        self._anchor_avatar_pos = (q.x, rt.position[1], q.z)
-        self._delta_q = quat_from_yaw(q.yaw - yaw_of(rt.orientation))
+        values = self.pose.values  # batches lead with the pose
+        position, orientation = values[0:3], quat_normalize(values[3:7])
+        self._anchor_user_pos = position
+        self._anchor_avatar_pos = (q.x, position[1], q.z)
+        self._delta_q = quat_from_yaw(q.yaw - yaw_of(orientation))
         self._placement_q = quat_from_yaw(q.yaw)
         self.placement = q
-        self._anchor_goals(rt)
+        self._anchor_goals(position, orientation)
         self.frozen = None
         # aim transitions must not bridge a teleport
         self.interp = InterpState()
@@ -369,23 +365,28 @@ class AvatarHost:
 
     # -- anchored frame
 
-    def _anchor_goals(self, rt: Transform) -> None:
-        """The avatar's goals: the latest wire pose's effectors around its
-        root `rt`, mapped through the placement anchor. Computed once per
-        inbound pose and once per re-anchoring."""
+    def _anchor_goals(self, position, orientation) -> None:
+        """The avatar's goals: the latest wire pose's root, at `position`
+        with the normalized quaternion `orientation`, mapped through the
+        placement anchor, and its five effectors sliced from the pose into
+        `IkGoals`' two tables, each quaternion normalized (a near-zero one
+        is `quat_normalize`'s ValueError). Computed once per inbound pose
+        and once per re-anchoring."""
         ax, ay, az = self._anchor_avatar_pos
-        dx, dy, dz = quat_rotate(self._delta_q, sub(rt.position, self._anchor_user_pos))
-        root = Transform(position=(ax + dx, ay + dy, az + dz),
-                         orientation=quat_mul(self._delta_q, rt.orientation))
-        t, v = _wire_transform, self.pose.values
-        self.goals = IkGoals(root, t(v, 7), t(v, 14), t(v, 21), t(v, 28), t(v, 35), self.pose.fingers)
+        dx, dy, dz = quat_rotate(self._delta_q, sub(position, self._anchor_user_pos))
+        root = Transform((ax + dx, ay + dy, az + dz), quat_mul(self._delta_q, orientation))
+        v = self.pose.values
+        positions = (v[7:10], v[14:17], v[21:24], v[28:31], v[35:38])
+        orientations = (quat_normalize(v[10:14]), quat_normalize(v[17:21]), quat_normalize(v[24:28]),
+                        quat_normalize(v[31:35]), quat_normalize(v[38:42]))
+        self.goals = IkGoals(root, positions, orientations, self.pose.fingers)
 
     def avatar_head_world(self) -> tuple[float, float, float] | None:
         """The avatar's head goal in this room, where the local user's gaze
         finds the partner's head, or None while it is not placed."""
         if self.goals is None:
             return None
-        return self.goals.root.apply(self.goals.head.position)
+        return self.goals.root.apply(self.goals.positions[Effector.Head])
 
     def partner_pose(self) -> PartnerPose | None:
         """The hosted avatar as an interpersonal reference for the local
@@ -595,10 +596,11 @@ class PeerRuntime:
 
         room = self._fixation_room()
         if self.loco is not UserState.Locomotion:
+            # an unlifted hand fixates nothing, so it casts no ray
             for effector, sample in zip(Effector, snap.effectors):
-                update_fixation(
-                    self.tracker, effector, sample.ray(), room, self.dt, self.cfg.state, lifted=sample.lifted
-                )
+                lifted = sample.lifted
+                ray = sample.ray() if lifted or effector is Effector.Head else None
+                update_fixation(self.tracker, effector, ray, room, self.dt, self.cfg.state, lifted=lifted)
         self.targets = acquire_targets(self.tracker, snap, self.cfg.state)
         self.state_now = classify_state(self.loco, self.targets)
 

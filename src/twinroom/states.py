@@ -327,7 +327,7 @@ def _interaction_candidate(room: Room, object_id: str) -> bool:
 def update_fixation(
     tracker: FixationTracker,
     effector: Effector,
-    ray: Ray,
+    ray: Ray | None,
     room: Room,
     dt: float,
     cfg: StateConfig,
@@ -337,8 +337,10 @@ def update_fixation(
 
     The registered target refreshes its hit point every tick while fixation
     holds, so a gaze sliding along a screen keeps the target current. Hands
-    accumulate only while lifted. A miss, an unpaired hit, or a candidate
-    switch restarts the clock and drops any registered target.
+    accumulate only while lifted, and an unlifted hand's ray is not read, so
+    it may be None; the head and a lifted hand need one. A miss, an unpaired
+    hit, or a candidate switch restarts the clock and drops any registered
+    target.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -346,6 +348,8 @@ def update_fixation(
     if effector is not Effector.Head and not lifted:
         fx.clear()
         return
+    if ray is None:
+        raise ValueError(f"{effector.name} fixation needs a ray")
 
     hit = raycast(room, ray)
     if hit is None or not _interaction_candidate(room, hit.object_id):

@@ -14,7 +14,7 @@ import pytest
 from test_placement import exhaustive_best, per_category, random_room, random_target
 from test_retarget import bone_lengths
 
-from twinroom.geometry import Transform, quat_from_yaw
+from twinroom.geometry import QUAT_IDENTITY, Transform, float_tuple, quat_from_yaw
 from twinroom.placement import (
     ACCOMMODATION_CELLS,
     DefaultScorer,
@@ -42,6 +42,8 @@ from twinroom.protocol import (
     f32,
 )
 from twinroom.retarget import (
+    LEFT_FOOT,
+    RIGHT_FOOT,
     IkGoals,
     InterpState,
     Joint,
@@ -64,8 +66,6 @@ from twinroom.states import (
     step_locomotion,
 )
 from twinroom.traces import TraceBuilder
-
-IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def verdict(name: str, ok: bool, detail: str) -> None:
@@ -382,22 +382,27 @@ def test_06_locomotion_invariants():
     )
 
 
+def goal_tables(root: Transform, positions) -> IkGoals:
+    """Goals at the given root-relative positions, every orientation the
+    identity."""
+    return IkGoals(root, tuple(map(float_tuple, positions)), (QUAT_IDENTITY,) * 5)
+
+
 def wandering_goals(rng, sk: Skeleton) -> IkGoals:
     def t(scale):
-        return Transform(rng.uniform(-scale, scale, 3), IDENTITY)
+        return rng.uniform(-scale, scale, 3)
 
     root = Transform(
         np.array([rng.uniform(-3, 3), rng.uniform(0.7, 1.0), rng.uniform(-3, 3)]),
         quat_from_yaw(rng.uniform(0, math.tau)),
     )
-    return IkGoals(
-        root=root,
-        head=Transform(np.array([0.0, sk.spine + sk.neck, 0.0]), IDENTITY),
-        left_hand=t(0.5),
-        right_hand=t(0.5),
-        left_foot=Transform(np.array([-0.1, -rng.uniform(0.5, 0.9), 0.0]), IDENTITY),
-        right_foot=Transform(np.array([0.1, -rng.uniform(0.5, 0.9), 0.0]), IDENTITY),
-    )
+    return goal_tables(root, (
+        (0.0, sk.spine + sk.neck, 0.0),
+        t(0.5),
+        t(0.5),
+        (-0.1, -rng.uniform(0.5, 0.9), 0.0),
+        (0.1, -rng.uniform(0.5, 0.9), 0.0),
+    ))
 
 
 # --- 7: inverse kinematics -----------------------------------------------------
@@ -409,27 +414,20 @@ def reachable_goals(rng, sk: Skeleton) -> IkGoals:
         r = rng.uniform(inner + 1e-3, sk.arm_reach - 1e-3)
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
-        return Transform(sk.shoulder_local(side) + r * d, IDENTITY)
+        return sk.shoulder_local(side) + r * d
 
     def leg(side: str):
         inner = abs(sk.thigh - sk.shin)
         r = rng.uniform(inner + 1e-3, sk.thigh + sk.shin - 1e-3)
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
-        return Transform(sk.hip_local(side) + r * d, IDENTITY)
+        return sk.hip_local(side) + r * d
 
     root = Transform(
         np.array([rng.uniform(-2, 2), 0.9, rng.uniform(-2, 2)]),
         quat_from_yaw(rng.uniform(0, math.tau)),
     )
-    return IkGoals(
-        root=root,
-        head=Transform(np.array([0.0, sk.spine + sk.neck, 0.0]), IDENTITY),
-        left_hand=arm("left"),
-        right_hand=arm("right"),
-        left_foot=leg("left"),
-        right_foot=leg("right"),
-    )
+    return goal_tables(root, ((0.0, sk.spine + sk.neck, 0.0), arm("left"), arm("right"), leg("left"), leg("right")))
 
 
 def test_07_ik_properties():
@@ -448,10 +446,10 @@ def test_07_ik_properties():
         goals = reachable_goals(rng, sk)
         pose = solve_full_body(sk, goals)
         for joint, goal in (
-            (Joint.LeftWrist, goals.left_hand), (Joint.RightWrist, goals.right_hand),
-            (Joint.LeftAnkle, goals.left_foot), (Joint.RightAnkle, goals.right_foot),
+            (Joint.LeftWrist, Effector.LeftHand), (Joint.RightWrist, Effector.RightHand),
+            (Joint.LeftAnkle, LEFT_FOOT), (Joint.RightAnkle, RIGHT_FOOT),
         ):
-            target = goals.root.apply(goal.position)
+            target = goals.root.apply(goals.positions[goal])
             worst_error = max(worst_error, float(np.linalg.norm(np.subtract(pose.joints[joint], target))))
         measured = bone_lengths(sk, pose)
         for name, want in nominal.items():
@@ -467,11 +465,8 @@ def test_07_ik_properties():
         d /= np.linalg.norm(d)
         far = sk.shoulder_local("right") + rng.uniform(sk.arm_reach * 1.01, 5.0) * d
         goals = reachable_goals(rng, sk)
-        goals = IkGoals(
-            root=root, head=goals.head, left_hand=goals.left_hand,
-            right_hand=Transform(far, IDENTITY),
-            left_foot=goals.left_foot, right_foot=goals.right_foot,
-        )
+        positions = goals.positions
+        goals = IkGoals(root, (*positions[:2], float_tuple(far), *positions[3:]), goals.orientations)
         pose = solve_full_body(sk, goals)
         stretched = np.linalg.norm(np.subtract(pose.joints[Joint.RightWrist], pose.joints[Joint.RightShoulder]))
         worst_sphere = max(worst_sphere, abs(float(stretched) - sk.arm_reach))

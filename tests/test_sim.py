@@ -38,11 +38,13 @@ from twinroom.placement import (
     PlacementPose,
     PsoConfig,
     ScorerConfig,
+    extract_features,
     feasible,
     scorer_config_from_json,
 )
 from twinroom.protocol import (
     POSE,
+    FeaturePacket,
     Hello,
     PoseUpdate,
     ProtocolError,
@@ -53,7 +55,7 @@ from twinroom.protocol import (
     f32,
 )
 from twinroom.retarget import Joint, RetargetConfig, Skeleton, vertical_compensation
-from twinroom.scene import ObjectCategory, PairingError, Room, SceneObject, load_room, room_hash
+from twinroom.scene import ObjectCategory, PairingError, Room, SceneError, SceneObject, load_room, room_hash
 from twinroom.sim import (
     PARTNER_HEAD_ID,
     AvatarHost,
@@ -69,7 +71,7 @@ from twinroom.sim import (
     run,
 )
 from twinroom.states import Effector, EffectorSample, StateConfig, UserSnapshot, UserState
-from twinroom.traces import MalformedTrace, TraceBuilder, save_trace
+from twinroom.traces import MalformedTrace, MotionTrace, TraceBuilder, save_trace
 
 from test_retarget import _bits, _tick_bits, reference_solve_full_body
 from test_scene import ungated_raycast
@@ -645,7 +647,7 @@ def test_pointing_is_raised_as_seen_from_the_solved_head_joint(base_result, monk
             raised = vertical_compensation(targets[i], eye, config.retarget)
             assert solution.target == raised and raised[1] > targets[i][1]
             from_goal += raised != vertical_compensation(
-                targets[i], goals.root.apply(goals.head.position), config.retarget)
+                targets[i], goals.root.apply(goals.positions[Effector.Head]), config.retarget)
             if t == 1.0:
                 completed += 1
                 arm = sub(result.pose.joints[wrist], result.pose.joints[shoulder])
@@ -950,9 +952,8 @@ def test_avatar_host_converts_wire_poses_only_once_placed(monkeypatch):
                 assert (np.asarray(host.goals.root.orientation).tobytes()
                         == np.asarray(quat_mul(host._delta_q, user_q)).tobytes())
                 goals = host.goals
-                effectors = (goals.head, goals.left_hand, goals.right_hand, goals.left_foot, goals.right_foot)
-                assert [(e.position, e.orientation) for e in effectors] == [
-                    (msg.values[i:i + 3], quat_normalize(msg.values[i + 3:i + 7])) for i in range(7, 42, 7)]
+                assert goals.positions == tuple(msg.values[i:i + 3] for i in range(7, 42, 7))
+                assert goals.orientations == tuple(quat_normalize(msg.values[i + 3:i + 7]) for i in range(7, 42, 7))
                 assert goals.fingers is msg.fingers
                 seen["anchored"] += 1
         return out
@@ -961,6 +962,70 @@ def test_avatar_host_converts_wire_poses_only_once_placed(monkeypatch):
     run(room_a_doc(), room_b_doc(), trace_a_script().build(), trace_b_script().build(),
         config=quick_config())
     assert seen["raw"] > 0 and seen["anchored"] > 0
+
+
+@pytest.mark.parametrize("offset", range(3, 42, 7),
+                         ids=["root", "head", "left_hand", "right_hand", "left_foot", "right_foot"])
+def test_a_placed_avatar_host_refuses_a_zero_quaternion(offset):
+    # once placed, the host normalizes every quaternion of each inbound pose:
+    # a zero one anywhere is quat_normalize's ValueError, and the goals stay
+    # those of the last pose it accepted
+    host = AvatarHost(load_room(room_a_doc()), quick_config(), owner_code=0)
+    trace = trace_b_script().build()
+    pose = pose_update_from_snapshot(trace.snapshots[0], 1)
+    here = Placement(0.3, -0.9, 0.5, PlacementPose.Standing)
+    host.handle(Hello(app_version=1, room_hash=0, skeleton=trace.skeleton.to_floats()), 0, None)
+    host.handle(pose, 1, None)
+    host.handle(FeaturePacket(tick=1, features=extract_features(load_room(room_b_doc()), here, None)), 1, None)
+    assert host.placement is not None
+    goals = host.goals
+    values = list(pose.values)
+    values[offset:offset + 4] = (0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="cannot normalize a near-zero quaternion"):
+        host.handle(PoseUpdate(tick=2, values=values), 2, None)
+    assert host.goals is goals
+
+
+def test_rays_are_cast_only_for_the_head_and_lifted_hands(monkeypatch):
+    # every effector still goes through update_fixation, but an unlifted
+    # hand's ray, which it would not read, is never built
+    calls, fixation = [], sim_module.update_fixation
+
+    def recorded(tracker, effector, ray, room, dt, cfg, lifted=True):
+        calls.append((effector, ray is not None, lifted))
+        fixation(tracker, effector, ray, room, dt, cfg, lifted=lifted)
+
+    monkeypatch.setattr(sim_module, "update_fixation", recorded)
+    run(room_a_doc(), room_b_doc(), trace_a_script().build(), trace_b_script().build(), config=quick_config())
+    assert all(has_ray == (effector is Effector.Head or lifted) for effector, has_ray, lifted in calls)
+    hands = Counter((effector, lifted) for effector, _, lifted in calls if effector is not Effector.Head)
+    assert hands[Effector.RightHand, True] > 0 and hands[Effector.LeftHand, False] > 0
+    assert Counter(effector for effector, _, _ in calls) == {e: len(calls) // 3 for e in Effector}
+
+
+def test_a_hand_without_a_unit_ray_ends_the_session_only_while_lifted():
+    # A's left hand never lifts; its forward's square is subnormal from the
+    # last walk on, so `EffectorSample.ray` refuses it. Unlifted, its ray is
+    # never built and the session runs as it would with a sound hand.
+    bad_q = np.array([3e-161, 0.5, 0.5, 3e-161])
+    trace = trace_a_script().build()
+    with pytest.raises(SceneError):
+        EffectorSample(position=np.zeros(3), orientation=bad_q).ray()
+
+    def with_left_hand(lifted_at):
+        snaps = []
+        for snap in trace.snapshots:
+            hand = snap.left_hand
+            if snap.tick > len(trace) // 2:
+                hand = EffectorSample(hand.position, bad_q, lifted=snap.tick == lifted_at)
+            snaps.append(replace(snap, left_hand=hand))
+        return MotionTrace(trace.tick_rate, trace.skeleton, tuple(snaps))
+
+    sound = run(room_a_doc(), room_b_doc(), trace, trace_b_script().build(), config=quick_config())
+    odd = run(room_a_doc(), room_b_doc(), with_left_hand(None), trace_b_script().build(), config=quick_config())
+    assert odd.report == sound.report
+    with pytest.raises(SceneError):
+        run(room_a_doc(), room_b_doc(), with_left_hand(len(trace)), trace_b_script().build(), config=quick_config())
 
 
 def test_replay_checks_the_inbound_hello(base_result):

@@ -362,6 +362,22 @@ def test_hand_fixation_needs_lift():
     assert tracker.channels[Effector.LeftHand].fixation.target is None
 
 
+def test_update_fixation_needs_a_ray_only_from_the_head_and_a_lifted_hand():
+    room = fixation_room()
+    cfg = StateConfig()
+    tracker = FixationTracker(TICK_RATE, cfg)
+    for _ in range(40):
+        update_fixation(tracker, Effector.LeftHand, gaze_ray(), room, DT, cfg, lifted=True)
+    fixation = tracker.channels[Effector.LeftHand].fixation
+    assert fixation.target is not None
+    update_fixation(tracker, Effector.LeftHand, None, room, DT, cfg, lifted=False)
+    assert (fixation.candidate, fixation.accumulated, fixation.target) == (None, 0.0, None)
+    for effector, lifted in ((Effector.Head, True), (Effector.Head, False), (Effector.LeftHand, True),
+                             (Effector.RightHand, True)):
+        with pytest.raises(ValueError, match="needs a ray"):
+            update_fixation(tracker, effector, None, room, DT, cfg, lifted=lifted)
+
+
 def test_update_fixation_rejects_bad_dt():
     tracker = FixationTracker(TICK_RATE, StateConfig())
     with pytest.raises(ValueError):
