@@ -39,9 +39,9 @@ The grid is a bounded best-first scan with the result of an exhaustive one.
 Its room-only phase, ``grid_tables``, takes one grid column at a time: one
 broadcast gives its cells' accommodation rows, hence their standing
 feasibility, another their seat coverage, which decides the rest, and a last
-broadcast gives the feasible cells' spatial tables. Nothing in it depends on the target, so a
-caller that searches one room again (a session's avatar host) passes the
-tables back in and skips it. Each feasible cell holds one pose, and one
+broadcast gives the feasible cells' spatial tables. Nothing in it depends on
+the target, so it runs once per ``Room`` object and ``GridConfig``, whose
+later searches read its tables. Each feasible cell holds one pose, and one
 ``score_bound`` call over all of them gives each cell an upper bound on its
 yaw candidates' scores (their height and spatial terms do not depend on yaw,
 attention is at most 1, and the partner offset has the same length at every
@@ -94,6 +94,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import weakref
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import Protocol, get_type_hints
@@ -769,31 +770,43 @@ class GridTables:
     ``rows``, one ``(cells, ACCOMMODATION_CELLS)`` array) and its spatial
     table (a column of ``nearest``, one ``(categories, cells)`` array, and
     an entry of ``spatial``). Nothing here depends on the target, the
-    partner or the scorer, so one room's tables serve all of its searches
-    under ``config``."""
+    partner or the scorer, so every search of one room under one config
+    shares them, and both arrays are read-only."""
 
-    room: Room
-    config: GridConfig
-    yaws: list[float]
+    yaws: tuple[float, ...]
     candidates_per_pose: int    # grid size, including infeasible cells
-    xs: list[float]
-    zs: list[float]
-    poses: list[PlacementPose]
+    xs: tuple[float, ...]
+    zs: tuple[float, ...]
+    poses: tuple[PlacementPose, ...]
     rows: np.ndarray
     nearest: np.ndarray
-    spatial: list[tuple]
+    spatial: tuple[tuple, ...]
+
+
+_GRID_TABLES: dict[tuple[int, GridConfig], GridTables] = {}
 
 
 def grid_tables(room: Room, config: GridConfig | None = None) -> GridTables:
-    """The grid's feasible cells and their room-only features.
-
-    One grid column (one x) at a time, one broadcast gives every cell's
-    accommodation row, whose foot columns decide standing, and the seat test
-    decides a cell that cannot stand. The feasible cells' spatial tables
-    come from one more broadcast over all of them.
-    """
+    """The grid's feasible cells and their room-only features, built on a
+    ``Room`` object's first search under ``config`` and returned to its later
+    ones. They are kept by the object's identity, without a reference to it,
+    so an equal room builds its own and they are dropped with the room."""
     if config is None:
         config = GridConfig()
+    key = (id(room), config)
+    tables = _GRID_TABLES.get(key)
+    if tables is None:
+        tables = _GRID_TABLES[key] = _build_grid_tables(room, config)
+        weakref.finalize(room, _GRID_TABLES.pop, key)
+    return tables
+
+
+def _build_grid_tables(room: Room, config: GridConfig) -> GridTables:
+    """The tables ``grid_tables`` keeps. One grid column (one x) at a time,
+    one broadcast gives every cell's accommodation row, whose foot columns
+    decide standing, and the seat test decides a cell that cannot stand. The
+    feasible cells' spatial tables come from one more broadcast over all of
+    them."""
     arrays = room.arrays
     contains = room.extents.contains
     xs, zs, yaws = grid_axes(room.extents, config.cell, config.yaw_count)
@@ -819,17 +832,17 @@ def grid_tables(room: Room, config: GridConfig | None = None) -> GridTables:
         if keep:
             rows.append(column[keep])  # a copy: no row keeps its column alive
     nearest = _spatial_at(arrays, np.array(cell_xs, dtype=float), np.array(cell_zs, dtype=float))
+    rows = np.concatenate(rows) if rows else np.empty((0, ACCOMMODATION_CELLS))
+    rows.flags.writeable = nearest.flags.writeable = False
     return GridTables(
-        room=room,
-        config=config,
-        yaws=yaws,
+        yaws=tuple(yaws),
         candidates_per_pose=len(xs) * len(zs) * len(yaws),
-        xs=cell_xs,
-        zs=cell_zs,
-        poses=poses,
-        rows=np.concatenate(rows) if rows else np.empty((0, ACCOMMODATION_CELLS)),
+        xs=tuple(cell_xs),
+        zs=tuple(cell_zs),
+        poses=tuple(poses),
+        rows=rows,
         nearest=nearest,
-        spatial=_tables(nearest),
+        spatial=tuple(_tables(nearest)),
     )
 
 
@@ -841,8 +854,6 @@ class GridResult:
     evaluated: int              # candidates that passed feasibility, scored or not
     # candidates actually scored; a diagnostic, left out of comparisons
     scored: int = field(compare=False)
-    # the room-only phase this search used, for the room's later searches
-    tables: GridTables = field(compare=False, repr=False)
 
 
 def grid_search(
@@ -852,7 +863,6 @@ def grid_search(
     partner: PartnerPose | None = None,
     *,
     config: GridConfig | None = None,
-    tables: GridTables | None = None,
 ) -> GridResult:
     """The best candidate of the placement grid, as an exhaustive scan finds it.
 
@@ -861,10 +871,9 @@ def grid_search(
     lowest (x, z, yaw) grid index: the first best in scan order wins.
 
     The room-only phase is ``grid_tables(room, config)``: the feasible
-    cells, each with its one pose, accommodation row and spatial table.
-    ``tables`` from an earlier search of the same room under the same
-    config skip it, with the same result; tables built for another room or
-    config are a ValueError. The result holds the tables it used.
+    cells, each with its one pose, accommodation row and spatial table,
+    built once per ``Room`` object and ``GridConfig`` and dropped with the
+    room, so a later search of the room skips it with the same result.
 
     One ``score_bound`` call gives every feasible cell a bound on its
     candidates. Cells are visited by descending bound, scan order among
@@ -877,15 +886,7 @@ def grid_search(
     """
     if scorer is None:
         scorer = DefaultScorer()
-    if config is None:
-        config = GridConfig()
-    if tables is None:
-        tables = grid_tables(room, config)
-    elif tables.room != room or tables.config != config:
-        raise ValueError(
-            f"grid tables were built for room {tables.room.id!r} under {tables.config}, "
-            f"not room {room.id!r} under {config}"
-        )
+    tables = grid_tables(room, config)
     score_bound = getattr(scorer, "score_bound", None)
 
     cells = list(zip(tables.xs, tables.zs, tables.poses, tables.rows, tables.spatial))
@@ -927,7 +928,7 @@ def grid_search(
             f"room {room.id!r}: none of the {tables.candidates_per_pose * 2} grid candidates is feasible"
         )
     return GridResult(placement=best_placement, score=best_score, candidates_per_pose=tables.candidates_per_pose,
-                      evaluated=n * len(cells), scored=scored, tables=tables)
+                      evaluated=n * len(cells), scored=scored)
 
 
 # --- particle swarm refinement ----------------------------------------------
@@ -1104,8 +1105,6 @@ class PlacementResult:
     pso_evaluated: int
     grid_time_s: float
     pso_time_s: float
-    # the grid's room-only phase, for the room's later searches
-    tables: GridTables = field(compare=False, repr=False)
 
 
 def find_placement(
@@ -1117,16 +1116,15 @@ def find_placement(
     grid_config: GridConfig | None = None,
     pso_config: PsoConfig | None = None,
     rng: np.random.Generator | int = 0,
-    tables: GridTables | None = None,
 ) -> PlacementResult:
     """Grid search followed by swarm refinement; the full placement query.
-    ``tables`` are passed to ``grid_search``, and the result holds the ones
-    it used, so a caller searching one room again can skip the grid's
-    room-only phase with the same result."""
+    The grid's room-only phase runs on the room's first search under
+    ``grid_config`` only (``grid_search``), so a caller searching one room
+    again pays for it once."""
     if scorer is None:
         scorer = DefaultScorer()
     t0 = time.perf_counter()
-    grid = grid_search(room, target, scorer, partner, config=grid_config, tables=tables)
+    grid = grid_search(room, target, scorer, partner, config=grid_config)
     t1 = time.perf_counter()
     pso = pso_refine(room, target, grid.placement, scorer, partner, pso_config, rng)
     t2 = time.perf_counter()
@@ -1141,5 +1139,4 @@ def find_placement(
         pso_evaluated=pso.evaluated,
         grid_time_s=t1 - t0,
         pso_time_s=t2 - t1,
-        tables=grid.tables,
     )

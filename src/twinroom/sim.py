@@ -54,7 +54,6 @@ from .placement import (
     DefaultScorer,
     FeatureVector,
     GridConfig,
-    GridTables,
     NoFeasiblePlacement,
     PartnerPose,
     Placement,
@@ -221,6 +220,15 @@ class LocalUser:
         return self.root.apply(self.pose.values[7:10])
 
 
+def _goal_tables(pose: PoseUpdate):
+    """A wire pose's root quaternion and `IkGoals`' two tables, every quaternion
+    normalized: a near-zero one anywhere is `quat_normalize`'s ValueError."""
+    v = pose.values
+    return (quat_normalize(v[3:7]), (v[7:10], v[14:17], v[21:24], v[28:31], v[35:38]),
+            (quat_normalize(v[10:14]), quat_normalize(v[17:21]), quat_normalize(v[24:28]),
+             quat_normalize(v[31:35]), quat_normalize(v[38:42])))
+
+
 def _partner_at(root: Transform) -> PartnerPose:
     """A root on the floor plane, as the search's interpersonal reference."""
     return PartnerPose(x=root.position[0], z=root.position[2], yaw=yaw_of(root.orientation))
@@ -243,9 +251,6 @@ class AvatarHost:
         self.cfg = config
         self.scorer = DefaultScorer(config.scorer)
         self.owner_code = owner_code  # seeds the per-episode search rng
-        # the room's placement-grid tables, built by the first search and
-        # passed to every later one
-        self.grid_tables: GridTables | None = None
         self.skeleton: Skeleton | None = None
         # the latest wire pose stays raw until the avatar is placed; from then
         # on each one is converted on arrival into the avatar's goals, its
@@ -279,9 +284,9 @@ class AvatarHost:
         if isinstance(msg, Hello):
             self.skeleton = Skeleton.from_floats(msg.skeleton)
         elif isinstance(msg, PoseUpdate):
-            self.pose = msg
             if self.placement is not None:
-                self._anchor_goals(msg.values[0:3], quat_normalize(msg.values[3:7]))
+                self._anchor_goals(msg, _goal_tables(msg))
+            self.pose = msg  # accepted: a refused pose raised above
         elif isinstance(msg, StateChange):
             self.transitions.append({"tick": msg.tick, "state": msg.state.name})
             self._on_state(msg.state)
@@ -300,6 +305,7 @@ class AvatarHost:
         self.state = new
 
     def _place(self, features: FeatureVector, tick: int, me: LocalUser | None) -> Placement:
+        held = _goal_tables(self.pose)  # batches lead with the pose; refused before any search
         partner = None if me is None else _partner_at(me.root)
         episode = len(self.episodes)
         seq = np.random.SeedSequence([self.cfg.seed, self.owner_code, episode])
@@ -311,9 +317,7 @@ class AvatarHost:
             grid_config=self.cfg.grid,
             pso_config=self.cfg.pso,
             rng=np.random.Generator(np.random.PCG64(seq)),
-            tables=self.grid_tables,
         )
-        self.grid_tables = result.tables
         # quantize before anchoring so the avatar stands exactly where the
         # wire announcement says it does
         q = Placement(
@@ -322,14 +326,12 @@ class AvatarHost:
             yaw=f32(result.placement.yaw),
             pose=result.placement.pose,
         )
-        values = self.pose.values  # batches lead with the pose
-        position, orientation = values[0:3], quat_normalize(values[3:7])
-        self._anchor_user_pos = position
+        self._anchor_user_pos = position = self.pose.values[0:3]
         self._anchor_avatar_pos = (q.x, position[1], q.z)
-        self._delta_q = quat_from_yaw(q.yaw - yaw_of(orientation))
+        self._delta_q = quat_from_yaw(q.yaw - yaw_of(held[0]))
         self._placement_q = quat_from_yaw(q.yaw)
         self.placement = q
-        self._anchor_goals(position, orientation)
+        self._anchor_goals(self.pose, held)
         self.frozen = None
         # aim transitions must not bridge a teleport
         self.interp = InterpState()
@@ -365,21 +367,14 @@ class AvatarHost:
 
     # -- anchored frame
 
-    def _anchor_goals(self, position, orientation) -> None:
-        """The avatar's goals: the latest wire pose's root, at `position`
-        with the normalized quaternion `orientation`, mapped through the
-        placement anchor, and its five effectors sliced from the pose into
-        `IkGoals`' two tables, each quaternion normalized (a near-zero one
-        is `quat_normalize`'s ValueError). Computed once per inbound pose
-        and once per re-anchoring."""
+    def _anchor_goals(self, pose: PoseUpdate, tables) -> None:
+        """The avatar's goals from `pose` and its `_goal_tables`, the root mapped
+        through the placement anchor; once per inbound pose and re-anchoring."""
+        orientation, positions, orientations = tables
         ax, ay, az = self._anchor_avatar_pos
-        dx, dy, dz = quat_rotate(self._delta_q, sub(position, self._anchor_user_pos))
+        dx, dy, dz = quat_rotate(self._delta_q, sub(pose.values[0:3], self._anchor_user_pos))
         root = Transform((ax + dx, ay + dy, az + dz), quat_mul(self._delta_q, orientation))
-        v = self.pose.values
-        positions = (v[7:10], v[14:17], v[21:24], v[28:31], v[35:38])
-        orientations = (quat_normalize(v[10:14]), quat_normalize(v[17:21]), quat_normalize(v[24:28]),
-                        quat_normalize(v[31:35]), quat_normalize(v[38:42]))
-        self.goals = IkGoals(root, positions, orientations, self.pose.fingers)
+        self.goals = IkGoals(root, positions, orientations, pose.fingers)
 
     def avatar_head_world(self) -> tuple[float, float, float] | None:
         """The avatar's head goal in this room, where the local user's gaze
@@ -796,7 +791,8 @@ def replay(transcript, room_a, room_b) -> dict:
     starts with '{' or '[', else a file path). Placement searches are re-run
     from the wire feature packets with the seeds recorded in the embedded
     config, and cross-checked against the announcements actually sent; any
-    disagreement, or a malformed line, raises ReplayDivergence.
+    disagreement (such as a header's `ticks` that is not its last frames
+    line's tick), or a malformed line, raises ReplayDivergence.
     """
     rooms = {"a": load_room(room_a), "b": load_room(room_b)}
     # parsed one line at a time, and each tick's bytes are dropped once
@@ -809,7 +805,10 @@ def replay(transcript, room_a, room_b) -> dict:
         raise ReplayDivergence("transcript does not start with a header line")
     if header.get("version") != TRANSCRIPT_VERSION:
         raise ReplayDivergence(f"unsupported transcript version {header.get('version')!r}")
-    config = SimConfig.from_dict(header.get("config"))
+    try:
+        config = SimConfig.from_dict(header.get("config"))
+    except ValueError as e:
+        raise ReplayDivergence(f"line {number}: the header's config: {e}") from None
     n = require_int(header.get("ticks"), "the transcript header's ticks", ReplayDivergence)
     recorded = header.get("rooms")
     if not isinstance(recorded, dict) or not {"a", "b"} <= recorded.keys():
@@ -822,6 +821,7 @@ def replay(transcript, room_a, room_b) -> dict:
             )
 
     sends: dict[str, dict[int, bytearray]] = {"a": {}, "b": {}}  # keyed by sender
+    tick = None  # `run` writes both byes at tick `ticks`: the last frames line's tick
     for number, doc in docs:
         if doc.get("type") != "frames":
             raise ReplayDivergence(f"line {number}: unexpected transcript entry type {doc.get('type')!r}")
@@ -831,9 +831,11 @@ def replay(transcript, room_a, room_b) -> dict:
             blob = bytes.fromhex(doc.get("data"))  # a TypeError unless a str
         except (TypeError, ValueError):
             src = None
-        if src is None:
-            raise ReplayDivergence(f"line {number}: frames need dir a>b or b>a, an int tick and hex data")
+        if src is None or not 0 <= tick <= n:
+            raise ReplayDivergence(f"line {number}: frames need dir a>b or b>a, an int tick in 0..{n} and hex data")
         sends[src].setdefault(tick, bytearray()).extend(blob)
+    if tick != n:
+        raise ReplayDivergence(f"line {number}: the last frames are at tick {tick}, not the header's {n}")
 
     # each recorded frame is decoded once: its sender's replay reads the
     # local user's poses and the sent messages from it, and the receiving

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -356,17 +358,16 @@ def test_pruned_grid_equals_the_exhaustive_scan(seed, furnished, same_room, part
     config = ScorerConfig(sigma_offset=sigma_offset, weights=tuple(weights / weights.sum()))
     scorer = Quantized(config) if quantized else DefaultScorer(config)
     grid = GridConfig(cell=0.4, yaw_count=6) if coarse else GridConfig()
-    # one room's tables serve its searches for any target, with the result
-    # of a fresh search
-    tables = grid_tables(room, grid)
+    # one room's cached tables serve its searches for any target, with the
+    # result of an equal room's own fresh tables
     other_target = random_target(rng, source, None)
     try:
         want = grid_search(room, target, NoBound(scorer), partner, config=grid)
     except NoFeasiblePlacement:
         for search_target in (target, other_target):
-            for given in (None, tables):
+            for searched in (room, Room(room.id, room.extents, room.objects)):
                 with pytest.raises(NoFeasiblePlacement):
-                    grid_search(room, search_target, scorer, partner, config=grid, tables=given)
+                    grid_search(searched, search_target, scorer, partner, config=grid)
         return
     got = grid_search(room, target, scorer, partner, config=grid)
     assert got.placement == want.placement
@@ -374,17 +375,33 @@ def test_pruned_grid_equals_the_exhaustive_scan(seed, furnished, same_room, part
     assert got.evaluated == want.evaluated == want.scored
     assert got.scored <= got.evaluated
     for search_target in (target, other_target):
-        fresh = grid_search(room, search_target, scorer, partner, config=grid)
-        reused = grid_search(room, search_target, scorer, partner, config=grid, tables=tables)
+        fresh = grid_search(Room(room.id, room.extents, room.objects), search_target, scorer, partner, config=grid)
+        reused = grid_search(room, search_target, scorer, partner, config=grid)
         assert reused.placement == fresh.placement
         assert reused.score.hex() == fresh.score.hex()
         assert (reused.evaluated, reused.scored) == (fresh.evaluated, fresh.scored)
-    with pytest.raises(ValueError, match="grid tables"):
-        grid_search(Room(room.id + "-other", room.extents, room.objects), target, scorer, partner,
-                    config=grid, tables=tables)
-    with pytest.raises(ValueError, match="grid tables"):
-        grid_search(room, target, scorer, partner, config=replace(grid, yaw_count=grid.yaw_count + 1),
-                    tables=tables)
+
+
+def test_grid_tables_are_built_once_per_room_object_and_config():
+    room = random_room(np.random.default_rng(7))
+    coarse = GridConfig(cell=0.4, yaw_count=6)
+    tables = grid_tables(room, coarse)
+    assert grid_tables(room, GridConfig(cell=0.4, yaw_count=6)) is tables
+    assert grid_tables(room) is grid_tables(room, GridConfig()) is not tables
+    # an equal room is another object: it builds tables of its own, equal to these
+    twin = grid_tables(Room(room.id, room.extents, room.objects), coarse)
+    assert twin is not tables
+    assert (twin.xs, twin.zs, twin.poses, twin.spatial) == (tables.xs, tables.zs, tables.poses, tables.spatial)
+    assert np.array_equal(twin.rows, tables.rows) and np.array_equal(twin.nearest, tables.nearest)
+    # every search of the room shares them, so none may write into them
+    for array in (tables.rows, tables.nearest):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    # they hold no reference to their room, and go with it
+    gone = weakref.ref(tables)
+    del room, tables, twin
+    gc.collect()
+    assert gone() is None
 
 
 class Flat:

@@ -412,50 +412,47 @@ def test_a_walking_host_holds_the_root_it_froze(monkeypatch):
 
 
 
-def test_each_host_builds_its_grid_tables_once_per_session(monkeypatch):
+def test_each_hosted_room_builds_its_grid_tables_once(monkeypatch):
     # two walks per user, so each hosted room is searched at least twice
     trace_a = (TraceBuilder(start=(-0.5, -1.2)).hold(0.2).walk_to(0.6, -0.8, speed=1.4).hold(1.0)
                .walk_to(-0.5, 0.5, speed=1.4).hold(1.0).build())
     trace_b = (TraceBuilder(start=(0.3, -0.9), yaw=0.5).hold(0.1).walk_to(-0.6, -0.3, speed=1.5).hold(1.0)
                .walk_to(0.5, 0.6, speed=1.5).hold(1.0).build())
     built = []
-    grid_tables = placement_module.grid_tables
+    build = placement_module._build_grid_tables
 
-    def counted(room, config=None):
+    def counted(room, config):
         built.append(room.id)
-        return grid_tables(room, config)
+        return build(room, config)
 
-    monkeypatch.setattr(placement_module, "grid_tables", counted)
-
-    def session():
-        return run(room_a_doc(), room_b_doc(), trace_a, trace_b, config=quick_config())
-
-    live = session()
-    assert all(len(episodes) >= 2 for episodes in live.report["episodes"].values())
+    monkeypatch.setattr(placement_module, "_build_grid_tables", counted)
     searched = ["alpha", "beta"]  # both hosted rooms, once each
+
+    # room documents make new Rooms in every session, which build their own
+    def session(rooms):
+        return run(*rooms, trace_a, trace_b, config=quick_config())
+
+    documents = room_a_doc(), room_b_doc()
+    live = session(documents)
+    assert all(len(episodes) >= 2 for episodes in live.report["episodes"].values())
     assert sorted(built) == searched
     built.clear()
-    assert replay(live.transcript, room_a_doc(), room_b_doc()) == live.report
+    assert replay(live.transcript, *documents) == live.report
     assert sorted(built) == searched
     built.clear()
-    assert session().report_json == live.report_json  # a new session builds them again
+    assert session(documents).report_json == live.report_json
     assert sorted(built) == searched
 
-    # reusing the tables changes no byte of the report or the transcript
-    place = AvatarHost._place
-
-    def place_with_fresh_tables(host, *args):
-        try:
-            return place(host, *args)
-        finally:
-            host.grid_tables = None
-
-    monkeypatch.setattr(AvatarHost, "_place", place_with_fresh_tables)
+    # the same Rooms build them once, for a run, its replay and another run
     built.clear()
-    fresh = session()
-    assert len(built) == sum(len(episodes) for episodes in live.report["episodes"].values())
-    assert fresh.report_json == live.report_json
-    assert fresh.transcript == live.transcript
+    rooms = load_room(room_a_doc()), load_room(room_b_doc())
+    kept = session(rooms)
+    assert replay(kept.transcript, *rooms) == live.report
+    again = session(rooms)
+    assert sorted(built) == searched
+    for result in (kept, again):
+        assert result.report_json == live.report_json
+        assert result.transcript == live.transcript
 
 
 def test_replay_with_latency():
@@ -727,6 +724,42 @@ def test_version_1_transcript_is_refused_not_reported_as_tampered(base_result):
         assert str(err.value) == f"unsupported transcript version {old}"
 
 
+@pytest.mark.parametrize("case", ["ticks + 1", "ticks - 1", "negative ticks", "inflated ticks",
+                                  "frames after the last tick", "config without seed", "config not an object"])
+def test_replay_refuses_a_header_its_frames_do_not_bear_out(base_result, case):
+    # `run` writes both byes at the header's tick count, so a replay runs
+    # exactly as many ticks as the frames reach, and a header it cannot
+    # read is a divergence naming its line
+    lines = [json.loads(line) for line in base_result.transcript.splitlines()]
+    header, n, last = lines[0], lines[0]["ticks"], len(lines)
+    assert lines[-1]["tick"] == lines[-2]["tick"] == n
+    first_at_n = 1 + next(i for i, line in enumerate(lines) if line.get("tick") == n)
+    if case == "ticks + 1":
+        header["ticks"] = n + 1
+        want = f"line {last}: the last frames are at tick {n}, not the header's {n + 1}"
+    elif case == "ticks - 1":
+        header["ticks"] = n - 1
+        want = f"line {first_at_n}: frames need dir a>b or b>a, an int tick in 0..{n - 1} and hex data"
+    elif case == "negative ticks":
+        header["ticks"] = -3
+        want = "line 2: frames need dir a>b or b>a, an int tick in 0..-3 and hex data"
+    elif case == "inflated ticks":
+        header["ticks"] = n + 200_000
+        want = f"line {last}: the last frames are at tick {n}, not the header's {n + 200_000}"
+    elif case == "frames after the last tick":
+        lines[-1]["tick"] = n + 1
+        want = f"line {last}: frames need dir a>b or b>a, an int tick in 0..{n} and hex data"
+    elif case == "config without seed":
+        del header["config"]["seed"]
+        want = f"line 1: the header's config: SimConfig needs exactly the keys {sorted([*header['config'], 'seed'])}"
+    else:
+        header["config"] = [1]
+        want = "line 1: the header's config: SimConfig must be an object, got [1]"
+    with pytest.raises(ReplayDivergence) as err:
+        replay("\n".join(map(json.dumps, lines)) + "\n", room_a_doc(), room_b_doc())
+    assert str(err.value).startswith(want)
+
+
 DEMO_ROOMS = Path(__file__).resolve().parents[1] / "demos" / "rooms"
 
 
@@ -984,6 +1017,32 @@ def test_a_placed_avatar_host_refuses_a_zero_quaternion(offset):
     with pytest.raises(ValueError, match="cannot normalize a near-zero quaternion"):
         host.handle(PoseUpdate(tick=2, values=values), 2, None)
     assert host.goals is goals
+    assert host.pose is pose
+
+
+@pytest.mark.parametrize("offset", range(3, 42, 7),
+                         ids=["root", "head", "left_hand", "right_hand", "left_foot", "right_foot"])
+def test_a_held_zero_quaternion_is_refused_before_the_search(monkeypatch, offset):
+    # an unplaced host only holds the latest pose; the feature packet that
+    # places the avatar refuses a zero quaternion in it before searching
+    searches, find = [], sim_module.find_placement
+
+    def counted(room, *args, **kwargs):
+        searches.append(room.id)
+        return find(room, *args, **kwargs)
+
+    monkeypatch.setattr(sim_module, "find_placement", counted)
+    host = AvatarHost(load_room(room_a_doc()), quick_config(), owner_code=0)
+    trace = trace_b_script().build()
+    values = list(pose_update_from_snapshot(trace.snapshots[0], 1).values)
+    values[offset:offset + 4] = (0.0, 0.0, 0.0, 0.0)
+    here = Placement(0.3, -0.9, 0.5, PlacementPose.Standing)
+    host.handle(Hello(app_version=1, room_hash=0, skeleton=trace.skeleton.to_floats()), 0, None)
+    host.handle(PoseUpdate(tick=1, values=values), 1, None)
+    with pytest.raises(ValueError, match="cannot normalize a near-zero quaternion"):
+        host.handle(FeaturePacket(tick=1, features=extract_features(load_room(room_b_doc()), here, None)), 1, None)
+    assert searches == []
+    assert host.placement is None and host.goals is None
 
 
 def test_rays_are_cast_only_for_the_head_and_lifted_hands(monkeypatch):
@@ -1161,7 +1220,8 @@ def test_cli_reports_errors_with_exit_code(tmp_path, capsys, base_result):
     ]) == 1
     assert "error: unknown scorer config keys: 'sigma_ofset', 'weigths'" in capsys.readouterr().err
 
-    # a mistyped value in a transcript header is refused before any tick
+    # a mistyped value in a transcript header's config is refused before any
+    # tick, naming the header's line
     header, rest = base_result.transcript.split("\n", 1)
     for path, value, message in ((("pso", "particles"), 64.0, "pso.particles must be an int, got 64.0"),
                                  (("tick_rate",), "60", "tick_rate must be a number, got '60'")):
@@ -1175,10 +1235,11 @@ def test_cli_reports_errors_with_exit_code(tmp_path, capsys, base_result):
         transcript.write_text(json.dumps(doc) + "\n" + rest)
         assert main(["--room-a", str(paths["room_a"]), "--room-b", str(paths["room_b"]),
                      "--replay", str(transcript)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: line 1: the header's config: {message}\n"
 
 
-BROKEN_TRANSCRIPTS = ("header without ticks", "frames without dir", "header is an array")
+BROKEN_TRANSCRIPTS = ("header without ticks", "frames without dir", "header is an array",
+                      "header with a tick too many", "config is not an object")
 
 
 def broken_transcript(transcript: str, case: str) -> str:
@@ -1192,6 +1253,10 @@ def broken_transcript(transcript: str, case: str) -> str:
         del frames["dir"]
     elif case == "header is an array":
         header = [header]
+    elif case == "header with a tick too many":
+        header["ticks"] += 1
+    elif case == "config is not an object":
+        header["config"] = 5
     return "\n".join([json.dumps(header), json.dumps(frames), rest])
 
 

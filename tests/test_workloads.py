@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from twinroom import sim
+from twinroom.scene import load_room
 from twinroom.traces import load_trace, save_trace
 
 from test_sim import quick_config, room_a_doc, room_b_doc, trace_a_script, trace_b_script
@@ -65,3 +66,26 @@ def test_workload_clocks_time_a_session_and_its_replay(tmp_path):
         assert host.placement is not None and 1 <= tick <= result.report["ticks"]
     hosts = {host for (host, _), _ in avatars.starts}
     assert sorted(e["tick"] for host in hosts for e in host.episodes) == sorted(searched)
+
+
+def test_rounds_on_the_same_rooms_repeat_byte_for_byte():
+    # the benchmark loads its Rooms once and runs every round on them, so
+    # only the first round builds their grid tables; each later round must
+    # give the same bytes and still list every search tick, which
+    # live-session leaves out of its latency samples
+    workloads = load_workloads()
+    rooms = load_room(room_a_doc()), load_room(room_b_doc())
+    traces = trace_a_script().build(), trace_b_script().build()
+    sessions = []
+    for _ in range(2):
+        with workloads.tick_clock() as ticks:
+            result = sim.run(*rooms, *traces, quick_config(latency_ticks=2))
+        searched = sorted(row["tick"] for row in result.timings)
+        hosted = sorted(e["tick"] for episodes in result.report["episodes"].values() for e in episodes)
+        assert searched and searched == hosted
+        assert set(searched) <= {t for t, _ in ticks.starts}
+        sessions.append(result)
+    assert sessions[1].report_json == sessions[0].report_json
+    assert sessions[1].transcript == sessions[0].transcript
+    for _ in range(2):
+        assert sim.canonical_report_json(sim.replay(sessions[0].transcript, *rooms)) == sessions[0].report_json
