@@ -52,15 +52,13 @@ particle, which gives both their feasibility and their rows; a sitting
 iteration tests the seats first, in one broadcast per sittable object, and
 samples only the feasible particles.
 From the second evaluation on, the swarm screens the feasible particles: one
-``score_bound`` call, from their rows, their interpersonal features and
-spatial tables from one ``np.sqrt`` broadcast, bounds their scores, and a
-particle whose bound is at most its personal best scores -inf instead of its
-score. Neither can improve that best, so nothing the swarm keeps changes. A
-particle with an object centre at the edge of SPATIAL_RADIUS, where the
-broadcast and ``math.hypot`` may disagree on what is in range, is never
-skipped. The other particles get their exact spatial tables from one
-difference broadcast and are scored together; the default scorer computes
-the height term once per distinct accommodation row.
+broadcast gives their spatial tables, and one ``score_bound`` call, from
+their rows, their interpersonal features and those tables, bounds their
+scores. A particle whose bound is at most its personal best scores -inf
+instead of its score. Neither can improve that best, so nothing the swarm
+keeps changes. The other particles are scored together, with the same
+tables; the default scorer computes the height term once per distinct
+accommodation row.
 A swarm's accommodation broadcasts run only against the objects whose
 footprint reaches the box its samples lie in, which drops only objects that
 cover none of them.
@@ -71,12 +69,13 @@ sittable objects of the same room, one broadcast each.
 Batching, bounding, screening and cropping change no result: every feature
 and score is computed with the same floating-point operations as for a
 single placement (a category's attention entry is the least distance in the
-cone, which is the nearest hit), and ``math.sin``, ``math.cos``,
-``math.hypot``, ``math.exp`` and the height term still run on the same
-inputs (the height term once per distinct row, which gives every equal row
-the same value). The broadcasts use only elementwise arithmetic,
-``np.sqrt``, ``np.fmod`` and comparisons, which are correctly rounded on
-every CPU, and the height term sums its squared differences with
+cone, which is the nearest hit), every horizontal distance is
+``sqrt(dx * dx + dz * dz)``, as ``geometry.norm`` computes a length on the
+tick path, and ``math.sin``, ``math.cos``, ``math.exp`` and the height term
+still run on the same inputs (the height term once per distinct row, which
+gives every equal row the same value). The broadcasts use only elementwise
+arithmetic, ``np.sqrt``, ``np.fmod`` and comparisons, which are correctly
+rounded on every CPU, and the height term sums its squared differences with
 ``math.fsum``, which is correctly rounded too, so a search gives the same
 bits on every machine. A bound only decides what is skipped, never a score.
 
@@ -306,8 +305,8 @@ class SimilarityScorer(Protocol):
     ``partner_distance``, the length of the partner's offset from each cell:
     each bound must then hold at every yaw. It skips the cells whose bound is
     below the best score found. The swarm passes ``interpersonal``, the
-    particles' exact ``(n, 3)`` features, and spatial entries that may differ
-    from the exact ones by rounding (never in which categories are present).
+    particles' exact ``(n, 3)`` features and their exact spatial tables, the
+    ones their candidates then hold.
     It skips the particles whose bound is at most their personal best. Both
     None means there is no partner. Without ``score_bound`` everything is
     scored.
@@ -367,7 +366,7 @@ def _interpersonal_term(a, b, cfg: ScorerConfig) -> float:
     dx = a[0] - b[0]
     dz = a[1] - b[1]
     dfacing = abs(wrap_angle(a[2] - b[2]))
-    return math.exp(-(math.hypot(dx, dz) / cfg.sigma_offset + dfacing / cfg.sigma_facing))
+    return math.exp(-(math.sqrt(dx * dx + dz * dz) / cfg.sigma_offset + dfacing / cfg.sigma_facing))
 
 
 def _height_term(ha: np.ndarray, hb: np.ndarray, sigma: float) -> float:
@@ -481,16 +480,17 @@ def _interpersonal_bound(a, partner_distance: np.ndarray | None, interpersonal: 
     """At least ``_interpersonal_term(a, b, cfg)`` for each candidate b.
 
     Given the exact features b, the term's exponent is the one ``score``
-    computes, with the offset's length from ``np.sqrt`` lowered past its
-    rounding. Given only the lengths of the b offsets, it holds at every yaw:
-    | |a| - |b| | never exceeds |a - b| (the reverse triangle inequality), the
-    facing term only lowers the term, and the gap is lowered far beyond the
-    rounding of the rotated offset and the lengths (by a pad that |a| cannot
-    exceed, so an infinite |a| gives an infinite gap, not NaN)."""
+    computes, with the offset's length, computed as ``score`` computes it,
+    lowered by a margin. Given only the lengths of the b offsets, it holds
+    at every yaw: | |a| - |b| | never exceeds |a - b| (the reverse triangle
+    inequality), the facing term only lowers the term, and the gap is
+    lowered far beyond the rounding of the rotated offset and the lengths
+    (by a pad that |a| cannot exceed, so an infinite |a| gives an infinite
+    gap, not NaN)."""
     if a is None or (partner_distance is None and interpersonal is None):
         return 1.0 if a is None and partner_distance is None and interpersonal is None else 0.0
     if interpersonal is None:
-        gap = np.abs(math.hypot(a[0], a[1]) - partner_distance)
+        gap = np.abs(math.sqrt(a[0] * a[0] + a[1] * a[1]) - partner_distance)
         return _exp_upper((gap * (1.0 - 1e-9) - 1e-9 * (1.0 + 2.0 * partner_distance)) / cfg.sigma_offset)
     dx = a[0] - interpersonal[:, 0]
     dz = a[1] - interpersonal[:, 1]
@@ -510,14 +510,13 @@ def _height_bound(ha: np.ndarray, rows: np.ndarray, sigma: float) -> np.ndarray:
 
 def _category_bound(ta: tuple, nearest: np.ndarray, falloff: float) -> np.ndarray:
     """At least ``_category_term(ta, tb, falloff)`` for each column tb of a
-    (categories, batch) array, inf where a category is absent. Each
-    distance may differ from the exact one by rounding, which the pad
-    covers, but not in being present; then the union is the same, each
-    term is at least its exact one, and the terms are summed in the same
-    order. The pad grows with the gap, so a target distance of inf, which a
-    peer may send, bounds its term by the table's last entry (the term is 0)
-    instead of making inf - inf, and NaN gives NaN only where the term is
-    NaN."""
+    (categories, batch) array, inf where a category is absent. The
+    distances are the candidates' own, so the union is the same, each term,
+    lowered by a pad, is at least its exact one, and the terms are summed in
+    the same order. The pad grows with the gap, so a target distance of inf,
+    which a peer may send, bounds its term by the table's last entry (the
+    term is 0) instead of making inf - inf, and NaN gives NaN only where the
+    term is NaN."""
     here = [c for c, d in enumerate(ta) if d is not None]
     a = np.array([ta[c] for c in here])[:, None]
     there = nearest[here] < math.inf
@@ -585,29 +584,12 @@ def _spatial_at(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray) -> np.ndarra
     """Spatial tables of a batch of positions (xs[i], zs[i]) as a
     (categories, batch) array: per category, the nearest horizontal center
     distance within SPATIAL_RADIUS, inf where there is none, each distance
-    ``math.hypot`` of the center offset, as ``scene.objects_in_radius``
-    computes it."""
-    dist = np.array([
-        [math.hypot(dx, dz) for dx, dz in zip(row_x, row_z)]
-        for row_x, row_z in zip((arrays.px - xs).tolist(), (arrays.pz - zs).tolist())
-    ]).reshape(arrays.count, len(xs))
-    return _least_per_category(arrays, np.where(dist <= SPATIAL_RADIUS, dist, math.inf))
-
-
-# how far np.sqrt and math.hypot of one offset may disagree, and far beyond
-_RADIUS_PAD = 1e-9 * (1.0 + SPATIAL_RADIUS)
-
-
-def _spatial_screen(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_spatial_at``'s array from one ``np.sqrt`` broadcast, and per
-    position whether some object centre lies within _RADIUS_PAD of
-    SPATIAL_RADIUS, where the two may disagree on whether it is in range.
-    Elsewhere the entries differ from ``_spatial_at``'s only by rounding."""
+    ``sqrt(dx * dx + dz * dz)`` of the center offset, as
+    ``scene.objects_in_radius`` computes it."""
     dx = arrays.px - xs
     dz = arrays.pz - zs
     dist = np.sqrt(dx * dx + dz * dz)
-    edge = (np.abs(dist - SPATIAL_RADIUS) <= _RADIUS_PAD).any(axis=0)
-    return _least_per_category(arrays, np.where(dist <= SPATIAL_RADIUS, dist, math.inf)), edge
+    return _least_per_category(arrays, np.where(dist <= SPATIAL_RADIUS, dist, math.inf))
 
 
 def _eye_height(pose: PlacementPose) -> float:
@@ -673,7 +655,7 @@ def _foot_cells() -> tuple[tuple[float, float], ...]:
         for j in range(5):
             ox = (i - 2) * 0.1
             oz = (j - 2) * 0.1
-            if math.hypot(ox, oz) <= BODY_RADIUS + _EPS:
+            if math.sqrt(ox * ox + oz * oz) <= BODY_RADIUS + _EPS:
                 cells.append((ox, oz))
     return tuple(cells)
 
@@ -984,13 +966,13 @@ def pso_refine(
 
     Each iteration is one pass: ``_feasible_rows`` gives the feasible
     particles and their accommodation rows (standing, from one broadcast
-    over every particle). With the scorer's ``score_bound``, a particle
-    whose bound is at most its personal best, and that has no object
-    centre at the edge of SPATIAL_RADIUS, scores -inf: it could not
-    improve that best either way, so the result is the same. The others
-    get their spatial tables, ``_features_at`` builds their candidates, and
-    the batch is scored in one call, where the default scorer computes the
-    height term once per distinct row.
+    over every particle), and one broadcast their spatial tables. With the
+    scorer's ``score_bound``, a particle whose bound is at most its personal
+    best scores -inf: it could not improve that best either way, so the
+    result is the same. ``_features_at`` builds the other particles'
+    candidates, holding the same tables, and the batch is scored in one
+    call, where the default scorer computes the height term once per
+    distinct row.
     """
     if scorer is None:
         scorer = DefaultScorer()
@@ -1033,17 +1015,17 @@ def pso_refine(
         kyaws = _wrap_angles_positive(points[keep, 2])
         sins, coss = _turns(kyaws.tolist())
         offsets = _interpersonal_at(partner, kxs, kzs, kyaws, sins, coss)
+        nearest = _spatial_at(room.arrays, kxs, kzs)
         if pbest is not None and score_bound is not None:
-            nearest, edge = _spatial_screen(room.arrays, kxs, kzs)
             bounds = _bounds(score_bound(target, rows, nearest, interpersonal=offsets), len(keep))
-            exact = edge | ~(bounds <= pbest[keep])  # a NaN bound skips nothing
+            exact = ~(bounds <= pbest[keep])  # a NaN bound skips nothing
             keep, kxs, kzs, sins, coss, rows = (v[exact] for v in (keep, kxs, kzs, sins, coss, rows))
+            nearest = nearest[:, exact]
             if offsets is not None:
                 offsets = offsets[exact]
         scores = np.full(len(points), -math.inf)
         if len(keep):
-            spatial = _tables(_spatial_at(room.arrays, kxs, kzs))
-            candidates = _features_at(room, kxs, kzs, sins, coss, pose, offsets, rows, spatial)
+            candidates = _features_at(room, kxs, kzs, sins, coss, pose, offsets, rows, _tables(nearest))
             scores[keep] = _score_all(scorer, target, candidates)
         return scores
 

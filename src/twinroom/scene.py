@@ -7,17 +7,16 @@ room; a surface point on one object transfers to its pair through normalized
 [0,1]^3 local coordinates, so "a third of the way across my screen" lands a
 third of the way across the partner's screen whatever its actual size.
 
-All queries are pure functions of immutable data and are safe to call from
-parallel placement workers. A room holds its objects in two forms. Each
-`SceneObject` holds plain floats (float tuples for position and size) and
-the values derived from them once; the per-point queries (raycasts, surface
-coordinates, fields of view, support heights) loop over `Room.objects` and
-return float tuples. A raycast runs the exact slab test only on the boxes
-whose padded bounding sphere the ray meets in front of its origin; the pad
-grows with the distance, so the gate never skips a box the slab test hits
-(see `raycast`). `RoomArrays`, built once per room, holds the same
-objects in category order as numpy columns for the placement search's
-broadcasts.
+All queries are pure functions of immutable data. A room holds its objects
+in two forms. Each `SceneObject` holds plain floats (float tuples for
+position and size) and the values derived from them once; the per-point
+queries (raycasts, surface coordinates, fields of view, support heights)
+loop over `Room.objects` and return float tuples. A raycast runs the exact
+slab test only on the boxes whose padded bounding sphere the ray meets in
+front of its origin; the pad grows with the distance, so the gate never
+skips a box the slab test hits (see `raycast`). `RoomArrays`, built once
+per room, holds the same objects in category order as numpy columns for the
+placement search's broadcasts.
 """
 
 from __future__ import annotations
@@ -742,7 +741,8 @@ def objects_in_fov(room: Room, eye, forward, half_angle: float) -> list[tuple[st
 
 
 def objects_in_radius(room: Room, center, radius: float) -> list[tuple[str, float]]:
-    """Objects within horizontal center-to-center distance, sorted ascending."""
+    """Objects within horizontal center-to-center distance, sorted ascending.
+    The distance is ``sqrt(dx * dx + dz * dz)``, the placement search's."""
     if radius <= 0.0:
         raise OutOfRange(f"radius must be positive, got {radius}")
     cx = float(center[0])
@@ -750,7 +750,9 @@ def objects_in_radius(room: Room, center, radius: float) -> list[tuple[str, floa
     out: list[tuple[float, str]] = []
     for o in room.objects:
         px, _, pz = o.position
-        d = math.hypot(px - cx, pz - cz)
+        dx = px - cx
+        dz = pz - cz
+        d = math.sqrt(dx * dx + dz * dz)
         if d <= radius:
             out.append((d, o.id))
     out.sort()

@@ -81,7 +81,7 @@ from .protocol import (
     decode_all,
     f32,
 )
-from .retarget import HANDS, IkGoals, InterpState, RetargetConfig, Skeleton, avatar_tick
+from .retarget import HANDS, IkGoals, InterpState, Joint, RetargetConfig, Skeleton, avatar_tick
 from .scene import (
     ObjectCategory,
     PairingError,
@@ -121,7 +121,10 @@ _SENDER = {"a>b": "a", "b>a": "b"}  # a frames line's direction to its sender
 # which changed the last bits of some results; a version-1 transcript was
 # recorded with BLAS dot products and would not replay to the same report.
 # 3: wire version 2, whose FeaturePackets carry the 81 accommodation heights
-TRANSCRIPT_VERSION = 3
+# 4: the search measures every distance as sqrt(dx * dx + dz * dz), which
+# moved the last bits of some scores, and the partner-head gaze box sits at
+# the avatar's solved head joint, which moved fixations while it walks
+TRANSCRIPT_VERSION = 4
 REPORT_VERSION = 1
 
 
@@ -377,11 +380,11 @@ class AvatarHost:
         self.goals = IkGoals(root, positions, orientations, pose.fingers)
 
     def avatar_head_world(self) -> tuple[float, float, float] | None:
-        """The avatar's head goal in this room, where the local user's gaze
-        finds the partner's head, or None while it is not placed."""
-        if self.goals is None:
-            return None
-        return self.goals.root.apply(self.goals.positions[Effector.Head])
+        """The avatar's head joint as last solved, where it is drawn in this
+        room and the local user's gaze finds the partner's head, or None
+        until the avatar is first solved at its current placement."""
+        last = self.interp.last
+        return None if last is None else last.joints[Joint.Head]
 
     def partner_pose(self) -> PartnerPose | None:
         """The hosted avatar as an interpersonal reference for the local
@@ -471,9 +474,8 @@ class AvatarDriver:
     `run` steps it inside the lockstep tick and `replay` steps it through a
     transcript, so both compute the avatar side with the same code, from the
     same decoded batches. What the partner sends at tick `s` arrives at
-    `s + 1 + latency_ticks`; after the last live tick `n`, `drain` delivers
-    the rest, up to the partner's Bye at `n + 1 + latency_ticks`, and
-    animates nothing.
+    `s + 1 + latency_ticks`; after the last live tick, `drain` delivers the
+    rest, up to the partner's Bye, and animates nothing.
     """
 
     def __init__(self, name: str, room, remote_room, skeleton: tuple[float, ...], config: SimConfig):
@@ -498,12 +500,13 @@ class AvatarDriver:
         self.host.tick_avatar(t, self.me, self.dt)
         return placed
 
-    def drain(self, n: int) -> list[Placement]:
-        """The ticks after the last live tick `n`: what is already on the
-        wire still arrives, searched against the last pose the local user
-        sent, but nothing is animated or sent any more."""
+    def drain(self) -> list[Placement]:
+        """After the last live tick: what is already on the wire still
+        arrives, tick by tick, searched against the last pose the local user
+        sent, but nothing is animated or sent any more. Only the ticks
+        something arrives at are delivered; an empty one changes nothing."""
         placed = []
-        for t in range(n + 1, n + 2 + self.cfg.latency_ticks):
+        for t in sorted(self.inbox):
             placed += self._deliver(t, None)
         self.host.flush_pointing()
         return placed
@@ -768,7 +771,7 @@ def run(room_a, room_b, trace_a, trace_b, config: SimConfig | None = None) -> Si
             if blob:
                 post(name, t, blob)
     for name in ("a", "b"):
-        peers[name].driver.drain(n)  # too late to announce: nothing is sent after tick n
+        peers[name].driver.drain()  # too late to announce: nothing is sent after tick n
 
     report = _assemble_report(config, rooms, n, {name: peers[name].driver for name in ("a", "b")})
     timings = tuple(
@@ -882,7 +885,7 @@ def _replay_peer(name: str, rooms, config: SimConfig, decoded, n: int) -> Avatar
     recomputed: list[Placement] = []
     for t in range(1, n + 1):
         recomputed += driver.step(t, poses.get(t))
-    recomputed += driver.drain(n)
+    recomputed += driver.drain()
 
     # announcements are emitted in computation order; features that were
     # answered after the last outbound tick never made it onto the wire

@@ -104,6 +104,31 @@ def test_engine_source_calls_no_blas_and_no_numpy_transcendentals():
     assert {name: calls for name, calls in found.items() if calls} == {}
 
 
+def hypot_names(source: str) -> list[str]:
+    """Code (not strings or comments) that names ``hypot``, called or
+    imported, from ``math`` or numpy."""
+    return [f"line {tok.start[0]}: {tok.string}" for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type == tokenize.NAME and tok.string == "hypot"]
+
+
+def test_hypot_scan_finds_each_use():
+    sample = (
+        '"""math.hypot in a docstring is fine"""\n'
+        "a = math.hypot(dx, dz)  # math.hypot in a comment is fine\n"
+        "b = np.hypot(dx, dz)\n"
+        "from math import hypot\n"
+        "c = math.sqrt(dx * dx + dz * dz)\n"
+    )
+    assert hypot_names(sample) == ["line 2: hypot", "line 3: hypot", "line 4: hypot"]
+
+
+def test_placement_search_has_one_distance_formula():
+    # every distance the search measures is sqrt(dx * dx + dz * dz), as
+    # scene.objects_in_radius computes it, so one table serves the bound
+    # and the score, and the features equal the scene's bit for bit
+    assert hypot_names((SRC / "twinroom" / "placement.py").read_text()) == []
+
+
 def test_only_the_document_reader_reads_files():
     # every room, trace, transcript and scorer config goes through one reader,
     # so each takes the same inline-or-path rule and the same read errors

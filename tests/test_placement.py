@@ -490,10 +490,9 @@ _RING = ((SPATIAL_RADIUS, 0.0), (-SPATIAL_RADIUS, 0.0), (0.0, SPATIAL_RADIUS), (
 )
 def test_batched_score_bound_is_admissible(seed, demo, partner_here, partner_there, sigma_offset):
     """The default bound, called as the swarm calls it, is at least each
-    particle's float score, and called as the grid calls it, at least the
-    score at every yaw of each cell, for yaws far outside [0, 2 pi) too. A
-    particle at SPATIAL_RADIUS from an object centre is flagged, so the
-    swarm never skips it."""
+    particle's float score, particles at SPATIAL_RADIUS from an object
+    centre included, and called as the grid calls it, at least the score at
+    every yaw of each cell, for yaws far outside [0, 2 pi) too."""
     rng = np.random.default_rng(seed)
     room = demo_rooms()[int(rng.integers(2))] if demo else random_room(rng)
     partner = random_partner(rng, room) if partner_here else None
@@ -507,25 +506,23 @@ def test_batched_score_bound_is_admissible(seed, demo, partner_here, partner_the
     zs = rng.uniform(ext.min_z, ext.max_z, 12).tolist() + [z for _, z in ring]
     cx, cz = np.array(xs), np.array(zs)
     rows = placement_module._accommodation_at(room.arrays, cx, cz)
+    nearest = placement_module._spatial_at(room.arrays, cx, cz)
     yaws = rng.uniform(-3.0 * math.pi, 5.0 * math.pi, (len(xs), 4))
     scores = np.array([[scorer.score(target, extract_features(room, Placement(x, z, yaw, pose), partner))
                         for yaw in row.tolist()] for x, z, row in zip(xs, zs, yaws)])
 
     # the swarm: each particle at its first yaw, with its exact interpersonal
-    # features and the screen's spatial tables
-    nearest, edge = placement_module._spatial_screen(room.arrays, cx, cz)
+    # features and spatial table
     offsets = None if partner is None else np.array([
         extract_features(room, Placement(x, z, yaw, pose), partner).interpersonal
         for x, z, yaw in zip(xs, zs, yaws[:, 0].tolist())])
     bounds = scorer.score_bound(target, rows, nearest, interpersonal=offsets)
-    assert edge[12:].all()
-    assert (bounds[~edge] >= scores[~edge, 0]).all()
+    assert (bounds >= scores[:, 0]).all()
 
     # the grid: each position a cell, with its exact spatial table
     dx, dz = (0.0, 0.0) if partner is None else (partner.x - cx, partner.z - cz)
     distance = None if partner is None else np.sqrt(dx * dx + dz * dz)
-    bounds = scorer.score_bound(target, rows, placement_module._spatial_at(room.arrays, cx, cz),
-                                partner_distance=distance)
+    bounds = scorer.score_bound(target, rows, nearest, partner_distance=distance)
     assert (bounds >= scores.max(axis=1)).all()
 
 
@@ -1143,6 +1140,18 @@ def oracle_features(room, x, z, yaw, pose, partner):
     return FeatureVector(inter, hm.heights[hm.valid], per_category(attention), per_category(spatial))
 
 
+def edge_positions():
+    """Positions whose offset from the oracle room's table is SPATIAL_RADIUS,
+    as nearly as floats hold it, each with its neighbours one ulp either
+    side along x."""
+    tx, _, tz = oracle_room().by_id["table"].position
+    out = []
+    for dx, dz in ((SPATIAL_RADIUS, 0.0), (1.8, -2.4)):
+        x, z = tx - dx, tz - dz
+        out += [(float(np.nextafter(x, -math.inf)), z), (x, z), (float(np.nextafter(x, math.inf)), z)]
+    return out
+
+
 def assert_same_features(got, want, where):
     assert got == want, where
     assert got.pose_accommodation.tobytes() == want.pose_accommodation.tobytes(), where
@@ -1274,12 +1283,16 @@ def test_grid_features_equal_the_per_placement_oracle():
 def test_swarm_batch_features_equal_the_per_placement_oracle():
     room = oracle_room()
     rng = np.random.default_rng(4)
-    xs = [C] + rng.uniform(0, 6, 40).tolist()
-    zs = [C] + rng.uniform(0, 6, 40).tolist()
-    yaws = [0.0] + rng.uniform(0, 2 * math.pi, 40).tolist()
+    edges = edge_positions()
+    xs = [C] + rng.uniform(0, 6, 40).tolist() + [x for x, _ in edges]
+    zs = [C] + rng.uniform(0, 6, 40).tolist() + [z for _, z in edges]
+    yaws = [0.0] + rng.uniform(0, 2 * math.pi, 40).tolist() + [0.0] * len(edges)
     cx, cz = np.array(xs), np.array(zs)
     rows = placement_module._accommodation_at(room.arrays, cx, cz)
     spatial = placement_module._tables(placement_module._spatial_at(room.arrays, cx, cz))
+    # the table drops out one ulp beyond the radius and stays one ulp inside
+    table = [row[ObjectCategory.Table.value] for row in spatial[-len(edges):]]
+    assert table[:3] == [None, SPATIAL_RADIUS, float(np.nextafter(SPATIAL_RADIUS, 0.0))]
     sins, coss = placement_module._turns(yaws)
     for partner in (None, PartnerPose(4.5, 1.0, 5.0)):
         offsets = placement_module._interpersonal_at(partner, cx, cz, np.array(yaws), sins, coss)

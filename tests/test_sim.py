@@ -58,6 +58,7 @@ from twinroom.retarget import Joint, RetargetConfig, Skeleton, vertical_compensa
 from twinroom.scene import ObjectCategory, PairingError, Room, SceneError, SceneObject, load_room, room_hash
 from twinroom.sim import (
     PARTNER_HEAD_ID,
+    AvatarDriver,
     AvatarHost,
     PeerRuntime,
     ReplayDivergence,
@@ -712,11 +713,84 @@ def test_fixation_room_is_rebuilt_only_when_the_partner_head_moves(monkeypatch):
     assert all(p != q for p, q in zip(cached_builds, cached_builds[1:]))
 
 
+def test_partner_head_box_sits_at_the_drawn_head_while_the_partner_walks(monkeypatch):
+    # B is placed, then walks again: A's host draws the avatar walking in
+    # place at the frozen root while its head goal moves on, and A's gaze
+    # must find the head where it is drawn
+    b = TraceBuilder(start=(0.3, -0.9), yaw=0.5)
+    b.hold(0.1).walk_to(-0.6, -0.3, speed=1.5).hold(1.0).walk_to(0.5, -0.1, speed=1.2).hold(1.0)
+    fixation_room, seen = PeerRuntime._fixation_room, []
+
+    def recorded(peer):
+        room = fixation_room(peer)
+        host = peer.host
+        box = room.by_id.get(PARTNER_HEAD_ID)
+        drawn = None if host.interp.last is None else host.interp.last.joints[Joint.Head]
+        goal = None if host.goals is None else host.goals.root.apply(host.goals.positions[Effector.Head])
+        seen.append((host.state, None if box is None else box.position, drawn, goal))
+        return room
+
+    with monkeypatch.context() as m:
+        m.setattr(PeerRuntime, "_fixation_room", recorded)
+        result = run(room_a_doc(), room_b_doc(), trace_a_script().build(), b.build(), config=quick_config())
+    assert len(result.report["episodes"]["b"]) == 2
+    assert all(box == drawn for _, box, drawn, _ in seen)
+    walking = [(drawn, goal) for state, _, drawn, goal in seen if state is UserState.Locomotion and drawn]
+    assert sum(math.dist(drawn, goal) > 0.1 for drawn, goal in walking) > 10
+    assert replay(result.transcript, room_a_doc(), room_b_doc()) == result.report
+
+
+@pytest.mark.parametrize("latency", [30, 10**5])
+def test_drain_delivers_only_the_ticks_something_arrives_at(monkeypatch, latency):
+    config = quick_config(latency_ticks=latency)
+    deliver, drain = AvatarDriver._deliver, AvatarDriver.drain
+    drains, draining = [], None  # per drain: (arrival ticks in the inbox, deliveries)
+
+    def counted_drain(driver):
+        nonlocal draining
+        draining = [len(driver.inbox), 0]
+        placed = drain(driver)
+        drains.append(tuple(draining))
+        draining = None
+        return placed
+
+    def counted_deliver(driver, t, pose):
+        if draining is not None:
+            draining[1] += 1
+        return deliver(driver, t, pose)
+
+    def every_tick(driver):
+        # every tick up to the last arrival, empty ones included
+        placed = []
+        if driver.inbox:
+            for t in range(min(driver.inbox), max(driver.inbox) + 1):
+                placed += deliver(driver, t, None)
+        driver.host.flush_pointing()
+        return placed
+
+    def session():
+        return run(room_a_doc(), room_b_doc(), trace_a_script().build(), trace_b_script().build(), config=config)
+
+    with monkeypatch.context() as m:
+        m.setattr(AvatarDriver, "drain", counted_drain)
+        m.setattr(AvatarDriver, "_deliver", counted_deliver)
+        result = session()
+        replayed = replay(result.transcript, room_a_doc(), room_b_doc())
+    assert len(drains) == 4  # both peers, in the run and in the replay
+    assert all(0 < delivered <= held for held, delivered in drains), drains
+    assert replayed == result.report
+    with monkeypatch.context() as m:
+        m.setattr(AvatarDriver, "drain", every_tick)
+        stepped = session()
+    assert stepped.report_json == result.report_json
+    assert stepped.transcript == result.transcript
+
+
 def test_version_1_transcript_is_refused_not_reported_as_tampered(base_result):
     lines = base_result.transcript.splitlines()
     header = json.loads(lines[0])
-    assert header["version"] == 3
-    for old in (1, 2):
+    assert header["version"] == 4
+    for old in (1, 2, 3):
         header["version"] = old
         lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
         with pytest.raises(ReplayDivergence) as err:
