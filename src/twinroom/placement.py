@@ -36,17 +36,18 @@ accommodation rows and spatial tables from its caller and adds the
 attention tables in one broadcast.
 
 The grid is a bounded best-first scan with the result of an exhaustive one.
-Its room-only phase, ``grid_tables``, takes one grid column at a time: one
-broadcast gives its cells' accommodation rows, hence their standing
-feasibility, another their seat coverage, which decides the rest, and a last
-broadcast gives the feasible cells' spatial tables. Nothing in it depends on
-the target, so it runs once per ``Room`` object and ``GridConfig``, whose
-later searches read its tables. Each feasible cell holds one pose, and one
-``score_bound`` call over all of them gives each cell an upper bound on its
-yaw candidates' scores (their height and spatial terms do not depend on yaw,
-attention is at most 1, and the partner offset has the same length at every
-yaw). The search then visits cells by descending bound, scores a cell's
-candidates together, and stops once no bound can reach the best score.
+Its room-only phase, ``grid_tables``, takes one grid column at a time and
+decides feasibility as ``feasible`` and the swarm do: ``_feasible_rows``,
+once per pose, gives the column's cells that admit the pose and their
+accommodation rows. A last broadcast gives the feasible cells' spatial
+tables. Nothing in it depends on the target, so it runs once per ``Room``
+object and ``GridConfig``, whose later searches read its tables. Each
+feasible cell holds one pose, and one ``score_bound`` call over all of them
+gives each cell an upper bound on its yaw candidates' scores (their height
+and spatial terms do not depend on yaw, attention is at most 1, and the
+partner offset has the same length at every yaw). The search then visits
+cells by descending bound, scores a cell's candidates together, and stops
+once no bound can reach the best score.
 A standing swarm iteration is one accommodation broadcast over every
 particle, which gives both their feasibility and their rows; a sitting
 iteration tests the seats first, in one broadcast per sittable object, and
@@ -785,43 +786,33 @@ def grid_tables(room: Room, config: GridConfig | None = None) -> GridTables:
 
 def _build_grid_tables(room: Room, config: GridConfig) -> GridTables:
     """The tables ``grid_tables`` keeps. One grid column (one x) at a time,
-    one broadcast gives every cell's accommodation row, whose foot columns
-    decide standing, and the seat test decides a cell that cannot stand. The
-    feasible cells' spatial tables come from one more broadcast over all of
-    them."""
+    ``_feasible_rows`` gives the cells that admit each pose and their
+    accommodation rows; no cell admits both poses, so sorting the cells by
+    grid index puts them in scan order. The feasible cells' spatial tables
+    come from one more broadcast over all of them."""
     arrays = room.arrays
-    contains = room.extents.contains
     xs, zs, yaws = grid_axes(room.extents, config.cell, config.yaw_count)
     column_zs = np.array(zs)
-    cell_xs, cell_zs, poses, rows = [], [], [], []
-    for x in xs:
+    cells, rows = [], []
+    for j, x in enumerate(xs):
         column_xs = np.full(len(zs), x)
-        column = _accommodation_at(arrays, column_xs, column_zs)
-        keep = []
-        for i, (z, standing, seated) in enumerate(zip(zs, _standing_clear(column).tolist(),
-                                                      _seated(room, column_xs, column_zs).tolist())):
-            if not contains(x, z):
-                continue
-            if standing:
-                poses.append(PlacementPose.Standing)
-            elif seated:
-                poses.append(PlacementPose.Sitting)
-            else:
-                continue
-            keep.append(i)
-            cell_xs.append(x)
-            cell_zs.append(z)
-        if keep:
-            rows.append(column[keep])  # a copy: no row keeps its column alive
+        for pose in PlacementPose:
+            keep, pose_rows = _feasible_rows(room, arrays, column_xs, column_zs, pose)
+            cells += [(j, i, pose) for i in keep]
+            rows.append(pose_rows)
+    order = sorted(range(len(cells)), key=lambda k: cells[k][:2])
+    cells = [cells[k] for k in order]
+    cell_xs = [xs[j] for j, _, _ in cells]
+    cell_zs = [zs[i] for _, i, _ in cells]
     nearest = _spatial_at(arrays, np.array(cell_xs, dtype=float), np.array(cell_zs, dtype=float))
-    rows = np.concatenate(rows) if rows else np.empty((0, ACCOMMODATION_CELLS))
+    rows = np.concatenate(rows)[order] if rows else np.empty((0, ACCOMMODATION_CELLS))
     rows.flags.writeable = nearest.flags.writeable = False
     return GridTables(
         yaws=tuple(yaws),
         candidates_per_pose=len(xs) * len(zs) * len(yaws),
         xs=tuple(cell_xs),
         zs=tuple(cell_zs),
-        poses=tuple(poses),
+        poses=tuple(pose for _, _, pose in cells),
         rows=rows,
         nearest=nearest,
         spatial=tuple(_tables(nearest)),
@@ -906,8 +897,12 @@ def grid_search(
                 best_placement = Placement(x, z, yaw, pose)
 
     if best_placement is None:
+        total = tables.candidates_per_pose * 2
+        if not cells:
+            raise NoFeasiblePlacement(f"room {room.id!r}: none of the {total} grid candidates is feasible")
         raise NoFeasiblePlacement(
-            f"room {room.id!r}: none of the {tables.candidates_per_pose * 2} grid candidates is feasible"
+            f"room {room.id!r}: {n * len(cells)} of the {total} grid candidates are feasible, "
+            f"but none of them scored a number"
         )
     return GridResult(placement=best_placement, score=best_score, candidates_per_pose=tables.candidates_per_pose,
                       evaluated=n * len(cells), scored=scored)

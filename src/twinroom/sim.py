@@ -97,9 +97,9 @@ from .scene import (
 from .states import (
     Effector,
     FixationTracker,
-    SpeedWindow,
     StateConfig,
     StateEvent,
+    TickWindow,
     UserState,
     WireTarget,
     acquire_targets,
@@ -550,7 +550,7 @@ class PeerRuntime:
         self.driver = AvatarDriver(name, room, remote_room, trace.skeleton.to_floats(), config)
         self.session = self.driver.session
         self.host = self.driver.host
-        self.window = SpeedWindow(config.tick_rate, config.state.speed_window)
+        self.window = TickWindow(config.tick_rate, config.state.speed_window)
         self.tracker = FixationTracker(config.tick_rate, config.state)
         self.loco = UserState.Solo
         self.state_now = UserState.Solo
@@ -580,17 +580,16 @@ class PeerRuntime:
 
     def step_local(self, t: int) -> None:
         snap = self.snap
-        self.window.push(t, snap.root.position)
+        x, _, z = snap.root.position.tolist()
+        self.window.push(t, x, z)
         if self.session.phase is not Phase.Live:
             return  # warm the speed window, but stay silent until both hellos
         speed = pelvis_speed(self.window) if len(self.window) >= 2 else 0.0
-        self.loco, events = step_locomotion(self.loco, speed, self.cfg.state)
-        for ev in events:
-            if ev is StateEvent.StartWIP:
-                self.tracker.clear_all()
-            elif ev is StateEvent.RequestPlacement:
-                self.pending_features.append(self._request_features())
-            # Teleport completes when the peer's placement answer re-anchors
+        self.loco, event = step_locomotion(self.loco, speed, self.cfg.state)
+        if event is StateEvent.StartWIP:
+            self.tracker.clear_all()
+        elif event is StateEvent.RequestPlacement:
+            self.pending_features.append(self._request_features())
 
         room = self._fixation_room()
         if self.loco is not UserState.Locomotion:
@@ -651,12 +650,14 @@ class SimResult:
     timings: tuple[dict, ...]  # wall-clock search times; deliberately not in the report
 
 
-def canonical_report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _jsonl(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def canonical_report_json(report: dict) -> str:
+    """A report's canonical JSON: one line formatted as `_jsonl` formats
+    transcript lines, and a newline."""
+    return _jsonl(report) + "\n"
 
 
 def _header_line(config: SimConfig, room_a, room_b, ticks: int) -> str:

@@ -6,7 +6,10 @@ hand fixation: a raycast that keeps hitting the same paired object past a
 dwell threshold registers that object as the effector's target. A lifted hand
 that has no own fixation can additionally inherit the gaze target when its
 motion converges on it, i.e. when both the hand-to-target distance and the
-hand-aim angle shrink fast enough over a trailing window.
+hand-aim angle shrink fast enough over a trailing window. Pelvis speed and
+hand convergence read the same kind of window, a `TickWindow` of
+tick-contiguous samples, and a locomotion transition emits one event:
+StartWIP when walking starts, RequestPlacement when it stops.
 
 Everything here is a pure function of the snapshot stream and configuration;
 identical inputs produce identical state and event streams. Snapshots hold
@@ -48,7 +51,6 @@ class Effector(IntEnum):
 class StateEvent(Enum):
     StartWIP = "StartWIP"
     RequestPlacement = "RequestPlacement"
-    Teleport = "Teleport"
 
 
 @dataclass(frozen=True)
@@ -140,20 +142,29 @@ def hand_lifted(root: EffectorSample, hand: EffectorSample, cfg: StateConfig) ->
     return pitch >= cfg.lift_pitch
 
 
-# --- pelvis speed -----------------------------------------------------------
+# --- trailing windows ------------------------------------------------------
 
-class SpeedWindow:
-    """Ring buffer of (tick, root x, root z) spanning the speed window."""
+class TickWindow:
+    """Trailing window of (tick, a, b) samples: a pelvis pushes its root x
+    and z, a hand its distance and aim angle to the gaze target.
 
-    def __init__(self, tick_rate: float, span: float = 0.166):
-        if not (tick_rate > 0.0 and span > 0.0):
-            raise ValueError("tick_rate and span must be positive")
+    Samples must be tick-contiguous; a gap discards the history. The window
+    keeps its newest sample and those at most `span_ticks` (the period in
+    ticks, at least 1) older, and spans the period once newest - oldest >=
+    span_ticks.
+    """
+
+    def __init__(self, tick_rate: float, period: float):
+        if not (tick_rate > 0.0 and period > 0.0):
+            raise ValueError("tick_rate and period must be positive")
         self.tick_rate = float(tick_rate)
-        self.span_ticks = max(1, round(span * tick_rate))
+        self.span_ticks = max(1, round(period * tick_rate))
         self._samples: deque[tuple[int, float, float]] = deque()
 
-    def push(self, tick: int, root_position) -> None:
-        self._samples.append((tick, float(root_position[0]), float(root_position[2])))
+    def push(self, tick: int, a: float, b: float) -> None:
+        if self._samples and tick != self._samples[-1][0] + 1:
+            self._samples.clear()
+        self._samples.append((tick, a, b))
         while self._samples[-1][0] - self._samples[0][0] > self.span_ticks:
             self._samples.popleft()
 
@@ -163,6 +174,9 @@ class SpeedWindow:
     def clear(self) -> None:
         self._samples.clear()
 
+    def spans_period(self) -> bool:
+        return bool(self._samples) and self._samples[-1][0] - self._samples[0][0] >= self.span_ticks
+
     @property
     def first(self) -> tuple[int, float, float]:
         return self._samples[0]
@@ -171,8 +185,29 @@ class SpeedWindow:
     def last(self) -> tuple[int, float, float]:
         return self._samples[-1]
 
+    def slope(self, index: int) -> float:
+        """Least-squares slope of sample column `index` (1 for a, 2 for b)
+        against time in seconds, once the window spans the period."""
+        if not self.spans_period():
+            raise InsufficientSamples("window does not span its period yet")
+        n = len(self._samples)
+        t0 = self._samples[0][0]
+        ts = [(s[0] - t0) / self.tick_rate for s in self._samples]
+        vs = [s[index] for s in self._samples]
+        t_mean = sum(ts) / n
+        v_mean = sum(vs) / n
+        num = 0.0
+        den = 0.0
+        for t, v in zip(ts, vs):
+            tc = t - t_mean
+            num += tc * (v - v_mean)
+            den += tc * tc
+        return num / den
 
-def pelvis_speed(window: SpeedWindow) -> float:
+
+# --- pelvis speed -----------------------------------------------------------
+
+def pelvis_speed(window: TickWindow) -> float:
     """Horizontal displacement speed between the window's endpoints.
 
     Deliberately displacement-based: a path that returns to its start within
@@ -188,22 +223,22 @@ def pelvis_speed(window: SpeedWindow) -> float:
 
 # --- locomotion state -------------------------------------------------------
 
-def step_locomotion(
-    state: UserState, speed: float, cfg: StateConfig
-) -> tuple[UserState, tuple[StateEvent, ...]]:
-    """Advance the walking aspect of the state machine by one tick.
+def step_locomotion(state: UserState, speed: float, cfg: StateConfig) -> tuple[UserState, StateEvent | None]:
+    """Advance the walking aspect of the state machine by one tick, with the
+    transition's event, if any.
 
     Entering locomotion freezes the avatar in place (StartWIP); leaving it
-    requests a fresh placement and teleports there. Speeds inside the open
-    band (stop_threshold, locomotion_threshold) never cause a transition.
+    requests a fresh placement (RequestPlacement), and the avatar moves
+    there when the peer's answer arrives. Speeds inside the open band
+    (stop_threshold, locomotion_threshold) never cause a transition.
     """
     if state is UserState.Locomotion:
         if speed < cfg.stop_threshold:
-            return UserState.Solo, (StateEvent.RequestPlacement, StateEvent.Teleport)
-        return state, ()
+            return UserState.Solo, StateEvent.RequestPlacement
+        return state, None
     if speed > cfg.locomotion_threshold:
-        return UserState.Locomotion, (StateEvent.StartWIP,)
-    return state, ()
+        return UserState.Locomotion, StateEvent.StartWIP
+    return state, None
 
 
 # --- fixation ---------------------------------------------------------------
@@ -224,69 +259,16 @@ class EffectorFixation:
         self.target = None
 
 
-class ConvergenceWindow:
-    """Trailing window of (tick, distance, angle) samples toward one target.
-
-    Samples must be tick-contiguous; a gap discards the history. The window
-    spans the configured condition period once newest - oldest >= span ticks.
-    """
-
-    def __init__(self, tick_rate: float, period: float):
-        self.tick_rate = float(tick_rate)
-        self.span_ticks = max(1, round(period * tick_rate))
-        self._samples: deque[tuple[int, float, float]] = deque()
-
-    def push(self, tick: int, distance: float, angle: float) -> None:
-        if self._samples and tick != self._samples[-1][0] + 1:
-            self._samples.clear()
-        self._samples.append((tick, distance, angle))
-        while self._samples[-1][0] - self._samples[0][0] > self.span_ticks:
-            self._samples.popleft()
-
-    def clear(self) -> None:
-        self._samples.clear()
-
-    def spans_period(self) -> bool:
-        return bool(self._samples) and self._samples[-1][0] - self._samples[0][0] >= self.span_ticks
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def _slope(self, index: int) -> float:
-        # least-squares slope of sample column `index` against time in seconds
-        if not self.spans_period():
-            raise InsufficientSamples("window does not span the condition period yet")
-        n = len(self._samples)
-        t0 = self._samples[0][0]
-        ts = [(s[0] - t0) / self.tick_rate for s in self._samples]
-        vs = [s[index] for s in self._samples]
-        t_mean = sum(ts) / n
-        v_mean = sum(vs) / n
-        num = 0.0
-        den = 0.0
-        for t, v in zip(ts, vs):
-            tc = t - t_mean
-            num += tc * (v - v_mean)
-            den += tc * tc
-        return num / den
-
-    def distance_rate(self) -> float:
-        return self._slope(1)
-
-    def angle_rate(self) -> float:
-        return self._slope(2)
+def check_distance_condition(window: TickWindow, cfg: StateConfig) -> bool:
+    """True iff the hand-to-target distance (a) shrinks faster than
+    v_threshold on average over the whole window."""
+    return window.slope(1) < cfg.v_threshold
 
 
-def check_distance_condition(window: ConvergenceWindow, cfg: StateConfig) -> bool:
-    """True iff the hand-to-target distance shrinks faster than v_threshold
-    on average over the whole window."""
-    return window.distance_rate() < cfg.v_threshold
-
-
-def check_angle_condition(window: ConvergenceWindow, cfg: StateConfig) -> bool:
-    """True iff the angle between the hand's aim and the target direction
+def check_angle_condition(window: TickWindow, cfg: StateConfig) -> bool:
+    """True iff the angle between the hand's aim and the target direction (b)
     closes faster than omega_threshold on average over the whole window."""
-    return window.angle_rate() < cfg.omega_threshold
+    return window.slope(2) < cfg.omega_threshold
 
 
 @dataclass
@@ -294,7 +276,7 @@ class Channel:
     """An effector's fixation and a hand's convergence on the gaze target."""
 
     fixation: EffectorFixation
-    window: ConvergenceWindow
+    window: TickWindow
     window_target: str | None = None
     converged_to: str | None = None
 
@@ -313,7 +295,7 @@ class FixationTracker:
     def clear_all(self) -> None:
         """Fresh channels: no fixation, no window, nothing converged."""
         self.channels = tuple(
-            Channel(EffectorFixation(), ConvergenceWindow(self.tick_rate, self.cfg.condition_period))
+            Channel(EffectorFixation(), TickWindow(self.tick_rate, self.cfg.condition_period))
             for _ in Effector
         )
 

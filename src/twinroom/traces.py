@@ -141,12 +141,11 @@ class TraceBuilder:
         start=(0.0, 0.0),
         yaw: float = 0.0,
         root_height: float = 0.92,
-        state_config: StateConfig | None = None,
     ):
         self.tick_rate = float(tick_rate)
         self.dt = 1.0 / self.tick_rate
         self.skeleton = skeleton if skeleton is not None else Skeleton()
-        self.cfg = state_config if state_config is not None else StateConfig()
+        self.cfg = StateConfig()
         self.stand_height = float(root_height)
         self.root = Transform(
             (float(start[0]), float(root_height), float(start[1])),

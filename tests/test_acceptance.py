@@ -56,10 +56,10 @@ from twinroom.scene import ObjectCategory, denormalize_hit, load_room
 from twinroom.sim import SimConfig, pose_update_from_snapshot, replay, run
 from twinroom.sim import AvatarHost
 from twinroom.states import (
-    ConvergenceWindow,
     Effector,
     StateConfig,
     StateEvent,
+    TickWindow,
     UserState,
     check_angle_condition,
     check_distance_condition,
@@ -261,7 +261,7 @@ def test_05_convergence_trigger_and_false_positives():
     rate = 60.0
 
     # a hand closing at -0.5 m/s while its aim error shrinks at -30 deg/s
-    win = ConvergenceWindow(rate, cfg.condition_period)
+    win = TickWindow(rate, cfg.condition_period)
     trigger = None
     for t in range(1, 121):
         elapsed = (t - 1) / rate
@@ -284,7 +284,7 @@ def test_05_convergence_trigger_and_false_positives():
         amp_a = rng.uniform(0.0, math.radians(1.0))
         omega = rng.uniform(1.0, 12.0)
         phase = rng.uniform(0.0, math.tau)
-        fuzz = ConvergenceWindow(rate, cfg.condition_period)
+        fuzz = TickWindow(rate, cfg.condition_period)
         for t in range(1, length + 1):
             s = omega * t / rate + phase
             fuzz.push(t, base_d + amp_d * math.sin(s), base_a + amp_a * math.cos(s))
@@ -327,30 +327,31 @@ def test_06_locomotion_invariants():
     for _ in range(1000):
         speeds = random_speed_trace(rng, cfg)
         state = UserState.Solo
-        starts = teleports = 0
+        starts = requests = 0
         expecting_start = True
         intervals: list[tuple[int, int]] = []
         opened = None
         for i, v in enumerate(speeds):
             prev = state
-            state, events = step_locomotion(state, v, cfg)
+            state, ev = step_locomotion(state, v, cfg)
+            # a transition emits its event; no other tick emits one
+            assert (ev is not None) == (state is not prev)
             if state is not prev:
                 # hysteresis: transitions never happen strictly inside the band
                 assert not (cfg.stop_threshold < v < cfg.locomotion_threshold), v
-            for ev in events:
-                if ev is StateEvent.StartWIP:
-                    assert expecting_start
-                    expecting_start = False
-                    starts += 1
-                    opened = i
-                elif ev is StateEvent.Teleport:
-                    assert not expecting_start
-                    expecting_start = True
-                    teleports += 1
-                    intervals.append((opened, i))
-                    opened = None
+            if ev is StateEvent.StartWIP:
+                assert expecting_start
+                expecting_start = False
+                starts += 1
+                opened = i
+            elif ev is StateEvent.RequestPlacement:
+                assert not expecting_start
+                expecting_start = True
+                requests += 1
+                intervals.append((opened, i))
+                opened = None
         assert state is UserState.Solo
-        assert starts == teleports, "every walking episode ends in exactly one teleport"
+        assert starts == requests, "every walking episode ends in exactly one placement request"
         episodes_total += starts
 
         # while walking, the avatar root must hold the frozen placement
@@ -377,7 +378,7 @@ def test_06_locomotion_invariants():
     verdict(
         "criterion 6 locomotion invariants",
         True,
-        f"1000 speed traces, {episodes_total} episodes, one teleport each, "
+        f"1000 speed traces, {episodes_total} episodes, one placement request each, "
         f"zero in-band transitions, root pinned in {root_checks} walking frames",
     )
 

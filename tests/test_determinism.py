@@ -129,6 +129,63 @@ def test_placement_search_has_one_distance_formula():
     assert hypot_names((SRC / "twinroom" / "placement.py").read_text()) == []
 
 
+def feasibility_calls(source: str) -> list[tuple[str, str | None]]:
+    """Each call of ``_standing_clear`` or ``_seated`` in code (not strings,
+    comments or its own ``def``), as the name called and the top-level
+    function or class it sits in (None at module level)."""
+    found = []
+    depth = 0
+    top = None
+    sig = []  # significant tokens so far on this logical line
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.INDENT:
+            depth += 1
+        elif tok.type == tokenize.DEDENT:
+            depth -= 1
+        elif tok.type == tokenize.NEWLINE:
+            sig = []
+        elif tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.STRING):
+            if depth == 0 and not sig:
+                top = None
+            if depth == 0 and len(sig) == 1 and sig[0].string in ("def", "class"):
+                top = tok.string
+            if (tok.string == "(" and sig and sig[-1].string in ("_standing_clear", "_seated")
+                    and (len(sig) < 2 or sig[-2].string != "def")):
+                found.append((sig[-1].string, top))
+            sig.append(tok)
+    return found
+
+
+def test_feasibility_scan_finds_each_call():
+    sample = (
+        '"""_seated(room, xs, zs) in a docstring is fine"""\n'
+        "def _seated(room, xs, zs):  # a definition is not a call\n"
+        "    return _standing_clear(rows)\n"
+        "\n"
+        "@decorator\n"
+        "def _feasible_rows(room):\n"
+        "    def inner():\n"
+        "        return _seated(room, xs, zs)  # _seated( in a comment is fine\n"
+        "    return _standing_clear(rows)\n"
+        "x = _seated (room, xs, zs)\n"
+        "class A:\n"
+        "    def m(self):\n"
+        "        return _standing_clear(rows)\n"
+    )
+    assert feasibility_calls(sample) == [
+        ("_standing_clear", "_seated"), ("_seated", "_feasible_rows"), ("_standing_clear", "_feasible_rows"),
+        ("_seated", None), ("_standing_clear", "A"),
+    ]
+
+
+def test_feasibility_has_one_implementation():
+    # the grid, the swarm and `feasible` all decide feasibility through
+    # `_feasible_rows`, so one rule says where an avatar can stand or sit
+    found = [(f.name, name, where) for f in sorted((SRC / "twinroom").glob("*.py"))
+             for name, where in feasibility_calls(f.read_text()) if where != "_feasible_rows"]
+    assert found == []
+
+
 def test_only_the_document_reader_reads_files():
     # every room, trace, transcript and scorer config goes through one reader,
     # so each takes the same inline-or-path rule and the same read errors

@@ -908,6 +908,20 @@ def test_fully_blocked_room_raises_and_sittable_platform_rescues():
     assert grid.placement.pose is PlacementPose.Sitting
 
 
+def test_a_target_nothing_scores_against_is_not_reported_as_infeasible():
+    """A NaN in the target's partner offset makes every grid score NaN. The
+    search still raises, but says how many candidates were feasible."""
+    office, loft = demo_rooms()
+    partner = PartnerPose(1.0, 0.5, 0.0)
+    target = replace(extract_features(office, Placement(-0.4, 1.0, 0.0, PlacementPose.Standing), partner),
+                     interpersonal=(math.inf, math.nan, 0.0))
+    tables = grid_tables(loft)
+    assert len(tables.xs) * len(tables.yaws) == 7560
+    with pytest.raises(NoFeasiblePlacement, match="7560 of the 20736 grid candidates are feasible, "
+                                                  "but none of them scored a number"):
+        grid_search(loft, target, DefaultScorer(), partner)
+
+
 # --- scorer ------------------------------------------------------------------
 
 
@@ -1256,25 +1270,29 @@ def test_grid_features_equal_the_per_placement_oracle():
     room = oracle_room()
     partner = PartnerPose(1.0, 4.0, 0.7)
     config = GridConfig()
-    xs, zs, yaws = grid_axes(room.extents, config.cell, config.yaw_count)
     target = extract_features(room, Placement(C, C, 0.0, PlacementPose.Sitting), partner)
-    recorder = Recorder()
-    grid_search(room, target, recorder, partner, config=config)
-    # one batch per cell that admits a pose, in scan order
-    cells = [(x, z, poses) for x in xs for z in zs
-             if (poses := [pose for pose in PlacementPose if feasible(room, Placement(x, z, 0.0, pose))])]
-    assert len(recorder.batches) == len(cells)
+    # and three furnished rooms, each with a bench whose seat holds grid cells
+    furnished = [random_room(np.random.default_rng(seed)) for seed in (5, 6, 8)]
     seen = set()
-    for batch, (x, z, poses) in zip(recorder.batches, cells):
-        want = [(yaw, pose) for yaw in yaws for pose in poses]
-        assert len(batch) == len(want)
-        for got, (yaw, pose) in zip(batch, want):
-            where = (x, z, yaw, pose)
-            assert_same_features(got, oracle_features(room, x, z, yaw, pose, partner), where)
-            seen.add(where)
+    for k, other in enumerate([room] + furnished):
+        xs, zs, yaws = grid_axes(other.extents, config.cell, config.yaw_count)
+        recorder = Recorder()
+        grid_search(other, target, recorder, partner, config=config)
+        # one batch per cell that admits a pose, in scan order
+        cells = [(x, z, poses) for x in xs for z in zs
+                 if (poses := [pose for pose in PlacementPose if feasible(other, Placement(x, z, 0.0, pose))])]
+        assert len(recorder.batches) == len(cells)
+        assert any(poses == [PlacementPose.Sitting] for _, _, poses in cells), k
+        for batch, (x, z, poses) in zip(recorder.batches, cells):
+            want = [(yaw, pose) for yaw in yaws for pose in poses]
+            assert len(batch) == len(want)
+            for got, (yaw, pose) in zip(batch, want):
+                where = (k, x, z, yaw, pose)
+                assert_same_features(got, oracle_features(other, x, z, yaw, pose, partner), where)
+                seen.add(where)
     # the cell at C was searched seated, facing the screens
     sitting = target.visual_attention
-    assert (C, C, 0.0, PlacementPose.Sitting) in seen
+    assert (0, C, C, 0.0, PlacementPose.Sitting) in seen
     assert sitting[ObjectCategory.Other.value] == 0.0  # the lamp at the eye
     assert sitting[ObjectCategory.Screen.value] == math.sqrt(0.5 * 0.5 + 1.5 * 1.5)
     assert target.spatial[ObjectCategory.Table.value] == SPATIAL_RADIUS

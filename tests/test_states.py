@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from twinroom.geometry import FORWARD, norm, quat_between, quat_from_yaw, quat_rotate
 from twinroom.scene import ObjectCategory, Ray, Room, SceneObject, load_room
 from twinroom.states import (
-    ConvergenceWindow,
     Effector,
     EffectorSample,
     FixationTracker,
     InsufficientSamples,
-    SpeedWindow,
     StateConfig,
     StateEvent,
+    TickWindow,
     UserSnapshot,
     UserState,
     acquire_targets,
@@ -92,36 +91,36 @@ def fixation_room():
 
 
 def test_pelvis_speed_matches_constant_velocity():
-    win = SpeedWindow(TICK_RATE)
+    win = TickWindow(TICK_RATE, 0.166)
     v = 1.3
     for t in range(12):
-        win.push(t, (v * t * DT, 0.9, 0.0))
+        win.push(t, v * t * DT, 0.0)
     assert pelvis_speed(win) == pytest.approx(v, rel=1e-12)
 
 
 def test_pelvis_speed_is_displacement_not_path_length():
     # a full circle inside the window returns to its start: near-zero speed
-    win = SpeedWindow(TICK_RATE, span=0.166)
+    win = TickWindow(TICK_RATE, 0.166)
     n = win.span_ticks
     for t in range(n + 1):
         a = 2 * math.pi * t / n
-        win.push(t, (0.5 * math.cos(a), 0.9, 0.5 * math.sin(a)))
+        win.push(t, 0.5 * math.cos(a), 0.5 * math.sin(a))
     assert pelvis_speed(win) < 1e-9
 
 
 def test_pelvis_speed_needs_two_samples():
-    win = SpeedWindow(TICK_RATE)
+    win = TickWindow(TICK_RATE, 0.166)
     with pytest.raises(InsufficientSamples):
         pelvis_speed(win)
-    win.push(0, (0, 0.9, 0))
+    win.push(0, 0.0, 0.0)
     with pytest.raises(InsufficientSamples):
         pelvis_speed(win)
 
 
 def test_speed_window_trims_to_span():
-    win = SpeedWindow(TICK_RATE, span=0.166)
+    win = TickWindow(TICK_RATE, 0.166)
     for t in range(100):
-        win.push(t, (0.01 * t, 0.9, 0))
+        win.push(t, 0.01 * t, 0.0)
     assert win.last[0] - win.first[0] == win.span_ticks
     assert win.span_ticks == round(0.166 * TICK_RATE)
 
@@ -133,11 +132,11 @@ def test_speed_window_trims_to_span():
     start=st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
 )
 def test_pelvis_speed_recovers_any_straight_walk(speed, heading, start):
-    win = SpeedWindow(TICK_RATE)
+    win = TickWindow(TICK_RATE, 0.166)
     dx = speed * math.cos(heading) * DT
     dz = speed * math.sin(heading) * DT
     for t in range(15):
-        win.push(t, (start[0] + dx * t, 0.9, start[1] + dz * t))
+        win.push(t, start[0] + dx * t, start[1] + dz * t)
     assert pelvis_speed(win) == pytest.approx(speed, abs=1e-9)
 
 
@@ -169,10 +168,9 @@ def test_hand_lifted_by_pitch():
 def test_step_locomotion_transitions_and_events():
     cfg = StateConfig()
     state, ev = step_locomotion(UserState.Solo, 0.41, cfg)
-    assert state is UserState.Locomotion and ev == (StateEvent.StartWIP,)
+    assert state is UserState.Locomotion and ev is StateEvent.StartWIP
     state, ev = step_locomotion(UserState.Locomotion, 0.14, cfg)
-    assert state is UserState.Solo
-    assert ev == (StateEvent.RequestPlacement, StateEvent.Teleport)
+    assert state is UserState.Solo and ev is StateEvent.RequestPlacement
 
 
 def test_step_locomotion_band_is_inert():
@@ -180,15 +178,15 @@ def test_step_locomotion_band_is_inert():
     for speed in (cfg.stop_threshold, 0.2, 0.3, cfg.locomotion_threshold):
         for st0 in (UserState.Solo, UserState.Locomotion):
             state, ev = step_locomotion(st0, speed, cfg)
-            assert state is st0 and ev == ()
+            assert state is st0 and ev is None
 
 
 def test_interaction_state_obeys_same_thresholds():
     cfg = StateConfig()
     state, ev = step_locomotion(UserState.Interaction, 0.5, cfg)
-    assert state is UserState.Locomotion and ev == (StateEvent.StartWIP,)
+    assert state is UserState.Locomotion and ev is StateEvent.StartWIP
     state, ev = step_locomotion(UserState.Interaction, 0.1, cfg)
-    assert state is UserState.Interaction and ev == ()
+    assert state is UserState.Interaction and ev is None
 
 
 @settings(max_examples=50, deadline=None)
@@ -199,10 +197,11 @@ def test_locomotion_events_pair_up(speeds):
     events = []
     for s in speeds:
         state, ev = step_locomotion(state, s, cfg)
-        events.extend(ev)
+        if ev is not None:
+            events.append(ev)
     starts = events.count(StateEvent.StartWIP)
-    stops = events.count(StateEvent.Teleport)
-    assert events.count(StateEvent.RequestPlacement) == stops
+    stops = events.count(StateEvent.RequestPlacement)
+    assert starts + stops == len(events)
     assert starts - stops == (1 if state is UserState.Locomotion else 0)
     # every stop follows a start: scan for ordering violations
     depth = 0
@@ -210,7 +209,7 @@ def test_locomotion_events_pair_up(speeds):
         if e is StateEvent.StartWIP:
             assert depth == 0
             depth = 1
-        elif e is StateEvent.Teleport:
+        else:
             assert depth == 1
             depth = 0
 
@@ -224,7 +223,7 @@ def test_locomotion_events_pair_up(speeds):
     start=st.integers(0, 1000),
 )
 def test_window_slope_matches_polyfit(values, start):
-    win = ConvergenceWindow(TICK_RATE, period=0.3)
+    win = TickWindow(TICK_RATE, 0.3)
     for i, v in enumerate(values):
         win.push(start + i, v, -v)
     kept = values[-(win.span_ticks + 1):]
@@ -232,23 +231,23 @@ def test_window_slope_matches_polyfit(values, start):
     want = np.polyfit(ts, kept, 1)[0]
     if abs(want) > 1e6:
         return  # ill-conditioned fit, both sides lose precision
-    assert win.distance_rate() == pytest.approx(want, rel=1e-6, abs=1e-6)
-    assert win.angle_rate() == pytest.approx(-want, rel=1e-6, abs=1e-6)
+    assert win.slope(1) == pytest.approx(want, rel=1e-6, abs=1e-6)
+    assert win.slope(2) == pytest.approx(-want, rel=1e-6, abs=1e-6)
 
 
 def test_window_requires_full_period():
-    win = ConvergenceWindow(TICK_RATE, period=0.3)
+    win = TickWindow(TICK_RATE, 0.3)
     for t in range(win.span_ticks):  # one short of spanning
         win.push(t, 1.0, 1.0)
     assert not win.spans_period()
     with pytest.raises(InsufficientSamples):
-        win.distance_rate()
+        win.slope(1)
     win.push(win.span_ticks, 1.0, 1.0)
     assert win.spans_period()
 
 
 def test_window_gap_discards_history():
-    win = ConvergenceWindow(TICK_RATE, period=0.3)
+    win = TickWindow(TICK_RATE, 0.3)
     for t in range(25):
         win.push(t, 1.0, 1.0)
     win.push(40, 1.0, 1.0)  # non-contiguous tick
@@ -257,8 +256,8 @@ def test_window_gap_discards_history():
 
 def test_conditions_against_known_rates():
     cfg = StateConfig()
-    fast = ConvergenceWindow(TICK_RATE, period=cfg.condition_period)
-    slow = ConvergenceWindow(TICK_RATE, period=cfg.condition_period)
+    fast = TickWindow(TICK_RATE, cfg.condition_period)
+    slow = TickWindow(TICK_RATE, cfg.condition_period)
     for t in range(fast.span_ticks + 1):
         fast.push(t, 2.0 - 0.5 * t * DT, 1.0 - math.radians(30) * t * DT)
         slow.push(t, 2.0 - 0.1 * t * DT, 1.0 - math.radians(10) * t * DT)

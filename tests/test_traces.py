@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from twinroom.geometry import FORWARD, quat_rotate
 from twinroom.retarget import Skeleton
 from twinroom.states import (
-    SpeedWindow,
     StateConfig,
     StateEvent,
+    TickWindow,
     UserState,
     hand_lifted,
     pelvis_speed,
@@ -275,20 +275,21 @@ def test_walk_then_stop_drives_locomotion_state_machine():
     trace = b.build()
 
     cfg = StateConfig()
-    window = SpeedWindow(trace.tick_rate)
+    window = TickWindow(trace.tick_rate, cfg.speed_window)
     state = UserState.Solo
-    events: list[StateEvent] = []
+    events: list[StateEvent | None] = []
     walking_states = []
     for snap in trace.snapshots:
-        window.push(snap.tick, snap.root.position)
+        x, _, z = snap.root.position.tolist()
+        window.push(snap.tick, x, z)
         speed = pelvis_speed(window) if len(window) >= 2 else 0.0
-        state, evs = step_locomotion(state, speed, cfg)
-        events.extend(evs)
+        state, ev = step_locomotion(state, speed, cfg)
+        events.append(ev)
         walking_states.append(state)
 
     assert events.count(StateEvent.StartWIP) == 1
-    assert events.count(StateEvent.Teleport) == 1
     assert events.count(StateEvent.RequestPlacement) == 1
+    assert events.count(None) == len(events) - 2
     mid = len(trace.snapshots) // 2
     assert walking_states[mid] is UserState.Locomotion
     assert walking_states[-1] is UserState.Solo
