@@ -80,13 +80,12 @@ rounded on every CPU, and the height term sums its squared differences with
 ``math.fsum``, which is correctly rounded too, so a search gives the same
 bits on every machine. A bound only decides what is skipped, never a score.
 
-Scorers are pluggable: anything with a ``score(target, candidate) -> float``
-method can replace the default, including learned models. A scorer may
-also define ``score_batch(target, candidates) -> list[float]``; without it
-the search calls ``score`` once per candidate. A scorer may define
-``score_bound``, batched upper bounds on scores (see ``SimilarityScorer``);
-without it the grid scores every feasible candidate and the swarm every
-feasible particle.
+Scorers are pluggable: anything with ``score_batch`` and ``score_bound``
+(see ``SimilarityScorer``) can replace the default, including learned
+models. The search has one path for every scorer: it always bounds, then
+scores in batches. A scorer that cannot bound returns infinite bounds, and
+then the grid scores every feasible candidate in scan order and the swarm
+every feasible particle.
 """
 
 from __future__ import annotations
@@ -289,19 +288,17 @@ def scorer_config_from_json(document) -> ScorerConfig:
 
 
 class SimilarityScorer(Protocol):
-    """What the search needs of a scorer: ``score``.
+    """What the search needs of a scorer: ``score_batch`` and ``score_bound``.
+    The grid and the swarm call both, for every scorer.
 
-    A scorer may also define ``score_batch(target, candidates) -> list[float]``
-    returning exactly ``[score(target, c) for c in candidates]``; the search
-    then hands it each grid cell's candidates, and the feasible particles
-    each swarm iteration scores, in one call.
+    The grid hands ``score_batch`` each visited cell's candidates, and the
+    swarm the feasible particles that each iteration scores, in one call.
 
-    A scorer may also define ``score_bound(target, accommodation, spatial, *,
-    partner_distance=None, interpersonal=None)``, returning one float per
-    candidate position, each at least the float ``score`` of that position's
-    candidate. ``accommodation`` is an ``(n, ACCOMMODATION_CELLS)`` array of
-    rows and ``spatial`` a ``(categories, n)`` array of spatial tables, inf
-    where no object of a category is in range.
+    ``score_bound`` returns one float per candidate position, each at least
+    the float score of that position's candidate. ``accommodation`` is an
+    ``(n, ACCOMMODATION_CELLS)`` array of rows and ``spatial`` a
+    ``(categories, n)`` array of spatial tables, inf where no object of a
+    category is in range.
     The grid calls it once over all of a room's feasible cells and passes
     ``partner_distance``, the length of the partner's offset from each cell:
     each bound must then hold at every yaw. It skips the cells whose bound is
@@ -309,20 +306,24 @@ class SimilarityScorer(Protocol):
     particles' exact ``(n, 3)`` features and their exact spatial tables, the
     ones their candidates then hold.
     It skips the particles whose bound is at most their personal best. Both
-    None means there is no partner. Without ``score_bound`` everything is
-    scored.
+    None means there is no partner. A scorer that cannot bound returns
+    ``np.full(len(accommodation), np.inf)``, and then everything is scored.
     """
 
-    def score(self, target: FeatureVector, candidate: FeatureVector) -> float:
-        """Similarity in [0, 1]; identical features must score 1."""
+    def score_batch(self, target: FeatureVector, candidates: list[FeatureVector]) -> list[float]:
+        """One similarity in [0, 1] per candidate; identical features must
+        score 1."""
+        ...
+
+    def score_bound(self, target: FeatureVector, accommodation: np.ndarray, spatial: np.ndarray, *,
+                    partner_distance: np.ndarray | None = None,
+                    interpersonal: np.ndarray | None = None) -> np.ndarray:
+        """An upper bound on the scores of each candidate position."""
         ...
 
 
 def _score_all(scorer: SimilarityScorer, target: FeatureVector, candidates: list[FeatureVector]) -> list[float]:
-    score_batch = getattr(scorer, "score_batch", None)
-    if score_batch is None:
-        return [scorer.score(target, c) for c in candidates]
-    scores = score_batch(target, candidates)
+    scores = scorer.score_batch(target, candidates)
     if len(scores) != len(candidates):
         raise ValueError(f"score_batch returned {len(scores)} scores for {len(candidates)} candidates")
     return scores
@@ -336,7 +337,7 @@ def _bounds(bounds, n: int) -> np.ndarray:
     return bounds
 
 
-def default_similarity(a: FeatureVector, b: FeatureVector, cfg: ScorerConfig | None = None) -> float:
+def default_similarity(a: FeatureVector, b: FeatureVector, cfg: ScorerConfig = ScorerConfig()) -> float:
     """Heuristic feature similarity in [0, 1].
 
     Four terms, each 1 for a perfect match and decaying exponentially with
@@ -350,8 +351,6 @@ def default_similarity(a: FeatureVector, b: FeatureVector, cfg: ScorerConfig | N
       averaged over the union of categories; a category present on only one
       side contributes 0. An empty union scores 1.
     """
-    if cfg is None:
-        cfg = ScorerConfig()
     w = cfg.weights
     return (
         w[0] * _interpersonal_term(a.interpersonal, b.interpersonal, cfg)
@@ -769,13 +768,11 @@ class GridTables:
 _GRID_TABLES: dict[tuple[int, GridConfig], GridTables] = {}
 
 
-def grid_tables(room: Room, config: GridConfig | None = None) -> GridTables:
+def grid_tables(room: Room, config: GridConfig = GridConfig()) -> GridTables:
     """The grid's feasible cells and their room-only features, built on a
     ``Room`` object's first search under ``config`` and returned to its later
     ones. They are kept by the object's identity, without a reference to it,
     so an equal room builds its own and they are dropped with the room."""
-    if config is None:
-        config = GridConfig()
     key = (id(room), config)
     tables = _GRID_TABLES.get(key)
     if tables is None:
@@ -832,10 +829,10 @@ class GridResult:
 def grid_search(
     room: Room,
     target: FeatureVector,
-    scorer: SimilarityScorer | None = None,
+    scorer: SimilarityScorer = DefaultScorer(),
     partner: PartnerPose | None = None,
     *,
-    config: GridConfig | None = None,
+    config: GridConfig = GridConfig(),
 ) -> GridResult:
     """The best candidate of the placement grid, as an exhaustive scan finds it.
 
@@ -854,24 +851,16 @@ def grid_search(
     all holding the cell's row and spatial table, with the attention tables
     from one broadcast, and they are scored as one batch. The visit stops at the
     first bound strictly below the best score, since no candidate left can
-    beat or tie it. A scorer without ``score_bound`` has every cell visited
-    in scan order.
+    beat or tie it. Infinite bounds have every cell visited in scan order.
     """
-    if scorer is None:
-        scorer = DefaultScorer()
     tables = grid_tables(room, config)
-    score_bound = getattr(scorer, "score_bound", None)
-
     cells = list(zip(tables.xs, tables.zs, tables.poses, tables.rows, tables.spatial))
-    if score_bound is None:
-        bounds = np.full(len(cells), math.inf)
-    else:
-        distance = None
-        if partner is not None:
-            dx = partner.x - np.array(tables.xs, dtype=float)
-            dz = partner.z - np.array(tables.zs, dtype=float)
-            distance = np.sqrt(dx * dx + dz * dz)
-        bounds = _bounds(score_bound(target, tables.rows, tables.nearest, partner_distance=distance), len(cells))
+    distance = None
+    if partner is not None:
+        dx = partner.x - np.array(tables.xs, dtype=float)
+        dz = partner.z - np.array(tables.zs, dtype=float)
+        distance = np.sqrt(dx * dx + dz * dz)
+    bounds = _bounds(scorer.score_bound(target, tables.rows, tables.nearest, partner_distance=distance), len(cells))
 
     yaws = np.array(tables.yaws)
     n = len(yaws)
@@ -947,9 +936,9 @@ def pso_refine(
     room: Room,
     target: FeatureVector,
     seed: Placement,
-    scorer: SimilarityScorer | None = None,
+    scorer: SimilarityScorer = DefaultScorer(),
     partner: PartnerPose | None = None,
-    config: PsoConfig | None = None,
+    config: PsoConfig = PsoConfig(),
     rng: np.random.Generator | int = 0,
 ) -> PsoResult:
     """Polish a placement inside its grid cell's neighborhood.
@@ -961,18 +950,14 @@ def pso_refine(
 
     Each iteration is one pass: ``_feasible_rows`` gives the feasible
     particles and their accommodation rows (standing, from one broadcast
-    over every particle), and one broadcast their spatial tables. With the
-    scorer's ``score_bound``, a particle whose bound is at most its personal
-    best scores -inf: it could not improve that best either way, so the
-    result is the same. ``_features_at`` builds the other particles'
-    candidates, holding the same tables, and the batch is scored in one
-    call, where the default scorer computes the height term once per
-    distinct row.
+    over every particle), and one broadcast their spatial tables. A
+    particle whose ``score_bound`` is at most its personal best scores
+    -inf: it could not improve that best either way, so the result is the
+    same, and infinite bounds skip nothing. ``_features_at`` builds the
+    other particles' candidates, holding the same tables, and the batch is
+    scored in one ``score_batch`` call, where the default scorer computes
+    the height term once per distinct row.
     """
-    if scorer is None:
-        scorer = DefaultScorer()
-    if config is None:
-        config = PsoConfig()
     if not isinstance(rng, np.random.Generator):
         rng = np.random.Generator(np.random.PCG64(rng))
 
@@ -996,8 +981,6 @@ def pso_refine(
     r = ACCOMMODATION_RADIUS
     arrays = room.arrays.reaching(min(span_x) - r, min(span_z) - r, max(span_x) + r, max(span_z) + r)
 
-    score_bound = getattr(scorer, "score_bound", None)
-
     def evaluate(points: np.ndarray, pbest: np.ndarray | None = None) -> np.ndarray:
         """Scores of a batch of (x, z, yaw) rows, feasible ones scored as one
         batch; infeasible points score -inf. Given the points' personal
@@ -1011,8 +994,8 @@ def pso_refine(
         sins, coss = _turns(kyaws.tolist())
         offsets = _interpersonal_at(partner, kxs, kzs, kyaws, sins, coss)
         nearest = _spatial_at(room.arrays, kxs, kzs)
-        if pbest is not None and score_bound is not None:
-            bounds = _bounds(score_bound(target, rows, nearest, interpersonal=offsets), len(keep))
+        if pbest is not None:
+            bounds = _bounds(scorer.score_bound(target, rows, nearest, interpersonal=offsets), len(keep))
             exact = ~(bounds <= pbest[keep])  # a NaN bound skips nothing
             keep, kxs, kzs, sins, coss, rows = (v[exact] for v in (keep, kxs, kzs, sins, coss, rows))
             nearest = nearest[:, exact]
@@ -1087,19 +1070,17 @@ class PlacementResult:
 def find_placement(
     room: Room,
     target: FeatureVector,
-    scorer: SimilarityScorer | None = None,
+    scorer: SimilarityScorer = DefaultScorer(),
     partner: PartnerPose | None = None,
     *,
-    grid_config: GridConfig | None = None,
-    pso_config: PsoConfig | None = None,
+    grid_config: GridConfig = GridConfig(),
+    pso_config: PsoConfig = PsoConfig(),
     rng: np.random.Generator | int = 0,
 ) -> PlacementResult:
     """Grid search followed by swarm refinement; the full placement query.
     The grid's room-only phase runs on the room's first search under
     ``grid_config`` only (``grid_search``), so a caller searching one room
     again pays for it once."""
-    if scorer is None:
-        scorer = DefaultScorer()
     t0 = time.perf_counter()
     grid = grid_search(room, target, scorer, partner, config=grid_config)
     t1 = time.perf_counter()

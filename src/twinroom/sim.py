@@ -924,11 +924,11 @@ def main(argv=None) -> int:
     parser.add_argument("--room-b", required=True, help="room JSON for peer B")
     parser.add_argument("--trace-a", help="motion trace JSONL for peer A")
     parser.add_argument("--trace-b", help="motion trace JSONL for peer B")
-    parser.add_argument("--seed", type=int, default=0, help="run seed for the placement searches")
+    parser.add_argument("--seed", type=int, help="run seed for the placement searches (default 0)")
     parser.add_argument("--scorer-config", help="JSON overriding similarity weights and scales")
     parser.add_argument("--report", help="write the report JSON here (default: stdout)")
     parser.add_argument("--transcript", help="write the wire transcript JSONL here")
-    parser.add_argument("--latency-ticks", type=int, default=0, help="one-way delivery delay")
+    parser.add_argument("--latency-ticks", type=int, help="one-way delivery delay (default 0)")
     parser.add_argument(
         "--replay",
         metavar="TRANSCRIPT",
@@ -936,6 +936,10 @@ def main(argv=None) -> int:
         "(run settings come from the transcript header)",
     )
     args = parser.parse_args(argv)
+    run_only = ("trace_a", "trace_b", "seed", "scorer_config", "transcript", "latency_ticks")
+    given = ["--" + name.replace("_", "-") for name in run_only if getattr(args, name) is not None]
+    if args.replay and given:
+        parser.error(f"--replay takes its run settings from the transcript header; drop {', '.join(given)}")
 
     try:
         if args.replay:
@@ -946,7 +950,7 @@ def main(argv=None) -> int:
             parser.error("--trace-a and --trace-b are required unless --replay is given")
         trace_a = load_trace(args.trace_a)
         trace_b = load_trace(args.trace_b)
-        config = SimConfig(tick_rate=trace_a.tick_rate, latency_ticks=args.latency_ticks, seed=args.seed,
+        config = SimConfig(tick_rate=trace_a.tick_rate, latency_ticks=args.latency_ticks or 0, seed=args.seed or 0,
                            scorer=scorer_config_from_json(args.scorer_config or {}))
         result = run(args.room_a, args.room_b, trace_a, trace_b, config)
         if args.transcript:

@@ -1,9 +1,11 @@
-"""Every walkthrough in ``demos/`` runs to completion: they drive the public
-placement, retargeting and session APIs end to end."""
+"""Every walkthrough in ``demos/`` and every Python example in the README
+runs to completion: they drive the public placement, retargeting and
+session APIs end to end."""
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +27,14 @@ def test_demo_exits_cleanly(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_readme_python_examples_run(monkeypatch):
+    # the blocks build on each other, as a reader runs them: in order, in
+    # one namespace, with the repo root as the working directory
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) >= 2
+    monkeypatch.chdir(ROOT)
+    namespace = {"__name__": "readme"}
+    for k, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {k}", "exec"), namespace)

@@ -186,6 +186,46 @@ def test_feasibility_has_one_implementation():
     assert found == []
 
 
+_SCORER_METHODS = {"score", "score_batch", "score_bound"}
+
+
+def scorer_lookups(source: str) -> list[str]:
+    """Each ``getattr`` or ``hasattr`` call in code (not strings or
+    comments) that looks up a scorer method: on an object whose expression
+    names a scorer, or by a scorer method's name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "hasattr") and node.args):
+            continue
+        name = node.args[1] if len(node.args) > 1 else None
+        if ("scorer" in ast.unparse(node.args[0])
+                or isinstance(name, ast.Constant) and name.value in _SCORER_METHODS):
+            found.append((node.lineno, node.func.id))
+    return [f"line {line}: {called}" for line, called in sorted(found)]
+
+
+def test_scorer_lookup_scan_finds_each_lookup():
+    sample = (
+        '"""getattr(scorer, "score_bound", None) in a docstring is fine"""\n'
+        "def search(scorer, config):\n"
+        '    bound = getattr(scorer, "score_bound", None)  # getattr(scorer in a comment is fine\n'
+        '    if hasattr(self.scorer, "score_batch"):\n'
+        "        pass\n"
+        '    score = getattr(model, "score")\n'
+        "    value = getattr(config, f.name)\n"
+        '    table = getattr(self, "spatial")\n'
+        "    return scorer.score_bound(target, rows, nearest)\n"
+    )
+    assert scorer_lookups(sample) == ["line 3: getattr", "line 4: hasattr", "line 6: getattr"]
+
+
+def test_the_search_calls_every_scorer_method_unconditionally():
+    # the grid and the swarm call `score_bound` and `score_batch` on every
+    # scorer, so there is one search path, not one per scorer shape
+    assert scorer_lookups((SRC / "twinroom" / "placement.py").read_text()) == []
+
+
 def test_only_the_document_reader_reads_files():
     # every room, trace, transcript and scorer config goes through one reader,
     # so each takes the same inline-or-path rule and the same read errors

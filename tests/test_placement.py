@@ -198,15 +198,24 @@ def test_grid_search_equals_exhaustive():
         assert got.evaluated == want_evaluated
 
 
-class ScoreOnly:
-    """A scorer with only ``score``: the search must fall back to one call
-    per candidate."""
+class Unbounded:
+    """A scorer that cannot bound: every bound is inf, so the grid scores
+    every feasible candidate in scan order and the swarm every feasible
+    particle, as an exhaustive search does."""
+
+    def score_bound(self, target, accommodation, spatial, **given):
+        return np.full(len(accommodation), np.inf)
+
+
+class PerCandidate(Unbounded):
+    """The default score, one ``score`` call per candidate, with no bound:
+    the unbatched, exhaustive oracle."""
 
     def __init__(self):
         self.inner = DefaultScorer()
 
-    def score(self, target, candidate):
-        return self.inner.score(target, candidate)
+    def score_batch(self, target, candidates):
+        return [self.inner.score(target, c) for c in candidates]
 
 
 def demo_rooms():
@@ -224,7 +233,7 @@ def sitting_seed(room):
 
 
 def test_batched_search_equals_per_candidate_fallback():
-    batched, fallback = DefaultScorer(), ScoreOnly()
+    batched, fallback = DefaultScorer(), PerCandidate()
     rooms = [random_room(np.random.default_rng(700 + i)) for i in range(3)] + demo_rooms()
     sat = 0
     for case, room in enumerate(rooms):
@@ -261,14 +270,15 @@ def test_pso_equals_per_particle_reference():
                 assert (got.placement, got.score) == want, f"room {case}, {seed.pose}"
 
 
-def test_find_placement_accepts_a_score_only_scorer():
-    room = demo_rooms()[1]
-    target = extract_features(demo_rooms()[0], Placement(1.35, 0.55, math.pi, PlacementPose.Sitting))
-    cfg = dict(grid_config=GridConfig(cell=0.5, yaw_count=8), pso_config=PsoConfig(particles=8, iterations=4))
-    got = find_placement(room, target, ScoreOnly(), rng=3, **cfg)
-    want = find_placement(room, target, DefaultScorer(), rng=3, **cfg)
-    assert (got.placement, got.score, got.grid_placement, got.grid_score) == (
-        want.placement, want.score, want.grid_placement, want.grid_score)
+def test_find_placement_refuses_a_score_only_scorer():
+    class ScoreOnly:
+        def score(self, target, candidate):
+            return 1.0
+
+    office, loft = demo_rooms()
+    target = extract_features(office, Placement(1.35, 0.55, math.pi, PlacementPose.Sitting))
+    with pytest.raises(AttributeError, match="score_bound"):
+        find_placement(loft, target, ScoreOnly(), grid_config=GridConfig(cell=0.5, yaw_count=8))
 
 
 def test_score_batch_is_score_per_candidate():
@@ -297,15 +307,12 @@ def test_score_batch_is_score_per_candidate():
 # --- bounded grid -------------------------------------------------------------
 
 
-class NoBound:
-    """A scorer's ``score`` and ``score_batch`` without its ``score_bound``:
-    the grid then scores every feasible candidate in scan order."""
+class NoBound(Unbounded):
+    """A scorer's ``score_batch`` with infinite bounds in place of its
+    ``score_bound``: the exhaustive search with the same scores."""
 
     def __init__(self, inner):
         self.inner = inner
-
-    def score(self, target, candidate):
-        return self.inner.score(target, candidate)
 
     def score_batch(self, target, candidates):
         return self.inner.score_batch(target, candidates)
@@ -319,9 +326,6 @@ class Quantized:
 
     def __init__(self, config):
         self.inner = DefaultScorer(config)
-
-    def score(self, target, candidate):
-        return math.floor(self.inner.score(target, candidate) * 4.0) / 4.0
 
     def score_batch(self, target, candidates):
         return [math.floor(s * 4.0) / 4.0 for s in self.inner.score_batch(target, candidates)]
@@ -407,9 +411,6 @@ def test_grid_tables_are_built_once_per_room_object_and_config():
 class Flat:
     """Every candidate scores 0.5, and a cell's bound is 0.5 plus its
     partner distance."""
-
-    def score(self, target, candidate):
-        return 0.5
 
     def score_batch(self, target, candidates):
         return [0.5] * len(candidates)
@@ -544,7 +545,7 @@ def test_grid_prunes_most_candidates_with_the_default_scorer():
             target = extract_features(room, user, PartnerPose(avatar.x, avatar.z, avatar.yaw))
             partner = PartnerPose(local.x, local.z, local.yaw)
             pruned = grid_search(other_room, target, DefaultScorer(), partner)
-            full = grid_search(other_room, target, ScoreOnly(), partner)
+            full = grid_search(other_room, target, PerCandidate(), partner)
             assert pruned.scored < 0.1 * pruned.evaluated, (other_room.id, pruned.scored, pruned.evaluated)
             assert full.scored == full.evaluated == pruned.evaluated
             assert (pruned.placement, pruned.score) == (full.placement, full.score)
@@ -1173,15 +1174,12 @@ def assert_same_features(got, want, where):
         assert all(d is None or type(d) is float for d in table), where
 
 
-class Recorder:
-    """Keeps every batch the search scores."""
+class Recorder(Unbounded):
+    """Keeps every batch the exhaustive search scores."""
 
     def __init__(self):
         self.inner = DefaultScorer()
         self.batches = []
-
-    def score(self, target, candidate):
-        return self.inner.score(target, candidate)
 
     def score_batch(self, target, candidates):
         self.batches.append(list(candidates))

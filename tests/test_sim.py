@@ -1447,6 +1447,27 @@ def test_cli_requires_traces_unless_replaying(tmp_path):
         main(["--room-a", str(paths["room_a"]), "--room-b", str(paths["room_b"])])
 
 
+def test_cli_refuses_run_only_flags_under_replay(tmp_path, capsys, base_result):
+    # replay takes every run setting from the transcript header, so a run
+    # flag beside --replay, even one at its default, is refused, not ignored
+    paths = write_fixtures(tmp_path)
+    transcript = tmp_path / "t.jsonl"
+    transcript.write_text(base_result.transcript)
+    written = tmp_path / "t2.jsonl"
+    for flags, named in (
+        (["--seed", "5", "--scorer-config", '{"sigma_height":0.9}', "--transcript", written, "--latency-ticks", "3"],
+         "--seed, --scorer-config, --transcript, --latency-ticks"),
+        (["--trace-a", paths["trace_a"], "--trace-b", paths["trace_b"], "--seed", "0"],
+         "--trace-a, --trace-b, --seed"),
+    ):
+        with pytest.raises(SystemExit) as refused:
+            main([str(arg) for arg in ["--room-a", paths["room_a"], "--room-b", paths["room_b"],
+                                       "--replay", transcript, *flags]])
+        assert refused.value.code == 2
+        assert named in capsys.readouterr().err
+    assert not written.exists()
+
+
 def per_float_pose_update(snap, tick: int) -> PoseUpdate:
     """The wire pose quantized one float at a time through ``f32``."""
     root_q = quat_normalize(snap.root.orientation)
