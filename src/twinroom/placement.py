@@ -16,8 +16,10 @@ user actually stands. Context is captured as a four-part feature vector:
   view cone at eye height,
 * spatial context: nearest distance per object category within 3 m.
 
-Both per-category features are fixed tuples indexed by
+A ``FeatureVector`` holds both per-category features as tuples indexed by
 ``ObjectCategory.value``, None where no object of the category is in range.
+Only ``extract_features`` builds one: the search holds its candidates in the
+arrays a scorer takes (see ``SimilarityScorer``).
 
 The default scorer turns feature differences into a similarity in [0, 1]
 (identical features score exactly 1). The search finds the best cell of a
@@ -31,9 +33,6 @@ cells off the point's accommodation row (each foot cell is an accommodation
 cell, offset for offset, bit for bit), so one broadcast gives a point both
 its feasibility and its row. No point admits both poses: a seat under the
 body disc also covers the center foot cell, at a sit_height of at least 0.2.
-One function builds every candidate's features: it takes the
-accommodation rows and spatial tables from its caller and adds the
-attention tables in one broadcast.
 
 The grid is a bounded best-first scan with the result of an exhaustive one.
 Its room-only phase, ``grid_tables``, takes one grid column at a time and
@@ -58,8 +57,7 @@ their rows, their interpersonal features and those tables, bounds their
 scores. A particle whose bound is at most its personal best scores -inf
 instead of its score. Neither can improve that best, so nothing the swarm
 keeps changes. The other particles are scored together, with the same
-tables; the default scorer computes the height term once per distinct
-accommodation row.
+rows, tables and offsets.
 A swarm's accommodation broadcasts run only against the objects whose
 footprint reaches the box its samples lie in, which drops only objects that
 cover none of them.
@@ -289,28 +287,31 @@ def scorer_config_from_json(document) -> ScorerConfig:
 
 class SimilarityScorer(Protocol):
     """What the search needs of a scorer: ``score_batch`` and ``score_bound``.
-    The grid and the swarm call both, for every scorer.
+    The grid and the swarm call both, for every scorer, on a batch of n
+    candidates in one layout: ``accommodation`` is an ``(n,
+    ACCOMMODATION_CELLS)`` array of rows, ``attention`` and ``spatial`` are
+    ``(categories, n)`` arrays of tables, inf where no object of a category
+    is in range, and ``interpersonal`` is an ``(n, 3)`` array of partner
+    offsets, None without a partner. Each returns one float per candidate.
 
     The grid hands ``score_batch`` each visited cell's candidates, and the
     swarm the feasible particles that each iteration scores, in one call.
 
     ``score_bound`` returns one float per candidate position, each at least
-    the float score of that position's candidate. ``accommodation`` is an
-    ``(n, ACCOMMODATION_CELLS)`` array of rows and ``spatial`` a
-    ``(categories, n)`` array of spatial tables, inf where no object of a
-    category is in range.
+    the float score of that position's candidate.
     The grid calls it once over all of a room's feasible cells and passes
     ``partner_distance``, the length of the partner's offset from each cell:
     each bound must then hold at every yaw. It skips the cells whose bound is
-    below the best score found. The swarm passes ``interpersonal``, the
-    particles' exact ``(n, 3)`` features and their exact spatial tables, the
-    ones their candidates then hold.
-    It skips the particles whose bound is at most their personal best. Both
-    None means there is no partner. A scorer that cannot bound returns
-    ``np.full(len(accommodation), np.inf)``, and then everything is scored.
+    below the best score found. The swarm passes ``interpersonal`` and the
+    particles' spatial tables, the ones ``score_batch`` then gets for the
+    particles it scores. It skips the particles whose bound is at most their
+    personal best. Both None means there is no partner. A scorer that cannot
+    bound returns ``np.full(len(accommodation), np.inf)``, and then
+    everything is scored.
     """
 
-    def score_batch(self, target: FeatureVector, candidates: list[FeatureVector]) -> list[float]:
+    def score_batch(self, target: FeatureVector, accommodation: np.ndarray, attention: np.ndarray,
+                    spatial: np.ndarray, *, interpersonal: np.ndarray | None = None) -> np.ndarray:
         """One similarity in [0, 1] per candidate; identical features must
         score 1."""
         ...
@@ -322,19 +323,12 @@ class SimilarityScorer(Protocol):
         ...
 
 
-def _score_all(scorer: SimilarityScorer, target: FeatureVector, candidates: list[FeatureVector]) -> list[float]:
-    scores = scorer.score_batch(target, candidates)
-    if len(scores) != len(candidates):
-        raise ValueError(f"score_batch returned {len(scores)} scores for {len(candidates)} candidates")
-    return scores
-
-
-def _bounds(bounds, n: int) -> np.ndarray:
-    """A ``score_bound`` result as a float array, checked to hold n bounds."""
-    bounds = np.asarray(bounds, dtype=float)
-    if bounds.shape != (n,):
-        raise ValueError(f"score_bound returned shape {bounds.shape} for {n} candidates")
-    return bounds
+def _checked(values, n: int, method: str) -> np.ndarray:
+    """What a scorer's ``method`` returned as a float array of n entries."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise ValueError(f"{method} returned shape {values.shape} for {n} candidates")
+    return values
 
 
 def default_similarity(a: FeatureVector, b: FeatureVector, cfg: ScorerConfig = ScorerConfig()) -> float:
@@ -399,51 +393,45 @@ class DefaultScorer:
     def score(self, target: FeatureVector, candidate: FeatureVector) -> float:
         return default_similarity(target, candidate, self.config)
 
-    def score_batch(self, target: FeatureVector, candidates: list[FeatureVector]) -> list[float]:
-        """``score`` for each candidate. The height term is computed once per
-        distinct accommodation row content, a spatial table that a candidate
-        shares with the one before it (a grid cell's yaws) is
-        compared with the target once, and so is each distinct attention
-        table."""
+    def score_batch(self, target: FeatureVector, accommodation: np.ndarray, attention: np.ndarray,
+                    spatial: np.ndarray, *, interpersonal: np.ndarray | None = None) -> np.ndarray:
+        """``score`` of each candidate with its floating-point operations:
+        each term over the batch (``math.exp`` of each exponent, the height
+        term once per distinct row), summed in the same order. It raises
+        where ``score`` raises, on an infinite relative facing."""
         cfg = self.config
         w0, w1, w2, w3 = cfg.weights
-        falloff = cfg.distance_falloff
-        heights = spatial = None
-        height_terms: dict[bytes, float] = {}
-        attention_terms: dict[tuple, float] = {}
-        out = []
-        for c in candidates:
-            if c.pose_accommodation is not heights:
-                heights = c.pose_accommodation
-                key = heights.tobytes()
-                s_height = height_terms.get(key)
-                if s_height is None:
-                    s_height = _height_term(target.pose_accommodation, heights, cfg.sigma_height)
-                    height_terms[key] = s_height
-            if c.spatial is not spatial:
-                spatial = c.spatial
-                s_spatial = _category_term(target.spatial, spatial, falloff)
-            s_inter = _interpersonal_term(target.interpersonal, c.interpersonal, cfg)
-            s_attention = attention_terms.get(c.visual_attention)
-            if s_attention is None:
-                s_attention = _category_term(target.visual_attention, c.visual_attention, falloff)
-                attention_terms[c.visual_attention] = s_attention
-            out.append(w0 * s_inter + w1 * s_height + w2 * s_attention + w3 * s_spatial)
-        return out
+        s_attention, s_spatial = _category_means(target.visual_attention + target.spatial,
+                                                 np.concatenate((attention, spatial)),
+                                                 lambda gap, b: _exps(-gap / cfg.distance_falloff))
+        return (
+            w0 * _interpersonal_terms(target.interpersonal, interpersonal, cfg)
+            + w1 * _height_terms(target.pose_accommodation, accommodation, cfg.sigma_height)
+            + w2 * s_attention
+            + w3 * s_spatial
+        )
 
     def score_bound(self, target: FeatureVector, accommodation: np.ndarray, spatial: np.ndarray, *,
                     partner_distance: np.ndarray | None = None,
                     interpersonal: np.ndarray | None = None) -> np.ndarray:
         """``score``'s sum with attention at its maximum 1 and every other
         term at a bound, in the same order: each addend is at least the
-        score's, so the rounded sum is too."""
+        score's, so the rounded sum is too.
+
+        The spatial term's distances are the candidates' own, so its union
+        is the same, each category's term, lowered by a pad, is at least its
+        exact one, and they are summed in the same order. The pad grows with
+        the gap, so a target distance of inf, which a peer may send, bounds
+        its term by the table's last entry (the term is 0), and NaN gives NaN
+        only where the term is NaN."""
         cfg = self.config
         w0, w1, w2, w3 = cfg.weights
         return (
             w0 * _interpersonal_bound(target.interpersonal, partner_distance, interpersonal, cfg)
             + w1 * _height_bound(target.pose_accommodation, accommodation, cfg.sigma_height)
             + w2 * 1.0
-            + w3 * _category_bound(target.spatial, spatial, cfg.distance_falloff)
+            + w3 * _category_means(target.spatial, spatial, lambda gap, b: _exp_upper(
+                (gap * (1.0 - 1e-9) - 1e-9 * (1.0 + 2.0 * b)) / cfg.distance_falloff))[0]
         )
 
 
@@ -475,6 +463,30 @@ def _wrap_angles_positive(a: np.ndarray) -> np.ndarray:
     return np.where(a >= 2.0 * math.pi, 0.0, a)
 
 
+def _exps(x: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each entry, as ``score`` takes each exponential."""
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _partner_gaps(a, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The offset distance and the absolute wrapped facing delta from a to
+    each row of b, bit for bit as ``_interpersonal_term`` computes them. An
+    infinite facing delta raises the ``ValueError`` that ``math.fmod``
+    raises there."""
+    dx, dz, dyaw = (np.array(a, dtype=float) - b).T
+    if np.isinf(dyaw).any():
+        raise ValueError("math domain error")
+    return np.sqrt(dx * dx + dz * dz), np.abs(_wrap_angles(dyaw))
+
+
+def _interpersonal_terms(a, b: np.ndarray | None, cfg: ScorerConfig):
+    """``_interpersonal_term(a, row, cfg)`` for each row of b (None: no partner)."""
+    if a is None or b is None:
+        return 1.0 if a is b else 0.0
+    offset, facing = _partner_gaps(a, b)
+    return _exps(-(offset / cfg.sigma_offset + facing / cfg.sigma_facing))
+
+
 def _interpersonal_bound(a, partner_distance: np.ndarray | None, interpersonal: np.ndarray | None,
                          cfg: ScorerConfig):
     """At least ``_interpersonal_term(a, b, cfg)`` for each candidate b.
@@ -492,11 +504,23 @@ def _interpersonal_bound(a, partner_distance: np.ndarray | None, interpersonal: 
     if interpersonal is None:
         gap = np.abs(math.sqrt(a[0] * a[0] + a[1] * a[1]) - partner_distance)
         return _exp_upper((gap * (1.0 - 1e-9) - 1e-9 * (1.0 + 2.0 * partner_distance)) / cfg.sigma_offset)
-    dx = a[0] - interpersonal[:, 0]
-    dz = a[1] - interpersonal[:, 1]
-    offset = np.sqrt(dx * dx + dz * dz) * (1.0 - 1e-9)
-    facing = np.abs(_wrap_angles(a[2] - interpersonal[:, 2]))
-    return _exp_upper(offset / cfg.sigma_offset + facing / cfg.sigma_facing)
+    offset, facing = _partner_gaps(a, interpersonal)
+    return _exp_upper(offset * (1.0 - 1e-9) / cfg.sigma_offset + facing / cfg.sigma_facing)
+
+
+def _height_terms(ha: np.ndarray, rows: np.ndarray, sigma: float) -> np.ndarray:
+    """``_height_term(ha, row, sigma)`` for each row, computed once per
+    distinct row content: the rows sorted by their bytes (unless all are one
+    row, as a grid cell's are), each one that differs from the row before it
+    starts a group."""
+    bits = np.ascontiguousarray(rows, dtype=float).view(np.uint64)
+    if len(bits) and (bits == bits[0]).all():
+        return np.full(len(bits), _height_term(ha, rows[0], sigma))
+    order = np.argsort(bits.view(np.dtype((np.void, 8 * ACCOMMODATION_CELLS)))[:, 0])
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (bits[order[1:]] != bits[order[:-1]]).any(axis=1)
+    distinct = np.array([_height_term(ha, rows[i], sigma) for i in order[first].tolist()])
+    return distinct[first.cumsum() - 1][np.argsort(order)]
 
 
 def _height_bound(ha: np.ndarray, rows: np.ndarray, sigma: float) -> np.ndarray:
@@ -508,23 +532,23 @@ def _height_bound(ha: np.ndarray, rows: np.ndarray, sigma: float) -> np.ndarray:
     return _exp_upper(rms * (1.0 - 1e-9) / sigma)
 
 
-def _category_bound(ta: tuple, nearest: np.ndarray, falloff: float) -> np.ndarray:
-    """At least ``_category_term(ta, tb, falloff)`` for each column tb of a
-    (categories, batch) array, inf where a category is absent. The
-    distances are the candidates' own, so the union is the same, each term,
-    lowered by a pad, is at least its exact one, and the terms are summed in
-    the same order. The pad grows with the gap, so a target distance of inf,
-    which a peer may send, bounds its term by the table's last entry (the
-    term is 0) instead of making inf - inf, and NaN gives NaN only where the
-    term is NaN."""
-    here = [c for c, d in enumerate(ta) if d is not None]
-    a = np.array([ta[c] for c in here])[:, None]
-    there = nearest[here] < math.inf
-    b = np.where(there, nearest[here], 0.0)
-    gap = np.abs(a - b)
-    terms = np.where(there, _exp_upper((gap * (1.0 - 1e-9) - 1e-9 * (1.0 + 2.0 * b)) / falloff), 0.0)
-    total = sum(terms, np.zeros(nearest.shape[1]))  # category by category, as _category_term adds
-    union = len(here) + (nearest[[c for c, d in enumerate(ta) if d is None]] < math.inf).sum(axis=0)
+def _category_means(tables: tuple, nearest: np.ndarray, term) -> np.ndarray:
+    """``_category_term``'s mean for k target tables joined in ``tables``,
+    one row each, against the candidates' ``(k * categories, batch)`` tables,
+    stacked the same way. ``term(gap, b)`` gives each category present on
+    both sides its term from the gap ``|a - b|`` and the candidate's
+    distance b; a category on one side only adds 0. The terms are added in
+    category order, as ``_category_term`` adds them."""
+    held = np.array([d is not None for d in tables])[:, None]
+    there = nearest < math.inf
+    both = held & there
+    a = np.array([0.0 if d is None else d for d in tables], dtype=float)[:, None]
+    b = nearest[both]
+    terms = np.zeros(nearest.shape)
+    terms[both] = term(np.abs(a.repeat(nearest.shape[1], axis=1)[both] - b), b)
+    shape = (len(tables) // _CATEGORY_COUNT, _CATEGORY_COUNT, nearest.shape[1])
+    total = np.add.accumulate(terms.reshape(shape), axis=1)[:, -1]
+    union = (held | there).reshape(shape).sum(axis=1)
     return np.where(union == 0, 1.0, total / np.maximum(union, 1))
 
 
@@ -552,22 +576,17 @@ def _least_per_category(arrays: RoomArrays, dist: np.ndarray) -> np.ndarray:
     return nearest
 
 
-def _tables(nearest: np.ndarray) -> list[tuple]:
-    """Per-category tables, one per column of a (category, batch) array of
-    least distances, None where the distance is inf (nothing in range)."""
-    return list(map(tuple, np.where(nearest == math.inf, None, nearest).T.tolist()))
-
-
 def _attention_at(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray, fxs: np.ndarray, fzs: np.ndarray,
-                  eye_height: float) -> list[tuple]:
+                  eye_height: float) -> np.ndarray:
     """Visual attention tables of a batch of eyes at ``eye_height`` above
-    (xs, zs), looking level along (fxs, 0, fzs) = (sin yaw, 0, cos yaw).
+    (xs, zs), looking level along (fxs, 0, fzs) = (sin yaw, 0, cos yaw), as a
+    (categories, batch) array, inf where no object of a category is in the
+    cone. The four arrays or floats broadcast against each other.
 
-    The four 1-D arrays broadcast against each other, and the tables come
-    back in the order of that batch. One broadcast against every object of
-    ``arrays`` computes ``scene.objects_in_fov``'s distances and cone test;
-    a category's entry is the least distance among its objects in the cone,
-    which is its first hit in ``objects_in_fov``'s (distance, id) order.
+    One broadcast against every object of ``arrays`` computes
+    ``scene.objects_in_fov``'s distances and cone test; a category's entry
+    is the least distance among its objects in the cone, which is its first
+    hit in ``objects_in_fov``'s (distance, id) order.
     """
     vx = arrays.px - xs  # objects along the first axis, the batch along the last
     vy = arrays.py - eye_height
@@ -577,7 +596,7 @@ def _attention_at(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray, fxs: np.nd
     # so the dot product has no y term: vy * 0 only adds a signed zero, and
     # no comparison tells -0.0 from 0.0
     inside = (dist < _EPS) | (vx * fxs + vz * fzs >= _COS_HALF_ATTENTION * dist)
-    return _tables(_least_per_category(arrays, np.where(inside, dist, math.inf)))
+    return _least_per_category(arrays, np.where(inside, dist, math.inf))
 
 
 def _spatial_at(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -606,29 +625,6 @@ def _turns(yaws: list[float]) -> tuple[np.ndarray, np.ndarray]:
     return np.array([math.sin(yaw) for yaw in yaws]), np.array([math.cos(yaw) for yaw in yaws])
 
 
-def _candidate(interpersonal, accommodation: np.ndarray, attention: tuple, spatial: tuple) -> FeatureVector:
-    """A FeatureVector from tables the search built in vector form, without
-    ``__post_init__``'s conversion and checks."""
-    fv = object.__new__(FeatureVector)
-    fv.__dict__.update(interpersonal=interpersonal, pose_accommodation=accommodation,
-                       visual_attention=attention, spatial=spatial)
-    return fv
-
-
-def _features_at(room: Room, xs: np.ndarray, zs: np.ndarray, sins: np.ndarray, coss: np.ndarray,
-                 pose: PlacementPose, interpersonal: np.ndarray | None, rows, spatial: list[tuple]
-                 ) -> list[FeatureVector]:
-    """Feature vectors of a batch of placements sharing one pose, from their
-    positions, yaw sines and cosines, interpersonal rows (None without a
-    partner), accommodation rows and spatial tables. Their attention tables
-    come from one broadcast against every object of the room. Each
-    candidate holds the row and the table it was given, so placements given
-    the same objects (a grid cell's yaws) share them."""
-    attention = _attention_at(room.arrays, xs, zs, sins, coss, _eye_height(pose))
-    offsets = [None] * len(attention) if interpersonal is None else list(map(tuple, interpersonal.tolist()))
-    return [_candidate(*features) for features in zip(offsets, rows, attention, spatial)]
-
-
 def extract_features(
     room: Room,
     placement: Placement,
@@ -643,8 +639,10 @@ def extract_features(
     arrays = room.arrays
     cx, cz, yaw = np.array([p.x]), np.array([p.z]), np.array([p.yaw])
     sins, coss = _turns([p.yaw])
-    return _features_at(room, cx, cz, sins, coss, p.pose, _interpersonal_at(partner, cx, cz, yaw, sins, coss),
-                        _accommodation_at(arrays, cx, cz), _tables(_spatial_at(arrays, cx, cz)))[0]
+    offsets = _interpersonal_at(partner, cx, cz, yaw, sins, coss)
+    tables = (_attention_at(arrays, cx, cz, sins, coss, _eye_height(p.pose)), _spatial_at(arrays, cx, cz))
+    return FeatureVector(None if offsets is None else tuple(offsets[0].tolist()), _accommodation_at(arrays, cx, cz)[0],
+                         *(tuple(None if d == math.inf else d for d in t[:, 0].tolist()) for t in tables))
 
 
 # --- feasibility ------------------------------------------------------------
@@ -750,10 +748,10 @@ class GridTables:
     """The room-only phase of a grid search: every grid cell that admits a
     pose, in scan order, with its pose, its accommodation row (a row of
     ``rows``, one ``(cells, ACCOMMODATION_CELLS)`` array) and its spatial
-    table (a column of ``nearest``, one ``(categories, cells)`` array, and
-    an entry of ``spatial``). Nothing here depends on the target, the
-    partner or the scorer, so every search of one room under one config
-    shares them, and both arrays are read-only."""
+    table (a column of ``nearest``, one ``(categories, cells)`` array).
+    Nothing here depends on the target, the partner or the scorer, so every
+    search of one room under one config shares them, and both arrays are
+    read-only."""
 
     yaws: tuple[float, ...]
     candidates_per_pose: int    # grid size, including infeasible cells
@@ -762,7 +760,6 @@ class GridTables:
     poses: tuple[PlacementPose, ...]
     rows: np.ndarray
     nearest: np.ndarray
-    spatial: tuple[tuple, ...]
 
 
 _GRID_TABLES: dict[tuple[int, GridConfig], GridTables] = {}
@@ -812,7 +809,6 @@ def _build_grid_tables(room: Room, config: GridConfig) -> GridTables:
         poses=tuple(pose for _, _, pose in cells),
         rows=rows,
         nearest=nearest,
-        spatial=tuple(_tables(nearest)),
     )
 
 
@@ -847,20 +843,22 @@ def grid_search(
 
     One ``score_bound`` call gives every feasible cell a bound on its
     candidates. Cells are visited by descending bound, scan order among
-    equal bounds: ``_features_at`` builds a cell's candidate at every yaw,
-    all holding the cell's row and spatial table, with the attention tables
-    from one broadcast, and they are scored as one batch. The visit stops at the
-    first bound strictly below the best score, since no candidate left can
-    beat or tie it. Infinite bounds have every cell visited in scan order.
+    equal bounds: a cell's candidates are its yaws, all holding the cell's
+    row and spatial table, with their attention tables from one broadcast
+    and their partner offsets from another, and they are scored as one
+    batch. The visit stops at the first bound strictly below the best
+    score, since no candidate left can beat or tie it. Infinite bounds have
+    every cell visited in scan order.
     """
     tables = grid_tables(room, config)
-    cells = list(zip(tables.xs, tables.zs, tables.poses, tables.rows, tables.spatial))
+    cells = len(tables.xs)
     distance = None
     if partner is not None:
         dx = partner.x - np.array(tables.xs, dtype=float)
         dz = partner.z - np.array(tables.zs, dtype=float)
         distance = np.sqrt(dx * dx + dz * dz)
-    bounds = _bounds(scorer.score_bound(target, tables.rows, tables.nearest, partner_distance=distance), len(cells))
+    bounds = _checked(scorer.score_bound(target, tables.rows, tables.nearest, partner_distance=distance), cells,
+                      "score_bound")
 
     yaws = np.array(tables.yaws)
     n = len(yaws)
@@ -873,12 +871,13 @@ def grid_search(
     for k in np.argsort(-bounds, kind="stable").tolist():
         if bounds[k] < best_score:
             break
-        x, z, pose, row, spatial = cells[k]
-        candidates = _features_at(room, np.full(n, x), np.full(n, z), sins, coss, pose,
-                                  _interpersonal_at(partner, x, z, yaws, sins, coss), [row] * n, [spatial] * n)
-        scores = _score_all(scorer, target, candidates)
+        x, z, pose = tables.xs[k], tables.zs[k], tables.poses[k]
+        attention = _attention_at(room.arrays, x, z, sins, coss, _eye_height(pose))
+        scores = _checked(scorer.score_batch(
+            target, tables.rows[k:k + 1].repeat(n, axis=0), attention, tables.nearest[:, k:k + 1].repeat(n, axis=1),
+            interpersonal=_interpersonal_at(partner, x, z, yaws, sins, coss)), n, "score_batch")
         scored += n
-        for score, yaw in zip(scores, tables.yaws):
+        for score, yaw in zip(scores.tolist(), tables.yaws):
             # within a cell the first best wins; across cells the lower scan index
             if score > best_score or (score == best_score and k < best_cell):
                 best_score = score
@@ -890,11 +889,11 @@ def grid_search(
         if not cells:
             raise NoFeasiblePlacement(f"room {room.id!r}: none of the {total} grid candidates is feasible")
         raise NoFeasiblePlacement(
-            f"room {room.id!r}: {n * len(cells)} of the {total} grid candidates are feasible, "
+            f"room {room.id!r}: {n * cells} of the {total} grid candidates are feasible, "
             f"but none of them scored a number"
         )
     return GridResult(placement=best_placement, score=best_score, candidates_per_pose=tables.candidates_per_pose,
-                      evaluated=n * len(cells), scored=scored)
+                      evaluated=n * cells, scored=scored)
 
 
 # --- particle swarm refinement ----------------------------------------------
@@ -953,10 +952,10 @@ def pso_refine(
     over every particle), and one broadcast their spatial tables. A
     particle whose ``score_bound`` is at most its personal best scores
     -inf: it could not improve that best either way, so the result is the
-    same, and infinite bounds skip nothing. ``_features_at`` builds the
-    other particles' candidates, holding the same tables, and the batch is
-    scored in one ``score_batch`` call, where the default scorer computes
-    the height term once per distinct row.
+    same, and infinite bounds skip nothing. The other particles get their
+    attention tables from one broadcast and are scored, with the same rows,
+    spatial tables and partner offsets, in one ``score_batch`` call, where
+    the default scorer computes the height term once per distinct row.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.Generator(np.random.PCG64(rng))
@@ -995,7 +994,8 @@ def pso_refine(
         offsets = _interpersonal_at(partner, kxs, kzs, kyaws, sins, coss)
         nearest = _spatial_at(room.arrays, kxs, kzs)
         if pbest is not None:
-            bounds = _bounds(scorer.score_bound(target, rows, nearest, interpersonal=offsets), len(keep))
+            bounds = _checked(scorer.score_bound(target, rows, nearest, interpersonal=offsets), len(keep),
+                              "score_bound")
             exact = ~(bounds <= pbest[keep])  # a NaN bound skips nothing
             keep, kxs, kzs, sins, coss, rows = (v[exact] for v in (keep, kxs, kzs, sins, coss, rows))
             nearest = nearest[:, exact]
@@ -1003,8 +1003,9 @@ def pso_refine(
                 offsets = offsets[exact]
         scores = np.full(len(points), -math.inf)
         if len(keep):
-            candidates = _features_at(room, kxs, kzs, sins, coss, pose, offsets, rows, _tables(nearest))
-            scores[keep] = _score_all(scorer, target, candidates)
+            attention = _attention_at(room.arrays, kxs, kzs, sins, coss, _eye_height(pose))
+            scores[keep] = _checked(scorer.score_batch(target, rows, attention, nearest, interpersonal=offsets),
+                                    len(keep), "score_batch")
         return scores
 
     def finish(point: np.ndarray, evaluated: int) -> PsoResult:

@@ -226,6 +226,54 @@ def test_the_search_calls_every_scorer_method_unconditionally():
     assert scorer_lookups((SRC / "twinroom" / "placement.py").read_text()) == []
 
 
+_FEATURE_BUILDERS = {"FeatureVector", "_candidate", "_tables"}
+
+
+def feature_builds(source: str) -> list[str]:
+    """Each call in code (not strings or comments) of ``FeatureVector``,
+    ``_candidate`` or ``_tables``, by name or as an attribute, or of a
+    ``__new__`` given one of them, outside ``extract_features``, with the
+    top-level definition it is in."""
+    found = []
+    for top in ast.parse(source).body:
+        if getattr(top, "name", None) == "extract_features":
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "__new__" and node.args and isinstance(node.args[0], ast.Name):
+                name = node.args[0].id
+            if name in _FEATURE_BUILDERS:
+                found.append((node.lineno, node.col_offset, name, getattr(top, "name", "the module")))
+    return [f"line {line}: {name} in {where}" for line, _, name, where in sorted(found)]
+
+
+def test_feature_build_scan_finds_each_call():
+    sample = (
+        '"""FeatureVector(...) in a docstring is fine"""\n'
+        "def extract_features(room) -> FeatureVector:\n"
+        "    return FeatureVector(None, rows[0], _tables(a)[0], _tables(b)[0])\n"
+        "class Scorer:\n"
+        "    def score(self, fv: FeatureVector):  # FeatureVector( in a comment is fine\n"
+        "        return isinstance(fv, FeatureVector) and placement.FeatureVector(*fv)\n"
+        "def build(nearest):\n"
+        "    return [_candidate(None, row, t, t) for t in _tables(nearest)], object.__new__(FeatureVector)\n"
+    )
+    assert feature_builds(sample) == [
+        "line 6: FeatureVector in Scorer", "line 8: _candidate in build", "line 8: _tables in build",
+        "line 8: FeatureVector in build",
+    ]
+
+
+def test_only_extract_features_builds_feature_vectors():
+    # the search holds a batch of candidates as the arrays that `score_batch`
+    # and `score_bound` take; only `extract_features` turns them into the
+    # None-padded tuples of a FeatureVector, the form the wire carries
+    assert feature_builds((SRC / "twinroom" / "placement.py").read_text()) == []
+
+
 def test_only_the_document_reader_reads_files():
     # every room, trace, transcript and scorer config goes through one reader,
     # so each takes the same inline-or-path rule and the same read errors

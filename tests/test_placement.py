@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinroom import placement as placement_module
@@ -207,15 +207,35 @@ class Unbounded:
         return np.full(len(accommodation), np.inf)
 
 
+def candidate_features(accommodation, attention, spatial, interpersonal=None):
+    """Each candidate of a ``score_batch`` call as a FeatureVector, a
+    category None where its distance is inf."""
+    def tables(nearest):
+        return [tuple(None if d == math.inf else d for d in column) for column in nearest.T.tolist()]
+
+    offsets = [None] * len(accommodation) if interpersonal is None else list(map(tuple, interpersonal.tolist()))
+    return [FeatureVector(*f) for f in zip(offsets, accommodation, tables(attention), tables(spatial))]
+
+
+def batch_of(candidates):
+    """The arrays of a ``score_batch`` call, ``candidate_features``'
+    inverse, for FeatureVectors that all have a partner offset or all lack
+    one: (accommodation, attention, spatial, interpersonal)."""
+    def tables(name):
+        return np.array([[math.inf if d is None else d for d in getattr(c, name)] for c in candidates]).T
+
+    offsets = [c.interpersonal for c in candidates]
+    return (np.array([c.pose_accommodation for c in candidates]), tables("visual_attention"), tables("spatial"),
+            None if offsets[0] is None else np.array(offsets))
+
+
 class PerCandidate(Unbounded):
-    """The default score, one ``score`` call per candidate, with no bound:
-    the unbatched, exhaustive oracle."""
+    """The default score, each candidate rebuilt as a FeatureVector and
+    scored by ``default_similarity``, with no bound: the unbatched,
+    exhaustive oracle."""
 
-    def __init__(self):
-        self.inner = DefaultScorer()
-
-    def score_batch(self, target, candidates):
-        return [self.inner.score(target, c) for c in candidates]
+    def score_batch(self, target, *batch, interpersonal=None):
+        return [default_similarity(target, c) for c in candidate_features(*batch, interpersonal)]
 
 
 def demo_rooms():
@@ -281,27 +301,106 @@ def test_find_placement_refuses_a_score_only_scorer():
         find_placement(loft, target, ScoreOnly(), grid_config=GridConfig(cell=0.5, yaw_count=8))
 
 
-def test_score_batch_is_score_per_candidate():
-    rng = np.random.default_rng(11)
+class Short:
+    """The default scorer with one entry too few in what ``method`` returns."""
+
+    def __init__(self, method):
+        self.inner, self.method = DefaultScorer(), method
+
+    def score_batch(self, target, *batch, **partner):
+        scores = self.inner.score_batch(target, *batch, **partner)
+        return scores[:-1] if self.method == "score_batch" else scores
+
+    def score_bound(self, target, *batch, **partner):
+        bounds = self.inner.score_bound(target, *batch, **partner)
+        return bounds[:-1] if self.method == "score_bound" else bounds
+
+
+@pytest.mark.parametrize("method", ["score_batch", "score_bound"])
+def test_a_scorer_result_of_the_wrong_length_is_refused(method):
+    office, loft = demo_rooms()
+    target = extract_features(office, Placement(-0.4, 1.0, 0.0, PlacementPose.Standing))
+    seed = grid_search(loft, target).placement
+    refused = rf"^{method} returned shape \(\d+,\) for \d+ candidates$"
+    with pytest.raises(ValueError, match=refused):
+        grid_search(loft, target, Short(method))
+    with pytest.raises(ValueError, match=refused):
+        pso_refine(loft, target, seed, Short(method), config=PsoConfig(particles=8, iterations=2))
+
+
+_SPOILS = ("none", "category inf", "category nan", "no categories", "offset inf", "offset nan", "facing inf",
+           "height inf")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(seed=1, count=24, partner_here=True, partner_there=True, spoil="facing inf", sitting=False)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.sampled_from([0, 1, 2, 7, 24, 40]),
+    partner_here=st.booleans(),
+    partner_there=st.booleans(),
+    spoil=st.sampled_from(_SPOILS),
+    sitting=st.booleans(),
+)
+def test_score_batch_is_score_per_candidate(seed, count, partner_here, partner_there, spoil, sitting):
+    """``DefaultScorer.score_batch`` gives each candidate
+    ``default_similarity``'s score bit for bit: random rooms' candidates,
+    some sharing a row or differing from one only in the sign of its zero
+    heights, against targets a peer may send (inf or NaN distances and
+    offsets, no partner on either side, no category at all), in batches of
+    0, 1 and up to 40 candidates. An infinite relative facing makes both
+    raise math.fmod's ValueError."""
+    rng = np.random.default_rng(seed)
     room = random_room(rng)
-    partner = PartnerPose(0.5, 0.5, 1.0)
-    target = random_target(rng, room, partner)
-    hm = extract_features(room, Placement(1, 1, 0, PlacementPose.Standing)).pose_accommodation
-    candidates = [random_target(rng, room, partner if i % 2 else None) for i in range(6)]
-    # shared height maps and attention tables, as in a grid cell
-    candidates += [FeatureVector(c.interpersonal, hm, candidates[0].visual_attention, c.spatial)
-                   for c in candidates]
-    # rows equal in content that are distinct objects, and rows that differ
-    # from them only in the sign of their zero heights
-    for c in candidates[:6]:
-        candidates.append(FeatureVector(c.interpersonal, hm.copy(), c.visual_attention, c.spatial))
-        candidates.append(FeatureVector(c.interpersonal, np.where(hm == 0.0, -0.0, hm), c.visual_attention,
-                                        c.spatial))
-    assert (hm == 0.0).any() and (hm != 0.0).any()
-    assert candidates[-1].pose_accommodation.tobytes() != hm.tobytes()
-    scorer = DefaultScorer(ScorerConfig(weights=(0.1, 0.2, 0.3, 0.4)))
-    assert scorer.score_batch(target, candidates) == [scorer.score(target, c) for c in candidates]
-    assert scorer.score_batch(target, []) == []
+    partner = random_partner(rng, room) if partner_here else None
+    target = random_target(rng, random_room(rng), random_partner(rng, room) if partner_there else None)
+    tables = {"visual_attention": list(target.visual_attention), "spatial": list(target.spatial)}
+    inter = None if target.interpersonal is None else list(target.interpersonal)
+    heights = target.pose_accommodation.copy()
+    if spoil in ("category inf", "category nan"):
+        for name in tables:
+            for c in rng.choice(len(ObjectCategory), 3, replace=False):
+                tables[name][c] = math.inf if spoil == "category inf" else math.nan
+    elif spoil == "no categories":
+        tables = {name: [None] * len(ObjectCategory) for name in tables}
+    elif spoil == "offset inf" and inter is not None:
+        inter[int(rng.integers(2))] = math.inf
+    elif spoil == "facing inf" and inter is not None:
+        inter[2] = -math.inf if rng.integers(2) else math.inf
+    elif spoil == "offset nan" and inter is not None:
+        inter[int(rng.integers(3))] = math.nan
+    elif spoil == "height inf":
+        heights[int(rng.integers(ACCOMMODATION_CELLS))] = math.inf
+    target = FeatureVector(None if inter is None else tuple(inter), heights,
+                           tuple(tables["visual_attention"]), tuple(tables["spatial"]))
+
+    ext = room.extents
+    xs = rng.uniform(ext.min_x, ext.max_x, count)
+    zs = rng.uniform(ext.min_z, ext.max_z, count)
+    yaws = rng.uniform(0.0, 2.0 * math.pi, count)
+    sins, coss = placement_module._turns(yaws.tolist())
+    pose = PlacementPose.Sitting if sitting else PlacementPose.Standing
+    rows = placement_module._accommodation_at(room.arrays, xs, zs)
+    if count > 2:  # rows equal in content, and rows that differ only in the sign of a zero
+        rows[1::3] = rows[0]
+        rows[2::3] = np.where(rows[0] == 0.0, -0.0, rows[0])
+    eye = placement_module._eye_height(pose)
+    batch = (rows, placement_module._attention_at(room.arrays, xs, zs, sins, coss, eye),
+             placement_module._spatial_at(room.arrays, xs, zs))
+    offsets = placement_module._interpersonal_at(partner, xs, zs, yaws, sins, coss)
+    weights = rng.dirichlet(np.ones(4))
+    scorer = DefaultScorer(ScorerConfig(
+        sigma_offset=rng.uniform(0.05, 2.0), sigma_height=rng.uniform(0.05, 1.0),
+        distance_falloff=rng.uniform(0.2, 2.0), weights=tuple(weights / weights.sum())))
+    try:
+        want = [scorer.score(target, c) for c in candidate_features(*batch, offsets)]
+    except ValueError:  # an infinite relative facing, which math.fmod refuses
+        with pytest.raises(ValueError, match="^math domain error$"):
+            scorer.score_batch(target, *batch, interpersonal=offsets)
+        return
+    got = scorer.score_batch(target, *batch, interpersonal=offsets)
+    assert got.dtype == np.float64 and got.shape == (count,)
+    assert [s.hex() for s in got.tolist()] == [s.hex() for s in want]
 
 
 # --- bounded grid -------------------------------------------------------------
@@ -314,8 +413,8 @@ class NoBound(Unbounded):
     def __init__(self, inner):
         self.inner = inner
 
-    def score_batch(self, target, candidates):
-        return self.inner.score_batch(target, candidates)
+    def score_batch(self, target, *batch, **partner):
+        return self.inner.score_batch(target, *batch, **partner)
 
 
 class Quantized:
@@ -327,8 +426,8 @@ class Quantized:
     def __init__(self, config):
         self.inner = DefaultScorer(config)
 
-    def score_batch(self, target, candidates):
-        return [math.floor(s * 4.0) / 4.0 for s in self.inner.score_batch(target, candidates)]
+    def score_batch(self, target, *batch, **partner):
+        return np.floor(self.inner.score_batch(target, *batch, **partner) * 4.0) / 4.0
 
     def score_bound(self, target, accommodation, spatial, **given):
         return np.ceil(self.inner.score_bound(target, accommodation, spatial, **given) * 4.0) / 4.0
@@ -395,7 +494,7 @@ def test_grid_tables_are_built_once_per_room_object_and_config():
     # an equal room is another object: it builds tables of its own, equal to these
     twin = grid_tables(Room(room.id, room.extents, room.objects), coarse)
     assert twin is not tables
-    assert (twin.xs, twin.zs, twin.poses, twin.spatial) == (tables.xs, tables.zs, tables.poses, tables.spatial)
+    assert (twin.xs, twin.zs, twin.poses) == (tables.xs, tables.zs, tables.poses)
     assert np.array_equal(twin.rows, tables.rows) and np.array_equal(twin.nearest, tables.nearest)
     # every search of the room shares them, so none may write into them
     for array in (tables.rows, tables.nearest):
@@ -412,8 +511,8 @@ class Flat:
     """Every candidate scores 0.5, and a cell's bound is 0.5 plus its
     partner distance."""
 
-    def score_batch(self, target, candidates):
-        return [0.5] * len(candidates)
+    def score_batch(self, target, accommodation, attention, spatial, *, interpersonal):
+        return np.full(len(accommodation), 0.5)
 
     def score_bound(self, target, accommodation, spatial, *, partner_distance):
         return 0.5 + partner_distance
@@ -471,7 +570,8 @@ def test_score_bound_is_admissible():
                     for config in configs:
                         scorer = DefaultScorer(config)
                         bound = scorer.score_bound(target, rows, nearest, partner_distance=distances)[0]
-                        scores = scorer.score_batch(target, candidates)
+                        *batch, offsets = batch_of(candidates)
+                        scores = scorer.score_batch(target, *batch, interpersonal=offsets)
                         assert bound >= max(scores), (room.id, x, z, partner, target.interpersonal, config)
                         tight += bound == max(scores)
     assert tight >= len(rooms) * 4 * 3  # at least the own-feature target under the default config
@@ -1181,9 +1281,9 @@ class Recorder(Unbounded):
         self.inner = DefaultScorer()
         self.batches = []
 
-    def score_batch(self, target, candidates):
-        self.batches.append(list(candidates))
-        return self.inner.score_batch(target, candidates)
+    def score_batch(self, target, *batch, interpersonal=None):
+        self.batches.append(candidate_features(*batch, interpersonal))
+        return self.inner.score_batch(target, *batch, interpersonal=interpersonal)
 
 
 def test_bounds_change_no_result_for_a_target_a_peer_may_send():
@@ -1305,15 +1405,17 @@ def test_swarm_batch_features_equal_the_per_placement_oracle():
     yaws = [0.0] + rng.uniform(0, 2 * math.pi, 40).tolist() + [0.0] * len(edges)
     cx, cz = np.array(xs), np.array(zs)
     rows = placement_module._accommodation_at(room.arrays, cx, cz)
-    spatial = placement_module._tables(placement_module._spatial_at(room.arrays, cx, cz))
+    spatial = placement_module._spatial_at(room.arrays, cx, cz)
     # the table drops out one ulp beyond the radius and stays one ulp inside
-    table = [row[ObjectCategory.Table.value] for row in spatial[-len(edges):]]
-    assert table[:3] == [None, SPATIAL_RADIUS, float(np.nextafter(SPATIAL_RADIUS, 0.0))]
+    table = spatial[ObjectCategory.Table.value, -len(edges):].tolist()
+    assert table[:3] == [math.inf, SPATIAL_RADIUS, float(np.nextafter(SPATIAL_RADIUS, 0.0))]
     sins, coss = placement_module._turns(yaws)
     for partner in (None, PartnerPose(4.5, 1.0, 5.0)):
         offsets = placement_module._interpersonal_at(partner, cx, cz, np.array(yaws), sins, coss)
         for pose in PlacementPose:
-            batch = placement_module._features_at(room, cx, cz, sins, coss, pose, offsets, rows, spatial)
+            attention = placement_module._attention_at(room.arrays, cx, cz, sins, coss,
+                                                       placement_module._eye_height(pose))
+            batch = candidate_features(rows, attention, spatial, offsets)
             assert len(batch) == len(xs)
             for got, x, z, yaw in zip(batch, xs, zs, yaws):
                 where = (x, z, yaw, pose)
