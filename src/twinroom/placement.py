@@ -46,18 +46,15 @@ gives each cell an upper bound on its yaw candidates' scores (their height
 and spatial terms do not depend on yaw, attention is at most 1, and the
 partner offset has the same length at every yaw). The search then visits
 cells by descending bound, scores a cell's candidates together, and stops
-once no bound can reach the best score.
+once no bound can reach the best score. A visited cell's candidates share
+its accommodation row and spatial table, which ``score_batch`` gets as
+read-only views of the cell's, repeated over its yaws without a copy.
 A standing swarm iteration is one accommodation broadcast over every
 particle, which gives both their feasibility and their rows; a sitting
 iteration tests the seats first, in one broadcast per sittable object, and
-samples only the feasible particles.
-From the second evaluation on, the swarm screens the feasible particles: one
-broadcast gives their spatial tables, and one ``score_bound`` call, from
-their rows, their interpersonal features and those tables, bounds their
-scores. A particle whose bound is at most its personal best scores -inf
-instead of its score. Neither can improve that best, so nothing the swarm
-keeps changes. The other particles are scored together, with the same
-rows, tables and offsets.
+samples only the feasible particles. Every feasible particle is then scored
+in one ``score_batch`` call, with its attention and spatial tables from one
+broadcast each; the swarm bounds nothing.
 A swarm's accommodation broadcasts run only against the objects whose
 footprint reaches the box its samples lie in, which drops only objects that
 cover none of them.
@@ -65,14 +62,16 @@ The broadcasts read the room's ``scene.RoomArrays``, whose columns hold the
 objects in category order, so an attention or spatial table is one
 ``np.minimum`` reduction per category run; the seat test runs over the
 sittable objects of the same room, one broadcast each.
-Batching, bounding, screening and cropping change no result: every feature
-and score is computed with the same floating-point operations as for a
-single placement (a category's attention entry is the least distance in the
-cone, which is the nearest hit), every horizontal distance is
+Batching, bounding and cropping change no result: every feature and score
+is computed with the same floating-point operations as for a single
+placement (a category's attention entry is the least distance in the cone,
+which is the nearest hit), every horizontal distance is
 ``sqrt(dx * dx + dz * dz)``, as ``geometry.norm`` computes a length on the
 tick path, and ``math.sin``, ``math.cos``, ``math.exp`` and the height term
 still run on the same inputs (the height term once per distinct row, which
-gives every equal row the same value). The broadcasts use only elementwise
+gives every equal row the same value; a memo keeps the terms of the rows
+scored against the last target row, which a swarm's particles keep landing
+on from one iteration to the next). The broadcasts use only elementwise
 arithmetic, ``np.sqrt``, ``np.fmod`` and comparisons, which are correctly
 rounded on every CPU, and the height term sums its squared differences with
 ``math.fsum``, which is correctly rounded too, so a search gives the same
@@ -80,10 +79,10 @@ bits on every machine. A bound only decides what is skipped, never a score.
 
 Scorers are pluggable: anything with ``score_batch`` and ``score_bound``
 (see ``SimilarityScorer``) can replace the default, including learned
-models. The search has one path for every scorer: it always bounds, then
-scores in batches. A scorer that cannot bound returns infinite bounds, and
-then the grid scores every feasible candidate in scan order and the swarm
-every feasible particle.
+models. The search has one path for every scorer: the grid always bounds,
+then scores the cells it visits, and the swarm scores every feasible
+particle. A scorer that cannot bound returns infinite bounds, and then the
+grid scores every feasible candidate in scan order.
 """
 
 from __future__ import annotations
@@ -286,28 +285,26 @@ def scorer_config_from_json(document) -> ScorerConfig:
 
 
 class SimilarityScorer(Protocol):
-    """What the search needs of a scorer: ``score_batch`` and ``score_bound``.
-    The grid and the swarm call both, for every scorer, on a batch of n
-    candidates in one layout: ``accommodation`` is an ``(n,
-    ACCOMMODATION_CELLS)`` array of rows, ``attention`` and ``spatial`` are
-    ``(categories, n)`` arrays of tables, inf where no object of a category
-    is in range, and ``interpersonal`` is an ``(n, 3)`` array of partner
-    offsets, None without a partner. Each returns one float per candidate.
+    """What the search needs of a scorer: ``score_batch`` and ``score_bound``,
+    which it calls for every scorer. Both take a batch of n candidates in one
+    layout: ``accommodation`` is an ``(n, ACCOMMODATION_CELLS)`` array of
+    rows, ``attention`` and ``spatial`` are ``(categories, n)`` arrays of
+    tables, inf where no object of a category is in range, and
+    ``interpersonal`` is an ``(n, 3)`` array of partner offsets, None without
+    a partner. The arrays may be read-only views. Each method returns one
+    float per candidate.
 
-    The grid hands ``score_batch`` each visited cell's candidates, and the
-    swarm the feasible particles that each iteration scores, in one call.
+    ``score_batch`` scores candidates. The grid hands it each visited cell's
+    candidates, whose row and spatial table are the cell's, and the swarm
+    every feasible particle of an iteration, in one call each.
 
-    ``score_bound`` returns one float per candidate position, each at least
-    the float score of that position's candidate.
-    The grid calls it once over all of a room's feasible cells and passes
-    ``partner_distance``, the length of the partner's offset from each cell:
-    each bound must then hold at every yaw. It skips the cells whose bound is
-    below the best score found. The swarm passes ``interpersonal`` and the
-    particles' spatial tables, the ones ``score_batch`` then gets for the
-    particles it scores. It skips the particles whose bound is at most their
-    personal best. Both None means there is no partner. A scorer that cannot
-    bound returns ``np.full(len(accommodation), np.inf)``, and then
-    everything is scored.
+    ``score_bound`` is the grid's per-cell bound: one float per cell, each at
+    least the float score of the cell's candidate at every yaw. The grid
+    calls it once over all of a room's feasible cells and passes
+    ``partner_distance``, the length of the partner's offset from each cell,
+    or None without a partner. It skips the cells whose bound is below the
+    best score found. A scorer that cannot bound returns
+    ``np.full(len(accommodation), np.inf)``, and then every cell is scored.
     """
 
     def score_batch(self, target: FeatureVector, accommodation: np.ndarray, attention: np.ndarray,
@@ -317,8 +314,7 @@ class SimilarityScorer(Protocol):
         ...
 
     def score_bound(self, target: FeatureVector, accommodation: np.ndarray, spatial: np.ndarray, *,
-                    partner_distance: np.ndarray | None = None,
-                    interpersonal: np.ndarray | None = None) -> np.ndarray:
+                    partner_distance: np.ndarray | None = None) -> np.ndarray:
         """An upper bound on the scores of each candidate position."""
         ...
 
@@ -365,7 +361,12 @@ def _interpersonal_term(a, b, cfg: ScorerConfig) -> float:
 
 def _height_term(ha: np.ndarray, hb: np.ndarray, sigma: float) -> float:
     diff = ha - hb
-    rms = math.sqrt(math.fsum((diff * diff).tolist()) / ACCOMMODATION_CELLS)
+    return _rms_term((diff * diff).tolist(), sigma)
+
+
+def _rms_term(squares: list[float], sigma: float) -> float:
+    """The height term from the squared height differences."""
+    rms = math.sqrt(math.fsum(squares) / ACCOMMODATION_CELLS)
     return math.exp(-rms / sigma)
 
 
@@ -412,11 +413,11 @@ class DefaultScorer:
         )
 
     def score_bound(self, target: FeatureVector, accommodation: np.ndarray, spatial: np.ndarray, *,
-                    partner_distance: np.ndarray | None = None,
-                    interpersonal: np.ndarray | None = None) -> np.ndarray:
-        """``score``'s sum with attention at its maximum 1 and every other
-        term at a bound, in the same order: each addend is at least the
-        score's, so the rounded sum is too.
+                    partner_distance: np.ndarray | None = None) -> np.ndarray:
+        """The grid's per-cell bound: ``score``'s sum with attention at its
+        maximum 1 and every other term at a bound that holds at every yaw, in
+        the same order: each addend is at least the score's, so the rounded
+        sum is too.
 
         The spatial term's distances are the candidates' own, so its union
         is the same, each category's term, lowered by a pad, is at least its
@@ -427,7 +428,7 @@ class DefaultScorer:
         cfg = self.config
         w0, w1, w2, w3 = cfg.weights
         return (
-            w0 * _interpersonal_bound(target.interpersonal, partner_distance, interpersonal, cfg)
+            w0 * _interpersonal_bound(target.interpersonal, partner_distance, cfg)
             + w1 * _height_bound(target.pose_accommodation, accommodation, cfg.sigma_height)
             + w2 * 1.0
             + w3 * _category_means(target.spatial, spatial, lambda gap, b: _exp_upper(
@@ -450,17 +451,21 @@ def _exp_upper(x: np.ndarray) -> np.ndarray:
 
 
 def _wrap_angles(a: np.ndarray) -> np.ndarray:
-    """``geometry.wrap_angle`` of each entry, with the same operations."""
+    """``geometry.wrap_angle`` of each entry, with the same operations: an
+    entry moved by one branch lands where the other branch's test is
+    false, so the two run one after the other, in place."""
     a = np.fmod(a, 2.0 * math.pi)
-    return np.where(a <= -math.pi, a + 2.0 * math.pi, np.where(a > math.pi, a - 2.0 * math.pi, a))
+    np.add(a, 2.0 * math.pi, out=a, where=a <= -math.pi)
+    return np.subtract(a, 2.0 * math.pi, out=a, where=a > math.pi)
 
 
 def _wrap_angles_positive(a: np.ndarray) -> np.ndarray:
     """``geometry.wrap_angle_positive`` of each entry, with the same
-    operations."""
+    operations, in place."""
     a = np.fmod(a, 2.0 * math.pi)
-    a = np.where(a < 0.0, a + 2.0 * math.pi, a)
-    return np.where(a >= 2.0 * math.pi, 0.0, a)
+    np.add(a, 2.0 * math.pi, out=a, where=a < 0.0)
+    a[a >= 2.0 * math.pi] = 0.0
+    return a
 
 
 def _exps(x: np.ndarray) -> np.ndarray:
@@ -468,59 +473,80 @@ def _exps(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _partner_gaps(a, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The offset distance and the absolute wrapped facing delta from a to
-    each row of b, bit for bit as ``_interpersonal_term`` computes them. An
-    infinite facing delta raises the ``ValueError`` that ``math.fmod``
-    raises there."""
+def _interpersonal_terms(a, b: np.ndarray | None, cfg: ScorerConfig):
+    """``_interpersonal_term(a, row, cfg)`` for each row of b (None: no
+    partner), bit for bit. An infinite facing delta raises the
+    ``ValueError`` that ``math.fmod`` raises there."""
+    if a is None or b is None:
+        return 1.0 if a is b else 0.0
     dx, dz, dyaw = (np.array(a, dtype=float) - b).T
     if np.isinf(dyaw).any():
         raise ValueError("math domain error")
-    return np.sqrt(dx * dx + dz * dz), np.abs(_wrap_angles(dyaw))
+    offset = np.sqrt(dx * dx + dz * dz)
+    return _exps(-(offset / cfg.sigma_offset + np.abs(_wrap_angles(dyaw)) / cfg.sigma_facing))
 
 
-def _interpersonal_terms(a, b: np.ndarray | None, cfg: ScorerConfig):
-    """``_interpersonal_term(a, row, cfg)`` for each row of b (None: no partner)."""
-    if a is None or b is None:
-        return 1.0 if a is b else 0.0
-    offset, facing = _partner_gaps(a, b)
-    return _exps(-(offset / cfg.sigma_offset + facing / cfg.sigma_facing))
+def _interpersonal_bound(a, partner_distance: np.ndarray | None, cfg: ScorerConfig):
+    """At least ``_interpersonal_term(a, b, cfg)`` at every yaw, for each
+    candidate b given the length of its partner offset: | |a| - |b| | never
+    exceeds |a - b| (the reverse triangle inequality), the facing term only
+    lowers the term, and the gap is lowered far beyond the rounding of the
+    rotated offset and the lengths (by a pad that |a| cannot exceed, so an
+    infinite |a| gives an infinite gap, not NaN)."""
+    if a is None or partner_distance is None:
+        return 1.0 if a is None and partner_distance is None else 0.0
+    gap = np.abs(math.sqrt(a[0] * a[0] + a[1] * a[1]) - partner_distance)
+    return _exp_upper((gap * (1.0 - 1e-9) - 1e-9 * (1.0 + 2.0 * partner_distance)) / cfg.sigma_offset)
 
 
-def _interpersonal_bound(a, partner_distance: np.ndarray | None, interpersonal: np.ndarray | None,
-                         cfg: ScorerConfig):
-    """At least ``_interpersonal_term(a, b, cfg)`` for each candidate b.
+# Height terms already computed against one target row under one sigma, by
+# the candidate row's bytes. A swarm's particles keep landing on the same few
+# rows, so its iterations share them; the memo holds one target row and sigma
+# and at most _KNOWN_HEIGHT_ROWS rows.
+_KNOWN_HEIGHT_TERMS: dict[tuple[bytes, float], dict[bytes, float]] = {}
+_KNOWN_HEIGHT_ROWS = 1024
 
-    Given the exact features b, the term's exponent is the one ``score``
-    computes, with the offset's length, computed as ``score`` computes it,
-    lowered by a margin. Given only the lengths of the b offsets, it holds
-    at every yaw: | |a| - |b| | never exceeds |a - b| (the reverse triangle
-    inequality), the facing term only lowers the term, and the gap is
-    lowered far beyond the rounding of the rotated offset and the lengths
-    (by a pad that |a| cannot exceed, so an infinite |a| gives an infinite
-    gap, not NaN)."""
-    if a is None or (partner_distance is None and interpersonal is None):
-        return 1.0 if a is None and partner_distance is None and interpersonal is None else 0.0
-    if interpersonal is None:
-        gap = np.abs(math.sqrt(a[0] * a[0] + a[1] * a[1]) - partner_distance)
-        return _exp_upper((gap * (1.0 - 1e-9) - 1e-9 * (1.0 + 2.0 * partner_distance)) / cfg.sigma_offset)
-    offset, facing = _partner_gaps(a, interpersonal)
-    return _exp_upper(offset * (1.0 - 1e-9) / cfg.sigma_offset + facing / cfg.sigma_facing)
+
+def _known_height_terms(ha: np.ndarray, sigma: float) -> dict[bytes, float]:
+    """The memo of height terms against ``ha`` under ``sigma``. It replaces
+    any other target row's or sigma's, and starts empty again when full."""
+    key = (ha.tobytes(), sigma)
+    known = _KNOWN_HEIGHT_TERMS.get(key)
+    if known is None or len(known) >= _KNOWN_HEIGHT_ROWS:
+        _KNOWN_HEIGHT_TERMS.clear()
+        known = _KNOWN_HEIGHT_TERMS[key] = {}
+    return known
 
 
 def _height_terms(ha: np.ndarray, rows: np.ndarray, sigma: float) -> np.ndarray:
     """``_height_term(ha, row, sigma)`` for each row, computed once per
-    distinct row content: the rows sorted by their bytes (unless all are one
-    row, as a grid cell's are), each one that differs from the row before it
-    starts a group."""
+    distinct row content: one row broadcast over the batch (a zero first
+    stride, as the grid passes a cell's row) is one row; otherwise the rows
+    are sorted by their bytes, and each one that differs from the row before
+    it starts a group. A group whose row the memo knows takes its term from
+    there; the other distinct rows are squared together, then summed one by
+    one. A difference squares to the same float whichever way it is taken."""
+    if not rows.strides[0]:
+        return np.full(len(rows), _height_term(ha, rows[0], sigma))
     bits = np.ascontiguousarray(rows, dtype=float).view(np.uint64)
-    if len(bits) and (bits == bits[0]).all():
-        return np.full(len(bits), _height_term(ha, rows[0], sigma))
     order = np.argsort(bits.view(np.dtype((np.void, 8 * ACCOMMODATION_CELLS)))[:, 0])
+    ordered = bits[order]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = (bits[order[1:]] != bits[order[:-1]]).any(axis=1)
-    distinct = np.array([_height_term(ha, rows[i], sigma) for i in order[first].tolist()])
-    return distinct[first.cumsum() - 1][np.argsort(order)]
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    distinct = ordered[first]
+    raw, size = distinct.tobytes(), 8 * ACCOMMODATION_CELLS
+    keys = [raw[i:i + size] for i in range(0, len(raw), size)]
+    known = _known_height_terms(ha, sigma)
+    terms = [known.get(key) for key in keys]
+    new = [i for i, term in enumerate(terms) if term is None]
+    if new:
+        diff = distinct[new].view(float) - ha
+        diff *= diff
+        for i, squares in zip(new, diff.tolist()):
+            terms[i] = known[keys[i]] = _rms_term(squares, sigma)
+    group = np.empty(len(order), dtype=int)
+    group[order] = first.cumsum() - 1
+    return np.array(terms)[group]
 
 
 def _height_bound(ha: np.ndarray, rows: np.ndarray, sigma: float) -> np.ndarray:
@@ -554,16 +580,23 @@ def _category_means(tables: tuple, nearest: np.ndarray, term) -> np.ndarray:
 
 # --- feature extraction -----------------------------------------------------
 
-def _interpersonal_at(partner: PartnerPose | None, xs, zs, yaws, sins: np.ndarray,
-                      coss: np.ndarray) -> np.ndarray | None:
+def _relative_facing(partner: PartnerPose | None, yaws: np.ndarray) -> np.ndarray | None:
+    """The partner's facing relative to each yaw, wrapped, or None without a
+    partner."""
+    return None if partner is None else _wrap_angles(partner.yaw - yaws)
+
+
+def _interpersonal_at(partner: PartnerPose | None, xs, zs, sins: np.ndarray, coss: np.ndarray,
+                      facing: np.ndarray | None) -> np.ndarray | None:
     """The partner's (local_x, local_z, relative_yaw) from each placement
-    (xs[i], zs[i], yaws[i]) with the given yaw sines and cosines, one row
-    each, or None without a partner. Positions may be one float for all."""
+    (xs[i], zs[i]) with the given yaw sines and cosines and
+    ``_relative_facing``, one row each, or None without a partner. Positions
+    may be one float for all."""
     if partner is None:
         return None
     dx = partner.x - xs
     dz = partner.z - zs
-    return np.stack((dx * coss - dz * sins, dx * sins + dz * coss, _wrap_angles(partner.yaw - yaws)), axis=1)
+    return np.array((dx * coss - dz * sins, dx * sins + dz * coss, facing)).T
 
 
 def _least_per_category(arrays: RoomArrays, dist: np.ndarray) -> np.ndarray:
@@ -571,8 +604,9 @@ def _least_per_category(arrays: RoomArrays, dist: np.ndarray) -> np.ndarray:
     of ``arrays``, as a (categories, batch) array, inf where a category has
     no object or none at a finite distance."""
     nearest = np.full((_CATEGORY_COUNT, dist.shape[1]), math.inf)
-    if arrays.count:
-        nearest[arrays.run_codes] = np.minimum.reduceat(dist, arrays.starts, axis=0)
+    if len(arrays.starts) < arrays.count:  # some category has several objects
+        dist = np.minimum.reduceat(dist, arrays.starts, axis=0)
+    nearest[arrays.run_codes] = dist
     return nearest
 
 
@@ -622,7 +656,7 @@ def _accommodation_at(arrays: RoomArrays, xs: np.ndarray, zs: np.ndarray) -> np.
 
 def _turns(yaws: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """``math.sin`` and ``math.cos`` of each yaw."""
-    return np.array([math.sin(yaw) for yaw in yaws]), np.array([math.cos(yaw) for yaw in yaws])
+    return np.fromiter(map(math.sin, yaws), float, len(yaws)), np.fromiter(map(math.cos, yaws), float, len(yaws))
 
 
 def extract_features(
@@ -639,7 +673,7 @@ def extract_features(
     arrays = room.arrays
     cx, cz, yaw = np.array([p.x]), np.array([p.z]), np.array([p.yaw])
     sins, coss = _turns([p.yaw])
-    offsets = _interpersonal_at(partner, cx, cz, yaw, sins, coss)
+    offsets = _interpersonal_at(partner, cx, cz, sins, coss, _relative_facing(partner, yaw))
     tables = (_attention_at(arrays, cx, cz, sins, coss, _eye_height(p.pose)), _spatial_at(arrays, cx, cz))
     return FeatureVector(None if offsets is None else tuple(offsets[0].tolist()), _accommodation_at(arrays, cx, cz)[0],
                          *(tuple(None if d == math.inf else d for d in t[:, 0].tolist()) for t in tables))
@@ -661,9 +695,9 @@ def _foot_cells() -> tuple[tuple[float, float], ...]:
 _FOOT_CELLS = _foot_cells()
 # the foot cells are accommodation cells, offset for offset bit for bit, so a
 # point's accommodation row holds its footprint's support heights too
-_FOOT_COLUMNS = [
+_FOOT_COLUMNS = np.array([
     list(zip(_ACCOMMODATION_OX.tolist(), _ACCOMMODATION_OZ.tolist())).index(cell) for cell in _FOOT_CELLS
-]
+])
 
 
 def _standing_clear(rows: np.ndarray) -> np.ndarray:
@@ -690,7 +724,7 @@ def _seated(room: Room, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return covered
 
 
-def _feasible_rows(room: Room, arrays: RoomArrays, xs, zs, pose: PlacementPose) -> tuple[list[int], np.ndarray]:
+def _feasible_rows(room: Room, arrays: RoomArrays, xs, zs, pose: PlacementPose) -> tuple[np.ndarray, np.ndarray]:
     """The positions (xs[i], zs[i]) that admit ``pose``, by index, and their
     accommodation rows, sampled from ``arrays`` (the room's objects, or those
     whose footprint reaches the positions' cells). Standing, one broadcast
@@ -701,15 +735,15 @@ def _feasible_rows(room: Room, arrays: RoomArrays, xs, zs, pose: PlacementPose) 
     inside = room.extents.contains_all(cx, cz)
     if pose is PlacementPose.Standing:
         rows = _accommodation_at(arrays, cx, cz)
-        keep = np.flatnonzero(_standing_clear(rows) & inside).tolist()
-        return keep, rows[keep]
-    keep = np.flatnonzero(_seated(room, cx, cz) & inside).tolist()
+        keep = np.flatnonzero(_standing_clear(rows) & inside)
+        return keep, rows if len(keep) == len(rows) else rows[keep]
+    keep = np.flatnonzero(_seated(room, cx, cz) & inside)
     return keep, _accommodation_at(arrays, cx[keep], cz[keep])
 
 
 def feasible(room: Room, placement: Placement) -> bool:
     """Whether an avatar can actually hold this placement in this room."""
-    return bool(_feasible_rows(room, room.arrays, [placement.x], [placement.z], placement.pose)[0])
+    return len(_feasible_rows(room, room.arrays, [placement.x], [placement.z], placement.pose)[0]) == 1
 
 
 # --- grid search ------------------------------------------------------------
@@ -792,7 +826,7 @@ def _build_grid_tables(room: Room, config: GridConfig) -> GridTables:
         column_xs = np.full(len(zs), x)
         for pose in PlacementPose:
             keep, pose_rows = _feasible_rows(room, arrays, column_xs, column_zs, pose)
-            cells += [(j, i, pose) for i in keep]
+            cells += [(j, i, pose) for i in keep.tolist()]
             rows.append(pose_rows)
     order = sorted(range(len(cells)), key=lambda k: cells[k][:2])
     cells = [cells[k] for k in order]
@@ -863,6 +897,7 @@ def grid_search(
     yaws = np.array(tables.yaws)
     n = len(yaws)
     sins, coss = _turns(tables.yaws)
+    facing = _relative_facing(partner, yaws)
     best_score = -math.inf
     best_cell = -1
     best_placement = None
@@ -873,9 +908,12 @@ def grid_search(
             break
         x, z, pose = tables.xs[k], tables.zs[k], tables.poses[k]
         attention = _attention_at(room.arrays, x, z, sins, coss, _eye_height(pose))
-        scores = _checked(scorer.score_batch(
-            target, tables.rows[k:k + 1].repeat(n, axis=0), attention, tables.nearest[:, k:k + 1].repeat(n, axis=1),
-            interpersonal=_interpersonal_at(partner, x, z, yaws, sins, coss)), n, "score_batch")
+        # the cell's row and spatial table, shared by its yaws as read-only views
+        rows = np.broadcast_to(tables.rows[k], (n, ACCOMMODATION_CELLS))
+        nearest = np.broadcast_to(tables.nearest[:, k:k + 1], (_CATEGORY_COUNT, n))
+        scores = _checked(scorer.score_batch(target, rows, attention, nearest,
+                                             interpersonal=_interpersonal_at(partner, x, z, sins, coss, facing)),
+                          n, "score_batch")
         scored += n
         for score, yaw in zip(scores.tolist(), tables.yaws):
             # within a cell the first best wins; across cells the lower scan index
@@ -949,13 +987,10 @@ def pso_refine(
 
     Each iteration is one pass: ``_feasible_rows`` gives the feasible
     particles and their accommodation rows (standing, from one broadcast
-    over every particle), and one broadcast their spatial tables. A
-    particle whose ``score_bound`` is at most its personal best scores
-    -inf: it could not improve that best either way, so the result is the
-    same, and infinite bounds skip nothing. The other particles get their
-    attention tables from one broadcast and are scored, with the same rows,
-    spatial tables and partner offsets, in one ``score_batch`` call, where
-    the default scorer computes the height term once per distinct row.
+    over every particle), one broadcast each their attention and spatial
+    tables, and one ``score_batch`` call scores all of them, where the
+    default scorer computes the height term once per distinct row. The
+    swarm never calls ``score_bound``.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.Generator(np.random.PCG64(rng))
@@ -980,32 +1015,22 @@ def pso_refine(
     r = ACCOMMODATION_RADIUS
     arrays = room.arrays.reaching(min(span_x) - r, min(span_z) - r, max(span_x) + r, max(span_z) + r)
 
-    def evaluate(points: np.ndarray, pbest: np.ndarray | None = None) -> np.ndarray:
-        """Scores of a batch of (x, z, yaw) rows, feasible ones scored as one
-        batch; infeasible points score -inf. Given the points' personal
-        bests, so does a feasible point that the screen shows cannot beat
-        its own."""
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        """Scores of a batch of (x, z, yaw) rows, the feasible ones scored as
+        one batch; infeasible points score -inf."""
         keep, rows = _feasible_rows(room, arrays, points[:, 0], points[:, 1], pose)
-        keep = np.array(keep, dtype=int)
-        kxs, kzs = points[keep, 0], points[keep, 1]
-        # features at the wrapped yaw, as ``Placement`` holds it
-        kyaws = _wrap_angles_positive(points[keep, 2])
-        sins, coss = _turns(kyaws.tolist())
-        offsets = _interpersonal_at(partner, kxs, kzs, kyaws, sins, coss)
-        nearest = _spatial_at(room.arrays, kxs, kzs)
-        if pbest is not None:
-            bounds = _checked(scorer.score_bound(target, rows, nearest, interpersonal=offsets), len(keep),
-                              "score_bound")
-            exact = ~(bounds <= pbest[keep])  # a NaN bound skips nothing
-            keep, kxs, kzs, sins, coss, rows = (v[exact] for v in (keep, kxs, kzs, sins, coss, rows))
-            nearest = nearest[:, exact]
-            if offsets is not None:
-                offsets = offsets[exact]
         scores = np.full(len(points), -math.inf)
-        if len(keep):
-            attention = _attention_at(room.arrays, kxs, kzs, sins, coss, _eye_height(pose))
-            scores[keep] = _checked(scorer.score_batch(target, rows, attention, nearest, interpersonal=offsets),
-                                    len(keep), "score_batch")
+        if not len(keep):
+            return scores
+        kxs, kzs, kyaws = points[keep].T
+        # features at the wrapped yaw, as ``Placement`` holds it
+        kyaws = _wrap_angles_positive(kyaws)
+        sins, coss = _turns(kyaws.tolist())
+        scores[keep] = _checked(scorer.score_batch(
+            target, rows, _attention_at(room.arrays, kxs, kzs, sins, coss, _eye_height(pose)),
+            _spatial_at(room.arrays, kxs, kzs),
+            interpersonal=_interpersonal_at(partner, kxs, kzs, sins, coss, _relative_facing(partner, kyaws))),
+            len(keep), "score_batch")
         return scores
 
     def finish(point: np.ndarray, evaluated: int) -> PsoResult:
@@ -1032,19 +1057,24 @@ def pso_refine(
     gbest_pos = pbest_pos[g].copy()
 
     for _ in range(config.iterations):
-        r1 = rng.uniform(size=(n, 3))
-        r2 = rng.uniform(size=(n, 3))
-        vel = (
-            config.inertia * vel
-            + config.cognitive * r1 * (pbest_pos - pos)
-            + config.social * r2 * (gbest_pos[None, :] - pos)
-        )
-        pos = np.clip(pos + vel, lo, hi)
-        scores = evaluate(pos, pbest)
+        # r1 then r2, as two draws of (n, 3) give them
+        r1, r2 = rng.uniform(size=(2, n, 3))
+        # vel = inertia * vel + cognitive * r1 * (pbest_pos - pos)
+        #       + social * r2 * (gbest_pos - pos), in that order, in place
+        vel *= config.inertia
+        r1 *= config.cognitive
+        r1 *= pbest_pos - pos
+        vel += r1
+        r2 *= config.social
+        r2 *= gbest_pos - pos
+        vel += r2
+        pos += vel
+        np.clip(pos, lo, hi, out=pos)
+        scores = evaluate(pos)
         evaluated += n
         improved = scores > pbest
-        pbest[improved] = scores[improved]
-        pbest_pos[improved] = pos[improved]
+        np.copyto(pbest, scores, where=improved)
+        np.copyto(pbest_pos, pos, where=improved[:, None])
         g = int(np.argmax(pbest))
         if float(pbest[g]) > gbest:
             gbest = float(pbest[g])

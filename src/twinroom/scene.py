@@ -182,8 +182,9 @@ class RoomArrays:
         self.objects = objects
         self.count = len(objects)
         self.codes = tuple(o.category.value for o in objects)
-        self.starts = [i for i, code in enumerate(self.codes) if i == 0 or code != self.codes[i - 1]]
-        self.run_codes = [self.codes[i] for i in self.starts]
+        starts = [i for i, code in enumerate(self.codes) if i == 0 or code != self.codes[i - 1]]
+        self.starts = np.array(starts, dtype=np.intp)
+        self.run_codes = np.array([self.codes[i] for i in starts], dtype=np.intp)
         self.px = column([o.position[0] for o in objects])
         self.py = column([o.position[1] for o in objects])
         self.pz = column([o.position[2] for o in objects])
@@ -192,7 +193,9 @@ class RoomArrays:
         # footprint half extents with the containment tolerance
         self.hx_tol = column([o.half_size[0] for o in objects]) + _EPS
         self.hz_tol = column([o.half_size[2] for o in objects]) + _EPS
-        self.support = column([o.support_height for o in objects])
+        # support heights clamped at the floor, as `support_height_at` reads
+        # them: a surface below the floor cannot be stood on
+        self.support = np.maximum(column([o.support_height for o in objects]), 0.0)
         # half extents of the tolerant footprint's axis-aligned bounding box,
         # padded far beyond the rounding of the rotated footprint test and
         # of the box test in `reaching`
@@ -217,17 +220,20 @@ class RoomArrays:
     def support_heights(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
         """Max support height among these objects covering each point
         (xs[i], zs[i]), 0 for bare floor; the result has the shape of
-        ``xs``. One broadcast against every object."""
+        ``xs``. One broadcast against every object, computed in place."""
         if self.count == 0:
             return np.zeros(xs.shape)
         # objects along the first axis, points along the long, contiguous last one
         dx = xs.reshape(1, -1) - self.px
         dz = zs.reshape(1, -1) - self.pz
-        lx = dx * self.cos - dz * self.sin
-        lz = dx * self.sin + dz * self.cos
-        covered = (np.abs(lx) <= self.hx_tol) & (np.abs(lz) <= self.hz_tol)
-        heights = np.where(covered, self.support, 0.0).max(axis=0)
-        return np.maximum(heights, 0.0).reshape(xs.shape)
+        lx = dx * self.cos
+        lx -= dz * self.sin
+        lz = np.multiply(dx, self.sin, out=dx)
+        lz += np.multiply(dz, self.cos, out=dz)
+        covered = np.abs(lx, out=lx) <= self.hx_tol
+        covered &= np.abs(lz, out=lz) <= self.hz_tol
+        heights = np.where(covered, self.support, 0.0)
+        return (heights[0] if self.count == 1 else heights.max(axis=0)).reshape(xs.shape)
 
 
 @dataclass(frozen=True)

@@ -221,9 +221,52 @@ def test_scorer_lookup_scan_finds_each_lookup():
 
 
 def test_the_search_calls_every_scorer_method_unconditionally():
-    # the grid and the swarm call `score_bound` and `score_batch` on every
-    # scorer, so there is one search path, not one per scorer shape
+    # the grid calls `score_bound` and `score_batch` on every scorer, and the
+    # swarm `score_batch`, so there is one search path, not one per scorer shape
     assert scorer_lookups((SRC / "twinroom" / "placement.py").read_text()) == []
+
+
+def calls_in(source: str, function: str, method: str) -> list[int]:
+    """The line of each call of ``method``, by name or as an attribute, in
+    code (not strings or comments) inside the module-level function
+    ``function``, its nested functions included."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name == function:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    called = node.func
+                    name = getattr(called, "attr", None) or getattr(called, "id", None)
+                    if name == method:
+                        found.append(node.lineno)
+    return sorted(found)
+
+
+def test_call_scan_finds_each_call_in_the_function():
+    sample = (
+        '"""scorer.score_bound(rows) in a docstring is fine"""\n'
+        "def pso_refine(scorer):\n"
+        "    def evaluate(points):\n"
+        "        return scorer.score_bound(points)  # scorer.score_bound( in a comment is fine\n"
+        "    bounds = score_bound(points)\n"
+        "    return scorer.score_batch(points)\n"
+        "def grid_search(scorer):\n"
+        "    return scorer.score_bound(rows)\n"
+        "class A:\n"
+        "    def pso_refine(self):\n"
+        "        return self.score_bound(rows)\n"
+    )
+    assert calls_in(sample, "pso_refine", "score_bound") == [4, 5]
+    assert calls_in(sample, "grid_search", "score_bound") == [8]
+    assert calls_in(sample, "grid_search", "score_batch") == []
+
+
+def test_the_swarm_bounds_nothing():
+    # the swarm scores every feasible particle of an iteration in one
+    # `score_batch` call; `score_bound` is the grid's per-cell bound
+    source = (SRC / "twinroom" / "placement.py").read_text()
+    assert calls_in(source, "pso_refine", "score_bound") == []
+    assert calls_in(source, "grid_search", "score_bound") != []
 
 
 _FEATURE_BUILDERS = {"FeatureVector", "_candidate", "_tables"}

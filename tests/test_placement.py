@@ -80,16 +80,18 @@ def exhaustive_best(room, target, scorer, partner, config):
     return best, best_score, evaluated
 
 
-def reference_pso(room, target, seed, scorer, partner, config, rng):
-    """Reference swarm: the update rule of pso_refine, with every particle
-    checked and scored one by one through the public functions."""
+def reference_pso(room, target, seed, partner, config, rng):
+    """Reference swarm: the update rule of pso_refine and its rng draws, with
+    every particle checked by ``feasible`` and scored by
+    ``default_similarity`` of its ``extract_features``, one by one. Returns
+    the placement, the score and the number of points evaluated."""
     rng = np.random.Generator(np.random.PCG64(rng))
 
     def evaluate(point):
         p = Placement(point[0], point[1], point[2], seed.pose)
         if not feasible(room, p):
             return -math.inf, p
-        return scorer.score(target, extract_features(room, p, partner)), p
+        return default_similarity(target, extract_features(room, p, partner)), p
 
     ext = room.extents
     lo = np.array([max(seed.x - config.position_radius, ext.min_x),
@@ -121,7 +123,7 @@ def reference_pso(room, target, seed, scorer, partner, config, rng):
             gbest = float(pbest[g])
             gbest_pos = pbest_pos[g].copy()
     score, placement = evaluate(gbest_pos)
-    return placement, score
+    return placement, score, n * (config.iterations + 1) + 1
 
 
 def random_room(rng, max_side=4.0):
@@ -286,8 +288,8 @@ def test_pso_equals_per_particle_reference():
             grid = grid_search(room, target, partner=partner, config=GridConfig(cell=0.5, yaw_count=8))
             for seed in (s for s in (grid.placement, sitting_seed(room)) if s is not None):
                 got = pso_refine(room, target, seed, partner=partner, config=config, rng=case)
-                want = reference_pso(room, target, seed, DefaultScorer(), partner, config, case)
-                assert (got.placement, got.score) == want, f"room {case}, {seed.pose}"
+                want = reference_pso(room, target, seed, partner, config, case)
+                assert (got.placement, got.score, got.evaluated) == want, f"room {case}, {seed.pose}"
 
 
 def test_find_placement_refuses_a_score_only_scorer():
@@ -322,10 +324,15 @@ def test_a_scorer_result_of_the_wrong_length_is_refused(method):
     target = extract_features(office, Placement(-0.4, 1.0, 0.0, PlacementPose.Standing))
     seed = grid_search(loft, target).placement
     refused = rf"^{method} returned shape \(\d+,\) for \d+ candidates$"
+    config = PsoConfig(particles=8, iterations=2)
     with pytest.raises(ValueError, match=refused):
         grid_search(loft, target, Short(method))
+    if method == "score_bound":  # the swarm scores every feasible particle and bounds none
+        assert pso_refine(loft, target, seed, Short(method), config=config) == pso_refine(
+            loft, target, seed, config=config)
+        return
     with pytest.raises(ValueError, match=refused):
-        pso_refine(loft, target, seed, Short(method), config=PsoConfig(particles=8, iterations=2))
+        pso_refine(loft, target, seed, Short(method), config=config)
 
 
 _SPOILS = ("none", "category inf", "category nan", "no categories", "offset inf", "offset nan", "facing inf",
@@ -387,7 +394,8 @@ def test_score_batch_is_score_per_candidate(seed, count, partner_here, partner_t
     eye = placement_module._eye_height(pose)
     batch = (rows, placement_module._attention_at(room.arrays, xs, zs, sins, coss, eye),
              placement_module._spatial_at(room.arrays, xs, zs))
-    offsets = placement_module._interpersonal_at(partner, xs, zs, yaws, sins, coss)
+    offsets = placement_module._interpersonal_at(partner, xs, zs, sins, coss,
+                                                 placement_module._relative_facing(partner, yaws))
     weights = rng.dirichlet(np.ones(4))
     scorer = DefaultScorer(ScorerConfig(
         sigma_offset=rng.uniform(0.05, 2.0), sigma_height=rng.uniform(0.05, 1.0),
@@ -590,10 +598,9 @@ _RING = ((SPATIAL_RADIUS, 0.0), (-SPATIAL_RADIUS, 0.0), (0.0, SPATIAL_RADIUS), (
     sigma_offset=st.sampled_from([1.0, 0.05, 1e-6]),
 )
 def test_batched_score_bound_is_admissible(seed, demo, partner_here, partner_there, sigma_offset):
-    """The default bound, called as the swarm calls it, is at least each
-    particle's float score, particles at SPATIAL_RADIUS from an object
-    centre included, and called as the grid calls it, at least the score at
-    every yaw of each cell, for yaws far outside [0, 2 pi) too."""
+    """The default bound, called as the grid calls it, is at least the float
+    score at every yaw of each cell, cells at SPATIAL_RADIUS from an object
+    centre included, for yaws far outside [0, 2 pi) too."""
     rng = np.random.default_rng(seed)
     room = demo_rooms()[int(rng.integers(2))] if demo else random_room(rng)
     partner = random_partner(rng, room) if partner_here else None
@@ -611,14 +618,6 @@ def test_batched_score_bound_is_admissible(seed, demo, partner_here, partner_the
     yaws = rng.uniform(-3.0 * math.pi, 5.0 * math.pi, (len(xs), 4))
     scores = np.array([[scorer.score(target, extract_features(room, Placement(x, z, yaw, pose), partner))
                         for yaw in row.tolist()] for x, z, row in zip(xs, zs, yaws)])
-
-    # the swarm: each particle at its first yaw, with its exact interpersonal
-    # features and spatial table
-    offsets = None if partner is None else np.array([
-        extract_features(room, Placement(x, z, yaw, pose), partner).interpersonal
-        for x, z, yaw in zip(xs, zs, yaws[:, 0].tolist())])
-    bounds = scorer.score_bound(target, rows, nearest, interpersonal=offsets)
-    assert (bounds >= scores[:, 0]).all()
 
     # the grid: each position a cell, with its exact spatial table
     dx, dz = (0.0, 0.0) if partner is None else (partner.x - cx, partner.z - cz)
@@ -671,7 +670,7 @@ def test_swarm_crop_changes_no_feature_or_feasibility(monkeypatch):
 
         def recorded(room, arrays, xs, zs, pose):
             keep, rows = feasible_rows(room, arrays, xs, zs, pose)
-            calls.append((arrays.count, keep, rows.tobytes()))
+            calls.append((arrays.count, keep.tolist(), rows.tobytes()))
             return keep, rows
 
         with monkeypatch.context() as m:
@@ -698,7 +697,7 @@ def test_foot_cells_are_accommodation_cells():
     assert len(columns) == len(placement_module._FOOT_CELLS) == 13
     for (ox, oz), k in zip(placement_module._FOOT_CELLS, columns):
         assert (ox.hex(), oz.hex()) == (offsets[k][0].hex(), offsets[k][1].hex())
-    assert columns == [21, 29, 30, 31, 38, 39, 40, 41, 42, 49, 50, 51, 59]
+    assert columns.tolist() == [21, 29, 30, 31, 38, 39, 40, 41, 42, 49, 50, 51, 59]
 
 
 @settings(max_examples=40, deadline=None)
@@ -723,7 +722,7 @@ def test_foot_columns_give_the_standing_footprint_test(seed):
         and all(support_height_at(room, x + ox, z + oz) <= STAND_CLEARANCE + 1e-9 for ox, oz in foot)
     ]
     keep, rows = placement_module._feasible_rows(room, room.arrays, xs, zs, PlacementPose.Standing)
-    assert keep == want
+    assert keep.tolist() == want
     assert 0 < len(keep) < len(xs)
     # the feasible points keep their accommodation rows
     each = [height_map(room, (xs[i], 0.0, zs[i]), ACCOMMODATION_RADIUS, ACCOMMODATION_CELL) for i in keep]
@@ -753,7 +752,7 @@ def test_seat_broadcast_gives_the_sitting_test_per_point(seed):
 
     want = [i for i, (x, z) in enumerate(zip(xs, zs)) if ext.contains(x, z) and seated(x, z)]
     keep, rows = placement_module._feasible_rows(room, room.arrays, xs, zs, PlacementPose.Sitting)
-    assert keep == want
+    assert keep.tolist() == want
     assert bool(seats) == (0 < len(keep) < len(xs))
     each = [height_map(room, (xs[i], 0.0, zs[i]), ACCOMMODATION_RADIUS, ACCOMMODATION_CELL) for i in keep]
     assert rows.tobytes() == b"".join(hm.heights[hm.valid].tobytes() for hm in each)
@@ -1087,6 +1086,25 @@ def test_height_term_is_rms_based():
     )
 
 
+def test_height_term_memo_changes_no_term(monkeypatch):
+    """Batches that repeat rows, switch the target row or sigma, and
+    overflow the memo of height terms give each row ``_height_term``'s
+    value, bit for bit."""
+    monkeypatch.setattr(placement_module, "_KNOWN_HEIGHT_ROWS", 6)
+    rng = np.random.default_rng(3)
+    rows = rng.choice([0.0, -0.0, 0.1, 0.45], size=(40, ACCOMMODATION_CELLS))
+    targets = (np.zeros(ACCOMMODATION_CELLS), rng.uniform(0.0, 0.5, ACCOMMODATION_CELLS))
+    for step in range(24):
+        ha, sigma = targets[step % 5 == 4], (0.3, 0.05)[step % 7 == 6]
+        batch = rows[rng.integers(0, len(rows), 4)]
+        got = placement_module._height_terms(ha, batch, sigma)
+        assert [t.hex() for t in got.tolist()] == [
+            placement_module._height_term(ha, row, sigma).hex() for row in batch], step
+        # one target row and sigma, and at most one batch past the bound
+        (known,) = placement_module._KNOWN_HEIGHT_TERMS.values()
+        assert len(known) < 6 + len(batch)
+
+
 def test_wrong_length_accommodation_vector_is_rejected():
     assert fv(heights=[0.5] * ACCOMMODATION_CELLS).pose_accommodation.dtype == np.float64
     for bad in ([], np.zeros(ACCOMMODATION_CELLS - 1), np.zeros(ACCOMMODATION_CELLS + 1), np.zeros((9, 9))):
@@ -1288,8 +1306,8 @@ class Recorder(Unbounded):
 
 def test_bounds_change_no_result_for_a_target_a_peer_may_send():
     """A target with inf or NaN entries, which the wire carries as they
-    are, gets the grid and swarm results of the unbounded search: each bound
-    is NaN or at least the score, and a NaN bound skips nothing."""
+    are, gets the grid and swarm results of the unbounded search: each grid
+    bound is NaN or at least the score, and a NaN bound skips nothing."""
     office, loft = demo_rooms()
     base = extract_features(office, Placement(-0.4, 1.0, 0.0, PlacementPose.Standing), PartnerPose(1.0, 0.5, 2.0))
     partner = PartnerPose(2.2, 0.3, math.pi / 2)
@@ -1322,46 +1340,38 @@ def test_bounds_change_no_result_for_a_target_a_peer_may_send():
             bounded = got
 
 
-class Screened(Recorder):
-    """A ``Recorder`` that forwards ``score_bound`` and counts the positions
-    it bounds."""
-
-    def __init__(self):
-        super().__init__()
-        self.bounded = 0
-
-    def score_bound(self, target, accommodation, spatial, **given):
-        self.bounded += len(accommodation)
-        return self.inner.score_bound(target, accommodation, spatial, **given)
-
-
-def test_the_swarm_screen_skips_most_particles_and_changes_no_result():
-    """Session searches, as in the pruned-grid test: after its first
-    iteration the screened swarm scores under half of its feasible
-    particles, with the result of the unscreened one."""
+def test_the_swarm_equals_the_per_particle_oracle():
+    """Session searches, as in the pruned-grid test, and a random room with
+    a standing and a sitting seed: the swarm, which scores every feasible
+    particle of an iteration in one batch, gives the per-particle reference
+    swarm's placement, score bits and evaluation count."""
     office, loft = demo_rooms()
     standing, sitting = PlacementPose.Standing, PlacementPose.Sitting
     spots = [  # (office spot, loft spot): the paired chairs, the paired screens
         (Placement(1.35, 0.55, 0.0, sitting), Placement(-0.9, -1.35, 2.4 - math.pi, sitting)),
         (Placement(-0.4, 1.0, 0.0, standing), Placement(2.2, 0.3, math.pi / 2, standing)),
     ]
-    exact = bounded = 0
-    for case, (office_spot, loft_spot) in enumerate(spots):
+    searches = []
+    for office_spot, loft_spot in spots:
         for room, user, other_room, local in ((office, office_spot, loft, loft_spot),
                                                (loft, loft_spot, office, office_spot)):
             avatar = grid_search(room, extract_features(other_room, local), DefaultScorer(),
                                  PartnerPose(user.x, user.z, user.yaw)).placement
             target = extract_features(room, user, PartnerPose(avatar.x, avatar.z, avatar.yaw))
             partner = PartnerPose(local.x, local.z, local.yaw)
-            seed = grid_search(other_room, target, partner=partner).placement
-            screened = Screened()
-            got = pso_refine(other_room, target, seed, screened, partner, rng=case)
-            assert got == pso_refine(other_room, target, seed, NoBound(DefaultScorer()), partner, rng=case)
-            # the first batch is the swarm's start and the last its result;
-            # the others are the particles that passed the screen
-            exact += sum(len(batch) for batch in screened.batches[1:-1])
-            bounded += screened.bounded
-    assert 0 < exact < 0.5 * bounded, (exact, bounded)
+            searches.append((other_room, target, grid_search(other_room, target, partner=partner).placement, partner))
+    rng = np.random.default_rng(10)
+    room = random_room(rng)  # four objects, one a bench to sit on
+    partner = random_partner(rng, room)
+    target = random_target(rng, room, random_partner(rng, room))
+    g = grid_search(room, target, partner=partner).placement
+    searches += [(room, target, Placement(g.x, g.z, g.yaw, standing), partner),
+                 (room, target, sitting_seed(room), partner)]
+    assert {seed.pose for _, _, seed, _ in searches} == {standing, sitting}
+    for case, (room, target, seed, partner) in enumerate(searches):
+        got = pso_refine(room, target, seed, partner=partner, rng=case)
+        placement, score, evaluated = reference_pso(room, target, seed, partner, PsoConfig(), case)
+        assert (got.placement, got.score.hex(), got.evaluated) == (placement, score.hex(), evaluated), case
 
 
 def test_grid_features_equal_the_per_placement_oracle():
@@ -1411,7 +1421,8 @@ def test_swarm_batch_features_equal_the_per_placement_oracle():
     assert table[:3] == [math.inf, SPATIAL_RADIUS, float(np.nextafter(SPATIAL_RADIUS, 0.0))]
     sins, coss = placement_module._turns(yaws)
     for partner in (None, PartnerPose(4.5, 1.0, 5.0)):
-        offsets = placement_module._interpersonal_at(partner, cx, cz, np.array(yaws), sins, coss)
+        offsets = placement_module._interpersonal_at(partner, cx, cz, sins, coss,
+                                                     placement_module._relative_facing(partner, np.array(yaws)))
         for pose in PlacementPose:
             attention = placement_module._attention_at(room.arrays, cx, cz, sins, coss,
                                                        placement_module._eye_height(pose))
