@@ -21,10 +21,10 @@ A ``FeatureVector`` holds both per-category features as tuples indexed by
 Only ``extract_features`` builds one: the search holds its candidates in the
 arrays a scorer takes (see ``SimilarityScorer``).
 
-The default scorer turns feature differences into a similarity in [0, 1]
-(identical features score exactly 1). The search finds the best cell of a
-0.25 m x 15-degree grid over the remote room, then refines it with a small
-particle swarm confined to that cell's neighborhood.
+The default scorer turns feature differences into a similarity in [0, 1];
+identical features score its weights summed in order. The search finds the
+best cell of a 0.25 m x 15-degree grid over the remote room, then refines it
+with a small particle swarm confined to that cell's neighborhood.
 
 A placement is feasible inside the room's extents when nothing under the
 feet rises above STAND_CLEARANCE (standing) or a sittable object's seat
@@ -89,6 +89,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 import weakref
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -97,7 +98,7 @@ from typing import Protocol, get_type_hints
 
 import numpy as np
 
-from .geometry import wrap_angle, wrap_angle_positive
+from .geometry import wrap_angle_positive
 from .scene import (
     ObjectCategory, Room, RoomArrays, height_map_grid, read_document, require_field, require_fields,
 )
@@ -197,37 +198,59 @@ class PartnerPose:
     yaw: float
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
     """Context descriptor for one (position, yaw, pose) in one room.
 
     `pose_accommodation` holds the support heights at the accommodation
     grid's ``ACCOMMODATION_CELLS`` valid cells in row-major order; any
-    sequence of that length is accepted as a float64 array, anything else
-    is rejected. `visual_attention` and `spatial` hold, per object category
-    (indexed by ``ObjectCategory.value``), the nearest matching object's
-    distance, or None when no such object was in range; anything but a
-    tuple of one entry per category is rejected. `interpersonal` is
-    (local_x, local_z, relative_yaw) of the partner, None when no partner
-    is placed.
+    sequence of that length is copied into a read-only float64 array.
+    `visual_attention` and `spatial` hold, per object category (indexed by
+    ``ObjectCategory.value``), the nearest matching object's distance, or
+    None when no such object was in range, in a tuple of one entry per
+    category. `interpersonal` is (local_x, local_z, relative_yaw) of the
+    partner, None when no partner is placed. Any other value (a bool is not
+    a number here) is a ValueError naming the field. A scorer reads the
+    read-only array form built here: `tables`, both category tables in one
+    array, inf for None; `held`, the entries not None (an inf or NaN from a
+    peer is held); `offset`, `interpersonal` as an array or None.
     """
 
     interpersonal: tuple[float, float, float] | None
     pose_accommodation: np.ndarray
     visual_attention: tuple[float | None, ...]
     spatial: tuple[float | None, ...]
+    tables: np.ndarray = field(init=False, repr=False)
+    held: np.ndarray = field(init=False, repr=False)
+    offset: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        heights = np.asarray(self.pose_accommodation, dtype=float)
+        heights = np.array(self.pose_accommodation, dtype=float)
         if heights.shape != (ACCOMMODATION_CELLS,):
             raise ValueError(
                 f"pose_accommodation needs {ACCOMMODATION_CELLS} heights, got shape {heights.shape}"
             )
-        object.__setattr__(self, "pose_accommodation", heights)
+        inter = self.interpersonal
+        if inter is not None and not (type(inter) is tuple and len(inter) == 3 and all(map(_is_real, inter))):
+            raise ValueError(f"interpersonal needs None or a tuple of 3 real numbers, got {inter!r}")
         for name in ("visual_attention", "spatial"):
             table = getattr(self, name)
-            if type(table) is not tuple or len(table) != _CATEGORY_COUNT:
-                raise ValueError(f"{name} needs a tuple of {_CATEGORY_COUNT} entries, got {table!r}")
+            if (type(table) is not tuple or len(table) != _CATEGORY_COUNT
+                    or not all(d is None or _is_real(d) for d in table)):
+                raise ValueError(f"{name} needs a tuple of {_CATEGORY_COUNT} entries, each None or a real number, "
+                                 f"got {table!r}")
+        entries = self.visual_attention + self.spatial
+        for name, array in (("pose_accommodation", heights),
+                            ("tables", np.array([math.inf if d is None else d for d in entries], dtype=float)),
+                            ("held", np.array([d is not None for d in entries])),
+                            ("offset", None if inter is None else np.array(inter, dtype=float))):
+            if array is not None:
+                array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def __eq__(self, other):
         if not isinstance(other, FeatureVector):
@@ -259,7 +282,7 @@ class ScorerConfig:
         if not all(v >= 0.0 for v in w):
             raise ValueError("weights must be non-negative")
         if not abs(sum(w) - 1.0) <= 1e-6:
-            raise ValueError("weights must sum to 1 so identical features score 1")
+            raise ValueError("weights must sum to 1 within 1e-6: identical features score the weights summed in order")
         object.__setattr__(self, "weights", w)
 
 
@@ -291,8 +314,9 @@ class SimilarityScorer(Protocol):
     rows, ``attention`` and ``spatial`` are ``(categories, n)`` arrays of
     tables, inf where no object of a category is in range, and
     ``interpersonal`` is an ``(n, 3)`` array of partner offsets, None without
-    a partner. The arrays may be read-only views. Each method returns one
-    float per candidate.
+    a partner. The arrays may be read-only views, and so is the target
+    ``FeatureVector``'s array form, which needs no conversion per call. Each
+    method returns one float per candidate.
 
     ``score_batch`` scores candidates. The grid hands it each visited cell's
     candidates, whose row and spatial table are the cell's, and the swarm
@@ -310,7 +334,7 @@ class SimilarityScorer(Protocol):
     def score_batch(self, target: FeatureVector, accommodation: np.ndarray, attention: np.ndarray,
                     spatial: np.ndarray, *, interpersonal: np.ndarray | None = None) -> np.ndarray:
         """One similarity in [0, 1] per candidate; identical features must
-        score 1."""
+        score 1, up to rounding."""
         ...
 
     def score_bound(self, target: FeatureVector, accommodation: np.ndarray, spatial: np.ndarray, *,
@@ -327,38 +351,6 @@ def _checked(values, n: int, method: str) -> np.ndarray:
     return values
 
 
-def default_similarity(a: FeatureVector, b: FeatureVector, cfg: ScorerConfig = ScorerConfig()) -> float:
-    """Heuristic feature similarity in [0, 1].
-
-    Four terms, each 1 for a perfect match and decaying exponentially with
-    the feature distance:
-
-    * interpersonal: offset distance plus absolute wrapped facing delta.
-      Both absent counts as a perfect match (neither end has a partner);
-      exactly one absent scores 0.
-    * accommodation: RMS height difference over the accommodation cells.
-    * attention and spatial: per-category ``exp(-|d_a - d_b| / falloff)``
-      averaged over the union of categories; a category present on only one
-      side contributes 0. An empty union scores 1.
-    """
-    w = cfg.weights
-    return (
-        w[0] * _interpersonal_term(a.interpersonal, b.interpersonal, cfg)
-        + w[1] * _height_term(a.pose_accommodation, b.pose_accommodation, cfg.sigma_height)
-        + w[2] * _category_term(a.visual_attention, b.visual_attention, cfg.distance_falloff)
-        + w[3] * _category_term(a.spatial, b.spatial, cfg.distance_falloff)
-    )
-
-
-def _interpersonal_term(a, b, cfg: ScorerConfig) -> float:
-    if a is None or b is None:
-        return 1.0 if a is b else 0.0
-    dx = a[0] - b[0]
-    dz = a[1] - b[1]
-    dfacing = abs(wrap_angle(a[2] - b[2]))
-    return math.exp(-(math.sqrt(dx * dx + dz * dz) / cfg.sigma_offset + dfacing / cfg.sigma_facing))
-
-
 def _height_term(ha: np.ndarray, hb: np.ndarray, sigma: float) -> float:
     diff = ha - hb
     return _rms_term((diff * diff).tolist(), sigma)
@@ -370,43 +362,46 @@ def _rms_term(squares: list[float], sigma: float) -> float:
     return math.exp(-rms / sigma)
 
 
-def _category_term(ta: tuple, tb: tuple, falloff: float) -> float:
-    total = 0.0
-    union = 0
-    for a, b in zip(ta, tb):
-        if a is None:
-            if b is not None:
-                union += 1
-        elif b is None:
-            union += 1
-        else:
-            union += 1
-            total += math.exp(-abs(a - b) / falloff)
-    if union == 0:
-        return 1.0
-    return total / union
-
-
 @dataclass(frozen=True)
 class DefaultScorer:
+    """Heuristic feature similarity in [0, 1].
+
+    Four terms, each 1 for a perfect match and decaying exponentially with
+    the feature distance, weighted by ``ScorerConfig.weights`` and summed in
+    that order:
+
+    * interpersonal: offset distance plus absolute wrapped facing delta.
+      Both absent counts as a perfect match (neither end has a partner);
+      exactly one absent scores 0.
+    * accommodation: RMS height difference over the accommodation cells.
+    * attention and spatial: per-category ``exp(-|d_a - d_b| / falloff)``
+      averaged over the union of categories; a category present on only one
+      side contributes 0. An empty union scores 1."""
+
     config: ScorerConfig = field(default_factory=ScorerConfig)
 
     def score(self, target: FeatureVector, candidate: FeatureVector) -> float:
-        return default_similarity(target, candidate, self.config)
+        """``score_batch`` of a one-candidate batch, whose layout reads inf as
+        an absent category: an inf or NaN candidate distance is refused."""
+        bad = candidate.held & ~np.isfinite(candidate.tables)
+        if bad.any():
+            table = ("visual_attention", "spatial")[int(bad.argmax()) // _CATEGORY_COUNT]
+            raise ValueError(f"the candidate's {table} table holds an inf or NaN distance")
+        return self.score_batch(target, candidate.pose_accommodation[None], *candidate.tables.reshape(2, -1, 1),
+                                interpersonal=None if candidate.offset is None else candidate.offset[None]).item()
 
     def score_batch(self, target: FeatureVector, accommodation: np.ndarray, attention: np.ndarray,
                     spatial: np.ndarray, *, interpersonal: np.ndarray | None = None) -> np.ndarray:
-        """``score`` of each candidate with its floating-point operations:
-        each term over the batch (``math.exp`` of each exponent, the height
-        term once per distinct row), summed in the same order. It raises
-        where ``score`` raises, on an infinite relative facing."""
+        """Each candidate's score, whatever else the batch holds: each term
+        over the batch (``math.exp`` of each exponent, the height term once
+        per distinct row), summed in the order above. An infinite relative
+        facing raises the ``ValueError`` that ``math.fmod`` raises there."""
         cfg = self.config
         w0, w1, w2, w3 = cfg.weights
-        s_attention, s_spatial = _category_means(target.visual_attention + target.spatial,
-                                                 np.concatenate((attention, spatial)),
+        s_attention, s_spatial = _category_means(target, np.concatenate((attention, spatial)),
                                                  lambda gap, b: _exps(-gap / cfg.distance_falloff))
         return (
-            w0 * _interpersonal_terms(target.interpersonal, interpersonal, cfg)
+            w0 * _interpersonal_terms(target.offset, interpersonal, cfg)
             + w1 * _height_terms(target.pose_accommodation, accommodation, cfg.sigma_height)
             + w2 * s_attention
             + w3 * s_spatial
@@ -414,7 +409,7 @@ class DefaultScorer:
 
     def score_bound(self, target: FeatureVector, accommodation: np.ndarray, spatial: np.ndarray, *,
                     partner_distance: np.ndarray | None = None) -> np.ndarray:
-        """The grid's per-cell bound: ``score``'s sum with attention at its
+        """The grid's per-cell bound: the score's sum with attention at its
         maximum 1 and every other term at a bound that holds at every yaw, in
         the same order: each addend is at least the score's, so the rounded
         sum is too.
@@ -428,12 +423,17 @@ class DefaultScorer:
         cfg = self.config
         w0, w1, w2, w3 = cfg.weights
         return (
-            w0 * _interpersonal_bound(target.interpersonal, partner_distance, cfg)
+            w0 * _interpersonal_bound(target.offset, partner_distance, cfg)
             + w1 * _height_bound(target.pose_accommodation, accommodation, cfg.sigma_height)
             + w2 * 1.0
-            + w3 * _category_means(target.spatial, spatial, lambda gap, b: _exp_upper(
+            + w3 * _category_means(target, spatial, lambda gap, b: _exp_upper(
                 (gap * (1.0 - 1e-9) - 1e-9 * (1.0 + 2.0 * b)) / cfg.distance_falloff))[0]
         )
+
+
+def default_similarity(a: FeatureVector, b: FeatureVector, cfg: ScorerConfig = ScorerConfig()) -> float:
+    """``DefaultScorer(cfg).score(a, b)``; ``perfbench/tracing.py`` wraps it by name."""
+    return DefaultScorer(cfg).score(a, b)
 
 
 # exp(-x) at x = 0, 1/32, ..., 40, from math.exp. exp(-x) is convex, so the
@@ -473,22 +473,22 @@ def _exps(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _interpersonal_terms(a, b: np.ndarray | None, cfg: ScorerConfig):
-    """``_interpersonal_term(a, row, cfg)`` for each row of b (None: no
-    partner), bit for bit. An infinite facing delta raises the
+def _interpersonal_terms(a: np.ndarray | None, b: np.ndarray | None, cfg: ScorerConfig):
+    """The interpersonal term of target offset a against each row of b
+    (None: no partner). An infinite facing delta raises the
     ``ValueError`` that ``math.fmod`` raises there."""
     if a is None or b is None:
         return 1.0 if a is b else 0.0
-    dx, dz, dyaw = (np.array(a, dtype=float) - b).T
+    dx, dz, dyaw = (a - b).T
     if np.isinf(dyaw).any():
         raise ValueError("math domain error")
     offset = np.sqrt(dx * dx + dz * dz)
     return _exps(-(offset / cfg.sigma_offset + np.abs(_wrap_angles(dyaw)) / cfg.sigma_facing))
 
 
-def _interpersonal_bound(a, partner_distance: np.ndarray | None, cfg: ScorerConfig):
-    """At least ``_interpersonal_term(a, b, cfg)`` at every yaw, for each
-    candidate b given the length of its partner offset: | |a| - |b| | never
+def _interpersonal_bound(a: np.ndarray | None, partner_distance: np.ndarray | None, cfg: ScorerConfig):
+    """At least the interpersonal term of target offset a at every yaw, for
+    each candidate b given the length of its partner offset: | |a| - |b| | never
     exceeds |a - b| (the reverse triangle inequality), the facing term only
     lowers the term, and the gap is lowered far beyond the rounding of the
     rotated offset and the lengths (by a pad that |a| cannot exceed, so an
@@ -558,23 +558,22 @@ def _height_bound(ha: np.ndarray, rows: np.ndarray, sigma: float) -> np.ndarray:
     return _exp_upper(rms * (1.0 - 1e-9) / sigma)
 
 
-def _category_means(tables: tuple, nearest: np.ndarray, term) -> np.ndarray:
-    """``_category_term``'s mean for k target tables joined in ``tables``,
-    one row each, against the candidates' ``(k * categories, batch)`` tables,
-    stacked the same way. ``term(gap, b)`` gives each category present on
-    both sides its term from the gap ``|a - b|`` and the candidate's
-    distance b; a category on one side only adds 0. The terms are added in
-    category order, as ``_category_term`` adds them."""
-    held = np.array([d is not None for d in tables])[:, None]
+def _category_means(target: FeatureVector, nearest: np.ndarray, term) -> np.ndarray:
+    """The category terms' means of the target's last k tables (attention
+    and spatial, or spatial) against the candidates' ``(k * categories,
+    batch)`` tables, stacked the same way. ``term(gap, b)`` gives each
+    category present on both sides its term from the gap ``|a - b|`` and the
+    candidate's distance b; a category on one side only adds 0. The terms
+    are added in category order, and an empty union gives 1."""
+    a, held = target.tables[-len(nearest):], target.held[-len(nearest):]
     there = nearest < math.inf
-    both = held & there
-    a = np.array([0.0 if d is None else d for d in tables], dtype=float)[:, None]
+    both = held[:, None] & there
     b = nearest[both]
     terms = np.zeros(nearest.shape)
-    terms[both] = term(np.abs(a.repeat(nearest.shape[1], axis=1)[both] - b), b)
-    shape = (len(tables) // _CATEGORY_COUNT, _CATEGORY_COUNT, nearest.shape[1])
+    terms[both] = term(np.abs(np.broadcast_to(a[:, None], nearest.shape)[both] - b), b)
+    shape = (len(a) // _CATEGORY_COUNT, _CATEGORY_COUNT, nearest.shape[1])
     total = np.add.accumulate(terms.reshape(shape), axis=1)[:, -1]
-    union = (held | there).reshape(shape).sum(axis=1)
+    union = (held[:, None] | there).reshape(shape).sum(axis=1)
     return np.where(union == 0, 1.0, total / np.maximum(union, 1))
 
 

@@ -413,3 +413,51 @@ def test_engine_modules_use_every_private_name_they_define():
     assert files
     found = {f.name: unused_private_names(f.read_text()) for f in files}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+_FEATURE_TUPLES = {"visual_attention", "spatial", "interpersonal"}
+# the class itself, and the encoder that writes the wire form
+_TUPLE_READERS = {("placement.py", "FeatureVector"), ("protocol.py", "encode_frame")}
+
+
+def feature_tuple_reads(source: str) -> list[str]:
+    """Each read in code (not strings or comments) of an attribute named
+    ``visual_attention``, ``spatial`` or ``interpersonal``, a FeatureVector's
+    wire form, with the top-level definition it is in."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in _FEATURE_TUPLES and isinstance(node.ctx, ast.Load):
+                found.append((node.lineno, node.col_offset, node.attr, getattr(top, "name", "the module")))
+    return [f"line {line}: .{attr} in {where}" for line, _, attr, where in sorted(found)]
+
+
+def test_feature_tuple_scan_finds_each_read():
+    sample = (
+        '"""target.visual_attention in a docstring is fine"""\n'
+        "class FeatureVector:\n"
+        "    def __eq__(self, other):\n"
+        "        return self.spatial == other.spatial  # self.interpersonal in a comment is fine\n"
+        "def score(target, candidate):\n"
+        "    return _term(target.interpersonal, candidate.visual_attention)\n"
+        "class Scorer:\n"
+        "    def score_batch(self, target):\n"
+        "        return [getattr(target, 'spatial'), (lambda f: f.spatial)(target)]\n"
+        "table = features.visual_attention + target.tables\n"
+        "features.spatial = ()\n"
+    )
+    assert feature_tuple_reads(sample) == [
+        "line 4: .spatial in FeatureVector", "line 4: .spatial in FeatureVector",
+        "line 6: .interpersonal in score", "line 6: .visual_attention in score", "line 9: .spatial in Scorer",
+        "line 10: .visual_attention in the module",
+    ]
+
+
+def test_no_engine_function_reads_the_feature_tuples():
+    # every scorer reads a FeatureVector's array form, and the batch layout
+    # holds every candidate, so no per-pair scorer over the tuples can return;
+    # only the class and the wire encoder read them
+    found = {f.name: [read for read in feature_tuple_reads(f.read_text())
+                      if (f.name, read.rpartition(" in ")[2]) not in _TUPLE_READERS]
+             for f in sorted((SRC / "twinroom").glob("*.py"))}
+    assert {name: reads for name, reads in found.items() if reads} == {}

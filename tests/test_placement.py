@@ -54,6 +54,7 @@ from twinroom.scene import (
     support_height_at,
 )
 
+from oracle import reference_similarity
 from test_scene import footprint_edge_points
 
 
@@ -83,7 +84,7 @@ def exhaustive_best(room, target, scorer, partner, config):
 def reference_pso(room, target, seed, partner, config, rng):
     """Reference swarm: the update rule of pso_refine and its rng draws, with
     every particle checked by ``feasible`` and scored by
-    ``default_similarity`` of its ``extract_features``, one by one. Returns
+    ``reference_similarity`` of its ``extract_features``, one by one. Returns
     the placement, the score and the number of points evaluated."""
     rng = np.random.Generator(np.random.PCG64(rng))
 
@@ -91,7 +92,7 @@ def reference_pso(room, target, seed, partner, config, rng):
         p = Placement(point[0], point[1], point[2], seed.pose)
         if not feasible(room, p):
             return -math.inf, p
-        return default_similarity(target, extract_features(room, p, partner)), p
+        return reference_similarity(target, extract_features(room, p, partner)), p
 
     ext = room.extents
     lo = np.array([max(seed.x - config.position_radius, ext.min_x),
@@ -233,11 +234,11 @@ def batch_of(candidates):
 
 class PerCandidate(Unbounded):
     """The default score, each candidate rebuilt as a FeatureVector and
-    scored by ``default_similarity``, with no bound: the unbatched,
-    exhaustive oracle."""
+    scored by ``oracle.reference_similarity``, with no bound: the
+    unbatched, exhaustive oracle."""
 
     def score_batch(self, target, *batch, interpersonal=None):
-        return [default_similarity(target, c) for c in candidate_features(*batch, interpersonal)]
+        return [reference_similarity(target, c) for c in candidate_features(*batch, interpersonal)]
 
 
 def demo_rooms():
@@ -350,13 +351,14 @@ _SPOILS = ("none", "category inf", "category nan", "no categories", "offset inf"
     sitting=st.booleans(),
 )
 def test_score_batch_is_score_per_candidate(seed, count, partner_here, partner_there, spoil, sitting):
-    """``DefaultScorer.score_batch`` gives each candidate
-    ``default_similarity``'s score bit for bit: random rooms' candidates,
-    some sharing a row or differing from one only in the sign of its zero
-    heights, against targets a peer may send (inf or NaN distances and
-    offsets, no partner on either side, no category at all), in batches of
-    0, 1 and up to 40 candidates. An infinite relative facing makes both
-    raise math.fmod's ValueError."""
+    """``DefaultScorer.score_batch``, and ``DefaultScorer.score`` of each
+    candidate alone, give each candidate ``oracle.reference_similarity``'s
+    score bit for bit: random rooms' candidates, some sharing a row or
+    differing from one only in the sign of its zero heights, against
+    targets a peer may send (inf or NaN distances and offsets, no partner on
+    either side, no category at all), in batches of 0, 1 and up to 40
+    candidates. An infinite relative facing makes all three raise
+    math.fmod's ValueError."""
     rng = np.random.default_rng(seed)
     room = random_room(rng)
     partner = random_partner(rng, room) if partner_here else None
@@ -400,15 +402,19 @@ def test_score_batch_is_score_per_candidate(seed, count, partner_here, partner_t
     scorer = DefaultScorer(ScorerConfig(
         sigma_offset=rng.uniform(0.05, 2.0), sigma_height=rng.uniform(0.05, 1.0),
         distance_falloff=rng.uniform(0.2, 2.0), weights=tuple(weights / weights.sum())))
+    candidates = candidate_features(*batch, offsets)
     try:
-        want = [scorer.score(target, c) for c in candidate_features(*batch, offsets)]
+        want = [reference_similarity(target, c, scorer.config) for c in candidates]
     except ValueError:  # an infinite relative facing, which math.fmod refuses
         with pytest.raises(ValueError, match="^math domain error$"):
             scorer.score_batch(target, *batch, interpersonal=offsets)
+        with pytest.raises(ValueError, match="^math domain error$"):
+            scorer.score(target, candidates[0])
         return
     got = scorer.score_batch(target, *batch, interpersonal=offsets)
     assert got.dtype == np.float64 and got.shape == (count,)
     assert [s.hex() for s in got.tolist()] == [s.hex() for s in want]
+    assert [scorer.score(target, c).hex() for c in candidates] == [s.hex() for s in want]
 
 
 # --- bounded grid -------------------------------------------------------------
@@ -1041,6 +1047,15 @@ def fv(inter=None, heights=None, attention=None, spatial=None):
     )
 
 
+def engine_score(a, b, cfg=ScorerConfig()):
+    return DefaultScorer(cfg).score(a, b)
+
+
+# the closed forms below pin the engine's rule, not only its equality with
+# the per-pair reference, and the reference's too
+SCORES = (engine_score, reference_similarity)
+
+
 def test_identical_features_score_one():
     a = fv(
         inter=(1.0, 2.0, 0.5),
@@ -1048,32 +1063,42 @@ def test_identical_features_score_one():
         attention={ObjectCategory.Screen: 2.0},
         spatial={ObjectCategory.Table: 1.0},
     )
-    assert default_similarity(a, a) == pytest.approx(1.0, abs=1e-12)
+    for score in SCORES:
+        assert score(a, a) == pytest.approx(1.0, abs=1e-12), score.__name__
+
+
+def test_identical_features_score_the_weights_summed_in_order():
+    """Each term of identical features is exactly 1, so they score the
+    weights summed in order: not 1 for weights that sum to 1 only within
+    the config's tolerance."""
+    a = fv(inter=(1.0, 2.0, 0.5), heights=np.linspace(0.1, 0.4, ACCOMMODATION_CELLS),
+           attention={ObjectCategory.Screen: 2.0}, spatial={ObjectCategory.Table: 1.0})
+    for weights in ((0.3, 0.3, 0.3, 0.1), (0.1, 0.2, 0.3, 0.4), (0.25, 0.25, 0.25, 0.25)):
+        cfg = ScorerConfig(weights=weights)
+        w0, w1, w2, w3 = weights
+        for score in SCORES:
+            assert score(a, a, cfg).hex() == (((w0 + w1) + w2) + w3).hex(), (score.__name__, weights)
+    assert engine_score(a, a, ScorerConfig(weights=(0.3, 0.3, 0.3, 0.1))).hex() == "0x1.fffffffffffffp-1"
 
 
 def test_interpersonal_term_closed_forms():
     cfg = ScorerConfig()
-    both_none = default_similarity(fv(), fv(), cfg)
-    assert both_none == pytest.approx(1.0, abs=1e-12)
+    for score in SCORES:
+        both_none = score(fv(), fv(), cfg)
+        assert both_none == pytest.approx(1.0, abs=1e-12), score.__name__
 
-    one_none = default_similarity(fv(inter=(0, 0, 0)), fv(), cfg)
-    assert one_none == pytest.approx(0.75, abs=1e-12)  # 0 for that quarter
+        one_none = score(fv(inter=(0, 0, 0)), fv(), cfg)
+        assert one_none == pytest.approx(0.75, abs=1e-12), score.__name__  # 0 for that quarter
 
-    offset = default_similarity(fv(inter=(1.0, 0, 0)), fv(inter=(0, 0, 0)), cfg)
-    assert offset == pytest.approx(0.75 + 0.25 * math.exp(-1.0), abs=1e-12)
+        offset = score(fv(inter=(1.0, 0, 0)), fv(inter=(0, 0, 0)), cfg)
+        assert offset == pytest.approx(0.75 + 0.25 * math.exp(-1.0), abs=1e-12), score.__name__
 
-    facing = default_similarity(
-        fv(inter=(0, 0, math.pi / 2)), fv(inter=(0, 0, 0)), cfg
-    )
-    assert facing == pytest.approx(0.75 + 0.25 * math.exp(-1.0), abs=1e-12)
+        facing = score(fv(inter=(0, 0, math.pi / 2)), fv(inter=(0, 0, 0)), cfg)
+        assert facing == pytest.approx(0.75 + 0.25 * math.exp(-1.0), abs=1e-12), score.__name__
 
-    # facing delta wraps: 2*pi - 0.1 vs 0 is a 0.1 rad difference
-    wrapped = default_similarity(
-        fv(inter=(0, 0, 2 * math.pi - 0.1)), fv(inter=(0, 0, 0)), cfg
-    )
-    assert wrapped == pytest.approx(
-        0.75 + 0.25 * math.exp(-0.1 / (math.pi / 2)), abs=1e-12
-    )
+        # facing delta wraps: 2*pi - 0.1 vs 0 is a 0.1 rad difference
+        wrapped = score(fv(inter=(0, 0, 2 * math.pi - 0.1)), fv(inter=(0, 0, 0)), cfg)
+        assert wrapped == pytest.approx(0.75 + 0.25 * math.exp(-0.1 / (math.pi / 2)), abs=1e-12), score.__name__
 
 
 def test_height_term_is_rms_based():
@@ -1081,9 +1106,8 @@ def test_height_term_is_rms_based():
     a = fv(heights=np.zeros(ACCOMMODATION_CELLS))
     b = fv(heights=np.full(ACCOMMODATION_CELLS, 0.3))
     # rms difference 0.3 with sigma 0.3: that quarter contributes exp(-1)
-    assert default_similarity(a, b, cfg) == pytest.approx(
-        0.75 + 0.25 * math.exp(-1.0), abs=1e-12
-    )
+    for score in SCORES:
+        assert score(a, b, cfg) == pytest.approx(0.75 + 0.25 * math.exp(-1.0), abs=1e-12), score.__name__
 
 
 def test_height_term_memo_changes_no_term(monkeypatch):
@@ -1116,26 +1140,85 @@ def test_category_term_closed_forms():
     cfg = ScorerConfig()
     same = fv(attention={ObjectCategory.Chair: 1.0})
     far = fv(attention={ObjectCategory.Chair: 2.0})
-    assert default_similarity(same, far, cfg) == pytest.approx(
-        0.75 + 0.25 * math.exp(-1.0), abs=1e-12
-    )
+    for score in SCORES:
+        assert score(same, far, cfg) == pytest.approx(0.75 + 0.25 * math.exp(-1.0), abs=1e-12), score.__name__
 
-    missing = default_similarity(same, fv(), cfg)
-    assert missing == pytest.approx(0.75, abs=1e-12)  # one-sided category: 0
+        missing = score(same, fv(), cfg)
+        assert missing == pytest.approx(0.75, abs=1e-12), score.__name__  # one-sided category: 0
 
-    partial = default_similarity(
-        fv(attention={ObjectCategory.Chair: 1.0, ObjectCategory.Table: 2.0}),
-        fv(attention={ObjectCategory.Chair: 1.0}),
-        cfg,
-    )
-    assert partial == pytest.approx(0.75 + 0.25 * 0.5, abs=1e-12)
+        partial = score(
+            fv(attention={ObjectCategory.Chair: 1.0, ObjectCategory.Table: 2.0}),
+            fv(attention={ObjectCategory.Chair: 1.0}),
+            cfg,
+        )
+        assert partial == pytest.approx(0.75 + 0.25 * 0.5, abs=1e-12), score.__name__
 
 
 def test_scorer_weights_reweight_terms():
     cfg = ScorerConfig(weights=(1.0, 0.0, 0.0, 0.0))
     a = fv(inter=(1.0, 0, 0), attention={ObjectCategory.Chair: 1.0})
     b = fv(inter=(0.0, 0, 0))  # attention mismatch scores 0 but has weight 0
-    assert default_similarity(a, b, cfg) == pytest.approx(math.exp(-1.0), abs=1e-12)
+    for score in SCORES:
+        assert score(a, b, cfg) == pytest.approx(math.exp(-1.0), abs=1e-12), score.__name__
+
+
+def test_feature_vector_array_form_is_its_own_and_read_only():
+    """The array form holds the tuples' values (inf for None; an inf or NaN
+    from a peer is held), and no array of a FeatureVector changes after it
+    is built: the heights are copied, and every array is read-only."""
+    heights = np.zeros(ACCOMMODATION_CELLS)
+    f = fv(inter=(1, 2.0, -0.5), heights=heights,
+           attention={ObjectCategory.Chair: math.inf}, spatial={ObjectCategory.Table: math.nan})
+    heights[0] = 5.0
+    assert f == fv(inter=(1.0, 2.0, -0.5), attention=f.visual_attention, spatial=f.spatial)
+    assert not f.pose_accommodation.any()
+    chair, table = ObjectCategory.Chair.value, len(ObjectCategory) + ObjectCategory.Table.value
+    assert f.held.tolist() == [i in (chair, table) for i in range(2 * len(ObjectCategory))]
+    assert f.tables[chair] == math.inf and math.isnan(f.tables[table])
+    assert all(d == math.inf for i, d in enumerate(f.tables.tolist()) if i not in (chair, table))
+    assert f.offset.tolist() == [1.0, 2.0, -0.5] and fv().offset is None
+    for array in (f.pose_accommodation, f.tables, f.held, f.offset):
+        assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("bad", ["short offset", "list offset", "string offset", "bool offset", "string entry",
+                                 "bool entry"])
+def test_feature_vector_refuses_a_bad_value_naming_its_field(bad):
+    """A FeatureVector holds only values its array form and the wire can
+    carry: an offset of three real numbers, category entries None or a real
+    number. A bool is not taken for 1.0, and nothing fails later, when it is
+    scored."""
+    entries = per_category({ObjectCategory.Chair: 1.0})
+    field, inter, attention = {
+        "short offset": ("interpersonal", (1.0, 2.0), entries),
+        "list offset": ("interpersonal", [1.0, 2.0, 0.0], entries),
+        "string offset": ("interpersonal", (1.0, "2", 0.0), entries),
+        "string entry": ("visual_attention", None, ("1.0",) + entries[1:]),
+        "bool entry": ("visual_attention", None, (True,) + entries[1:]),
+        "bool offset": ("interpersonal", (1.0, False, 0.0), entries),
+    }[bad]
+    with pytest.raises(ValueError, match=f"^{field} needs"):
+        fv(inter=inter, attention=attention)
+
+
+@pytest.mark.parametrize("table", ["visual_attention", "spatial"])
+@pytest.mark.parametrize("distance", [math.inf, math.nan])
+def test_a_candidate_table_holding_inf_or_nan_is_refused(table, distance):
+    """The batch layout marks an absent category with inf, so a candidate
+    whose table holds an inf or NaN distance has no one-candidate batch: it
+    is refused, not scored as if the category were absent. Without the
+    refusal, an inf against a target with no categories scores 1.0, where
+    the per-pair reference scores 0.75. A target may hold one: the wire
+    carries it as it is."""
+    odd = per_category({ObjectCategory.Chair: distance})
+    tables = {"attention": odd} if table == "visual_attention" else {"spatial": odd}
+    candidate, target = fv(**tables), fv()
+    for score in (engine_score, default_similarity):
+        with pytest.raises(ValueError, match=f"^the candidate's {table} table holds an inf or NaN distance$"):
+            score(target, candidate)
+    if distance == math.inf:
+        assert reference_similarity(target, candidate) == 0.75
+    assert engine_score(candidate, target) == reference_similarity(candidate, target) == 0.75
 
 
 def test_scorer_config_validation_and_json():
