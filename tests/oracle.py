@@ -1,7 +1,7 @@
 """The default similarity rule one pair at a time: the tests' reference for
 ``DefaultScorer``, which scores every candidate, one or many, through
 ``score_batch``. Each term is computed on its own, from the FeatureVectors'
-tuples, with ``math`` on Python floats; the tests compare the engine's
+tuples and heights, with ``math`` on Python floats; the tests compare the engine's
 scores with it ``float.hex`` for ``float.hex``."""
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from twinroom.geometry import wrap_angle
-from twinroom.placement import FeatureVector, ScorerConfig, _height_term
+from twinroom.placement import ACCOMMODATION_CELLS, FeatureVector, ScorerConfig
 
 
 def reference_similarity(a: FeatureVector, b: FeatureVector, cfg: ScorerConfig = ScorerConfig()) -> float:
@@ -42,6 +42,12 @@ def _interpersonal_term(a, b, cfg: ScorerConfig) -> float:
     dz = a[1] - b[1]
     dfacing = abs(wrap_angle(a[2] - b[2]))
     return math.exp(-(math.sqrt(dx * dx + dz * dz) / cfg.sigma_offset + dfacing / cfg.sigma_facing))
+
+
+def _height_term(ha, hb, sigma: float) -> float:
+    squares = [(a - b) * (a - b) for a, b in zip(ha.tolist(), hb.tolist())]
+    rms = math.sqrt(math.fsum(squares) / ACCOMMODATION_CELLS)
+    return math.exp(-rms / sigma)
 
 
 def _category_term(ta: tuple, tb: tuple, falloff: float) -> float:

@@ -165,7 +165,7 @@ def test_03_optimizer_matches_exhaustive_oracle():
     while rooms_checked < 20:
         room = random_room(rng)
         target = random_target(rng, room, None)
-        ref_placement, ref_score, _ = exhaustive_best(room, target, scorer, None, config)
+        ref_placement, ref_score, _ = exhaustive_best(room, target, scorer.config, None, config)
         if ref_placement is None:
             with pytest.raises(NoFeasiblePlacement):
                 grid_search(room, target, scorer, None, config=config)

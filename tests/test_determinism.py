@@ -423,7 +423,9 @@ _TUPLE_READERS = {("placement.py", "FeatureVector"), ("protocol.py", "encode_fra
 def feature_tuple_reads(source: str) -> list[str]:
     """Each read in code (not strings or comments) of an attribute named
     ``visual_attention``, ``spatial`` or ``interpersonal``, a FeatureVector's
-    wire form, with the top-level definition it is in."""
+    wire form, with the top-level definition it is in. The scan matches the
+    name whatever object it is read from: a later field of another class
+    with one of these names is reported too, and needs another name."""
     found = []
     for top in ast.parse(source).body:
         for node in ast.walk(top):

@@ -58,10 +58,11 @@ from oracle import reference_similarity
 from test_scene import footprint_edge_points
 
 
-def exhaustive_best(room, target, scorer, partner, config):
+def exhaustive_best(room, target, cfg, partner, config):
     """Reference search: score every grid candidate one by one, in index
-    order, keeping the first best. Shares nothing with the production scan
-    except the public feasibility/feature/score functions."""
+    order, keeping the first best, with ``reference_similarity`` under the
+    scorer config ``cfg``. Shares nothing with the production scan except
+    the public feasibility and feature functions."""
     xs, zs, yaws = grid_axes(room.extents, config.cell, config.yaw_count)
     best_score = -math.inf
     best = None
@@ -73,7 +74,7 @@ def exhaustive_best(room, target, scorer, partner, config):
                     p = Placement(x, z, yaw, pose)
                     if not feasible(room, p):
                         continue
-                    score = scorer.score(target, extract_features(room, p, partner))
+                    score = reference_similarity(target, extract_features(room, p, partner), cfg)
                     evaluated += 1
                     if score > best_score:
                         best_score = score
@@ -189,7 +190,7 @@ def test_grid_search_equals_exhaustive():
         )
         target = random_target(rng, room, partner)
         want, want_score, want_evaluated = exhaustive_best(
-            room, target, scorer, partner, config
+            room, target, scorer.config, partner, config
         )
         if want is None:
             with pytest.raises(NoFeasiblePlacement):
@@ -1057,6 +1058,9 @@ SCORES = (engine_score, reference_similarity)
 
 
 def test_identical_features_score_one():
+    """Each term of identical features is exactly 1, so they score the
+    weights summed in order: 1 for the default weights, but not 1 for
+    weights that sum to 1 only within the config's tolerance."""
     a = fv(
         inter=(1.0, 2.0, 0.5),
         heights=np.linspace(0.1, 0.4, ACCOMMODATION_CELLS),
@@ -1064,20 +1068,11 @@ def test_identical_features_score_one():
         spatial={ObjectCategory.Table: 1.0},
     )
     for score in SCORES:
-        assert score(a, a) == pytest.approx(1.0, abs=1e-12), score.__name__
-
-
-def test_identical_features_score_the_weights_summed_in_order():
-    """Each term of identical features is exactly 1, so they score the
-    weights summed in order: not 1 for weights that sum to 1 only within
-    the config's tolerance."""
-    a = fv(inter=(1.0, 2.0, 0.5), heights=np.linspace(0.1, 0.4, ACCOMMODATION_CELLS),
-           attention={ObjectCategory.Screen: 2.0}, spatial={ObjectCategory.Table: 1.0})
-    for weights in ((0.3, 0.3, 0.3, 0.1), (0.1, 0.2, 0.3, 0.4), (0.25, 0.25, 0.25, 0.25)):
-        cfg = ScorerConfig(weights=weights)
-        w0, w1, w2, w3 = weights
-        for score in SCORES:
-            assert score(a, a, cfg).hex() == (((w0 + w1) + w2) + w3).hex(), (score.__name__, weights)
+        assert score(a, a) == 1.0, score.__name__
+        for weights in ((0.3, 0.3, 0.3, 0.1), (0.1, 0.2, 0.3, 0.4)):
+            w0, w1, w2, w3 = weights
+            got = score(a, a, ScorerConfig(weights=weights))
+            assert got.hex() == (((w0 + w1) + w2) + w3).hex(), (score.__name__, weights)
     assert engine_score(a, a, ScorerConfig(weights=(0.3, 0.3, 0.3, 0.1))).hex() == "0x1.fffffffffffffp-1"
 
 
