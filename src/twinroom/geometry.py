@@ -85,16 +85,6 @@ def normalized(v) -> tuple[float, float, float]:
     return (x / n, y / n, z / n)
 
 
-def wrap_angle(a: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    a = math.fmod(a, 2.0 * math.pi)
-    if a <= -math.pi:
-        a += 2.0 * math.pi
-    elif a > math.pi:
-        a -= 2.0 * math.pi
-    return a
-
-
 def wrap_angle_positive(a: float) -> float:
     """Wrap an angle to [0, 2*pi)."""
     a = math.fmod(a, 2.0 * math.pi)

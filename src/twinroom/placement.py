@@ -48,7 +48,8 @@ partner offset has the same length at every yaw). The search then visits
 cells by descending bound, scores a cell's candidates together, and stops
 once no bound can reach the best score. A visited cell's candidates share
 its accommodation row and spatial table, which ``score_batch`` gets as
-read-only views of the cell's, repeated over its yaws without a copy.
+read-only views of the cell's, repeated over its yaws; the height term's
+memo sums that row once.
 A standing swarm iteration is one accommodation broadcast over every
 particle, which gives both their feasibility and their rows; a sitting
 iteration tests the seats first, in one broadcast per sittable object, and
@@ -68,10 +69,11 @@ placement (a category's attention entry is the least distance in the cone,
 which is the nearest hit), every horizontal distance is
 ``sqrt(dx * dx + dz * dz)``, as ``geometry.norm`` computes a length on the
 tick path, and ``math.sin``, ``math.cos``, ``math.exp`` and the height term
-still run on the same inputs (the height term once per distinct row, which
-gives every equal row the same value; a memo keeps the terms of the rows
-scored against the last target row, which a swarm's particles keep landing
-on from one iteration to the next). The broadcasts use only elementwise
+still run on the same inputs (the height term's only dedupe is one memo
+lookup per row, by the row's bytes: the memo keeps the terms of the rows
+scored against the last target row, which a grid cell's yaws repeat and a
+swarm's particles keep landing on from one iteration to the next, so an
+equal row gets the same value). The broadcasts use only elementwise
 arithmetic, ``np.sqrt``, ``np.fmod`` and comparisons, which are correctly
 rounded on every CPU, and the height term sums its squared differences with
 ``math.fsum``, which is correctly rounded too, so a search gives the same
@@ -352,13 +354,10 @@ def _checked(values, n: int, method: str) -> np.ndarray:
 
 
 def _height_term(ha: np.ndarray, hb: np.ndarray, sigma: float) -> float:
+    """The height term: ``exp(-rms / sigma)`` of the RMS height difference,
+    its squares summed by ``math.fsum``."""
     diff = ha - hb
-    return _rms_term((diff * diff).tolist(), sigma)
-
-
-def _rms_term(squares: list[float], sigma: float) -> float:
-    """The height term from the squared height differences."""
-    rms = math.sqrt(math.fsum(squares) / ACCOMMODATION_CELLS)
+    rms = math.sqrt(math.fsum((diff * diff).tolist()) / ACCOMMODATION_CELLS)
     return math.exp(-rms / sigma)
 
 
@@ -393,9 +392,10 @@ class DefaultScorer:
     def score_batch(self, target: FeatureVector, accommodation: np.ndarray, attention: np.ndarray,
                     spatial: np.ndarray, *, interpersonal: np.ndarray | None = None) -> np.ndarray:
         """Each candidate's score, whatever else the batch holds: each term
-        over the batch (``math.exp`` of each exponent, the height term once
-        per distinct row), summed in the order above. An infinite relative
-        facing raises the ``ValueError`` that ``math.fmod`` raises there."""
+        over the batch (``math.exp`` of each exponent, the height term from
+        one memo lookup per row), summed in the order above. An infinite
+        relative facing raises the ``ValueError`` that ``math.fmod`` raises
+        there."""
         cfg = self.config
         w0, w1, w2, w3 = cfg.weights
         s_attention, s_spatial = _category_means(target, np.concatenate((attention, spatial)),
@@ -451,9 +451,10 @@ def _exp_upper(x: np.ndarray) -> np.ndarray:
 
 
 def _wrap_angles(a: np.ndarray) -> np.ndarray:
-    """``geometry.wrap_angle`` of each entry, with the same operations: an
-    entry moved by one branch lands where the other branch's test is
-    false, so the two run one after the other, in place."""
+    """Each entry wrapped to (-pi, pi], in place: its ``fmod`` by 2 pi, plus
+    2 pi where that is at most -pi, less 2 pi where it is above pi. An entry
+    moved by one step lands where the other step's test is false, so the two
+    run one after the other."""
     a = np.fmod(a, 2.0 * math.pi)
     np.add(a, 2.0 * math.pi, out=a, where=a <= -math.pi)
     return np.subtract(a, 2.0 * math.pi, out=a, where=a > math.pi)
@@ -500,9 +501,10 @@ def _interpersonal_bound(a: np.ndarray | None, partner_distance: np.ndarray | No
 
 
 # Height terms already computed against one target row under one sigma, by
-# the candidate row's bytes. A swarm's particles keep landing on the same few
-# rows, so its iterations share them; the memo holds one target row and sigma
-# and at most _KNOWN_HEIGHT_ROWS rows.
+# the candidate row's bytes: the height term's only dedupe. A grid cell's yaws
+# repeat its row, and a swarm's particles keep landing on the same few rows
+# from one iteration to the next; the memo holds one target row and sigma and
+# at most _KNOWN_HEIGHT_ROWS rows, plus the rest of the batch that fills it.
 _KNOWN_HEIGHT_TERMS: dict[tuple[bytes, float], dict[bytes, float]] = {}
 _KNOWN_HEIGHT_ROWS = 1024
 
@@ -519,34 +521,19 @@ def _known_height_terms(ha: np.ndarray, sigma: float) -> dict[bytes, float]:
 
 
 def _height_terms(ha: np.ndarray, rows: np.ndarray, sigma: float) -> np.ndarray:
-    """``_height_term(ha, row, sigma)`` for each row, computed once per
-    distinct row content: one row broadcast over the batch (a zero first
-    stride, as the grid passes a cell's row) is one row; otherwise the rows
-    are sorted by their bytes, and each one that differs from the row before
-    it starts a group. A group whose row the memo knows takes its term from
-    there; the other distinct rows are squared together, then summed one by
-    one. A difference squares to the same float whichever way it is taken."""
-    if not rows.strides[0]:
-        return np.full(len(rows), _height_term(ha, rows[0], sigma))
-    bits = np.ascontiguousarray(rows, dtype=float).view(np.uint64)
-    order = np.argsort(bits.view(np.dtype((np.void, 8 * ACCOMMODATION_CELLS)))[:, 0])
-    ordered = bits[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    distinct = ordered[first]
-    raw, size = distinct.tobytes(), 8 * ACCOMMODATION_CELLS
-    keys = [raw[i:i + size] for i in range(0, len(raw), size)]
+    """``_height_term(ha, row, sigma)`` for each row, in batch order: a row
+    whose bytes the memo knows takes its term from there, and any other row's
+    term is computed and remembered. A batch never sums a row twice, as the
+    memo only clears before one."""
     known = _known_height_terms(ha, sigma)
-    terms = [known.get(key) for key in keys]
-    new = [i for i, term in enumerate(terms) if term is None]
-    if new:
-        diff = distinct[new].view(float) - ha
-        diff *= diff
-        for i, squares in zip(new, diff.tolist()):
-            terms[i] = known[keys[i]] = _rms_term(squares, sigma)
-    group = np.empty(len(order), dtype=int)
-    group[order] = first.cumsum() - 1
-    return np.array(terms)[group]
+    terms = []
+    for row in np.asarray(rows, dtype=float):
+        key = row.tobytes()
+        term = known.get(key)
+        if term is None:
+            term = known[key] = _height_term(ha, row, sigma)
+        terms.append(term)
+    return np.array(terms)
 
 
 def _height_bound(ha: np.ndarray, rows: np.ndarray, sigma: float) -> np.ndarray:
@@ -907,7 +894,8 @@ def grid_search(
             break
         x, z, pose = tables.xs[k], tables.zs[k], tables.poses[k]
         attention = _attention_at(room.arrays, x, z, sins, coss, _eye_height(pose))
-        # the cell's row and spatial table, shared by its yaws as read-only views
+        # the cell's row and spatial table, shared by its yaws as read-only
+        # views; the height term's memo sums the row once
         rows = np.broadcast_to(tables.rows[k], (n, ACCOMMODATION_CELLS))
         nearest = np.broadcast_to(tables.nearest[:, k:k + 1], (_CATEGORY_COUNT, n))
         scores = _checked(scorer.score_batch(target, rows, attention, nearest,
@@ -988,8 +976,8 @@ def pso_refine(
     particles and their accommodation rows (standing, from one broadcast
     over every particle), one broadcast each their attention and spatial
     tables, and one ``score_batch`` call scores all of them, where the
-    default scorer computes the height term once per distinct row. The
-    swarm never calls ``score_bound``.
+    default scorer looks each row's height term up in its memo, which keeps
+    the rows of earlier iterations. The swarm never calls ``score_bound``.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.Generator(np.random.PCG64(rng))

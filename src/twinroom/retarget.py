@@ -423,11 +423,6 @@ def retarget_pointing(
 
 # --- interpolation ----------------------------------------------------------
 
-def interp_head(current_forward, desired_forward, t: float) -> tuple[float, float, float]:
-    """Great-circle blend of the head's forward direction; t in [0,1]."""
-    return slerp_vec(current_forward, desired_forward, t)
-
-
 def interp_hand(current_pos, current_forward, desired_pos, desired_forward, t: float) -> tuple[float, float, float]:
     """Cubic Bezier hand path whose end tangents follow the two forwards.
 
@@ -545,7 +540,7 @@ def avatar_tick(
             st.t = 0.0
             st.start_fwd = quat_rotate(start.orientations[head], FORWARD)
         st.t = min(1.0, st.t + dt * cfg.interp_speed)
-        fwd = interp_head(st.start_fwd, desired_fwd, st.t) if st.t < 1.0 else desired_fwd
+        fwd = slerp_vec(st.start_fwd, desired_fwd, st.t) if st.t < 1.0 else desired_fwd
         orientations[head] = quat_mul(inv_root_q, look_rotation(fwd, UP))
 
     for i, side, shoulder, wrist in _ARMS:

@@ -2,13 +2,13 @@
 ``DefaultScorer``, which scores every candidate, one or many, through
 ``score_batch``. Each term is computed on its own, from the FeatureVectors'
 tuples and heights, with ``math`` on Python floats; the tests compare the engine's
-scores with it ``float.hex`` for ``float.hex``."""
+scores with it ``float.hex`` for ``float.hex``. ``wrap_angle`` is the scalar
+facing wrap that the engine's ``_wrap_angles`` applies to each entry."""
 
 from __future__ import annotations
 
 import math
 
-from twinroom.geometry import wrap_angle
 from twinroom.placement import ACCOMMODATION_CELLS, FeatureVector, ScorerConfig
 
 
@@ -33,6 +33,16 @@ def reference_similarity(a: FeatureVector, b: FeatureVector, cfg: ScorerConfig =
         + w[2] * _category_term(a.visual_attention, b.visual_attention, cfg.distance_falloff)
         + w[3] * _category_term(a.spatial, b.spatial, cfg.distance_falloff)
     )
+
+
+def wrap_angle(a: float) -> float:
+    """Wrap an angle to (-pi, pi]."""
+    a = math.fmod(a, 2.0 * math.pi)
+    if a <= -math.pi:
+        a += 2.0 * math.pi
+    elif a > math.pi:
+        a -= 2.0 * math.pi
+    return a
 
 
 def _interpersonal_term(a, b, cfg: ScorerConfig) -> float:

@@ -463,3 +463,87 @@ def test_no_engine_function_reads_the_feature_tuples():
                       if (f.name, read.rpartition(" in ")[2]) not in _TUPLE_READERS]
              for f in sorted((SRC / "twinroom").glob("*.py"))}
     assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+# public names nothing under src/, demos/ or perfbench/ uses, kept as test
+# helpers (ROADMAP item 8)
+_TEST_HELPERS = {"geometry.py: vec3", "geometry.py: quat_between", "geometry.py: Transform.compose"}
+
+
+def public_definitions(source: str) -> list[tuple[str, str]]:
+    """Each public function and class a module defines at its top level,
+    and each public method of its classes, as (qualified name, name)."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{node.name}.{m.name}", m.name) for m in node.body
+                          if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not m.name.startswith("_")]
+    return found
+
+
+def names_read(source: str) -> set[str]:
+    """Every name a module reads: a name or attribute it loads, a name it
+    imports, and a string constant (``getattr`` and the tracer look names up
+    by string). A definition does not read its own name, and a docstring that
+    mentions a name among other words does not read it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def unread_definitions(modules: dict[str, str], readers: list[str]) -> set[str]:
+    """The public definitions of ``modules`` (file name to source) that no
+    source in ``readers`` reads. The scan matches names, whatever scope or
+    object they are read from, so it misses an orphan that shares its name
+    with something read."""
+    read = set().union(*map(names_read, readers))
+    return {f"{file}: {qualified}" for file, source in modules.items()
+            for qualified, name in public_definitions(source) if name not in read}
+
+
+def test_unread_definition_scan_finds_each_orphan():
+    module = (
+        '"""helper and Box.grow are named here, which is no read"""\n'
+        "import math\n"
+        "def helper(x):\n"
+        "    return math.sqrt(x)\n"
+        "def orphan():\n"
+        "    orphan = 1  # a store is no read\n"
+        "def _private():\n"
+        "    return helper(2)\n"
+        "class Box:\n"
+        "    def grow(self):\n"
+        "        return Box()\n"
+        "    def shrink(self):\n"
+        "        pass\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "class Traced:\n"
+        "    def run(self):\n"
+        "        pass\n"
+        "class Gone:\n"
+        "    pass\n"
+    )
+    readers = [module, "from m import helper as h\nh(1).grow()\n", "WRAPPED = ('m', 'Traced')\nx.run\n"]
+    assert unread_definitions({"m.py": module}, readers) == {
+        "m.py: orphan", "m.py: Box.shrink", "m.py: Gone",
+    }
+
+
+def test_every_public_engine_definition_is_read():
+    root = SRC.parent
+    modules = {f.name: f.read_text() for f in sorted((SRC / "twinroom").glob("*.py"))}
+    readers = [f.read_text() for f in (*sorted(SRC.rglob("*.py")), *sorted((root / "demos").rglob("*.py")),
+                                       *sorted((root / "perfbench").glob("*.py")))]
+    assert len(modules) > 1 and len(readers) > len(modules)
+    assert unread_definitions(modules, readers) == _TEST_HELPERS

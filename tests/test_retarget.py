@@ -40,7 +40,6 @@ from twinroom.retarget import (
     Skeleton,
     avatar_tick,
     interp_hand,
-    interp_head,
     rest_goals,
     retarget_pointing,
     solve_full_body,
@@ -598,16 +597,6 @@ def test_pointing_equals_the_world_space_solve_bit_for_bit(skeleton, root, hand,
 # --- interpolation ------------------------------------------------------------
 
 
-def test_interp_head_blends_along_great_circle():
-    a = np.array([0.0, 0.0, 1.0])
-    b = np.array([1.0, 0.0, 0.0])
-    np.testing.assert_allclose(interp_head(a, b, 0.0), a, atol=1e-12)
-    np.testing.assert_allclose(interp_head(a, b, 1.0), b, atol=1e-12)
-    mid = interp_head(a, b, 0.5)
-    s = math.sqrt(0.5)
-    np.testing.assert_allclose(mid, [s, 0, s], atol=1e-9)
-
-
 def test_interp_hand_endpoints_and_straight_line():
     p0 = np.array([0.0, 1.0, 0.0])
     p3 = np.array([0.0, 1.0, 3.0])
@@ -821,7 +810,7 @@ def reference_avatar_tick(skeleton, mode, goals, pinned_root, targets, interp, d
                 else quat_rotate(base.orientations[HEAD], FORWARD)
             )
         st_.t = min(1.0, st_.t + dt * interp.speed)
-        fwd = interp_head(st_.start_fwd, desired_fwd, st_.t) if st_.t < 1.0 else desired_fwd
+        fwd = slerp_vec(st_.start_fwd, desired_fwd, st_.t) if st_.t < 1.0 else desired_fwd
         head_world_q = look_rotation(fwd, UP)
         adjusted = replace(
             adjusted, orientations=with_entry(adjusted.orientations, HEAD, quat_mul(inv_root_q, head_world_q))
