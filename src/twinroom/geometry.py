@@ -51,10 +51,6 @@ FORWARD = (0.0, 0.0, 1.0)
 _EPS = 1e-12
 
 
-def vec3(x: float, y: float, z: float) -> tuple[float, float, float]:
-    return (float(x), float(y), float(z))
-
-
 def dot(a, b) -> float:
     """Dot product of two 3- or 4-vectors, summed left to right."""
     if len(a) == 3:
@@ -164,19 +160,6 @@ def yaw_of(q) -> float:
     if abs(fx) < _EPS and abs(fz) < _EPS:
         return 0.0
     return wrap_angle_positive(math.atan2(fx, fz))
-
-
-def quat_between(a, b) -> tuple[float, float, float, float]:
-    """Shortest-arc rotation taking unit vector a onto unit vector b."""
-    a = normalized(a)
-    b = normalized(b)
-    d = dot(a, b)
-    if d > 1.0 - 1e-12:
-        return QUAT_IDENTITY
-    if d < -1.0 + 1e-12:
-        return quat_from_axis_angle(_any_perpendicular(a), math.pi)
-    x, y, z = cross(a, b)
-    return quat_normalize((1.0 + d, x, y, z))
 
 
 def look_rotation(forward, up=UP) -> tuple[float, float, float, float]:
@@ -309,13 +292,6 @@ class Transform:
                 pz + (vz + w * tz + (qx * ty - qy * tx)),
             ))
         return out
-
-    def compose(self, child: "Transform") -> "Transform":
-        """This transform applied after `child` (child expressed locally)."""
-        return Transform(
-            position=self.apply(child.position),
-            orientation=quat_mul(self.orientation, child.orientation),
-        )
 
     def inverse_apply(self, world_point) -> tuple[float, float, float]:
         """Map a point from the parent frame into this frame."""

@@ -23,15 +23,27 @@ so given only the transcript and the two rooms it rebuilds the full report,
 placement searches included, bit for bit. In both modes each user's part of
 the report comes from the partner's driver: the one that admitted that
 user's messages and hosts their avatar.
+
+Having decoded every frame, `replay` also knows every search its drivers
+will ask for. Where the process may run on two CPUs and can fork, one
+worker process runs those searches in order while the drivers step, and a
+host takes the worker's answer when its own request equals the listed one.
+Otherwise, or when the worker cannot answer, the host searches inline:
+either way every result and exception is the inline search's.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
+import os
+import pickle
+import signal
 import struct
 import sys
 from collections import deque
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -58,12 +70,14 @@ from .placement import (
     PartnerPose,
     Placement,
     PlacementPose,
+    PlacementResult,
     PsoConfig,
     ScorerConfig,
     config_from_dict,
     config_to_dict,
     extract_features,
     find_placement,
+    grid_tables,
     scorer_config_from_json,
 )
 from .protocol import (
@@ -237,6 +251,43 @@ def _partner_at(root: Transform) -> PartnerPose:
     return PartnerPose(x=root.position[0], z=root.position[2], yaw=yaw_of(root.orientation))
 
 
+def _search_partner(me: LocalUser | None) -> PartnerPose | None:
+    """The local user as a search's interpersonal reference: None until
+    they have gone on the wire."""
+    return None if me is None else _partner_at(me.root)
+
+
+def _arrival_tick(sent_tick: int, latency_ticks: int) -> int:
+    """The tick that what a peer sends at `sent_tick` is delivered at."""
+    return sent_tick + 1 + latency_ticks
+
+
+@dataclass(frozen=True)
+class SearchRequest:
+    """One placement search as an avatar host asks for it: the avatar's
+    owner (whose code, with the episode, seeds the search's rng), the
+    owner's episode, the target the owner sent, and the local user."""
+
+    owner_code: int
+    episode: int
+    features: FeatureVector
+    partner: PartnerPose | None
+
+
+def search_placement(room, config: SimConfig, scorer, request: SearchRequest) -> PlacementResult:
+    """The search `request` asks for in `room`, as every avatar host runs it."""
+    seq = np.random.SeedSequence([config.seed, request.owner_code, request.episode])
+    return find_placement(
+        room,
+        request.features,
+        scorer,
+        request.partner,
+        grid_config=config.grid,
+        pso_config=config.pso,
+        rng=np.random.Generator(np.random.PCG64(seq)),
+    )
+
+
 # --- avatar hosting -----------------------------------------------------------
 
 class AvatarHost:
@@ -278,6 +329,7 @@ class AvatarHost:
         self.pointing_rows: list[dict] = []
         self._open: list[dict | None] = [None] * len(Effector)  # a hand's open row, by `Effector`
         self.timings: list[dict] = []
+        self.answers: SearchWorker | None = None  # replay's searches, when a worker runs them
 
     # -- inbound message handling
 
@@ -309,18 +361,11 @@ class AvatarHost:
 
     def _place(self, features: FeatureVector, tick: int, me: LocalUser | None) -> Placement:
         held = _goal_tables(self.pose)  # batches lead with the pose; refused before any search
-        partner = None if me is None else _partner_at(me.root)
         episode = len(self.episodes)
-        seq = np.random.SeedSequence([self.cfg.seed, self.owner_code, episode])
-        result = find_placement(
-            self.room,
-            features,
-            self.scorer,
-            partner,
-            grid_config=self.cfg.grid,
-            pso_config=self.cfg.pso,
-            rng=np.random.Generator(np.random.PCG64(seq)),
-        )
+        request = SearchRequest(self.owner_code, episode, features, _search_partner(me))
+        result = None if self.answers is None else self.answers.take(request)
+        if result is None:
+            result = search_placement(self.room, self.cfg, self.scorer, request)
         # quantize before anchoring so the avatar stands exactly where the
         # wire announcement says it does
         q = Placement(
@@ -490,7 +535,7 @@ class AvatarDriver:
     def post(self, sent_tick: int, msgs: list[Message]) -> None:
         """Put the messages the partner sent at `sent_tick`, decoded from
         their recorded frames, on the wire."""
-        self.inbox.setdefault(sent_tick + 1 + self.cfg.latency_ticks, []).extend(msgs)
+        self.inbox.setdefault(_arrival_tick(sent_tick, self.cfg.latency_ticks), []).extend(msgs)
 
     def step(self, t: int, pose: PoseUpdate | None) -> list[Placement]:
         """Live tick `t`: deliver, then animate. `pose` is the local user's
@@ -846,7 +891,9 @@ def replay(transcript, room_a, room_b) -> dict:
     # session admits it
     decoded = {name: {tick: decode_all(bytes(sends[name].pop(tick))) for tick in sorted(sends[name])}
                for name in ("a", "b")}
-    drivers = {name: _replay_peer(name, rooms, config, decoded, n) for name in ("a", "b")}
+    own = {name: _own_sends(decoded[name]) for name in ("a", "b")}
+    with _search_worker(rooms, config, _listed_searches(config, decoded, own, n)) as worker:
+        drivers = {name: _replay_peer(name, rooms, config, decoded, own[name], n, worker) for name in ("a", "b")}
     return _assemble_report(config, rooms, n, drivers)
 
 
@@ -861,25 +908,61 @@ def _transcript_entry(number: int, line: str) -> dict:
     return doc
 
 
-def _replay_peer(name: str, rooms, config: SimConfig, decoded, n: int) -> AvatarDriver:
-    """Step one peer's driver through every tick, with the local user's pose
-    taken from what the peer sent, and check the placements it announced;
-    returns the driver. `decoded` holds each peer's sent messages per tick."""
+def _own_sends(sent: dict[int, list[Message]]):
+    """What one peer sent, as its own replay reads it: its poses by tick,
+    its placement announcements in order, and its last hello or None."""
     poses: dict[int, PoseUpdate] = {}
     announced: list[PlacementAnnounce] = []
-    my_hello: Hello | None = None
-    for msgs in decoded[name].values():
+    hello: Hello | None = None
+    for msgs in sent.values():
         for msg in msgs:
             if isinstance(msg, PoseUpdate):
                 poses[msg.tick] = msg
             elif isinstance(msg, PlacementAnnounce):
                 announced.append(msg)
             elif isinstance(msg, Hello):
-                my_hello = msg
+                hello = msg
+    return poses, announced, hello
+
+
+def _listed_searches(config: SimConfig, decoded, own, n: int) -> list[tuple[str, SearchRequest]]:
+    """Every search the replay's drivers will ask for, as (hosting peer,
+    request), in the order they ask: peer a's driver in tick order, then
+    peer b's. Each FeaturePacket is one episode, searched at its arrival
+    tick (in the drain if that is past tick `n`) against the latest pose the
+    hosting peer sent at or before that tick. The drivers' session checks
+    are not rerun here: a request this list gets wrong is one its host does
+    not take. A peer's list stops at a request that cannot be built, whose
+    search would raise in its host."""
+    listed = []
+    for name in ("a", "b"):
+        poses = own[name][0]
+        ticks = sorted(t for t in poses if 1 <= t <= n)  # the ticks its driver steps with a pose
+        owner = _PEER_CODE[_OTHER[name]]
+        targets = [(sent, msg.features) for sent, msgs in decoded[_OTHER[name]].items()
+                   for msg in msgs if isinstance(msg, FeaturePacket)]
+        for episode, (sent, features) in enumerate(targets):
+            k = bisect.bisect_right(ticks, _arrival_tick(sent, config.latency_ticks))
+            try:
+                partner = _search_partner(LocalUser(poses[ticks[k - 1]]) if k else None)
+            except ValueError:
+                break
+            listed.append((name, SearchRequest(owner, episode, features, partner)))
+    return listed
+
+
+def _replay_peer(name: str, rooms, config: SimConfig, decoded, own, n: int,
+                 answers: SearchWorker | None) -> AvatarDriver:
+    """Step one peer's driver through every tick, with the local user's pose
+    taken from what the peer sent (`own`, from `_own_sends`), and check the
+    placements it announced; returns the driver. `decoded` holds each peer's
+    sent messages per tick; `answers`, when given, runs the listed searches."""
+    poses, announced, my_hello = own
     if my_hello is None:
         raise ReplayDivergence(f"peer {name!r} sent no hello in the transcript")
 
     driver = AvatarDriver(name, rooms[name], rooms[_OTHER[name]], my_hello.skeleton, config)
+    driver.host.answers = answers
     driver.session.hello_frame()  # mirror the live handshake; the bytes are already on record
     for tick, msgs in decoded[_OTHER[name]].items():
         driver.post(tick, msgs)
@@ -904,6 +987,118 @@ def _replay_peer(name: str, rooms, config: SimConfig, decoded, n: int) -> Avatar
             )
 
     return driver
+
+
+# --- replay's search worker --------------------------------------------------------
+
+class SearchWorker:
+    """The answers of one forked process that runs a replay's listed
+    searches in order while the drivers step, each streamed back through a
+    pipe as it is found: a future (Halstead, Multilisp, TOPLAS 1985).
+
+    `take` gives a host the answer to its request only when the request
+    equals the listed one, and None otherwise: the request was not listed or
+    differs, the search raised in the worker, or the worker died or closed
+    the pipe before answering. The host then searches inline, so every
+    result and exception is the inline search's.
+    """
+
+    def __init__(self, listed: list[tuple[str, SearchRequest]], reader):
+        self._listed = [request for _, request in listed]
+        self._index = {(r.owner_code, r.episode): i for i, r in enumerate(self._listed)}
+        self._answers: dict[int, PlacementResult | None] = {}
+        self._reader = reader
+
+    def take(self, request: SearchRequest) -> PlacementResult | None:
+        i = self._index.get((request.owner_code, request.episode))
+        if i is None or self._listed[i] != request:
+            return None
+        while i not in self._answers and not self._reader.closed:
+            try:
+                j, answer = pickle.load(self._reader)
+            except (EOFError, pickle.UnpicklingError):  # the worker ended early
+                self._reader.close()
+                break
+            self._answers[j] = answer
+        return self._answers.pop(i, None)
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _serve_searches(out, rooms, config: SimConfig, listed) -> None:
+    """The worker's loop: each listed search in order, its answer (None if
+    it raised) pickled to `out` as soon as it is found."""
+    scorer = DefaultScorer(config.scorer)
+    for i, (name, request) in enumerate(listed):
+        try:
+            answer = search_placement(rooms[name], config, scorer, request)
+        except Exception:
+            answer = None  # the host's inline search raises it again
+        pickle.dump((i, answer), out)
+        out.flush()
+
+
+def _fork_worker(rooms, config: SimConfig, listed):
+    """Fork the worker; returns its pid and the pipe it answers through,
+    or None when no pipe or process is to be had. The child runs nothing
+    but `_serve_searches` and leaves through `os._exit`, never returning
+    into its caller."""
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        try:
+            os.close(read)
+            with os.fdopen(write, "wb") as out:
+                _serve_searches(out, rooms, config, listed)
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+@contextmanager
+def _search_worker(rooms, config: SimConfig, listed):
+    """A `SearchWorker` over `listed`, or None where none can help: no
+    search is listed, the platform cannot fork, the process may run on one
+    CPU only, or the fork fails. The searched rooms' grid tables are built
+    first, so the worker inherits them with the list, and nothing but the
+    answers is pickled. The worker is forked, not spawned, for the same
+    reason: a fresh interpreter would import numpy and the engine again.
+    Forked from a process that may hold BLAS threads, it runs nothing but
+    the search, which calls no BLAS. On every way out of the `with` block,
+    the worker is killed if it still runs, and reaped."""
+    started = None
+    if listed and hasattr(os, "fork") and _usable_cpus() >= 2:
+        for name in sorted({name for name, _ in listed}):
+            grid_tables(rooms[name], config.grid)
+        started = _fork_worker(rooms, config, listed)
+    if started is None:
+        yield None
+        return
+    pid, reader = started
+    try:
+        yield SearchWorker(listed, reader)
+    finally:
+        reader.close()
+        # either may find the worker already reaped where SIGCHLD is ignored
+        with suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+        with suppress(ChildProcessError):
+            os.waitpid(pid, 0)
 
 
 # --- command line -----------------------------------------------------------------

@@ -1,14 +1,31 @@
-"""The default similarity rule one pair at a time: the tests' reference for
-``DefaultScorer``, which scores every candidate, one or many, through
-``score_batch``. Each term is computed on its own, from the FeatureVectors'
-tuples and heights, with ``math`` on Python floats; the tests compare the engine's
-scores with it ``float.hex`` for ``float.hex``. ``wrap_angle`` is the scalar
-facing wrap that the engine's ``_wrap_angles`` applies to each entry."""
+"""Reference rules the engine does not run, kept as the tests' oracles.
+
+* The default similarity rule one pair at a time: the reference for
+  ``DefaultScorer``, which scores every candidate, one or many, through
+  ``score_batch``. Each term is computed on its own, from the
+  FeatureVectors' tuples and heights, with ``math`` on Python floats; the
+  tests compare the engine's scores with it ``float.hex`` for
+  ``float.hex``. ``wrap_angle`` is the scalar facing wrap that the engine's
+  ``_wrap_angles`` applies to each entry.
+* Geometry helpers only the tests build poses and expectations with:
+  ``vec3``, ``quat_between`` and ``compose``, each written with the
+  engine's own ``geometry`` kernels."""
 
 from __future__ import annotations
 
 import math
 
+from twinroom.geometry import (
+    QUAT_IDENTITY,
+    Transform,
+    _any_perpendicular,
+    cross,
+    dot,
+    normalized,
+    quat_from_axis_angle,
+    quat_mul,
+    quat_normalize,
+)
 from twinroom.placement import ACCOMMODATION_CELLS, FeatureVector, ScorerConfig
 
 
@@ -75,3 +92,28 @@ def _category_term(ta: tuple, tb: tuple, falloff: float) -> float:
     if union == 0:
         return 1.0
     return total / union
+
+
+def vec3(x: float, y: float, z: float) -> tuple[float, float, float]:
+    return (float(x), float(y), float(z))
+
+
+def quat_between(a, b) -> tuple[float, float, float, float]:
+    """Shortest-arc rotation taking unit vector a onto unit vector b."""
+    a = normalized(a)
+    b = normalized(b)
+    d = dot(a, b)
+    if d > 1.0 - 1e-12:
+        return QUAT_IDENTITY
+    if d < -1.0 + 1e-12:
+        return quat_from_axis_angle(_any_perpendicular(a), math.pi)
+    x, y, z = cross(a, b)
+    return quat_normalize((1.0 + d, x, y, z))
+
+
+def compose(parent: Transform, child: Transform) -> Transform:
+    """`parent` applied after `child` (`child` expressed in `parent`'s frame)."""
+    return Transform(
+        position=parent.apply(child.position),
+        orientation=quat_mul(parent.orientation, child.orientation),
+    )

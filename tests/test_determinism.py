@@ -465,9 +465,9 @@ def test_no_engine_function_reads_the_feature_tuples():
     assert {name: reads for name, reads in found.items() if reads} == {}
 
 
-# public names nothing under src/, demos/ or perfbench/ uses, kept as test
-# helpers (ROADMAP item 8)
-_TEST_HELPERS = {"geometry.py: vec3", "geometry.py: quat_between", "geometry.py: Transform.compose"}
+# public names nothing under src/, demos/ or perfbench/ uses: none, since the
+# test-only geometry helpers live in tests/oracle.py (ROADMAP item 8)
+_TEST_HELPERS = set()
 
 
 def public_definitions(source: str) -> list[tuple[str, str]]:

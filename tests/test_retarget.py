@@ -20,7 +20,6 @@ from twinroom.geometry import (
     look_rotation,
     norm,
     normalized,
-    quat_between,
     quat_conj,
     quat_from_yaw,
     quat_mul,
@@ -48,6 +47,8 @@ from twinroom.retarget import (
     walk_in_place,
 )
 from twinroom.states import Effector, UserState
+
+from oracle import compose, quat_between
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 HINT = np.array([0.0, -1.0, -0.35])
@@ -590,7 +591,7 @@ def test_pointing_equals_the_world_space_solve_bit_for_bit(skeleton, root, hand,
     # the user's body is the goals: the avatar's root, the hand composed onto it
     cfg = RetargetConfig(calibration_ratio=ratio)
     got = retarget_pointing(skeleton, root, hand, target, side, cfg)
-    want = reference_retarget_pointing(skeleton, root, root.compose(hand), target, side, cfg)
+    want = reference_retarget_pointing(skeleton, root, compose(root, hand), target, side, cfg)
     assert _solution_bits(got) == _solution_bits(want)
 
 
@@ -822,7 +823,7 @@ def reference_avatar_tick(skeleton, mode, goals, pinned_root, targets, interp, d
         if targets[i] is None:
             st_.reset()
             continue
-        user_hand = root.compose(Transform(goals.positions[i], goals.orientations[i]))
+        user_hand = compose(root, Transform(goals.positions[i], goals.orientations[i]))
         point = vertical_compensation(targets[i], eye, cfg)
         sol = reference_retarget_pointing(skeleton, root, user_hand, point, side, cfg)
         key = f"{side}-aim"

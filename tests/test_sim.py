@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import signal
 import struct
 from collections import Counter
 from dataclasses import fields, is_dataclass, replace
@@ -507,9 +509,9 @@ def test_replay_rejects_missing_hello(base_result):
         replay("\n".join(pruned), room_a_doc(), room_b_doc())
 
 
-def test_replay_rejects_tampered_announce(base_result):
-    # rerouting one frames line through the tampered coordinates must be caught
-    lines = base_result.transcript.splitlines()
+def tampered_announce(transcript: str) -> str:
+    """`transcript` with the first announced placement moved 0.25 m in x."""
+    lines = transcript.splitlines()
     target = None
     for i, ln in enumerate(lines):
         doc = json.loads(ln)
@@ -531,8 +533,13 @@ def test_replay_rejects_tampered_announce(base_result):
         rebuilt += encode_frame(m)
     doc["data"] = rebuilt.hex()
     lines[i] = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return "\n".join(lines)
+
+
+def test_replay_rejects_tampered_announce(base_result):
+    # rerouting one frames line through the tampered coordinates must be caught
     with pytest.raises(ReplayDivergence, match="placement"):
-        replay("\n".join(lines), room_a_doc(), room_b_doc())
+        replay(tampered_announce(base_result.transcript), room_a_doc(), room_b_doc())
 
 
 def test_hello_app_version_mismatch_raises():
@@ -1605,3 +1612,147 @@ def test_the_raycast_gate_skips_most_boxes_and_changes_no_report(monkeypatch):
         "wall_screen", "projector_wall"}
     assert result.report_json == ungated.report_json
     assert result.transcript == ungated.transcript
+
+
+# --- replay's search worker -------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the search worker needs os.fork")
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Replay on two CPUs, counting the forks and the searches run in this
+    process: ``inline`` holds each one's (owner code, episode)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    counts = {"forks": 0, "inline": []}
+    fork, search = os.fork, sim_module.search_placement
+
+    def counted_fork():
+        pid = fork()
+        counts["forks"] += 1  # the worker counts in its own copy
+        return pid
+
+    def counted_search(room, config, scorer, request):
+        counts["inline"].append((request.owner_code, request.episode))
+        return search(room, config, scorer, request)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(sim_module, "search_placement", counted_search)
+    return counts
+
+
+def searched(report: dict) -> list[tuple[int, int]]:
+    """Every search of a report as (owner code, episode), in replay order."""
+    return [(code, row["episode"]) for name, code in (("b", 1), ("a", 0)) for row in report["search"][name]]
+
+
+@needs_fork
+@pytest.mark.parametrize("latency", [0, 3])
+def test_the_worker_answers_every_search_of_a_replay(searches, latency):
+    result = run(room_a_doc(), room_b_doc(), trace_a_script().build(), trace_b_script().build(),
+                 config=quick_config(latency_ticks=latency))
+    assert len(searched(result.report)) >= 2
+    searches["inline"].clear()
+    assert replay(result.transcript, room_a_doc(), room_b_doc()) == result.report
+    assert searches == {"forks": 1, "inline": []}
+
+
+@needs_fork
+def test_a_search_landing_in_the_drain_is_answered_by_the_worker(searches):
+    office = load_room(DEMO_ROOMS / "office_a.json")
+    loft = load_room(DEMO_ROOMS / "loft_b.json")
+    trace_a = TraceBuilder(start=(-0.8, -1.2)).hold(0.5).walk_to(0.3, 0.8).hold(9 / 60).build()
+    trace_b = TraceBuilder(start=(2.0, 1.6)).hold(0.5).walk_to(1.0, 0.9).hold(1.0).build()
+    result = run(office, loft, trace_a, trace_b, SimConfig(seed=3, latency_ticks=2))
+    assert [ep["tick"] > result.report["ticks"] for ep in result.report["episodes"]["a"]] == [True]
+    searches["inline"].clear()
+    assert replay(result.transcript, office, loft) == result.report
+    assert searches == {"forks": 1, "inline": []}
+
+
+@needs_fork
+def test_a_worker_that_exits_before_answering_leaves_every_search_inline(searches, monkeypatch, base_result):
+    monkeypatch.setattr(sim_module, "_serve_searches", lambda *args: os._exit(0))
+    assert replay(base_result.transcript, room_a_doc(), room_b_doc()) == base_result.report
+    assert searches == {"forks": 1, "inline": searched(base_result.report)}
+
+
+@needs_fork
+def test_a_listed_request_whose_partner_differs_is_searched_inline(searches, monkeypatch, base_result):
+    listed = sim_module._listed_searches
+
+    def first_moved(*args):
+        (name, first), *rest = listed(*args)
+        return [(name, replace(first, partner=placement_module.PartnerPose(9.0, 9.0, 0.0))), *rest]
+
+    monkeypatch.setattr(sim_module, "_listed_searches", first_moved)
+    assert replay(base_result.transcript, room_a_doc(), room_b_doc()) == base_result.report
+    assert searches == {"forks": 1, "inline": searched(base_result.report)[:1]}
+
+
+@needs_fork
+def test_a_search_that_raises_in_the_worker_raises_the_same_inline(searches, monkeypatch):
+    # record a session whose b room nothing fits in, searching b's room as
+    # it was before the box filled it, so the replay's searches there raise
+    blocked, free = load_room(blocked_room_b_doc()), load_room(room_b_doc())
+    search = sim_module.search_placement
+    with monkeypatch.context() as m:
+        m.setattr(sim_module, "search_placement",
+                  lambda room, *args: search(free if room is blocked else room, *args))
+        result = run(room_a_doc(), blocked, trace_a_script().build(), trace_b_script().build(),
+                     config=quick_config())
+    assert result.report["episodes"]["a"]
+
+    def replayed() -> str:
+        with pytest.raises(placement_module.NoFeasiblePlacement) as caught:
+            replay(result.transcript, room_a_doc(), blocked_room_b_doc())
+        return str(caught.value)
+
+    searches["inline"].clear()
+    message = replayed()
+    assert message.startswith("room 'beta': none of the")
+    assert searches == {"forks": 1, "inline": [(0, 0)]}  # b's first search of a's avatar
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert replayed() == message
+    assert searches["forks"] == 1
+
+
+@needs_fork
+def test_a_divergence_after_the_fork_leaves_no_child(searches, base_result):
+    with pytest.raises(ReplayDivergence, match="placement"):
+        replay(tampered_announce(base_result.transcript), room_a_doc(), room_b_doc())
+    assert searches["forks"] == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_usable_cpu_forks_no_worker(monkeypatch, base_result):
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    assert replay(base_result.transcript, room_a_doc(), room_b_doc()) == base_result.report
+
+
+@needs_fork
+def test_a_fork_that_fails_leaves_every_search_inline(searches, monkeypatch, base_result):
+    def no_process():
+        searches["forks"] += 1
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    assert replay(base_result.transcript, room_a_doc(), room_b_doc()) == base_result.report
+    assert searches == {"forks": 1, "inline": searched(base_result.report)}
+
+
+@needs_fork
+def test_replay_runs_where_sigchld_is_ignored(searches, base_result):
+    # the kernel then reaps the worker itself, so the parent's kill and wait
+    # find no child
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert replay(base_result.transcript, room_a_doc(), room_b_doc()) == base_result.report
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert searches["forks"] == 1

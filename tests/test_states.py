@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinroom.geometry import FORWARD, norm, quat_between, quat_from_yaw, quat_rotate
+from twinroom.geometry import FORWARD, norm, quat_from_yaw, quat_rotate
 from twinroom.scene import ObjectCategory, Ray, Room, SceneObject, load_room
 from twinroom.states import (
     Effector,
@@ -29,6 +29,8 @@ from twinroom.states import (
     step_locomotion,
     update_fixation,
 )
+
+from oracle import quat_between
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 TICK_RATE = 60.0
