@@ -16,34 +16,44 @@ After the last tick each driver drains what is still on the wire.
 
 The driver sees only the wire, the local room, the run config and the local
 user's pose as it goes on the wire. `run` decodes each batch once where it
-records it, `replay` where it reads it, and the receiving session admits the
-messages with `Session.receive`. `replay` steps the very same driver, one
-peer after the other, with that pose decoded from the peer's recorded sends,
-so given only the transcript and the two rooms it rebuilds the full report,
+is received, `replay` where it reads it, and the receiving session admits
+the messages with `Session.receive`. `replay` steps the very same driver for
+each peer, with that pose decoded from the peer's recorded sends, so given
+only the transcript and the two rooms it rebuilds the full report,
 placement searches included, bit for bit. In both modes each user's part of
-the report comes from the partner's driver: the one that admitted that
-user's messages and hosts their avatar.
+the report comes from the partner's driver (its `PeerOutcome`): the one
+that admitted that user's messages and hosts their avatar.
 
-Having decoded every frame, `replay` also knows every search its drivers
-will ask for. Where the process may run on two CPUs and can fork, one
-worker process runs those searches in order while the drivers step, and a
-host takes the worker's answer when its own request equals the listed one.
-Otherwise, or when the worker cannot answer, the host searches inline:
-either way every result and exception is the inline search's.
+Each peer in its own process, as the two users each have their own
+machine. Where the platform can fork and the process may run on two or
+more CPUs, `run` and `replay` fork one peer child that steps peer b while
+the calling process steps peer a, and the child pickles b's `PeerOutcome`
+back. In `run` the two sides pass each tick's batch over two pipes as a
+(tick, length) envelope and the blob, in the lockstep of Bettner & Terrano
+(GDC 2001): before tick `t` a side reads the partner's batches through
+`t - 1 - latency_ticks`, the last that can arrive by then, and its writes
+never block, so a large latency cannot leave both sides writing into full
+pipes. The caller writes the transcript. In `replay` the drivers exchange
+nothing, and the child sends only its outcome. The child is killed if it
+still runs, and reaped, on every way out. The inline loop, both peers one
+after the other in one process, runs from scratch instead when the
+platform cannot fork, one CPU is usable, the fork fails, the child ends
+before its outcome arrives, or peer a raises: so every report, transcript
+and exception is the one-CPU run's.
 """
 
 from __future__ import annotations
 
 import argparse
-import bisect
 import json
 import os
 import pickle
+import select
 import signal
 import struct
 import sys
 from collections import deque
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -70,7 +80,6 @@ from .placement import (
     PartnerPose,
     Placement,
     PlacementPose,
-    PlacementResult,
     PsoConfig,
     ScorerConfig,
     config_from_dict,
@@ -251,43 +260,6 @@ def _partner_at(root: Transform) -> PartnerPose:
     return PartnerPose(x=root.position[0], z=root.position[2], yaw=yaw_of(root.orientation))
 
 
-def _search_partner(me: LocalUser | None) -> PartnerPose | None:
-    """The local user as a search's interpersonal reference: None until
-    they have gone on the wire."""
-    return None if me is None else _partner_at(me.root)
-
-
-def _arrival_tick(sent_tick: int, latency_ticks: int) -> int:
-    """The tick that what a peer sends at `sent_tick` is delivered at."""
-    return sent_tick + 1 + latency_ticks
-
-
-@dataclass(frozen=True)
-class SearchRequest:
-    """One placement search as an avatar host asks for it: the avatar's
-    owner (whose code, with the episode, seeds the search's rng), the
-    owner's episode, the target the owner sent, and the local user."""
-
-    owner_code: int
-    episode: int
-    features: FeatureVector
-    partner: PartnerPose | None
-
-
-def search_placement(room, config: SimConfig, scorer, request: SearchRequest) -> PlacementResult:
-    """The search `request` asks for in `room`, as every avatar host runs it."""
-    seq = np.random.SeedSequence([config.seed, request.owner_code, request.episode])
-    return find_placement(
-        room,
-        request.features,
-        scorer,
-        request.partner,
-        grid_config=config.grid,
-        pso_config=config.pso,
-        rng=np.random.Generator(np.random.PCG64(seq)),
-    )
-
-
 # --- avatar hosting -----------------------------------------------------------
 
 class AvatarHost:
@@ -329,7 +301,6 @@ class AvatarHost:
         self.pointing_rows: list[dict] = []
         self._open: list[dict | None] = [None] * len(Effector)  # a hand's open row, by `Effector`
         self.timings: list[dict] = []
-        self.answers: SearchWorker | None = None  # replay's searches, when a worker runs them
 
     # -- inbound message handling
 
@@ -361,11 +332,18 @@ class AvatarHost:
 
     def _place(self, features: FeatureVector, tick: int, me: LocalUser | None) -> Placement:
         held = _goal_tables(self.pose)  # batches lead with the pose; refused before any search
+        partner = None if me is None else _partner_at(me.root)
         episode = len(self.episodes)
-        request = SearchRequest(self.owner_code, episode, features, _search_partner(me))
-        result = None if self.answers is None else self.answers.take(request)
-        if result is None:
-            result = search_placement(self.room, self.cfg, self.scorer, request)
+        seq = np.random.SeedSequence([self.cfg.seed, self.owner_code, episode])
+        result = find_placement(
+            self.room,
+            features,
+            self.scorer,
+            partner,
+            grid_config=self.cfg.grid,
+            pso_config=self.cfg.pso,
+            rng=np.random.Generator(np.random.PCG64(seq)),
+        )
         # quantize before anchoring so the avatar stands exactly where the
         # wire announcement says it does
         q = Placement(
@@ -513,6 +491,22 @@ class AvatarHost:
 
 # --- the avatar-host driver -------------------------------------------------------
 
+@dataclass(frozen=True)
+class PeerOutcome:
+    """What the report reads from one peer's driver: the partner's episodes,
+    searches, pointing rows and state transitions that its host recorded,
+    what its session received and its last phase, and the host's wall-clock
+    search timings. The peer child pickles peer b's back to the caller."""
+
+    episodes: list[dict]
+    search: list[dict]
+    pointing: list[dict]
+    transitions: list[dict]
+    received: dict[str, int]
+    phase: str
+    timings: list[dict]
+
+
 class AvatarDriver:
     """One peer's wire-facing half: the link session and the partner's avatar.
 
@@ -535,7 +529,7 @@ class AvatarDriver:
     def post(self, sent_tick: int, msgs: list[Message]) -> None:
         """Put the messages the partner sent at `sent_tick`, decoded from
         their recorded frames, on the wire."""
-        self.inbox.setdefault(_arrival_tick(sent_tick, self.cfg.latency_ticks), []).extend(msgs)
+        self.inbox.setdefault(sent_tick + 1 + self.cfg.latency_ticks, []).extend(msgs)
 
     def step(self, t: int, pose: PoseUpdate | None) -> list[Placement]:
         """Live tick `t`: deliver, then animate. `pose` is the local user's
@@ -568,6 +562,11 @@ class AvatarDriver:
             if q is not None:
                 placed.append(q)
         return placed
+
+    def outcome(self) -> PeerOutcome:
+        host, session = self.host, self.session
+        return PeerOutcome(host.episodes, host.search, host.pointing_rows, host.transitions,
+                           dict(session.received), session.phase.name, host.timings)
 
     def _check_hello(self, msg: Hello) -> None:
         if msg.app_version != self.cfg.app_version:
@@ -728,26 +727,25 @@ def _room_summary(room) -> dict:
     return {"id": room.id, "hash": f"{room_hash(room):016x}", "objects": len(room.objects)}
 
 
-def _assemble_report(config, rooms, ticks, drivers) -> dict:
+def _assemble_report(config, rooms, ticks, outcomes) -> dict:
     """The run report. Each user's part (episodes, search, pointing,
-    transitions and sent counts) comes from the partner's driver, which
-    admitted that user's messages and hosts their avatar."""
-    partners = {name: drivers[_OTHER[name]] for name in ("a", "b")}
-    hosts = {name: partners[name].host for name in ("a", "b")}
+    transitions and sent counts) comes from the partner's `PeerOutcome`:
+    its driver admitted that user's messages and hosts their avatar."""
+    partners = {name: outcomes[_OTHER[name]] for name in ("a", "b")}
     return {
         "version": REPORT_VERSION,
         "ticks": ticks,
         "config": config.to_dict(),
         "rooms": {name: _room_summary(rooms[name]) for name in ("a", "b")},
-        "episodes": {name: hosts[name].episodes for name in ("a", "b")},
-        "search": {name: hosts[name].search for name in ("a", "b")},
-        "pointing": {name: hosts[name].pointing_rows for name in ("a", "b")},
-        "transitions": {name: hosts[name].transitions for name in ("a", "b")},
+        "episodes": {name: partners[name].episodes for name in ("a", "b")},
+        "search": {name: partners[name].search for name in ("a", "b")},
+        "pointing": {name: partners[name].pointing for name in ("a", "b")},
+        "transitions": {name: partners[name].transitions for name in ("a", "b")},
         "protocol": {
             name: {
-                "sent": dict(partners[name].session.received),
-                "received": dict(drivers[name].session.received),
-                "phase": drivers[name].session.phase.name,
+                "sent": dict(partners[name].received),
+                "received": dict(outcomes[name].received),
+                "phase": outcomes[name].phase,
             }
             for name in ("a", "b")
         },
@@ -772,6 +770,8 @@ def run(room_a, room_b, trace_a, trace_b, config: SimConfig | None = None) -> Si
     is padded by holding its final snapshot so the peers stay in lockstep.
     A config that `replay` would refuse in a transcript header cannot be
     built: each config's own checks are the decoder's (`scene.require_fields`).
+    Peer b steps in the peer child where the process can fork onto a
+    second CPU, and both in this process otherwise (the module docstring).
     Returns the canonical report, the wire transcript, and per-search
     wall-clock timings.
     """
@@ -794,41 +794,91 @@ def run(room_a, room_b, trace_a, trace_b, config: SimConfig | None = None) -> Si
     n = max(len(trace_a), len(trace_b))
     rooms = {"a": room_a, "b": room_b}
     traces = {"a": _pad_trace(trace_a, n), "b": _pad_trace(trace_b, n)}
-    peers = {
-        name: PeerRuntime(name, rooms[name], rooms[_OTHER[name]], traces[name], config)
-        for name in ("a", "b")
-    }
+    peers, hellos = _start_peers(rooms, traces, config)
+
+    def peer_b(link: _PeerLink) -> PeerOutcome:
+        _lockstep(peers["b"], link, n)
+        return peers["b"].driver.outcome()
+
+    forked = _with_peer_child(rooms, config, peer_b, lambda link: _lockstep(peers["a"], link, n))
+    if forked is None:  # from scratch: a failed attempt may have stepped peer a
+        peers, hellos = _start_peers(rooms, traces, config)
+        sent = _inline(peers, n)
+        outcome_b = peers["b"].driver.outcome()
+    else:
+        sent, outcome_b = forked
+    outcomes = {"a": peers["a"].driver.outcome(), "b": outcome_b}
+
     lines = [_header_line(config, room_a, room_b, n)]
-
-    def post(src: str, tick: int, blob: bytes) -> None:
-        # what the recorded bytes decode to, never the sender's unquantized messages
-        lines.append(_frames_line(tick, src, _OTHER[src], blob))
-        peers[_OTHER[src]].driver.post(tick, decode_all(blob))
-
-    for name in ("a", "b"):
-        post(name, 0, peers[name].session.hello_frame())
-    # what a peer sends at tick t arrives at t + 1 at the earliest, so the
-    # peers may take their turns one after the other
-    for t in range(1, n + 1):
-        for name in ("a", "b"):
-            blob = peers[name].tick(t)
-            if t == n:
-                blob += peers[name].session.bye_frame()
-            if blob:
-                post(name, t, blob)
-    for name in ("a", "b"):
-        peers[name].driver.drain()  # too late to announce: nothing is sent after tick n
-
-    report = _assemble_report(config, rooms, n, {name: peers[name].driver for name in ("a", "b")})
-    timings = tuple(
-        {"peer": name, **row} for name in ("a", "b") for row in peers[name].host.timings
-    )
+    lines += [_frames_line(0, name, _OTHER[name], hellos[name]) for name in ("a", "b")]
+    for t, blobs in enumerate(zip(sent["a"], sent["b"]), 1):
+        lines += [_frames_line(t, name, _OTHER[name], blob) for name, blob in zip(("a", "b"), blobs) if blob]
+    timings = tuple({"peer": name, **row} for name in ("a", "b") for row in outcomes[name].timings)
+    report = _assemble_report(config, rooms, n, outcomes)
     return SimResult(
         report=report,
         report_json=canonical_report_json(report),
         transcript="\n".join(lines) + "\n",
         timings=timings,
     )
+
+
+def _start_peers(rooms, traces, config: SimConfig):
+    """Both live peers, each one's hello sent and posted to the partner's
+    driver; returns the peers and their hello frames."""
+    peers = {name: PeerRuntime(name, rooms[name], rooms[_OTHER[name]], traces[name], config)
+             for name in ("a", "b")}
+    hellos = {name: peers[name].session.hello_frame() for name in ("a", "b")}
+    for name in ("a", "b"):
+        peers[_OTHER[name]].driver.post(0, decode_all(hellos[name]))
+    return peers, hellos
+
+
+def _tick_blob(peer: PeerRuntime, t: int, n: int) -> bytes:
+    """The peer's outbound bytes of tick `t`, its bye appended at tick `n`."""
+    blob = peer.tick(t)
+    return blob + peer.session.bye_frame() if t == n else blob
+
+
+def _inline(peers, n: int) -> dict[str, list[bytes]]:
+    """The inline loop: both peers through ticks 1..n in this process, then
+    their drains; returns what each sent, by tick from 1. A batch is posted
+    as what its bytes decode to, never the sender's unquantized messages."""
+    sent = {"a": [], "b": []}
+    # what a peer sends at tick t arrives at t + 1 at the earliest, so the
+    # peers may take their turns one after the other
+    for t in range(1, n + 1):
+        for name in ("a", "b"):
+            blob = _tick_blob(peers[name], t, n)
+            sent[name].append(blob)
+            if blob:
+                peers[_OTHER[name]].driver.post(t, decode_all(blob))
+    for name in ("a", "b"):
+        peers[name].driver.drain()  # too late to announce: nothing is sent after tick n
+    return sent
+
+
+def _lockstep(peer: PeerRuntime, link: _PeerLink, n: int) -> dict[str, list[bytes]]:
+    """One peer through ticks 1..n against the partner's process across
+    `link`, then its drain; returns what each side sent, by tick from 1.
+    Before tick `t` it takes the partner's batches through
+    `t - 1 - latency_ticks`, the last that arrive by tick `t`."""
+    sent, received = [], []
+
+    def take(through: int) -> None:
+        for tick, blob in link.take(through):
+            received.append(blob)
+            if blob:
+                peer.driver.post(tick, decode_all(blob))
+
+    for t in range(1, n + 1):
+        take(t - 1 - peer.cfg.latency_ticks)
+        blob = _tick_blob(peer, t, n)
+        sent.append(blob)
+        link.send(t, blob)
+    take(n)
+    peer.driver.drain()  # too late to announce: nothing is sent after tick n
+    return {peer.name: sent, _OTHER[peer.name]: received}
 
 
 # --- replay ----------------------------------------------------------------------
@@ -892,9 +942,14 @@ def replay(transcript, room_a, room_b) -> dict:
     decoded = {name: {tick: decode_all(bytes(sends[name].pop(tick))) for tick in sorted(sends[name])}
                for name in ("a", "b")}
     own = {name: _own_sends(decoded[name]) for name in ("a", "b")}
-    with _search_worker(rooms, config, _listed_searches(config, decoded, own, n)) as worker:
-        drivers = {name: _replay_peer(name, rooms, config, decoded, own[name], n, worker) for name in ("a", "b")}
-    return _assemble_report(config, rooms, n, drivers)
+
+    def replayed(name: str) -> PeerOutcome:
+        return _replay_peer(name, rooms, config, decoded, own[name], n)
+
+    # the inline loop, from scratch, unless peer b's replay ran in the child
+    forked = _with_peer_child(rooms, config, lambda link: replayed("b"), lambda link: replayed("a"))
+    outcome_a, outcome_b = forked or (replayed("a"), replayed("b"))
+    return _assemble_report(config, rooms, n, {"a": outcome_a, "b": outcome_b})
 
 
 def _transcript_entry(number: int, line: str) -> dict:
@@ -925,44 +980,16 @@ def _own_sends(sent: dict[int, list[Message]]):
     return poses, announced, hello
 
 
-def _listed_searches(config: SimConfig, decoded, own, n: int) -> list[tuple[str, SearchRequest]]:
-    """Every search the replay's drivers will ask for, as (hosting peer,
-    request), in the order they ask: peer a's driver in tick order, then
-    peer b's. Each FeaturePacket is one episode, searched at its arrival
-    tick (in the drain if that is past tick `n`) against the latest pose the
-    hosting peer sent at or before that tick. The drivers' session checks
-    are not rerun here: a request this list gets wrong is one its host does
-    not take. A peer's list stops at a request that cannot be built, whose
-    search would raise in its host."""
-    listed = []
-    for name in ("a", "b"):
-        poses = own[name][0]
-        ticks = sorted(t for t in poses if 1 <= t <= n)  # the ticks its driver steps with a pose
-        owner = _PEER_CODE[_OTHER[name]]
-        targets = [(sent, msg.features) for sent, msgs in decoded[_OTHER[name]].items()
-                   for msg in msgs if isinstance(msg, FeaturePacket)]
-        for episode, (sent, features) in enumerate(targets):
-            k = bisect.bisect_right(ticks, _arrival_tick(sent, config.latency_ticks))
-            try:
-                partner = _search_partner(LocalUser(poses[ticks[k - 1]]) if k else None)
-            except ValueError:
-                break
-            listed.append((name, SearchRequest(owner, episode, features, partner)))
-    return listed
-
-
-def _replay_peer(name: str, rooms, config: SimConfig, decoded, own, n: int,
-                 answers: SearchWorker | None) -> AvatarDriver:
+def _replay_peer(name: str, rooms, config: SimConfig, decoded, own, n: int) -> PeerOutcome:
     """Step one peer's driver through every tick, with the local user's pose
     taken from what the peer sent (`own`, from `_own_sends`), and check the
-    placements it announced; returns the driver. `decoded` holds each peer's
-    sent messages per tick; `answers`, when given, runs the listed searches."""
+    placements it announced; returns the driver's outcome. `decoded` holds
+    each peer's sent messages per tick."""
     poses, announced, my_hello = own
     if my_hello is None:
         raise ReplayDivergence(f"peer {name!r} sent no hello in the transcript")
 
     driver = AvatarDriver(name, rooms[name], rooms[_OTHER[name]], my_hello.skeleton, config)
-    driver.host.answers = answers
     driver.session.hello_frame()  # mirror the live handshake; the bytes are already on record
     for tick, msgs in decoded[_OTHER[name]].items():
         driver.post(tick, msgs)
@@ -986,41 +1013,91 @@ def _replay_peer(name: str, rooms, config: SimConfig, decoded, own, n: int,
                 f"({ann.x}, {ann.z}, {ann.yaw}, {ann.pose.name})"
             )
 
-    return driver
+    return driver.outcome()
 
 
-# --- replay's search worker --------------------------------------------------------
+# --- the peer child ------------------------------------------------------------------
 
-class SearchWorker:
-    """The answers of one forked process that runs a replay's listed
-    searches in order while the drivers step, each streamed back through a
-    pipe as it is found: a future (Halstead, Multilisp, TOPLAS 1985).
+_ENVELOPE = struct.Struct("<QQ")  # (tick, blob length) ahead of each blob between the peer processes
+_OUTCOME = 2**64 - 1  # the envelope tick of the peer child's pickled outcome
 
-    `take` gives a host the answer to its request only when the request
-    equals the listed one, and None otherwise: the request was not listed or
-    differs, the search raised in the worker, or the worker died or closed
-    the pipe before answering. The host then searches inline, so every
-    result and exception is the inline search's.
+
+class _PeerLink:
+    """One process's ends of the two pipes between the peer processes.
+
+    `send` queues an envelope and its blob and writes what the pipe takes
+    at once; the rest goes out while this side waits for the partner. So a
+    side never blocks on a write while the partner may be blocked on one,
+    however far `latency_ticks` lets either side run ahead.
     """
 
-    def __init__(self, listed: list[tuple[str, SearchRequest]], reader):
-        self._listed = [request for _, request in listed]
-        self._index = {(r.owner_code, r.episode): i for i, r in enumerate(self._listed)}
-        self._answers: dict[int, PlacementResult | None] = {}
-        self._reader = reader
+    def __init__(self, rx: int, tx: int):
+        self._rx, self._tx = rx, tx
+        os.set_blocking(rx, False)
+        os.set_blocking(tx, False)
+        self._in = bytearray()
+        self._out = bytearray()
+        self._got: deque[tuple[int, bytes]] = deque()  # received, not yet taken
+        self._last = 0  # the tick of the last envelope received
 
-    def take(self, request: SearchRequest) -> PlacementResult | None:
-        i = self._index.get((request.owner_code, request.episode))
-        if i is None or self._listed[i] != request:
-            return None
-        while i not in self._answers and not self._reader.closed:
-            try:
-                j, answer = pickle.load(self._reader)
-            except (EOFError, pickle.UnpicklingError):  # the worker ended early
-                self._reader.close()
+    def send(self, tick: int, blob: bytes) -> None:
+        self._out += _ENVELOPE.pack(tick, len(blob))
+        self._out += blob
+        self._write()
+
+    def take(self, through: int) -> list[tuple[int, bytes]]:
+        """The partner's envelopes through tick `through` not taken yet, as
+        (tick, blob) in tick order, waiting for those still on their way."""
+        self._wait(lambda: self._last >= through)
+        taken = []
+        while self._got and self._got[0][0] <= through:
+            taken.append(self._got.popleft())
+        return taken
+
+    def finish(self, outcome: PeerOutcome) -> None:
+        """The peer child's last send: its outcome, returning once every
+        byte is in the pipe."""
+        self.send(_OUTCOME, pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        self._wait(lambda: not self._out)
+
+    def outcome(self) -> PeerOutcome:
+        """The peer child's outcome, which follows its last tick's envelope."""
+        self._wait(lambda: self._last == _OUTCOME)
+        return pickle.loads(self._got.pop()[1])
+
+    def close(self) -> None:
+        os.close(self._rx)
+        os.close(self._tx)
+
+    def _wait(self, ready) -> None:
+        while not ready():
+            select.select([self._rx], [self._tx] if self._out else [], [])
+            self._write()
+            self._read()
+
+    def _write(self) -> None:
+        if self._out:
+            with suppress(BlockingIOError):
+                del self._out[:os.write(self._tx, self._out)]
+
+    def _read(self) -> None:
+        try:
+            chunk = os.read(self._rx, 1 << 16)
+        except BlockingIOError:
+            return
+        if not chunk:
+            raise EOFError("the partner process closed its pipe")
+        buf = self._in
+        buf += chunk
+        at, head = 0, _ENVELOPE.size
+        while len(buf) - at >= head:
+            tick, length = _ENVELOPE.unpack_from(buf, at)
+            end = at + head + length
+            if len(buf) < end:
                 break
-            self._answers[j] = answer
-        return self._answers.pop(i, None)
+            self._got.append((tick, bytes(buf[at + head:end])))
+            self._last, at = tick, end
+        del buf[:at]
 
 
 def _usable_cpus() -> int:
@@ -1031,70 +1108,53 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _serve_searches(out, rooms, config: SimConfig, listed) -> None:
-    """The worker's loop: each listed search in order, its answer (None if
-    it raised) pickled to `out` as soon as it is found."""
-    scorer = DefaultScorer(config.scorer)
-    for i, (name, request) in enumerate(listed):
-        try:
-            answer = search_placement(rooms[name], config, scorer, request)
-        except Exception:
-            answer = None  # the host's inline search raises it again
-        pickle.dump((i, answer), out)
-        out.flush()
-
-
-def _fork_worker(rooms, config: SimConfig, listed):
-    """Fork the worker; returns its pid and the pipe it answers through,
-    or None when no pipe or process is to be had. The child runs nothing
-    but `_serve_searches` and leaves through `os._exit`, never returning
-    into its caller."""
-    try:
-        read, write = os.pipe()
-    except OSError:
+def _with_peer_child(rooms, config: SimConfig, peer_b, peer_a):
+    """Peer b's side, `peer_b(link)`, in one forked peer child while peer
+    a's, `peer_a(link)`, runs here, each over its `_PeerLink`. Returns
+    (what `peer_a` returned, the `PeerOutcome` that `peer_b` returned in
+    the child), or None where the child cannot help and the caller runs its
+    inline loop from scratch: the platform cannot fork, the process may run
+    on one CPU only, no pipe or process is to be had, the child ends before
+    its outcome arrives, or `peer_a` raises. Both rooms' grid tables are
+    built first, so the child inherits room b's instead of building them
+    for one session and dropping them. The child is forked, not spawned,
+    for the same reason: a fresh interpreter would import numpy and the
+    engine again. Forked from a process that may hold BLAS threads, it runs
+    nothing but `peer_b`, which calls no BLAS, and leaves through
+    `os._exit`, never returning into its caller. On every way out the child
+    is killed if it still runs, and reaped."""
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
         return None
+    fds = []
     try:
+        for room in rooms.values():
+            grid_tables(room, config.grid)
+        for _ in range(2):
+            fds += os.pipe()
         pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
+    except Exception:  # the inline run raises a room's error where it searches the room
+        for fd in fds:
+            os.close(fd)
         return None
+    a_rx, b_tx, b_rx, a_tx = fds  # b writes to a through the first pipe, a to b through the second
     if pid == 0:
         try:
-            os.close(read)
-            with os.fdopen(write, "wb") as out:
-                _serve_searches(out, rooms, config, listed)
+            os.close(a_rx)
+            os.close(a_tx)
+            link = _PeerLink(b_rx, b_tx)
+            link.finish(peer_b(link))
         finally:
             os._exit(0)
-    os.close(write)
-    return pid, os.fdopen(read, "rb")
-
-
-@contextmanager
-def _search_worker(rooms, config: SimConfig, listed):
-    """A `SearchWorker` over `listed`, or None where none can help: no
-    search is listed, the platform cannot fork, the process may run on one
-    CPU only, or the fork fails. The searched rooms' grid tables are built
-    first, so the worker inherits them with the list, and nothing but the
-    answers is pickled. The worker is forked, not spawned, for the same
-    reason: a fresh interpreter would import numpy and the engine again.
-    Forked from a process that may hold BLAS threads, it runs nothing but
-    the search, which calls no BLAS. On every way out of the `with` block,
-    the worker is killed if it still runs, and reaped."""
-    started = None
-    if listed and hasattr(os, "fork") and _usable_cpus() >= 2:
-        for name in sorted({name for name, _ in listed}):
-            grid_tables(rooms[name], config.grid)
-        started = _fork_worker(rooms, config, listed)
-    if started is None:
-        yield None
-        return
-    pid, reader = started
+    os.close(b_rx)
+    os.close(b_tx)
+    link = _PeerLink(a_rx, a_tx)
     try:
-        yield SearchWorker(listed, reader)
+        return peer_a(link), link.outcome()
+    except Exception:  # the inline run raises what the one-CPU run raises
+        return None
     finally:
-        reader.close()
-        # either may find the worker already reaped where SIGCHLD is ignored
+        link.close()
+        # either may find the child already reaped where SIGCHLD is ignored
         with suppress(ProcessLookupError):
             os.kill(pid, signal.SIGKILL)
         with suppress(ChildProcessError):

@@ -54,6 +54,8 @@ class MotionTrace:
     def __post_init__(self):
         if not 0.0 < self.tick_rate < math.inf:  # NaN fails too
             raise MalformedTrace(f"tick rate must be positive and finite, got {self.tick_rate}")
+        if not self.snapshots:
+            raise MalformedTrace("trace has no snapshots")
         for i, snap in enumerate(self.snapshots):
             if snap.tick != i + 1:
                 raise MalformedTrace(

@@ -1,4 +1,4 @@
-"""Checks every test gets without asking."""
+"""Checks every test gets without asking, and the CPU pins a test may ask for."""
 from __future__ import annotations
 
 import os
@@ -16,9 +16,25 @@ def child_left() -> int | None:
     return pid
 
 
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """Both peers step in the calling process, as where one CPU is usable:
+    for tests that observe both peers' internals from there."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, as on the benchmark's host: `sim.run` and
+    `sim.replay` step peer b in the peer child."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the peer child needs os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 @pytest.fixture(autouse=True)
 def leaves_no_child_process():
-    # `replay` may fork a search worker, and must reap it on every way out
+    # `run` and `replay` may fork a peer child, and must reap it on every way out
     yield
     pid = child_left()
     if pid is not None:

@@ -186,6 +186,48 @@ def test_feasibility_has_one_implementation():
     assert found == []
 
 
+def fork_calls(source: str) -> list[tuple[str, str | None]]:
+    """Each call in code (not strings or comments) of a function named
+    ``fork`` or ``forkpty``, however it was imported, as the callee as
+    written and the top-level function or class it sits in (None at module
+    level), in source order."""
+    found = []
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("fork", "forkpty"):
+                found.append((node.lineno, node.col_offset, ast.unparse(node.func), where))
+    return [(called, where) for _, _, called, where in sorted(found)]
+
+
+def test_fork_scan_finds_each_call():
+    sample = (
+        '"""os.fork() in a docstring is not a call"""\n'
+        "import os\n"
+        "from os import fork\n"
+        "def _with_peer_child():\n"
+        "    pid = os.fork()  # os.fork() in a comment is not a call\n"
+        "    def inner():\n"
+        "        return fork()\n"
+        "x = os.forkpty()\n"
+        "class A:\n"
+        "    def m(self):\n"
+        "        return os.fork  # a reference, not a call\n"
+        "    def n(self):\n"
+        "        return posix.fork()\n"
+    )
+    assert fork_calls(sample) == [
+        ("os.fork", "_with_peer_child"), ("fork", "_with_peer_child"), ("os.forkpty", None), ("posix.fork", "A"),
+    ]
+
+
+def test_one_helper_forks():
+    # `run` and `replay` fork their peer child through one helper, which
+    # kills and reaps it on every way out
+    found = [(f.name, called, where) for f in sorted(SRC.rglob("*.py")) for called, where in fork_calls(f.read_text())]
+    assert found == [("sim.py", "os.fork", "_with_peer_child")]
+
+
 _SCORER_METHODS = {"score", "score_batch", "score_bound"}
 
 

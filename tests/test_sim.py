@@ -76,6 +76,7 @@ from twinroom.sim import (
 from twinroom.states import Effector, EffectorSample, StateConfig, UserSnapshot, UserState
 from twinroom.traces import MalformedTrace, MotionTrace, TraceBuilder, save_trace
 
+from conftest import child_left
 from test_retarget import _bits, _tick_bits, reference_solve_full_body
 from test_scene import ungated_raycast
 
@@ -193,12 +194,13 @@ def trace_b_script() -> "TraceBuilder":
     return b
 
 
+def base_session():
+    return run(room_a_doc(), room_b_doc(), trace_a_script().build(), trace_b_script().build(), config=quick_config())
+
+
 @pytest.fixture(scope="module")
 def base_result():
-    return run(
-        room_a_doc(), room_b_doc(), trace_a_script().build(), trace_b_script().build(),
-        config=quick_config(),
-    )
+    return base_session()
 
 
 def test_run_twice_is_byte_identical(base_result):
@@ -289,7 +291,7 @@ def test_run_and_replay_admit_decoded_batches(monkeypatch):
     assert replay(live.transcript, room_a_doc(), room_b_doc()) == live.report
 
 
-def test_replay_rebuilds_every_avatar_tick(monkeypatch):
+def test_replay_rebuilds_every_avatar_tick(one_cpu, monkeypatch):
     # the report pins no solved body, so compare the avatar motion itself:
     # each hosted avatar's per-tick pose and pointing, live and replayed
     def motion(session):
@@ -326,7 +328,7 @@ def test_replay_rebuilds_every_avatar_tick(monkeypatch):
     assert replayed_ticks == live_ticks
 
 
-def test_every_avatar_tick_equals_the_per_point_solve(monkeypatch):
+def test_every_avatar_tick_equals_the_per_point_solve(one_cpu, monkeypatch):
     # the full-body solve maps its points in one call: each hosted avatar
     # tick, live and replayed, keeps the bits of the per-point solve
     def motion(session):
@@ -415,16 +417,20 @@ def test_a_walking_host_holds_the_root_it_froze(monkeypatch):
 
 
 
-def test_each_hosted_room_builds_its_grid_tables_once(monkeypatch):
-    # two walks per user, so each hosted room is searched at least twice
+def test_each_hosted_room_builds_its_grid_tables_once(forks, monkeypatch):
+    # two walks per user, so each hosted room is searched at least twice;
+    # on two CPUs this process builds both rooms' tables before it forks,
+    # and the peer child, which steps peer b, inherits them and builds none
     trace_a = (TraceBuilder(start=(-0.5, -1.2)).hold(0.2).walk_to(0.6, -0.8, speed=1.4).hold(1.0)
                .walk_to(-0.5, 0.5, speed=1.4).hold(1.0).build())
     trace_b = (TraceBuilder(start=(0.3, -0.9), yaw=0.5).hold(0.1).walk_to(-0.6, -0.3, speed=1.5).hold(1.0)
                .walk_to(0.5, 0.6, speed=1.5).hold(1.0).build())
     built = []
-    build = placement_module._build_grid_tables
+    parent, build = os.getpid(), placement_module._build_grid_tables
 
     def counted(room, config):
+        if os.getpid() != parent:
+            os._exit(0)  # a build in the child ends it, and the run falls back inline
         built.append(room.id)
         return build(room, config)
 
@@ -456,6 +462,7 @@ def test_each_hosted_room_builds_its_grid_tables_once(monkeypatch):
     for result in (kept, again):
         assert result.report_json == live.report_json
         assert result.transcript == live.transcript
+    assert forks == {"forks": 6, "stepped": {"a"}}  # no session fell back to stepping b here
 
 
 def test_replay_with_latency():
@@ -624,7 +631,7 @@ def test_pointing_at_partner_head():
     assert replay(second.transcript, room_a_doc(), room_b_doc()) == second.report
 
 
-def test_pointing_is_raised_as_seen_from_the_solved_head_joint(base_result, monkeypatch):
+def test_pointing_is_raised_as_seen_from_the_solved_head_joint(base_result, one_cpu, monkeypatch):
     # with an elevation offset, every completed pointing solution aims
     # through its target raised as seen from that tick's solved head joint
     config = quick_config(retarget=RetargetConfig(elevation_offset=0.1))
@@ -748,7 +755,7 @@ def test_partner_head_box_sits_at_the_drawn_head_while_the_partner_walks(monkeyp
 
 
 @pytest.mark.parametrize("latency", [30, 10**5])
-def test_drain_delivers_only_the_ticks_something_arrives_at(monkeypatch, latency):
+def test_drain_delivers_only_the_ticks_something_arrives_at(one_cpu, monkeypatch, latency):
     config = quick_config(latency_ticks=latency)
     deliver, drain = AvatarDriver._deliver, AvatarDriver.drain
     drains, draining = [], None  # per drain: (arrival ticks in the inbox, deliveries)
@@ -1183,9 +1190,10 @@ def test_replay_checks_the_inbound_hello(base_result):
         replay("\n".join(lines), room_a_doc(), room_b_doc())
 
 
-def test_tick_hooks_seen_by_the_benchmark(monkeypatch):
+def test_tick_hooks_seen_by_the_benchmark(two_cpus, monkeypatch):
     # the benchmark times live ticks from PeerRuntime.begin_tick and replayed
-    # ticks from runs of consecutive AvatarHost.tick_avatar calls per host
+    # ticks from runs of consecutive AvatarHost.tick_avatar calls per host;
+    # on its two CPUs it sees peer a's side, the one in its own process
     begins, animated = [], []
 
     def clock(cls, name, calls, key):
@@ -1204,13 +1212,13 @@ def test_tick_hooks_seen_by_the_benchmark(monkeypatch):
         config=quick_config(latency_ticks=2),
     )
     n = result.report["ticks"]
-    assert begins == [(t, name) for t in range(1, n + 1) for name in ("a", "b")]
+    assert begins == [(t, "a") for t in range(1, n + 1)]
 
     animated.clear()
     replay(result.transcript, room_a_doc(), room_b_doc())
     hosts = list(dict.fromkeys(host for host, _ in animated))
-    assert len(hosts) == 2
-    assert animated == [(host, t) for host in hosts for t in range(1, n + 1)]
+    assert [host.owner_code for host in hosts] == [1]  # peer a's host, of b's avatar
+    assert animated == [(hosts[0], t) for t in range(1, n + 1)]
 
 
 # --- command line -------------------------------------------------------------
@@ -1427,12 +1435,17 @@ def test_cli_names_each_mistyped_field(flag, edit, message, tmp_path, capsys, ba
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
 
 
-def test_out_of_range_trace_coordinate_is_a_reported_error(tmp_path, capsys):
-    trace = trace_b_script().build()
+def beyond_f32_at(trace: MotionTrace, tick: int) -> MotionTrace:
+    """`trace` with its root out of the wire's f32 range at `tick`."""
     snaps = list(trace.snapshots)
-    root = snaps[5].root
-    far = EffectorSample(np.array([1e39, *root.position[1:]]), root.orientation)
-    trace = replace(trace, snapshots=(*snaps[:5], replace(snaps[5], root=far), *snaps[6:]))
+    root = snaps[tick - 1].root
+    snaps[tick - 1] = replace(snaps[tick - 1], root=EffectorSample(np.array([1e39, *root.position[1:]]),
+                                                                 root.orientation))
+    return replace(trace, snapshots=tuple(snaps))
+
+
+def test_out_of_range_trace_coordinate_is_a_reported_error(tmp_path, capsys):
+    trace = beyond_f32_at(trace_b_script().build(), 6)
     with pytest.raises(MalformedTrace, match="tick 6"):
         run(room_a_doc(), room_b_doc(), trace_a_script().build(), trace, config=quick_config())
 
@@ -1446,6 +1459,20 @@ def test_out_of_range_trace_coordinate_is_a_reported_error(tmp_path, capsys):
     ])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_reports_a_trace_without_snapshots(tmp_path, capsys):
+    # a trace file holding only its header line is one reported error, not
+    # an IndexError out of padding the shorter trace
+    paths = write_fixtures(tmp_path)
+    paths["trace_b"].write_text(paths["trace_b"].read_text().splitlines()[0] + "\n")
+    assert main([
+        "--room-a", str(paths["room_a"]),
+        "--room-b", str(paths["room_b"]),
+        "--trace-a", str(paths["trace_a"]),
+        "--trace-b", str(paths["trace_b"]),
+    ]) == 1
+    assert capsys.readouterr().err == "error: trace has no snapshots\n"
 
 
 def test_cli_requires_traces_unless_replaying(tmp_path):
@@ -1614,116 +1641,181 @@ def test_the_raycast_gate_skips_most_boxes_and_changes_no_report(monkeypatch):
     assert result.transcript == ungated.transcript
 
 
-# --- replay's search worker -------------------------------------------------------
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the search worker needs os.fork")
+# --- the peer child ----------------------------------------------------------------
+# On two usable CPUs `run` and `replay` step peer b in one forked worker
+# process, the peer child. Every session here is checked against the same
+# session on one CPU, where both peers step in this process.
 
 
 @pytest.fixture
-def searches(monkeypatch):
-    """Replay on two CPUs, counting the forks and the searches run in this
-    process: ``inline`` holds each one's (owner code, episode)."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    counts = {"forks": 0, "inline": []}
-    fork, search = os.fork, sim_module.search_placement
+def forks(two_cpus, monkeypatch):
+    """Counts the forks, and the peers whose driver stepped in this process
+    (``stepped``): the peer child steps b in its own copy."""
+    counts = {"forks": 0, "stepped": set()}
+    fork, step = os.fork, AvatarDriver.step
 
     def counted_fork():
         pid = fork()
-        counts["forks"] += 1  # the worker counts in its own copy
+        counts["forks"] += 1
         return pid
 
-    def counted_search(room, config, scorer, request):
-        counts["inline"].append((request.owner_code, request.episode))
-        return search(room, config, scorer, request)
+    def counted_step(driver, t, pose):
+        counts["stepped"].add("a" if driver.host.owner_code == 1 else "b")
+        return step(driver, t, pose)
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(sim_module, "search_placement", counted_search)
+    monkeypatch.setattr(AvatarDriver, "step", counted_step)
     return counts
 
 
-def searched(report: dict) -> list[tuple[int, int]]:
-    """Every search of a report as (owner code, episode), in replay order."""
-    return [(code, row["episode"]) for name, code in (("b", 1), ("a", 0)) for row in report["search"][name]]
+def on_one_cpu(monkeypatch, session):
+    """What `session()` returns with one usable CPU."""
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        return session()
 
 
-@needs_fork
+def raised(session) -> tuple[type, str]:
+    """The type and message of what `session()` raises."""
+    with pytest.raises(Exception) as caught:
+        session()
+    return type(caught.value), str(caught.value)
+
+
+def same_run(got, want) -> bool:
+    return got.report_json == want.report_json and got.transcript == want.transcript
+
+
 @pytest.mark.parametrize("latency", [0, 3])
-def test_the_worker_answers_every_search_of_a_replay(searches, latency):
-    result = run(room_a_doc(), room_b_doc(), trace_a_script().build(), trace_b_script().build(),
-                 config=quick_config(latency_ticks=latency))
-    assert len(searched(result.report)) >= 2
-    searches["inline"].clear()
+def test_the_peer_child_steps_b_in_a_run_and_its_replay(forks, monkeypatch, latency):
+    def session():
+        return run(room_a_doc(), room_b_doc(), trace_a_script().build(), trace_b_script().build(),
+                   config=quick_config(latency_ticks=latency))
+
+    result = session()
+    assert forks == {"forks": 1, "stepped": {"a"}}
+    inline = on_one_cpu(monkeypatch, session)
+    assert same_run(result, inline)
+    # the child's search timings come back with its outcome
+    searched = [(row["peer"], row["episode"], row["tick"]) for row in result.timings]
+    assert searched == [(row["peer"], row["episode"], row["tick"]) for row in inline.timings]
+    assert {peer for peer, _, _ in searched} == {"a", "b"}
+    forks["stepped"].clear()
     assert replay(result.transcript, room_a_doc(), room_b_doc()) == result.report
-    assert searches == {"forks": 1, "inline": []}
+    assert forks == {"forks": 2, "stepped": {"a"}}
 
 
-@needs_fork
-def test_a_search_landing_in_the_drain_is_answered_by_the_worker(searches):
+@pytest.mark.parametrize("latency, hold_s", [(0, 3.0), (10**5, 70.0)])
+def test_a_wire_past_the_pipe_buffer_runs_as_on_one_cpu(forks, monkeypatch, latency, hold_s):
+    # more than a pipe's 64 KiB goes each way; at latency 10**5 neither side
+    # reads before its last tick, so neither may block on a full pipe
+    def session():
+        return run(room_a_doc(), room_b_doc(), trace_a_script().hold(hold_s).build(),
+                   trace_b_script().hold(hold_s).build(), config=quick_config(latency_ticks=latency))
+
+    result = session()
+    assert forks == {"forks": 1, "stepped": {"a"}}
+    n = result.report["ticks"]
+    piped = Counter({"a>b": n * sim_module._ENVELOPE.size, "b>a": n * sim_module._ENVELOPE.size})
+    for doc in map(json.loads, result.transcript.splitlines()[1:]):
+        piped[doc["dir"]] += len(doc["data"]) // 2 if doc["tick"] > 0 else 0
+    assert min(piped.values()) > 1 << 16
+    assert same_run(result, on_one_cpu(monkeypatch, session))
+
+
+def test_a_search_landing_in_the_drain_is_answered_by_the_worker(forks, monkeypatch):
+    # b's host places a's avatar in its drain, in the peer child
     office = load_room(DEMO_ROOMS / "office_a.json")
     loft = load_room(DEMO_ROOMS / "loft_b.json")
     trace_a = TraceBuilder(start=(-0.8, -1.2)).hold(0.5).walk_to(0.3, 0.8).hold(9 / 60).build()
     trace_b = TraceBuilder(start=(2.0, 1.6)).hold(0.5).walk_to(1.0, 0.9).hold(1.0).build()
-    result = run(office, loft, trace_a, trace_b, SimConfig(seed=3, latency_ticks=2))
+
+    def session():
+        return run(office, loft, trace_a, trace_b, SimConfig(seed=3, latency_ticks=2))
+
+    result = session()
     assert [ep["tick"] > result.report["ticks"] for ep in result.report["episodes"]["a"]] == [True]
-    searches["inline"].clear()
+    assert forks == {"forks": 1, "stepped": {"a"}}
+    assert same_run(result, on_one_cpu(monkeypatch, session))
     assert replay(result.transcript, office, loft) == result.report
-    assert searches == {"forks": 1, "inline": []}
+    assert forks["forks"] == 2
 
 
-@needs_fork
-def test_a_worker_that_exits_before_answering_leaves_every_search_inline(searches, monkeypatch, base_result):
-    monkeypatch.setattr(sim_module, "_serve_searches", lambda *args: os._exit(0))
-    assert replay(base_result.transcript, room_a_doc(), room_b_doc()) == base_result.report
-    assert searches == {"forks": 1, "inline": searched(base_result.report)}
+def test_a_worker_that_exits_before_answering_leaves_every_search_inline(forks, monkeypatch, base_result):
+    # the peer child ends before its outcome arrives, after its last tick or
+    # mid-session while peer a waits for its batches: the inline loop runs
+    # from scratch and gives the one-CPU report
+    parent, step = os.getpid(), AvatarDriver.step
+
+    def ends_at_tick_20(driver, t, pose):
+        if os.getpid() != parent and t == 20:
+            os._exit(0)
+        return step(driver, t, pose)
+
+    for where, name, value in ((sim_module._PeerLink, "finish", lambda link, outcome: os._exit(0)),
+                               (AvatarDriver, "step", ends_at_tick_20)):
+        with monkeypatch.context() as m:
+            m.setattr(where, name, value)
+            assert same_run(base_session(), base_result)
+            assert replay(base_result.transcript, room_a_doc(), room_b_doc()) == base_result.report
+    assert forks == {"forks": 4, "stepped": {"a", "b"}}
 
 
-@needs_fork
-def test_a_listed_request_whose_partner_differs_is_searched_inline(searches, monkeypatch, base_result):
-    listed = sim_module._listed_searches
-
-    def first_moved(*args):
-        (name, first), *rest = listed(*args)
-        return [(name, replace(first, partner=placement_module.PartnerPose(9.0, 9.0, 0.0))), *rest]
-
-    monkeypatch.setattr(sim_module, "_listed_searches", first_moved)
-    assert replay(base_result.transcript, room_a_doc(), room_b_doc()) == base_result.report
-    assert searches == {"forks": 1, "inline": searched(base_result.report)[:1]}
-
-
-@needs_fork
-def test_a_search_that_raises_in_the_worker_raises_the_same_inline(searches, monkeypatch):
-    # record a session whose b room nothing fits in, searching b's room as
-    # it was before the box filled it, so the replay's searches there raise
+def test_a_search_that_raises_in_the_worker_raises_the_same_inline(forks, monkeypatch):
+    # nothing fits in room b, so b's host, in the peer child, raises on its
+    # first search of a's avatar: the run and the replay of a session
+    # recorded before the box filled the room raise what they raise on one
+    # CPU, and leave no child
     blocked, free = load_room(blocked_room_b_doc()), load_room(room_b_doc())
-    search = sim_module.search_placement
+    find = sim_module.find_placement
+
+    def session():
+        return run(room_a_doc(), blocked, trace_a_script().build(), trace_b_script().build(), config=quick_config())
+
     with monkeypatch.context() as m:
-        m.setattr(sim_module, "search_placement",
-                  lambda room, *args: search(free if room is blocked else room, *args))
-        result = run(room_a_doc(), blocked, trace_a_script().build(), trace_b_script().build(),
-                     config=quick_config())
-    assert result.report["episodes"]["a"]
+        m.setattr(sim_module, "find_placement", lambda room, *args, **kwargs: find(
+            free if room is blocked else room, *args, **kwargs))
+        recorded = session()
+    assert recorded.report["episodes"]["a"]
 
-    def replayed() -> str:
-        with pytest.raises(placement_module.NoFeasiblePlacement) as caught:
-            replay(result.transcript, room_a_doc(), blocked_room_b_doc())
-        return str(caught.value)
+    def replayed():
+        return replay(recorded.transcript, room_a_doc(), blocked_room_b_doc())
 
-    searches["inline"].clear()
-    message = replayed()
-    assert message.startswith("room 'beta': none of the")
-    assert searches == {"forks": 1, "inline": [(0, 0)]}  # b's first search of a's avatar
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert replayed() == message
-    assert searches["forks"] == 1
+    for attempt in (session, replayed):
+        forks["forks"] = 0
+        got = raised(attempt)
+        assert got[0] is placement_module.NoFeasiblePlacement
+        assert got[1].startswith("room 'beta': none of the")
+        assert forks["forks"] == 1 and child_left() is None
+        assert raised(lambda: on_one_cpu(monkeypatch, attempt)) == got
 
 
-@needs_fork
-def test_a_divergence_after_the_fork_leaves_no_child(searches, base_result):
+@pytest.mark.parametrize("latency", [0, 10**5])
+def test_a_malformed_trace_raises_as_on_one_cpu_on_either_side(forks, monkeypatch, latency):
+    # a `MalformedTrace` at a tick of trace b, raised in the peer child; and
+    # one of trace a, raised here, which at latency 10**5 is raised before
+    # this process learns that b's earlier one ended the child
+    trace_a, trace_b = trace_a_script().build(), trace_b_script().build()
+    config = quick_config(latency_ticks=latency)
+    cases = ((trace_a, beyond_f32_at(trace_b, 30), 30), (beyond_f32_at(trace_a, 40), beyond_f32_at(trace_b, 30), 30),
+             (beyond_f32_at(trace_a, 30), beyond_f32_at(trace_b, 40), 30))
+    for a, b, tick in cases:
+        forks["forks"] = 0
+
+        def session():
+            return run(room_a_doc(), room_b_doc(), a, b, config=config)
+
+        got = raised(session)
+        assert got[0] is MalformedTrace and got[1].startswith(f"snapshot at tick {tick} ")
+        assert forks["forks"] == 1 and child_left() is None
+        assert raised(lambda: on_one_cpu(monkeypatch, session)) == got
+
+
+def test_a_divergence_after_the_fork_leaves_no_child(forks, base_result):
     with pytest.raises(ReplayDivergence, match="placement"):
         replay(tampered_announce(base_result.transcript), room_a_doc(), room_b_doc())
-    assert searches["forks"] == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert forks["forks"] == 1
+    assert child_left() is None
 
 
 def test_one_usable_cpu_forks_no_worker(monkeypatch, base_result):
@@ -1732,27 +1824,36 @@ def test_one_usable_cpu_forks_no_worker(monkeypatch, base_result):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    assert same_run(base_session(), base_result)
     assert replay(base_result.transcript, room_a_doc(), room_b_doc()) == base_result.report
 
 
-@needs_fork
-def test_a_fork_that_fails_leaves_every_search_inline(searches, monkeypatch, base_result):
+def open_fds() -> list[str] | None:
+    """This process's open file descriptors, where the platform lists them."""
+    fd_dir = Path("/proc/self/fd")
+    return sorted(os.listdir(fd_dir)) if fd_dir.is_dir() else None
+
+
+def test_a_fork_that_fails_leaves_every_search_inline(forks, monkeypatch, base_result):
     def no_process():
-        searches["forks"] += 1
+        forks["forks"] += 1
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_process)
+    fds = open_fds()
+    assert same_run(base_session(), base_result)
     assert replay(base_result.transcript, room_a_doc(), room_b_doc()) == base_result.report
-    assert searches == {"forks": 1, "inline": searched(base_result.report)}
+    assert forks == {"forks": 2, "stepped": {"a", "b"}}
+    assert open_fds() == fds
 
 
-@needs_fork
-def test_replay_runs_where_sigchld_is_ignored(searches, base_result):
-    # the kernel then reaps the worker itself, so the parent's kill and wait
+def test_replay_runs_where_sigchld_is_ignored(forks, base_result):
+    # the kernel then reaps the peer child itself, so the kill and the wait
     # find no child
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
+        assert same_run(base_session(), base_result)
         assert replay(base_result.transcript, room_a_doc(), room_b_doc()) == base_result.report
     finally:
         signal.signal(signal.SIGCHLD, previous)
-    assert searches["forks"] == 1
+    assert forks == {"forks": 2, "stepped": {"a"}}

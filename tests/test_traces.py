@@ -208,6 +208,17 @@ def test_trace_rejects_tick_gap():
         MotionTrace(tick_rate=60.0, skeleton=base.skeleton, snapshots=tuple(snaps))
 
 
+def test_a_trace_without_snapshots_is_refused(tmp_path):
+    # a trace file holding only its header line loads as no trace at all
+    path = tmp_path / "empty.jsonl"
+    save_trace(TraceBuilder().hold(0.05).build(), path)
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    with pytest.raises(MalformedTrace, match="^trace has no snapshots$"):
+        load_trace(path)
+    with pytest.raises(MalformedTrace, match="^trace has no snapshots$"):
+        MotionTrace(tick_rate=60.0, skeleton=Skeleton(), snapshots=())
+
+
 def test_trace_rejects_bad_tick_rate():
     for rate in (0.0, math.nan, math.inf):
         with pytest.raises(MalformedTrace, match="tick rate"):

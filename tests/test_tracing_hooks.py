@@ -59,10 +59,17 @@ REACHED = (
 )
 
 
-def test_traced_session_reaches_every_counted_layer():
+SCREEN_B_POINT = [1.8, 1.3, 0.0]  # on screen_b's front face
+
+
+def test_traced_session_reaches_every_counted_layer(two_cpus):
+    # on the benchmark's two CPUs the tracer counts peer a's side only, the
+    # one in its own process, so peer a's side alone reaches every layer
     tracing = load_tracing()
-    # B walks again once placed, so A's host walks B's avatar in place
+    # B walks again once placed, so A's host walks B's avatar in place, then
+    # points at its screen, so A's host solves the avatar's pointing arm
     trace_b = trace_b_script().walk_to(0.4, 0.5, speed=1.5).hold(0.5)
+    trace_b.gaze_at(SCREEN_B_POINT, seconds=1.0).point_at(SCREEN_B_POINT, side="right", raise_s=0.4, hold_s=1.0)
     tracer = tracing.Tracer().install()
     try:
         tracing.sim.run(room_a_doc(), room_b_doc(), trace_a_script().build(), trace_b.build(),
